@@ -51,7 +51,7 @@ def _config_options(fn):
         click.option("--oracle/--no-oracle", "oracle", default=None, help="Attach oracle deviation columns to sweep rows."),
         click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default=None, help="Output format."),
         click.option("--out", default=None, help="Output path (default: stdout)."),
-        click.option("--jobs", type=int, default=None, help="Worker processes (0 = all cores)."),
+        click.option("--jobs", type=int, default=None, help="Worker processes for oracle quadrature: verify and sweep --oracle (0 = all cores)."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)

@@ -26,9 +26,12 @@ static pair at spatial separation r > 0, are
     nonlocal term  x(Omega, r) = (s / 4 sqrt(pi) r) e^{-s^2 Omega^2}
                                    [ i e^{-r^2/4s^2} - (2/sqrt(pi)) D(r/2s) ]
 
-where D is Dawson's integral and the Gaussian-times-erf factor of the
-exchange term is evaluated through the overflow-safe combination
-e^{-y^2} e^{2ixy} erf(x+iy) (:func:`udwpair.special.phase_scaled_erf`).
+where D is Dawson's integral.  For s Omega >= 0 the exchange bracket equals
+-e^{-s^2 Omega^2} Im w(-r/2s + i s Omega) with the Faddeeva function w, which
+is evaluated directly because the subtraction of sin(Omega r) cancels; for
+s Omega < 0 the Gaussian-times-erf factor is evaluated through the
+overflow-safe combination e^{-y^2} e^{2ixy} erf(x+iy)
+(:func:`udwpair.special.phase_scaled_erf_array`).
 All three are verified term by term against an independent distributional
 quadrature of the Wightman function (see :mod:`udwpair.wightman`).
 
@@ -37,13 +40,21 @@ like e^{-r^2/4s^2}, but the principal-value parts fall off only like
 (s/r)^2 e^{-s^2 Omega^2} / 2 pi.  Image sums therefore converge
 polynomially, ~ 1/(n ell)^2 per term, not Gaussianly; the truncation
 bookkeeping below reflects that.
+
+Every coefficient has one numpy implementation that takes arrays
+(``*_array``); the scalar functions evaluate it on one point.  The batched
+entry point :func:`elements_batch` evaluates a whole (Omega, worldline) grid
+at once: image sums run over n in a fixed order with one array operation
+per n, and per-point failures are recorded in an ``errors`` array instead
+of being raised.  A scalar call and the batch therefore agree exactly.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.special as _sp
@@ -55,24 +66,47 @@ from .errors import (
     StateConsistencyWarning,
     TruncationWarning,
 )
-from .geometry import Topology, TopologyKind, WorldlinePair, self_pair, separation, image_separation
-from .special import dawson, erfc_real, phase_scaled_erf
+from .geometry import (
+    Topology,
+    TopologyKind,
+    WorldlinePair,
+    image_separation_array,
+    self_pair,
+    separation,
+    separation_array,
+)
+from .special import complex_array, modulus, phase_scaled_erf_array
 
 __all__ = [
     "DetectorParams",
     "XStateAB",
+    "XStateBatch",
     "joint_excitation",
     "self_excitation_coefficient",
     "exchange_coefficient",
     "nonlocal_coefficient",
+    "self_excitation_array",
+    "exchange_array",
+    "nonlocal_array",
     "elements_minkowski",
     "elements_cylinder",
     "elements_twisted",
     "elements_for",
+    "elements_batch",
+    "new_errors",
+    "flag_errors",
     "assemble_density_matrix",
+    "assembly_checks",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+#: Region 0 <= s Omega <= _SERIES_X, r/2s <= _SERIES_Y where Im w(-y + ix) is
+#: summed from its Taylor series in y: scipy's Faddeeva routine keeps only
+#: absolute accuracy in Im w there (errors up to 2.3e-13 relative), while the
+#: series (_SERIES_TERMS odd orders) stays within 3e-14.
+_SERIES_X = 8.0
+_SERIES_Y = 0.3
+_SERIES_TERMS = 10
 #: Relative tail size above which an image sum warns about its truncation.
 TRUNCATION_RTOL = 1e-12
 
@@ -115,21 +149,174 @@ class XStateAB:
     tail_bound: float = 0.0
 
 
-def joint_excitation(a: float, b: float, x: complex, c: complex) -> float:
-    """E/eps0^4 = |x|^2 + a b + 2 |c|^2 (valid also when a != b)."""
-    return abs(x) ** 2 + a * b + 2.0 * abs(c) ** 2
+class XStateBatch(NamedTuple):
+    """:class:`XStateAB` fields as arrays of one common shape (``c`` is real)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+    tail_bound: np.ndarray
+
+
+def new_errors(shape) -> np.ndarray:
+    """Per-point error slots for a batch: None where the point is valid."""
+    return np.full(shape, None, dtype=object)
+
+
+def flag_errors(
+    errors: np.ndarray, bad, make: Callable[..., Exception], *values
+) -> None:
+    """Record ``make(v1, v2, ...)`` for every point where ``bad`` holds and
+    no earlier error is recorded, so each point keeps the first failure
+    that the scalar evaluation order would have raised.  The v's are the
+    point's entries of ``values``, as Python numbers."""
+    flat = errors.reshape(-1)
+    for i in np.flatnonzero(np.broadcast_to(bad, errors.shape)):
+        if flat[i] is None:
+            flat[i] = make(
+                *(np.broadcast_to(v, errors.shape).reshape(-1)[i].item() for v in values)
+            )
+
+
+def _raise_first(errors: np.ndarray) -> None:
+    exc = errors.reshape(-1)[0]
+    if exc is not None:
+        raise exc
+
+
+def joint_excitation(a, b, x, c):
+    """E/eps0^4 = |x|^2 + a b + 2 |c|^2 (valid also when a != b; arrays too)."""
+    ax = modulus(x)
+    ac = modulus(c)
+    e = ax * ax + a * b + 2.0 * (ac * ac)
+    return float(e) if np.ndim(e) == 0 else e
+
+
+def _piecewise(cases, *args):
+    """Evaluate each (mask, fn) case on the points where its mask holds (NaN
+    where none does).
+
+    0-d inputs are passed to ``fn`` as numpy scalars, which is much faster
+    than arrays and rounds identically.
+    """
+    if np.ndim(args[0]) == 0:
+        for mask, fn in cases:
+            if mask:
+                return fn(*args)
+        return math.nan
+    out = np.full(np.shape(args[0]), math.nan)
+    for mask, fn in cases:
+        if np.any(mask):
+            out[mask] = fn(*(a[mask] for a in args))
+    return out
+
+
+def _self_term_nonnegative(y):
+    # the subtraction goes through the scaled complement erfcx: no cancellation
+    return np.exp(-y * y) * (1.0 - _SQRT_PI * y * _sp.erfcx(y)) / (4.0 * math.pi)
+
+
+def _self_term_negative(y):
+    return (np.exp(-y * y) - _SQRT_PI * y * _sp.erfc(y)) / (4.0 * math.pi)
+
+
+def self_excitation_array(y):
+    """A/eps0^2 as a function of y = sigma*Omega, for arrays."""
+    y = np.asarray(y, dtype=float)[()]
+    return _piecewise(((y >= 0.0, _self_term_nonnegative), (y < 0.0, _self_term_negative)), y)
 
 
 def self_excitation_coefficient(p: DetectorParams) -> float:
     """Transition probability coefficient A/eps0^2 for a single static detector.
 
-    Equals 1/4 pi at Omega = 0.  For s*Omega > 0 the subtraction is done
-    through the scaled complement erfcx to avoid cancellation.
+    Equals 1/4 pi at Omega = 0.
     """
-    y = p.sigma * p.omega
-    if y >= 0.0:
-        return math.exp(-y * y) * (1.0 - _SQRT_PI * y * float(_sp.erfcx(y))) / (4.0 * math.pi)
-    return (math.exp(-y * y) - _SQRT_PI * y * erfc_real(y)) / (4.0 * math.pi)
+    return float(self_excitation_array(p.sigma * p.omega))
+
+
+def _im_erfcx_series(x, y):
+    """Im erfcx(x + iy) = sum_m (-1)^m u^(2m+1)(x) y^(2m+1) / (2m+1)! with
+    u = erfcx, u' = 2xu - 2/sqrt(pi) and u^(n+1) = 2x u^(n) + 2n u^(n-1)."""
+    prev = _sp.erfcx(x)
+    cur = 2.0 * x * prev - 2.0 / _SQRT_PI
+    term = y
+    total = cur * term
+    for m in range(1, _SERIES_TERMS):
+        prev, cur = cur, 2.0 * x * cur + 2.0 * (2 * m - 1) * prev
+        prev, cur = cur, 2.0 * x * cur + 4.0 * m * prev
+        term = -term * (y * y) / (2 * m * (2 * m + 1))
+        total = total + cur * term
+    return total
+
+
+def _osc_series(x, y, omega, r):
+    return -np.exp(-x * x) * _im_erfcx_series(x, y)
+
+
+def _osc_faddeeva(x, y, omega, r):
+    return -np.exp(-x * x) * _sp.wofz(complex_array(-y, x)).imag
+
+
+def _osc_negative_gap(x, y, omega, r):
+    return phase_scaled_erf_array(x, y).imag - np.exp(-y * y) * np.sin(omega * r)
+
+
+def exchange_array(sigma: float, omega, r):
+    """C/eps0^2 at separations r > 0 for arrays of gaps and separations.
+
+    With x = sigma*Omega and y = r/2 sigma the bracket
+    Im[e^{2ixy} erf(x+iy)] e^{-y^2} - e^{-y^2} sin(Omega r) equals
+    -e^{-x^2} Im w(-y + ix) = -e^{-x^2} Im erfcx(x + iy) for x >= 0, which
+    is evaluated as such: it keeps full relative accuracy where the
+    subtraction would cancel (small r, large gap) and stays nonzero where
+    e^{-y^2} sin(Omega r) alone would swamp it.
+    """
+    omega = np.asarray(omega, dtype=float)[()]
+    r = np.asarray(r, dtype=float)[()]
+    if np.ndim(omega) or np.ndim(r):
+        omega, r = np.broadcast_arrays(omega, r)
+    x = sigma * omega
+    y = r / (2.0 * sigma)
+    series = (x >= 0.0) & (x <= _SERIES_X) & (y <= _SERIES_Y)
+    osc = _piecewise(
+        (
+            (series, _osc_series),
+            ((x >= 0.0) & ~series, _osc_faddeeva),
+            (x < 0.0, _osc_negative_gap),
+        ),
+        x, y, omega, r,
+    )
+    return sigma / (4.0 * _SQRT_PI * r) * osc
+
+
+def nonlocal_array(sigma: float, omega, r):
+    """X/eps0^2 at separations r > 0 for arrays of gaps and separations.
+
+    The Dawson representation
+    e^{-r^2/4s^2} [1 + erf(i r/2s)] = e^{-r^2/4s^2} + i (2/sqrt(pi)) D(r/2s)
+    keeps the evaluation finite at any separation.
+    """
+    x = sigma * np.asarray(omega, dtype=float)[()]
+    r = np.asarray(r, dtype=float)[()]
+    y = r / (2.0 * sigma)
+    envelope = np.exp(-(x * x))
+    bracket = complex_array(-2.0 / _SQRT_PI * _sp.dawsn(y), np.exp(-y * y))
+    return sigma / (4.0 * _SQRT_PI * r) * envelope * bracket
+
+
+def _separation_error(r: float) -> GeometryError:
+    return GeometryError(f"separation must be finite and > 0, got {r!r}")
+
+
+def _require_separation(r: float) -> None:
+    if not (math.isfinite(r) and r > 0.0):
+        raise _separation_error(r)
+
+
+def _flag_separation(errors: np.ndarray, r) -> None:
+    flag_errors(errors, ~(np.isfinite(r) & (r > 0.0)), _separation_error, r)
 
 
 def exchange_coefficient(p: DetectorParams, r: float) -> float:
@@ -140,35 +327,19 @@ def exchange_coefficient(p: DetectorParams, r: float) -> float:
     image).  As r -> 0 it tends to the self term; as r -> infinity it decays
     like (s/r)^2 e^{-s^2 Omega^2} / 2 pi.
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise GeometryError(f"separation must be finite and > 0, got {r!r}")
-    s = p.sigma
-    x = s * p.omega
-    y = r / (2.0 * s)
-    osc = phase_scaled_erf(x, y).imag - math.exp(-y * y) * math.sin(p.omega * r)
-    return s / (4.0 * _SQRT_PI * r) * osc
+    _require_separation(r)
+    return float(exchange_array(p.sigma, p.omega, r))
 
 
 def nonlocal_coefficient(p: DetectorParams, r: float) -> complex:
-    """Nonlocal coefficient X/eps0^2 for a static pair at separation r > 0.
-
-    The Dawson representation
-    e^{-r^2/4s^2} [1 + erf(i r/2s)] = e^{-r^2/4s^2} + i (2/sqrt(pi)) D(r/2s)
-    keeps the evaluation finite at any separation.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise GeometryError(f"separation must be finite and > 0, got {r!r}")
-    s = p.sigma
-    y = r / (2.0 * s)
-    envelope = math.exp(-((s * p.omega) ** 2))
-    bracket = complex(-2.0 / _SQRT_PI * dawson(y), math.exp(-y * y))
-    return s / (4.0 * _SQRT_PI * r) * envelope * bracket
+    """Nonlocal coefficient X/eps0^2 for a static pair at separation r > 0."""
+    _require_separation(r)
+    return complex(nonlocal_array(p.sigma, p.omega, r))
 
 
 def elements_minkowski(p: DetectorParams, length: float) -> XStateAB:
     """All leading-order elements for identical detectors at separation L > 0."""
-    if not (math.isfinite(length) and length > 0.0):
-        raise GeometryError(f"separation must be finite and > 0, got {length!r}")
+    _require_separation(length)
     a = self_excitation_coefficient(p)
     x = nonlocal_coefficient(p, length)
     c = complex(exchange_coefficient(p, length))
@@ -179,57 +350,131 @@ def _eta_weight(eta: int, n: int) -> int:
     return 1 if (eta == 1 or n % 2 == 0) else -1
 
 
-def _image_sum(
-    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int
-) -> XStateAB:
+def _minkowski_batch(
+    omega, sigma: float, pair: WorldlinePair, errors: np.ndarray
+) -> XStateBatch:
+    length = separation_array(pair)
+    _flag_separation(errors, length)
+    a = np.broadcast_to(self_excitation_array(sigma * omega), errors.shape)
+    x = nonlocal_array(sigma, omega, length)
+    c = exchange_array(sigma, omega, length)
+    return XStateBatch(a, a, x, c, joint_excitation(a, a, x, c), np.zeros(errors.shape))
+
+
+def _image_sum_batch(
+    omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
+    errors: np.ndarray,
+) -> XStateBatch:
+    """Image sums over n = -nmax..-1, 1..nmax, one array operation per n.
+
+    On the cylinder the single-detector image separations |n| ell do not
+    depend on the position, so b = a and only detector A's sum is formed.
+    """
     if nmax < 1:
         raise GeometryError(f"nmax must be >= 1, got {nmax!r}")
-    length = separation(pair)
-    if length <= 0.0:
-        raise GeometryError("nonlocal elements require distinct worldlines (L > 0)")
-
+    length = separation_array(pair)
+    flag_errors(
+        errors,
+        length <= 0.0,
+        lambda: GeometryError("nonlocal elements require distinct worldlines (L > 0)"),
+    )
+    same_b = topology.kind is TopologyKind.CYLINDER
     pair_a = self_pair(pair.d_a, pair.z_a)
     pair_b = self_pair(pair.d_b, pair.z_b)
 
-    a = self_excitation_coefficient(p)
+    a = self_excitation_array(sigma * omega)
     b = a
-    x = nonlocal_coefficient(p, length)
-    c = complex(exchange_coefficient(p, length))
-
-    last = {"a": 0.0, "b": 0.0, "x": 0.0, "c": 0.0}
-    for n in range(-nmax, nmax + 1):
-        if n == 0:
-            continue
+    x = nonlocal_array(sigma, omega, length)
+    c = exchange_array(sigma, omega, length)
+    last_a = last_b = last_x = last_c = 0.0
+    for n in [*range(-nmax, 0), *range(1, nmax + 1)]:
         w = _eta_weight(topology.eta, n)
-        t_a = w * exchange_coefficient(p, image_separation(topology, pair_a, n))
-        t_b = w * exchange_coefficient(p, image_separation(topology, pair_b, n))
-        l_n = image_separation(topology, pair, n)
-        t_x = w * nonlocal_coefficient(p, l_n)
-        t_c = w * exchange_coefficient(p, l_n)
-        a += t_a
-        b += t_b
-        x += t_x
-        c += t_c
+        r_a = image_separation_array(topology, pair_a, n)
+        _flag_separation(errors, r_a)
+        t_a = w * exchange_array(sigma, omega, r_a)
+        a = a + t_a
+        if not same_b:
+            r_b = image_separation_array(topology, pair_b, n)
+            _flag_separation(errors, r_b)
+            t_b = w * exchange_array(sigma, omega, r_b)
+            b = b + t_b
+        l_n = image_separation_array(topology, pair, n)
+        _flag_separation(errors, l_n)
+        t_x = w * nonlocal_array(sigma, omega, l_n)
+        t_c = w * exchange_array(sigma, omega, l_n)
+        x = x + t_x
+        c = c + t_c
         if abs(n) == nmax:
-            last["a"] += abs(t_a)
-            last["b"] += abs(t_b)
-            last["x"] += abs(t_x)
-            last["c"] += abs(t_c)
+            last_a = last_a + np.abs(t_a)
+            last_x = last_x + modulus(t_x)
+            last_c = last_c + np.abs(t_c)
+            if not same_b:
+                last_b = last_b + np.abs(t_b)
+    if same_b:
+        b, last_b = a, last_a
 
+    shape = errors.shape
+    a, b, x, c = (np.broadcast_to(v, shape) for v in (a, b, x, c))
     # Terms decay ~ K/n^2, so the omitted tail is roughly |t_nmax| * nmax.
-    tail = max(last.values()) * nmax
-    sums = {"a": a, "b": b, "x": x, "c": c}
-    worst = max(last[k] / max(abs(sums[k]), 1e-300) for k in last)
-    if worst > TRUNCATION_RTOL:
+    last = [np.broadcast_to(v, shape) for v in (last_a, last_b, last_x, last_c)]
+    tail = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3])) * nmax
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = np.maximum.reduce(
+            [lk / np.maximum(modulus(sk), 1e-300) for lk, sk in zip(last, (a, b, x, c))]
+        )
+    valid = np.array([err is None for err in errors.reshape(-1)]).reshape(shape)
+    if np.any(valid & (worst > TRUNCATION_RTOL)):
         warnings.warn(
             f"image sum truncated at |n| <= {nmax} with last-term relative "
-            f"size {worst:.2e}; estimated omitted tail {tail:.2e} "
+            f"size up to {np.max(worst[valid]):.2e}; estimated omitted tail up to "
+            f"{np.max(tail[valid]):.2e} "
             "(principal-value parts decay only like 1/(n ell)^2)",
             TruncationWarning,
             stacklevel=3,
         )
+    return XStateBatch(a, b, x, c, joint_excitation(a, b, x, c), tail)
+
+
+def elements_batch(
+    omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
+    errors: np.ndarray,
+) -> XStateBatch:
+    """Elements on a grid: gaps ``omega`` and pair coordinates broadcast to
+    ``errors.shape``.
+
+    A point whose scalar evaluation (:func:`elements_for`) would raise gets
+    that exception in ``errors`` instead; its values are then meaningless.
+    Points that already carry an error keep it.
+    """
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if topology.kind is TopologyKind.MINKOWSKI:
+            return _minkowski_batch(omega, sigma, pair, errors)
+        return _image_sum_batch(omega, sigma, pair, topology, nmax, errors)
+
+
+def _as_batch(state: XStateAB) -> XStateBatch:
+    """One-point batch holding the values of ``state``."""
+    return XStateBatch(
+        np.array([state.a], dtype=float),
+        np.array([state.b], dtype=float),
+        np.array([state.x], dtype=complex),
+        np.array([state.c], dtype=complex),
+        np.array([state.e], dtype=float),
+        np.array([state.tail_bound], dtype=float),
+    )
+
+
+def _image_sum(
+    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int
+) -> XStateAB:
+    errors = new_errors((1,))
+    state = elements_batch(np.array([p.omega]), p.sigma, pair, topology, nmax, errors)
+    _raise_first(errors)
+    a, b, x, c, e, tail = (v[0] for v in state)
     return XStateAB(
-        a=a, b=b, x=x, c=c, e=joint_excitation(a, b, x, c), tail_bound=tail
+        a=float(a), b=float(b), x=complex(x), c=complex(c), e=float(e),
+        tail_bound=float(tail),
     )
 
 
@@ -239,9 +484,7 @@ def elements_cylinder(
     """Image-sum elements on the cylinder; translation invariance gives b = a."""
     if topology.kind is not TopologyKind.CYLINDER:
         raise GeometryError(f"expected a cylinder topology, got {topology.kind}")
-    state = _image_sum(p, pair, topology, nmax)
-    # single-detector image separations |n| ell are position independent
-    return replace(state, b=state.a, e=joint_excitation(state.a, state.a, state.x, state.c))
+    return _image_sum(p, pair, topology, nmax)
 
 
 def elements_twisted(
@@ -270,6 +513,79 @@ def elements_for(
     return elements_twisted(p, pair, topology, nmax)
 
 
+class Assembled(NamedTuple):
+    """Diagonal (r11..r44) and anti-diagonal (rho14 = X, rho23 = C) entries."""
+
+    r11: np.ndarray
+    r22: np.ndarray
+    r33: np.ndarray
+    r44: np.ndarray
+    x14: np.ndarray
+    x23: np.ndarray
+
+
+def _flag_probability(errors: np.ndarray, name: str, val) -> None:
+    flag_errors(
+        errors,
+        ~((0.0 <= val) & (val <= 1.0)),
+        lambda v: InvalidStateError(
+            f"{name} = {v!r} outside [0, 1]; eps0 too large or invalid state"
+        ),
+        val,
+    )
+
+
+def _flag_positivity(errors: np.ndarray, name: str, z, bound_name: str, bound) -> None:
+    """PositivityError where |z|^2 exceeds ``bound`` by more than 1e-12."""
+    mod = modulus(z)
+    sq = mod * mod
+    flag_errors(
+        errors,
+        sq > bound + 1e-12,
+        lambda u, v: PositivityError(f"{name} = {u!r} exceeds {bound_name} = {v!r}"),
+        sq,
+        bound,
+    )
+
+
+def assembly_checks(state, eps0: float, errors: np.ndarray) -> Assembled:
+    """The physical X-state entries of a batch, with the checks of
+    :func:`assemble_density_matrix` recorded per point in ``errors``."""
+    if not (math.isfinite(eps0) and eps0 > 0.0):
+        raise InvalidStateError(f"eps0 must be > 0, got {eps0!r}")
+    shape = errors.shape
+    e2 = eps0 * eps0
+    big_a = e2 * state.a
+    big_b = e2 * state.b
+    big_x = e2 * state.x
+    big_c = e2 * state.c
+    big_e = e2 * e2 * state.e
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        e_consistent = joint_excitation(state.a, state.b, state.x, state.c)
+        off = np.abs(state.e - e_consistent) > 1e-9 * np.maximum(1.0, np.abs(e_consistent))
+    if np.any(off):
+        i = np.flatnonzero(np.broadcast_to(off, shape))[0]
+        supplied = np.broadcast_to(state.e, shape).reshape(-1)[i].item()
+        implied = np.broadcast_to(e_consistent, shape).reshape(-1)[i].item()
+        warnings.warn(
+            f"supplied e={supplied!r} differs from |x|^2 + a b + 2|c|^2 = {implied!r}",
+            StateConsistencyWarning,
+            stacklevel=3,
+        )
+
+    _flag_probability(errors, "A", big_a)
+    _flag_probability(errors, "B", big_b)
+    r11 = 1.0 - big_a - big_b + big_e
+    r22 = big_b - big_e
+    r33 = big_a - big_e
+    r44 = big_e
+    with np.errstate(invalid="ignore", over="ignore"):
+        _flag_positivity(errors, "|X|^2", big_x, "r11 r44", r11 * r44)
+        _flag_positivity(errors, "|C|^2", big_c, "r22 r33", r22 * r33)
+    return Assembled(r11, r22, r33, r44, big_x, big_c)
+
+
 def assemble_density_matrix(state: XStateAB, eps0: float) -> np.ndarray:
     """Assemble the physical 4x4 density matrix from eps0-scaled coefficients.
 
@@ -277,50 +593,18 @@ def assemble_density_matrix(state: XStateAB, eps0: float) -> np.ndarray:
     r11 r44 >= |X|^2 or r22 r33 >= |C|^2 fails beyond 1e-12, which signals a
     coupling too strong for the leading-order truncation.
     """
-    if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise InvalidStateError(f"eps0 must be > 0, got {eps0!r}")
-    e2 = eps0 * eps0
-    big_a = e2 * state.a
-    big_b = e2 * state.b
-    big_x = e2 * complex(state.x)
-    big_c = e2 * complex(state.c)
-    big_e = e2 * e2 * state.e
-
-    e_consistent = joint_excitation(state.a, state.b, state.x, state.c)
-    if abs(state.e - e_consistent) > 1e-9 * max(1.0, abs(e_consistent)):
-        warnings.warn(
-            f"supplied e={state.e!r} differs from |x|^2 + a b + 2|c|^2 = "
-            f"{e_consistent!r}",
-            StateConsistencyWarning,
-            stacklevel=2,
-        )
-
-    for name, val in (("A", big_a), ("B", big_b)):
-        if not 0.0 <= val <= 1.0:
-            raise InvalidStateError(
-                f"{name} = {val!r} outside [0, 1]; eps0 too large or invalid state"
-            )
-
-    r11 = 1.0 - big_a - big_b + big_e
-    r22 = big_b - big_e
-    r33 = big_a - big_e
-    r44 = big_e
-    tol = 1e-12
-    if abs(big_x) ** 2 > r11 * r44 + tol:
-        raise PositivityError(
-            f"|X|^2 = {abs(big_x)**2!r} exceeds r11 r44 = {r11 * r44!r}"
-        )
-    if abs(big_c) ** 2 > r22 * r33 + tol:
-        raise PositivityError(
-            f"|C|^2 = {abs(big_c)**2!r} exceeds r22 r33 = {r22 * r33!r}"
-        )
-
+    errors = new_errors((1,))
+    ent = assembly_checks(_as_batch(state), eps0, errors)
+    _raise_first(errors)
+    r11, r22, r33, r44 = (float(v[0]) for v in ent[:4])
+    x14 = complex(ent.x14[0])
+    x23 = complex(ent.x23[0])
     return np.array(
         [
-            [r11, 0.0, 0.0, big_x],
-            [0.0, r22, big_c, 0.0],
-            [0.0, big_c.conjugate(), r33, 0.0],
-            [big_x.conjugate(), 0.0, 0.0, r44],
+            [r11, 0.0, 0.0, x14],
+            [0.0, r22, x23, 0.0],
+            [0.0, x23.conjugate(), r33, 0.0],
+            [x14.conjugate(), 0.0, 0.0, r44],
         ],
         dtype=complex,
     )

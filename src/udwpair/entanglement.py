@@ -16,6 +16,14 @@ and the entanglement condition is |rho14|^2 > r22 r33 or
 |rho23|^2 > r11 r44 (the two branches are mutually exclusive for a valid
 state).  The matching concurrence is
 2 max(0, |rho14| - sqrt(r22 r33), |rho23| - sqrt(r11 r44)).
+
+The eigenvalue routes (:func:`negativity_exact`, :func:`concurrence_exact`,
+:func:`xstate_measures`) serve as oracles.  Sweeps use
+:func:`xstate_measures_batch`, which evaluates the closed forms on arrays
+and records, per point, the first failure that the scalar route would
+raise: the checks of :func:`assemble_density_matrix` and of a valid density
+matrix, in the same order and with the same tolerances and messages, with
+positivity tested on the closed-form eigenvalues of the two 2x2 blocks.
 """
 
 from __future__ import annotations
@@ -25,8 +33,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elements import XStateAB, assemble_density_matrix
+from .elements import (
+    XStateAB,
+    XStateBatch,
+    assemble_density_matrix,
+    assembly_checks,
+    flag_errors,
+)
 from .errors import DomainError, InvalidStateError
+from .special import modulus
 
 __all__ = [
     "EntanglementReport",
@@ -39,21 +54,29 @@ __all__ = [
     "correlation",
     "Correlation",
     "xstate_measures",
+    "MeasuresBatch",
+    "xstate_measures_batch",
 ]
+
+#: tolerance of the trace, Hermiticity and positivity checks on rho
+_DENSITY_TOL = 1e-10
+#: eigenvalue round-off absorbed at the ends of the concurrence range
+_CONCURRENCE_SLACK = 1e-12
+_LN2 = math.log(2.0)
 
 _SY_SY = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
 )
 
 
-def _require_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _require_density_matrix(rho: np.ndarray, tol: float = _DENSITY_TOL) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
         raise InvalidStateError("density matrix contains non-finite entries")
     if abs(np.trace(rho) - 1.0) > tol:
-        raise InvalidStateError(f"trace = {np.trace(rho)!r} differs from 1")
+        raise InvalidStateError(f"trace = {complex(np.trace(rho))!r} differs from 1")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise InvalidStateError("matrix is not Hermitian")
     if np.linalg.eigvalsh(rho).min() < -tol:
@@ -105,21 +128,28 @@ def _xstate_entries(rho: np.ndarray, tol: float = 1e-12):
     return diag[0], diag[1], diag[2], diag[3], rho[0, 3], rho[1, 2]
 
 
+def xstate_closed_forms(r11, r22, r33, r44, m14, m23):
+    """(negativity, concurrence) of X-states from their diagonal entries and
+    the moduli m14 = |rho14|, m23 = |rho23|; arrays or floats."""
+    h1 = (r22 - r33) / 2.0
+    h2 = (r11 - r44) / 2.0
+    neg = np.maximum(
+        np.maximum(0.0, np.sqrt(h1 * h1 + m14 * m14) - (r22 + r33) / 2.0),
+        np.sqrt(h2 * h2 + m23 * m23) - (r11 + r44) / 2.0,
+    )
+    conc = 2.0 * np.maximum(
+        np.maximum(0.0, m14 - np.sqrt(np.maximum(r22 * r33, 0.0))),
+        m23 - np.sqrt(np.maximum(r11 * r44, 0.0)),
+    )
+    return neg, conc
+
+
 def xstate_entanglement(rho: np.ndarray) -> tuple[float, float]:
     """Closed-form (negativity, concurrence) of an X-state density matrix."""
     rho = _require_density_matrix(rho)
     r11, r22, r33, r44, x14, x23 = _xstate_entries(rho)
-    neg = max(
-        0.0,
-        math.sqrt(((r22 - r33) / 2.0) ** 2 + abs(x14) ** 2) - (r22 + r33) / 2.0,
-        math.sqrt(((r11 - r44) / 2.0) ** 2 + abs(x23) ** 2) - (r11 + r44) / 2.0,
-    )
-    conc = 2.0 * max(
-        0.0,
-        abs(x14) - math.sqrt(max(r22 * r33, 0.0)),
-        abs(x23) - math.sqrt(max(r11 * r44, 0.0)),
-    )
-    return neg, conc
+    neg, conc = xstate_closed_forms(r11, r22, r33, r44, modulus(x14), modulus(x23))
+    return float(neg), float(conc)
 
 
 class EntanglementOfFormation(NamedTuple):
@@ -127,10 +157,27 @@ class EntanglementOfFormation(NamedTuple):
     perturbative: float
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def eof_arrays(concurrence):
+    """(exact, perturbative) entanglement of formation for concurrences in [0, 1].
+
+    The perturbative form C^2/(4 ln 2) (1 - 2 ln(C/2)) takes the logarithm
+    of C, not of C^2, so it stays finite where C^2 underflows.
+    """
+    c = np.asarray(concurrence, dtype=float)
+    p = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+        pert = c * c / (4.0 * _LN2) * (1.0 - 2.0 * np.log(c / 2.0))
+    exact = np.where((p <= 0.0) | (p >= 1.0), 0.0, entropy)
+    return exact, np.where(c == 0.0, 0.0, pert)
+
+
+def _concurrence_out_of_range(c):
+    return ~(np.isfinite(c) & (-_CONCURRENCE_SLACK <= c) & (c <= 1.0 + _CONCURRENCE_SLACK))
+
+
+def _concurrence_range_error(c: float) -> DomainError:
+    return DomainError(f"concurrence must lie in [0, 1], got {c!r}")
 
 
 def entanglement_of_formation(concurrence: float) -> EntanglementOfFormation:
@@ -141,24 +188,45 @@ def entanglement_of_formation(concurrence: float) -> EntanglementOfFormation:
     O(C^4 log C).
     """
     c = float(concurrence)
-    if not math.isfinite(c) or c < 0.0 or c > 1.0:
-        # absorb eigenvalue roundoff at the endpoints only
-        if math.isfinite(c) and -1e-12 <= c <= 1.0 + 1e-12:
-            c = min(max(c, 0.0), 1.0)
-        else:
-            raise DomainError(f"concurrence must lie in [0, 1], got {c!r}")
-    exact = _binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
-    if c == 0.0:
-        pert = 0.0
-    else:
-        csq = c * c
-        pert = csq / (4.0 * math.log(2.0)) * (1.0 - math.log(csq / 4.0))
-    return EntanglementOfFormation(exact, pert)
+    if _concurrence_out_of_range(c):
+        raise _concurrence_range_error(c)
+    # absorb eigenvalue roundoff at the endpoints only
+    exact, pert = eof_arrays(min(max(c, 0.0), 1.0))
+    return EntanglementOfFormation(float(exact), float(pert))
 
 
 class Correlation(NamedTuple):
     general: float
     leading_identical: float | None
+
+
+def _degenerate_variance(big_a, big_b):
+    return (big_a * (1.0 - big_a) <= 0.0) | (big_b * (1.0 - big_b) <= 0.0)
+
+
+def _degenerate_variance_error(big_a: float, big_b: float) -> DomainError:
+    return DomainError(
+        "degenerate variance: excitation probabilities must lie strictly "
+        f"inside (0, 1), got A={big_a!r}, B={big_b!r}"
+    )
+
+
+def correlation_arrays(a, b, x, c, eps0: float):
+    """General sigma_z correlation per eps0^2, for arrays of coefficients.
+
+    (E - A B)/sqrt(A(1-A) B(1-B)) with E - A B = eps0^4 (|x|^2 + 2|c|^2),
+    written as [(|x|/sqrt a)(|x|/sqrt b) + 2 (|c|/sqrt a)(|c|/sqrt b)]
+    / sqrt((1-A)(1-B)): no intermediate underflows while A and B are
+    normal floats, and nothing cancels.
+    """
+    e2 = eps0 * eps0
+    ra = np.sqrt(a)
+    rb = np.sqrt(b)
+    mx = modulus(x)
+    mc = modulus(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = (mx / ra) * (mx / rb) + 2.0 * ((mc / ra) * (mc / rb))
+        return num / np.sqrt((1.0 - e2 * a) * (1.0 - e2 * b))
 
 
 def correlation(state: XStateAB, eps0: float) -> Correlation:
@@ -172,18 +240,15 @@ def correlation(state: XStateAB, eps0: float) -> Correlation:
     e2 = eps0 * eps0
     big_a = e2 * state.a
     big_b = e2 * state.b
-    big_e = e2 * e2 * state.e
-    var_a = big_a * (1.0 - big_a)
-    var_b = big_b * (1.0 - big_b)
-    if var_a <= 0.0 or var_b <= 0.0:
-        raise DomainError(
-            "degenerate variance: excitation probabilities must lie strictly "
-            f"inside (0, 1), got A={big_a!r}, B={big_b!r}"
-        )
-    general = (big_e - big_a * big_b) / math.sqrt(var_a * var_b)
+    if _degenerate_variance(big_a, big_b):
+        raise _degenerate_variance_error(big_a, big_b)
+    general = e2 * float(correlation_arrays(state.a, state.b, state.x, state.c, eps0))
     leading = None
     if math.isclose(state.a, state.b, rel_tol=1e-12, abs_tol=0.0):
-        leading = e2 * (abs(state.x) ** 2 + 2.0 * abs(state.c) ** 2) / state.a
+        ra = math.sqrt(state.a)
+        mx = abs(state.x) / ra
+        mc = abs(state.c) / ra
+        leading = e2 * (mx * mx + 2.0 * (mc * mc))
     return Correlation(general, leading)
 
 
@@ -245,3 +310,88 @@ def xstate_measures(state: XStateAB, eps0: float) -> EntanglementReport:
         corr_identical=corr.leading_identical,
         eof_perturbative=eof.perturbative,
     )
+
+
+class MeasuresBatch(NamedTuple):
+    """Sweep measures on a batch: closed-form ``negativity`` and
+    ``concurrence`` and the EoF at the physical eps0; ``corr`` and
+    ``concurrence_leading`` per eps0^2; ``harvested`` flags |x| > a."""
+
+    negativity: np.ndarray
+    concurrence: np.ndarray
+    eof: np.ndarray
+    eof_perturbative: np.ndarray
+    corr: np.ndarray
+    concurrence_leading: np.ndarray
+    harvested: np.ndarray
+
+
+def _block_min_eigenvalue(p, q, off):
+    """Smaller eigenvalue of the Hermitian block [[p, off], [off*, q]]."""
+    h = (p - q) / 2.0
+    return (p + q) / 2.0 - np.sqrt(h * h + off * off)
+
+
+def xstate_measures_batch(
+    state: XStateBatch, eps0: float, errors: np.ndarray
+) -> MeasuresBatch:
+    """Closed-form measures of a batch of detector X-states.
+
+    Records in ``errors`` the first failure that :func:`xstate_measures`
+    would raise for each point (points with an error keep it): the checks
+    of :func:`assemble_density_matrix`, then the density-matrix checks
+    (finite entries, unit trace, positivity; the assembled matrix is
+    Hermitian by construction), then the concurrence range of the EoF and
+    the variance condition of the correlation.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        ent = assembly_checks(state, eps0, errors)
+        r11, r22, r33, r44 = ent[:4]
+        m14 = modulus(ent.x14)
+        m23 = modulus(ent.x23)
+        finite = np.isfinite(r11) & np.isfinite(r22) & np.isfinite(r33) & np.isfinite(r44)
+        for z in (ent.x14, ent.x23):
+            finite &= np.isfinite(np.real(z)) & np.isfinite(np.imag(z))
+        flag_errors(
+            errors, ~finite,
+            lambda: InvalidStateError("density matrix contains non-finite entries"),
+        )
+        trace = r11 + r22 + r33 + r44
+        flag_errors(
+            errors,
+            np.abs(trace - 1.0) > _DENSITY_TOL,
+            lambda t: InvalidStateError(f"trace = {complex(t)!r} differs from 1"),
+            trace,
+        )
+        lowest = np.minimum(
+            _block_min_eigenvalue(r11, r44, m14), _block_min_eigenvalue(r22, r33, m23)
+        )
+        flag_errors(
+            errors,
+            lowest < -_DENSITY_TOL,
+            lambda: InvalidStateError("matrix is not positive semidefinite"),
+        )
+
+        neg, conc = xstate_closed_forms(r11, r22, r33, r44, m14, m23)
+        flag_errors(
+            errors,
+            _concurrence_out_of_range(conc),
+            _concurrence_range_error,
+            conc,
+        )
+        eof, eof_pert = eof_arrays(np.clip(conc, 0.0, 1.0))
+
+        e2 = eps0 * eps0
+        big_a = e2 * state.a
+        big_b = e2 * state.b
+        flag_errors(
+            errors,
+            _degenerate_variance(big_a, big_b),
+            _degenerate_variance_error,
+            big_a,
+            big_b,
+        )
+        corr = correlation_arrays(state.a, state.b, state.x, state.c, eps0)
+        mx = modulus(state.x)
+        lead = 2.0 * (e2 * np.maximum(0.0, mx - state.a)) / e2
+    return MeasuresBatch(neg, conc, eof, eof_pert, corr, lead, mx > state.a)

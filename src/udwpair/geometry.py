@@ -11,12 +11,19 @@ A scalar field on the quotient picks up the weight eta^n on the n-th image
 
 Image separations are computed from the explicit isometry action applied to
 the second worldline, |x_A - J^n x_B|, which is immune to sign-convention
-drift in Delta z = z_A - z_B.  The equivalent quadratic closed forms
+drift in Delta z = z_A - z_B.  The equivalent closed forms
 
-    L_n^2      = L^2 + n^2 ell^2 - 2 n ell Delta z
-    Ltilde_n^2 = L_n^2 + 4 d_A . d_B P(n)        (P(n) = n mod 2)
+    L_n^2      = |d_A - d_B|^2 + (Delta z - n ell)^2
+    Ltilde_n^2 = |d_A - (-1)^P(n) d_B|^2 + (Delta z - n ell)^2   (P(n) = n mod 2)
 
-are provided as cross-checks only.
+(= L^2 + n^2 ell^2 - 2 n ell Delta z, plus 4 d_A . d_B P(n) on the twisted
+cylinder, written as sums of squares so that nothing cancels when L_n is
+much smaller than n ell) are provided as cross-checks only.
+
+The worldline coordinates of a :class:`WorldlinePair` may be numpy arrays
+of broadcast-compatible shapes; :func:`separation_array` and
+:func:`image_separation_array` then return one distance per element, and
+the scalar functions are those kernels evaluated on floats.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import GeometryError
 
@@ -33,8 +42,10 @@ __all__ = [
     "WorldlinePair",
     "parity",
     "separation",
+    "separation_array",
     "image_point",
     "image_separation",
+    "image_separation_array",
     "image_separation_cylinder",
     "image_separation_twisted",
     "cylinder_separation_formula",
@@ -110,12 +121,20 @@ def parity(n: int) -> int:
     return abs(int(n)) % 2
 
 
+def _distance(dx, dy, dz):
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def separation_array(pair: WorldlinePair):
+    """Euclidean distance |x_A - x_B| for array-valued worldline coordinates."""
+    return _distance(
+        pair.d_a[0] - pair.d_b[0], pair.d_a[1] - pair.d_b[1], pair.z_a - pair.z_b
+    )
+
+
 def separation(pair: WorldlinePair) -> float:
     """Euclidean distance L = |x_A - x_B| between the static worldlines."""
-    dx = pair.d_a[0] - pair.d_b[0]
-    dy = pair.d_a[1] - pair.d_b[1]
-    dz = pair.z_a - pair.z_b
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+    return float(separation_array(pair))
 
 
 def image_point(
@@ -130,15 +149,19 @@ def image_point(
     return (-d[0], -d[1]), z_im
 
 
-def image_separation(topology: Topology, pair: WorldlinePair, n: int) -> float:
-    """Distance |x_A - J^n x_B| from the explicit isometry action."""
+def image_separation_array(topology: Topology, pair: WorldlinePair, n: int):
+    """Distances |x_A - J^n x_B| for array-valued worldline coordinates."""
     if topology.kind is TopologyKind.MINKOWSKI:
         if n != 0:
             raise GeometryError("Minkowski space has no nontrivial images")
-        return separation(pair)
+        return separation_array(pair)
     d_im, z_im = image_point(topology.kind, topology.ell, n, pair.d_b, pair.z_b)
-    shifted = WorldlinePair(pair.d_a, d_im, pair.z_a, z_im)
-    return separation(shifted)
+    return separation_array(WorldlinePair(pair.d_a, d_im, pair.z_a, z_im))
+
+
+def image_separation(topology: Topology, pair: WorldlinePair, n: int) -> float:
+    """Distance |x_A - J^n x_B| from the explicit isometry action."""
+    return float(image_separation_array(topology, pair, n))
 
 
 def image_separation_cylinder(pair: WorldlinePair, ell: float, n: int) -> float:
@@ -152,31 +175,20 @@ def image_separation_twisted(pair: WorldlinePair, ell: float, n: int) -> float:
 
 
 def cylinder_separation_formula(pair: WorldlinePair, ell: float, n: int) -> float:
-    """Quadratic closed form L_n^2 = L^2 + n^2 ell^2 - 2 n ell Delta z (cross-check)."""
-    lsq = separation(pair) ** 2 + (n * ell) ** 2 - 2.0 * n * ell * pair.delta_z
-    # exact identity |d_A - d_B|^2 + (Delta z - n ell)^2 >= 0; tiny negatives
-    # can only be roundoff
-    if lsq < 0.0:
-        if lsq < -1e-12:
-            raise GeometryError(f"inconsistent geometry: L_n^2 = {lsq!r} < 0")
-        lsq = 0.0
-    return math.sqrt(lsq)
+    """Closed form L_n^2 = |d_A - d_B|^2 + (Delta z - n ell)^2 (cross-check)."""
+    dx = pair.d_a[0] - pair.d_b[0]
+    dy = pair.d_a[1] - pair.d_b[1]
+    dz = pair.delta_z - n * ell
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def twisted_separation_formula(pair: WorldlinePair, ell: float, n: int) -> float:
-    """Quadratic closed form with the odd-n term 4 d_A . d_B (cross-check)."""
-    dot = pair.d_a[0] * pair.d_b[0] + pair.d_a[1] * pair.d_b[1]
-    lsq = (
-        separation(pair) ** 2
-        + (n * ell) ** 2
-        - 2.0 * n * ell * pair.delta_z
-        + 4.0 * dot * parity(n)
-    )
-    if lsq < 0.0:
-        if lsq < -1e-12:
-            raise GeometryError(f"inconsistent geometry: Ltilde_n^2 = {lsq!r} < 0")
-        lsq = 0.0
-    return math.sqrt(lsq)
+    """Closed form with |d_A + d_B|^2 in place of |d_A - d_B|^2 for odd n (cross-check)."""
+    flip = -1.0 if parity(n) else 1.0
+    dx = pair.d_a[0] - flip * pair.d_b[0]
+    dy = pair.d_a[1] - flip * pair.d_b[1]
+    dz = pair.delta_z - n * ell
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def effective_ell_twisted(d_k: float, ell: float, n: int) -> float:

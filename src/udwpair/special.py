@@ -42,6 +42,9 @@ __all__ = [
     "dawson",
     "scaled_erf_product",
     "phase_scaled_erf",
+    "phase_scaled_erf_array",
+    "complex_array",
+    "modulus",
 ]
 
 #: Half-width of the validated square domain for complex arguments.
@@ -133,6 +136,39 @@ def scaled_erf_product(alpha: float, z: complex) -> complex:
     return math.exp(-alpha) - cmath.exp(expo) * complex(_sp.wofz(1j * z))
 
 
+def complex_array(re, im) -> np.ndarray:
+    """Complex array with the given real and imaginary parts, both exact."""
+    if np.ndim(re) == 0 and np.ndim(im) == 0:
+        return np.complex128(complex(re, im))
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def modulus(z):
+    """|z| as hypot(Re z, Im z), the same rounding as Python's abs(complex)."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def phase_scaled_erf_array(x, y):
+    """Array form of :func:`phase_scaled_erf` for real arrays x, y.
+
+    For x >= 0 the Faddeeva argument is -|y| + ix; for x < 0 the identity
+    w(-y + ix) = 2 e^{-(-y+ix)^2} - w(y - ix) moves it to |y| - ix, so it
+    stays in the upper half-plane either way.  Negative y is handled by
+    conjugation, erf(conj z) = conj(erf z).
+    """
+    x = np.asarray(x, dtype=float)[()]
+    y = np.asarray(y, dtype=float)[()]
+    ya = np.abs(y)
+    sign = 2.0 * (x >= 0.0) - 1.0
+    phase = np.exp(complex_array(-ya * ya, 2.0 * x * ya))
+    out = sign * (phase - np.exp(-x * x) * _sp.wofz(complex_array(-sign * ya, sign * x)))
+    return complex_array(out.real, (1.0 - 2.0 * (y < 0.0)) * out.imag)
+
+
 def phase_scaled_erf(x: float, y: float) -> complex:
     """Compute e^{-y^2} e^{2ixy} erf(x + iy) for real x, y.
 
@@ -147,18 +183,7 @@ def phase_scaled_erf(x: float, y: float) -> complex:
     y = float(y)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"arguments must be finite, got x={x!r}, y={y!r}")
-    if y < 0.0:
-        # erf(conj z) = conj(erf z), and the phase conjugates with y -> -y.
-        return phase_scaled_erf(x, -y).conjugate()
-    if x >= 0.0:
-        return cmath.exp(complex(-y * y, 2.0 * x * y)) - math.exp(
-            -x * x
-        ) * complex(_sp.wofz(complex(-y, x)))
-    # x < 0: w(-y + ix) = 2 e^{-(-y+ix)^2} - w(y - ix) keeps the kernel
-    # argument in the upper half-plane.
-    return -cmath.exp(complex(-y * y, 2.0 * x * y)) + math.exp(
-        -x * x
-    ) * complex(_sp.wofz(complex(y, -x)))
+    return complex(phase_scaled_erf_array(x, y))
 
 
 def _erf_representable(z: complex) -> bool:

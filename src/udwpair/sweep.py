@@ -12,6 +12,13 @@ and theta = pi/2 along it; ``d_a`` offsets both detectors in the reflected
 plane, which matters only for the twisted cylinder (not translation
 invariant there).
 
+Sweeps and difference maps evaluate each ell block of the grid in one
+batched numpy pass in the calling process (:func:`udwpair.elements.elements_batch`,
+:func:`udwpair.entanglement.xstate_measures_batch`); a point that fails
+gets the error text of the scalar evaluation in its ``error`` column.  Only
+the quadrature oracle (``verify`` and ``sweep --oracle``) runs point by
+point, in a pool of ``jobs`` worker processes.
+
 Row order is fixed by the grid index (ell, omega, l, theta outermost to
 innermost), independent of the parallelism degree, and floats are written
 with 17 significant digits, so identical configurations produce
@@ -31,13 +38,14 @@ import numpy as np
 from . import wightman
 from .elements import (
     DetectorParams,
-    elements_for,
+    elements_batch,
     elements_minkowski,
     exchange_coefficient,
+    new_errors,
     nonlocal_coefficient,
 )
-from .entanglement import xstate_measures
-from .errors import ConfigError, UdwError
+from .entanglement import xstate_measures_batch
+from .errors import ConfigError
 from .geometry import (
     Topology,
     TopologyKind,
@@ -45,6 +53,7 @@ from .geometry import (
     image_separation,
     separation,
 )
+from .special import modulus
 
 __all__ = [
     "GridAxis",
@@ -66,6 +75,8 @@ OUTPUT_DIR_ENV = "UDWPAIR_OUT_DIR"
 
 VERIFY_TOLERANCE = 1e-6
 _VERIFY_IMAGES = (1, -1, 2, -2)
+_VERIFY_COLUMNS = ("dev_a", "dev_x", "dev_c", "dev_image")
+_ORACLE_COLUMNS = ("oracle_dev_a", "oracle_dev_x", "oracle_dev_c")
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ class SweepConfig:
     oracle: bool = False
     fmt: str = "csv"
     out: str | None = None
-    jobs: int = 0  # 0 = all available cores
+    jobs: int = 0  # oracle worker processes; 0 = all available cores
 
     def validate(self) -> "SweepConfig":
         if self.topology is TopologyKind.MINKOWSKI:
@@ -240,150 +251,141 @@ def _pair_for(config: SweepConfig, length: float, theta: float) -> WorldlinePair
     )
 
 
-def _grid(config: SweepConfig) -> Iterator[tuple[float | None, float, float, float]]:
+class _Block(NamedTuple):
+    """One ell value of the grid: omega axis x (l, theta) points."""
+
+    ell: float | None
+    omega: np.ndarray  # Omega*sigma, shape (n_omega,)
+    length: np.ndarray  # shape (n_l * n_theta,), l outer, theta inner
+    theta: np.ndarray
+    pair: WorldlinePair  # coordinates of shape (n_l * n_theta,)
+    errors: np.ndarray  # shape (n_omega, n_l * n_theta)
+
+    def gaps(self, config: SweepConfig) -> np.ndarray:
+        """Physical gaps Omega as a column, broadcasting against the points."""
+        return (self.omega / config.sigma)[:, None]
+
+    def meta_columns(self, config: SweepConfig) -> dict[str, list]:
+        n_om = self.omega.size
+        n = self.errors.size
+
+        def tiled(values: np.ndarray) -> list:
+            return np.tile(values, n_om).tolist()
+
+        return {
+            "topology": [config.topology.value] * n,
+            "eta": [config.eta] * n,
+            "ell": [math.nan if self.ell is None else self.ell] * n,
+            "sigma": [config.sigma] * n,
+            "eps0": [config.eps0] * n,
+            "nmax": [config.nmax] * n,
+            "omega": np.repeat(self.omega, self.length.size).tolist(),
+            "l": tiled(self.length),
+            "theta": tiled(self.theta),
+            "d_a": [config.d_a] * n,
+            "d_b_x": tiled(self.pair.d_b[0]),
+            "z_b": tiled(self.pair.z_b),
+            "delta_z": tiled(self.pair.delta_z),
+        }
+
+
+def _blocks(config: SweepConfig) -> Iterator[_Block]:
+    lengths = config.l.values()
+    thetas = config.theta.values()
+    # math, not numpy, trigonometry: the coordinates of _pair_for
+    cos = np.array([math.cos(t) for t in thetas])
+    sin = np.array([math.sin(t) for t in thetas])
+    length = np.repeat(lengths, thetas.size)
+    pair = WorldlinePair(
+        d_a=(config.d_a, 0.0),
+        d_b=(config.d_a + length * np.tile(cos, lengths.size), 0.0),
+        z_a=0.0,
+        z_b=length * np.tile(sin, lengths.size),
+    )
+    theta = np.tile(thetas, lengths.size)
+    omega = config.omega.values()
     for ell in config.ell_values():
-        for om in config.omega.values():
-            for length in config.l.values():
-                for theta in config.theta.values():
-                    yield ell, float(om), float(length), float(theta)
+        yield _Block(ell, omega, length, theta, pair, new_errors((omega.size, length.size)))
 
 
-_NUMERIC_COLUMNS = (
-    "a",
-    "b",
-    "x_re",
-    "x_im",
-    "x_abs",
-    "c_re",
-    "c_im",
-    "c_abs",
-    "e",
-    "tail_bound",
-    "concurrence_leading",
-    "negativity",
-    "concurrence",
-    "eof",
-    "eof_perturbative",
-    "corr",
-)
+def _error_text(errors: np.ndarray) -> list[str]:
+    return ["" if exc is None else f"{type(exc).__name__}: {exc}" for exc in errors.reshape(-1)]
 
 
-def _meta_columns(
-    config: SweepConfig,
-    ell: float | None,
-    om: float,
-    length: float,
-    theta: float,
-    pair: WorldlinePair,
-) -> dict[str, object]:
-    return {
-        "topology": config.topology.value,
-        "eta": config.eta,
-        "ell": math.nan if ell is None else ell,
-        "sigma": config.sigma,
-        "eps0": config.eps0,
-        "nmax": config.nmax,
-        "omega": om,
-        "l": length,
-        "theta": theta,
-        "d_a": pair.d_a[0],
-        "d_b_x": pair.d_b[0],
-        "z_b": pair.z_b,
-        "delta_z": pair.delta_z,
-    }
+def _tabulate(config: SweepConfig, evaluate) -> list[dict[str, object]]:
+    """Rows of every block, grid order: meta columns, the value columns that
+    ``evaluate(block) -> (values, error text)`` returns, then ``error``.
+
+    A failed point gets NaN in its float columns and False in its boolean
+    ones.
+    """
+    columns: dict[str, list] = {}
+    for block in _blocks(config):
+        values, error = evaluate(block)
+        failed = np.array([bool(text) for text in error]).reshape(block.errors.shape)
+        for key, col in block.meta_columns(config).items():
+            columns.setdefault(key, []).extend(col)
+        for key, val in values.items():
+            col = np.array(np.broadcast_to(val, failed.shape))
+            if col.dtype == bool:
+                col &= ~failed
+            else:
+                col = col.astype(float)
+                col[failed] = math.nan
+            columns.setdefault(key, []).extend(col.reshape(-1).tolist())
+        columns.setdefault("error", []).extend(error)
+    keys = list(columns)
+    return [dict(zip(keys, vals)) for vals in zip(*columns.values())]
 
 
-def _sweep_point(
+def _oracle_point(
     config: SweepConfig, ell: float | None, om: float, length: float, theta: float
-) -> dict[str, object]:
-    pair = _pair_for(config, length, theta)
-    row = _meta_columns(config, ell, om, length, theta, pair)
+) -> dict[str, float] | str:
+    """Oracle deviations of the Minkowski elements at one point, or the
+    ``Type: message`` text of whatever the point raised."""
     try:
         params = DetectorParams(
             omega=om / config.sigma, sigma=config.sigma, eps0=config.eps0
         )
-        topology = config.topology_for(ell)
-        state = elements_for(params, pair, topology, config.nmax)
-        report = xstate_measures(state, config.eps0)
-        e2 = config.eps0**2
-        row.update(
-            a=state.a,
-            b=state.b,
-            x_re=state.x.real,
-            x_im=state.x.imag,
-            x_abs=abs(state.x),
-            c_re=state.c.real,
-            c_im=state.c.imag,
-            c_abs=abs(state.c),
-            e=state.e,
-            tail_bound=state.tail_bound,
-            concurrence_leading=report.concurrence_leading / e2,
-            negativity=report.negativity,
-            concurrence=report.concurrence,
-            eof=report.eof,
-            eof_perturbative=report.eof_perturbative,
-            corr=report.corr / e2,
-            harvested=report.harvested,
-        )
-        if config.oracle:
-            lsep = separation(pair)
-            mink = elements_minkowski(params, lsep)
-            row["oracle_dev_a"] = abs(mink.a - wightman.oracle_a(params))
-            row["oracle_dev_x"] = abs(mink.x - wightman.oracle_x(params, lsep))
-            row["oracle_dev_c"] = abs(mink.c - wightman.oracle_c(params, lsep))
-        row["error"] = ""
-    except (UdwError, np.linalg.LinAlgError) as exc:
-        for col in _NUMERIC_COLUMNS:
-            row[col] = math.nan
-        if config.oracle:
-            row["oracle_dev_a"] = math.nan
-            row["oracle_dev_x"] = math.nan
-            row["oracle_dev_c"] = math.nan
-        row["harvested"] = False
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        lsep = separation(_pair_for(config, length, theta))
+        mink = elements_minkowski(params, lsep)
+        return {
+            "oracle_dev_a": abs(mink.a - wightman.oracle_a(params)),
+            "oracle_dev_x": abs(mink.x - wightman.oracle_x(params, lsep)),
+            "oracle_dev_c": abs(mink.c - wightman.oracle_c(params, lsep)),
+        }
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_task(args: tuple) -> dict[str, object]:
-    return _sweep_point(*args)
+def _oracle_task(args: tuple) -> dict[str, float] | str:
+    return _oracle_point(*args)
 
 
-def _diff_point(
-    config: SweepConfig, ell: float | None, om: float, length: float, theta: float
-) -> dict[str, object]:
-    pair = _pair_for(config, length, theta)
-    row = _meta_columns(config, ell, om, length, theta, pair)
-    try:
-        params = DetectorParams(
-            omega=om / config.sigma, sigma=config.sigma, eps0=config.eps0
-        )
-        e2 = config.eps0**2
-        topology = config.topology_for(ell)
-        state_top = elements_for(params, pair, topology, config.nmax)
-        state_mink = elements_minkowski(params, separation(pair))
-        corr_top = xstate_measures(state_top, config.eps0).corr / e2
-        corr_mink = xstate_measures(state_mink, config.eps0).corr / e2
-        row.update(
-            corr_minkowski=corr_mink,
-            corr_topology=corr_top,
-            corr_diff=corr_mink - corr_top,
-            error="",
-        )
-    except (UdwError, np.linalg.LinAlgError) as exc:
-        row.update(
-            corr_minkowski=math.nan,
-            corr_topology=math.nan,
-            corr_diff=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return row
+def _point_columns(
+    config: SweepConfig, block: _Block, error: list[str], task, keys: tuple[str, ...]
+) -> dict[str, np.ndarray]:
+    """Columns ``keys`` that ``task`` computes point by point, in the oracle
+    pool, for the block's points without an error; a point whose task
+    fails gets that failure in ``error``."""
+    n_in = block.length.size
+    todo = [i for i, text in enumerate(error) if not text]
+    points = [
+        (config, block.ell, float(block.omega[i // n_in]), float(block.length[i % n_in]),
+         float(block.theta[i % n_in]))
+        for i in todo
+    ]
+    columns = {key: np.full(block.errors.size, math.nan) for key in keys}
+    for i, result in zip(todo, _run_parallel(config, task, points)):
+        if isinstance(result, str):
+            error[i] = result
+        else:
+            for key in keys:
+                columns[key][i] = result[key]
+    return {key: col.reshape(block.errors.shape) for key, col in columns.items()}
 
 
-def _diff_task(args: tuple) -> dict[str, object]:
-    return _diff_point(*args)
-
-
-def _run_parallel(config: SweepConfig, task, points: list[tuple]) -> list[dict]:
+def _run_parallel(config: SweepConfig, task, points: list[tuple]) -> list:
     jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
     jobs = min(jobs, len(points)) or 1
     if jobs == 1:
@@ -395,10 +397,38 @@ def _run_parallel(config: SweepConfig, task, points: list[tuple]) -> list[dict]:
 def run_sweep(config: SweepConfig) -> list[dict[str, object]]:
     """Evaluate all matrix elements and measures on the configured grid."""
     config = config.validate()
-    points = [(config, *pt) for pt in _grid(config)]
-    if not points:
-        raise ConfigError("empty sweep grid")
-    return _run_parallel(config, _sweep_task, points)
+
+    def evaluate(block: _Block):
+        state = elements_batch(
+            block.gaps(config), config.sigma, block.pair,
+            config.topology_for(block.ell), config.nmax, block.errors,
+        )
+        m = xstate_measures_batch(state, config.eps0, block.errors)
+        values = {
+            "a": state.a,
+            "b": state.b,
+            "x_re": state.x.real,
+            "x_im": state.x.imag,
+            "x_abs": modulus(state.x),
+            "c_re": state.c,
+            "c_im": 0.0,
+            "c_abs": np.abs(state.c),
+            "e": state.e,
+            "tail_bound": state.tail_bound,
+            "concurrence_leading": m.concurrence_leading,
+            "negativity": m.negativity,
+            "concurrence": m.concurrence,
+            "eof": m.eof,
+            "eof_perturbative": m.eof_perturbative,
+            "corr": m.corr,
+            "harvested": m.harvested,
+        }
+        error = _error_text(block.errors)
+        if config.oracle:
+            values.update(_point_columns(config, block, error, _oracle_task, _ORACLE_COLUMNS))
+        return values, error
+
+    return _tabulate(config, evaluate)
 
 
 def run_difference_map(config: SweepConfig) -> list[dict[str, object]]:
@@ -406,10 +436,28 @@ def run_difference_map(config: SweepConfig) -> list[dict[str, object]]:
     config = config.validate()
     if config.topology is TopologyKind.MINKOWSKI:
         raise ConfigError("difference maps need a non-Minkowski topology")
-    points = [(config, *pt) for pt in _grid(config)]
-    if not points:
-        raise ConfigError("empty sweep grid")
-    return _run_parallel(config, _diff_task, points)
+
+    def evaluate(block: _Block):
+        gaps = block.gaps(config)
+        # the scalar order: both element sets, then the measures of each
+        top = elements_batch(
+            gaps, config.sigma, block.pair, config.topology_for(block.ell),
+            config.nmax, block.errors,
+        )
+        mink = elements_batch(
+            gaps, config.sigma, block.pair, Topology.minkowski(), config.nmax,
+            block.errors,
+        )
+        corr_top = xstate_measures_batch(top, config.eps0, block.errors).corr
+        corr_mink = xstate_measures_batch(mink, config.eps0, block.errors).corr
+        values = {
+            "corr_minkowski": corr_mink,
+            "corr_topology": corr_top,
+            "corr_diff": corr_mink - corr_top,
+        }
+        return values, _error_text(block.errors)
+
+    return _tabulate(config, evaluate)
 
 
 class VerificationReport(NamedTuple):
@@ -421,27 +469,28 @@ class VerificationReport(NamedTuple):
 
 def _verify_point(
     config: SweepConfig, ell: float | None, om: float, length: float, theta: float
-) -> dict[str, object]:
-    pair = _pair_for(config, length, theta)
-    row = _meta_columns(config, ell, om, length, theta, pair)
+) -> dict[str, float] | str:
+    """Closed forms against the oracle at one point, or the ``Type: message``
+    text of whatever the point raised."""
     try:
         params = DetectorParams(
             omega=om / config.sigma, sigma=config.sigma, eps0=config.eps0
         )
+        pair = _pair_for(config, length, theta)
         lsep = separation(pair)
         mink = elements_minkowski(params, lsep)
         devs = {
             "dev_a": abs(mink.a - wightman.oracle_a(params)),
             "dev_x": abs(mink.x - wightman.oracle_x(params, lsep)),
             "dev_c": abs(mink.c - wightman.oracle_c(params, lsep)),
+            "dev_image": 0.0,
         }
         if config.topology is not TopologyKind.MINKOWSKI:
             topology = config.topology_for(ell)
-            worst = 0.0
             for n in _VERIFY_IMAGES:
                 l_n = image_separation(topology, pair, n)
-                worst = max(
-                    worst,
+                devs["dev_image"] = max(
+                    devs["dev_image"],
                     abs(
                         nonlocal_coefficient(params, l_n)
                         - wightman.oracle_x(params, l_n)
@@ -451,40 +500,29 @@ def _verify_point(
                         - wightman.oracle_c(params, l_n)
                     ),
                 )
-            devs["dev_image"] = worst
-        else:
-            devs["dev_image"] = 0.0
-        row.update(devs)
-        row["max_dev"] = max(devs.values())
-        row["passed"] = row["max_dev"] < VERIFY_TOLERANCE
-        row["error"] = ""
-    except (UdwError, np.linalg.LinAlgError) as exc:
-        row.update(
-            dev_a=math.nan,
-            dev_x=math.nan,
-            dev_c=math.nan,
-            dev_image=math.nan,
-            max_dev=math.nan,
-            passed=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return row
+        return devs
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def _verify_task(args: tuple) -> dict[str, object]:
+def _verify_task(args: tuple) -> dict[str, float] | str:
     return _verify_point(*args)
 
 
 def run_verification(config: SweepConfig) -> VerificationReport:
     """Compare every closed form against the distributional quadrature oracle."""
     config = config.validate()
-    points = [(config, *pt) for pt in _grid(config)]
-    if not points:
-        raise ConfigError("empty verification grid")
-    rows = _run_parallel(config, _verify_task, points)
+
+    def evaluate(block: _Block):
+        error = [""] * block.errors.size
+        devs = _point_columns(config, block, error, _verify_task, _VERIFY_COLUMNS)
+        max_dev = np.maximum.reduce(list(devs.values()))
+        return {**devs, "max_dev": max_dev, "passed": max_dev < VERIFY_TOLERANCE}, error
+
+    rows = _tabulate(config, evaluate)
     finite = [r["max_dev"] for r in rows if not math.isnan(r["max_dev"])]
     max_dev = max(finite) if finite else math.nan
-    passed = bool(rows) and all(r["passed"] for r in rows)
+    passed = all(r["passed"] for r in rows)
     return VerificationReport(rows, passed, max_dev, VERIFY_TOLERANCE)
 
 

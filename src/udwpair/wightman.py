@@ -49,8 +49,6 @@ import warnings
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
-from scipy.integrate import quad as _scipy_quad
 
 from .elements import DetectorParams
 from .errors import ConvergenceError, DomainError, GeometryError
@@ -354,6 +352,11 @@ def _quad_complex(
     b: float,
     points: Sequence[float] | None,
 ) -> complex:
+    # imported here: scipy.integrate is a large share of the package's
+    # import time and only the -i eps oracle needs it
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as _scipy_quad
+
     kw = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
     if points:
         kw["points"] = [x for x in points if a < x < b]

@@ -5,6 +5,7 @@ density-matrix assembly."""
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -90,6 +91,51 @@ class TestCoefficients:
             want = math.exp(-1.0) / (2.0 * math.pi * r * r)
             assert abs(x) == pytest.approx(want, rel=0.05)
             assert c == pytest.approx(want, rel=0.05)
+
+
+def _mp_exchange(omega: float, r: float):
+    """c at sigma = 1 from its defining subtraction, with enough digits that
+    the cancellation between its two terms costs nothing."""
+    with mp.workdps(330):
+        om, rr = mp.mpf(omega), mp.mpf(r)
+        y = rr / 2
+        bracket = mp.im(mp.exp(1j * om * rr) * mp.erf(mp.mpc(om, y))) - mp.sin(om * rr)
+        return mp.exp(-y * y) * bracket / (4 * mp.sqrt(mp.pi) * rr)
+
+
+def _mp_self_term(omega: float):
+    with mp.workdps(330):
+        om = mp.mpf(omega)
+        return (mp.exp(-om * om) - mp.sqrt(mp.pi) * om * mp.erfc(om)) / (4 * mp.pi)
+
+
+class TestExchangeAccuracy:
+    """c against a 330-digit mpmath evaluation of its defining formula.
+
+    The error is taken relative to max(|c|, a): c tends to a as r -> 0 and
+    passes through zero as r grows, and |C| <= sqrt(A B) makes a the scale
+    on which its error matters.  Small r and large gaps are where a
+    subtraction of e^{-y^2} sin(Omega r) cancels, completely for
+    s Omega >= 12."""
+
+    @pytest.mark.parametrize("omega", [0.5, 3.0, 12.0, 24.0])
+    @pytest.mark.parametrize("r", [1e-3, 0.078, 1.0, 10.0])
+    def test_against_mpmath(self, omega, r):
+        got = exchange_coefficient(DetectorParams(omega=omega, sigma=1.0), r)
+        want = _mp_exchange(omega, r)
+        scale = max(abs(want), _mp_self_term(omega))
+        assert float(abs(got - want) / scale) < 1e-13
+
+    def test_scalar_matches_array_kernel(self):
+        from udwpair.elements import exchange_array
+
+        omegas = np.array([-2.0, 0.0, 0.5, 3.0, 9.0, 24.0])[:, None]
+        rs = np.array([1e-3, 0.2, 0.59, 1.0, 7.0])[None, :]
+        grid = exchange_array(1.0, omegas, rs)
+        for i, om in enumerate(omegas[:, 0]):
+            for j, r in enumerate(rs[0]):
+                p = DetectorParams(omega=float(om), sigma=1.0)
+                assert exchange_coefficient(p, float(r)) == grid[i, j]
 
 
 class TestMinkowski:

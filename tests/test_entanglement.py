@@ -3,6 +3,7 @@ closed forms, known states, bounds, and structural properties."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,14 @@ class TestEntanglementOfFormation:
         vals = [entanglement_of_formation(c).exact for c in np.linspace(0, 1, 50)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_perturbative_form_where_c_squared_underflows(self):
+        for c in (1e-100, 1e-170):
+            with mp.workdps(40):
+                cm = mp.mpf(c)
+                want = cm**2 / (4 * mp.log(2)) * (1 - mp.log(cm**2 / 4))
+            got = entanglement_of_formation(c).perturbative
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
     def test_range_errors(self):
         with pytest.raises(DomainError):
             entanglement_of_formation(1.5)
@@ -186,6 +195,23 @@ class TestCorrelation:
         stx = XStateAB(a=0.0, b=0.02, x=0.0, c=0.0, e=0.0)
         with pytest.raises(DomainError):
             correlation(stx, 0.01)
+
+    @pytest.mark.parametrize("omega", [12.0, 18.0, 24.0])
+    def test_large_gap_against_mpmath(self, omega):
+        # A B underflows here, so (E - A B)/sqrt(A(1-A) B(1-B)) is not
+        # computable as written; the reference evaluates it in 60 digits
+        # from the same float coefficients
+        p = DetectorParams(omega=omega, sigma=1.0, eps0=0.01)
+        for length in (0.5, 1.0, 10.0):
+            stx = elements_minkowski(p, length)
+            with mp.workdps(60):
+                e2 = mp.mpf(p.eps0) ** 2
+                a, b = e2 * stx.a, e2 * stx.b
+                e = e2 * e2 * (abs(mp.mpc(stx.x)) ** 2 + mp.mpf(stx.a) * stx.b + 2 * abs(mp.mpc(stx.c)) ** 2)
+                want = (e - a * b) / mp.sqrt(a * (1 - a) * b * (1 - b))
+            got = correlation(stx, p.eps0).general
+            assert got > 0.0
+            assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_vanishes_at_large_separation(self):
         p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)

@@ -4,7 +4,7 @@ the quadratic closed forms, for both quotients, on random worldlines."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udwpair import (
@@ -181,6 +181,8 @@ class TestTopologyValidation:
 
 @settings(max_examples=300, deadline=None)
 @given(pairs(), scale, st.integers(-12, 12))
+# L_n << n ell, where L^2 + n^2 ell^2 - 2 n ell dz cancels to 2^-26
+@example(WorldlinePair((0.0, 1.0), (0.0, 1.0), 1.0, 1.657e-8), 1.0, 1)
 def test_isometry_action_matches_quadratic_formula_cylinder(pair, ell, n):
     got = image_separation_cylinder(pair, ell, n)
     want = cylinder_separation_formula(pair, ell, n)
@@ -189,6 +191,8 @@ def test_isometry_action_matches_quadratic_formula_cylinder(pair, ell, n):
 
 @settings(max_examples=300, deadline=None)
 @given(pairs(), scale, st.integers(-12, 12))
+@example(WorldlinePair((0.0, 1.0), (0.0, 1.0), 1.0, 1.657e-8), 1.0, 2)
+@example(WorldlinePair((0.0, 1.0), (0.0, -1.0), 1.0, 1.657e-8), 1.0, 1)
 def test_isometry_action_matches_quadratic_formula_twisted(pair, ell, n):
     got = image_separation_twisted(pair, ell, n)
     want = twisted_separation_formula(pair, ell, n)

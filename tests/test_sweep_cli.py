@@ -2,18 +2,33 @@
 difference maps, verification (including fault injection), formats, exit
 codes, and the output-directory environment variable."""
 
+import csv
+import io
 import json
 import math
 import os
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import udwpair.elements
 import udwpair.sweep as sweep_mod
-from udwpair import ConfigError, TopologyKind, TruncationWarning
+import udwpair.wightman
+from udwpair import (
+    ConfigError,
+    DetectorParams,
+    TopologyKind,
+    TruncationWarning,
+    UdwError,
+    WorldlinePair,
+    assemble_density_matrix,
+    elements_for,
+    negativity_exact,
+    xstate_measures,
+)
 from udwpair.cli import main
 from udwpair.sweep import (
     GridAxis,
@@ -138,6 +153,13 @@ class TestSweep:
         parallel = rows_to_csv(run_sweep(replace(SMALL_CYL, jobs=2)))
         assert serial == parallel
 
+    def test_parallel_oracle_matches_serial(self):
+        from dataclasses import replace
+
+        cfg = replace(SMALL_MINK, oracle=True, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 2.0, 2))
+        serial = rows_to_csv(run_sweep(cfg))
+        assert serial == rows_to_csv(run_sweep(replace(cfg, jobs=2)))
+
     def test_oracle_columns(self):
         from dataclasses import replace
 
@@ -170,6 +192,120 @@ class TestSweep:
         parsed = json.loads(lines[0])
         assert parsed["a"] == rows[0]["a"]
         assert isinstance(parsed["harvested"], bool)
+
+
+def _wootters_concurrence(rho: np.ndarray) -> float:
+    """Concurrence from the eigenvalues of rho (sy x sy) rho* (sy x sy) in
+    50-digit arithmetic, where taking their square roots costs nothing."""
+    with mp.workdps(50):
+        m = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in rho])
+        flip = mp.matrix(4, 4)
+        for i, j, v in ((0, 3, -1), (1, 2, 1), (2, 1, 1), (3, 0, -1)):
+            flip[i, j] = v
+        conj = mp.matrix([[mp.conj(m[i, j]) for j in range(4)] for i in range(4)])
+        eigs = mp.eig(m * flip * conj * flip, left=False, right=False)
+        lams = sorted((mp.sqrt(max(mp.re(e), 0)) for e in eigs), reverse=True)
+        return float(max(0, lams[0] - lams[1] - lams[2] - lams[3]))
+
+
+#: Small grids holding rows that fail (at the smallest L) next to rows that
+#: pass, on every topology: name -> (config, error types expected).
+FAILING_GRIDS = {
+    "minkowski": (
+        SweepConfig(omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.5, 3), jobs=1),
+        {"InvalidStateError"},
+    ),
+    "cylinder": (
+        SweepConfig(
+            topology=TopologyKind.CYLINDER, ell=(1.0,),
+            omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.5, 3), jobs=1,
+        ),
+        {"InvalidStateError", "PositivityError"},
+    ),
+    "twisted": (
+        SweepConfig(
+            topology=TopologyKind.TWISTED_CYLINDER, ell=(1.0,), d_a=0.1,
+            omega=GridAxis(-0.7, 1.6, 6), l=GridAxis(0.15625, 0.5, 2), jobs=1,
+        ),
+        {"InvalidStateError", "PositivityError"},
+    ),
+    "twisted_eta_minus": (
+        SweepConfig(
+            topology=TopologyKind.TWISTED_CYLINDER, ell=(1.0,), eta=-1, d_a=0.1,
+            omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.3, 2), jobs=1,
+        ),
+        {"InvalidStateError"},
+    ),
+}
+
+
+class TestBatchedPath:
+    """The batched sweep against the scalar route elements_for +
+    xstate_measures, point by point."""
+
+    @pytest.mark.parametrize("name", sorted(FAILING_GRIDS))
+    def test_matches_scalar_route(self, name):
+        cfg, kinds = FAILING_GRIDS[name]
+        seen = set()
+        for row in run_sweep(cfg):
+            p = DetectorParams(omega=row["omega"], sigma=cfg.sigma, eps0=cfg.eps0)
+            pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
+            ell = None if cfg.topology is TopologyKind.MINKOWSKI else row["ell"]
+            try:
+                state = elements_for(p, pair, cfg.topology_for(ell), cfg.nmax)
+                xstate_measures(state, cfg.eps0)
+                error = ""
+            except UdwError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            assert row["error"] == error
+            assert "np." not in error  # Python floats in the messages
+            if error:
+                seen.add(error.split(":")[0])
+                assert math.isnan(row["a"]) and row["harvested"] is False
+                continue
+            # one kernel and one summation order: exactly equal
+            assert row["a"] == state.a and row["b"] == state.b
+            assert row["x_re"] == state.x.real and row["x_im"] == state.x.imag
+            assert row["c_re"] == state.c.real and row["c_im"] == state.c.imag
+            assert row["e"] == state.e and row["tail_bound"] == state.tail_bound
+            rho = assemble_density_matrix(state, cfg.eps0)
+            assert abs(row["negativity"] - negativity_exact(rho)) <= 1e-12
+            # The X-state formula is Wootters' concurrence when |rho14|^2 <=
+            # r11 r44 and |rho23|^2 <= r22 r33.  Next to the failing rows a
+            # state can exceed a disk by less than the 1e-10 positivity
+            # tolerance; the two formulas then differ by twice the excess.
+            r = rho.diagonal().real
+            excess = max(0.0, abs(rho[0, 3]) - math.sqrt(r[0] * r[3])) + max(
+                0.0, abs(rho[1, 2]) - math.sqrt(r[1] * r[2])
+            )
+            want = _wootters_concurrence(rho)
+            assert abs(row["concurrence"] - want) <= 1e-12 + 2.0 * excess
+        assert seen == kinds
+
+    def test_large_gap_strip_has_no_error_rows(self):
+        result = CliRunner().invoke(
+            main, ["sweep", "--omega-range", "12:24:25", "--l-range", "0.5:10:20"]
+        )
+        assert result.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert len(rows) == 500
+        assert all(r["error"] == "" for r in rows)
+        assert all(float(r["c_abs"]) > 0.0 and float(r["corr"]) > 0.0 for r in rows)
+
+    def test_oracle_failure_is_contained(self, monkeypatch):
+        from dataclasses import replace
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(udwpair.wightman, "oracle_a", broken)
+        cfg = replace(SMALL_MINK, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 1.0, 1))
+        for row in run_sweep(replace(cfg, oracle=True)):
+            assert row["error"] == "ZeroDivisionError: float division by zero"
+            assert math.isnan(row["a"]) and math.isnan(row["oracle_dev_a"])
+        report = run_verification(cfg)
+        assert not report.passed
+        assert all(r["error"].startswith("ZeroDivisionError") for r in report.rows)
 
 
 class TestDifferenceMap:
