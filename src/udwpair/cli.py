@@ -51,7 +51,6 @@ def _config_options(fn):
         click.option("--oracle/--no-oracle", "oracle", default=None, help="Attach oracle deviation columns to sweep rows."),
         click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default=None, help="Output format."),
         click.option("--out", default=None, help="Output path (default: stdout)."),
-        click.option("--jobs", type=int, default=None, help="Worker processes for oracle quadrature: verify and sweep --oracle (0 = all cores)."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -76,7 +75,7 @@ def _resolve_config(config_path, **flags) -> SweepConfig:
         updates["l"] = parse_range(flags["l_range"], "l")
     if flags.get("theta_range") is not None:
         updates["theta"] = parse_range(flags["theta_range"], "theta")
-    for key in ("d_a", "eps0", "nmax", "oracle", "fmt", "out", "jobs"):
+    for key in ("d_a", "eps0", "nmax", "oracle", "fmt", "out"):
         if flags.get(key) is not None:
             updates[key] = flags[key]
     return replace(cfg, **updates).validate()
@@ -145,7 +144,8 @@ def verify(config_path, **flags):
         raise SystemExit(_fail(exc))
     click.echo(
         f"verify: {'PASS' if report.passed else 'FAIL'} "
-        f"(max deviation {report.max_deviation:.3e}, tolerance {report.tolerance:g})",
+        f"(max deviation {report.max_deviation:.3e}, tolerance {report.tolerance:g}, "
+        f"{report.quadratures} quadratures for {report.evaluations} oracle evaluations)",
         err=True,
     )
     if not report.passed:
@@ -172,7 +172,6 @@ def show_config(config_path, **flags):
     click.echo(f"oracle = {'true' if cfg.oracle else 'false'}")
     click.echo(f"format = {cfg.fmt}")
     click.echo(f"out = {cfg.out or ''}")
-    click.echo(f"jobs = {cfg.jobs}")
 
 
 def _fail(exc: Exception) -> int:

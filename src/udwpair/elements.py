@@ -95,6 +95,7 @@ __all__ = [
     "elements_batch",
     "new_errors",
     "flag_errors",
+    "flag_coincident_image",
     "assemble_density_matrix",
     "assembly_checks",
 ]
@@ -107,6 +108,15 @@ _SQRT_PI = math.sqrt(math.pi)
 _SERIES_X = 8.0
 _SERIES_Y = 0.3
 _SERIES_TERMS = 10
+#: From y = sigma*Omega = _CF_Y on, the self term's 1 - sqrt(pi) y erfcx(y)
+#: is summed as a continued fraction (_CF_TERMS terms, backwards): the
+#: direct subtraction loses up to three digits by y = 24, while with the
+#: fraction a stays within 4e-16 relative of mpmath for y in [4, 24].
+_CF_Y = 4.0
+_CF_TERMS = 60
+#: Image separations within this many units of round-off (eps) of the
+#: largest coordinate forming them count as coincident worldlines.
+_COINCIDENT_ULPS = 4.0
 #: Relative tail size above which an image sum warns about its truncation.
 TRUNCATION_RTOL = 1e-12
 
@@ -214,8 +224,20 @@ def _piecewise(cases, *args):
 
 
 def _self_term_nonnegative(y):
-    # the subtraction goes through the scaled complement erfcx: no cancellation
+    # the scaled complement erfcx keeps the product finite; the subtraction
+    # cancels like 1/2y^2, hence _self_term_large_gap from _CF_Y on
     return np.exp(-y * y) * (1.0 - _SQRT_PI * y * _sp.erfcx(y)) / (4.0 * math.pi)
+
+
+def _self_term_large_gap(y):
+    """The self term for y >= _CF_Y without the cancellation of
+    1 - sqrt(pi) y erfcx(y) ~ 1/2y^2: Laplace's continued fraction
+    sqrt(pi) erfcx(y) = 1/(y + K), K = (1/2)/(y + 1/(y + (3/2)/(y + ...))),
+    gives 1 - sqrt(pi) y erfcx(y) = K/(y + K)."""
+    k = 0.0
+    for j in range(_CF_TERMS, 0, -1):
+        k = (0.5 * j) / (y + k)
+    return np.exp(-y * y) * (k / (y + k)) / (4.0 * math.pi)
 
 
 def _self_term_negative(y):
@@ -225,7 +247,14 @@ def _self_term_negative(y):
 def self_excitation_array(y):
     """A/eps0^2 as a function of y = sigma*Omega, for arrays."""
     y = np.asarray(y, dtype=float)[()]
-    return _piecewise(((y >= 0.0, _self_term_nonnegative), (y < 0.0, _self_term_negative)), y)
+    return _piecewise(
+        (
+            ((y >= 0.0) & (y < _CF_Y), _self_term_nonnegative),
+            (y >= _CF_Y, _self_term_large_gap),
+            (y < 0.0, _self_term_negative),
+        ),
+        y,
+    )
 
 
 def self_excitation_coefficient(p: DetectorParams) -> float:
@@ -319,6 +348,29 @@ def _flag_separation(errors: np.ndarray, r) -> None:
     flag_errors(errors, ~(np.isfinite(r) & (r > 0.0)), _separation_error, r)
 
 
+def flag_coincident_image(
+    errors: np.ndarray, topology: Topology, pair: WorldlinePair, n: int, l_n
+) -> None:
+    """GeometryError naming ``n`` where detector B sits on the n-th image of
+    detector A: where ``l_n`` = |x_A - J^n x_B| is at most _COINCIDENT_ULPS
+    units of round-off of the largest coordinate that forms it (the
+    positions, and the shift n ell), so that rounding alone sets it."""
+    scale = abs(n) * topology.ell
+    for coord in (*pair.d_a, *pair.d_b, pair.z_a, pair.z_b):
+        scale = np.maximum(scale, np.abs(coord))
+    roundoff = _COINCIDENT_ULPS * np.finfo(float).eps * scale
+    flag_errors(
+        errors,
+        l_n <= roundoff,
+        lambda r, tol: GeometryError(
+            f"detector B sits on image n = {n} of detector A: separation {r!r} "
+            f"is within the round-off {tol!r} of its coordinates"
+        ),
+        l_n,
+        roundoff,
+    )
+
+
 def exchange_coefficient(p: DetectorParams, r: float) -> float:
     """Exchange coefficient C/eps0^2 for a static pair at separation r > 0.
 
@@ -399,6 +451,7 @@ def _image_sum_batch(
             t_b = w * exchange_array(sigma, omega, r_b)
             b = b + t_b
         l_n = image_separation_array(topology, pair, n)
+        flag_coincident_image(errors, topology, pair, n, l_n)
         _flag_separation(errors, l_n)
         t_x = w * nonlocal_array(sigma, omega, l_n)
         t_c = w * exchange_array(sigma, omega, l_n)

@@ -15,21 +15,19 @@ invariant there).
 Sweeps and difference maps evaluate each ell block of the grid in one
 batched numpy pass in the calling process (:func:`udwpair.elements.elements_batch`,
 :func:`udwpair.entanglement.xstate_measures_batch`); a point that fails
-gets the error text of the scalar evaluation in its ``error`` column.  Only
-the quadrature oracle (``verify`` and ``sweep --oracle``) runs point by
-point, in a pool of ``jobs`` worker processes.
+gets the error text of the scalar evaluation in its ``error`` column.  The
+quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
+distinct integral of a run once, with the scalar functions of
+:mod:`udwpair.wightman`, and hands the value to every point that needs it.
 
 Row order is fixed by the grid index (ell, omega, l, theta outermost to
-innermost), independent of the parallelism degree, and floats are written
-with 17 significant digits, so identical configurations produce
-byte-identical output.
+innermost), and floats are written with 17 significant digits, so identical
+configurations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
 
@@ -39,10 +37,10 @@ from . import wightman
 from .elements import (
     DetectorParams,
     elements_batch,
-    elements_minkowski,
-    exchange_coefficient,
+    exchange_array,
+    flag_coincident_image,
     new_errors,
-    nonlocal_coefficient,
+    nonlocal_array,
 )
 from .entanglement import xstate_measures_batch
 from .errors import ConfigError
@@ -50,8 +48,8 @@ from .geometry import (
     Topology,
     TopologyKind,
     WorldlinePair,
-    image_separation,
-    separation,
+    image_separation_array,
+    separation_array,
 )
 from .special import modulus
 
@@ -75,8 +73,6 @@ OUTPUT_DIR_ENV = "UDWPAIR_OUT_DIR"
 
 VERIFY_TOLERANCE = 1e-6
 _VERIFY_IMAGES = (1, -1, 2, -2)
-_VERIFY_COLUMNS = ("dev_a", "dev_x", "dev_c", "dev_image")
-_ORACLE_COLUMNS = ("oracle_dev_a", "oracle_dev_x", "oracle_dev_c")
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,6 @@ class SweepConfig:
     oracle: bool = False
     fmt: str = "csv"
     out: str | None = None
-    jobs: int = 0  # oracle worker processes; 0 = all available cores
 
     def validate(self) -> "SweepConfig":
         if self.topology is TopologyKind.MINKOWSKI:
@@ -148,8 +143,6 @@ class SweepConfig:
             raise ConfigError(f"nmax must be >= 1, got {self.nmax!r}")
         if self.fmt not in ("csv", "jsonl"):
             raise ConfigError(f"format must be 'csv' or 'jsonl', got {self.fmt!r}")
-        if self.jobs < 0:
-            raise ConfigError(f"jobs must be >= 0, got {self.jobs!r}")
         if not math.isfinite(self.d_a):
             raise ConfigError(f"d_a must be finite, got {self.d_a!r}")
         return self
@@ -206,7 +199,7 @@ def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
                 raise ConfigError(f"ell: {exc}") from exc
         elif key in ("omega", "l", "theta"):
             updates[key] = parse_range(val, key)
-        elif key in ("eta", "nmax", "jobs"):
+        elif key in ("eta", "nmax"):
             try:
                 updates[key] = int(val)
             except ValueError as exc:
@@ -240,15 +233,6 @@ def parse_config_file(path: str) -> dict[str, str]:
             key, _, value = stripped.partition("=")
             mapping[key.strip()] = value.strip()
     return mapping
-
-
-def _pair_for(config: SweepConfig, length: float, theta: float) -> WorldlinePair:
-    return WorldlinePair(
-        d_a=(config.d_a, 0.0),
-        d_b=(config.d_a + length * math.cos(theta), 0.0),
-        z_a=0.0,
-        z_b=length * math.sin(theta),
-    )
 
 
 class _Block(NamedTuple):
@@ -292,7 +276,8 @@ class _Block(NamedTuple):
 def _blocks(config: SweepConfig) -> Iterator[_Block]:
     lengths = config.l.values()
     thetas = config.theta.values()
-    # math, not numpy, trigonometry: the coordinates of _pair_for
+    # math, not numpy, trigonometry: the coordinates of the scalar
+    # worldlines_from_orientation
     cos = np.array([math.cos(t) for t in thetas])
     sin = np.array([math.sin(t) for t in thetas])
     length = np.repeat(lengths, thetas.size)
@@ -338,65 +323,105 @@ def _tabulate(config: SweepConfig, evaluate) -> list[dict[str, object]]:
     return [dict(zip(keys, vals)) for vals in zip(*columns.values())]
 
 
-def _oracle_point(
-    config: SweepConfig, ell: float | None, om: float, length: float, theta: float
-) -> dict[str, float] | str:
-    """Oracle deviations of the Minkowski elements at one point, or the
-    ``Type: message`` text of whatever the point raised."""
-    try:
-        params = DetectorParams(
-            omega=om / config.sigma, sigma=config.sigma, eps0=config.eps0
+class _Oracle:
+    """The quadrature oracle of one run.
+
+    Each distinct integral is evaluated once, with the scalar functions of
+    :mod:`udwpair.wightman`, and its value, or the exception it raised, goes
+    to every point that needs it: ``oracle_a`` depends on the gap only, the
+    quadrature of ``oracle_x`` on the separation only (the gap enters
+    through the exact factor ``oracle_x_envelope``), ``oracle_c`` on both.
+    A point that already has an error needs no integral; a point whose
+    integral raised gets that exception in ``errors``.
+    """
+
+    def __init__(self, config: SweepConfig):
+        self.sigma = config.sigma
+        self.eps0 = config.eps0
+        # argument tuple -> value or exception, one dict per integral
+        self._a: dict = {}
+        self._x: dict = {}
+        self._c: dict = {}
+        #: integrals the points asked for; ``quadratures`` of them were evaluated
+        self.evaluations = 0
+
+    @property
+    def quadratures(self) -> int:
+        return len(self._a) + len(self._x) + len(self._c)
+
+    def _params(self, omega: float) -> DetectorParams:
+        return DetectorParams(omega=omega, sigma=self.sigma, eps0=self.eps0)
+
+    def _lookup(self, memo: dict, errors: np.ndarray, integral, *args) -> np.ndarray:
+        """``integral(*args of the point)`` at the points of ``errors``
+        without an error, from ``memo`` where it holds the arguments; NaN at
+        the other points, and the exception where the integral raised."""
+        flat = errors.reshape(-1)
+        out = np.full(flat.size, math.nan, dtype=complex)
+        keys = zip(*(np.broadcast_to(v, errors.shape).reshape(-1).tolist() for v in args))
+        for i, key in enumerate(keys):
+            if flat[i] is not None:
+                continue
+            self.evaluations += 1
+            if key not in memo:
+                try:
+                    memo[key] = integral(*key)
+                except Exception as exc:
+                    memo[key] = exc
+            value = memo[key]
+            if isinstance(value, Exception):
+                flat[i] = value
+            else:
+                out[i] = value
+        return out.reshape(errors.shape)
+
+    def dev_a(self, errors: np.ndarray, omega, a) -> np.ndarray:
+        """|a - oracle_a| at the gaps ``omega``."""
+        oracle = self._lookup(
+            self._a, errors, lambda om: wightman.oracle_a(self._params(om)), omega
         )
-        lsep = separation(_pair_for(config, length, theta))
-        mink = elements_minkowski(params, lsep)
-        return {
-            "oracle_dev_a": abs(mink.a - wightman.oracle_a(params)),
-            "oracle_dev_x": abs(mink.x - wightman.oracle_x(params, lsep)),
-            "oracle_dev_c": abs(mink.c - wightman.oracle_c(params, lsep)),
-        }
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return np.abs(a - oracle.real)
+
+    def dev_xc(self, errors: np.ndarray, omega, r, x, c) -> tuple[np.ndarray, np.ndarray]:
+        """|x - oracle_x| and |c - oracle_c| at the gaps ``omega`` (a column)
+        and separations ``r``, the x integral of a point first."""
+        quad = self._lookup(
+            self._x, errors,
+            lambda l: wightman.oracle_x_time_integral(self.sigma, l), r,
+        )
+        envelope = np.array(
+            [wightman.oracle_x_envelope(self._params(om)) for om in omega.ravel().tolist()]
+        ).reshape(omega.shape)
+        oracle_c = self._lookup(
+            self._c, errors,
+            lambda om, l: wightman.oracle_c(self._params(om), l), omega, r,
+        )
+        return modulus(x - envelope * quad), modulus(c - oracle_c)
 
 
-def _oracle_task(args: tuple) -> dict[str, float] | str:
-    return _oracle_point(*args)
+def _minkowski_deviations(
+    config: SweepConfig, block: _Block, oracle: _Oracle, mink
+) -> list[np.ndarray]:
+    """|closed form - oracle| of the Minkowski a, x and c of the block."""
+    gaps = block.gaps(config)
+    dev_a = oracle.dev_a(block.errors, gaps, mink.a)
+    dev_x, dev_c = oracle.dev_xc(
+        block.errors, gaps, separation_array(block.pair), mink.x, mink.c
+    )
+    return [dev_a, dev_x, dev_c]
 
 
-def _point_columns(
-    config: SweepConfig, block: _Block, error: list[str], task, keys: tuple[str, ...]
-) -> dict[str, np.ndarray]:
-    """Columns ``keys`` that ``task`` computes point by point, in the oracle
-    pool, for the block's points without an error; a point whose task
-    fails gets that failure in ``error``."""
-    n_in = block.length.size
-    todo = [i for i, text in enumerate(error) if not text]
-    points = [
-        (config, block.ell, float(block.omega[i // n_in]), float(block.length[i % n_in]),
-         float(block.theta[i % n_in]))
-        for i in todo
-    ]
-    columns = {key: np.full(block.errors.size, math.nan) for key in keys}
-    for i, result in zip(todo, _run_parallel(config, task, points)):
-        if isinstance(result, str):
-            error[i] = result
-        else:
-            for key in keys:
-                columns[key][i] = result[key]
-    return {key: col.reshape(block.errors.shape) for key, col in columns.items()}
-
-
-def _run_parallel(config: SweepConfig, task, points: list[tuple]) -> list:
-    jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
-    jobs = min(jobs, len(points)) or 1
-    if jobs == 1:
-        return [task(pt) for pt in points]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return pool.map(task, points, chunksize=max(1, len(points) // (jobs * 8)))
+def _minkowski_elements(config: SweepConfig, block: _Block):
+    return elements_batch(
+        block.gaps(config), config.sigma, block.pair, Topology.minkowski(),
+        config.nmax, block.errors,
+    )
 
 
 def run_sweep(config: SweepConfig) -> list[dict[str, object]]:
     """Evaluate all matrix elements and measures on the configured grid."""
     config = config.validate()
+    oracle = _Oracle(config)
 
     def evaluate(block: _Block):
         state = elements_batch(
@@ -423,10 +448,12 @@ def run_sweep(config: SweepConfig) -> list[dict[str, object]]:
             "corr": m.corr,
             "harvested": m.harvested,
         }
-        error = _error_text(block.errors)
         if config.oracle:
-            values.update(_point_columns(config, block, error, _oracle_task, _ORACLE_COLUMNS))
-        return values, error
+            devs = _minkowski_deviations(
+                config, block, oracle, _minkowski_elements(config, block)
+            )
+            values.update(zip(("oracle_dev_a", "oracle_dev_x", "oracle_dev_c"), devs))
+        return values, _error_text(block.errors)
 
     return _tabulate(config, evaluate)
 
@@ -465,65 +492,59 @@ class VerificationReport(NamedTuple):
     passed: bool
     max_deviation: float
     tolerance: float
-
-
-def _verify_point(
-    config: SweepConfig, ell: float | None, om: float, length: float, theta: float
-) -> dict[str, float] | str:
-    """Closed forms against the oracle at one point, or the ``Type: message``
-    text of whatever the point raised."""
-    try:
-        params = DetectorParams(
-            omega=om / config.sigma, sigma=config.sigma, eps0=config.eps0
-        )
-        pair = _pair_for(config, length, theta)
-        lsep = separation(pair)
-        mink = elements_minkowski(params, lsep)
-        devs = {
-            "dev_a": abs(mink.a - wightman.oracle_a(params)),
-            "dev_x": abs(mink.x - wightman.oracle_x(params, lsep)),
-            "dev_c": abs(mink.c - wightman.oracle_c(params, lsep)),
-            "dev_image": 0.0,
-        }
-        if config.topology is not TopologyKind.MINKOWSKI:
-            topology = config.topology_for(ell)
-            for n in _VERIFY_IMAGES:
-                l_n = image_separation(topology, pair, n)
-                devs["dev_image"] = max(
-                    devs["dev_image"],
-                    abs(
-                        nonlocal_coefficient(params, l_n)
-                        - wightman.oracle_x(params, l_n)
-                    ),
-                    abs(
-                        exchange_coefficient(params, l_n)
-                        - wightman.oracle_c(params, l_n)
-                    ),
-                )
-        return devs
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _verify_task(args: tuple) -> dict[str, float] | str:
-    return _verify_point(*args)
+    #: distinct oracle integrals evaluated, and the evaluations they served
+    quadratures: int
+    evaluations: int
 
 
 def run_verification(config: SweepConfig) -> VerificationReport:
-    """Compare every closed form against the distributional quadrature oracle."""
+    """Compare every closed form against the distributional quadrature oracle.
+
+    Each point checks the Minkowski a, x and c at its separation and, on a
+    quotient, x and c at the images n = 1, -1, 2, -2 (``dev_image``, the
+    largest of those deviations).  A point whose detector B sits on one of
+    these images of A fails before any quadrature.
+    """
     config = config.validate()
+    oracle = _Oracle(config)
 
     def evaluate(block: _Block):
-        error = [""] * block.errors.size
-        devs = _point_columns(config, block, error, _verify_task, _VERIFY_COLUMNS)
-        max_dev = np.maximum.reduce(list(devs.values()))
-        return {**devs, "max_dev": max_dev, "passed": max_dev < VERIFY_TOLERANCE}, error
+        gaps = block.gaps(config)
+        mink = _minkowski_elements(config, block)
+        images = []
+        if config.topology is not TopologyKind.MINKOWSKI:
+            topology = config.topology_for(block.ell)
+            for n in _VERIFY_IMAGES:
+                l_n = image_separation_array(topology, block.pair, n)
+                flag_coincident_image(block.errors, topology, block.pair, n, l_n)
+                images.append(
+                    (l_n, nonlocal_array(config.sigma, gaps, l_n),
+                     exchange_array(config.sigma, gaps, l_n))
+                )
+        dev_a, dev_x, dev_c = _minkowski_deviations(config, block, oracle, mink)
+        dev_image = np.zeros(block.errors.shape)
+        for l_n, x_n, c_n in images:
+            dev_image = np.maximum(
+                dev_image, np.maximum(*oracle.dev_xc(block.errors, gaps, l_n, x_n, c_n))
+            )
+        max_dev = np.maximum.reduce([dev_a, dev_x, dev_c, dev_image])
+        values = {
+            "dev_a": dev_a,
+            "dev_x": dev_x,
+            "dev_c": dev_c,
+            "dev_image": dev_image,
+            "max_dev": max_dev,
+            "passed": max_dev < VERIFY_TOLERANCE,
+        }
+        return values, _error_text(block.errors)
 
     rows = _tabulate(config, evaluate)
     finite = [r["max_dev"] for r in rows if not math.isnan(r["max_dev"])]
     max_dev = max(finite) if finite else math.nan
     passed = all(r["passed"] for r in rows)
-    return VerificationReport(rows, passed, max_dev, VERIFY_TOLERANCE)
+    return VerificationReport(
+        rows, passed, max_dev, VERIFY_TOLERANCE, oracle.quadratures, oracle.evaluations
+    )
 
 
 def _format_value(value: object) -> str:

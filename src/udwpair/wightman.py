@@ -60,6 +60,8 @@ __all__ = [
     "richardson_zero_limit",
     "oracle_a",
     "oracle_x",
+    "oracle_x_envelope",
+    "oracle_x_time_integral",
     "oracle_c",
     "oracle_ieps",
     "IepsEstimate",
@@ -247,7 +249,9 @@ def _full_line_kernel(p: DetectorParams, r: float, raise_tol: float) -> complex:
     fmr = complex(f(np.array([-r]))[0])
     delta_part = (fr - fmr) / (2.0 * r) / (4.0j * math.pi)
     pv_plus = pv_over_pole(f, r, span=r + window, sigma_scale=s, raise_tol=raise_tol)
-    pv_minus = pv_over_pole(f, -r, span=r + window, sigma_scale=s, raise_tol=raise_tol)
+    # f(-u) = conj f(u) and (-r) + t = -(r - t) hold exactly in floating
+    # point, so the pole at -r gives the mirrored quadrature bit for bit
+    pv_minus = -pv_plus.conjugate()
     pv_part = -(pv_plus - pv_minus) / (2.0 * r) / (4.0 * math.pi**2)
     return s * _SQRT_PI * (delta_part + pv_part)
 
@@ -293,16 +297,28 @@ def oracle_c(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> c
 
 
 def oracle_x(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> complex:
-    """Nonlocal coefficient X/eps0^2 from the time-ordered half-plane integral.
+    """Nonlocal coefficient X/eps0^2 from the time-ordered half-plane integral:
+    :func:`oracle_x_envelope` times :func:`oracle_x_time_integral`."""
+    return oracle_x_envelope(p) * oracle_x_time_integral(p.sigma, l_image, raise_tol=raise_tol)
 
-    The centre-of-time integral contributes the exact factor
-    2 s sqrt(pi) e^{-s^2 Omega^2}; the remaining integral runs over the time
-    difference u > 0 only, with the delta supported at u = +L and the simple
-    pole at u = L handled by symmetric pairing inside (0, 2L).
+
+def oracle_x_envelope(p: DetectorParams) -> float:
+    """The exact factor -2 s sqrt(pi) e^{-s^2 Omega^2} of X/eps0^2: the whole
+    gap dependence, from the centre-of-time integral."""
+    s = p.sigma
+    return -2.0 * s * _SQRT_PI * math.exp(-((s * p.omega) ** 2))
+
+
+def oracle_x_time_integral(sigma: float, l_image: float, *, raise_tol: float = 1e-8) -> complex:
+    """Int_0^inf du e^{-u^2/4s^2} W(u, L): the gap-independent quadrature of X.
+
+    The integral runs over the time difference u > 0 only, with the delta
+    supported at u = +L and the simple pole at u = L handled by symmetric
+    pairing inside (0, 2L).
     """
     if not (math.isfinite(l_image) and l_image > 0.0):
         raise GeometryError(f"l_image must be > 0, got {l_image!r}")
-    s = p.sigma
+    s = sigma
     big_l = l_image
     window = _WINDOW_SIGMAS * s
 
@@ -342,8 +358,7 @@ def oracle_x(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> c
     )
 
     pv_part = -(pv_near + pv_far - pv_mirror) / (2.0 * big_l) / (4.0 * math.pi**2)
-    prefactor = -2.0 * s * _SQRT_PI * math.exp(-((s * p.omega) ** 2))
-    return prefactor * (delta_part + pv_part)
+    return delta_part + pv_part
 
 
 def _quad_complex(

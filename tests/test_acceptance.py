@@ -167,7 +167,7 @@ def test_criterion_4_truncation_adequacy():
 
 @pytest.fixture(scope="module")
 def fig1_rows():
-    cfg = SweepConfig(omega=FIG1_OMEGA, l=FIG1_L, eps0=EPS0, jobs=0)
+    cfg = SweepConfig(omega=FIG1_OMEGA, l=FIG1_L, eps0=EPS0)
     return run_sweep(cfg)
 
 
@@ -262,7 +262,6 @@ def test_criterion_8_figure_shapes():
         omega=GridAxis(-3.0, 3.0, 121),
         l=GridAxis(1.0, 1.0, 1),
         eps0=EPS0,
-        jobs=0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -294,7 +293,7 @@ def test_criterion_8_figure_shapes():
     )
 
     # correlation difference maps carry both signs
-    base = dict(omega=GridAxis(-2.0, 2.0, 9), l=GridAxis(0.3, 6.0, 12), eps0=EPS0, jobs=0)
+    base = dict(omega=GridAxis(-2.0, 2.0, 9), l=GridAxis(0.3, 6.0, 12), eps0=EPS0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         diff_a = run_difference_map(
@@ -318,7 +317,6 @@ def test_criterion_8_figure_shapes():
         l=GridAxis(0.6, 0.6, 1),
         theta=GridAxis(0.0, math.pi, 25),
         eps0=EPS0,
-        jobs=0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

@@ -33,7 +33,7 @@ from udwpair import (
     self_excitation_coefficient,
     separation,
 )
-from udwpair.geometry import self_pair
+from udwpair.geometry import self_pair, worldlines_from_orientation
 
 A_OMEGA_1 = 0.0070882722326364159723
 A_OMEGA_HALF = 0.028158875373857042038
@@ -136,6 +136,26 @@ class TestExchangeAccuracy:
             for j, r in enumerate(rs[0]):
                 p = DetectorParams(omega=float(om), sigma=1.0)
                 assert exchange_coefficient(p, float(r)) == grid[i, j]
+
+
+class TestSelfTermAccuracy:
+    """a against mpmath at large gaps, where 1 - sqrt(pi) y erfcx(y) ~ 1/2y^2
+    cancels, on both sides of the switch to the continued fraction."""
+
+    @pytest.mark.parametrize("omega", [3.9, 4.0, 8.0, 12.0, 18.0, 24.0])
+    def test_against_mpmath(self, omega):
+        got = self_excitation_coefficient(DetectorParams(omega=omega, sigma=1.0))
+        want = _mp_self_term(omega)
+        assert float(abs(got - want) / want) < 1e-14
+
+    def test_scalar_matches_array_kernel(self):
+        from udwpair.elements import self_excitation_array
+
+        ys = np.array([-2.0, 0.0, 3.9, 4.0, 4.5, 24.0, 40.0])
+        grid = self_excitation_array(ys)
+        for y, got in zip(ys, grid):
+            p = DetectorParams(omega=float(y), sigma=1.0)
+            assert self_excitation_coefficient(p) == got
 
 
 class TestMinkowski:
@@ -290,6 +310,24 @@ class TestCylinder:
     def test_requires_separated_detectors(self):
         with pytest.raises(GeometryError):
             elements_cylinder(P1, self_pair((0.0, 0.0)), Topology.cylinder(1.0))
+
+
+class TestCoincidentImage:
+    """B on an image of A: at theta = pi/2, L = ell the image n = -1 of B
+    lies 6e-17 (from cos(pi/2)) from A, which is round-off, not a distance."""
+
+    PAIR = worldlines_from_orientation(1.0, math.pi / 2)
+
+    @pytest.mark.parametrize("topology", [Topology.cylinder(1.0), Topology.twisted_cylinder(1.0)])
+    def test_scalar_path_names_the_image(self, topology):
+        assert 0.0 < image_separation(topology, self.PAIR, -1) < 1e-16
+        with pytest.raises(GeometryError, match=r"sits on image n = -1 of detector A"):
+            quiet_elements(elements_for, P1, self.PAIR, topology)
+
+    def test_resolved_separation_is_not_flagged(self):
+        pair = WorldlinePair((0.0, 0.0), (1e-9, 0.0), 0.0, 1.0)
+        state = quiet_elements(elements_for, P1, pair, Topology.cylinder(1.0))
+        assert math.isfinite(state.a) and math.isfinite(abs(state.x))
 
 
 class TestTwisted:

@@ -26,7 +26,15 @@ from udwpair import (
     WorldlinePair,
     assemble_density_matrix,
     elements_for,
+    elements_minkowski,
+    exchange_coefficient,
+    image_separation,
     negativity_exact,
+    nonlocal_coefficient,
+    oracle_a,
+    oracle_c,
+    oracle_x,
+    separation,
     xstate_measures,
 )
 from udwpair.cli import main
@@ -42,13 +50,12 @@ from udwpair.sweep import (
     run_verification,
 )
 
-SMALL_MINK = SweepConfig(omega=GridAxis(-1.0, 1.0, 3), l=GridAxis(0.5, 2.0, 3), jobs=1)
+SMALL_MINK = SweepConfig(omega=GridAxis(-1.0, 1.0, 3), l=GridAxis(0.5, 2.0, 3))
 SMALL_CYL = SweepConfig(
     topology=TopologyKind.CYLINDER,
     ell=(1.0,),
     omega=GridAxis(-1.0, 1.0, 3),
     l=GridAxis(0.5, 2.0, 3),
-    jobs=1,
 )
 
 
@@ -74,14 +81,13 @@ class TestConfig:
                 "nmax": "12",
                 "oracle": "true",
                 "format": "jsonl",
-                "jobs": "2",
             }
         )
         assert cfg.topology is TopologyKind.CYLINDER
         assert cfg.ell == (0.5, 1.0, 2.0)
         assert cfg.eta == -1
         assert cfg.omega == GridAxis(-2.0, 2.0, 5)
-        assert cfg.oracle and cfg.fmt == "jsonl" and cfg.jobs == 2
+        assert cfg.oracle and cfg.fmt == "jsonl"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -146,20 +152,6 @@ class TestSweep:
         b = rows_to_csv(run_sweep(SMALL_CYL))
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        serial = rows_to_csv(run_sweep(SMALL_CYL))
-        from dataclasses import replace
-
-        parallel = rows_to_csv(run_sweep(replace(SMALL_CYL, jobs=2)))
-        assert serial == parallel
-
-    def test_parallel_oracle_matches_serial(self):
-        from dataclasses import replace
-
-        cfg = replace(SMALL_MINK, oracle=True, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 2.0, 2))
-        serial = rows_to_csv(run_sweep(cfg))
-        assert serial == rows_to_csv(run_sweep(replace(cfg, jobs=2)))
-
     def test_oracle_columns(self):
         from dataclasses import replace
 
@@ -212,27 +204,27 @@ def _wootters_concurrence(rho: np.ndarray) -> float:
 #: pass, on every topology: name -> (config, error types expected).
 FAILING_GRIDS = {
     "minkowski": (
-        SweepConfig(omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.5, 3), jobs=1),
+        SweepConfig(omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.5, 3)),
         {"InvalidStateError"},
     ),
     "cylinder": (
         SweepConfig(
             topology=TopologyKind.CYLINDER, ell=(1.0,),
-            omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.5, 3), jobs=1,
+            omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.5, 3),
         ),
         {"InvalidStateError", "PositivityError"},
     ),
     "twisted": (
         SweepConfig(
             topology=TopologyKind.TWISTED_CYLINDER, ell=(1.0,), d_a=0.1,
-            omega=GridAxis(-0.7, 1.6, 6), l=GridAxis(0.15625, 0.5, 2), jobs=1,
+            omega=GridAxis(-0.7, 1.6, 6), l=GridAxis(0.15625, 0.5, 2),
         ),
         {"InvalidStateError", "PositivityError"},
     ),
     "twisted_eta_minus": (
         SweepConfig(
             topology=TopologyKind.TWISTED_CYLINDER, ell=(1.0,), eta=-1, d_a=0.1,
-            omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.3, 2), jobs=1,
+            omega=GridAxis(-1.0, 2.0, 7), l=GridAxis(0.078125, 0.3, 2),
         ),
         {"InvalidStateError"},
     ),
@@ -342,7 +334,6 @@ class TestDifferenceMap:
             omega=GridAxis(0.5, 0.5, 1),
             l=GridAxis(0.6, 0.6, 1),
             theta=GridAxis(0.0, math.pi, 21),
-            jobs=1,
         )
         conc = [r["concurrence_leading"] for r in run_sweep(cfg)]
         assert conc[0] == pytest.approx(conc[-1], rel=1e-12)
@@ -383,22 +374,172 @@ class TestVerification:
         assert all("dev_image" in r for r in report.rows)
 
     def test_fault_injection_detected(self, monkeypatch):
-        original = udwpair.elements.nonlocal_coefficient
+        original = udwpair.elements.nonlocal_array
 
-        def corrupted(p, r):
-            return original(p, r) + 1e-3
+        def corrupted(sigma, omega, r):
+            return original(sigma, omega, r) + 1e-3
 
-        monkeypatch.setattr(udwpair.elements, "nonlocal_coefficient", corrupted)
+        monkeypatch.setattr(udwpair.elements, "nonlocal_array", corrupted)
         report = run_verification(SMALL_MINK)
         assert not report.passed
         assert report.max_deviation > 1e-4
+
+
+def _reference_oracle_devs(cfg, row):
+    """Oracle deviations of one row from the public scalar functions, point
+    by point: the Minkowski a, x, c at the row's separation and, on a
+    quotient, x and c at the images 1, -1, 2, -2."""
+    p = DetectorParams(omega=row["omega"] / cfg.sigma, sigma=cfg.sigma, eps0=cfg.eps0)
+    pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
+    lsep = separation(pair)
+    mink = elements_minkowski(p, lsep)
+    devs = {
+        "a": abs(mink.a - oracle_a(p)),
+        "x": abs(mink.x - oracle_x(p, lsep)),
+        "c": abs(mink.c - oracle_c(p, lsep)),
+        "image": 0.0,
+    }
+    if cfg.topology is not TopologyKind.MINKOWSKI:
+        topology = cfg.topology_for(row["ell"])
+        for n in (1, -1, 2, -2):
+            l_n = image_separation(topology, pair, n)
+            devs["image"] = max(
+                devs["image"],
+                abs(nonlocal_coefficient(p, l_n) - oracle_x(p, l_n)),
+                abs(exchange_coefficient(p, l_n) - oracle_c(p, l_n)),
+            )
+    return devs
+
+
+#: Small grids off theta = 0, where the images n and -n lie at different
+#: separations, on every topology.
+ORACLE_GRIDS = {
+    "minkowski": SweepConfig(
+        omega=GridAxis(-1.0, 2.0, 2), l=GridAxis(0.4, 3.0, 2), theta=GridAxis(0.3, 1.1, 2)
+    ),
+    "cylinder": SweepConfig(
+        topology=TopologyKind.CYLINDER, ell=(1.0,),
+        omega=GridAxis(-1.0, 2.0, 2), l=GridAxis(0.4, 3.0, 2), theta=GridAxis(0.3, 1.1, 2),
+    ),
+    "twisted": SweepConfig(
+        topology=TopologyKind.TWISTED_CYLINDER, ell=(1.0,), eta=-1, d_a=0.1,
+        omega=GridAxis(-1.0, 2.0, 2), l=GridAxis(0.4, 3.0, 2), theta=GridAxis(0.3, 1.1, 2),
+    ),
+}
+
+#: 3 gaps x 4 separations on the cylinder at theta = 0, where the images n
+#: and -n coincide: per point a, x and c at L, l_1 = l_-1 and l_2 = l_-2.
+COUNT_GRID = SweepConfig(
+    topology=TopologyKind.CYLINDER, ell=(1.0,),
+    omega=GridAxis(-1.0, 1.0, 3), l=GridAxis(0.5, 1.7, 4),
+)
+
+
+#: B on the image n = -1 of A (r = 6e-17 from cos(pi/2)).
+COINCIDENT = SweepConfig(
+    topology=TopologyKind.CYLINDER, ell=(1.0,),
+    omega=GridAxis(0.5, 0.5, 1), l=GridAxis(1.0, 1.0, 1),
+    theta=GridAxis(math.pi / 2, math.pi / 2, 1),
+)
+
+
+class TestOraclePath:
+    """verify and sweep --oracle: each distinct quadrature once per run, the
+    rows exactly as the scalar functions give them point by point."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    def test_verify_rows_match_scalar_reference(self, name):
+        cfg = ORACLE_GRIDS[name]
+        report = run_verification(cfg)
+        assert report.passed and len(report.rows) == 8
+        for row in report.rows:
+            want = _reference_oracle_devs(cfg, row)
+            assert row["error"] == ""
+            assert row["dev_a"] == want["a"] and row["dev_x"] == want["x"]
+            assert row["dev_c"] == want["c"] and row["dev_image"] == want["image"]
+            assert row["max_dev"] == max(want.values())
+        if name != "minkowski":
+            assert any(r["dev_image"] > 0.0 for r in report.rows)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    def test_oracle_sweep_rows_match_scalar_reference(self, name):
+        from dataclasses import replace
+
+        cfg = replace(ORACLE_GRIDS[name], oracle=True)
+        for row in run_sweep(cfg):
+            want = _reference_oracle_devs(cfg, row)
+            assert row["error"] == ""
+            assert row["oracle_dev_a"] == want["a"]
+            assert row["oracle_dev_x"] == want["x"]
+            assert row["oracle_dev_c"] == want["c"]
+
+    def test_each_distinct_integral_once(self, monkeypatch):
+        calls = {"oracle_a": [], "oracle_x_time_integral": [], "oracle_c": []}
+        for name in calls:
+            original = getattr(udwpair.wightman, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name].append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(udwpair.wightman, name, counted)
+        report = run_verification(COUNT_GRID)
+        assert report.passed
+        omegas = {p.omega for (p,) in calls["oracle_a"]}
+        assert len(calls["oracle_a"]) == len(omegas) == 3
+        assert len(calls["oracle_x_time_integral"]) == len(set(calls["oracle_x_time_integral"]))
+        assert len(calls["oracle_x_time_integral"]) == 4 * 3
+        assert len(calls["oracle_c"]) == 3 * 4 * 3
+        assert len({(p.omega, r) for p, r in calls["oracle_c"]}) == 3 * 4 * 3
+        assert report.quadratures == 3 + 12 + 36
+        assert report.evaluations == 12 * (1 + 2 + 2 * 4)
+
+    def test_failing_integral_fails_only_its_rows(self, monkeypatch):
+        from dataclasses import replace
+
+        from udwpair import ConvergenceError
+
+        original = udwpair.wightman.oracle_c
+        bad_r = float(COUNT_GRID.l.values()[1])
+
+        def flaky(p, l_image, **kwargs):
+            if l_image == bad_r:
+                raise ConvergenceError("no luck at r = 0.9")
+            return original(p, l_image, **kwargs)
+
+        monkeypatch.setattr(udwpair.wightman, "oracle_c", flaky)
+        cfg = replace(COUNT_GRID, topology=TopologyKind.MINKOWSKI, ell=())
+        report = run_verification(cfg)
+        swept = run_sweep(replace(cfg, oracle=True))
+        assert not report.passed
+        for rows, key in ((report.rows, "dev_c"), (swept, "oracle_dev_c")):
+            for row in rows:
+                if row["l"] == bad_r:
+                    assert row["error"] == "ConvergenceError: no luck at r = 0.9"
+                    assert math.isnan(row[key])
+                else:
+                    assert row["error"] == "" and row[key] < 1e-8
+        assert sum(r["error"] != "" for r in report.rows) == 3
+
+    def test_coincident_image_fails_before_any_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature at a coincident image")
+
+        for name in ("oracle_a", "oracle_x_time_integral", "oracle_c"):
+            monkeypatch.setattr(udwpair.wightman, name, forbidden)
+        report = run_verification(COINCIDENT)
+        assert not report.passed and report.quadratures == 0
+        (row,) = report.rows
+        assert row["error"].startswith(
+            "GeometryError: detector B sits on image n = -1 of detector A"
+        )
 
 
 class TestCli:
     def test_sweep_stdout_csv(self):
         result = CliRunner().invoke(
             main,
-            ["sweep", "--omega-range", "0:1:2", "--l-range", "1:2:2", "--jobs", "1"],
+            ["sweep", "--omega-range", "0:1:2", "--l-range", "1:2:2"],
         )
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
@@ -414,7 +555,7 @@ class TestCli:
         cfg.write_text("omega = 0:1:2\nl = 1:2:2\nformat = csv\n")
         result = CliRunner().invoke(
             main,
-            ["show-config", "--config", str(cfg), "--format", "jsonl", "--jobs", "1"],
+            ["show-config", "--config", str(cfg), "--format", "jsonl"],
         )
         assert result.exit_code == 0
         assert "format = jsonl" in result.output
@@ -425,19 +566,46 @@ class TestCli:
             "verify",
             "--omega-range", "0:1:2",
             "--l-range", "1:1:1",
-            "--jobs", "1",
         ]
         ok = CliRunner().invoke(main, args)
         assert ok.exit_code == 0
 
-        original = udwpair.elements.nonlocal_coefficient
+        original = udwpair.elements.nonlocal_array
         monkeypatch.setattr(
             udwpair.elements,
-            "nonlocal_coefficient",
-            lambda p, r: original(p, r) + 1e-3,
+            "nonlocal_array",
+            lambda sigma, omega, r: original(sigma, omega, r) + 1e-3,
         )
         bad = CliRunner().invoke(main, args)
         assert bad.exit_code == 2
+
+    def test_verify_reports_quadratures(self):
+        result = CliRunner().invoke(
+            main, ["verify", "--omega-range", "0:1:2", "--l-range", "1:1:1"]
+        )
+        assert result.exit_code == 0
+        assert result.stderr.startswith("verify: PASS (max deviation ")
+        assert result.stderr.endswith(
+            ", tolerance 1e-06, 5 quadratures for 6 oracle evaluations)\n"
+        )
+
+    def test_coincident_image_cli(self):
+        args = [
+            "--topology", "cylinder", "--ell", "1", "--omega-range", "0.5:0.5:1",
+            "--l-range", "1:1:1",
+            "--theta-range", "1.5707963267948966:1.5707963267948966:1",
+        ]
+        swept = CliRunner().invoke(main, ["sweep", "--format", "jsonl", *args])
+        assert swept.exit_code == 0
+        assert json.loads(swept.stdout)["error"].startswith("GeometryError: detector B")
+        verified = CliRunner().invoke(main, ["verify", "--format", "jsonl", *args])
+        assert verified.exit_code == 2
+        assert json.loads(verified.stdout)["error"].startswith("GeometryError: detector B")
+
+    def test_jobs_is_gone(self):
+        assert CliRunner().invoke(main, ["sweep", "--jobs", "1"]).exit_code == 2
+        with pytest.raises(ConfigError, match="unknown configuration key 'jobs'"):
+            config_from_mapping({"jobs": "1"})
 
     def test_out_file_and_env_dir(self, tmp_path):
         env = {sweep_mod.OUTPUT_DIR_ENV: str(tmp_path)}
@@ -447,8 +615,7 @@ class TestCli:
                 "sweep",
                 "--omega-range", "0:1:2",
                 "--l-range", "1:2:2",
-                "--jobs", "1",
-                "--out", "rows.csv",
+                    "--out", "rows.csv",
             ],
             env=env,
         )
@@ -466,8 +633,7 @@ class TestCli:
                 "--ell", "1.0",
                 "--omega-range", "0:1:2",
                 "--l-range", "1:2:2",
-                "--jobs", "1",
-                "--format", "jsonl",
+                    "--format", "jsonl",
             ],
         )
         assert result.exit_code == 0

@@ -23,8 +23,11 @@ from udwpair.elements import (
     self_excitation_coefficient,
 )
 from udwpair.wightman import (
+    _WINDOW_SIGMAS,
     _refined_quad,
     hadamard_double_pole,
+    oracle_x_envelope,
+    oracle_x_time_integral,
     pv_over_pole,
     richardson_zero_limit,
     sgn_delta_square,
@@ -131,6 +134,33 @@ class TestOracleValues:
         got = oracle_c(p, 1.0)
         assert got.real == pytest.approx(C_L1_O1, abs=1e-10)
         assert abs(got.imag) < 1e-12
+
+    @pytest.mark.parametrize("omega, sigma, r", [(1.0, 1.0, 1.0), (-2.0, 1.3, 0.3), (0.7, 0.8, 9.5)])
+    def test_c_equals_two_pole_form(self, omega, sigma, r):
+        # oracle_c takes the pole at -r as -conj of the pole at +r; both
+        # poles quadratured explicitly give the same value bit for bit
+        p = DetectorParams(omega=omega, sigma=sigma)
+
+        def f(u):
+            return np.exp(-u * u / (4.0 * sigma * sigma) - 1j * omega * u)
+
+        span = r + _WINDOW_SIGMAS * sigma
+        fr = complex(f(np.array([r]))[0])
+        fmr = complex(f(np.array([-r]))[0])
+        delta_part = (fr - fmr) / (2.0 * r) / (4.0j * math.pi)
+        pv_plus = pv_over_pole(f, r, span=span, sigma_scale=sigma)
+        pv_minus = pv_over_pole(f, -r, span=span, sigma_scale=sigma)
+        pv_part = -(pv_plus - pv_minus) / (2.0 * r) / (4.0 * math.pi**2)
+        want = sigma * math.sqrt(math.pi) * (delta_part + pv_part)
+        got = oracle_c(p, r)
+        assert got == want and got.imag == 0.0
+
+    def test_x_is_envelope_times_time_integral(self):
+        p = DetectorParams(omega=1.0, sigma=1.0)
+        got = oracle_x_envelope(p) * oracle_x_time_integral(1.0, 1.0)
+        assert got == oracle_x(p, 1.0)
+        with pytest.raises(GeometryError):
+            oracle_x_time_integral(1.0, 0.0)
 
     def test_c_real_at_zero_gap(self):
         p = DetectorParams(omega=0.0, sigma=1.0)
