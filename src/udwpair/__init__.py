@@ -50,17 +50,13 @@ from .geometry import (
     WorldlinePair,
     effective_ell_twisted,
     image_separation,
-    image_separation_cylinder,
-    image_separation_twisted,
     separation,
     worldlines_from_orientation,
 )
 from .special import (
     dawson,
-    erf_complex,
     erfc_real,
     phase_scaled_erf,
-    scaled_erf_product,
 )
 from .sweep import (
     GridAxis,
@@ -122,16 +118,12 @@ __all__ = [
     "WorldlinePair",
     "effective_ell_twisted",
     "image_separation",
-    "image_separation_cylinder",
-    "image_separation_twisted",
     "separation",
     "worldlines_from_orientation",
     # special functions
     "dawson",
-    "erf_complex",
     "erfc_real",
     "phase_scaled_erf",
-    "scaled_erf_product",
     # sweeps
     "GridAxis",
     "SweepConfig",

@@ -22,13 +22,18 @@ distinct integral of a run once, with the scalar functions of
 
 Row order is fixed by the grid index (ell, omega, l, theta outermost to
 innermost), and floats are written with 17 significant digits, so identical
-configurations produce byte-identical output.
+configurations produce byte-identical output.  CSV is written in chunks of
+``CSV_CHUNK_ROWS`` rows; within a chunk each column is converted to text in
+one go, each distinct float formatted once.  Text fields that hold a comma,
+a double quote, CR or LF are quoted as RFC 4180 says.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -547,23 +552,71 @@ def run_verification(config: SweepConfig) -> VerificationReport:
     )
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+#: Rows per chunk of CSV text: ``write_rows`` writes one chunk at a time.
+CSV_CHUNK_ROWS = 1024
+
+_BOOL_TEXT = {True: "true", False: "false"}
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field: in double quotes, inner quotes doubled,
+    when it holds a comma, a quote, CR or LF (RFC 4180); else unchanged."""
+    if any(ch in text for ch in _CSV_SPECIAL):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _float_text(values: list) -> list[str]:
+    """``%.17g`` of each float, formatted once per distinct bit pattern (so
+    ``-0.0`` and ``0.0`` keep their own texts)."""
+    bits = np.array(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(
+        list(map("%.17g".__mod__, distinct.view(np.float64).tolist())), dtype=object
+    )
+    return texts[inverse].tolist()
+
+
+def _column_text(values: list) -> list[str]:
+    """CSV text of one column: floats with 17 significant digits, bools as
+    ``true``/``false``, anything else as ``str``, quoted where needed."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        # a column that mixes types converts the cells of each type on their own
+        out = [""] * len(values)
+        for kind in kinds:
+            index = [i for i, v in enumerate(values) if type(v) is kind]
+            for i, text in zip(index, _column_text([values[i] for i in index])):
+                out[i] = text
+        return out
+    (kind,) = kinds
+    if issubclass(kind, float):
+        return _float_text(values)
+    if kind is bool:
+        return list(map(_BOOL_TEXT.__getitem__, values))
+    texts = list(map(str, values))
+    quoted = {text: _quoted(text) for text in set(texts)}
+    return list(map(quoted.__getitem__, texts))
+
+
+def _csv_chunks(rows: Iterable[dict[str, object]]) -> Iterator[str]:
+    """The CSV text of ``rows``: the header line, then one string per
+    ``CSV_CHUNK_ROWS`` rows, each column of a chunk converted in one go."""
+    rows = iter(rows)
+    chunk = list(islice(rows, CSV_CHUNK_ROWS))
+    if not chunk:
+        return
+    header = list(chunk[0])
+    yield ",".join(map(_quoted, header)) + "\n"
+    while chunk:
+        columns = [_column_text(list(map(itemgetter(key), chunk))) for key in header]
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+        chunk = list(islice(rows, CSV_CHUNK_ROWS))
 
 
 def rows_to_csv(rows: Iterable[dict[str, object]]) -> str:
-    rows = list(rows)
-    if not rows:
-        return ""
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(rows))
 
 
 def rows_to_jsonl(rows: Iterable[dict[str, object]]) -> str:
@@ -581,7 +634,8 @@ def rows_to_jsonl(rows: Iterable[dict[str, object]]) -> str:
 
 def write_rows(rows: list[dict[str, object]], fmt: str, stream) -> None:
     if fmt == "csv":
-        stream.write(rows_to_csv(rows))
+        for chunk in _csv_chunks(rows):
+            stream.write(chunk)
     elif fmt == "jsonl":
         stream.write(rows_to_jsonl(rows))
     else:

@@ -14,13 +14,13 @@ from udwpair import (
     WorldlinePair,
     effective_ell_twisted,
     image_separation,
-    image_separation_cylinder,
-    image_separation_twisted,
     separation,
     worldlines_from_orientation,
 )
 from udwpair.geometry import (
     cylinder_separation_formula,
+    image_separation_cylinder,
+    image_separation_twisted,
     parity,
     self_pair,
     twisted_separation_formula,

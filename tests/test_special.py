@@ -16,12 +16,16 @@ from udwpair import (
     DomainError,
     RangeOverflowError,
     dawson,
-    erf_complex,
     erfc_real,
     phase_scaled_erf,
+)
+from udwpair.special import (
+    VALIDATED_BOUND,
+    _erf_representable,
+    erf_complex,
+    sample_validated_domain,
     scaled_erf_product,
 )
-from udwpair.special import VALIDATED_BOUND, _erf_representable, sample_validated_domain
 
 ERF_1 = 0.84270079294971486934
 ERFI_HALF = 0.61495209469651098084  # erf(0.5i) = i * ERFI_HALF
