@@ -5,31 +5,22 @@ Closed-form density-matrix elements (Minkowski space, cylinder, twisted
 cylinder via the method of images), entanglement harvesting and correlation
 measures, and an independent distributional-quadrature oracle that verifies
 every closed form.
+
+The package namespace holds the documented API: the one-point elements
+:func:`elements_for` and the measures on its state, the oracles, the sweep
+entry points with their configuration types, and every exception and
+warning class.  Everything else is imported from its submodule.
 """
 
 from .elements import (
     DetectorParams,
     XStateAB,
     assemble_density_matrix,
-    elements_cylinder,
     elements_for,
-    elements_minkowski,
-    elements_twisted,
-    exchange_coefficient,
-    joint_excitation,
-    nonlocal_coefficient,
-    self_excitation_coefficient,
 )
 from .entanglement import (
-    Correlation,
-    EntanglementOfFormation,
-    EntanglementReport,
     concurrence_exact,
-    correlation,
-    entanglement_of_formation,
     negativity_exact,
-    partial_transpose_a,
-    xstate_entanglement,
     xstate_measures,
 )
 from .errors import (
@@ -39,7 +30,6 @@ from .errors import (
     GeometryError,
     InvalidStateError,
     PositivityError,
-    RangeOverflowError,
     StateConsistencyWarning,
     TruncationWarning,
     UdwError,
@@ -48,29 +38,17 @@ from .geometry import (
     Topology,
     TopologyKind,
     WorldlinePair,
-    effective_ell_twisted,
-    image_separation,
-    separation,
-    worldlines_from_orientation,
-)
-from .special import (
-    dawson,
-    erfc_real,
-    phase_scaled_erf,
 )
 from .sweep import (
     GridAxis,
     SweepConfig,
-    VerificationReport,
     run_difference_map,
     run_sweep,
     run_verification,
 )
 from .wightman import (
-    IepsEstimate,
     oracle_a,
     oracle_c,
-    oracle_ieps,
     oracle_x,
 )
 
@@ -82,24 +60,10 @@ __all__ = [
     "DetectorParams",
     "XStateAB",
     "assemble_density_matrix",
-    "elements_cylinder",
     "elements_for",
-    "elements_minkowski",
-    "elements_twisted",
-    "exchange_coefficient",
-    "joint_excitation",
-    "nonlocal_coefficient",
-    "self_excitation_coefficient",
     # entanglement
-    "Correlation",
-    "EntanglementOfFormation",
-    "EntanglementReport",
     "concurrence_exact",
-    "correlation",
-    "entanglement_of_formation",
     "negativity_exact",
-    "partial_transpose_a",
-    "xstate_entanglement",
     "xstate_measures",
     # errors
     "ConfigError",
@@ -108,7 +72,6 @@ __all__ = [
     "GeometryError",
     "InvalidStateError",
     "PositivityError",
-    "RangeOverflowError",
     "StateConsistencyWarning",
     "TruncationWarning",
     "UdwError",
@@ -116,25 +79,14 @@ __all__ = [
     "Topology",
     "TopologyKind",
     "WorldlinePair",
-    "effective_ell_twisted",
-    "image_separation",
-    "separation",
-    "worldlines_from_orientation",
-    # special functions
-    "dawson",
-    "erfc_real",
-    "phase_scaled_erf",
     # sweeps
     "GridAxis",
     "SweepConfig",
-    "VerificationReport",
     "run_difference_map",
     "run_sweep",
     "run_verification",
     # oracle
-    "IepsEstimate",
     "oracle_a",
     "oracle_c",
-    "oracle_ieps",
     "oracle_x",
 ]

@@ -42,11 +42,12 @@ polynomially, ~ 1/(n ell)^2 per term, not Gaussianly; the truncation
 bookkeeping below reflects that.
 
 Every coefficient has one numpy implementation that takes arrays
-(``*_array``); the scalar functions evaluate it on one point.  The batched
-entry point :func:`elements_batch` evaluates a whole (Omega, worldline) grid
-at once: image sums run over n in a fixed order with one array operation
-per n, and per-point failures are recorded in an ``errors`` array instead
-of being raised.  A scalar call and the batch therefore agree exactly.
+(``*_array``).  :func:`elements_batch` evaluates a whole (Omega, worldline)
+grid with them at once: image sums run over n in a fixed order with one
+array operation per n, and per-point failures are recorded in an ``errors``
+array instead of being raised.  :func:`elements_for`, the one-point entry,
+is a batch of one point that raises its error, so it agrees exactly with
+the batch.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from .geometry import (
     WorldlinePair,
     image_separation_array,
     self_pair,
-    separation,
     separation_array,
 )
 from .special import complex_array, modulus, phase_scaled_erf_array
@@ -82,15 +82,9 @@ __all__ = [
     "XStateAB",
     "XStateBatch",
     "joint_excitation",
-    "self_excitation_coefficient",
-    "exchange_coefficient",
-    "nonlocal_coefficient",
     "self_excitation_array",
     "exchange_array",
     "nonlocal_array",
-    "elements_minkowski",
-    "elements_cylinder",
-    "elements_twisted",
     "elements_for",
     "elements_batch",
     "new_errors",
@@ -179,8 +173,8 @@ def flag_errors(
     errors: np.ndarray, bad, make: Callable[..., Exception], *values
 ) -> None:
     """Record ``make(v1, v2, ...)`` for every point where ``bad`` holds and
-    no earlier error is recorded, so each point keeps the first failure
-    that the scalar evaluation order would have raised.  The v's are the
+    no earlier error is recorded, so each point keeps the first failure in
+    evaluation order, the one :func:`elements_for` raises.  The v's are the
     point's entries of ``values``, as Python numbers."""
     flat = errors.reshape(-1)
     for i in np.flatnonzero(np.broadcast_to(bad, errors.shape)):
@@ -197,25 +191,15 @@ def _raise_first(errors: np.ndarray) -> None:
 
 
 def joint_excitation(a, b, x, c):
-    """E/eps0^4 = |x|^2 + a b + 2 |c|^2 (valid also when a != b; arrays too)."""
+    """E/eps0^4 = |x|^2 + a b + 2 |c|^2 for arrays (valid also when a != b)."""
     ax = modulus(x)
     ac = modulus(c)
-    e = ax * ax + a * b + 2.0 * (ac * ac)
-    return float(e) if np.ndim(e) == 0 else e
+    return ax * ax + a * b + 2.0 * (ac * ac)
 
 
 def _piecewise(cases, *args):
     """Evaluate each (mask, fn) case on the points where its mask holds (NaN
-    where none does).
-
-    0-d inputs are passed to ``fn`` as numpy scalars, which is much faster
-    than arrays and rounds identically.
-    """
-    if np.ndim(args[0]) == 0:
-        for mask, fn in cases:
-            if mask:
-                return fn(*args)
-        return math.nan
+    where none does)."""
     out = np.full(np.shape(args[0]), math.nan)
     for mask, fn in cases:
         if np.any(mask):
@@ -246,7 +230,7 @@ def _self_term_negative(y):
 
 def self_excitation_array(y):
     """A/eps0^2 as a function of y = sigma*Omega, for arrays."""
-    y = np.asarray(y, dtype=float)[()]
+    y = np.asarray(y, dtype=float)
     return _piecewise(
         (
             ((y >= 0.0) & (y < _CF_Y), _self_term_nonnegative),
@@ -255,14 +239,6 @@ def self_excitation_array(y):
         ),
         y,
     )
-
-
-def self_excitation_coefficient(p: DetectorParams) -> float:
-    """Transition probability coefficient A/eps0^2 for a single static detector.
-
-    Equals 1/4 pi at Omega = 0.
-    """
-    return float(self_excitation_array(p.sigma * p.omega))
 
 
 def _im_erfcx_series(x, y):
@@ -295,6 +271,10 @@ def _osc_negative_gap(x, y, omega, r):
 def exchange_array(sigma: float, omega, r):
     """C/eps0^2 at separations r > 0 for arrays of gaps and separations.
 
+    At r = |x - J^n x| the same function gives the n-th image term of a
+    single detector's probability A (the detector correlating with its own
+    image).
+
     With x = sigma*Omega and y = r/2 sigma the bracket
     Im[e^{2ixy} erf(x+iy)] e^{-y^2} - e^{-y^2} sin(Omega r) equals
     -e^{-x^2} Im w(-y + ix) = -e^{-x^2} Im erfcx(x + iy) for x >= 0, which
@@ -302,10 +282,7 @@ def exchange_array(sigma: float, omega, r):
     subtraction would cancel (small r, large gap) and stays nonzero where
     e^{-y^2} sin(Omega r) alone would swamp it.
     """
-    omega = np.asarray(omega, dtype=float)[()]
-    r = np.asarray(r, dtype=float)[()]
-    if np.ndim(omega) or np.ndim(r):
-        omega, r = np.broadcast_arrays(omega, r)
+    omega, r = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(r, dtype=float))
     x = sigma * omega
     y = r / (2.0 * sigma)
     series = (x >= 0.0) & (x <= _SERIES_X) & (y <= _SERIES_Y)
@@ -327,8 +304,8 @@ def nonlocal_array(sigma: float, omega, r):
     e^{-r^2/4s^2} [1 + erf(i r/2s)] = e^{-r^2/4s^2} + i (2/sqrt(pi)) D(r/2s)
     keeps the evaluation finite at any separation.
     """
-    x = sigma * np.asarray(omega, dtype=float)[()]
-    r = np.asarray(r, dtype=float)[()]
+    x = sigma * np.asarray(omega, dtype=float)
+    r = np.asarray(r, dtype=float)
     y = r / (2.0 * sigma)
     envelope = np.exp(-(x * x))
     bracket = complex_array(-2.0 / _SQRT_PI * _sp.dawsn(y), np.exp(-y * y))
@@ -337,11 +314,6 @@ def nonlocal_array(sigma: float, omega, r):
 
 def _separation_error(r: float) -> GeometryError:
     return GeometryError(f"separation must be finite and > 0, got {r!r}")
-
-
-def _require_separation(r: float) -> None:
-    if not (math.isfinite(r) and r > 0.0):
-        raise _separation_error(r)
 
 
 def _flag_separation(errors: np.ndarray, r) -> None:
@@ -369,33 +341,6 @@ def flag_coincident_image(
         l_n,
         roundoff,
     )
-
-
-def exchange_coefficient(p: DetectorParams, r: float) -> float:
-    """Exchange coefficient C/eps0^2 for a static pair at separation r > 0.
-
-    The same function gives the n-th image term of the single-detector
-    probability at r = |x - J^n x| (detector correlating with its own
-    image).  As r -> 0 it tends to the self term; as r -> infinity it decays
-    like (s/r)^2 e^{-s^2 Omega^2} / 2 pi.
-    """
-    _require_separation(r)
-    return float(exchange_array(p.sigma, p.omega, r))
-
-
-def nonlocal_coefficient(p: DetectorParams, r: float) -> complex:
-    """Nonlocal coefficient X/eps0^2 for a static pair at separation r > 0."""
-    _require_separation(r)
-    return complex(nonlocal_array(p.sigma, p.omega, r))
-
-
-def elements_minkowski(p: DetectorParams, length: float) -> XStateAB:
-    """All leading-order elements for identical detectors at separation L > 0."""
-    _require_separation(length)
-    a = self_excitation_coefficient(p)
-    x = nonlocal_coefficient(p, length)
-    c = complex(exchange_coefficient(p, length))
-    return XStateAB(a=a, b=a, x=x, c=c, e=joint_excitation(a, a, x, c))
 
 
 def _eta_weight(eta: int, n: int) -> int:
@@ -495,8 +440,8 @@ def elements_batch(
     """Elements on a grid: gaps ``omega`` and pair coordinates broadcast to
     ``errors.shape``.
 
-    A point whose scalar evaluation (:func:`elements_for`) would raise gets
-    that exception in ``errors`` instead; its values are then meaningless.
+    A point for which :func:`elements_for` would raise gets that exception
+    in ``errors`` instead; its values are then meaningless.
     Points that already carry an error keep it.
     """
     omega = np.asarray(omega, dtype=float)
@@ -518,9 +463,17 @@ def _as_batch(state: XStateAB) -> XStateBatch:
     )
 
 
-def _image_sum(
-    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int
+def elements_for(
+    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int = 10
 ) -> XStateAB:
+    """Elements of one detector pair, by :func:`elements_batch` on one point.
+
+    Raises the error that the batch records for the point.  b = a in
+    Minkowski space and on the cylinder.  On the twisted cylinder the odd-n
+    image of detector k sits at separation |n| ell_n with
+    n^2 ell_n^2 = n^2 ell^2 + 4 d_k^2, so a and b differ whenever
+    |d_A| != |d_B|.
+    """
     errors = new_errors((1,))
     state = elements_batch(np.array([p.omega]), p.sigma, pair, topology, nmax, errors)
     _raise_first(errors)
@@ -529,41 +482,6 @@ def _image_sum(
         a=float(a), b=float(b), x=complex(x), c=complex(c), e=float(e),
         tail_bound=float(tail),
     )
-
-
-def elements_cylinder(
-    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int = 10
-) -> XStateAB:
-    """Image-sum elements on the cylinder; translation invariance gives b = a."""
-    if topology.kind is not TopologyKind.CYLINDER:
-        raise GeometryError(f"expected a cylinder topology, got {topology.kind}")
-    return _image_sum(p, pair, topology, nmax)
-
-
-def elements_twisted(
-    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int = 10
-) -> XStateAB:
-    """Image-sum elements on the twisted cylinder.
-
-    The odd-n image of detector k sits at separation |n| ell_n with
-    n^2 ell_n^2 = n^2 ell^2 + 4 d_k^2, so a and b differ whenever
-    |d_A| != |d_B|: the twisted quotient is not translation invariant in the
-    reflected plane.
-    """
-    if topology.kind is not TopologyKind.TWISTED_CYLINDER:
-        raise GeometryError(f"expected a twisted-cylinder topology, got {topology.kind}")
-    return _image_sum(p, pair, topology, nmax)
-
-
-def elements_for(
-    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int = 10
-) -> XStateAB:
-    """Dispatch on topology kind."""
-    if topology.kind is TopologyKind.MINKOWSKI:
-        return elements_minkowski(p, separation(pair))
-    if topology.kind is TopologyKind.CYLINDER:
-        return elements_cylinder(p, pair, topology, nmax)
-    return elements_twisted(p, pair, topology, nmax)
 
 
 class Assembled(NamedTuple):

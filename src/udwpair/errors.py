@@ -9,10 +9,6 @@ class DomainError(UdwError, ValueError):
     """An argument lies outside a function's validated domain."""
 
 
-class RangeOverflowError(DomainError):
-    """The mathematically correct result exceeds double-precision range."""
-
-
 class GeometryError(UdwError, ValueError):
     """Inconsistent or degenerate detector geometry."""
 

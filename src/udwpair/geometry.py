@@ -46,8 +46,6 @@ __all__ = [
     "image_point",
     "image_separation",
     "image_separation_array",
-    "image_separation_cylinder",
-    "image_separation_twisted",
     "cylinder_separation_formula",
     "twisted_separation_formula",
     "effective_ell_twisted",
@@ -56,6 +54,8 @@ __all__ = [
 ]
 
 Vec2 = tuple[float, float]
+
+_TINY = np.finfo(float).tiny
 
 
 class TopologyKind(enum.Enum):
@@ -122,7 +122,21 @@ def parity(n: int) -> int:
 
 
 def _distance(dx, dy, dz):
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+    """sqrt(dx^2 + dy^2 + dz^2).  Where the sum of squares overflows or falls
+    below the smallest normal float, it is rescaled by the largest
+    |component| m, as m sqrt(sum (d/m)^2); elsewhere it is used as it is."""
+    with np.errstate(over="ignore"):
+        sq = dx * dx + dy * dy + dz * dz
+        if isinstance(sq, float):
+            if _TINY <= sq < math.inf:
+                return np.sqrt(sq)
+        elif _TINY <= sq.min(initial=math.inf) and sq.max(initial=0.0) < math.inf:
+            return np.sqrt(sq)
+        m = np.maximum(np.maximum(np.abs(dx), np.abs(dy)), np.abs(dz))
+        rescale = ~((sq >= _TINY) & (sq < math.inf)) & (m > 0.0) & (m < math.inf)
+        m = np.where(rescale, m, 1.0)
+        u, v, w = (np.where(rescale, d / m, 0.0) for d in (dx, dy, dz))
+        return np.where(rescale, m * np.sqrt(u * u + v * v + w * w), np.sqrt(sq))
 
 
 def separation_array(pair: WorldlinePair):
@@ -162,16 +176,6 @@ def image_separation_array(topology: Topology, pair: WorldlinePair, n: int):
 def image_separation(topology: Topology, pair: WorldlinePair, n: int) -> float:
     """Distance |x_A - J^n x_B| from the explicit isometry action."""
     return float(image_separation_array(topology, pair, n))
-
-
-def image_separation_cylinder(pair: WorldlinePair, ell: float, n: int) -> float:
-    """L_n for the cylinder, via the shift isometry acting on detector B."""
-    return image_separation(Topology.cylinder(ell), pair, n)
-
-
-def image_separation_twisted(pair: WorldlinePair, ell: float, n: int) -> float:
-    """Ltilde_n for the twisted cylinder (flip of the transverse plane on odd n)."""
-    return image_separation(Topology.twisted_cylinder(ell), pair, n)
 
 
 def cylinder_separation_formula(pair: WorldlinePair, ell: float, n: int) -> float:

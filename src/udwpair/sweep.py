@@ -15,7 +15,7 @@ invariant there).
 Sweeps and difference maps evaluate each ell block of the grid in one
 batched numpy pass in the calling process (:func:`udwpair.elements.elements_batch`,
 :func:`udwpair.entanglement.xstate_measures_batch`); a point that fails
-gets the error text of the scalar evaluation in its ``error`` column.  The
+gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.  The
 quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
 distinct integral of a run once, with the scalar functions of
 :mod:`udwpair.wightman`, and hands the value to every point that needs it.
@@ -471,7 +471,7 @@ def run_difference_map(config: SweepConfig) -> list[dict[str, object]]:
 
     def evaluate(block: _Block):
         gaps = block.gaps(config)
-        # the scalar order: both element sets, then the measures of each
+        # one-point call order: both element sets, then the measures of each
         top = elements_batch(
             gaps, config.sigma, block.pair, config.topology_for(block.ell),
             config.nmax, block.errors,

@@ -24,22 +24,20 @@ from udwpair import (
     TopologyKind,
     TruncationWarning,
     WorldlinePair,
-    correlation,
-    elements_cylinder,
-    elements_minkowski,
-    elements_twisted,
+    elements_for,
     oracle_a,
     oracle_c,
-    oracle_ieps,
     oracle_x,
 )
-from udwpair.elements import (
-    exchange_coefficient,
-    nonlocal_coefficient,
-    self_excitation_coefficient,
-)
+from udwpair.elements import self_excitation_array
+from udwpair.entanglement import correlation
 from udwpair.sweep import GridAxis, SweepConfig, run_difference_map, run_sweep
-from udwpair.wightman import hadamard_double_pole, pv_over_pole, sgn_delta_square
+from udwpair.wightman import (
+    hadamard_double_pole,
+    oracle_ieps,
+    pv_over_pole,
+    sgn_delta_square,
+)
 
 EPS0 = 0.01
 GRID_L = (0.5, 1.0, 2.0, 4.0)
@@ -60,6 +58,10 @@ def _quiet(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def _minkowski(p: DetectorParams, length: float):
+    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+
+
 def _state_fields(state) -> dict[str, complex]:
     return {"a": state.a, "b": state.b, "x": state.x, "c": state.c, "e": state.e}
 
@@ -71,12 +73,12 @@ def test_criterion_1_oracle_equivalence():
     worst_ieps = 0.0
     for om in GRID_OMEGA:
         p = DetectorParams(omega=om, sigma=1.0, eps0=EPS0)
-        a_closed = self_excitation_coefficient(p)
+        a_closed = _minkowski(p, 1.0).a
         worst_pv = max(worst_pv, abs(a_closed - oracle_a(p)))
         worst_ieps = max(worst_ieps, abs(a_closed - oracle_ieps("A", p, 0.0).value))
         for length in GRID_L:
-            x_closed = nonlocal_coefficient(p, length)
-            c_closed = exchange_coefficient(p, length)
+            closed = _minkowski(p, length)
+            x_closed, c_closed = closed.x, closed.c
             worst_pv = max(
                 worst_pv,
                 abs(x_closed - oracle_x(p, length)),
@@ -102,7 +104,7 @@ def test_criterion_2_forced_value():
     """A/eps0^2 at Omega = 0 equals 1/4 pi to 1e-12 in closed form and oracle."""
     p = DetectorParams(omega=0.0, sigma=1.0, eps0=EPS0)
     target = 1.0 / (4.0 * math.pi)
-    dev_closed = abs(self_excitation_coefficient(p) - target)
+    dev_closed = abs(_minkowski(p, 1.0).a - target)
     dev_oracle = abs(oracle_a(p) - target)
     ok = dev_closed < 1e-12 and dev_oracle < 1e-12
     assert _report(
@@ -127,11 +129,11 @@ def test_criterion_3_minkowski_limit():
     """At ell/sigma = 20 all quotient elements differ from Minkowski < 1e-12."""
     p = DetectorParams(omega=1.0, sigma=1.0, eps0=EPS0)
     pair = WorldlinePair((0.3, 0.0), (0.8, 0.0), 0.0, 0.0)
-    mink = _state_fields(elements_minkowski(p, 0.5))
+    mink = _state_fields(_minkowski(p, 0.5))
     worst = 0.0
     for state in (
-        _quiet(elements_cylinder, p, pair, Topology.cylinder(20.0)),
-        _quiet(elements_twisted, p, pair, Topology.twisted_cylinder(20.0)),
+        _quiet(elements_for, p, pair, Topology.cylinder(20.0)),
+        _quiet(elements_for, p, pair, Topology.twisted_cylinder(20.0)),
     ):
         for key, val in _state_fields(state).items():
             worst = max(worst, abs(val - mink[key]))
@@ -158,8 +160,8 @@ def test_criterion_4_truncation_adequacy():
         top = Topology.cylinder(ell)
         for om in (-1.0, 0.0, 1.0):
             p = DetectorParams(omega=om, sigma=1.0, eps0=EPS0)
-            s10 = _state_fields(_quiet(elements_cylinder, p, pair, top, nmax=10))
-            s20 = _state_fields(_quiet(elements_cylinder, p, pair, top, nmax=20))
+            s10 = _state_fields(_quiet(elements_for, p, pair, top, nmax=10))
+            s20 = _state_fields(_quiet(elements_for, p, pair, top, nmax=20))
             worst = max(worst, max(abs(s10[k] - s20[k]) for k in s10))
     ok = worst < 1e-12
     assert _report(4, ok, f"max |nmax10 - nmax20| = {worst:.3e} (tol 1e-12)")
@@ -175,7 +177,8 @@ def test_criterion_5_entanglement_consistency(fig1_rows):
     """Eigen-exact vs leading order on the figure grid; X-state closed forms
     vs eigen values and the concurrence >= 2 negativity bound on random
     states."""
-    from udwpair import concurrence_exact, negativity_exact, xstate_entanglement
+    from udwpair import concurrence_exact, negativity_exact
+    from udwpair.entanglement import xstate_entanglement
 
     tol_lead = 10.0 * EPS0**4
     e2 = EPS0 * EPS0
@@ -242,7 +245,7 @@ def test_criterion_7_correlation_identity():
     for om in FIG1_OMEGA.values():
         p = DetectorParams(omega=float(om), sigma=1.0, eps0=EPS0)
         for length in FIG1_L.values():
-            res = correlation(elements_minkowski(p, float(length)), EPS0)
+            res = correlation(_minkowski(p, float(length)), EPS0)
             assert res.leading_identical is not None
             scale = max(abs(res.leading_identical), 1e-300)
             worst = max(worst, abs(res.general - res.leading_identical) / scale)
@@ -270,15 +273,9 @@ def test_criterion_8_figure_shapes():
     crossing = {}
     wiggles = {}
     for ell in ells:
-        dev = np.array(
-            [
-                r["a"]
-                - self_excitation_coefficient(
-                    DetectorParams(omega=r["omega"], sigma=1.0, eps0=EPS0)
-                )
-                for r in rows2
-                if r["ell"] == ell
-            ]
+        rows = [r for r in rows2 if r["ell"] == ell]
+        dev = np.array([r["a"] for r in rows]) - self_excitation_array(
+            np.array([r["omega"] for r in rows])
         )
         amplitudes.append(np.max(np.abs(dev)))
         crossing[ell] = bool(dev.min() < 0.0 < dev.max())

@@ -1,0 +1,68 @@
+"""The documented API: the README quick start runs as written, every
+exported name exists, and importing the CLI leaves the oracle-only
+dependencies unloaded."""
+
+import contextlib
+import importlib
+import io
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+
+import udwpair
+from udwpair import TruncationWarning
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = ["udwpair"] + [
+    f"udwpair.{info.name}" for info in pkgutil.iter_modules(udwpair.__path__)
+]
+
+
+def _quick_start() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match, "no python block under 'Library quick start'"
+    return match.group(1)
+
+
+def test_readme_quick_start_runs():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        exec(compile(_quick_start(), str(README), "exec"), {})
+    concurrence, deviation = (float(line) for line in out.getvalue().split())
+    # the two commented outputs: ~ 0.0807 and ~ 1e-14
+    assert concurrence == pytest.approx(0.0807041257, abs=1e-9)
+    assert deviation < 1e-12
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+
+
+def test_cli_import_leaves_oracle_dependencies_unloaded():
+    # scipy.integrate (only the -i eps oracle) and mpmath (only tests and
+    # the benchmark reference) are a large share of the start-up time
+    src = str(Path(udwpair.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, udwpair.cli; "
+        "print(' '.join(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == ""

@@ -20,20 +20,24 @@ from udwpair import (
     WorldlinePair,
     XStateAB,
     assemble_density_matrix,
-    elements_cylinder,
     elements_for,
-    elements_minkowski,
-    elements_twisted,
-    exchange_coefficient,
-    image_separation,
-    joint_excitation,
-    nonlocal_coefficient,
+    oracle_a,
     oracle_c,
     oracle_x,
-    self_excitation_coefficient,
-    separation,
 )
-from udwpair.geometry import self_pair, worldlines_from_orientation
+from udwpair.elements import (
+    exchange_array,
+    joint_excitation,
+    nonlocal_array,
+    self_excitation_array,
+)
+from udwpair.geometry import (
+    effective_ell_twisted,
+    image_separation,
+    self_pair,
+    separation,
+    worldlines_from_orientation,
+)
 
 A_OMEGA_1 = 0.0070882722326364159723
 A_OMEGA_HALF = 0.028158875373857042038
@@ -44,50 +48,64 @@ C_L1_O1 = 0.0066003343060240564385
 P1 = DetectorParams(omega=1.0, sigma=1.0)
 
 
-def quiet_elements(fn, *args, **kwargs):
+def quiet_elements(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        return fn(*args, **kwargs)
+        return elements_for(*args, **kwargs)
+
+
+def minkowski(p: DetectorParams, length: float) -> XStateAB:
+    """elements_for in Minkowski space at separation ``length``."""
+    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+
+
+def self_term(omega: float) -> float:
+    """a at sigma = 1 from the kernel on a one-element array."""
+    return float(self_excitation_array(np.array([omega]))[0])
+
+
+def exchange_term(omega: float, r: float) -> float:
+    """c at sigma = 1 from the kernel on one-element arrays."""
+    return float(exchange_array(1.0, np.array([omega]), np.array([r]))[0])
 
 
 class TestCoefficients:
     def test_self_term_at_zero_gap(self):
         p = DetectorParams(omega=0.0, sigma=2.5)
-        assert self_excitation_coefficient(p) == 1.0 / (4.0 * math.pi)
+        assert minkowski(p, 1.0).a == 1.0 / (4.0 * math.pi)
 
     def test_self_term_frozen_values(self):
         for om, want in ((1.0, A_OMEGA_1), (0.5, A_OMEGA_HALF), (-1.0, A_OMEGA_MINUS_1)):
-            got = self_excitation_coefficient(DetectorParams(omega=om, sigma=1.0))
-            assert got == pytest.approx(want, rel=1e-12)
+            assert self_term(om) == pytest.approx(want, rel=1e-12)
 
     def test_self_term_positive_and_cancellation_safe(self):
         # strictly positive wherever representable (value ~ e^{-s^2 Om^2}/8 pi s^2 Om^2
         # underflows to exactly 0.0 beyond s*Omega ~ 27, which is still finite)
         for om in (0.0, 1.0, 5.0, 10.0, 20.0, -7.0):
-            a = self_excitation_coefficient(DetectorParams(omega=om, sigma=1.0))
+            a = self_term(om)
             assert a > 0.0 and math.isfinite(a)
-        assert self_excitation_coefficient(DetectorParams(omega=40.0, sigma=1.0)) == 0.0
+        assert self_term(40.0) == 0.0
 
     def test_nonlocal_frozen_value(self):
-        x = nonlocal_coefficient(P1, 1.0)
+        x = complex(nonlocal_array(1.0, np.array([1.0]), np.array([1.0]))[0])
         assert abs(x) == pytest.approx(ABS_X_L1_O1, rel=1e-12)
         assert x.real < 0.0 < x.imag
 
     def test_exchange_frozen_value(self):
-        assert exchange_coefficient(P1, 1.0) == pytest.approx(C_L1_O1, rel=1e-12)
+        assert exchange_term(1.0, 1.0) == pytest.approx(C_L1_O1, rel=1e-12)
 
     def test_separation_validation(self):
-        with pytest.raises(GeometryError):
-            nonlocal_coefficient(P1, 0.0)
-        with pytest.raises(GeometryError):
-            exchange_coefficient(P1, -1.0)
+        with pytest.raises(GeometryError, match="separation must be finite and > 0, got 0.0"):
+            minkowski(P1, 0.0)
+        with pytest.raises(GeometryError, match="separation must be finite and > 0, got inf"):
+            minkowski(P1, -math.inf)
 
     def test_extreme_separation_is_finite_power_law(self):
         # principal-value tails ~ s^2 e^{-s^2 Om^2} / (2 pi r^2); no overflow,
         # no spurious zeroing at any separation
         for r in (40.0, 200.0, 1e4):
-            x = nonlocal_coefficient(P1, r)
-            c = exchange_coefficient(P1, r)
+            st = minkowski(P1, r)
+            x, c = st.x, st.c.real
             want = math.exp(-1.0) / (2.0 * math.pi * r * r)
             assert abs(x) == pytest.approx(want, rel=0.05)
             assert c == pytest.approx(want, rel=0.05)
@@ -121,21 +139,19 @@ class TestExchangeAccuracy:
     @pytest.mark.parametrize("omega", [0.5, 3.0, 12.0, 24.0])
     @pytest.mark.parametrize("r", [1e-3, 0.078, 1.0, 10.0])
     def test_against_mpmath(self, omega, r):
-        got = exchange_coefficient(DetectorParams(omega=omega, sigma=1.0), r)
+        got = exchange_term(omega, r)
         want = _mp_exchange(omega, r)
         scale = max(abs(want), _mp_self_term(omega))
         assert float(abs(got - want) / scale) < 1e-13
 
     def test_scalar_matches_array_kernel(self):
-        from udwpair.elements import exchange_array
-
         omegas = np.array([-2.0, 0.0, 0.5, 3.0, 9.0, 24.0])[:, None]
         rs = np.array([1e-3, 0.2, 0.59, 1.0, 7.0])[None, :]
         grid = exchange_array(1.0, omegas, rs)
         for i, om in enumerate(omegas[:, 0]):
             for j, r in enumerate(rs[0]):
                 p = DetectorParams(omega=float(om), sigma=1.0)
-                assert exchange_coefficient(p, float(r)) == grid[i, j]
+                assert minkowski(p, float(r)).c == grid[i, j]
 
 
 class TestSelfTermAccuracy:
@@ -144,30 +160,28 @@ class TestSelfTermAccuracy:
 
     @pytest.mark.parametrize("omega", [3.9, 4.0, 8.0, 12.0, 18.0, 24.0])
     def test_against_mpmath(self, omega):
-        got = self_excitation_coefficient(DetectorParams(omega=omega, sigma=1.0))
+        got = self_term(omega)
         want = _mp_self_term(omega)
         assert float(abs(got - want) / want) < 1e-14
 
     def test_scalar_matches_array_kernel(self):
-        from udwpair.elements import self_excitation_array
-
         ys = np.array([-2.0, 0.0, 3.9, 4.0, 4.5, 24.0, 40.0])
         grid = self_excitation_array(ys)
         for y, got in zip(ys, grid):
             p = DetectorParams(omega=float(y), sigma=1.0)
-            assert self_excitation_coefficient(p) == got
+            assert minkowski(p, 1.0).a == got
 
 
 class TestMinkowski:
     def test_identical_detectors(self):
-        st = elements_minkowski(P1, 1.0)
+        st = minkowski(P1, 1.0)
         assert st.b == st.a
         assert st.e == pytest.approx(joint_excitation(st.a, st.a, st.x, st.c), rel=1e-15)
         assert st.tail_bound == 0.0
 
     def test_large_separation_approaches_product_state(self):
         p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
-        st = elements_minkowski(p, 12.0)
+        st = minkowski(p, 12.0)
         rho = assemble_density_matrix(st, p.eps0)
         single = np.array(
             [[1.0 - p.eps0**2 * st.a, 0.0], [0.0, p.eps0**2 * st.a]]
@@ -177,7 +191,7 @@ class TestMinkowski:
 
     def test_requires_positive_separation(self):
         with pytest.raises(GeometryError):
-            elements_minkowski(P1, 0.0)
+            minkowski(P1, 0.0)
 
 
 class TestImageTermsAgainstOracle:
@@ -196,30 +210,25 @@ class TestImageTermsAgainstOracle:
         pair = WorldlinePair((0.0, 0.0), (0.6, 0.0), 0.0, 0.4)
         top = Topology.cylinder(1.2)
         l_n = image_separation(top, pair, n)
-        assert nonlocal_coefficient(P1, l_n) == pytest.approx(
-            oracle_x(P1, l_n), abs=1e-8
-        )
-        assert exchange_coefficient(P1, l_n) == pytest.approx(
+        st = minkowski(P1, l_n)
+        assert st.x == pytest.approx(oracle_x(P1, l_n), abs=1e-8)
+        assert st.c.real == pytest.approx(
             oracle_c(P1, l_n).real, abs=1e-8
         )
 
     @pytest.mark.parametrize("omega", [-1.0, 0.0, 1.5])
     def test_self_image_terms_cylinder(self, omega):
-        from udwpair import oracle_a
-
         p = DetectorParams(omega=omega, sigma=1.0)
         top = Topology.cylinder(0.9)
         me = self_pair((0.3, 0.0), 0.1)
         for n in (1, 2, -3):
             r_n = image_separation(top, me, n)
             assert r_n == pytest.approx(abs(n) * 0.9, abs=1e-15)
-            assert exchange_coefficient(p, r_n) == pytest.approx(
+            assert exchange_term(omega, r_n) == pytest.approx(
                 oracle_a(p, r_n), abs=1e-8
             )
 
     def test_self_image_terms_twisted(self):
-        from udwpair import effective_ell_twisted, oracle_a
-
         p = DetectorParams(omega=0.5, sigma=1.0)
         top = Topology.twisted_cylinder(1.1)
         me = self_pair((0.8, 0.0), 0.0)
@@ -228,7 +237,7 @@ class TestImageTermsAgainstOracle:
             assert r_n == pytest.approx(
                 abs(n) * effective_ell_twisted(0.8, 1.1, n), rel=1e-14
             )
-            assert exchange_coefficient(p, r_n) == pytest.approx(
+            assert exchange_term(0.5, r_n) == pytest.approx(
                 oracle_a(p, r_n), abs=1e-8
             )
 
@@ -236,18 +245,16 @@ class TestImageTermsAgainstOracle:
 class TestCylinder:
     def test_translation_invariance(self):
         pair = WorldlinePair((0.0, 0.0), (0.7, 0.0), 0.0, 0.2)
-        st = quiet_elements(elements_cylinder, P1, pair, Topology.cylinder(1.0))
+        st = quiet_elements(P1, pair, Topology.cylinder(1.0))
         assert st.b == st.a
 
     def test_n0_term_is_minkowski(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
         ell = 1.0
-        st = quiet_elements(
-            elements_cylinder, P1, pair, Topology.cylinder(ell), nmax=10
-        )
-        mink = elements_minkowski(P1, 0.5)
+        st = quiet_elements(P1, pair, Topology.cylinder(ell), nmax=10)
+        mink = minkowski(P1, 0.5)
         image_x = sum(
-            nonlocal_coefficient(P1, math.sqrt(0.25 + (n * ell) ** 2))
+            minkowski(P1, math.sqrt(0.25 + (n * ell) ** 2)).x
             for n in range(-10, 11)
             if n != 0
         )
@@ -256,14 +263,12 @@ class TestCylinder:
     def test_twisted_field_flips_odd_terms(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
         ell = 1.0
-        plus = quiet_elements(elements_cylinder, P1, pair, Topology.cylinder(ell, eta=1))
-        minus = quiet_elements(
-            elements_cylinder, P1, pair, Topology.cylinder(ell, eta=-1)
-        )
+        plus = quiet_elements(P1, pair, Topology.cylinder(ell, eta=1))
+        minus = quiet_elements(P1, pair, Topology.cylinder(ell, eta=-1))
         # even-n terms unchanged: (plus + minus)/2 contains n=0 plus even images
         even_sum = 0.5 * (plus.x + minus.x)
-        want_even = elements_minkowski(P1, 0.5).x + sum(
-            nonlocal_coefficient(P1, math.sqrt(0.25 + (n * ell) ** 2))
+        want_even = minkowski(P1, 0.5).x + sum(
+            minkowski(P1, math.sqrt(0.25 + (n * ell) ** 2)).x
             for n in range(-10, 11)
             if n != 0 and n % 2 == 0
         )
@@ -271,7 +276,7 @@ class TestCylinder:
         # odd terms flip sign between the two field types
         odd_sum = 0.5 * (plus.x - minus.x)
         want_odd = sum(
-            nonlocal_coefficient(P1, math.sqrt(0.25 + (n * ell) ** 2))
+            minkowski(P1, math.sqrt(0.25 + (n * ell) ** 2)).x
             for n in range(-10, 11)
             if n % 2 == 1 or n % 2 == -1
         )
@@ -279,10 +284,10 @@ class TestCylinder:
 
     def test_monotone_approach_to_minkowski(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
-        mink_a = self_excitation_coefficient(P1)
+        mink_a = minkowski(P1, 0.5).a
         devs = []
         for ell in (1.0, 2.0, 5.0, 10.0, 20.0):
-            st = quiet_elements(elements_cylinder, P1, pair, Topology.cylinder(ell))
+            st = quiet_elements(P1, pair, Topology.cylinder(ell))
             devs.append(abs(st.a - mink_a))
         assert all(d1 > d2 for d1, d2 in zip(devs, devs[1:]))
         # principal-value tails make the approach polynomial:
@@ -293,23 +298,16 @@ class TestCylinder:
     def test_truncation_warning_and_tail_bound(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
         with pytest.warns(TruncationWarning):
-            st = elements_cylinder(P1, pair, Topology.cylinder(1.0), nmax=10)
+            st = elements_for(P1, pair, Topology.cylinder(1.0), nmax=10)
         assert st.tail_bound > 0.0
-        st40 = quiet_elements(
-            elements_cylinder, P1, pair, Topology.cylinder(1.0), nmax=40
-        )
+        st40 = quiet_elements(P1, pair, Topology.cylinder(1.0), nmax=40)
         # the omitted tail estimate bounds the actual truncation error
         assert abs(st40.x - st.x) <= 3.0 * st.tail_bound
         assert abs(st40.a - st.a) <= 3.0 * st.tail_bound
 
-    def test_requires_cylinder_topology(self):
-        pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
-        with pytest.raises(GeometryError):
-            elements_cylinder(P1, pair, Topology.twisted_cylinder(1.0))
-
     def test_requires_separated_detectors(self):
         with pytest.raises(GeometryError):
-            elements_cylinder(P1, self_pair((0.0, 0.0)), Topology.cylinder(1.0))
+            elements_for(P1, self_pair((0.0, 0.0)), Topology.cylinder(1.0))
 
 
 class TestCoincidentImage:
@@ -322,21 +320,19 @@ class TestCoincidentImage:
     def test_scalar_path_names_the_image(self, topology):
         assert 0.0 < image_separation(topology, self.PAIR, -1) < 1e-16
         with pytest.raises(GeometryError, match=r"sits on image n = -1 of detector A"):
-            quiet_elements(elements_for, P1, self.PAIR, topology)
+            quiet_elements(P1, self.PAIR, topology)
 
     def test_resolved_separation_is_not_flagged(self):
         pair = WorldlinePair((0.0, 0.0), (1e-9, 0.0), 0.0, 1.0)
-        state = quiet_elements(elements_for, P1, pair, Topology.cylinder(1.0))
+        state = quiet_elements(P1, pair, Topology.cylinder(1.0))
         assert math.isfinite(state.a) and math.isfinite(abs(state.x))
 
 
 class TestTwisted:
     def test_axis_detectors_reduce_to_cylinder(self):
         pair = WorldlinePair((0.0, 0.0), (0.0, 0.0), 0.0, 0.4)
-        twisted = quiet_elements(
-            elements_twisted, P1, pair, Topology.twisted_cylinder(1.0)
-        )
-        cyl = quiet_elements(elements_cylinder, P1, pair, Topology.cylinder(1.0))
+        twisted = quiet_elements(P1, pair, Topology.twisted_cylinder(1.0))
+        cyl = quiet_elements(P1, pair, Topology.cylinder(1.0))
         assert twisted.a == pytest.approx(cyl.a, rel=1e-14)
         assert twisted.b == pytest.approx(cyl.b, rel=1e-14)
         assert twisted.x == pytest.approx(cyl.x, rel=1e-14)
@@ -344,7 +340,7 @@ class TestTwisted:
 
     def test_position_dependence_breaks_a_b_symmetry(self):
         pair = WorldlinePair((1.0, 0.0), (1.5, 0.0), 0.0, 0.0)
-        st = quiet_elements(elements_twisted, P1, pair, Topology.twisted_cylinder(1.0))
+        st = quiet_elements(P1, pair, Topology.twisted_cylinder(1.0))
         assert st.a != st.b
         assert st.e == pytest.approx(
             joint_excitation(st.a, st.b, st.x, st.c), rel=1e-15
@@ -352,19 +348,30 @@ class TestTwisted:
 
     def test_equal_offsets_restore_a_b_symmetry(self):
         pair = WorldlinePair((0.7, 0.0), (0.7, 0.0), 0.0, 0.9)
-        st = quiet_elements(elements_twisted, P1, pair, Topology.twisted_cylinder(1.0))
+        st = quiet_elements(P1, pair, Topology.twisted_cylinder(1.0))
         assert st.a == pytest.approx(st.b, rel=1e-14)
 
     def test_dispatch(self):
+        # Minkowski space: the closed forms at L, no image terms
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
-        st1 = elements_for(P1, pair, Topology.minkowski())
-        st2 = elements_minkowski(P1, separation(pair))
-        assert st1 == st2
+        omega = np.array([P1.omega])
+        length = np.array([separation(pair)])
+        a = float(self_excitation_array(omega)[0])
+        x = complex(nonlocal_array(1.0, omega, length)[0])
+        c = complex(exchange_array(1.0, omega, length)[0])
+        want = XStateAB(a=a, b=a, x=x, c=c, e=float(joint_excitation(a, a, x, c)))
+        assert elements_for(P1, pair, Topology.minkowski()) == want
+        # the quotients: image sums, with b != a only on the twisted cylinder
+        off_axis = WorldlinePair((1.0, 0.0), (1.5, 0.0), 0.0, 0.0)
+        cyl = quiet_elements(P1, off_axis, Topology.cylinder(1.0))
+        twisted = quiet_elements(P1, off_axis, Topology.twisted_cylinder(1.0))
+        assert cyl.a == cyl.b and cyl.tail_bound > 0.0
+        assert twisted.a != twisted.b and twisted.tail_bound > 0.0
 
 
 class TestAssembly:
     def test_matrix_structure(self):
-        st = elements_minkowski(P1, 1.0)
+        st = minkowski(P1, 1.0)
         rho = assemble_density_matrix(st, 0.01)
         assert rho.shape == (4, 4)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
@@ -394,7 +401,7 @@ class TestAssembly:
             p = DetectorParams(omega=float(om), sigma=1.0, eps0=eps0)
             for length in np.linspace(0.25, 10.0, 8):
                 rho = assemble_density_matrix(
-                    elements_minkowski(p, float(length)), eps0
+                    minkowski(p, float(length)), eps0
                 )
                 assert np.linalg.eigvalsh(rho).min() >= -1e-12
 

@@ -13,17 +13,26 @@ from udwpair import (
     DetectorParams,
     DomainError,
     InvalidStateError,
+    Topology,
+    WorldlinePair,
     XStateAB,
     concurrence_exact,
-    correlation,
-    elements_minkowski,
-    entanglement_of_formation,
-    joint_excitation,
+    elements_for,
     negativity_exact,
-    partial_transpose_a,
-    xstate_entanglement,
     xstate_measures,
 )
+from udwpair.elements import joint_excitation
+from udwpair.entanglement import (
+    correlation,
+    entanglement_of_formation,
+    partial_transpose_a,
+    xstate_entanglement,
+)
+
+
+def minkowski(p: DetectorParams, length: float) -> XStateAB:
+    """elements_for in Minkowski space at separation ``length``."""
+    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
 
 
 def random_xstate_matrix(rng) -> np.ndarray:
@@ -180,7 +189,7 @@ class TestCorrelation:
 
     def test_identical_shortcut_matches_general(self):
         p = DetectorParams(omega=0.7, sigma=1.0, eps0=0.01)
-        stx = elements_minkowski(p, 1.3)
+        stx = minkowski(p, 1.3)
         res = correlation(stx, p.eps0)
         assert res.leading_identical is not None
         assert res.general == pytest.approx(
@@ -203,7 +212,7 @@ class TestCorrelation:
         # from the same float coefficients
         p = DetectorParams(omega=omega, sigma=1.0, eps0=0.01)
         for length in (0.5, 1.0, 10.0):
-            stx = elements_minkowski(p, length)
+            stx = minkowski(p, length)
             with mp.workdps(60):
                 e2 = mp.mpf(p.eps0) ** 2
                 a, b = e2 * stx.a, e2 * stx.b
@@ -215,15 +224,15 @@ class TestCorrelation:
 
     def test_vanishes_at_large_separation(self):
         p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
-        near = correlation(elements_minkowski(p, 1.0), p.eps0).general
-        far = correlation(elements_minkowski(p, 40.0), p.eps0).general
+        near = correlation(minkowski(p, 1.0), p.eps0).general
+        far = correlation(minkowski(p, 40.0), p.eps0).general
         assert abs(far) < abs(near) * 1e-3
 
 
 class TestReport:
     def test_spec_point_reproduces_expected_concurrence(self):
         p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
-        report = xstate_measures(elements_minkowski(p, 1.0), p.eps0)
+        report = xstate_measures(minkowski(p, 1.0), p.eps0)
         # leading order: 2 (|x| - a) = 2 (0.047440 - 0.0070883)
         assert report.concurrence_leading / p.eps0**2 == pytest.approx(
             0.0807041257, abs=1e-9
@@ -239,7 +248,7 @@ class TestReport:
 
     def test_separable_point(self):
         p = DetectorParams(omega=2.5, sigma=1.0, eps0=0.01)
-        report = xstate_measures(elements_minkowski(p, 8.0), p.eps0)
+        report = xstate_measures(minkowski(p, 8.0), p.eps0)
         assert not report.harvested
         assert report.concurrence_leading == 0.0
         assert report.concurrence == pytest.approx(0.0, abs=1e-12)
@@ -254,7 +263,7 @@ class TestReport:
         for om in np.linspace(-3.0, 3.0, 7):
             p = DetectorParams(omega=float(om), sigma=1.0, eps0=0.01)
             for length in np.linspace(0.2, 8.0, 9):
-                stx = elements_minkowski(p, float(length))
+                stx = minkowski(p, float(length))
                 rho = assemble_density_matrix(stx, p.eps0)
                 r = rho.diagonal().real
                 assert abs(rho[1, 2]) <= math.sqrt(r[0] * r[3])

@@ -3,28 +3,33 @@ the quadratic closed forms, for both quotients, on random worldlines."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udwpair import (
-    GeometryError,
-    Topology,
-    TopologyKind,
-    WorldlinePair,
-    effective_ell_twisted,
-    image_separation,
-    separation,
-    worldlines_from_orientation,
-)
+from udwpair import GeometryError, Topology, TopologyKind, WorldlinePair
 from udwpair.geometry import (
     cylinder_separation_formula,
-    image_separation_cylinder,
-    image_separation_twisted,
+    effective_ell_twisted,
+    image_separation,
+    image_separation_array,
     parity,
     self_pair,
+    separation,
+    separation_array,
     twisted_separation_formula,
+    worldlines_from_orientation,
 )
+
+
+def cylinder_image(pair: WorldlinePair, ell: float, n: int) -> float:
+    return float(image_separation_array(Topology.cylinder(ell), pair, n))
+
+
+def twisted_image(pair: WorldlinePair, ell: float, n: int) -> float:
+    return float(image_separation_array(Topology.twisted_cylinder(ell), pair, n))
+
 
 coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 scale = st.floats(0.1, 6, allow_nan=False, allow_infinity=False)
@@ -53,24 +58,45 @@ class TestSeparation:
         w = WorldlinePair((1.0, -2.0), (1.0, -2.0), 0.3, 0.3)
         assert separation(w) == 0.0
 
+    @pytest.mark.parametrize("length", [1e200, 1e-200, 1e-160])
+    def test_sum_of_squares_out_of_range(self, length):
+        # L^2 overflows (1e200), underflows to 0 (1e-200) or is subnormal
+        # (1e-160); the distance itself is representable
+        axis = WorldlinePair((0.0, 0.0), (np.array([length, -length]), 0.0))
+        assert np.all(separation_array(axis) == length)
+        diagonal = WorldlinePair((0.0, 0.0), (3.0 * length, 0.0), 0.0, 4.0 * length)
+        assert separation(diagonal) == pytest.approx(5.0 * length, rel=1e-15)
+        assert separation(WorldlinePair((0.0, 0.0), (0.0, 0.0), length, 0.0)) == length
+
+    def test_in_range_distances_keep_the_plain_sum_of_squares(self):
+        rng = np.random.default_rng(5)
+        d = rng.normal(size=(3, 1000)) * 10.0 ** rng.uniform(-150, 150, size=(3, 1000))
+        pair = WorldlinePair((0.0, 0.0), (d[0], d[1]), 0.0, d[2])
+        plain = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        assert np.array_equal(separation_array(pair), plain)
+
+    def test_nonfinite_coordinates_stay_nonfinite(self):
+        assert separation(WorldlinePair((0.0, 0.0), (math.inf, 0.0))) == math.inf
+        assert math.isnan(separation(WorldlinePair((0.0, 0.0), (math.nan, 1e200))))
+
 
 class TestCylinderImages:
     def test_identity_image(self):
         w = WorldlinePair((0.1, 0.0), (0.4, 0.0), 0.0, 0.2)
-        assert image_separation_cylinder(w, 1.0, 0) == separation(w)
+        assert cylinder_image(w, 1.0, 0) == separation(w)
 
     def test_quoted_value(self):
         # L = 0.5, ell = 1, dz = 0, n = 1 -> sqrt(1.25)
         w = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
-        assert image_separation_cylinder(w, 1.0, 1) == pytest.approx(
+        assert cylinder_image(w, 1.0, 1) == pytest.approx(
             math.sqrt(1.25), abs=1e-15
         )
 
     def test_reflection_symmetry_at_zero_dz(self):
         w = WorldlinePair((0.0, 0.0), (0.7, 0.3), 0.0, 0.0)
         for n in range(1, 8):
-            assert image_separation_cylinder(w, 0.8, n) == pytest.approx(
-                image_separation_cylinder(w, 0.8, -n), abs=1e-15
+            assert cylinder_image(w, 0.8, n) == pytest.approx(
+                cylinder_image(w, 0.8, -n), abs=1e-15
             )
 
 
@@ -78,21 +104,21 @@ class TestTwistedImages:
     def test_even_n_matches_cylinder(self):
         w = WorldlinePair((0.2, -0.1), (0.4, 0.5), 0.1, -0.3)
         for n in (-4, -2, 2, 4):
-            assert image_separation_twisted(w, 1.3, n) == pytest.approx(
-                image_separation_cylinder(w, 1.3, n), abs=1e-15
+            assert twisted_image(w, 1.3, n) == pytest.approx(
+                cylinder_image(w, 1.3, n), abs=1e-15
             )
 
     def test_vanishing_planar_parts_match_cylinder(self):
         w = WorldlinePair((0.0, 0.0), (0.0, 0.0), 0.0, 0.6)
         for n in range(-5, 6):
-            assert image_separation_twisted(w, 1.0, n) == pytest.approx(
-                image_separation_cylinder(w, 1.0, n), abs=1e-15
+            assert twisted_image(w, 1.0, n) == pytest.approx(
+                cylinder_image(w, 1.0, n), abs=1e-15
             )
 
     def test_quoted_value(self):
         # dA=(0.1,0), dB=(0.2,0), dz=0, ell=1, n=1 -> Ltilde^2 = 1.09
         w = WorldlinePair((0.1, 0.0), (0.2, 0.0), 0.0, 0.0)
-        assert image_separation_twisted(w, 1.0, 1) ** 2 == pytest.approx(
+        assert twisted_image(w, 1.0, 1) ** 2 == pytest.approx(
             1.09, abs=1e-14
         )
 
@@ -130,7 +156,7 @@ class TestEffectiveEll:
         d_k, ell = 0.8, 1.1
         w = self_pair((d_k, 0.0), 0.4)
         for n in (-3, -1, 1, 2, 7):
-            assert image_separation_twisted(w, ell, n) == pytest.approx(
+            assert twisted_image(w, ell, n) == pytest.approx(
                 abs(n) * effective_ell_twisted(d_k, ell, n), rel=1e-14
             )
 
@@ -184,7 +210,7 @@ class TestTopologyValidation:
 # L_n << n ell, where L^2 + n^2 ell^2 - 2 n ell dz cancels to 2^-26
 @example(WorldlinePair((0.0, 1.0), (0.0, 1.0), 1.0, 1.657e-8), 1.0, 1)
 def test_isometry_action_matches_quadratic_formula_cylinder(pair, ell, n):
-    got = image_separation_cylinder(pair, ell, n)
+    got = cylinder_image(pair, ell, n)
     want = cylinder_separation_formula(pair, ell, n)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -194,6 +220,6 @@ def test_isometry_action_matches_quadratic_formula_cylinder(pair, ell, n):
 @example(WorldlinePair((0.0, 1.0), (0.0, 1.0), 1.0, 1.657e-8), 1.0, 2)
 @example(WorldlinePair((0.0, 1.0), (0.0, -1.0), 1.0, 1.657e-8), 1.0, 1)
 def test_isometry_action_matches_quadratic_formula_twisted(pair, ell, n):
-    got = image_separation_twisted(pair, ell, n)
+    got = twisted_image(pair, ell, n)
     want = twisted_separation_formula(pair, ell, n)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

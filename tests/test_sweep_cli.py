@@ -20,24 +20,22 @@ import udwpair.wightman
 from udwpair import (
     ConfigError,
     DetectorParams,
+    Topology,
     TopologyKind,
     TruncationWarning,
     UdwError,
     WorldlinePair,
     assemble_density_matrix,
     elements_for,
-    elements_minkowski,
-    exchange_coefficient,
-    image_separation,
     negativity_exact,
-    nonlocal_coefficient,
     oracle_a,
     oracle_c,
     oracle_x,
-    separation,
     xstate_measures,
 )
 from udwpair.cli import main
+from udwpair.elements import self_excitation_array
+from udwpair.geometry import image_separation, separation
 from udwpair.sweep import (
     GridAxis,
     SweepConfig,
@@ -184,6 +182,42 @@ class TestSweep:
         parsed = json.loads(lines[0])
         assert parsed["a"] == rows[0]["a"]
         assert isinstance(parsed["harvested"], bool)
+
+
+class TestExtremeSeparations:
+    """Separations whose square overflows or underflows a double."""
+
+    OMEGA = GridAxis(-1.0, 1.0, 3)
+
+    def test_huge_separation_row(self):
+        rows = run_sweep(SweepConfig(omega=self.OMEGA, l=GridAxis(1e200, 1e200, 1)))
+        for r in rows:
+            assert r["error"] == "" and r["l"] == 1e200
+            assert r["a"] == float(self_excitation_array(np.array([r["omega"]]))[0])
+            assert r["x_abs"] < 1e-300 and not r["harvested"]
+
+    @pytest.mark.parametrize("length", [1e-200, 1e-160])
+    def test_tiny_separation_row(self, length):
+        # the separation is exact, so the row fails on the state (|x| ~ 1/L
+        # makes |x|^2 overflow), not on a spurious zero separation
+        rows = run_sweep(SweepConfig(omega=self.OMEGA, l=GridAxis(length, length, 1)))
+        for r in rows:
+            assert r["l"] == length
+            assert r["error"] == "InvalidStateError: density matrix contains non-finite entries"
+            p = DetectorParams(omega=r["omega"], sigma=1.0)
+            pair = WorldlinePair((0.0, 0.0), (length, 0.0))
+            x = elements_for(p, pair, Topology.minkowski()).x
+            want = math.exp(-r["omega"] ** 2) / (4.0 * math.sqrt(math.pi) * length)
+            assert x.imag == pytest.approx(want, rel=1e-12)
+
+    def test_huge_circumference_rows_are_minkowski(self):
+        grid = dict(omega=self.OMEGA, l=GridAxis(1.0, 1.0, 1))
+        cyl = run_sweep(SweepConfig(topology=TopologyKind.CYLINDER, ell=(1e200,), **grid))
+        mink = run_sweep(SweepConfig(**grid))
+        for rc, rm in zip(cyl, mink):
+            assert rc["error"] == "" and rc["tail_bound"] == 0.0
+            for key in ("a", "b", "x_re", "x_im", "c_re", "c_im", "e", "concurrence_leading"):
+                assert rc[key] == rm[key]
 
 
 def _wootters_concurrence(rho: np.ndarray) -> float:
@@ -343,17 +377,12 @@ class TestDifferenceMap:
     def test_label_swap_leaves_correlation_invariant(self):
         # corr is symmetric in the two detectors even on the twisted
         # cylinder where a != b
-        from dataclasses import replace
-
-        from udwpair import DetectorParams, Topology, WorldlinePair, xstate_measures
-        from udwpair.elements import elements_twisted
-
         p = DetectorParams(omega=0.5, sigma=1.0, eps0=0.01)
         top = Topology.twisted_cylinder(1.0)
         pair = WorldlinePair((0.1, 0.0), (0.6, 0.0), 0.0, 0.0)
         swapped = WorldlinePair((0.6, 0.0), (0.1, 0.0), 0.0, 0.0)
-        corr1 = xstate_measures(elements_twisted(p, pair, top), p.eps0).corr
-        corr2 = xstate_measures(elements_twisted(p, swapped, top), p.eps0).corr
+        corr1 = xstate_measures(elements_for(p, pair, top), p.eps0).corr
+        corr2 = xstate_measures(elements_for(p, swapped, top), p.eps0).corr
         assert corr1 == pytest.approx(corr2, rel=1e-12)
 
 
@@ -392,7 +421,7 @@ def _reference_oracle_devs(cfg, row):
     p = DetectorParams(omega=row["omega"] / cfg.sigma, sigma=cfg.sigma, eps0=cfg.eps0)
     pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
     lsep = separation(pair)
-    mink = elements_minkowski(p, lsep)
+    mink = elements_for(p, pair, Topology.minkowski())
     devs = {
         "a": abs(mink.a - oracle_a(p)),
         "x": abs(mink.x - oracle_x(p, lsep)),
@@ -403,10 +432,11 @@ def _reference_oracle_devs(cfg, row):
         topology = cfg.topology_for(row["ell"])
         for n in (1, -1, 2, -2):
             l_n = image_separation(topology, pair, n)
+            term = elements_for(p, WorldlinePair((0.0, 0.0), (l_n, 0.0)), Topology.minkowski())
             devs["image"] = max(
                 devs["image"],
-                abs(nonlocal_coefficient(p, l_n) - oracle_x(p, l_n)),
-                abs(exchange_coefficient(p, l_n) - oracle_c(p, l_n)),
+                abs(term.x - oracle_x(p, l_n)),
+                abs(term.c - oracle_c(p, l_n)),
             )
     return devs
 

@@ -12,20 +12,18 @@ from udwpair import (
     DetectorParams,
     DomainError,
     GeometryError,
+    Topology,
+    WorldlinePair,
+    elements_for,
     oracle_a,
     oracle_c,
-    oracle_ieps,
     oracle_x,
-)
-from udwpair.elements import (
-    exchange_coefficient,
-    nonlocal_coefficient,
-    self_excitation_coefficient,
 )
 from udwpair.wightman import (
     _WINDOW_SIGMAS,
     _refined_quad,
     hadamard_double_pole,
+    oracle_ieps,
     oracle_x_envelope,
     oracle_x_time_integral,
     pv_over_pole,
@@ -49,6 +47,11 @@ PV_GAUSS = {
 A_OMEGA_1 = 0.0070882722326364159723
 X_L1_O1 = complex(-0.024850678746834721949, 0.040410755506246291431)
 C_L1_O1 = 0.0066003343060240564385
+
+
+def minkowski(p: DetectorParams, length: float):
+    """elements_for in Minkowski space at separation ``length``."""
+    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
 
 
 class TestDistributionalRules:
@@ -186,7 +189,7 @@ class TestOracleValues:
         assert abs(got) == pytest.approx(
             math.exp(-1.0) / (2.0 * math.pi * 144.0), rel=0.05
         )
-        assert abs(got - nonlocal_coefficient(p, 12.0)) < 1e-8
+        assert abs(got - minkowski(p, 12.0).x) < 1e-8
 
     def test_x_phase_structure_matches_closed_form(self):
         rng = np.random.default_rng(3)
@@ -196,7 +199,7 @@ class TestOracleValues:
             omega = float(rng.uniform(-2.0, 2.0))
             p = DetectorParams(omega=omega, sigma=1.0)
             got = oracle_x(p, length)
-            want = nonlocal_coefficient(p, length)
+            want = minkowski(p, length).x
             assert math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
             assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
             assert got == pytest.approx(want, abs=1e-8)
@@ -284,7 +287,7 @@ class TestTermByTermAgainstClosedForms:
     The single-detector image contribution at separation R must equal the
     exchange-type closed form evaluated at R (the same integral with the
     same e^{-i Omega u} phase); this pins down the erf-argument convention
-    i R/2s + s*Omega carried by :func:`exchange_coefficient`.
+    i R/2s + s*Omega carried by :func:`udwpair.elements.exchange_array`.
     """
 
     @pytest.mark.parametrize("omega", [-1.0, 0.0, 0.7, 2.0])
@@ -292,7 +295,7 @@ class TestTermByTermAgainstClosedForms:
     def test_a_image_term_is_the_exchange_form(self, omega, r):
         p = DetectorParams(omega=omega, sigma=1.0)
         assert oracle_a(p, r) == pytest.approx(
-            exchange_coefficient(p, r), abs=1e-8
+            minkowski(p, r).c.real, abs=1e-8
         )
 
     def test_a_image_term_is_even_in_omega_only_through_erf(self):
@@ -306,5 +309,5 @@ class TestTermByTermAgainstClosedForms:
         for omega in (-2.0, -0.5, 0.0, 0.5, 1.0, 3.0):
             p = DetectorParams(omega=omega, sigma=1.0)
             assert oracle_a(p) == pytest.approx(
-                self_excitation_coefficient(p), abs=1e-10
+                minkowski(p, 1.0).a, abs=1e-10
             )
