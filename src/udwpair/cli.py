@@ -23,7 +23,6 @@ from .geometry import TopologyKind
 from .sweep import (
     OUTPUT_DIR_ENV,
     SweepConfig,
-    parse_range,
     config_from_mapping,
     parse_config_file,
     run_difference_map,
@@ -37,19 +36,20 @@ _EXIT_VERIFICATION = 2
 
 
 def _config_options(fn):
+    """``--config`` and one option per configuration key, named after it."""
     opts = [
         click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Flat key = value configuration file."),
         click.option("--topology", type=click.Choice([t.value for t in TopologyKind]), default=None, help="Spacetime topology."),
         click.option("--ell", default=None, help="Comma-separated compactification scales (units of sigma)."),
-        click.option("--eta", type=int, default=None, help="Field weight under the identification: +1 or -1."),
-        click.option("--omega-range", default=None, metavar="MIN:MAX:N", help="Energy-gap axis Omega*sigma."),
-        click.option("--l-range", default=None, metavar="MIN:MAX:N", help="Separation axis L/sigma."),
-        click.option("--theta-range", default=None, metavar="MIN:MAX:N", help="Orientation axis (radians)."),
-        click.option("--d-a", type=float, default=None, help="Transverse offset of detector A (units of sigma)."),
-        click.option("--eps0", type=float, default=None, help="Coupling strength."),
-        click.option("--nmax", type=int, default=None, help="Image-sum truncation |n| <= nmax."),
+        click.option("--eta", default=None, help="Field weight under the identification: +1 or -1."),
+        click.option("--omega-range", "omega", default=None, metavar="MIN:MAX:N", help="Energy-gap axis Omega*sigma."),
+        click.option("--l-range", "l", default=None, metavar="MIN:MAX:N", help="Separation axis L/sigma."),
+        click.option("--theta-range", "theta", default=None, metavar="MIN:MAX:N", help="Orientation axis (radians)."),
+        click.option("--d-a", default=None, help="Transverse offset of detector A (units of sigma)."),
+        click.option("--eps0", default=None, help="Coupling strength."),
+        click.option("--nmax", default=None, help="Image-sum truncation |n| <= nmax."),
         click.option("--oracle/--no-oracle", "oracle", default=None, help="Attach oracle deviation columns to sweep rows."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default=None, help="Output format."),
+        click.option("--format", type=click.Choice(["csv", "jsonl"]), default=None, help="Output format."),
         click.option("--out", default=None, help="Output path (default: stdout)."),
     ]
     for opt in reversed(opts):
@@ -58,48 +58,23 @@ def _config_options(fn):
 
 
 def _resolve_config(config_path, **flags) -> SweepConfig:
+    """The keys of ``--config`` with the flags that are set over them, all
+    parsed by :func:`config_from_mapping`."""
     mapping = parse_config_file(config_path) if config_path else {}
-    cfg = config_from_mapping(mapping) if mapping else SweepConfig()
-    updates = {}
-    if flags.get("topology") is not None:
-        updates["topology"] = TopologyKind(flags["topology"])
-    if flags.get("ell") is not None:
-        updates["ell"] = tuple(
-            float(x) for x in str(flags["ell"]).split(",") if x.strip()
-        )
-    if flags.get("eta") is not None:
-        updates["eta"] = flags["eta"]
-    if flags.get("omega_range") is not None:
-        updates["omega"] = parse_range(flags["omega_range"], "omega")
-    if flags.get("l_range") is not None:
-        updates["l"] = parse_range(flags["l_range"], "l")
-    if flags.get("theta_range") is not None:
-        updates["theta"] = parse_range(flags["theta_range"], "theta")
-    for key in ("d_a", "eps0", "nmax", "oracle", "fmt", "out"):
-        if flags.get(key) is not None:
-            updates[key] = flags[key]
-    return replace(cfg, **updates).validate()
+    mapping.update((key, str(value)) for key, value in flags.items() if value is not None)
+    return config_from_mapping(mapping)
 
 
-def _open_output(cfg: SweepConfig):
+def _emit(cfg: SweepConfig, table) -> None:
+    """Write ``table`` to stdout, or to ``cfg.out``: a relative path there
+    resolves under $UDWPAIR_OUT_DIR when that is set."""
     if cfg.out is None:
-        return sys.stdout, False
-    path = cfg.out
-    if not os.path.isabs(path):
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
-            path = os.path.join(base, path)
+        write_rows(table, cfg.fmt, sys.stdout)
+        return
+    path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), cfg.out)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _emit(cfg: SweepConfig, rows) -> None:
-    stream, close = _open_output(cfg)
-    try:
-        write_rows(rows, cfg.fmt, stream)
-    finally:
-        if close:
-            stream.close()
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        write_rows(table, cfg.fmt, stream)
 
 
 @click.group()
@@ -107,28 +82,26 @@ def main() -> None:
     """Two static Unruh-DeWitt detectors in flat spacetimes with nontrivial topology."""
 
 
+def _run_and_write(run, config_path, flags) -> None:
+    try:
+        cfg = _resolve_config(config_path, **flags)
+        _emit(cfg, run(cfg))
+    except ConfigError as exc:
+        raise SystemExit(_fail(exc))
+
+
 @main.command()
 @_config_options
 def sweep(config_path, **flags):
     """Tabulate matrix elements and entanglement measures over a grid."""
-    try:
-        cfg = _resolve_config(config_path, **flags)
-        rows = run_sweep(cfg)
-        _emit(cfg, rows)
-    except ConfigError as exc:
-        raise SystemExit(_fail(exc))
+    _run_and_write(run_sweep, config_path, flags)
 
 
 @main.command()
 @_config_options
 def diffmap(config_path, **flags):
     """Tabulate the correlation difference corr_M - corr_topology."""
-    try:
-        cfg = _resolve_config(config_path, **flags)
-        rows = run_difference_map(cfg)
-        _emit(cfg, rows)
-    except ConfigError as exc:
-        raise SystemExit(_fail(exc))
+    _run_and_write(run_difference_map, config_path, flags)
 
 
 @main.command()
@@ -161,17 +134,22 @@ def show_config(config_path, **flags):
     except ConfigError as exc:
         raise SystemExit(_fail(exc))
     click.echo(f"topology = {cfg.topology.value}")
-    click.echo(f"ell = {','.join(f'{e:g}' for e in cfg.ell)}")
+    click.echo(f"ell = {','.join(map(_exact, cfg.ell))}")
     click.echo(f"eta = {cfg.eta}")
     for name, axis in (("omega", cfg.omega), ("l", cfg.l), ("theta", cfg.theta)):
-        click.echo(f"{name} = {axis.start:g}:{axis.stop:g}:{axis.count}")
-    click.echo(f"d_a = {cfg.d_a:g}")
-    click.echo(f"sigma = {cfg.sigma:g}")
-    click.echo(f"eps0 = {cfg.eps0:g}")
+        click.echo(f"{name} = {_exact(axis.start)}:{_exact(axis.stop)}:{axis.count}")
+    click.echo(f"d_a = {_exact(cfg.d_a)}")
+    click.echo(f"sigma = {_exact(cfg.sigma)}")
+    click.echo(f"eps0 = {_exact(cfg.eps0)}")
     click.echo(f"nmax = {cfg.nmax}")
     click.echo(f"oracle = {'true' if cfg.oracle else 'false'}")
     click.echo(f"format = {cfg.fmt}")
     click.echo(f"out = {cfg.out or ''}")
+
+
+def _exact(value: float) -> str:
+    """Shortest text that reads back as ``value``, without a trailing ``.0``."""
+    return repr(float(value)).removesuffix(".0")
 
 
 def _fail(exc: Exception) -> int:

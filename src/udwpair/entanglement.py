@@ -69,6 +69,18 @@ _SY_SY = np.kron(
 )
 
 
+def _trace_error(trace, r44: float, big_x: float) -> InvalidStateError:
+    """The trace failure; where E = r44 > 1 it names that cause, a coupling
+    for which eps0^2 |x| = |X| is not small."""
+    text = f"trace = {complex(trace)!r} differs from 1"
+    if r44 > 1.0:
+        text += (
+            f" because E = r44 = {float(r44)!r} > 1: |X| = eps0^2 |x| = "
+            f"{float(big_x)!r} is not small"
+        )
+    return InvalidStateError(text)
+
+
 def _require_density_matrix(rho: np.ndarray, tol: float = _DENSITY_TOL) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -76,7 +88,7 @@ def _require_density_matrix(rho: np.ndarray, tol: float = _DENSITY_TOL) -> np.nd
     if not np.all(np.isfinite(rho.view(float))):
         raise InvalidStateError("density matrix contains non-finite entries")
     if abs(np.trace(rho) - 1.0) > tol:
-        raise InvalidStateError(f"trace = {complex(np.trace(rho))!r} differs from 1")
+        raise _trace_error(np.trace(rho), rho[3, 3].real, abs(rho[0, 3]))
     if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise InvalidStateError("matrix is not Hermitian")
     if np.linalg.eigvalsh(rho).min() < -tol:
@@ -358,10 +370,7 @@ def xstate_measures_batch(
         )
         trace = r11 + r22 + r33 + r44
         flag_errors(
-            errors,
-            np.abs(trace - 1.0) > _DENSITY_TOL,
-            lambda t: InvalidStateError(f"trace = {complex(t)!r} differs from 1"),
-            trace,
+            errors, np.abs(trace - 1.0) > _DENSITY_TOL, _trace_error, trace, r44, m14
         )
         lowest = np.minimum(
             _block_min_eigenvalue(r11, r44, m14), _block_min_eigenvalue(r22, r33, m23)

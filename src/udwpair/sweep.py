@@ -20,21 +20,21 @@ quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
 distinct integral of a run once, with the scalar functions of
 :mod:`udwpair.wightman`, and hands the value to every point that needs it.
 
-Row order is fixed by the grid index (ell, omega, l, theta outermost to
-innermost), and floats are written with 17 significant digits, so identical
-configurations produce byte-identical output.  CSV is written in chunks of
-``CSV_CHUNK_ROWS`` rows; within a chunk each column is converted to text in
-one go, each distinct float formatted once.  Text fields that hold a comma,
-a double quote, CR or LF are quoted as RFC 4180 says.
+Results are a :class:`Table` of numpy columns, rows in grid order (ell,
+omega, l, theta outermost to innermost).  The writers convert each column
+of ``CSV_CHUNK_ROWS`` rows to text in one go, by dtype, each distinct value
+once: CSV floats with 17 significant digits (so identical configurations
+give identical bytes) and text quoted as RFC 4180 says where it holds a
+comma, a double quote, CR or LF; JSONL as ``json.dumps`` of each row.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .special import modulus
 __all__ = [
     "GridAxis",
     "SweepConfig",
+    "Table",
     "VerificationReport",
     "config_from_mapping",
     "parse_config_file",
@@ -101,8 +102,6 @@ class GridAxis:
             )
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start])
         return np.linspace(self.start, self.stop, self.count)
 
 
@@ -173,56 +172,52 @@ def parse_range(text: str, name: str) -> GridAxis:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_bool(text: str, name: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes", "on"):
         return True
-    if lowered in ("false", "0", "no", "off"):
+    if text.lower() in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{name}: expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_TOPOLOGY_NAMES = {t.value: t for t in TopologyKind}
+def _parse_topology(text: str) -> TopologyKind:
+    names = {t.value: t for t in TopologyKind}
+    if text not in names:
+        raise ConfigError(f"topology must be one of {sorted(names)}, got {text!r}")
+    return names[text]
+
+
+#: configuration key -> parser of its text (stripped); the SweepConfig
+#: field is the key, except ``fmt`` for ``format``
+_PARSERS = {
+    "topology": _parse_topology,
+    "ell": lambda text: tuple(float(x) for x in text.split(",") if x.strip()),
+    "eta": int,
+    **{axis: partial(parse_range, name=axis) for axis in ("omega", "l", "theta")},
+    "d_a": float,
+    "sigma": float,
+    "eps0": float,
+    "nmax": int,
+    "oracle": _parse_bool,
+    "format": str,
+    "out": lambda text: text or None,
+}
 
 
 def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
-    """Build a validated SweepConfig from flat string key/value pairs."""
-    cfg = SweepConfig()
+    """Build a validated SweepConfig from flat string key/value pairs; a
+    value that does not parse is a ConfigError that names its key."""
     updates: dict[str, object] = {}
     for key, raw in mapping.items():
-        val = raw.strip()
-        if key == "topology":
-            if val not in _TOPOLOGY_NAMES:
-                raise ConfigError(
-                    f"topology must be one of {sorted(_TOPOLOGY_NAMES)}, got {val!r}"
-                )
-            updates["topology"] = _TOPOLOGY_NAMES[val]
-        elif key == "ell":
-            try:
-                updates["ell"] = tuple(float(x) for x in val.split(",") if x.strip())
-            except ValueError as exc:
-                raise ConfigError(f"ell: {exc}") from exc
-        elif key in ("omega", "l", "theta"):
-            updates[key] = parse_range(val, key)
-        elif key in ("eta", "nmax"):
-            try:
-                updates[key] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-        elif key in ("d_a", "sigma", "eps0"):
-            try:
-                updates[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-        elif key == "oracle":
-            updates["oracle"] = _parse_bool(val, key)
-        elif key == "format":
-            updates["fmt"] = val
-        elif key == "out":
-            updates["out"] = val
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown configuration key {key!r}")
-    return replace(cfg, **updates).validate()
+        try:
+            updates["fmt" if key == "format" else key] = _PARSERS[key](raw.strip())
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return replace(SweepConfig(), **updates).validate()
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -240,6 +235,40 @@ def parse_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
+#: Rows per chunk that the writers write and the row view converts at once
+CSV_CHUNK_ROWS = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """Result columns in grid order: ``columns`` maps each column name to a
+    1-D numpy array, all of one length (``error`` holds text).
+
+    It reads as a sequence of rows too: ``len``, integer indexing and
+    iteration give each row as a dict of Python values.
+    """
+
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, index: int) -> dict[str, object]:
+        i = range(len(self))[index]
+        return {key: col.item(i) for key, col in self.columns.items()}
+
+    def __iter__(self) -> Iterator[dict[str, object]]:
+        keys = list(self.columns)
+        for chunk in self.chunks():
+            for values in zip(*(col.tolist() for col in chunk)):
+                yield dict(zip(keys, values))
+
+    def chunks(self) -> Iterator[list[np.ndarray]]:
+        """The columns in slices of ``CSV_CHUNK_ROWS`` rows."""
+        for start in range(0, len(self), CSV_CHUNK_ROWS):
+            yield [col[start:start + CSV_CHUNK_ROWS] for col in self.columns.values()]
+
+
 class _Block(NamedTuple):
     """One ell value of the grid: omega axis x (l, theta) points."""
 
@@ -254,27 +283,23 @@ class _Block(NamedTuple):
         """Physical gaps Omega as a column, broadcasting against the points."""
         return (self.omega / config.sigma)[:, None]
 
-    def meta_columns(self, config: SweepConfig) -> dict[str, list]:
+    def meta_columns(self, config: SweepConfig) -> dict[str, np.ndarray]:
         n_om = self.omega.size
         n = self.errors.size
-
-        def tiled(values: np.ndarray) -> list:
-            return np.tile(values, n_om).tolist()
-
         return {
-            "topology": [config.topology.value] * n,
-            "eta": [config.eta] * n,
-            "ell": [math.nan if self.ell is None else self.ell] * n,
-            "sigma": [config.sigma] * n,
-            "eps0": [config.eps0] * n,
-            "nmax": [config.nmax] * n,
-            "omega": np.repeat(self.omega, self.length.size).tolist(),
-            "l": tiled(self.length),
-            "theta": tiled(self.theta),
-            "d_a": [config.d_a] * n,
-            "d_b_x": tiled(self.pair.d_b[0]),
-            "z_b": tiled(self.pair.z_b),
-            "delta_z": tiled(self.pair.delta_z),
+            "topology": np.full(n, config.topology.value, dtype=object),
+            "eta": np.full(n, config.eta),
+            "ell": np.full(n, math.nan if self.ell is None else self.ell, dtype=float),
+            "sigma": np.full(n, config.sigma, dtype=float),
+            "eps0": np.full(n, config.eps0, dtype=float),
+            "nmax": np.full(n, config.nmax),
+            "omega": np.repeat(self.omega, self.length.size),
+            "l": np.tile(self.length, n_om),
+            "theta": np.tile(self.theta, n_om),
+            "d_a": np.full(n, config.d_a, dtype=float),
+            "d_b_x": np.tile(self.pair.d_b[0], n_om),
+            "z_b": np.tile(self.pair.z_b, n_om),
+            "delta_z": np.tile(self.pair.delta_z, n_om),
         }
 
 
@@ -298,34 +323,29 @@ def _blocks(config: SweepConfig) -> Iterator[_Block]:
         yield _Block(ell, omega, length, theta, pair, new_errors((omega.size, length.size)))
 
 
-def _error_text(errors: np.ndarray) -> list[str]:
-    return ["" if exc is None else f"{type(exc).__name__}: {exc}" for exc in errors.reshape(-1)]
-
-
-def _tabulate(config: SweepConfig, evaluate) -> list[dict[str, object]]:
-    """Rows of every block, grid order: meta columns, the value columns that
-    ``evaluate(block) -> (values, error text)`` returns, then ``error``.
+def _tabulate(config: SweepConfig, evaluate) -> Table:
+    """The table of every block, grid order: meta columns, the value columns
+    that ``evaluate(block)`` returns, then ``error``, the text of the
+    exception that a point recorded in ``block.errors`` ("" for none).
 
     A failed point gets NaN in its float columns and False in its boolean
     ones.
     """
-    columns: dict[str, list] = {}
+    parts: dict[str, list[np.ndarray]] = {}
     for block in _blocks(config):
-        values, error = evaluate(block)
-        failed = np.array([bool(text) for text in error]).reshape(block.errors.shape)
-        for key, col in block.meta_columns(config).items():
-            columns.setdefault(key, []).extend(col)
+        values = evaluate(block)
+        errors = block.errors.reshape(-1)
+        failed = np.not_equal(errors, None)
+        ok = ~failed.reshape(block.errors.shape)
+        columns = block.meta_columns(config)
         for key, val in values.items():
-            col = np.array(np.broadcast_to(val, failed.shape))
-            if col.dtype == bool:
-                col &= ~failed
-            else:
-                col = col.astype(float)
-                col[failed] = math.nan
-            columns.setdefault(key, []).extend(col.reshape(-1).tolist())
-        columns.setdefault("error", []).extend(error)
-    keys = list(columns)
-    return [dict(zip(keys, vals)) for vals in zip(*columns.values())]
+            col = val & ok if np.asarray(val).dtype == bool else np.where(ok, val, math.nan)
+            columns[key] = col.reshape(-1)
+        columns["error"] = np.full(errors.size, "", dtype=object)
+        columns["error"][failed] = [f"{type(exc).__name__}: {exc}" for exc in errors[failed]]
+        for key, col in columns.items():
+            parts.setdefault(key, []).append(col)
+    return Table({key: np.concatenate(cols) for key, cols in parts.items()})
 
 
 class _Oracle:
@@ -423,7 +443,7 @@ def _minkowski_elements(config: SweepConfig, block: _Block):
     )
 
 
-def run_sweep(config: SweepConfig) -> list[dict[str, object]]:
+def run_sweep(config: SweepConfig) -> Table:
     """Evaluate all matrix elements and measures on the configured grid."""
     config = config.validate()
     oracle = _Oracle(config)
@@ -458,12 +478,12 @@ def run_sweep(config: SweepConfig) -> list[dict[str, object]]:
                 config, block, oracle, _minkowski_elements(config, block)
             )
             values.update(zip(("oracle_dev_a", "oracle_dev_x", "oracle_dev_c"), devs))
-        return values, _error_text(block.errors)
+        return values
 
     return _tabulate(config, evaluate)
 
 
-def run_difference_map(config: SweepConfig) -> list[dict[str, object]]:
+def run_difference_map(config: SweepConfig) -> Table:
     """Correlation difference corr_M - corr_topology on the configured grid."""
     config = config.validate()
     if config.topology is TopologyKind.MINKOWSKI:
@@ -482,18 +502,17 @@ def run_difference_map(config: SweepConfig) -> list[dict[str, object]]:
         )
         corr_top = xstate_measures_batch(top, config.eps0, block.errors).corr
         corr_mink = xstate_measures_batch(mink, config.eps0, block.errors).corr
-        values = {
+        return {
             "corr_minkowski": corr_mink,
             "corr_topology": corr_top,
             "corr_diff": corr_mink - corr_top,
         }
-        return values, _error_text(block.errors)
 
     return _tabulate(config, evaluate)
 
 
 class VerificationReport(NamedTuple):
-    rows: list[dict[str, object]]
+    rows: Table
     passed: bool
     max_deviation: float
     tolerance: float
@@ -533,7 +552,7 @@ def run_verification(config: SweepConfig) -> VerificationReport:
                 dev_image, np.maximum(*oracle.dev_xc(block.errors, gaps, l_n, x_n, c_n))
             )
         max_dev = np.maximum.reduce([dev_a, dev_x, dev_c, dev_image])
-        values = {
+        return {
             "dev_a": dev_a,
             "dev_x": dev_x,
             "dev_c": dev_c,
@@ -541,102 +560,93 @@ def run_verification(config: SweepConfig) -> VerificationReport:
             "max_dev": max_dev,
             "passed": max_dev < VERIFY_TOLERANCE,
         }
-        return values, _error_text(block.errors)
 
     rows = _tabulate(config, evaluate)
-    finite = [r["max_dev"] for r in rows if not math.isnan(r["max_dev"])]
-    max_dev = max(finite) if finite else math.nan
-    passed = all(r["passed"] for r in rows)
+    max_dev = float(np.fmax.reduce(rows.columns["max_dev"]))  # NaN only if all are
+    passed = bool(rows.columns["passed"].all())
     return VerificationReport(
         rows, passed, max_dev, VERIFY_TOLERANCE, oracle.quadratures, oracle.evaluations
     )
 
 
-#: Rows per chunk of CSV text: ``write_rows`` writes one chunk at a time.
-CSV_CHUNK_ROWS = 1024
-
-_BOOL_TEXT = {True: "true", False: "false"}
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-
-
 def _quoted(text: str) -> str:
     """``text`` as one CSV field: in double quotes, inner quotes doubled,
     when it holds a comma, a quote, CR or LF (RFC 4180); else unchanged."""
-    if any(ch in text for ch in _CSV_SPECIAL):
+    if any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _float_text(values: list) -> list[str]:
-    """``%.17g`` of each float, formatted once per distinct bit pattern (so
+def _json_float(value: float) -> str:
+    """``value`` as ``json.dumps(value, allow_nan=False)`` writes it, NaN as null."""
+    if math.isnan(value):
+        return "null"
+    return repr(value) if math.isfinite(value) else json.dumps(value, allow_nan=False)
+
+
+#: (float format, format of any other value) of a CSV and of a JSON cell
+_CSV_CELL = ("%.17g".__mod__, lambda value: _quoted(str(value)))
+_JSON_CELL = (_json_float, json.dumps)
+
+
+def _float_text(values: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of each float, applied once per distinct bit pattern (so
     ``-0.0`` and ``0.0`` keep their own texts)."""
-    bits = np.array(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(
-        list(map("%.17g".__mod__, distinct.view(np.float64).tolist())), dtype=object
-    )
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 
 
-def _column_text(values: list) -> list[str]:
-    """CSV text of one column: floats with 17 significant digits, bools as
-    ``true``/``false``, anything else as ``str``, quoted where needed."""
-    kinds = set(map(type, values))
-    if len(kinds) > 1:
-        # a column that mixes types converts the cells of each type on their own
-        out = [""] * len(values)
-        for kind in kinds:
-            index = [i for i, v in enumerate(values) if type(v) is kind]
-            for i, text in zip(index, _column_text([values[i] for i in index])):
-                out[i] = text
-        return out
-    (kind,) = kinds
-    if issubclass(kind, float):
-        return _float_text(values)
-    if kind is bool:
-        return list(map(_BOOL_TEXT.__getitem__, values))
-    texts = list(map(str, values))
-    quoted = {text: _quoted(text) for text in set(texts)}
-    return list(map(quoted.__getitem__, texts))
+def _column_text(values: np.ndarray, cell) -> list[str]:
+    """Text of each cell of one column, by its dtype: float64 through
+    ``cell[0]``, bool as ``true``/``false``, anything else through
+    ``cell[1]``, once per distinct value."""
+    if values.dtype == np.float64:
+        return _float_text(values, cell[0])
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    cells = values.tolist()
+    texts = {value: cell[1](value) for value in set(cells)}
+    return list(map(texts.__getitem__, cells))
 
 
-def _csv_chunks(rows: Iterable[dict[str, object]]) -> Iterator[str]:
-    """The CSV text of ``rows``: the header line, then one string per
-    ``CSV_CHUNK_ROWS`` rows, each column of a chunk converted in one go."""
-    rows = iter(rows)
-    chunk = list(islice(rows, CSV_CHUNK_ROWS))
-    if not chunk:
+def _csv_chunks(table: Table) -> Iterator[str]:
+    """The CSV text of ``table``: the header line, then one string per
+    ``CSV_CHUNK_ROWS`` rows, each column of a chunk converted in one go.
+    A table without rows has no text."""
+    if not len(table):
         return
-    header = list(chunk[0])
-    yield ",".join(map(_quoted, header)) + "\n"
-    while chunk:
-        columns = [_column_text(list(map(itemgetter(key), chunk))) for key in header]
+    yield ",".join(map(_quoted, table.columns)) + "\n"
+    for chunk in table.chunks():
+        columns = [_column_text(col, _CSV_CELL) for col in chunk]
         yield "\n".join(map(",".join, zip(*columns))) + "\n"
-        chunk = list(islice(rows, CSV_CHUNK_ROWS))
 
 
-def rows_to_csv(rows: Iterable[dict[str, object]]) -> str:
-    return "".join(_csv_chunks(rows))
+def _jsonl_chunks(table: Table) -> Iterator[str]:
+    """One JSON object per row, as ``json.dumps(row, allow_nan=False)``
+    writes it with NaN as null, one string per ``CSV_CHUNK_ROWS`` rows."""
+    keys = (json.dumps(key).replace("%", "%%") + ": %s" for key in table.columns)
+    line = "{" + ", ".join(keys) + "}"
+    for chunk in table.chunks():
+        columns = [_column_text(col, _JSON_CELL) for col in chunk]
+        yield "\n".join(map(line.__mod__, zip(*columns))) + "\n"
 
 
-def rows_to_jsonl(rows: Iterable[dict[str, object]]) -> str:
-    import json
-
-    out = []
-    for row in rows:
-        clean = {
-            k: (None if isinstance(v, float) and math.isnan(v) else v)
-            for k, v in row.items()
-        }
-        out.append(json.dumps(clean, allow_nan=False))
-    return "\n".join(out) + ("\n" if out else "")
+def rows_to_csv(table: Table) -> str:
+    return "".join(_csv_chunks(table))
 
 
-def write_rows(rows: list[dict[str, object]], fmt: str, stream) -> None:
-    if fmt == "csv":
-        for chunk in _csv_chunks(rows):
-            stream.write(chunk)
-    elif fmt == "jsonl":
-        stream.write(rows_to_jsonl(rows))
-    else:
+def rows_to_jsonl(table: Table) -> str:
+    return "".join(_jsonl_chunks(table))
+
+
+_CHUNKS = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}
+
+
+def write_rows(table: Table, fmt: str, stream) -> None:
+    """Write ``table`` as ``fmt`` (csv or jsonl) to ``stream``, one chunk
+    of rows per write."""
+    if fmt not in _CHUNKS:
         raise ConfigError(f"unknown output format {fmt!r}")
+    for chunk in _CHUNKS[fmt](table):
+        stream.write(chunk)

@@ -210,6 +210,21 @@ class TestExtremeSeparations:
             want = math.exp(-r["omega"] ** 2) / (4.0 * math.sqrt(math.pi) * length)
             assert x.imag == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("length", [1e-10, 1e-100])
+    def test_trace_failure_names_its_cause(self, length):
+        # |x| ~ 1/L makes E = eps0^4 |x|^2 swamp 1 in r11 + r22 + r33 + r44
+        (row,) = run_sweep(SweepConfig(omega=GridAxis(1.0, 1.0, 1), l=GridAxis(length, length, 1)))
+        p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
+        state = elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+        with pytest.raises(UdwError) as raised:
+            xstate_measures(state, p.eps0)
+        assert row["error"] == f"InvalidStateError: {raised.value}"
+        big_x = p.eps0**2 * abs(state.x)
+        assert row["error"].startswith("InvalidStateError: trace = ")
+        assert " differs from 1 because E = r44 = " in row["error"]
+        assert row["error"].endswith(f" > 1: |X| = eps0^2 |x| = {big_x!r} is not small")
+        assert "np." not in row["error"]
+
     def test_huge_circumference_rows_are_minkowski(self):
         grid = dict(omega=self.OMEGA, l=GridAxis(1.0, 1.0, 1))
         cyl = run_sweep(SweepConfig(topology=TopologyKind.CYLINDER, ell=(1e200,), **grid))
@@ -590,6 +605,44 @@ class TestCli:
         assert result.exit_code == 0
         assert "format = jsonl" in result.output
         assert "omega = 0:1:2" in result.output
+
+    def test_bad_ell_flag_is_a_validation_error(self):
+        result = CliRunner().invoke(main, ["sweep", "--topology", "cylinder", "--ell", "abc"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: ell: could not convert string to float: 'abc'\n"
+
+    def test_show_config_round_trips(self, tmp_path):
+        args = [
+            "--topology", "twisted", "--ell", "0.123456789,1e-07,3.0000000000000004",
+            "--eta", "-1", "--d-a", "0.1", "--eps0", "0.0012345678901234567",
+            "--omega-range", "-0.30000000000000004:2.5e-12:3",
+            "--l-range", "0.1:0.7000000000000001:4",
+            "--theta-range", "0:3.141592653589793:2", "--nmax", "7",
+            "--oracle", "--format", "jsonl",
+        ]
+        result = CliRunner().invoke(main, ["show-config", *args])
+        assert result.exit_code == 0
+        assert "ell = 0.123456789,1e-07,3.0000000000000004\n" in result.output
+        assert "theta = 0:3.141592653589793:2\n" in result.output
+        path = tmp_path / "shown.cfg"
+        path.write_text(result.output)
+        expected = SweepConfig(
+            topology=TopologyKind.TWISTED_CYLINDER,
+            ell=(0.123456789, 1e-7, 3.0000000000000004),
+            eta=-1,
+            omega=GridAxis(-0.30000000000000004, 2.5e-12, 3),
+            l=GridAxis(0.1, 0.7000000000000001, 4),
+            theta=GridAxis(0.0, math.pi, 2),
+            d_a=0.1,
+            eps0=0.0012345678901234567,
+            nmax=7,
+            oracle=True,
+            fmt="jsonl",
+        )
+        assert config_from_mapping(parse_config_file(str(path))) == expected
+        again = CliRunner().invoke(main, ["show-config", "--config", str(path)])
+        assert again.output == result.output
 
     def test_verify_exit_codes(self, monkeypatch):
         args = [
