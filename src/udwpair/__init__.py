@@ -30,7 +30,6 @@ from .errors import (
     GeometryError,
     InvalidStateError,
     PositivityError,
-    StateConsistencyWarning,
     TruncationWarning,
     UdwError,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "GeometryError",
     "InvalidStateError",
     "PositivityError",
-    "StateConsistencyWarning",
     "TruncationWarning",
     "UdwError",
     # geometry

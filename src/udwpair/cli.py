@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import replace
 
 import click
 
@@ -110,7 +109,6 @@ def verify(config_path, **flags):
     """Check every closed form against the distributional quadrature oracle."""
     try:
         cfg = _resolve_config(config_path, **flags)
-        cfg = replace(cfg, oracle=True)
         report = run_verification(cfg)
         _emit(cfg, report.rows)
     except (ConfigError, UdwError) as exc:
@@ -139,7 +137,6 @@ def show_config(config_path, **flags):
     for name, axis in (("omega", cfg.omega), ("l", cfg.l), ("theta", cfg.theta)):
         click.echo(f"{name} = {_exact(axis.start)}:{_exact(axis.stop)}:{axis.count}")
     click.echo(f"d_a = {_exact(cfg.d_a)}")
-    click.echo(f"sigma = {_exact(cfg.sigma)}")
     click.echo(f"eps0 = {_exact(cfg.eps0)}")
     click.echo(f"nmax = {cfg.nmax}")
     click.echo(f"oracle = {'true' if cfg.oracle else 'false'}")

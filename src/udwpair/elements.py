@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,7 +64,6 @@ from .errors import (
     GeometryError,
     InvalidStateError,
     PositivityError,
-    StateConsistencyWarning,
     TruncationWarning,
 )
 from .geometry import (
@@ -140,28 +139,38 @@ class DetectorParams:
 class XStateAB:
     """Leading-order X-state data, stored as coefficients of eps0 powers.
 
-    ``a``, ``b``, ``x``, ``c`` are per eps0^2; ``e`` is per eps0^4.
-    ``tail_bound`` estimates the magnitude omitted by truncating an image
-    sum (zero for Minkowski space).
+    ``a``, ``b``, ``x``, ``c`` are per eps0^2.  The joint excitation ``e``
+    (per eps0^4) is not stored: it is derived from them by
+    :func:`joint_excitation`.  ``tail_bound``, keyword-only, estimates the
+    magnitude omitted by truncating an image sum (zero for Minkowski space).
     """
 
     a: float
     b: float
     x: complex
     c: complex
-    e: float
-    tail_bound: float = 0.0
+    tail_bound: float = field(default=0.0, kw_only=True)
+
+    @property
+    def e(self) -> float:
+        """E/eps0^4 = |x|^2 + a b + 2 |c|^2."""
+        return float(joint_excitation(self.a, self.b, self.x, self.c))
 
 
 class XStateBatch(NamedTuple):
-    """:class:`XStateAB` fields as arrays of one common shape (``c`` is real)."""
+    """:class:`XStateAB` fields as arrays of one common shape (``c`` is
+    real), with ``e`` derived in the same way."""
 
     a: np.ndarray
     b: np.ndarray
     x: np.ndarray
     c: np.ndarray
-    e: np.ndarray
     tail_bound: np.ndarray
+
+    @property
+    def e(self) -> np.ndarray:
+        """E/eps0^4 = |x|^2 + a b + 2 |c|^2."""
+        return joint_excitation(self.a, self.b, self.x, self.c)
 
 
 def new_errors(shape) -> np.ndarray:
@@ -191,10 +200,13 @@ def _raise_first(errors: np.ndarray) -> None:
 
 
 def joint_excitation(a, b, x, c):
-    """E/eps0^4 = |x|^2 + a b + 2 |c|^2 for arrays (valid also when a != b)."""
+    """E/eps0^4 = |x|^2 + a b + 2 |c|^2 for arrays (valid also when a != b).
+
+    Where |x|^2 overflows it is inf, which the assembly checks record."""
     ax = modulus(x)
     ac = modulus(c)
-    return ax * ax + a * b + 2.0 * (ac * ac)
+    with np.errstate(over="ignore"):
+        return ax * ax + a * b + 2.0 * (ac * ac)
 
 
 def _piecewise(cases, *args):
@@ -355,7 +367,7 @@ def _minkowski_batch(
     a = np.broadcast_to(self_excitation_array(sigma * omega), errors.shape)
     x = nonlocal_array(sigma, omega, length)
     c = exchange_array(sigma, omega, length)
-    return XStateBatch(a, a, x, c, joint_excitation(a, a, x, c), np.zeros(errors.shape))
+    return XStateBatch(a, a, x, c, np.zeros(errors.shape))
 
 
 def _image_sum_batch(
@@ -430,7 +442,7 @@ def _image_sum_batch(
             TruncationWarning,
             stacklevel=3,
         )
-    return XStateBatch(a, b, x, c, joint_excitation(a, b, x, c), tail)
+    return XStateBatch(a, b, x, c, tail)
 
 
 def elements_batch(
@@ -458,7 +470,6 @@ def _as_batch(state: XStateAB) -> XStateBatch:
         np.array([state.b], dtype=float),
         np.array([state.x], dtype=complex),
         np.array([state.c], dtype=complex),
-        np.array([state.e], dtype=float),
         np.array([state.tail_bound], dtype=float),
     )
 
@@ -477,10 +488,9 @@ def elements_for(
     errors = new_errors((1,))
     state = elements_batch(np.array([p.omega]), p.sigma, pair, topology, nmax, errors)
     _raise_first(errors)
-    a, b, x, c, e, tail = (v[0] for v in state)
+    a, b, x, c, tail = (v[0] for v in state)
     return XStateAB(
-        a=float(a), b=float(b), x=complex(x), c=complex(c), e=float(e),
-        tail_bound=float(tail),
+        a=float(a), b=float(b), x=complex(x), c=complex(c), tail_bound=float(tail)
     )
 
 
@@ -524,27 +534,12 @@ def assembly_checks(state, eps0: float, errors: np.ndarray) -> Assembled:
     :func:`assemble_density_matrix` recorded per point in ``errors``."""
     if not (math.isfinite(eps0) and eps0 > 0.0):
         raise InvalidStateError(f"eps0 must be > 0, got {eps0!r}")
-    shape = errors.shape
     e2 = eps0 * eps0
     big_a = e2 * state.a
     big_b = e2 * state.b
     big_x = e2 * state.x
     big_c = e2 * state.c
     big_e = e2 * e2 * state.e
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        e_consistent = joint_excitation(state.a, state.b, state.x, state.c)
-        off = np.abs(state.e - e_consistent) > 1e-9 * np.maximum(1.0, np.abs(e_consistent))
-    if np.any(off):
-        i = np.flatnonzero(np.broadcast_to(off, shape))[0]
-        supplied = np.broadcast_to(state.e, shape).reshape(-1)[i].item()
-        implied = np.broadcast_to(e_consistent, shape).reshape(-1)[i].item()
-        warnings.warn(
-            f"supplied e={supplied!r} differs from |x|^2 + a b + 2|c|^2 = {implied!r}",
-            StateConsistencyWarning,
-            stacklevel=3,
-        )
-
     _flag_probability(errors, "A", big_a)
     _flag_probability(errors, "B", big_b)
     r11 = 1.0 - big_a - big_b + big_e

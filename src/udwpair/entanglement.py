@@ -17,13 +17,14 @@ and the entanglement condition is |rho14|^2 > r22 r33 or
 state).  The matching concurrence is
 2 max(0, |rho14| - sqrt(r22 r33), |rho23| - sqrt(r11 r44)).
 
-The eigenvalue routes (:func:`negativity_exact`, :func:`concurrence_exact`,
-:func:`xstate_measures`) serve as oracles.  Sweeps use
-:func:`xstate_measures_batch`, which evaluates the closed forms on arrays
-and records, per point, the first failure that the scalar route would
-raise: the checks of :func:`assemble_density_matrix` and of a valid density
-matrix, in the same order and with the same tolerances and messages, with
-positivity tested on the closed-form eigenvalues of the two 2x2 blocks.
+The eigenvalue routes (:func:`negativity_exact`, :func:`concurrence_exact`)
+validate an arbitrary matrix and serve as oracles.  The measures of detector
+states come from :func:`xstate_measures_batch`, which evaluates the closed
+forms on arrays and records, per point, the first check that fails: those
+of :func:`udwpair.elements.assemble_density_matrix`, then those of a
+density matrix with the oracles' tolerances, positivity tested on the
+closed-form eigenvalues of the two 2x2 blocks.  :func:`xstate_measures` is
+that batch on one point.
 """
 
 from __future__ import annotations
@@ -36,25 +37,21 @@ import numpy as np
 from .elements import (
     XStateAB,
     XStateBatch,
-    assemble_density_matrix,
+    _as_batch,
+    _raise_first,
     assembly_checks,
     flag_errors,
+    new_errors,
 )
 from .errors import DomainError, InvalidStateError
 from .special import modulus
 
 __all__ = [
-    "EntanglementReport",
     "partial_transpose_a",
     "negativity_exact",
     "concurrence_exact",
-    "xstate_entanglement",
-    "entanglement_of_formation",
-    "EntanglementOfFormation",
-    "correlation",
-    "Correlation",
+    "Measures",
     "xstate_measures",
-    "MeasuresBatch",
     "xstate_measures_batch",
 ]
 
@@ -125,21 +122,6 @@ def concurrence_exact(rho: np.ndarray) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def _xstate_entries(rho: np.ndarray, tol: float = 1e-12):
-    zero_mask = np.array(
-        [
-            [False, True, True, False],
-            [True, False, False, True],
-            [True, False, False, True],
-            [False, True, True, False],
-        ]
-    )
-    if np.max(np.abs(rho[zero_mask])) > tol:
-        raise InvalidStateError("matrix does not have the X zero pattern")
-    diag = rho.diagonal().real
-    return diag[0], diag[1], diag[2], diag[3], rho[0, 3], rho[1, 2]
-
-
 def xstate_closed_forms(r11, r22, r33, r44, m14, m23):
     """(negativity, concurrence) of X-states from their diagonal entries and
     the moduli m14 = |rho14|, m23 = |rho23|; arrays or floats."""
@@ -154,19 +136,6 @@ def xstate_closed_forms(r11, r22, r33, r44, m14, m23):
         m23 - np.sqrt(np.maximum(r11 * r44, 0.0)),
     )
     return neg, conc
-
-
-def xstate_entanglement(rho: np.ndarray) -> tuple[float, float]:
-    """Closed-form (negativity, concurrence) of an X-state density matrix."""
-    rho = _require_density_matrix(rho)
-    r11, r22, r33, r44, x14, x23 = _xstate_entries(rho)
-    neg, conc = xstate_closed_forms(r11, r22, r33, r44, modulus(x14), modulus(x23))
-    return float(neg), float(conc)
-
-
-class EntanglementOfFormation(NamedTuple):
-    exact: float
-    perturbative: float
 
 
 def eof_arrays(concurrence):
@@ -188,41 +157,6 @@ def _concurrence_out_of_range(c):
     return ~(np.isfinite(c) & (-_CONCURRENCE_SLACK <= c) & (c <= 1.0 + _CONCURRENCE_SLACK))
 
 
-def _concurrence_range_error(c: float) -> DomainError:
-    return DomainError(f"concurrence must lie in [0, 1], got {c!r}")
-
-
-def entanglement_of_formation(concurrence: float) -> EntanglementOfFormation:
-    """Entanglement of formation in ebits from the concurrence.
-
-    Returns the exact value h((1 + sqrt(1 - C^2))/2) together with its
-    small-C expansion C^2/(4 ln 2) (1 - ln(C^2/4)), whose remainder is
-    O(C^4 log C).
-    """
-    c = float(concurrence)
-    if _concurrence_out_of_range(c):
-        raise _concurrence_range_error(c)
-    # absorb eigenvalue roundoff at the endpoints only
-    exact, pert = eof_arrays(min(max(c, 0.0), 1.0))
-    return EntanglementOfFormation(float(exact), float(pert))
-
-
-class Correlation(NamedTuple):
-    general: float
-    leading_identical: float | None
-
-
-def _degenerate_variance(big_a, big_b):
-    return (big_a * (1.0 - big_a) <= 0.0) | (big_b * (1.0 - big_b) <= 0.0)
-
-
-def _degenerate_variance_error(big_a: float, big_b: float) -> DomainError:
-    return DomainError(
-        "degenerate variance: excitation probabilities must lie strictly "
-        f"inside (0, 1), got A={big_a!r}, B={big_b!r}"
-    )
-
-
 def correlation_arrays(a, b, x, c, eps0: float):
     """General sigma_z correlation per eps0^2, for arrays of coefficients.
 
@@ -241,93 +175,12 @@ def correlation_arrays(a, b, x, c, eps0: float):
         return num / np.sqrt((1.0 - e2 * a) * (1.0 - e2 * b))
 
 
-def correlation(state: XStateAB, eps0: float) -> Correlation:
-    """sigma_z measurement correlation between the two detectors.
-
-    ``general`` is (E - A B)/sqrt(A(1-A) B(1-B)) with the physical eps0
-    scaling restored; ``leading_identical`` is the identical-detector
-    shortcut eps0^2 (|x|^2 + 2|c|^2)/a (None when a != b), which agrees with
-    the general form to relative O(eps0^2).
-    """
-    e2 = eps0 * eps0
-    big_a = e2 * state.a
-    big_b = e2 * state.b
-    if _degenerate_variance(big_a, big_b):
-        raise _degenerate_variance_error(big_a, big_b)
-    general = e2 * float(correlation_arrays(state.a, state.b, state.x, state.c, eps0))
-    leading = None
-    if math.isclose(state.a, state.b, rel_tol=1e-12, abs_tol=0.0):
-        ra = math.sqrt(state.a)
-        mx = abs(state.x) / ra
-        mc = abs(state.c) / ra
-        leading = e2 * (mx * mx + 2.0 * (mc * mc))
-    return Correlation(general, leading)
-
-
-class EntanglementReport(NamedTuple):
-    """Exact measures plus the closed-form and leading-order diagnostics.
-
-    All entanglement values carry the physical eps0 scaling; ``corr`` is the
-    general correlation.  ``negativity_leading = eps0^2 max(0, |x| - a)`` is
-    the leading-order harvesting formula (concurrence twice that), and
-    ``harvested`` flags |x| > a.
-    """
-
-    negativity: float
-    concurrence: float
-    eof: float
-    corr: float
-    harvested: bool
-    negativity_xstate: float
-    concurrence_xstate: float
-    negativity_leading: float
-    concurrence_leading: float
-    negativity_identical: float | None
-    corr_identical: float | None
-    eof_perturbative: float
-
-
-def xstate_measures(state: XStateAB, eps0: float) -> EntanglementReport:
-    """Evaluate every measure on the assembled detector X-state.
-
-    Reports the exact eigenvalue-based negativity/concurrence, the X-state
-    closed forms, the identical-detector simplification r14 - r22 (when
-    r22 = r33), and the leading-order max(0, |x| - a), together with the
-    entanglement of formation and the measurement correlation.
-    """
-    rho = assemble_density_matrix(state, eps0)
-    neg = negativity_exact(rho)
-    conc = concurrence_exact(rho)
-    neg_x, conc_x = xstate_entanglement(rho)
-    e2 = eps0 * eps0
-    neg_lead = e2 * max(0.0, abs(state.x) - state.a)
-    r22 = rho[1, 1].real
-    r33 = rho[2, 2].real
-    neg_ident = None
-    if math.isclose(r22, r33, rel_tol=1e-12, abs_tol=1e-16):
-        neg_ident = max(0.0, abs(rho[0, 3]) - r22)
-    eof = entanglement_of_formation(conc)
-    corr = correlation(state, eps0)
-    return EntanglementReport(
-        negativity=neg,
-        concurrence=conc,
-        eof=eof.exact,
-        corr=corr.general,
-        harvested=abs(state.x) > state.a,
-        negativity_xstate=neg_x,
-        concurrence_xstate=conc_x,
-        negativity_leading=neg_lead,
-        concurrence_leading=2.0 * neg_lead,
-        negativity_identical=neg_ident,
-        corr_identical=corr.leading_identical,
-        eof_perturbative=eof.perturbative,
-    )
-
-
-class MeasuresBatch(NamedTuple):
-    """Sweep measures on a batch: closed-form ``negativity`` and
-    ``concurrence`` and the EoF at the physical eps0; ``corr`` and
-    ``concurrence_leading`` per eps0^2; ``harvested`` flags |x| > a."""
+class Measures(NamedTuple):
+    """Measures of detector X-states, the sweep columns of the same names:
+    the closed-form ``negativity`` and ``concurrence`` and the EoF at the
+    physical eps0; ``corr`` and ``concurrence_leading`` (2 max(0, |x| - a))
+    per eps0^2; ``harvested`` flags |x| > a.  Arrays for a batch, Python
+    numbers for one point."""
 
     negativity: np.ndarray
     concurrence: np.ndarray
@@ -346,13 +199,14 @@ def _block_min_eigenvalue(p, q, off):
 
 def xstate_measures_batch(
     state: XStateBatch, eps0: float, errors: np.ndarray
-) -> MeasuresBatch:
+) -> Measures:
     """Closed-form measures of a batch of detector X-states.
 
-    Records in ``errors`` the first failure that :func:`xstate_measures`
-    would raise for each point (points with an error keep it): the checks
-    of :func:`assemble_density_matrix`, then the density-matrix checks
-    (finite entries, unit trace, positivity; the assembled matrix is
+    Records in ``errors`` the first check that fails at each point (points
+    with an error keep it): the checks of
+    :func:`udwpair.elements.assemble_density_matrix`, then those of a
+    density matrix (finite entries, unit trace, positivity, with the
+    tolerance of :func:`negativity_exact`; the assembled matrix is
     Hermitian by construction), then the concurrence range of the EoF and
     the variance condition of the correlation.
     """
@@ -385,7 +239,7 @@ def xstate_measures_batch(
         flag_errors(
             errors,
             _concurrence_out_of_range(conc),
-            _concurrence_range_error,
+            lambda c: DomainError(f"concurrence must lie in [0, 1], got {c!r}"),
             conc,
         )
         eof, eof_pert = eof_arrays(np.clip(conc, 0.0, 1.0))
@@ -395,12 +249,27 @@ def xstate_measures_batch(
         big_b = e2 * state.b
         flag_errors(
             errors,
-            _degenerate_variance(big_a, big_b),
-            _degenerate_variance_error,
+            (big_a * (1.0 - big_a) <= 0.0) | (big_b * (1.0 - big_b) <= 0.0),
+            lambda u, v: DomainError(
+                "degenerate variance: excitation probabilities must lie strictly "
+                f"inside (0, 1), got A={u!r}, B={v!r}"
+            ),
             big_a,
             big_b,
         )
         corr = correlation_arrays(state.a, state.b, state.x, state.c, eps0)
         mx = modulus(state.x)
         lead = 2.0 * (e2 * np.maximum(0.0, mx - state.a)) / e2
-    return MeasuresBatch(neg, conc, eof, eof_pert, corr, lead, mx > state.a)
+    return Measures(neg, conc, eof, eof_pert, corr, lead, mx > state.a)
+
+
+def xstate_measures(state: XStateAB, eps0: float) -> Measures:
+    """The measures of one detector state, by :func:`xstate_measures_batch`
+    on one point: the values of a sweep row, in the same units.
+
+    Raises the error that the batch records for the point.
+    """
+    errors = new_errors((1,))
+    measures = xstate_measures_batch(_as_batch(state), eps0, errors)
+    _raise_first(errors)
+    return Measures(*(v.item() for v in measures))

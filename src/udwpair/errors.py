@@ -35,7 +35,3 @@ class ConfigError(UdwError, ValueError):
 
 class TruncationWarning(UserWarning):
     """Image-sum truncation left a tail above the requested precision."""
-
-
-class StateConsistencyWarning(UserWarning):
-    """A user-supplied joint-excitation value disagrees with |X|^2 + AB + 2|C|^2."""

@@ -77,6 +77,11 @@ __all__ = [
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "UDWPAIR_OUT_DIR"
 
+#: The switching width of every sweep: inputs and outputs are in units of
+#: sigma, so the physics (a function of Omega*sigma and L/sigma) needs no
+#: other value.
+SIGMA = 1.0
+
 VERIFY_TOLERANCE = 1e-6
 _VERIFY_IMAGES = (1, -1, 2, -2)
 
@@ -116,7 +121,6 @@ class SweepConfig:
     l: GridAxis = GridAxis(10.0 / 64.0, 10.0, 64)
     theta: GridAxis = GridAxis(0.0, 0.0, 1)
     d_a: float = 0.0
-    sigma: float = 1.0
     eps0: float = 0.01
     nmax: int = 10
     oracle: bool = False
@@ -139,8 +143,6 @@ class SweepConfig:
         self.theta.validate("theta")
         if self.l.start <= 0.0:
             raise ConfigError("separations must satisfy L > 0")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ConfigError(f"sigma must be > 0, got {self.sigma!r}")
         if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
             raise ConfigError(f"eps0 must be > 0, got {self.eps0!r}")
         if self.nmax < 1:
@@ -195,7 +197,6 @@ _PARSERS = {
     "eta": int,
     **{axis: partial(parse_range, name=axis) for axis in ("omega", "l", "theta")},
     "d_a": float,
-    "sigma": float,
     "eps0": float,
     "nmax": int,
     "oracle": _parse_bool,
@@ -279,9 +280,9 @@ class _Block(NamedTuple):
     pair: WorldlinePair  # coordinates of shape (n_l * n_theta,)
     errors: np.ndarray  # shape (n_omega, n_l * n_theta)
 
-    def gaps(self, config: SweepConfig) -> np.ndarray:
-        """Physical gaps Omega as a column, broadcasting against the points."""
-        return (self.omega / config.sigma)[:, None]
+    def gaps(self) -> np.ndarray:
+        """The gaps as a column, broadcasting against the points."""
+        return self.omega[:, None]
 
     def meta_columns(self, config: SweepConfig) -> dict[str, np.ndarray]:
         n_om = self.omega.size
@@ -290,7 +291,7 @@ class _Block(NamedTuple):
             "topology": np.full(n, config.topology.value, dtype=object),
             "eta": np.full(n, config.eta),
             "ell": np.full(n, math.nan if self.ell is None else self.ell, dtype=float),
-            "sigma": np.full(n, config.sigma, dtype=float),
+            "sigma": np.full(n, SIGMA, dtype=float),
             "eps0": np.full(n, config.eps0, dtype=float),
             "nmax": np.full(n, config.nmax),
             "omega": np.repeat(self.omega, self.length.size),
@@ -361,7 +362,6 @@ class _Oracle:
     """
 
     def __init__(self, config: SweepConfig):
-        self.sigma = config.sigma
         self.eps0 = config.eps0
         # argument tuple -> value or exception, one dict per integral
         self._a: dict = {}
@@ -375,7 +375,7 @@ class _Oracle:
         return len(self._a) + len(self._x) + len(self._c)
 
     def _params(self, omega: float) -> DetectorParams:
-        return DetectorParams(omega=omega, sigma=self.sigma, eps0=self.eps0)
+        return DetectorParams(omega=omega, sigma=SIGMA, eps0=self.eps0)
 
     def _lookup(self, memo: dict, errors: np.ndarray, integral, *args) -> np.ndarray:
         """``integral(*args of the point)`` at the points of ``errors``
@@ -412,7 +412,7 @@ class _Oracle:
         and separations ``r``, the x integral of a point first."""
         quad = self._lookup(
             self._x, errors,
-            lambda l: wightman.oracle_x_time_integral(self.sigma, l), r,
+            lambda l: wightman.oracle_x_time_integral(SIGMA, l), r,
         )
         envelope = np.array(
             [wightman.oracle_x_envelope(self._params(om)) for om in omega.ravel().tolist()]
@@ -428,7 +428,7 @@ def _minkowski_deviations(
     config: SweepConfig, block: _Block, oracle: _Oracle, mink
 ) -> list[np.ndarray]:
     """|closed form - oracle| of the Minkowski a, x and c of the block."""
-    gaps = block.gaps(config)
+    gaps = block.gaps()
     dev_a = oracle.dev_a(block.errors, gaps, mink.a)
     dev_x, dev_c = oracle.dev_xc(
         block.errors, gaps, separation_array(block.pair), mink.x, mink.c
@@ -438,8 +438,8 @@ def _minkowski_deviations(
 
 def _minkowski_elements(config: SweepConfig, block: _Block):
     return elements_batch(
-        block.gaps(config), config.sigma, block.pair, Topology.minkowski(),
-        config.nmax, block.errors,
+        block.gaps(), SIGMA, block.pair, Topology.minkowski(), config.nmax,
+        block.errors,
     )
 
 
@@ -450,8 +450,8 @@ def run_sweep(config: SweepConfig) -> Table:
 
     def evaluate(block: _Block):
         state = elements_batch(
-            block.gaps(config), config.sigma, block.pair,
-            config.topology_for(block.ell), config.nmax, block.errors,
+            block.gaps(), SIGMA, block.pair, config.topology_for(block.ell),
+            config.nmax, block.errors,
         )
         m = xstate_measures_batch(state, config.eps0, block.errors)
         values = {
@@ -490,15 +490,14 @@ def run_difference_map(config: SweepConfig) -> Table:
         raise ConfigError("difference maps need a non-Minkowski topology")
 
     def evaluate(block: _Block):
-        gaps = block.gaps(config)
+        gaps = block.gaps()
         # one-point call order: both element sets, then the measures of each
         top = elements_batch(
-            gaps, config.sigma, block.pair, config.topology_for(block.ell),
-            config.nmax, block.errors,
+            gaps, SIGMA, block.pair, config.topology_for(block.ell), config.nmax,
+            block.errors,
         )
         mink = elements_batch(
-            gaps, config.sigma, block.pair, Topology.minkowski(), config.nmax,
-            block.errors,
+            gaps, SIGMA, block.pair, Topology.minkowski(), config.nmax, block.errors,
         )
         corr_top = xstate_measures_batch(top, config.eps0, block.errors).corr
         corr_mink = xstate_measures_batch(mink, config.eps0, block.errors).corr
@@ -533,7 +532,7 @@ def run_verification(config: SweepConfig) -> VerificationReport:
     oracle = _Oracle(config)
 
     def evaluate(block: _Block):
-        gaps = block.gaps(config)
+        gaps = block.gaps()
         mink = _minkowski_elements(config, block)
         images = []
         if config.topology is not TopologyKind.MINKOWSKI:
@@ -542,8 +541,7 @@ def run_verification(config: SweepConfig) -> VerificationReport:
                 l_n = image_separation_array(topology, block.pair, n)
                 flag_coincident_image(block.errors, topology, block.pair, n, l_n)
                 images.append(
-                    (l_n, nonlocal_array(config.sigma, gaps, l_n),
-                     exchange_array(config.sigma, gaps, l_n))
+                    (l_n, nonlocal_array(SIGMA, gaps, l_n), exchange_array(SIGMA, gaps, l_n))
                 )
         dev_a, dev_x, dev_c = _minkowski_deviations(config, block, oracle, mink)
         dev_image = np.zeros(block.errors.shape)

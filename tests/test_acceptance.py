@@ -28,9 +28,9 @@ from udwpair import (
     oracle_a,
     oracle_c,
     oracle_x,
+    xstate_measures,
 )
 from udwpair.elements import self_excitation_array
-from udwpair.entanglement import correlation
 from udwpair.sweep import GridAxis, SweepConfig, run_difference_map, run_sweep
 from udwpair.wightman import (
     hadamard_double_pole,
@@ -178,7 +178,6 @@ def test_criterion_5_entanglement_consistency(fig1_rows):
     vs eigen values and the concurrence >= 2 negativity bound on random
     states."""
     from udwpair import concurrence_exact, negativity_exact
-    from udwpair.entanglement import xstate_entanglement
 
     tol_lead = 10.0 * EPS0**4
     e2 = EPS0 * EPS0
@@ -191,13 +190,13 @@ def test_criterion_5_entanglement_consistency(fig1_rows):
             abs(row["concurrence"] - 2.0 * neg_lead),
         )
 
-    from test_entanglement import random_density_matrix, random_xstate_matrix
+    from test_entanglement import closed_forms, random_density_matrix, random_xstate_matrix
 
     rng = np.random.default_rng(20260810)
     worst_xstate = 0.0
     for _ in range(10_000):
         rho = random_xstate_matrix(rng)
-        neg_cf, conc_cf = xstate_entanglement(rho)
+        neg_cf, conc_cf = closed_forms(rho)
         worst_xstate = max(
             worst_xstate,
             abs(neg_cf - negativity_exact(rho)),
@@ -240,15 +239,19 @@ def test_criterion_6_vanishing_boundary(fig1_rows):
 
 def test_criterion_7_correlation_identity():
     """General and identical-detector correlation forms agree to O(eps0^2)."""
+    from test_entanglement import identical_shortcut
+
     rel_tol = 100.0 * EPS0**2
     worst = 0.0
     for om in FIG1_OMEGA.values():
         p = DetectorParams(omega=float(om), sigma=1.0, eps0=EPS0)
         for length in FIG1_L.values():
-            res = correlation(_minkowski(p, float(length)), EPS0)
-            assert res.leading_identical is not None
-            scale = max(abs(res.leading_identical), 1e-300)
-            worst = max(worst, abs(res.general - res.leading_identical) / scale)
+            state = _minkowski(p, float(length))
+            assert state.a == state.b
+            general = xstate_measures(state, EPS0).corr * EPS0**2
+            leading = identical_shortcut(state, EPS0)
+            scale = max(abs(leading), 1e-300)
+            worst = max(worst, abs(general - leading) / scale)
     ok = worst < rel_tol
     assert _report(
         7, ok, f"max relative difference = {worst:.3e} (tol {rel_tol:.1e})"

@@ -1,7 +1,8 @@
 """The documented API: the README quick start runs as written, every
-exported name exists, and importing the CLI leaves the oracle-only
-dependencies unloaded."""
+exported name exists, importing the CLI leaves the oracle-only
+dependencies unloaded, and no module imports a name it never uses."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -18,7 +19,8 @@ import pytest
 import udwpair
 from udwpair import TruncationWarning
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = ["udwpair"] + [
     f"udwpair.{info.name}" for info in pkgutil.iter_modules(udwpair.__path__)
 ]
@@ -66,3 +68,33 @@ def test_cli_import_leaves_oracle_dependencies_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == ""
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by module-level imports of ``path`` that the module never
+    reads; a name listed in its ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*(ROOT / "src" / "udwpair").glob("*.py"), *(ROOT / "tests").glob("*.py")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_no_unused_module_imports(path):
+    assert _unused_imports(path) == []

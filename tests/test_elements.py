@@ -14,7 +14,6 @@ from udwpair import (
     GeometryError,
     InvalidStateError,
     PositivityError,
-    StateConsistencyWarning,
     Topology,
     TruncationWarning,
     WorldlinePair,
@@ -359,7 +358,7 @@ class TestTwisted:
         a = float(self_excitation_array(omega)[0])
         x = complex(nonlocal_array(1.0, omega, length)[0])
         c = complex(exchange_array(1.0, omega, length)[0])
-        want = XStateAB(a=a, b=a, x=x, c=c, e=float(joint_excitation(a, a, x, c)))
+        want = XStateAB(a=a, b=a, x=x, c=c)
         assert elements_for(P1, pair, Topology.minkowski()) == want
         # the quotients: image sums, with b != a only on the twisted cylinder
         off_axis = WorldlinePair((1.0, 0.0), (1.5, 0.0), 0.0, 0.0)
@@ -389,7 +388,7 @@ class TestAssembly:
 
     def test_product_form_when_uncorrelated(self):
         a, b = 0.02, 0.05
-        st = XStateAB(a=a, b=b, x=0.0, c=0.0, e=a * b)
+        st = XStateAB(a=a, b=b, x=0.0, c=0.0)
         rho = assemble_density_matrix(st, 1.0)
         single_a = np.diag([1.0 - a, a])
         single_b = np.diag([1.0 - b, b])
@@ -410,17 +409,19 @@ class TestAssembly:
         # element, so r22 r33 >= |C|^2 fails well beyond tolerance
         a = b = 0.01
         c = 0.02
-        st = XStateAB(a=a, b=b, x=0.0, c=c, e=joint_excitation(a, b, 0.0, c))
+        st = XStateAB(a=a, b=b, x=0.0, c=c)
         with pytest.raises(PositivityError):
             assemble_density_matrix(st, 0.1)
 
-    def test_inconsistent_e_flagged(self):
-        st = XStateAB(a=0.01, b=0.01, x=0.001, c=0.001, e=42.0)
-        with pytest.warns(StateConsistencyWarning):
-            assemble_density_matrix(st, 0.01)
+    def test_e_is_derived(self):
+        st = XStateAB(a=0.01, b=0.02, x=0.001j, c=0.003)
+        assert st.e == joint_excitation(0.01, 0.02, 0.001j, 0.003)
+        # a fifth positional value is not read as tail_bound
+        with pytest.raises(TypeError):
+            XStateAB(0.01, 0.01, 0.001, 0.001, 42.0)
 
     def test_unphysical_probability_rejected(self):
-        st = XStateAB(a=2.0, b=0.01, x=0.0, c=0.0, e=0.02)
+        st = XStateAB(a=2.0, b=0.01, x=0.0, c=0.0)
         with pytest.raises(InvalidStateError):
             assemble_density_matrix(st, 1.0)
 

@@ -16,23 +16,31 @@ from udwpair import (
     Topology,
     WorldlinePair,
     XStateAB,
+    assemble_density_matrix,
     concurrence_exact,
     elements_for,
     negativity_exact,
     xstate_measures,
 )
-from udwpair.elements import joint_excitation
 from udwpair.entanglement import (
-    correlation,
-    entanglement_of_formation,
+    _concurrence_out_of_range,
+    correlation_arrays,
+    eof_arrays,
     partial_transpose_a,
-    xstate_entanglement,
+    xstate_closed_forms,
 )
 
 
 def minkowski(p: DetectorParams, length: float) -> XStateAB:
     """elements_for in Minkowski space at separation ``length``."""
     return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+
+
+def closed_forms(rho: np.ndarray):
+    """(negativity, concurrence) of an X-state matrix by the closed forms,
+    from its diagonal and anti-diagonal entries."""
+    r11, r22, r33, r44 = rho.diagonal().real
+    return xstate_closed_forms(r11, r22, r33, r44, abs(rho[0, 3]), abs(rho[1, 2]))
 
 
 def random_xstate_matrix(rng) -> np.ndarray:
@@ -94,15 +102,10 @@ class TestExactMeasures:
         with pytest.raises(InvalidStateError):
             negativity_exact(nonpsd)
 
-    def test_xstate_pattern_enforced(self):
-        rho = np.full((4, 4), 0.25, dtype=complex)
-        with pytest.raises(InvalidStateError):
-            xstate_entanglement(rho)
-
 
 class TestXStateClosedForms:
     def test_bell_closed_form(self):
-        neg, conc = xstate_entanglement(BELL_PHI)
+        neg, conc = closed_forms(BELL_PHI)
         assert neg == pytest.approx(0.5, abs=1e-15)
         assert conc == pytest.approx(1.0, abs=1e-15)
 
@@ -110,7 +113,7 @@ class TestXStateClosedForms:
         rng = np.random.default_rng(42)
         for _ in range(500):
             rho = random_xstate_matrix(rng)
-            neg_cf, conc_cf = xstate_entanglement(rho)
+            neg_cf, conc_cf = closed_forms(rho)
             assert neg_cf == pytest.approx(negativity_exact(rho), abs=1e-12)
             assert conc_cf == pytest.approx(concurrence_exact(rho), abs=1e-12)
 
@@ -131,7 +134,7 @@ class TestXStateClosedForms:
         # the singlet-like (0, -1, 1, 0)/sqrt(2)
         rho = np.diag([0.66, 0.1, 0.1, 0.14]).astype(complex)
         rho[0, 3] = rho[3, 0] = 0.14
-        neg, conc = xstate_entanglement(rho)
+        neg, conc = closed_forms(rho)
         assert neg == pytest.approx(conc / 2.0, abs=1e-15)
         assert neg == pytest.approx(0.14 - 0.1, abs=1e-15)
         vals, vecs = np.linalg.eigh(partial_transpose_a(rho))
@@ -153,16 +156,16 @@ class TestBounds:
 
 class TestEntanglementOfFormation:
     def test_endpoints(self):
-        assert entanglement_of_formation(0.0).exact == 0.0
-        assert entanglement_of_formation(1.0).exact == pytest.approx(1.0, abs=1e-15)
+        assert eof_arrays(0.0)[0] == 0.0
+        assert eof_arrays(1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_small_concurrence_expansion(self):
-        res = entanglement_of_formation(1e-3)
-        assert res.exact == pytest.approx(5.8435672281927477204e-6, rel=1e-12)
-        assert res.perturbative == pytest.approx(res.exact, rel=1e-4)
+        exact, perturbative = eof_arrays(1e-3)
+        assert exact == pytest.approx(5.8435672281927477204e-6, rel=1e-12)
+        assert perturbative == pytest.approx(exact, rel=1e-4)
 
     def test_monotone(self):
-        vals = [entanglement_of_formation(c).exact for c in np.linspace(0, 1, 50)]
+        vals = eof_arrays(np.linspace(0, 1, 50))[0]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_perturbative_form_where_c_squared_underflows(self):
@@ -170,40 +173,47 @@ class TestEntanglementOfFormation:
             with mp.workdps(40):
                 cm = mp.mpf(c)
                 want = cm**2 / (4 * mp.log(2)) * (1 - mp.log(cm**2 / 4))
-            got = entanglement_of_formation(c).perturbative
+            got = eof_arrays(c)[1]
             assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     def test_range_errors(self):
-        with pytest.raises(DomainError):
-            entanglement_of_formation(1.5)
-        with pytest.raises(DomainError):
-            entanglement_of_formation(-0.2)
+        assert _concurrence_out_of_range(1.5)
+        assert _concurrence_out_of_range(-0.2)
         # eigenvalue roundoff at the boundary is absorbed
-        assert entanglement_of_formation(1.0 + 1e-15).exact == pytest.approx(1.0)
+        assert not _concurrence_out_of_range(1.0 + 1e-15)
+        assert eof_arrays(np.clip(1.0 + 1e-15, 0.0, 1.0))[0] == pytest.approx(1.0)
+
+
+def identical_shortcut(state: XStateAB, eps0: float) -> float:
+    """The identical-detector correlation eps0^2 (|x|^2 + 2|c|^2)/a, which
+    agrees with the general form to relative O(eps0^2)."""
+    ra = math.sqrt(state.a)
+    mx = abs(state.x) / ra
+    mc = abs(state.c) / ra
+    return eps0**2 * (mx * mx + 2.0 * (mc * mc))
 
 
 class TestCorrelation:
+    """``corr`` is per eps0^2; times eps0^2 it is the physical
+    (E - A B)/sqrt(A(1-A) B(1-B))."""
+
     def test_uncorrelated_product(self):
-        stx = XStateAB(a=0.02, b=0.03, x=0.0, c=0.0, e=0.02 * 0.03)
-        assert correlation(stx, 0.1).general == pytest.approx(0.0, abs=1e-18)
+        stx = XStateAB(a=0.02, b=0.03, x=0.0, c=0.0)
+        assert xstate_measures(stx, 0.1).corr * 0.1**2 == pytest.approx(0.0, abs=1e-18)
 
     def test_identical_shortcut_matches_general(self):
         p = DetectorParams(omega=0.7, sigma=1.0, eps0=0.01)
         stx = minkowski(p, 1.3)
-        res = correlation(stx, p.eps0)
-        assert res.leading_identical is not None
-        assert res.general == pytest.approx(
-            res.leading_identical, rel=100.0 * p.eps0**2
+        assert stx.a == stx.b
+        general = xstate_measures(stx, p.eps0).corr * p.eps0**2
+        assert general == pytest.approx(
+            identical_shortcut(stx, p.eps0), rel=100.0 * p.eps0**2
         )
 
-    def test_nonidentical_has_no_shortcut(self):
-        stx = XStateAB(a=0.02, b=0.05, x=0.001, c=0.0, e=joint_excitation(0.02, 0.05, 0.001, 0.0))
-        assert correlation(stx, 0.01).leading_identical is None
-
     def test_degenerate_variance_rejected(self):
-        stx = XStateAB(a=0.0, b=0.02, x=0.0, c=0.0, e=0.0)
-        with pytest.raises(DomainError):
-            correlation(stx, 0.01)
+        stx = XStateAB(a=0.0, b=0.02, x=0.0, c=0.0)
+        with pytest.raises(DomainError, match="degenerate variance"):
+            xstate_measures(stx, 0.01)
 
     @pytest.mark.parametrize("omega", [12.0, 18.0, 24.0])
     def test_large_gap_against_mpmath(self, omega):
@@ -218,48 +228,56 @@ class TestCorrelation:
                 a, b = e2 * stx.a, e2 * stx.b
                 e = e2 * e2 * (abs(mp.mpc(stx.x)) ** 2 + mp.mpf(stx.a) * stx.b + 2 * abs(mp.mpc(stx.c)) ** 2)
                 want = (e - a * b) / mp.sqrt(a * (1 - a) * b * (1 - b))
-            got = correlation(stx, p.eps0).general
+            got = xstate_measures(stx, p.eps0).corr * p.eps0**2
             assert got > 0.0
             assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_vanishes_at_large_separation(self):
         p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
-        near = correlation(minkowski(p, 1.0), p.eps0).general
-        far = correlation(minkowski(p, 40.0), p.eps0).general
+        near, far = (
+            correlation_arrays(state.a, state.b, state.x, state.c, p.eps0)
+            for state in (minkowski(p, 1.0), minkowski(p, 40.0))
+        )
         assert abs(far) < abs(near) * 1e-3
 
 
 class TestReport:
     def test_spec_point_reproduces_expected_concurrence(self):
         p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
-        report = xstate_measures(minkowski(p, 1.0), p.eps0)
-        # leading order: 2 (|x| - a) = 2 (0.047440 - 0.0070883)
-        assert report.concurrence_leading / p.eps0**2 == pytest.approx(
-            0.0807041257, abs=1e-9
-        )
+        state = minkowski(p, 1.0)
+        report = xstate_measures(state, p.eps0)
+        # leading order: 2 (|x| - a) = 2 (0.047440 - 0.0070883), per eps0^2
+        assert report.concurrence_leading == pytest.approx(0.0807041257, abs=1e-9)
         assert report.harvested
-        assert report.negativity == pytest.approx(
-            report.negativity_leading, abs=10.0 * p.eps0**4
+        rho = assemble_density_matrix(state, p.eps0)
+        assert negativity_exact(rho) == pytest.approx(
+            p.eps0**2 * report.concurrence_leading / 2.0, abs=10.0 * p.eps0**4
         )
-        assert report.concurrence == pytest.approx(
-            report.concurrence_xstate, abs=1e-12
-        )
-        assert report.negativity_identical is not None
+        assert concurrence_exact(rho) == pytest.approx(report.concurrence, abs=1e-12)
+        r = rho.diagonal().real
+        assert math.isclose(r[1], r[2], rel_tol=1e-12, abs_tol=1e-16)
 
     def test_separable_point(self):
         p = DetectorParams(omega=2.5, sigma=1.0, eps0=0.01)
-        report = xstate_measures(minkowski(p, 8.0), p.eps0)
+        state = minkowski(p, 8.0)
+        report = xstate_measures(state, p.eps0)
         assert not report.harvested
         assert report.concurrence_leading == 0.0
         assert report.concurrence == pytest.approx(0.0, abs=1e-12)
+        rho = assemble_density_matrix(state, p.eps0)
+        assert concurrence_exact(rho) == pytest.approx(0.0, abs=1e-12)
         assert report.eof == pytest.approx(0.0, abs=1e-10)
+
+    def test_one_point_types(self):
+        p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
+        report = xstate_measures(minkowski(p, 1.0), p.eps0)
+        assert report.harvested is True
+        assert all(type(v) is float for v in report[:-1])
 
     def test_second_entanglement_branch_never_fires_at_leading_order(self):
         # |C| > sqrt(E) would need |c|^2 > |x|^2 + a b + 2|c|^2, impossible;
         # the assembled detector state is only ever entangled through the
         # |rho_14| > sqrt(r22 r33) branch
-        from udwpair import assemble_density_matrix
-
         for om in np.linspace(-3.0, 3.0, 7):
             p = DetectorParams(omega=float(om), sigma=1.0, eps0=0.01)
             for length in np.linspace(0.2, 8.0, 9):
@@ -274,6 +292,6 @@ class TestReport:
 def test_closed_forms_match_eigen_on_arbitrary_xstates(seed):
     rng = np.random.default_rng(seed)
     rho = random_xstate_matrix(rng)
-    neg_cf, conc_cf = xstate_entanglement(rho)
+    neg_cf, conc_cf = closed_forms(rho)
     assert neg_cf == pytest.approx(negativity_exact(rho), abs=1e-12)
     assert conc_cf == pytest.approx(concurrence_exact(rho), abs=1e-12)

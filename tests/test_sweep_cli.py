@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import math
-import os
 import warnings
 
 import mpmath as mp
@@ -35,6 +34,7 @@ from udwpair import (
 )
 from udwpair.cli import main
 from udwpair.elements import self_excitation_array
+from udwpair.entanglement import Measures
 from udwpair.geometry import image_separation, separation
 from udwpair.sweep import (
     GridAxis,
@@ -143,7 +143,8 @@ class TestSweep:
         assert len(rows) == 9
         omegas = [r["omega"] for r in rows]
         assert omegas == sorted(omegas)
-        assert all(r["error"] == "" for r in rows)
+        # outputs are in units of sigma
+        assert all(r["error"] == "" and r["sigma"] == 1.0 for r in rows)
 
     def test_deterministic_bytes(self):
         a = rows_to_csv(run_sweep(SMALL_CYL))
@@ -281,20 +282,20 @@ FAILING_GRIDS = {
 
 
 class TestBatchedPath:
-    """The batched sweep against the scalar route elements_for +
-    xstate_measures, point by point."""
+    """The batched sweep against the one-point route elements_for +
+    xstate_measures, point by point, and against the eigenvalue oracles."""
 
     @pytest.mark.parametrize("name", sorted(FAILING_GRIDS))
     def test_matches_scalar_route(self, name):
         cfg, kinds = FAILING_GRIDS[name]
         seen = set()
         for row in run_sweep(cfg):
-            p = DetectorParams(omega=row["omega"], sigma=cfg.sigma, eps0=cfg.eps0)
+            p = DetectorParams(omega=row["omega"], sigma=1.0, eps0=cfg.eps0)
             pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
             ell = None if cfg.topology is TopologyKind.MINKOWSKI else row["ell"]
             try:
                 state = elements_for(p, pair, cfg.topology_for(ell), cfg.nmax)
-                xstate_measures(state, cfg.eps0)
+                report = xstate_measures(state, cfg.eps0)
                 error = ""
             except UdwError as exc:
                 error = f"{type(exc).__name__}: {exc}"
@@ -309,6 +310,8 @@ class TestBatchedPath:
             assert row["x_re"] == state.x.real and row["x_im"] == state.x.imag
             assert row["c_re"] == state.c.real and row["c_im"] == state.c.imag
             assert row["e"] == state.e and row["tail_bound"] == state.tail_bound
+            for key in Measures._fields:
+                assert row[key] == getattr(report, key), key
             rho = assemble_density_matrix(state, cfg.eps0)
             assert abs(row["negativity"] - negativity_exact(rho)) <= 1e-12
             # The X-state formula is Wootters' concurrence when |rho14|^2 <=
@@ -433,7 +436,7 @@ def _reference_oracle_devs(cfg, row):
     """Oracle deviations of one row from the public scalar functions, point
     by point: the Minkowski a, x, c at the row's separation and, on a
     quotient, x and c at the images 1, -1, 2, -2."""
-    p = DetectorParams(omega=row["omega"] / cfg.sigma, sigma=cfg.sigma, eps0=cfg.eps0)
+    p = DetectorParams(omega=row["omega"], sigma=1.0, eps0=cfg.eps0)
     pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
     lsep = separation(pair)
     mink = elements_for(p, pair, Topology.minkowski())
@@ -689,6 +692,22 @@ class TestCli:
         assert CliRunner().invoke(main, ["sweep", "--jobs", "1"]).exit_code == 2
         with pytest.raises(ConfigError, match="unknown configuration key 'jobs'"):
             config_from_mapping({"jobs": "1"})
+
+    def test_sigma_key_is_rejected(self, tmp_path):
+        # every input is in units of sigma, so no value but 1 has a meaning
+        path = tmp_path / "run.cfg"
+        path.write_text("sigma = 2\n")
+        result = CliRunner().invoke(main, ["sweep", "--config", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: unknown configuration key 'sigma'\n"
+
+    def test_each_key_has_one_option_and_one_show_config_line(self):
+        keys = sorted(sweep_mod._PARSERS)
+        for command in ("sweep", "diffmap", "verify", "show-config"):
+            params = main.commands[command].params
+            assert sorted(p.name for p in params if p.name != "config_path") == keys
+        shown = CliRunner().invoke(main, ["show-config"]).output.splitlines()
+        assert sorted(line.split(" = ")[0] for line in shown) == keys
 
     def test_out_file_and_env_dir(self, tmp_path):
         env = {sweep_mod.OUTPUT_DIR_ENV: str(tmp_path)}
