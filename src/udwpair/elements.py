@@ -26,12 +26,16 @@ static pair at spatial separation r > 0, are
     nonlocal term  x(Omega, r) = (s / 4 sqrt(pi) r) e^{-s^2 Omega^2}
                                    [ i e^{-r^2/4s^2} - (2/sqrt(pi)) D(r/2s) ]
 
-where D is Dawson's integral.  For s Omega >= 0 the exchange bracket equals
--e^{-s^2 Omega^2} Im w(-r/2s + i s Omega) with the Faddeeva function w, which
-is evaluated directly because the subtraction of sin(Omega r) cancels; for
-s Omega < 0 the Gaussian-times-erf factor is evaluated through the
-overflow-safe combination e^{-y^2} e^{2ixy} erf(x+iy)
-(:func:`udwpair.special.phase_scaled_erf_array`).
+where D is Dawson's integral.  For both gap signs the exchange term's
+e^{-r^2/4s^2}( ... ) is evaluated as
+
+    -e^{-s^2 Omega^2} Im w(-r/2s + i|s Omega|)
+        - 2 [Omega < 0] e^{-r^2/4s^2} sin(Omega r)
+
+with the Faddeeva function w (the reflection w(-z) = 2 e^{-z^2} - w(z)
+turns a negative gap into a positive one), whose argument stays in the
+upper half-plane, where |w| <= 1: it is finite at every gap and separation,
+and the cancelling subtraction of sin(Omega r) is never formed.
 All three are verified term by term against an independent distributional
 quadrature of the Wightman function (see :mod:`udwpair.wightman`).
 
@@ -74,7 +78,6 @@ from .geometry import (
     self_pair,
     separation_array,
 )
-from .special import complex_array, modulus, phase_scaled_erf_array
 
 __all__ = [
     "DetectorParams",
@@ -84,18 +87,20 @@ __all__ = [
     "self_excitation_array",
     "exchange_array",
     "nonlocal_array",
+    "image_terms",
     "elements_for",
     "elements_batch",
     "new_errors",
     "flag_errors",
-    "flag_coincident_image",
     "assemble_density_matrix",
     "assembly_checks",
+    "modulus",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-#: Region 0 <= s Omega <= _SERIES_X, r/2s <= _SERIES_Y where Im w(-y + ix) is
-#: summed from its Taylor series in y: scipy's Faddeeva routine keeps only
+#: Region |x| <= _SERIES_X, y <= _SERIES_Y (x = s Omega, y = r/2s) where
+#: Im erfcx(|x| + iy) = Im w(-y + i|x|) is summed from its Taylor series in
+#: y, for both gap signs: scipy's Faddeeva routine keeps only
 #: absolute accuracy in Im w there (errors up to 2.3e-13 relative), while the
 #: series (_SERIES_TERMS odd orders) stays within 3e-14.
 _SERIES_X = 8.0
@@ -199,6 +204,20 @@ def _raise_first(errors: np.ndarray) -> None:
         raise exc
 
 
+def complex_array(re, im) -> np.ndarray:
+    """Complex array with the given real and imaginary parts, both exact."""
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def modulus(z):
+    """|z| as hypot(Re z, Im z), the same rounding as Python's abs(complex)."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
 def joint_excitation(a, b, x, c):
     """E/eps0^4 = |x|^2 + a b + 2 |c|^2 for arrays (valid also when a != b).
 
@@ -268,45 +287,42 @@ def _im_erfcx_series(x, y):
     return total
 
 
-def _osc_series(x, y, omega, r):
-    return -np.exp(-x * x) * _im_erfcx_series(x, y)
+def _im_erfcx_faddeeva(x, y):
+    return _sp.wofz(complex_array(-y, x)).imag
 
 
-def _osc_faddeeva(x, y, omega, r):
-    return -np.exp(-x * x) * _sp.wofz(complex_array(-y, x)).imag
+def _exchange_bracket(x, y):
+    """e^{-y^2} Im[e^{2ixy} erf(x + iy)] - e^{-y^2} sin(2xy) for real arrays
+    x and y >= 0 of one shape, as
 
+        -e^{-x^2} Im erfcx(|x| + iy) - 2 [x < 0] e^{-y^2} sin(2xy)
 
-def _osc_negative_gap(x, y, omega, r):
-    return phase_scaled_erf_array(x, y).imag - np.exp(-y * y) * np.sin(omega * r)
+    (erfcx(z) = 2 e^{z^2} - erfcx(-z) for x < 0), with
+    Im erfcx(|x| + iy) = Im w(-y + i|x|).  It keeps full relative accuracy
+    where the subtraction would cancel (small y, large x), stays nonzero
+    where e^{-y^2} sin(2xy) alone would swamp it, and its two terms do not
+    cancel at negative x.
+    """
+    ax = np.abs(x)
+    series = (ax <= _SERIES_X) & (y <= _SERIES_Y)
+    out = _piecewise(((series, _im_erfcx_series), (~series, _im_erfcx_faddeeva)), ax, y)
+    out *= -np.exp(-x * x)
+    neg = x < 0.0
+    out[neg] -= 2.0 * np.exp(-y[neg] * y[neg]) * np.sin(2.0 * x[neg] * y[neg])
+    return out
 
 
 def exchange_array(sigma: float, omega, r):
-    """C/eps0^2 at separations r > 0 for arrays of gaps and separations.
+    """C/eps0^2 at separations r > 0 for arrays of gaps and separations:
+    sigma/(4 sqrt(pi) r) times the bracket of x = sigma*Omega and
+    y = r/2 sigma (:func:`_exchange_bracket`).
 
     At r = |x - J^n x| the same function gives the n-th image term of a
     single detector's probability A (the detector correlating with its own
     image).
-
-    With x = sigma*Omega and y = r/2 sigma the bracket
-    Im[e^{2ixy} erf(x+iy)] e^{-y^2} - e^{-y^2} sin(Omega r) equals
-    -e^{-x^2} Im w(-y + ix) = -e^{-x^2} Im erfcx(x + iy) for x >= 0, which
-    is evaluated as such: it keeps full relative accuracy where the
-    subtraction would cancel (small r, large gap) and stays nonzero where
-    e^{-y^2} sin(Omega r) alone would swamp it.
     """
     omega, r = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(r, dtype=float))
-    x = sigma * omega
-    y = r / (2.0 * sigma)
-    series = (x >= 0.0) & (x <= _SERIES_X) & (y <= _SERIES_Y)
-    osc = _piecewise(
-        (
-            (series, _osc_series),
-            ((x >= 0.0) & ~series, _osc_faddeeva),
-            (x < 0.0, _osc_negative_gap),
-        ),
-        x, y, omega, r,
-    )
-    return sigma / (4.0 * _SQRT_PI * r) * osc
+    return sigma / (4.0 * _SQRT_PI * r) * _exchange_bracket(sigma * omega, r / (2.0 * sigma))
 
 
 def nonlocal_array(sigma: float, omega, r):
@@ -332,7 +348,7 @@ def _flag_separation(errors: np.ndarray, r) -> None:
     flag_errors(errors, ~(np.isfinite(r) & (r > 0.0)), _separation_error, r)
 
 
-def flag_coincident_image(
+def _flag_coincident_image(
     errors: np.ndarray, topology: Topology, pair: WorldlinePair, n: int, l_n
 ) -> None:
     """GeometryError naming ``n`` where detector B sits on the n-th image of
@@ -355,46 +371,38 @@ def flag_coincident_image(
     )
 
 
+def image_terms(
+    sigma: float, omega, pair: WorldlinePair, topology: Topology, n: int,
+    errors: np.ndarray,
+):
+    """(l_n, x_n, c_n) of image n: l_n = |x_A - J^n x_B| and the nonlocal
+    and exchange terms at it, without the field's weight under J^n.  A
+    point where l_n is round-off (detector B on image n of detector A), or
+    not finite and > 0, gets a GeometryError in ``errors``."""
+    l_n = image_separation_array(topology, pair, n)
+    _flag_coincident_image(errors, topology, pair, n, l_n)
+    _flag_separation(errors, l_n)
+    return l_n, nonlocal_array(sigma, omega, l_n), exchange_array(sigma, omega, l_n)
+
+
 def _eta_weight(eta: int, n: int) -> int:
     return 1 if (eta == 1 or n % 2 == 0) else -1
 
 
-def _minkowski_batch(
-    omega, sigma: float, pair: WorldlinePair, errors: np.ndarray
-) -> XStateBatch:
-    length = separation_array(pair)
-    _flag_separation(errors, length)
-    a = np.broadcast_to(self_excitation_array(sigma * omega), errors.shape)
-    x = nonlocal_array(sigma, omega, length)
-    c = exchange_array(sigma, omega, length)
-    return XStateBatch(a, a, x, c, np.zeros(errors.shape))
-
-
-def _image_sum_batch(
-    omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
+def _add_images(
+    a, x, c, omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
     errors: np.ndarray,
 ) -> XStateBatch:
-    """Image sums over n = -nmax..-1, 1..nmax, one array operation per n.
+    """The n = 0 terms a, x, c plus their images n = -nmax..-1, 1..nmax,
+    one array operation per n.
 
     On the cylinder the single-detector image separations |n| ell do not
     depend on the position, so b = a and only detector A's sum is formed.
     """
-    if nmax < 1:
-        raise GeometryError(f"nmax must be >= 1, got {nmax!r}")
-    length = separation_array(pair)
-    flag_errors(
-        errors,
-        length <= 0.0,
-        lambda: GeometryError("nonlocal elements require distinct worldlines (L > 0)"),
-    )
     same_b = topology.kind is TopologyKind.CYLINDER
     pair_a = self_pair(pair.d_a, pair.z_a)
     pair_b = self_pair(pair.d_b, pair.z_b)
-
-    a = self_excitation_array(sigma * omega)
     b = a
-    x = nonlocal_array(sigma, omega, length)
-    c = exchange_array(sigma, omega, length)
     last_a = last_b = last_x = last_c = 0.0
     for n in [*range(-nmax, 0), *range(1, nmax + 1)]:
         w = _eta_weight(topology.eta, n)
@@ -407,11 +415,9 @@ def _image_sum_batch(
             _flag_separation(errors, r_b)
             t_b = w * exchange_array(sigma, omega, r_b)
             b = b + t_b
-        l_n = image_separation_array(topology, pair, n)
-        flag_coincident_image(errors, topology, pair, n, l_n)
-        _flag_separation(errors, l_n)
-        t_x = w * nonlocal_array(sigma, omega, l_n)
-        t_c = w * exchange_array(sigma, omega, l_n)
+        _, x_n, c_n = image_terms(sigma, omega, pair, topology, n, errors)
+        t_x = w * x_n
+        t_c = w * c_n
         x = x + t_x
         c = c + t_c
         if abs(n) == nmax:
@@ -452,15 +458,26 @@ def elements_batch(
     """Elements on a grid: gaps ``omega`` and pair coordinates broadcast to
     ``errors.shape``.
 
-    A point for which :func:`elements_for` would raise gets that exception
-    in ``errors`` instead; its values are then meaningless.
-    Points that already carry an error keep it.
+    The Minkowski (n = 0) terms are formed for every topology; a quotient
+    adds the image sums over 1 <= |n| <= ``nmax``.  A point for which
+    :func:`elements_for` would raise gets that exception in ``errors``
+    instead; its values are then meaningless.  Points that already carry an
+    error keep it.
     """
+    quotient = topology.kind is not TopologyKind.MINKOWSKI
+    if quotient and nmax < 1:
+        raise GeometryError(f"nmax must be >= 1, got {nmax!r}")
     omega = np.asarray(omega, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if topology.kind is TopologyKind.MINKOWSKI:
-            return _minkowski_batch(omega, sigma, pair, errors)
-        return _image_sum_batch(omega, sigma, pair, topology, nmax, errors)
+        length = separation_array(pair)
+        _flag_separation(errors, length)
+        a = self_excitation_array(sigma * omega)
+        x = nonlocal_array(sigma, omega, length)
+        c = exchange_array(sigma, omega, length)
+        if quotient:
+            return _add_images(a, x, c, omega, sigma, pair, topology, nmax, errors)
+    a = np.broadcast_to(a, errors.shape)
+    return XStateBatch(a, a, x, c, np.zeros(errors.shape))
 
 
 def _as_batch(state: XStateAB) -> XStateBatch:

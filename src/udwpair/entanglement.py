@@ -41,10 +41,10 @@ from .elements import (
     _raise_first,
     assembly_checks,
     flag_errors,
+    modulus,
     new_errors,
 )
 from .errors import DomainError, InvalidStateError
-from .special import modulus
 
 __all__ = [
     "partial_transpose_a",

@@ -42,10 +42,9 @@ from . import wightman
 from .elements import (
     DetectorParams,
     elements_batch,
-    exchange_array,
-    flag_coincident_image,
+    image_terms,
+    modulus,
     new_errors,
-    nonlocal_array,
 )
 from .entanglement import xstate_measures_batch
 from .errors import ConfigError
@@ -53,10 +52,8 @@ from .geometry import (
     Topology,
     TopologyKind,
     WorldlinePair,
-    image_separation_array,
     separation_array,
 )
-from .special import modulus
 
 __all__ = [
     "GridAxis",
@@ -424,9 +421,7 @@ class _Oracle:
         return modulus(x - envelope * quad), modulus(c - oracle_c)
 
 
-def _minkowski_deviations(
-    config: SweepConfig, block: _Block, oracle: _Oracle, mink
-) -> list[np.ndarray]:
+def _minkowski_deviations(block: _Block, oracle: _Oracle, mink) -> list[np.ndarray]:
     """|closed form - oracle| of the Minkowski a, x and c of the block."""
     gaps = block.gaps()
     dev_a = oracle.dev_a(block.errors, gaps, mink.a)
@@ -474,9 +469,7 @@ def run_sweep(config: SweepConfig) -> Table:
             "harvested": m.harvested,
         }
         if config.oracle:
-            devs = _minkowski_deviations(
-                config, block, oracle, _minkowski_elements(config, block)
-            )
+            devs = _minkowski_deviations(block, oracle, _minkowski_elements(config, block))
             values.update(zip(("oracle_dev_a", "oracle_dev_x", "oracle_dev_c"), devs))
         return values
 
@@ -537,13 +530,11 @@ def run_verification(config: SweepConfig) -> VerificationReport:
         images = []
         if config.topology is not TopologyKind.MINKOWSKI:
             topology = config.topology_for(block.ell)
-            for n in _VERIFY_IMAGES:
-                l_n = image_separation_array(topology, block.pair, n)
-                flag_coincident_image(block.errors, topology, block.pair, n, l_n)
-                images.append(
-                    (l_n, nonlocal_array(SIGMA, gaps, l_n), exchange_array(SIGMA, gaps, l_n))
-                )
-        dev_a, dev_x, dev_c = _minkowski_deviations(config, block, oracle, mink)
+            images = [
+                image_terms(SIGMA, gaps, block.pair, topology, n, block.errors)
+                for n in _VERIFY_IMAGES
+            ]
+        dev_a, dev_x, dev_c = _minkowski_deviations(block, oracle, mink)
         dev_image = np.zeros(block.errors.shape)
         for l_n, x_n, c_n in images:
             dev_image = np.maximum(

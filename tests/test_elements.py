@@ -133,15 +133,26 @@ class TestExchangeAccuracy:
     passes through zero as r grows, and |C| <= sqrt(A B) makes a the scale
     on which its error matters.  Small r and large gaps are where a
     subtraction of e^{-y^2} sin(Omega r) cancels, completely for
-    s Omega >= 12."""
+    s Omega >= 12; small negative gaps at small r are where the two terms
+    of a negative gap would cancel if formed near x + iy = 0."""
 
-    @pytest.mark.parametrize("omega", [0.5, 3.0, 12.0, 24.0])
+    @pytest.mark.parametrize("omega", [0.5, 3.0, 12.0, 24.0, -1e-4, -0.05, -1.0, -3.0, -12.0])
     @pytest.mark.parametrize("r", [1e-3, 0.078, 1.0, 10.0])
     def test_against_mpmath(self, omega, r):
         got = exchange_term(omega, r)
         want = _mp_exchange(omega, r)
         scale = max(abs(want), _mp_self_term(omega))
         assert float(abs(got - want) / scale) < 1e-13
+
+    def test_finite_at_extreme_arguments(self):
+        # the Faddeeva argument -y + i|x| stays in the upper half-plane for
+        # both gap signs, so no intermediate overflows
+        rng = np.random.default_rng(7)
+        for bound in (50.0, 1e4, 1e150):
+            omega = -rng.uniform(0.0, bound, 500)
+            r = rng.uniform(0.0, bound, 500) + 1e-300
+            assert np.all(np.isfinite(exchange_array(1.0, omega, r)))
+            assert np.all(np.isfinite(exchange_array(1.0, -omega, r)))
 
     def test_scalar_matches_array_kernel(self):
         omegas = np.array([-2.0, 0.0, 0.5, 3.0, 9.0, 24.0])[:, None]
@@ -305,8 +316,10 @@ class TestCylinder:
         assert abs(st40.a - st.a) <= 3.0 * st.tail_bound
 
     def test_requires_separated_detectors(self):
-        with pytest.raises(GeometryError):
-            elements_for(P1, self_pair((0.0, 0.0)), Topology.cylinder(1.0))
+        # the same check, and message, as in Minkowski space
+        for topology in (Topology.cylinder(1.0), Topology.twisted_cylinder(1.0)):
+            with pytest.raises(GeometryError, match="separation must be finite and > 0, got 0.0"):
+                elements_for(P1, self_pair((0.0, 0.0)), topology)
 
 
 class TestCoincidentImage:

@@ -598,6 +598,19 @@ class TestCli:
         result = CliRunner().invoke(main, ["sweep", "--l-range", "0:2:2"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "topology", [[], ["--topology", "cylinder", "--ell", "1"], ["--topology", "twisted", "--ell", "1"]]
+    )
+    def test_rounded_away_separation_has_one_message(self, topology):
+        # d_a + L rounds to d_a, so L = 0 on every topology
+        result = CliRunner().invoke(
+            main,
+            ["sweep", *topology, "--d-a", "0.1", "--l-range", "1e-18:1e-18:1", "--omega-range", "1:1:1"],
+        )
+        assert result.exit_code == 0
+        (row,) = csv.DictReader(io.StringIO(result.output))
+        assert row["error"] == "GeometryError: separation must be finite and > 0, got 0.0"
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("omega = 0:1:2\nl = 1:2:2\nformat = csv\n")
