@@ -17,8 +17,9 @@ batched numpy pass in the calling process (:func:`udwpair.elements.elements_batc
 :func:`udwpair.entanglement.xstate_measures_batch`); a point that fails
 gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.  The
 quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
-distinct integral of a run once, with the scalar functions of
-:mod:`udwpair.wightman`, and hands the value to every point that needs it.
+distinct integral of a run once and hands the value to every point that
+needs it; all gaps of one separation are integrated in one pass
+(:func:`udwpair.wightman.oracle_c_batch`).
 
 Results are a :class:`Table` of numpy columns, rows in grid order (ell,
 omega, l, theta outermost to innermost).  The writers convert each column
@@ -346,16 +347,60 @@ def _tabulate(config: SweepConfig, evaluate) -> Table:
     return Table({key: np.concatenate(cols) for key, cols in parts.items()})
 
 
+def _per_row(batch, gaps: list[float], *args) -> list:
+    """Per gap, the value or the exception of ``batch(SIGMA, gaps, *args)``,
+    which returns values and per-gap errors; every gap gets the exception of
+    a call that raises."""
+    try:
+        values, errors = batch(SIGMA, gaps, *args)
+    except Exception as exc:
+        return [exc] * len(gaps)
+    return [v if e is None else e for v, e in zip(values.tolist(), errors)]
+
+
+# The integrals of the distinct argument tuples ``keys`` of one kind, as
+# values or exceptions: the self term of a at the gaps (om,), the x
+# quadrature at the separations (r,), c at the (om, r), one call per r.
+
+
+def _a_integrals(keys: list) -> list:
+    return _per_row(wightman.oracle_a_batch, [om for (om,) in keys])
+
+
+def _x_integrals(keys: list) -> list:
+    found = []
+    for (r,) in keys:
+        try:
+            found.append(wightman.oracle_x_time_integral(SIGMA, r))
+        except Exception as exc:
+            found.append(exc)
+    return found
+
+
+def _c_integrals(keys: list) -> list:
+    gaps: dict[float, list[float]] = {}
+    for om, r in keys:
+        gaps.setdefault(r, []).append(om)
+    found = {}
+    for r, oms in gaps.items():
+        values = _per_row(wightman.oracle_c_batch, oms, r)
+        found.update(zip([(om, r) for om in oms], values))
+    return [found[key] for key in keys]
+
+
 class _Oracle:
     """The quadrature oracle of one run.
 
-    Each distinct integral is evaluated once, with the scalar functions of
-    :mod:`udwpair.wightman`, and its value, or the exception it raised, goes
-    to every point that needs it: ``oracle_a`` depends on the gap only, the
-    quadrature of ``oracle_x`` on the separation only (the gap enters
-    through the exact factor ``oracle_x_envelope``), ``oracle_c`` on both.
-    A point that already has an error needs no integral; a point whose
-    integral raised gets that exception in ``errors``.
+    Each distinct integral is evaluated once and its value, or the
+    exception it raised, goes to every point that needs it: the self term
+    ``oracle_a`` depends on the gap only, the quadrature of ``oracle_x`` on
+    the separation only (the gap enters through the exact factor
+    ``oracle_x_envelope``), ``oracle_c`` on both.  The gaps that lack ``a``
+    are integrated in one call of :func:`udwpair.wightman.oracle_a_batch`,
+    and those that lack ``c`` at one separation in one call of
+    :func:`udwpair.wightman.oracle_c_batch`.  A point that already has an
+    error needs no integral; a point whose integral raised gets that
+    exception in ``errors``.
     """
 
     def __init__(self, config: SweepConfig):
@@ -374,50 +419,47 @@ class _Oracle:
     def _params(self, omega: float) -> DetectorParams:
         return DetectorParams(omega=omega, sigma=SIGMA, eps0=self.eps0)
 
-    def _lookup(self, memo: dict, errors: np.ndarray, integral, *args) -> np.ndarray:
-        """``integral(*args of the point)`` at the points of ``errors``
-        without an error, from ``memo`` where it holds the arguments; NaN at
-        the other points, and the exception where the integral raised."""
+    def _lookup(self, memo: dict, errors: np.ndarray, integrals, *args) -> np.ndarray:
+        """The integral at the arguments ``args`` (broadcast against
+        ``errors``) of each point without an error; NaN at the other points,
+        and the exception where the integral raised.  ``integrals(keys)``
+        gives the values or exceptions of the distinct argument tuples that
+        ``memo`` lacks."""
         flat = errors.reshape(-1)
         out = np.full(flat.size, math.nan, dtype=complex)
-        keys = zip(*(np.broadcast_to(v, errors.shape).reshape(-1).tolist() for v in args))
-        for i, key in enumerate(keys):
-            if flat[i] is not None:
-                continue
-            self.evaluations += 1
-            if key not in memo:
-                try:
-                    memo[key] = integral(*key)
-                except Exception as exc:
-                    memo[key] = exc
-            value = memo[key]
-            if isinstance(value, Exception):
-                flat[i] = value
-            else:
-                out[i] = value
+        todo = np.flatnonzero(np.equal(flat, None))
+        self.evaluations += todo.size
+        points = np.stack(
+            [np.broadcast_to(v, errors.shape).reshape(-1)[todo] for v in args], axis=1
+        )
+        # keys as first seen: a gap of -0.0 and one of 0.0 are one integral
+        _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
+        keys = [tuple(key) for key in points[first].tolist()]
+        missing = [key for key in keys if key not in memo]
+        if missing:
+            memo.update(zip(missing, integrals(missing)))
+        found = [memo[key] for key in keys]
+        failed = [isinstance(v, Exception) for v in found]
+        out[todo] = np.array(
+            [math.nan if bad else v for v, bad in zip(found, failed)], dtype=complex
+        )[inverse]
+        for j in np.flatnonzero(failed):
+            flat[todo[inverse == j]] = found[j]
         return out.reshape(errors.shape)
 
     def dev_a(self, errors: np.ndarray, omega, a) -> np.ndarray:
         """|a - oracle_a| at the gaps ``omega``."""
-        oracle = self._lookup(
-            self._a, errors, lambda om: wightman.oracle_a(self._params(om)), omega
-        )
+        oracle = self._lookup(self._a, errors, _a_integrals, omega)
         return np.abs(a - oracle.real)
 
     def dev_xc(self, errors: np.ndarray, omega, r, x, c) -> tuple[np.ndarray, np.ndarray]:
         """|x - oracle_x| and |c - oracle_c| at the gaps ``omega`` (a column)
         and separations ``r``, the x integral of a point first."""
-        quad = self._lookup(
-            self._x, errors,
-            lambda l: wightman.oracle_x_time_integral(SIGMA, l), r,
-        )
+        quad = self._lookup(self._x, errors, _x_integrals, r)
         envelope = np.array(
             [wightman.oracle_x_envelope(self._params(om)) for om in omega.ravel().tolist()]
         ).reshape(omega.shape)
-        oracle_c = self._lookup(
-            self._c, errors,
-            lambda om, l: wightman.oracle_c(self._params(om), l), omega, r,
-        )
+        oracle_c = self._lookup(self._c, errors, _c_integrals, omega, r)
         return modulus(x - envelope * quad), modulus(c - oracle_c)
 
 

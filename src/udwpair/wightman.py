@@ -28,9 +28,14 @@ The distributional pieces are evaluated by explicit rules:
 * simple poles use a grid symmetric about the pole with pairwise
   cancellation, PV Int f(u)/(u-c) du = Int_0^inf [f(c+s) - f(c-s)]/s ds.
 
-Quadrature is composite Gauss-Legendre with panel doubling; disagreement
-between refinement levels beyond ``raise_tol`` raises
-:class:`ConvergenceError`.
+Quadrature is composite Gauss-Legendre with panel doubling, for many
+integrands of one interval in one numpy pass: :func:`oracle_c_batch`
+integrates all gaps of one separation at once and :func:`oracle_a_batch`
+the self term of all gaps.  Each row stops at its own refinement level, so
+its value is the one-gap value bit for bit.  A row whose last doubling
+still changes it by more than ``raise_tol`` gets a :class:`ConvergenceError`:
+the batch functions return it per row and leave the other rows as they
+are; the one-value functions raise it.
 
 As a second, independent regularization, :func:`oracle_ieps` evaluates the
 same integrals with the regular kernel
@@ -59,10 +64,12 @@ __all__ = [
     "sgn_delta_square",
     "richardson_zero_limit",
     "oracle_a",
+    "oracle_a_batch",
     "oracle_x",
     "oracle_x_envelope",
     "oracle_x_time_integral",
     "oracle_c",
+    "oracle_c_batch",
     "oracle_ieps",
     "IepsEstimate",
 ]
@@ -73,19 +80,33 @@ _WINDOW_SIGMAS = 52.0
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
+#: Largest rows x nodes array one quadrature pass evaluates; a batch with
+#: more is evaluated a slice of rows at a time (at least one row).
+_BATCH_NODES = 1 << 15
 
-def _panel_quad(g: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> complex:
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    pts = mid + half * _GL_NODES[None, :]
-    vals = np.asarray(g(pts.ravel())).reshape(pts.shape)
-    return complex(np.sum(vals * (half * _GL_WEIGHTS[None, :])))
+#: An integrand of a batch: ``g(k, u)`` gives rows ``k`` (an index array)
+#: at the nodes ``u`` (1-D) as a (len(k), len(u)) array.
+_RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _panel_sums(g: _RowIntegrand, k: np.ndarray, a: float, b: float, panels: int) -> np.ndarray:
+    """32-point Gauss-Legendre on ``panels`` equal panels of [a, b], rows ``k``."""
+    edges = np.linspace(a, b, panels + 1)
+    lo = edges[:-1]
+    hi = edges[1:]
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    u = (mid + half * _GL_NODES).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
+    step = max(1, _BATCH_NODES // u.size)
+    return np.concatenate(
+        [(g(k[i:i + step], u) * w).sum(axis=1) for i in range(0, k.size, step)]
+    )
 
 
 def _refined_quad(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: _RowIntegrand,
+    rows: int,
     a: float,
     b: float,
     *,
@@ -93,28 +114,76 @@ def _refined_quad(
     target: float = 1e-12,
     raise_tol: float = 1e-8,
     max_doublings: int = 6,
-) -> complex:
-    """Composite Gauss-Legendre with panel doubling until stable."""
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """Composite Gauss-Legendre with panel doubling until stable, for the
+    ``rows`` integrands of ``g`` on [a, b] in one pass.
+
+    Each row stops at the first doubling that changes it by at most
+    ``target``; only the rows still changing are evaluated at the next
+    level, so a row's value does not depend on the other rows.  Returns the
+    values and, per row, None or the :class:`ConvergenceError` of a row
+    whose last doubling still changed it by more than ``raise_tol``.
+    """
     n = max(4, base_panels)
-    prev = _panel_quad(g, np.linspace(a, b, n + 1))
-    diff = math.inf
+    active = np.arange(rows)
+    prev = _panel_sums(g, active, a, b, n) if rows else np.empty(0)
+    values = prev.copy()
+    diff = np.full(rows, math.inf)
     for _ in range(max_doublings):
+        if not active.size:
+            break
         n *= 2
-        cur = _panel_quad(g, np.linspace(a, b, n + 1))
-        diff = abs(cur - prev)
-        if diff <= target:
-            return cur
-        prev = cur
-    if diff > raise_tol:
-        raise ConvergenceError(
-            f"quadrature did not stabilize on [{a!r}, {b!r}]: "
-            f"last refinement changed the value by {diff:.3e}"
-        )
-    return cur
+        cur = _panel_sums(g, active, a, b, n)
+        values[active] = cur
+        # Python's abs (C hypot): numpy's complex abs rounds differently
+        diff = np.array([abs(d) for d in (cur - prev).tolist()])
+        keep = ~(diff <= target)
+        active, prev, diff = active[keep], cur[keep], diff[keep]
+    errors: list[ConvergenceError | None] = [None] * rows
+    for k, d in zip(active.tolist(), diff.tolist()):
+        if d > raise_tol:
+            errors[k] = ConvergenceError(
+                f"quadrature did not stabilize on [{a!r}, {b!r}]: "
+                f"last refinement changed the value by {d:.3e}"
+            )
+    return values, errors
+
+
+def _one_row(f: Callable[[np.ndarray], np.ndarray]) -> _RowIntegrand:
+    """The one-row batch integrand of a function of the nodes."""
+    return lambda _k, u: np.asarray(f(u))[None]
+
+
+def _single(values, errors):
+    """The value of a one-row quadrature, or the error it recorded."""
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def _quad(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, **options) -> complex:
+    """:func:`_refined_quad` of one function of the nodes: its value, or
+    its error raised."""
+    return complex(_single(*_refined_quad(_one_row(g), 1, a, b, **options)))
 
 
 def _base_panels(length: float, sigma: float) -> int:
     return max(8, int(math.ceil(length / (3.0 * sigma))))
+
+
+def _pv_rows(
+    f: _RowIntegrand, rows: int, pole: float, *, span: float, sigma_scale: float,
+    target: float, raise_tol: float,
+) -> tuple[np.ndarray, list]:
+    """:func:`pv_over_pole` of the ``rows`` functions ``f(k, u)``."""
+
+    def paired(k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return (f(k, pole + s) - f(k, pole - s)) / s
+
+    return _refined_quad(
+        paired, rows, 0.0, span, base_panels=_base_panels(span, sigma_scale),
+        target=target, raise_tol=raise_tol,
+    )
 
 
 def pv_over_pole(
@@ -132,18 +201,27 @@ def pv_over_pole(
     symmetric pairing [f(pole+s) - f(pole-s)]/s removes the singularity
     exactly and leaves a smooth integrand on (0, span].
     """
+    return complex(_single(*_pv_rows(
+        _one_row(f), 1, pole, span=span, sigma_scale=sigma_scale,
+        target=target, raise_tol=raise_tol,
+    )))
 
-    def paired(s: np.ndarray) -> np.ndarray:
-        return (f(pole + s) - f(pole - s)) / s
 
-    return _refined_quad(
-        paired,
-        0.0,
-        span,
-        base_panels=_base_panels(span, sigma_scale),
-        target=target,
-        raise_tol=raise_tol,
+def _hadamard_rows(
+    f: _RowIntegrand, rows: int, *, span: float, f00: complex, sigma_scale: float,
+    target: float, raise_tol: float,
+) -> tuple[list[complex], list]:
+    """:func:`hadamard_double_pole` of the ``rows`` functions ``f(k, u)``,
+    all with f(k, 0) = ``f00``."""
+
+    def paired(k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return (f(k, s) + f(k, -s) - 2.0 * f00) / (s * s)
+
+    finite, errors = _refined_quad(
+        paired, rows, 0.0, span, base_panels=_base_panels(span, sigma_scale),
+        target=target, raise_tol=raise_tol,
     )
+    return [v - 2.0 * f00 / span for v in finite.tolist()], errors
 
 
 def hadamard_double_pole(
@@ -161,19 +239,10 @@ def hadamard_double_pole(
     remainder beyond it is added analytically.
     """
     f00 = complex(f(np.array([0.0]))[0]) if f0 is None else complex(f0)
-
-    def paired(s: np.ndarray) -> np.ndarray:
-        return (f(s) + f(-s) - 2.0 * f00) / (s * s)
-
-    finite = _refined_quad(
-        paired,
-        0.0,
-        span,
-        base_panels=_base_panels(span, sigma_scale),
-        target=target,
-        raise_tol=raise_tol,
-    )
-    return finite - 2.0 * f00 / span
+    return _single(*_hadamard_rows(
+        _one_row(f), 1, span=span, f00=f00, sigma_scale=sigma_scale,
+        target=target, raise_tol=raise_tol,
+    ))
 
 
 def sgn_delta_square(
@@ -235,25 +304,76 @@ def richardson_zero_limit(
     return IepsEstimate(diag[-1], err)
 
 
-def _full_line_kernel(p: DetectorParams, r: float, raise_tol: float) -> complex:
-    """s sqrt(pi) Int du e^{-u^2/4s^2} e^{-i Omega u} W(u, r) for r > 0."""
-    s = p.sigma
-    om = p.omega
+def _windowed_phase(sigma: float, omega: np.ndarray) -> _RowIntegrand:
+    """f(k, u) = e^{-u^2/4s^2 - i Omega_k u} for the gaps ``omega``."""
+    phase = 1j * omega[:, None]
 
-    def f(u: np.ndarray) -> np.ndarray:
-        return np.exp(-u * u / (4.0 * s * s) - 1j * om * u)
+    def f(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # exp(-u * u / (4 s s) - phase * u), in place: the same values
+        # with two fewer rows x nodes arrays
+        v = phase[k] * u
+        np.subtract(-u * u / (4.0 * sigma * sigma), v, out=v)
+        return np.exp(v, out=v)
 
-    window = _WINDOW_SIGMAS * s
+    return f
+
+
+def oracle_a_batch(
+    sigma: float, omega, *, raise_tol: float = 1e-8
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """The self term of :func:`oracle_a` (``l_image = 0``) at the gaps
+    ``omega``, all in one quadrature pass.
+
+    Returns the values and, per gap, None or the :class:`ConvergenceError`
+    of its quadrature; each value is the one-gap value bit for bit.
+    """
+    s = sigma
+    om = np.asarray(omega, dtype=float).reshape(-1)
+    had, errors = _hadamard_rows(
+        _windowed_phase(s, om), om.size, span=_WINDOW_SIGMAS * s, f00=1.0,
+        sigma_scale=s, target=1e-12, raise_tol=raise_tol,
+    )
+    values = []
+    for w, h in zip(om.tolist(), had):
+        # sgn(u) delta(u^2) acts as f'(0) = -i Omega for the windowed phase
+        delta_part = (-1j * w) / (4.0j * math.pi)
+        values.append((s * _SQRT_PI * (delta_part - h / (4.0 * math.pi**2))).real)
+    return np.array(values), errors
+
+
+def oracle_c_batch(
+    sigma: float, omega, l_image: float, *, raise_tol: float = 1e-8
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """:func:`oracle_c` at the gaps ``omega`` and one separation
+    ``l_image``, all in one quadrature pass:
+    s sqrt(pi) Int du e^{-u^2/4s^2} e^{-i Omega u} W(u, r).
+
+    Returns the values and, per gap, None or the :class:`ConvergenceError`
+    of its quadrature; each value is the one-gap value bit for bit.
+    """
+    if not (math.isfinite(l_image) and l_image > 0.0):
+        raise GeometryError(f"l_image must be > 0, got {l_image!r}")
+    s = sigma
+    r = l_image
+    om = np.asarray(omega, dtype=float).reshape(-1)
+    f = _windowed_phase(s, om)
+    every = np.arange(om.size)
     # endpoint rule for sgn(u) delta(u^2 - r^2)
-    fr = complex(f(np.array([r]))[0])
-    fmr = complex(f(np.array([-r]))[0])
-    delta_part = (fr - fmr) / (2.0 * r) / (4.0j * math.pi)
-    pv_plus = pv_over_pole(f, r, span=r + window, sigma_scale=s, raise_tol=raise_tol)
-    # f(-u) = conj f(u) and (-r) + t = -(r - t) hold exactly in floating
-    # point, so the pole at -r gives the mirrored quadrature bit for bit
-    pv_minus = -pv_plus.conjugate()
-    pv_part = -(pv_plus - pv_minus) / (2.0 * r) / (4.0 * math.pi**2)
-    return s * _SQRT_PI * (delta_part + pv_part)
+    fr = f(every, np.array([r]))[:, 0].tolist()
+    fmr = f(every, np.array([-r]))[:, 0].tolist()
+    pv, errors = _pv_rows(
+        f, om.size, r, span=r + _WINDOW_SIGMAS * s, sigma_scale=s,
+        target=1e-12, raise_tol=raise_tol,
+    )
+    values = []
+    for f_r, f_mr, pv_plus in zip(fr, fmr, pv.tolist()):
+        delta_part = (f_r - f_mr) / (2.0 * r) / (4.0j * math.pi)
+        # f(-u) = conj f(u) and (-r) + t = -(r - t) hold exactly in floating
+        # point, so the pole at -r gives the mirrored quadrature bit for bit
+        pv_minus = -pv_plus.conjugate()
+        pv_part = -(pv_plus - pv_minus) / (2.0 * r) / (4.0 * math.pi**2)
+        values.append(s * _SQRT_PI * (delta_part + pv_part))
+    return np.array(values, dtype=complex), errors
 
 
 def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8) -> float:
@@ -266,23 +386,9 @@ def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8
     """
     if l_image < 0.0 or not math.isfinite(l_image):
         raise GeometryError(f"l_image must be >= 0, got {l_image!r}")
-    s = p.sigma
-    om = p.omega
     if l_image == 0.0:
-
-        def f(u: np.ndarray) -> np.ndarray:
-            return np.exp(-u * u / (4.0 * s * s) - 1j * om * u)
-
-        # f'(0) = -i Omega exactly for the Gaussian-windowed phase factor
-        delta_part = sgn_delta_square(
-            lambda u: complex(f(np.array([u]))[0]), lambda _u: -1j * om
-        ) / (4.0j * math.pi)
-        had = hadamard_double_pole(
-            f, span=_WINDOW_SIGMAS * s, f0=1.0, sigma_scale=s, raise_tol=raise_tol
-        )
-        val = s * _SQRT_PI * (delta_part - had / (4.0 * math.pi**2))
-        return float(val.real)
-    return float(_full_line_kernel(p, l_image, raise_tol).real)
+        return float(_single(*oracle_a_batch(p.sigma, [p.omega], raise_tol=raise_tol)))
+    return float(oracle_c(p, l_image, raise_tol=raise_tol).real)
 
 
 def oracle_c(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> complex:
@@ -291,9 +397,7 @@ def oracle_c(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> c
     Identical static detectors give a real value; the imaginary part is
     returned as a diagnostic of quadrature quality.
     """
-    if not (math.isfinite(l_image) and l_image > 0.0):
-        raise GeometryError(f"l_image must be > 0, got {l_image!r}")
-    return _full_line_kernel(p, l_image, raise_tol)
+    return complex(_single(*oracle_c_batch(p.sigma, [p.omega], l_image, raise_tol=raise_tol)))
 
 
 def oracle_x(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> complex:
@@ -331,30 +435,22 @@ def oracle_x_time_integral(sigma: float, l_image: float, *, raise_tol: float = 1
     def paired(t: np.ndarray) -> np.ndarray:
         return (g(big_l + t) - g(big_l - t)) / t
 
-    pv_near = _refined_quad(
-        paired, 0.0, big_l, base_panels=_base_panels(big_l, s), raise_tol=raise_tol
-    )
+    pv_near = _quad(paired, 0.0, big_l, base_panels=_base_panels(big_l, s), raise_tol=raise_tol)
 
     def far(u: np.ndarray) -> np.ndarray:
         return g(u) / (u - big_l)
 
-    pv_far = _refined_quad(
-        far,
-        2.0 * big_l,
-        2.0 * big_l + window,
-        base_panels=_base_panels(window, s),
-        raise_tol=raise_tol,
+    pv_far = _quad(
+        far, 2.0 * big_l, 2.0 * big_l + window,
+        base_panels=_base_panels(window, s), raise_tol=raise_tol,
     )
 
     def mirror(u: np.ndarray) -> np.ndarray:
         return g(u) / (u + big_l)
 
-    pv_mirror = _refined_quad(
-        mirror,
-        0.0,
-        big_l + window,
-        base_panels=_base_panels(big_l + window, s),
-        raise_tol=raise_tol,
+    pv_mirror = _quad(
+        mirror, 0.0, big_l + window,
+        base_panels=_base_panels(big_l + window, s), raise_tol=raise_tol,
     )
 
     pv_part = -(pv_near + pv_far - pv_mirror) / (2.0 * big_l) / (4.0 * math.pi**2)

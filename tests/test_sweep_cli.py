@@ -342,7 +342,7 @@ class TestBatchedPath:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(udwpair.wightman, "oracle_a", broken)
+        monkeypatch.setattr(udwpair.wightman, "oracle_a_batch", broken)
         cfg = replace(SMALL_MINK, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 1.0, 1))
         for row in run_sweep(replace(cfg, oracle=True)):
             assert row["error"] == "ZeroDivisionError: float division by zero"
@@ -522,7 +522,7 @@ class TestOraclePath:
             assert row["oracle_dev_c"] == want["c"]
 
     def test_each_distinct_integral_once(self, monkeypatch):
-        calls = {"oracle_a": [], "oracle_x_time_integral": [], "oracle_c": []}
+        calls = {"oracle_a_batch": [], "oracle_x_time_integral": [], "oracle_c_batch": []}
         for name in calls:
             original = getattr(udwpair.wightman, name)
 
@@ -533,12 +533,16 @@ class TestOraclePath:
             monkeypatch.setattr(udwpair.wightman, name, counted)
         report = run_verification(COUNT_GRID)
         assert report.passed
-        omegas = {p.omega for (p,) in calls["oracle_a"]}
-        assert len(calls["oracle_a"]) == len(omegas) == 3
+        # all gaps of the run in one self-term call, one c call per separation
+        assert len(calls["oracle_a_batch"]) == 1
+        a_gaps = [om for _sigma, gaps in calls["oracle_a_batch"] for om in gaps]
+        assert len(a_gaps) == len(set(a_gaps)) == 3
         assert len(calls["oracle_x_time_integral"]) == len(set(calls["oracle_x_time_integral"]))
         assert len(calls["oracle_x_time_integral"]) == 4 * 3
-        assert len(calls["oracle_c"]) == 3 * 4 * 3
-        assert len({(p.omega, r) for p, r in calls["oracle_c"]}) == 3 * 4 * 3
+        c_keys = [(om, r) for _sigma, gaps, r in calls["oracle_c_batch"] for om in gaps]
+        assert len(c_keys) == 3 * 4 * 3
+        assert len(set(c_keys)) == 3 * 4 * 3
+        assert len(calls["oracle_c_batch"]) == len({r for *_, r in calls["oracle_c_batch"]}) == 12
         assert report.quadratures == 3 + 12 + 36
         assert report.evaluations == 12 * (1 + 2 + 2 * 4)
 
@@ -547,15 +551,16 @@ class TestOraclePath:
 
         from udwpair import ConvergenceError
 
-        original = udwpair.wightman.oracle_c
+        original = udwpair.wightman.oracle_c_batch
         bad_r = float(COUNT_GRID.l.values()[1])
 
-        def flaky(p, l_image, **kwargs):
+        def flaky(sigma, omega, l_image, **kwargs):
+            values, errors = original(sigma, omega, l_image, **kwargs)
             if l_image == bad_r:
-                raise ConvergenceError("no luck at r = 0.9")
-            return original(p, l_image, **kwargs)
+                errors = [ConvergenceError("no luck at r = 0.9") for _ in errors]
+            return values, errors
 
-        monkeypatch.setattr(udwpair.wightman, "oracle_c", flaky)
+        monkeypatch.setattr(udwpair.wightman, "oracle_c_batch", flaky)
         cfg = replace(COUNT_GRID, topology=TopologyKind.MINKOWSKI, ell=())
         report = run_verification(cfg)
         swept = run_sweep(replace(cfg, oracle=True))
@@ -573,7 +578,7 @@ class TestOraclePath:
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature at a coincident image")
 
-        for name in ("oracle_a", "oracle_x_time_integral", "oracle_c"):
+        for name in ("oracle_a_batch", "oracle_x_time_integral", "oracle_c_batch"):
             monkeypatch.setattr(udwpair.wightman, name, forbidden)
         report = run_verification(COINCIDENT)
         assert not report.passed and report.quadratures == 0

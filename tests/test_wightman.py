@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udwpair import (
     ConvergenceError,
@@ -21,8 +23,11 @@ from udwpair import (
 )
 from udwpair.wightman import (
     _WINDOW_SIGMAS,
+    _quad,
     _refined_quad,
     hadamard_double_pole,
+    oracle_a_batch,
+    oracle_c_batch,
     oracle_ieps,
     oracle_x_envelope,
     oracle_x_time_integral,
@@ -47,6 +52,11 @@ PV_GAUSS = {
 A_OMEGA_1 = 0.0070882722326364159723
 X_L1_O1 = complex(-0.024850678746834721949, 0.040410755506246291431)
 C_L1_O1 = 0.0066003343060240564385
+
+
+def _bits(value) -> list[int]:
+    """The bit patterns of a real or complex value."""
+    return np.array([value], dtype=complex).view(np.uint64).tolist()
 
 
 def minkowski(p: DetectorParams, length: float):
@@ -100,8 +110,8 @@ class TestRefinement:
         def g(u):
             return np.exp(-u * u / 4.0) * np.cos(1.3 * u)
 
-        coarse = _refined_quad(g, 0.0, 30.0, base_panels=8, target=0.0, max_doublings=1)
-        fine = _refined_quad(g, 0.0, 30.0, base_panels=16, target=0.0, max_doublings=1)
+        coarse = _quad(g, 0.0, 30.0, base_panels=8, target=0.0, max_doublings=1)
+        fine = _quad(g, 0.0, 30.0, base_panels=16, target=0.0, max_doublings=1)
         assert abs(coarse - fine) < 1e-9
 
     def test_nonconvergence_raises(self):
@@ -111,9 +121,45 @@ class TestRefinement:
             return np.sqrt(np.abs(u - 0.37))
 
         with pytest.raises(ConvergenceError):
-            _refined_quad(
-                g, 0.0, 1.0, base_panels=4, target=1e-15, raise_tol=1e-14, max_doublings=2
-            )
+            _quad(g, 0.0, 1.0, base_panels=4, target=1e-15, raise_tol=1e-14, max_doublings=2)
+
+    def test_each_row_stops_at_its_own_level(self):
+        # a smooth row (stable after one doubling), a row that needs a second
+        # doubling, and the non-smooth row above, in one batch
+        rows = [
+            lambda u: np.exp(-u * u),
+            lambda u: np.cos(350.0 * u),
+            lambda u: np.sqrt(np.abs(u - 0.37)),
+        ]
+        seen = []
+
+        def g(k, u):
+            seen.append((k.tolist(), u.size))
+            return np.stack([rows[i](u) for i in k.tolist()])
+
+        options = dict(base_panels=4, max_doublings=3)
+        values, errors = _refined_quad(g, 3, 0.0, 1.0, **options)
+        assert seen == [([0, 1, 2], 128), ([0, 1, 2], 256), ([1, 2], 512), ([2], 1024)]
+        for i in (0, 1):
+            assert errors[i] is None
+            assert values[i] == _quad(rows[i], 0.0, 1.0, **options)
+        with pytest.raises(ConvergenceError) as one_row:
+            _quad(rows[2], 0.0, 1.0, **options)
+        assert isinstance(errors[2], ConvergenceError)
+        assert str(errors[2]) == str(one_row.value)
+        assert str(errors[2]).startswith("quadrature did not stabilize on [0.0, 1.0]")
+
+
+    def test_row_slices_leave_values_unchanged(self, monkeypatch):
+        # a batch wider than _BATCH_NODES is evaluated a slice of rows at a
+        # time; one row per slice gives the same bits
+        import udwpair.wightman as wightman
+
+        gaps = [-2.0, -0.5, 0.0, 0.7, 3.0]
+        whole = oracle_c_batch(0.8, gaps, 1.3)
+        monkeypatch.setattr(wightman, "_BATCH_NODES", 1)
+        sliced = oracle_c_batch(0.8, gaps, 1.3)
+        assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
 
 
 class TestOracleValues:
@@ -157,6 +203,30 @@ class TestOracleValues:
         want = sigma * math.sqrt(math.pi) * (delta_part + pv_part)
         got = oracle_c(p, r)
         assert got == want and got.imag == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                st.floats(-6.0, 6.0, allow_nan=False),
+            ),
+            min_size=1, max_size=8,
+        ),
+        sigma=st.sampled_from([0.37, 0.8, 2.5]),
+        r_over_sigma=st.floats(1e-3, 20.0),
+    )
+    def test_batch_equals_one_gap_calls_bit_for_bit(self, gaps, sigma, r_over_sigma):
+        # any order, duplicates, both zeros and one-row batches: each row of
+        # a batch is the public one-gap value to the last bit
+        r = r_over_sigma * sigma
+        c, c_errors = oracle_c_batch(sigma, gaps, r)
+        a, a_errors = oracle_a_batch(sigma, gaps)
+        assert c_errors == [None] * len(gaps) and a_errors == [None] * len(gaps)
+        for i, om in enumerate(gaps):
+            p = DetectorParams(omega=om, sigma=sigma)
+            assert _bits(c[i]) == _bits(oracle_c(p, r))
+            assert _bits(a[i]) == _bits(oracle_a(p))
 
     def test_x_is_envelope_times_time_integral(self):
         p = DetectorParams(omega=1.0, sigma=1.0)
