@@ -18,8 +18,8 @@ batched numpy pass in the calling process (:func:`udwpair.elements.elements_batc
 gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.  The
 quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
 distinct integral of a run once and hands the value to every point that
-needs it; all gaps of one separation are integrated in one pass
-(:func:`udwpair.wightman.oracle_c_batch`).
+needs it; the integrals one lookup lacks are evaluated in one batch call
+(:func:`udwpair.wightman.oracle_c_batch`, for instance).
 
 Results are a :class:`Table` of numpy columns, rows in grid order (ell,
 omega, l, theta outermost to innermost).  The writers convert each column
@@ -347,45 +347,15 @@ def _tabulate(config: SweepConfig, evaluate) -> Table:
     return Table({key: np.concatenate(cols) for key, cols in parts.items()})
 
 
-def _per_row(batch, gaps: list[float], *args) -> list:
-    """Per gap, the value or the exception of ``batch(SIGMA, gaps, *args)``,
-    which returns values and per-gap errors; every gap gets the exception of
-    a call that raises."""
+def _per_row(batch, *args) -> list:
+    """Per row, the value or the exception of ``batch(SIGMA, *args)``, which
+    returns values and per-row errors; every row gets the exception of a
+    call that raises."""
     try:
-        values, errors = batch(SIGMA, gaps, *args)
+        values, errors = batch(SIGMA, *args)
     except Exception as exc:
-        return [exc] * len(gaps)
+        return [exc] * len(args[0])
     return [v if e is None else e for v, e in zip(values.tolist(), errors)]
-
-
-# The integrals of the distinct argument tuples ``keys`` of one kind, as
-# values or exceptions: the self term of a at the gaps (om,), the x
-# quadrature at the separations (r,), c at the (om, r), one call per r.
-
-
-def _a_integrals(keys: list) -> list:
-    return _per_row(wightman.oracle_a_batch, [om for (om,) in keys])
-
-
-def _x_integrals(keys: list) -> list:
-    found = []
-    for (r,) in keys:
-        try:
-            found.append(wightman.oracle_x_time_integral(SIGMA, r))
-        except Exception as exc:
-            found.append(exc)
-    return found
-
-
-def _c_integrals(keys: list) -> list:
-    gaps: dict[float, list[float]] = {}
-    for om, r in keys:
-        gaps.setdefault(r, []).append(om)
-    found = {}
-    for r, oms in gaps.items():
-        values = _per_row(wightman.oracle_c_batch, oms, r)
-        found.update(zip([(om, r) for om in oms], values))
-    return [found[key] for key in keys]
 
 
 class _Oracle:
@@ -395,9 +365,10 @@ class _Oracle:
     exception it raised, goes to every point that needs it: the self term
     ``oracle_a`` depends on the gap only, the quadrature of ``oracle_x`` on
     the separation only (the gap enters through the exact factor
-    ``oracle_x_envelope``), ``oracle_c`` on both.  The gaps that lack ``a``
-    are integrated in one call of :func:`udwpair.wightman.oracle_a_batch`,
-    and those that lack ``c`` at one separation in one call of
+    ``oracle_x_envelope``), ``oracle_c`` on both.  The keys a lookup lacks
+    are integrated in one call of the batch function of their kind:
+    :func:`udwpair.wightman.oracle_a_batch`,
+    :func:`udwpair.wightman.oracle_x_time_integral_batch` or
     :func:`udwpair.wightman.oracle_c_batch`.  A point that already has an
     error needs no integral; a point whose integral raised gets that
     exception in ``errors``.
@@ -419,12 +390,12 @@ class _Oracle:
     def _params(self, omega: float) -> DetectorParams:
         return DetectorParams(omega=omega, sigma=SIGMA, eps0=self.eps0)
 
-    def _lookup(self, memo: dict, errors: np.ndarray, integrals, *args) -> np.ndarray:
+    def _lookup(self, memo: dict, errors: np.ndarray, batch, *args) -> np.ndarray:
         """The integral at the arguments ``args`` (broadcast against
         ``errors``) of each point without an error; NaN at the other points,
-        and the exception where the integral raised.  ``integrals(keys)``
-        gives the values or exceptions of the distinct argument tuples that
-        ``memo`` lacks."""
+        and the exception where the integral raised.  The distinct argument
+        tuples that ``memo`` lacks are integrated in one call
+        ``batch(SIGMA, *columns)``."""
         flat = errors.reshape(-1)
         out = np.full(flat.size, math.nan, dtype=complex)
         todo = np.flatnonzero(np.equal(flat, None))
@@ -437,7 +408,7 @@ class _Oracle:
         keys = [tuple(key) for key in points[first].tolist()]
         missing = [key for key in keys if key not in memo]
         if missing:
-            memo.update(zip(missing, integrals(missing)))
+            memo.update(zip(missing, _per_row(batch, *map(list, zip(*missing)))))
         found = [memo[key] for key in keys]
         failed = [isinstance(v, Exception) for v in found]
         out[todo] = np.array(
@@ -449,17 +420,17 @@ class _Oracle:
 
     def dev_a(self, errors: np.ndarray, omega, a) -> np.ndarray:
         """|a - oracle_a| at the gaps ``omega``."""
-        oracle = self._lookup(self._a, errors, _a_integrals, omega)
+        oracle = self._lookup(self._a, errors, wightman.oracle_a_batch, omega)
         return np.abs(a - oracle.real)
 
     def dev_xc(self, errors: np.ndarray, omega, r, x, c) -> tuple[np.ndarray, np.ndarray]:
         """|x - oracle_x| and |c - oracle_c| at the gaps ``omega`` (a column)
         and separations ``r``, the x integral of a point first."""
-        quad = self._lookup(self._x, errors, _x_integrals, r)
+        quad = self._lookup(self._x, errors, wightman.oracle_x_time_integral_batch, r)
         envelope = np.array(
             [wightman.oracle_x_envelope(self._params(om)) for om in omega.ravel().tolist()]
         ).reshape(omega.shape)
-        oracle_c = self._lookup(self._c, errors, _c_integrals, omega, r)
+        oracle_c = self._lookup(self._c, errors, wightman.oracle_c_batch, omega, r)
         return modulus(x - envelope * quad), modulus(c - oracle_c)
 
 

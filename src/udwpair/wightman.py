@@ -29,13 +29,22 @@ The distributional pieces are evaluated by explicit rules:
   cancellation, PV Int f(u)/(u-c) du = Int_0^inf [f(c+s) - f(c-s)]/s ds.
 
 Quadrature is composite Gauss-Legendre with panel doubling, for many
-integrands of one interval in one numpy pass: :func:`oracle_c_batch`
-integrates all gaps of one separation at once and :func:`oracle_a_batch`
-the self term of all gaps.  Each row stops at its own refinement level, so
-its value is the one-gap value bit for bit.  A row whose last doubling
-still changes it by more than ``raise_tol`` gets a :class:`ConvergenceError`:
-the batch functions return it per row and leave the other rows as they
-are; the one-value functions raise it.
+integrands in one numpy pass; each row stops at its own refinement level,
+so its value does not depend on the other rows of the batch, bit for bit.
+:func:`oracle_a_batch` integrates the self term of all gaps at once.  The
+exchange element and the X time integral pair the pole at u = r as
+
+    f(r+s) - f(r-s) = e^{-i Omega r} [(g(r+s) - g(r-s)) cos(Omega s)
+                                      - i (g(r+s) + g(r-s)) sin(Omega s)]
+
+with g the Gaussian window, so :func:`oracle_c_batch` and
+:func:`oracle_x_time_integral_batch` integrate rows of any (gap,
+separation) on one panel grid from s = 0: per level, cos/sin are tabulated
+once per gap and the Gaussians once per separation, and each row is a real
+product-sum over its own prefix of the grid.  A row whose last doubling
+still changes it by more than ``raise_tol`` gets a
+:class:`ConvergenceError`: the batch functions return it per row and leave
+the other rows as they are; the one-value functions raise it.
 
 As a second, independent regularization, :func:`oracle_ieps` evaluates the
 same integrals with the regular kernel
@@ -68,6 +77,7 @@ __all__ = [
     "oracle_x",
     "oracle_x_envelope",
     "oracle_x_time_integral",
+    "oracle_x_time_integral_batch",
     "oracle_c",
     "oracle_c_batch",
     "oracle_ieps",
@@ -79,14 +89,31 @@ _SQRT_PI = math.sqrt(math.pi)
 _WINDOW_SIGMAS = 52.0
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+#: The nodes mapped to [0, 1].
+_GL_UNIT = 0.5 + 0.5 * _GL_NODES
 
-#: Largest rows x nodes array one quadrature pass evaluates; a batch with
-#: more is evaluated a slice of rows at a time (at least one row).
+#: Width of a base-level panel of the pole-pairing grid, in units of sigma.
+_PANEL_SIGMAS = 3.0
+
+#: Largest rows x nodes array one quadrature pass evaluates or gathers; a
+#: batch with more is evaluated a slice of rows at a time (at least one row).
 _BATCH_NODES = 1 << 15
 
 #: An integrand of a batch: ``g(k, u)`` gives rows ``k`` (an index array)
 #: at the nodes ``u`` (1-D) as a (len(k), len(u)) array.
 _RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+#: The quadratures of a batch at one refinement: ``sums(k, level)`` gives
+#: rows ``k`` (an index array) at doubling ``level`` (0: the base panels).
+_LevelSums = Callable[[np.ndarray, int], np.ndarray]
+
+
+def _pieces(items: np.ndarray, width: int) -> list[np.ndarray]:
+    """``items`` in slices of at most ``_BATCH_NODES // width`` entries (at
+    least one), so that a slice of rows of ``width`` nodes stays within
+    ``_BATCH_NODES``."""
+    step = max(1, _BATCH_NODES // width)
+    return [items[i:i + step] for i in range(0, items.size, step)]
 
 
 def _panel_sums(g: _RowIntegrand, k: np.ndarray, a: float, b: float, panels: int) -> np.ndarray:
@@ -98,25 +125,19 @@ def _panel_sums(g: _RowIntegrand, k: np.ndarray, a: float, b: float, panels: int
     half = 0.5 * (hi - lo)[:, None]
     u = (mid + half * _GL_NODES).ravel()
     w = (half * _GL_WEIGHTS).ravel()
-    step = max(1, _BATCH_NODES // u.size)
-    return np.concatenate(
-        [(g(k[i:i + step], u) * w).sum(axis=1) for i in range(0, k.size, step)]
-    )
+    return np.concatenate([(g(part, u) * w).sum(axis=1) for part in _pieces(k, u.size)])
 
 
-def _refined_quad(
-    g: _RowIntegrand,
-    rows: int,
-    a: float,
-    b: float,
+def _refine(
+    sums: _LevelSums,
+    intervals: Sequence[tuple[float, float]],
     *,
-    base_panels: int,
     target: float = 1e-12,
     raise_tol: float = 1e-8,
     max_doublings: int = 6,
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
-    """Composite Gauss-Legendre with panel doubling until stable, for the
-    ``rows`` integrands of ``g`` on [a, b] in one pass.
+    """Panel doubling until stable, for the rows of ``sums``, one per
+    integration interval in ``intervals``.
 
     Each row stops at the first doubling that changes it by at most
     ``target``; only the rows still changing are evaluated at the next
@@ -124,16 +145,15 @@ def _refined_quad(
     values and, per row, None or the :class:`ConvergenceError` of a row
     whose last doubling still changed it by more than ``raise_tol``.
     """
-    n = max(4, base_panels)
+    rows = len(intervals)
     active = np.arange(rows)
-    prev = _panel_sums(g, active, a, b, n) if rows else np.empty(0)
+    prev = sums(active, 0) if rows else np.empty(0)
     values = prev.copy()
     diff = np.full(rows, math.inf)
-    for _ in range(max_doublings):
+    for level in range(1, max_doublings + 1):
         if not active.size:
             break
-        n *= 2
-        cur = _panel_sums(g, active, a, b, n)
+        cur = sums(active, level)
         values[active] = cur
         # Python's abs (C hypot): numpy's complex abs rounds differently
         diff = np.array([abs(d) for d in (cur - prev).tolist()])
@@ -142,11 +162,23 @@ def _refined_quad(
     errors: list[ConvergenceError | None] = [None] * rows
     for k, d in zip(active.tolist(), diff.tolist()):
         if d > raise_tol:
+            a, b = intervals[k]
             errors[k] = ConvergenceError(
                 f"quadrature did not stabilize on [{a!r}, {b!r}]: "
                 f"last refinement changed the value by {d:.3e}"
             )
     return values, errors
+
+
+def _refined_quad(
+    g: _RowIntegrand, rows: int, a: float, b: float, *, base_panels: int, **options
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """:func:`_refine` of the ``rows`` integrands of ``g`` on [a, b], on
+    ``max(4, base_panels)`` equal panels at the base level."""
+    n = max(4, base_panels)
+    return _refine(
+        lambda k, level: _panel_sums(g, k, a, b, n << level), [(a, b)] * rows, **options
+    )
 
 
 def _one_row(f: Callable[[np.ndarray], np.ndarray]) -> _RowIntegrand:
@@ -168,22 +200,7 @@ def _quad(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, **options) 
 
 
 def _base_panels(length: float, sigma: float) -> int:
-    return max(8, int(math.ceil(length / (3.0 * sigma))))
-
-
-def _pv_rows(
-    f: _RowIntegrand, rows: int, pole: float, *, span: float, sigma_scale: float,
-    target: float, raise_tol: float,
-) -> tuple[np.ndarray, list]:
-    """:func:`pv_over_pole` of the ``rows`` functions ``f(k, u)``."""
-
-    def paired(k: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return (f(k, pole + s) - f(k, pole - s)) / s
-
-    return _refined_quad(
-        paired, rows, 0.0, span, base_panels=_base_panels(span, sigma_scale),
-        target=target, raise_tol=raise_tol,
-    )
+    return max(8, int(math.ceil(length / (_PANEL_SIGMAS * sigma))))
 
 
 def pv_over_pole(
@@ -201,10 +218,14 @@ def pv_over_pole(
     symmetric pairing [f(pole+s) - f(pole-s)]/s removes the singularity
     exactly and leaves a smooth integrand on (0, span].
     """
-    return complex(_single(*_pv_rows(
-        _one_row(f), 1, pole, span=span, sigma_scale=sigma_scale,
+
+    def paired(s: np.ndarray) -> np.ndarray:
+        return (f(pole + s) - f(pole - s)) / s
+
+    return _quad(
+        paired, 0.0, span, base_panels=_base_panels(span, sigma_scale),
         target=target, raise_tol=raise_tol,
-    )))
+    )
 
 
 def _hadamard_rows(
@@ -341,39 +362,94 @@ def oracle_a_batch(
     return np.array(values), errors
 
 
-def oracle_c_batch(
-    sigma: float, omega, l_image: float, *, raise_tol: float = 1e-8
+def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``panels`` panels of ``width``
+    from s = 0; node j and its weight are the same for any ``panels`` that
+    includes it."""
+    s = ((np.arange(panels)[:, None] + _GL_UNIT) * width).ravel()
+    w = np.tile(0.5 * width * _GL_WEIGHTS, panels)
+    return s, w
+
+
+def _pole_pairing(
+    sigma: float, omega: np.ndarray, r: np.ndarray, raise_tol: float
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
-    """:func:`oracle_c` at the gaps ``omega`` and one separation
-    ``l_image``, all in one quadrature pass:
+    """PV Int du e^{-u^2/4s^2 - i Omega u}/(u - r) for the rows (omega, r),
+    as P - i Q with the phase e^{-i Omega r} taken out:
+
+        P = Int_0^span (g(r+s) - g(r-s)) cos(Omega s)/s ds
+        Q = Int_0^span (g(r+s) + g(r-s)) sin(Omega s)/s ds
+
+    Row k sums the first ``_base_panels(r_k + window)`` 2^level panels of
+    width 3 sigma/2^level from s = 0.  At each level cos/sin are tabulated
+    once per gap and the Gaussians once per separation; each row is a real
+    product-sum over its own prefix of the nodes, so its value depends only
+    on its own (sigma, Omega, r).
+    """
+    # gaps by bit pattern, so that -0.0 and 0.0 keep their own tables
+    gap_keys, gap_of = np.unique(omega.view(np.int64), return_inverse=True)
+    gaps = gap_keys.view(np.float64)
+    seps, sep_of = np.unique(r, return_inverse=True)
+    panels = [_base_panels(x + _WINDOW_SIGMAS * sigma, sigma) for x in seps.tolist()]
+
+    def sums(k: np.ndarray, level: int) -> np.ndarray:
+        gap_k, sep_k = gap_of[k], sep_of[k]
+        longest = max(panels[j] for j in np.unique(sep_k).tolist()) << level
+        s, w = _pairing_grid(_PANEL_SIGMAS * sigma * 0.5**level, longest)
+        pq = np.empty((k.size, 2))
+        for gs in _pieces(np.unique(gap_k), s.size):
+            phase = gaps[gs, None] * s
+            trig = np.stack([np.cos(phase), np.sin(phase)], axis=1)
+            in_gs = np.isin(gap_k, gs)
+            for j in np.unique(sep_k[in_gs]).tolist():
+                n = (panels[j] << level) * _GL_UNIT.size
+                # g(r - s) = e and g(r + s) = e e^{-r s/s^2}: the difference
+                # through expm1, without cancellation at small r s
+                e = np.exp(-((s[:n] - seps[j]) ** 2) / (4.0 * sigma * sigma))
+                d = e * np.expm1(-seps[j] * s[:n] / (sigma * sigma))
+                pair = np.stack([d, 2.0 * e + d]) * (w[:n] / s[:n])
+                for part in _pieces(np.flatnonzero(in_gs & (sep_k == j)), n):
+                    at = np.searchsorted(gs, gap_k[part])
+                    pq[part] = (trig[at, :, :n] * pair).sum(axis=2)
+        return pq[:, 0] - 1j * pq[:, 1]
+
+    span = [n * _PANEL_SIGMAS * sigma for n in panels]
+    return _refine(
+        sums, [(0.0, span[j]) for j in sep_of.tolist()], target=1e-12, raise_tol=raise_tol
+    )
+
+
+def _separations(l_image) -> np.ndarray:
+    r = np.array(l_image, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(r) & (r > 0.0))
+    if bad.any():
+        raise GeometryError(f"l_image must be > 0, got {r[bad][0].item()!r}")
+    return r
+
+
+def oracle_c_batch(
+    sigma: float, omega, l_image, *, raise_tol: float = 1e-8
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """:func:`oracle_c` at the gaps ``omega`` and separations ``l_image``
+    (broadcast against each other), all in one quadrature pass:
     s sqrt(pi) Int du e^{-u^2/4s^2} e^{-i Omega u} W(u, r).
 
-    Returns the values and, per gap, None or the :class:`ConvergenceError`
-    of its quadrature; each value is the one-gap value bit for bit.
+    Returns the values and, per row, None or the :class:`ConvergenceError`
+    of its quadrature; each value is the one-row value bit for bit.
     """
-    if not (math.isfinite(l_image) and l_image > 0.0):
-        raise GeometryError(f"l_image must be > 0, got {l_image!r}")
     s = sigma
-    r = l_image
-    om = np.asarray(omega, dtype=float).reshape(-1)
-    f = _windowed_phase(s, om)
-    every = np.arange(om.size)
-    # endpoint rule for sgn(u) delta(u^2 - r^2)
-    fr = f(every, np.array([r]))[:, 0].tolist()
-    fmr = f(every, np.array([-r]))[:, 0].tolist()
-    pv, errors = _pv_rows(
-        f, om.size, r, span=r + _WINDOW_SIGMAS * s, sigma_scale=s,
-        target=1e-12, raise_tol=raise_tol,
-    )
-    values = []
-    for f_r, f_mr, pv_plus in zip(fr, fmr, pv.tolist()):
-        delta_part = (f_r - f_mr) / (2.0 * r) / (4.0j * math.pi)
-        # f(-u) = conj f(u) and (-r) + t = -(r - t) hold exactly in floating
-        # point, so the pole at -r gives the mirrored quadrature bit for bit
-        pv_minus = -pv_plus.conjugate()
-        pv_part = -(pv_plus - pv_minus) / (2.0 * r) / (4.0 * math.pi**2)
-        values.append(s * _SQRT_PI * (delta_part + pv_part))
-    return np.array(values, dtype=complex), errors
+    om, r = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(l_image, dtype=float))
+    om = np.array(om, dtype=float).reshape(-1)
+    r = _separations(r)
+    pv, errors = _pole_pairing(s, om, r, raise_tol)
+    cos, sin = np.cos(om * r), np.sin(om * r)
+    g = np.exp(-r * r / (4.0 * s * s))
+    # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(Omega r)
+    delta_part = -g * sin / (4.0 * math.pi * r)
+    # the pole at -r is -conj of the pole at r, so the pair leaves twice the
+    # real part of e^{-i Omega r} (P - i Q): C is exactly real
+    pv_part = -(cos * pv.real + sin * pv.imag) / (4.0 * math.pi**2 * r)
+    return (s * _SQRT_PI * (delta_part + pv_part)).astype(complex), errors
 
 
 def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8) -> float:
@@ -394,8 +470,8 @@ def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8
 def oracle_c(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> complex:
     """Exchange coefficient C/eps0^2 from the distributional kernel.
 
-    Identical static detectors give a real value; the imaginary part is
-    returned as a diagnostic of quadrature quality.
+    Identical static detectors give a real value: the imaginary part is
+    exactly 0.
     """
     return complex(_single(*oracle_c_batch(p.sigma, [p.omega], l_image, raise_tol=raise_tol)))
 
@@ -413,48 +489,37 @@ def oracle_x_envelope(p: DetectorParams) -> float:
     return -2.0 * s * _SQRT_PI * math.exp(-((s * p.omega) ** 2))
 
 
+def oracle_x_time_integral_batch(
+    sigma: float, l_image, *, raise_tol: float = 1e-8
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """:func:`oracle_x_time_integral` at the separations ``l_image``, all in
+    one quadrature pass.
+
+    Returns the values and, per separation, None or the
+    :class:`ConvergenceError` of its quadrature; each value is the
+    one-separation value bit for bit.
+    """
+    s = sigma
+    big_l = _separations(l_image)
+    # PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the whole
+    # line (g is even): the pole pairing at zero gap, whose integrand
+    # (g(L+s) - g(L-s))/s is smooth on the scale sigma for any L
+    pv, errors = _pole_pairing(s, np.zeros(big_l.size), big_l, raise_tol)
+    g_l = np.exp(-big_l * big_l / (4.0 * s * s))
+    # the delta is supported at u = +L only
+    delta_part = -(g_l / (2.0 * big_l)) / (4.0 * math.pi)
+    pv_part = -pv.real / (2.0 * big_l) / (4.0 * math.pi**2)
+    return pv_part + 1j * delta_part, errors
+
+
 def oracle_x_time_integral(sigma: float, l_image: float, *, raise_tol: float = 1e-8) -> complex:
     """Int_0^inf du e^{-u^2/4s^2} W(u, L): the gap-independent quadrature of X.
 
     The integral runs over the time difference u > 0 only, with the delta
-    supported at u = +L and the simple pole at u = L handled by symmetric
-    pairing inside (0, 2L).
+    supported at u = +L and the simple pole at u = L; the principal value
+    is taken over the whole line by symmetric pairing about the pole.
     """
-    if not (math.isfinite(l_image) and l_image > 0.0):
-        raise GeometryError(f"l_image must be > 0, got {l_image!r}")
-    s = sigma
-    big_l = l_image
-    window = _WINDOW_SIGMAS * s
-
-    def g(u: np.ndarray) -> np.ndarray:
-        return np.exp(-u * u / (4.0 * s * s))
-
-    g_l = math.exp(-big_l * big_l / (4.0 * s * s))
-    delta_part = g_l / (2.0 * big_l) / (4.0j * math.pi)
-
-    def paired(t: np.ndarray) -> np.ndarray:
-        return (g(big_l + t) - g(big_l - t)) / t
-
-    pv_near = _quad(paired, 0.0, big_l, base_panels=_base_panels(big_l, s), raise_tol=raise_tol)
-
-    def far(u: np.ndarray) -> np.ndarray:
-        return g(u) / (u - big_l)
-
-    pv_far = _quad(
-        far, 2.0 * big_l, 2.0 * big_l + window,
-        base_panels=_base_panels(window, s), raise_tol=raise_tol,
-    )
-
-    def mirror(u: np.ndarray) -> np.ndarray:
-        return g(u) / (u + big_l)
-
-    pv_mirror = _quad(
-        mirror, 0.0, big_l + window,
-        base_panels=_base_panels(big_l + window, s), raise_tol=raise_tol,
-    )
-
-    pv_part = -(pv_near + pv_far - pv_mirror) / (2.0 * big_l) / (4.0 * math.pi**2)
-    return delta_part + pv_part
+    return complex(_single(*oracle_x_time_integral_batch(sigma, [l_image], raise_tol=raise_tol)))
 
 
 def _quad_complex(

@@ -522,7 +522,7 @@ class TestOraclePath:
             assert row["oracle_dev_c"] == want["c"]
 
     def test_each_distinct_integral_once(self, monkeypatch):
-        calls = {"oracle_a_batch": [], "oracle_x_time_integral": [], "oracle_c_batch": []}
+        calls = {"oracle_a_batch": [], "oracle_x_time_integral_batch": [], "oracle_c_batch": []}
         for name in calls:
             original = getattr(udwpair.wightman, name)
 
@@ -533,16 +533,21 @@ class TestOraclePath:
             monkeypatch.setattr(udwpair.wightman, name, counted)
         report = run_verification(COUNT_GRID)
         assert report.passed
-        # all gaps of the run in one self-term call, one c call per separation
+        # one batch per lookup that lacks keys: the self term of every gap;
+        # x and c at L, l_1 and l_2 (the lookups at l_-1 = l_1 and l_-2 = l_2
+        # find every key)
         assert len(calls["oracle_a_batch"]) == 1
         a_gaps = [om for _sigma, gaps in calls["oracle_a_batch"] for om in gaps]
         assert len(a_gaps) == len(set(a_gaps)) == 3
-        assert len(calls["oracle_x_time_integral"]) == len(set(calls["oracle_x_time_integral"]))
-        assert len(calls["oracle_x_time_integral"]) == 4 * 3
-        c_keys = [(om, r) for _sigma, gaps, r in calls["oracle_c_batch"] for om in gaps]
+        assert len(calls["oracle_x_time_integral_batch"]) == 3
+        x_keys = [r for _sigma, seps in calls["oracle_x_time_integral_batch"] for r in seps]
+        assert len(x_keys) == len(set(x_keys)) == 4 * 3
+        assert len(calls["oracle_c_batch"]) == 3
+        c_keys = [
+            key for _sigma, gaps, seps in calls["oracle_c_batch"] for key in zip(gaps, seps)
+        ]
         assert len(c_keys) == 3 * 4 * 3
         assert len(set(c_keys)) == 3 * 4 * 3
-        assert len(calls["oracle_c_batch"]) == len({r for *_, r in calls["oracle_c_batch"]}) == 12
         assert report.quadratures == 3 + 12 + 36
         assert report.evaluations == 12 * (1 + 2 + 2 * 4)
 
@@ -556,8 +561,11 @@ class TestOraclePath:
 
         def flaky(sigma, omega, l_image, **kwargs):
             values, errors = original(sigma, omega, l_image, **kwargs)
-            if l_image == bad_r:
-                errors = [ConvergenceError("no luck at r = 0.9") for _ in errors]
+            seps = np.broadcast_to(l_image, values.shape).tolist()
+            errors = [
+                ConvergenceError("no luck at r = 0.9") if r == bad_r else e
+                for r, e in zip(seps, errors)
+            ]
             return values, errors
 
         monkeypatch.setattr(udwpair.wightman, "oracle_c_batch", flaky)
@@ -578,7 +586,7 @@ class TestOraclePath:
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature at a coincident image")
 
-        for name in ("oracle_a_batch", "oracle_x_time_integral", "oracle_c_batch"):
+        for name in ("oracle_a_batch", "oracle_x_time_integral_batch", "oracle_c_batch"):
             monkeypatch.setattr(udwpair.wightman, name, forbidden)
         report = run_verification(COINCIDENT)
         assert not report.passed and report.quadratures == 0
@@ -692,6 +700,13 @@ class TestCli:
         assert result.stderr.endswith(
             ", tolerance 1e-06, 5 quadratures for 6 oracle evaluations)\n"
         )
+
+    def test_verify_at_a_small_separation(self):
+        result = CliRunner().invoke(
+            main, ["verify", "--omega-range", "0:0:1", "--l-range", "0.001:0.001:1"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr.startswith("verify: PASS (max deviation ")
 
     def test_coincident_image_cli(self):
         args = [

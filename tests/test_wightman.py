@@ -31,6 +31,7 @@ from udwpair.wightman import (
     oracle_ieps,
     oracle_x_envelope,
     oracle_x_time_integral,
+    oracle_x_time_integral_batch,
     pv_over_pole,
     richardson_zero_limit,
     sgn_delta_square,
@@ -152,14 +153,19 @@ class TestRefinement:
 
     def test_row_slices_leave_values_unchanged(self, monkeypatch):
         # a batch wider than _BATCH_NODES is evaluated a slice of rows at a
-        # time; one row per slice gives the same bits
+        # time; one row per slice gives the same bits, on a batch that mixes
+        # separations
         import udwpair.wightman as wightman
 
-        gaps = [-2.0, -0.5, 0.0, 0.7, 3.0]
-        whole = oracle_c_batch(0.8, gaps, 1.3)
+        gaps = [-2.0, -0.5, 0.0, 0.7, 3.0, 0.7, -0.5]
+        seps = [1.3, 1.3, 0.02, 9.5, 1.3, 0.4, 9.5]
+        whole = oracle_c_batch(0.8, gaps, seps)
+        whole_x = oracle_x_time_integral_batch(0.8, seps)
         monkeypatch.setattr(wightman, "_BATCH_NODES", 1)
-        sliced = oracle_c_batch(0.8, gaps, 1.3)
+        sliced = oracle_c_batch(0.8, gaps, seps)
+        sliced_x = oracle_x_time_integral_batch(0.8, seps)
         assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
+        assert _bits(sliced_x[0]) == _bits(whole_x[0]) and sliced_x[1] == whole_x[1]
 
 
 class TestOracleValues:
@@ -184,11 +190,9 @@ class TestOracleValues:
         assert got.real == pytest.approx(C_L1_O1, abs=1e-10)
         assert abs(got.imag) < 1e-12
 
-    @pytest.mark.parametrize("omega, sigma, r", [(1.0, 1.0, 1.0), (-2.0, 1.3, 0.3), (0.7, 0.8, 9.5)])
-    def test_c_equals_two_pole_form(self, omega, sigma, r):
-        # oracle_c takes the pole at -r as -conj of the pole at +r; both
-        # poles quadratured explicitly give the same value bit for bit
-        p = DetectorParams(omega=omega, sigma=sigma)
+    @staticmethod
+    def _two_pole_form(omega, sigma, r):
+        """c with both poles quadratured explicitly by pv_over_pole."""
 
         def f(u):
             return np.exp(-u * u / (4.0 * sigma * sigma) - 1j * omega * u)
@@ -200,33 +204,69 @@ class TestOracleValues:
         pv_plus = pv_over_pole(f, r, span=span, sigma_scale=sigma)
         pv_minus = pv_over_pole(f, -r, span=span, sigma_scale=sigma)
         pv_part = -(pv_plus - pv_minus) / (2.0 * r) / (4.0 * math.pi**2)
-        want = sigma * math.sqrt(math.pi) * (delta_part + pv_part)
-        got = oracle_c(p, r)
-        assert got == want and got.imag == 0.0
+        return sigma * math.sqrt(math.pi) * (delta_part + pv_part)
+
+    @pytest.mark.parametrize("omega, sigma, r", [(1.0, 1.0, 1.0), (-2.0, 1.3, 0.3), (0.7, 0.8, 9.5)])
+    def test_c_equals_two_pole_form(self, omega, sigma, r):
+        # oracle_c takes the pole at -r as -conj of the pole at +r, on its
+        # own panel grid; both poles quadratured explicitly agree to rounding
+        got = oracle_c(DetectorParams(omega=omega, sigma=sigma), r)
+        assert abs(got - self._two_pole_form(omega, sigma, r)) <= 1e-15
+        assert got.imag == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.sampled_from([0.37, 0.8, 2.5]),
+        omega=st.floats(-6.0, 6.0, allow_nan=False),
+        r_over_sigma=st.floats(1e-3, 20.0),
+    )
+    def test_c_equals_two_pole_form_on_a_grid(self, sigma, omega, r_over_sigma):
+        # 1e-15 scaled by |c| (ulps) and by sigma/r: the two-pole form sums
+        # O(1) terms divided by r, so its own rounding grows like 1/r (2e-14
+        # against a 330-digit value near r = 1e-3 sigma)
+        r = r_over_sigma * sigma
+        want = self._two_pole_form(omega, sigma, r)
+        got = oracle_c(DetectorParams(omega=omega, sigma=sigma), r)
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want), 1.0 / r_over_sigma)
+        assert got.imag == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
-        gaps=st.lists(
-            st.one_of(
-                st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                st.floats(-6.0, 6.0, allow_nan=False),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(-6.0, 6.0, allow_nan=False),
+                ),
+                st.one_of(st.sampled_from([1e-3, 1.0, 20.0]), st.floats(1e-3, 20.0)),
             ),
             min_size=1, max_size=8,
         ),
         sigma=st.sampled_from([0.37, 0.8, 2.5]),
-        r_over_sigma=st.floats(1e-3, 20.0),
     )
-    def test_batch_equals_one_gap_calls_bit_for_bit(self, gaps, sigma, r_over_sigma):
-        # any order, duplicates, both zeros and one-row batches: each row of
-        # a batch is the public one-gap value to the last bit
-        r = r_over_sigma * sigma
-        c, c_errors = oracle_c_batch(sigma, gaps, r)
+    def test_batch_equals_one_gap_calls_bit_for_bit(self, rows, sigma):
+        # any order, duplicates, both zeros, mixed separations and one-row
+        # batches: each row of a batch is the public one-row value to the
+        # last bit
+        gaps = [om for om, _ in rows]
+        seps = [r_over_sigma * sigma for _, r_over_sigma in rows]
+        c, c_errors = oracle_c_batch(sigma, gaps, seps)
+        x, x_errors = oracle_x_time_integral_batch(sigma, seps)
         a, a_errors = oracle_a_batch(sigma, gaps)
-        assert c_errors == [None] * len(gaps) and a_errors == [None] * len(gaps)
-        for i, om in enumerate(gaps):
+        assert c_errors == x_errors == a_errors == [None] * len(rows)
+        for i, (om, r) in enumerate(zip(gaps, seps)):
             p = DetectorParams(omega=om, sigma=sigma)
             assert _bits(c[i]) == _bits(oracle_c(p, r))
+            assert _bits(x[i]) == _bits(oracle_x_time_integral(sigma, r))
             assert _bits(a[i]) == _bits(oracle_a(p))
+
+    def test_c_batch_broadcasts_gaps_against_separations(self):
+        gaps = [-1.0, 0.0, 2.0]
+        one_r = oracle_c_batch(0.8, gaps, 1.3)[0]
+        per_row = oracle_c_batch(0.8, gaps, [1.3] * 3)[0]
+        assert _bits(one_r) == _bits(per_row)
+        with pytest.raises(GeometryError, match="l_image must be > 0, got 0.0"):
+            oracle_c_batch(0.8, gaps, [1.3, 0.0, 2.0])
 
     def test_x_is_envelope_times_time_integral(self):
         p = DetectorParams(omega=1.0, sigma=1.0)
@@ -234,6 +274,14 @@ class TestOracleValues:
         assert got == oracle_x(p, 1.0)
         with pytest.raises(GeometryError):
             oracle_x_time_integral(1.0, 0.0)
+
+    def test_x_at_small_separations(self):
+        # the pole pairing (g(L+s) - g(L-s))/s is smooth on the scale sigma
+        # however small L is: no ConvergenceError, and the closed form to
+        # the verify tolerance
+        for length in np.logspace(-4.0, 0.0, 41).tolist():
+            p = DetectorParams(omega=0.5, sigma=1.0)
+            assert abs(oracle_x(p, length) - minkowski(p, length).x) <= 1e-6
 
     def test_c_real_at_zero_gap(self):
         p = DetectorParams(omega=0.0, sigma=1.0)
