@@ -74,6 +74,7 @@ from .geometry import (
     Topology,
     TopologyKind,
     WorldlinePair,
+    image_classes,
     image_separation_array,
     self_pair,
     separation_array,
@@ -385,10 +386,6 @@ def image_terms(
     return l_n, nonlocal_array(sigma, omega, l_n), exchange_array(sigma, omega, l_n)
 
 
-def _eta_weight(eta: int, n: int) -> int:
-    return 1 if (eta == 1 or n % 2 == 0) else -1
-
-
 def _add_images(
     a, x, c, omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
     errors: np.ndarray,
@@ -400,12 +397,13 @@ def _add_images(
     depend on the position, so b = a and only detector A's sum is formed.
     """
     same_b = topology.kind is TopologyKind.CYLINDER
+    weights = [image.weight for image in image_classes(topology, pair)]
     pair_a = self_pair(pair.d_a, pair.z_a)
     pair_b = self_pair(pair.d_b, pair.z_b)
     b = a
     last_a = last_b = last_x = last_c = 0.0
     for n in [*range(-nmax, 0), *range(1, nmax + 1)]:
-        w = _eta_weight(topology.eta, n)
+        w = weights[n % 2]
         r_a = image_separation_array(topology, pair_a, n)
         _flag_separation(errors, r_a)
         t_a = w * exchange_array(sigma, omega, r_a)
@@ -497,9 +495,9 @@ def elements_for(
     """Elements of one detector pair, by :func:`elements_batch` on one point.
 
     Raises the error that the batch records for the point.  b = a in
-    Minkowski space and on the cylinder.  On the twisted cylinder the odd-n
-    image of detector k sits at separation |n| ell_n with
-    n^2 ell_n^2 = n^2 ell^2 + 4 d_k^2, so a and b differ whenever
+    Minkowski space and on the cylinder.  On the twisted cylinder the odd
+    self images of detector k lie across the axis, in the odd class of the
+    pair (k, k) at transverse distance 2 |d_k|, so a and b differ whenever
     |d_A| != |d_B|.
     """
     errors = new_errors((1,))

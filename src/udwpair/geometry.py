@@ -9,21 +9,21 @@ generated by a discrete isometry acting on the spatial section:
 A scalar field on the quotient picks up the weight eta^n on the n-th image
 (eta = +1 for an ordinary field, eta = -1 for a twisted field).
 
-Image separations are computed from the explicit isometry action applied to
-the second worldline, |x_A - J^n x_B|, which is immune to sign-convention
-drift in Delta z = z_A - z_B.  The equivalent closed forms
+The isometries sort the images J^n x_B of detector B into two parity
+classes, which :func:`image_classes` returns: even n carry weight 1 and lie
+at transverse offset d_A - d_B from detector A; odd n carry weight eta and
+lie at d_A - d_B on the cylinder, but across the axis at d_A + d_B on the
+twisted cylinder.  So image n lies at
 
-    L_n^2      = |d_A - d_B|^2 + (Delta z - n ell)^2
-    Ltilde_n^2 = |d_A - (-1)^P(n) d_B|^2 + (Delta z - n ell)^2   (P(n) = n mod 2)
+    |x_A - J^n x_B|^2 = |d_A -+ d_B|^2 + (z_A - (z_B + n ell))^2,
 
-(= L^2 + n^2 ell^2 - 2 n ell Delta z, plus 4 d_A . d_B P(n) on the twisted
-cylinder, written as sums of squares so that nothing cancels when L_n is
-much smaller than n ell) are provided as cross-checks only.
+a sum of squares, so that nothing cancels when the distance is much
+smaller than n ell.  This is the only place that knows how J acts.
 
 The worldline coordinates of a :class:`WorldlinePair` may be numpy arrays
 of broadcast-compatible shapes; :func:`separation_array` and
 :func:`image_separation_array` then return one distance per element, and
-the scalar functions are those kernels evaluated on floats.
+:func:`separation` is the first of them evaluated on floats.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +41,11 @@ __all__ = [
     "TopologyKind",
     "Topology",
     "WorldlinePair",
-    "parity",
+    "ImageClass",
     "separation",
     "separation_array",
-    "image_point",
-    "image_separation",
+    "image_classes",
     "image_separation_array",
-    "cylinder_separation_formula",
-    "twisted_separation_formula",
-    "effective_ell_twisted",
     "worldlines_from_orientation",
     "self_pair",
 ]
@@ -116,11 +113,6 @@ class WorldlinePair:
         return self.z_a - self.z_b
 
 
-def parity(n: int) -> int:
-    """P(n): 0 for even n, 1 for odd n."""
-    return abs(int(n)) % 2
-
-
 def _distance(dx, dy, dz):
     """sqrt(dx^2 + dy^2 + dz^2).  Where the sum of squares overflows or falls
     below the smallest normal float, it is rescaled by the largest
@@ -151,62 +143,36 @@ def separation(pair: WorldlinePair) -> float:
     return float(separation_array(pair))
 
 
-def image_point(
-    kind: TopologyKind, ell: float, n: int, d: Vec2, z: float
-) -> tuple[Vec2, float]:
-    """Apply the n-th power of the generating isometry to a spatial point."""
-    if kind is TopologyKind.MINKOWSKI:
+class ImageClass(NamedTuple):
+    """The images J^n x_B of one parity of n: the field's weight on them and
+    their transverse offset (dx, dy) from detector A."""
+
+    weight: int
+    dx: float | np.ndarray
+    dy: float | np.ndarray
+
+
+def image_classes(topology: Topology, pair: WorldlinePair) -> tuple[ImageClass, ImageClass]:
+    """The (even n, odd n) image classes of detector B.
+
+    Even images carry weight 1 and sit at d_A - d_B.  Odd images carry
+    weight eta; on the cylinder they sit at d_A - d_B too, on the twisted
+    cylinder across the axis, at d_A + d_B.
+    """
+    if topology.kind is TopologyKind.MINKOWSKI:
         raise GeometryError("Minkowski space has no identification isometry")
-    z_im = z + n * ell
-    if kind is TopologyKind.CYLINDER or parity(n) == 0:
-        return (d[0], d[1]), z_im
-    return (-d[0], -d[1]), z_im
+    (xa, ya), (xb, yb) = pair.d_a, pair.d_b
+    even = ImageClass(1, xa - xb, ya - yb)
+    if topology.kind is TopologyKind.CYLINDER:
+        return even, ImageClass(topology.eta, even.dx, even.dy)
+    return even, ImageClass(topology.eta, xa + xb, ya + yb)
 
 
 def image_separation_array(topology: Topology, pair: WorldlinePair, n: int):
-    """Distances |x_A - J^n x_B| for array-valued worldline coordinates."""
-    if topology.kind is TopologyKind.MINKOWSKI:
-        if n != 0:
-            raise GeometryError("Minkowski space has no nontrivial images")
-        return separation_array(pair)
-    d_im, z_im = image_point(topology.kind, topology.ell, n, pair.d_b, pair.z_b)
-    return separation_array(WorldlinePair(pair.d_a, d_im, pair.z_a, z_im))
-
-
-def image_separation(topology: Topology, pair: WorldlinePair, n: int) -> float:
-    """Distance |x_A - J^n x_B| from the explicit isometry action."""
-    return float(image_separation_array(topology, pair, n))
-
-
-def cylinder_separation_formula(pair: WorldlinePair, ell: float, n: int) -> float:
-    """Closed form L_n^2 = |d_A - d_B|^2 + (Delta z - n ell)^2 (cross-check)."""
-    dx = pair.d_a[0] - pair.d_b[0]
-    dy = pair.d_a[1] - pair.d_b[1]
-    dz = pair.delta_z - n * ell
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def twisted_separation_formula(pair: WorldlinePair, ell: float, n: int) -> float:
-    """Closed form with |d_A + d_B|^2 in place of |d_A - d_B|^2 for odd n (cross-check)."""
-    flip = -1.0 if parity(n) else 1.0
-    dx = pair.d_a[0] - flip * pair.d_b[0]
-    dy = pair.d_a[1] - flip * pair.d_b[1]
-    dz = pair.delta_z - n * ell
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def effective_ell_twisted(d_k: float, ell: float, n: int) -> float:
-    """Effective scale ell_n with n^2 ell_n^2 = n^2 ell^2 + 4 d_k^2 P(n).
-
-    This is the twisted-cylinder substitution for the single-detector image
-    terms: detector k at transverse distance d_k from the rotation axis sees
-    its own n-th image at separation |n| ell_n.
-    """
-    if n == 0:
-        raise GeometryError("ell_n is undefined for n = 0")
-    if ell <= 0.0:
-        raise GeometryError(f"ell must be > 0, got {ell!r}")
-    return math.sqrt(ell * ell + 4.0 * d_k * d_k * parity(n) / (n * n))
+    """Distances |x_A - J^n x_B| for array-valued worldline coordinates:
+    image n lies in class n mod 2, shifted by n ell along z."""
+    image = image_classes(topology, pair)[n % 2]
+    return _distance(image.dx, image.dy, pair.z_a - (pair.z_b + n * topology.ell))
 
 
 def worldlines_from_orientation(length: float, theta: float) -> WorldlinePair:

@@ -358,6 +358,12 @@ def _per_row(batch, *args) -> list:
     return [v if e is None else e for v, e in zip(values.tolist(), errors)]
 
 
+def _deviation(closed, oracle) -> np.ndarray:
+    """|closed - oracle| / max(1, |closed|): absolute where the closed form
+    is at most 1, relative where it is larger (x at tiny separations)."""
+    return modulus(closed - oracle) / np.maximum(1.0, modulus(closed))
+
+
 class _Oracle:
     """The quadrature oracle of one run.
 
@@ -419,19 +425,20 @@ class _Oracle:
         return out.reshape(errors.shape)
 
     def dev_a(self, errors: np.ndarray, omega, a) -> np.ndarray:
-        """|a - oracle_a| at the gaps ``omega``."""
+        """|a - oracle_a| / max(1, |a|) at the gaps ``omega``."""
         oracle = self._lookup(self._a, errors, wightman.oracle_a_batch, omega)
-        return np.abs(a - oracle.real)
+        return _deviation(a, oracle.real)
 
     def dev_xc(self, errors: np.ndarray, omega, r, x, c) -> tuple[np.ndarray, np.ndarray]:
-        """|x - oracle_x| and |c - oracle_c| at the gaps ``omega`` (a column)
-        and separations ``r``, the x integral of a point first."""
+        """|x - oracle_x| / max(1, |x|) and |c - oracle_c| / max(1, |c|) at
+        the gaps ``omega`` (a column) and separations ``r``, the x integral
+        of a point first."""
         quad = self._lookup(self._x, errors, wightman.oracle_x_time_integral_batch, r)
         envelope = np.array(
             [wightman.oracle_x_envelope(self._params(om)) for om in omega.ravel().tolist()]
         ).reshape(omega.shape)
         oracle_c = self._lookup(self._c, errors, wightman.oracle_c_batch, omega, r)
-        return modulus(x - envelope * quad), modulus(c - oracle_c)
+        return _deviation(x, envelope * quad), _deviation(c, oracle_c)
 
 
 def _minkowski_deviations(block: _Block, oracle: _Oracle, mink) -> list[np.ndarray]:
@@ -531,8 +538,10 @@ def run_verification(config: SweepConfig) -> VerificationReport:
 
     Each point checks the Minkowski a, x and c at its separation and, on a
     quotient, x and c at the images n = 1, -1, 2, -2 (``dev_image``, the
-    largest of those deviations).  A point whose detector B sits on one of
-    these images of A fails before any quadrature.
+    largest of those deviations).  Each deviation is |closed form - oracle|
+    / max(1, |closed form|) and must stay below ``VERIFY_TOLERANCE``.  A
+    point whose detector B sits on one of these images of A fails before
+    any quadrature.
     """
     config = config.validate()
     oracle = _Oracle(config)

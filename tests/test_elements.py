@@ -31,8 +31,7 @@ from udwpair.elements import (
     self_excitation_array,
 )
 from udwpair.geometry import (
-    effective_ell_twisted,
-    image_separation,
+    image_separation_array,
     self_pair,
     separation,
     worldlines_from_orientation,
@@ -219,7 +218,7 @@ class TestImageTermsAgainstOracle:
     def test_pair_image_terms(self, n):
         pair = WorldlinePair((0.0, 0.0), (0.6, 0.0), 0.0, 0.4)
         top = Topology.cylinder(1.2)
-        l_n = image_separation(top, pair, n)
+        l_n = float(image_separation_array(top, pair, n))
         st = minkowski(P1, l_n)
         assert st.x == pytest.approx(oracle_x(P1, l_n), abs=1e-8)
         assert st.c.real == pytest.approx(
@@ -232,7 +231,7 @@ class TestImageTermsAgainstOracle:
         top = Topology.cylinder(0.9)
         me = self_pair((0.3, 0.0), 0.1)
         for n in (1, 2, -3):
-            r_n = image_separation(top, me, n)
+            r_n = float(image_separation_array(top, me, n))
             assert r_n == pytest.approx(abs(n) * 0.9, abs=1e-15)
             assert exchange_term(omega, r_n) == pytest.approx(
                 oracle_a(p, r_n), abs=1e-8
@@ -243,9 +242,10 @@ class TestImageTermsAgainstOracle:
         top = Topology.twisted_cylinder(1.1)
         me = self_pair((0.8, 0.0), 0.0)
         for n in (1, -1, 2, 3):
-            r_n = image_separation(top, me, n)
+            # odd self images lie across the axis, at 2 d_k transversally
+            r_n = float(image_separation_array(top, me, n))
             assert r_n == pytest.approx(
-                abs(n) * effective_ell_twisted(0.8, 1.1, n), rel=1e-14
+                math.sqrt((n * 1.1) ** 2 + 4.0 * 0.8**2 * (n % 2)), rel=1e-14
             )
             assert exchange_term(0.5, r_n) == pytest.approx(
                 oracle_a(p, r_n), abs=1e-8
@@ -330,7 +330,7 @@ class TestCoincidentImage:
 
     @pytest.mark.parametrize("topology", [Topology.cylinder(1.0), Topology.twisted_cylinder(1.0)])
     def test_scalar_path_names_the_image(self, topology):
-        assert 0.0 < image_separation(topology, self.PAIR, -1) < 1e-16
+        assert 0.0 < image_separation_array(topology, self.PAIR, -1) < 1e-16
         with pytest.raises(GeometryError, match=r"sits on image n = -1 of detector A"):
             quiet_elements(P1, self.PAIR, topology)
 
@@ -379,6 +379,157 @@ class TestTwisted:
         twisted = quiet_elements(P1, off_axis, Topology.twisted_cylinder(1.0))
         assert cyl.a == cyl.b and cyl.tail_bound > 0.0
         assert twisted.a != twisted.b and twisted.tail_bound > 0.0
+
+
+#: float.hex of (a, b, Re x, Im x, c) from ``elements_for`` at ``nmax`` 10 on
+#: x_A = (d_A, 0, 0), x_B = (d_A + L cos theta, 0, L sin theta), L = 0.6,
+#: ell = 1, keyed by (topology, eta, d_A, theta, Omega sigma).  The sweep
+#: output files are pinned byte for byte, so the way the image sums are
+#: formed must reproduce every bit of these.
+QUOTIENT_BITS = {
+    ("cylinder", 1, 0.1, 0.3, -2.0): (
+        "0x1.c46a1a4103357p-1", "0x1.c46a1a4103357p-1", "-0x1.da22c08083b0ep-8",
+        "0x1.0f8c02381efbbp-7", "0x1.312b9c1d5568dp-1",
+    ),
+    ("cylinder", 1, 0.1, 0.3, 0.5): (
+        "0x1.82aec0aa39c22p-3", "0x1.82aec0aa39c22p-3", "-0x1.3b030f75f66e6p-2",
+        "0x1.68d3bf3d49338p-2", "0x1.788134cdc0a07p-3",
+    ),
+    ("cylinder", 1, 0.1, 1.1, -2.0): (
+        "0x1.c46a1a4103357p-1", "0x1.c46a1a4103357p-1", "-0x1.ea50fd59831dcp-8",
+        "0x1.6183c3c7de05bp-7", "0x1.9fb495a4e8f3ap-1",
+    ),
+    ("cylinder", 1, 0.1, 1.1, 0.5): (
+        "0x1.82aec0aa39c22p-3", "0x1.82aec0aa39c22p-3", "-0x1.45c3212c8ebd5p-2",
+        "0x1.d5be9f598313bp-2", "0x1.8039de678fc1ep-3",
+    ),
+    ("cylinder", 1, 0.7, 0.3, -2.0): (
+        "0x1.c46a1a4103357p-1", "0x1.c46a1a4103357p-1", "-0x1.da22c08083b0ep-8",
+        "0x1.0f8c02381efbbp-7", "0x1.312b9c1d5568dp-1",
+    ),
+    ("cylinder", 1, 0.7, 0.3, 0.5): (
+        "0x1.82aec0aa39c22p-3", "0x1.82aec0aa39c22p-3", "-0x1.3b030f75f66e6p-2",
+        "0x1.68d3bf3d49338p-2", "0x1.788134cdc0a07p-3",
+    ),
+    ("cylinder", 1, 0.7, 1.1, -2.0): (
+        "0x1.c46a1a4103357p-1", "0x1.c46a1a4103357p-1", "-0x1.ea50fd59831dcp-8",
+        "0x1.6183c3c7de05dp-7", "0x1.9fb495a4e8f3ap-1",
+    ),
+    ("cylinder", 1, 0.7, 1.1, 0.5): (
+        "0x1.82aec0aa39c22p-3", "0x1.82aec0aa39c22p-3", "-0x1.45c3212c8ebd5p-2",
+        "0x1.d5be9f598313dp-2", "0x1.8039de678fc1fp-3",
+    ),
+    ("cylinder", -1, 0.1, 0.3, -2.0): (
+        "0x1.826dd83f11be2p-4", "0x1.826dd83f11be2p-4", "-0x1.c1e91cc5d77ccp-16",
+        "0x1.64e0bdaf66ddcp-10", "0x1.155ac9d590372p-4",
+    ),
+    ("cylinder", -1, 0.1, 0.3, 0.5): (
+        "0x1.2770c9036f06cp-10", "0x1.2770c9036f06cp-10", "-0x1.2aeabdc33410bp-10",
+        "0x1.da36ac7678c75p-5", "0x1.26cec5ee86046p-10",
+    ),
+    ("cylinder", -1, 0.1, 1.1, -2.0): (
+        "0x1.826dd83f11be2p-4", "0x1.826dd83f11be2p-4", "-0x1.c40283c2cb82fp-16",
+        "-0x1.d7bd02f22c528p-12", "-0x1.434709d2c9b88p-7",
+    ),
+    ("cylinder", -1, 0.1, 1.1, 0.5): (
+        "0x1.2770c9036f06cp-10", "0x1.2770c9036f06cp-10", "-0x1.2c4fc9789a94fp-10",
+        "-0x1.396b4bd407a18p-6", "0x1.297db63d7d5c4p-10",
+    ),
+    ("cylinder", -1, 0.7, 0.3, -2.0): (
+        "0x1.826dd83f11be2p-4", "0x1.826dd83f11be2p-4", "-0x1.c1e91cc5d77ccp-16",
+        "0x1.64e0bdaf66ddcp-10", "0x1.155ac9d590372p-4",
+    ),
+    ("cylinder", -1, 0.7, 0.3, 0.5): (
+        "0x1.2770c9036f06cp-10", "0x1.2770c9036f06cp-10", "-0x1.2aeabdc33410bp-10",
+        "0x1.da36ac7678c75p-5", "0x1.26cec5ee86046p-10",
+    ),
+    ("cylinder", -1, 0.7, 1.1, -2.0): (
+        "0x1.826dd83f11be2p-4", "0x1.826dd83f11be2p-4", "-0x1.c40283c2cb8efp-16",
+        "-0x1.d7bd02f22c538p-12", "-0x1.434709d2c9b88p-7",
+    ),
+    ("cylinder", -1, 0.7, 1.1, 0.5): (
+        "0x1.2770c9036f06cp-10", "0x1.2770c9036f06cp-10", "-0x1.2c4fc9789a98fp-10",
+        "-0x1.396b4bd407a10p-6", "0x1.297db63d7d604p-10",
+    ),
+    ("twisted", 1, 0.1, 0.3, -2.0): (
+        "0x1.bada8f695ffd9p-1", "0x1.d4c25a38f94f5p-2", "-0x1.d1f115d8f41d1p-8",
+        "0x1.fce347bd1ff8ap-8", "0x1.046de0c1ababdp-1",
+    ),
+    ("twisted", 1, 0.1, 0.3, 0.5): (
+        "0x1.820d7dd72e41ep-3", "0x1.692515ee7ece6p-3", "-0x1.3591633e54ee2p-2",
+        "0x1.5219d77e2e0e7p-2", "0x1.748011421aafcp-3",
+    ),
+    ("twisted", 1, 0.1, 1.1, -2.0): (
+        "0x1.bada8f695ffd9p-1", "0x1.58b410e9610b2p-1", "-0x1.e5834e62eee72p-8",
+        "0x1.3f928fe4b2bdap-7", "0x1.7dcc6329483d8p-1",
+    ),
+    ("twisted", 1, 0.1, 1.1, 0.5): (
+        "0x1.820d7dd72e41ep-3", "0x1.7a3df519ad1a8p-3", "-0x1.4292234a725a3p-2",
+        "0x1.a8a48cf357cc6p-2", "0x1.7debb400b22c7p-3",
+    ),
+    ("twisted", 1, 0.7, 0.3, -2.0): (
+        "0x1.c9d6fcc1b3bbbp-2", "0x1.e0cf9a8f38d24p-2", "-0x1.884ca6b3901dap-8",
+        "0x1.6d0f5cf5c3605p-8", "0x1.10afe27203717p-2",
+    ),
+    ("twisted", 1, 0.7, 0.3, 0.5): (
+        "0x1.67510155b8ed3p-3", "0x1.3c45353bda209p-3", "-0x1.04a3fba5c160ap-2",
+        "0x1.e515f94531829p-3", "0x1.4d036e6776d78p-3",
+    ),
+    ("twisted", 1, 0.7, 1.1, -2.0): (
+        "0x1.c9d6fcc1b3bbbp-2", "0x1.aefac8c10a422p-2", "-0x1.a442cc4af74f6p-8",
+        "0x1.9c89edacabcabp-8", "0x1.5d9fb4c99b587p-2",
+    ),
+    ("twisted", 1, 0.7, 1.1, 0.5): (
+        "0x1.67510155b8ed3p-3", "0x1.5338f8b7273d3p-3", "-0x1.1737cc3e2454ap-2",
+        "0x1.121661b46d218p-2", "0x1.5c3f519e6e56ep-3",
+    ),
+    ("twisted", -1, 0.1, 0.3, -2.0): (
+        "0x1.ceea2efc2b7cfp-4", "0x1.0a56a82c68c59p-1", "-0x1.3e72788aad6a8p-13",
+        "0x1.edb3b07bded98p-10", "0x1.3da452596f105p-3",
+    ),
+    ("twisted", -1, 0.1, 0.3, 0.5): (
+        "0x1.781232892f278p-10", "0x1.bd88c4dc1d1e4p-7", "-0x1.a725bd592d13bp-8",
+        "0x1.4802f537a8f82p-4", "0x1.93b045e0bf2c8p-9",
+    ),
+    ("twisted", -1, 0.1, 1.1, -2.0): (
+        "0x1.ceea2efc2b7cfp-4", "0x1.380788bf08c45p-2", "-0x1.a46c5e95c086dp-14",
+        "0x1.3334bcb99e584p-11", "0x1.cdb1654558f40p-5",
+    ),
+    ("twisted", -1, 0.1, 1.1, 0.5): (
+        "0x1.781232892f278p-10", "0x1.57f5a45270b5ep-8", "-0x1.17536ae53f6b2p-8",
+        "0x1.9835da8eacd70p-6", "0x1.284974d6240dep-9",
+    ),
+    ("twisted", -1, 0.7, 0.3, -2.0): (
+        "0x1.0fcc56e80b8f5p-1", "0x1.0450080149041p-1", "-0x1.4e600ba6e5ab1p-10",
+        "0x1.0b40d6e6544e9p-8", "0x1.96fe083e0b6e1p-2",
+    ),
+    ("twisted", -1, 0.7, 0.3, 0.5): (
+        "0x1.daca0e687b320p-7", "0x1.22e1b40199fedp-5", "-0x1.bc4ff46fc20efp-5",
+        "0x1.631f3052ff165p-3", "0x1.6e5b1f9136a74p-6",
+    ),
+    ("twisted", -1, 0.7, 1.1, -2.0): (
+        "0x1.0fcc56e80b8f5p-1", "0x1.1d3a70e8604c1p-1", "-0x1.1f48ce493a678p-10",
+        "0x1.0901c9b3ed7bcp-8", "0x1.d7af3e31a040dp-2",
+    ),
+    ("twisted", -1, 0.7, 1.1, 0.5): (
+        "0x1.daca0e687b320p-7", "0x1.8e254c28cb181p-6", "-0x1.7dbd25bf1819ep-5",
+        "0x1.602311cfaaf08p-3", "0x1.326c41ace32f9p-6",
+    ),
+}
+
+
+class TestQuotientBits:
+    @pytest.mark.parametrize("key", sorted(QUOTIENT_BITS), ids=str)
+    def test_elements_keep_their_bits(self, key):
+        kind, eta, d_a, theta, omega = key
+        top = (Topology.cylinder if kind == "cylinder" else Topology.twisted_cylinder)(1.0, eta)
+        pair = WorldlinePair(
+            (d_a, 0.0), (d_a + 0.6 * math.cos(theta), 0.0), 0.0, 0.6 * math.sin(theta)
+        )
+        st = quiet_elements(DetectorParams(omega=omega, sigma=1.0), pair, top, nmax=10)
+        got = (st.a, st.b, st.x.real, st.x.imag, st.c.real)
+        assert tuple(v.hex() for v in got) == QUOTIENT_BITS[key]
+        assert st.c.imag == 0.0
 
 
 class TestAssembly:

@@ -1,5 +1,6 @@
-"""Geometry: separations from the explicit isometry action must agree with
-the quadratic closed forms, for both quotients, on random worldlines."""
+"""Geometry: image separations from the parity classes must agree with the
+explicit isometry action J^n applied to x_B coordinate by coordinate, for
+both quotients, on random worldlines."""
 
 import math
 
@@ -10,17 +11,22 @@ from hypothesis import strategies as st
 
 from udwpair import GeometryError, Topology, TopologyKind, WorldlinePair
 from udwpair.geometry import (
-    cylinder_separation_formula,
-    effective_ell_twisted,
-    image_separation,
+    ImageClass,
+    image_classes,
     image_separation_array,
-    parity,
     self_pair,
     separation,
     separation_array,
-    twisted_separation_formula,
     worldlines_from_orientation,
 )
+
+
+def isometry_separation(kind: TopologyKind, pair: WorldlinePair, ell: float, n: int) -> float:
+    """|x_A - J^n x_B| with J^n applied to x_B coordinate by coordinate:
+    J0 and J- shift z by ell; J- also reflects x and y."""
+    flip = -1.0 if kind is TopologyKind.TWISTED_CYLINDER and n % 2 else 1.0
+    x_b, y_b, z_b = flip * pair.d_b[0], flip * pair.d_b[1], pair.z_b + n * ell
+    return separation(WorldlinePair(pair.d_a, (x_b, y_b), pair.z_a, z_b))
 
 
 def cylinder_image(pair: WorldlinePair, ell: float, n: int) -> float:
@@ -124,41 +130,65 @@ class TestTwistedImages:
 
 
 class TestEffectiveEll:
+    """Detector k sees its own n-th image at |n| ell_n, where
+    n^2 ell_n^2 = |x_k - J^n x_k|^2 = n^2 ell^2 + 4 |d_k|^2 P(n) on the
+    twisted cylinder (P(n) = n mod 2): the odd class of the pair (k, k)
+    sits at 2 d_k."""
+
     def test_even_n_unchanged(self):
-        assert effective_ell_twisted(1.0, 0.7, 2) == 0.7
+        assert twisted_image(self_pair((1.0, 0.0)), 0.7, 2) == 2 * 0.7
 
     def test_quoted_value(self):
-        assert effective_ell_twisted(1.0, 1.0, 1) == pytest.approx(
+        assert twisted_image(self_pair((1.0, 0.0)), 1.0, 1) == pytest.approx(
             math.sqrt(5.0), abs=1e-15
         )
 
     def test_axis_detector_unchanged(self):
         for n in (-3, -1, 1, 2, 5):
-            assert effective_ell_twisted(0.0, 1.2, n) == 1.2
+            assert twisted_image(self_pair((0.0, 0.0)), 1.2, n) == abs(n) * 1.2
 
-    def test_zero_index_rejected(self):
-        with pytest.raises(GeometryError):
-            effective_ell_twisted(1.0, 1.0, 0)
+    def test_zero_index_is_the_detector_itself(self):
+        # ell_n is undefined at n = 0: the image is the detector, at distance 0
+        assert twisted_image(self_pair((1.0, 0.0), 0.4), 1.0, 0) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0, 4, allow_nan=False), scale, st.integers(-12, 12))
     def test_parity_identity(self, d_k, ell, n):
-        """n^2 ell_n^2 - n^2 ell^2 is exactly 0 or 4 d_k^2 by parity."""
+        """|x_k - J^n x_k|^2 = n^2 ell^2 + 4 d_k^2 P(n), compared whole: the
+        difference r_n^2 - n^2 ell^2 would carry rounding of order
+        eps n^2 ell^2, which reaches 1e-12 on this grid."""
         if n == 0:
             return
-        ell_n = effective_ell_twisted(d_k, ell, n)
-        diff = n * n * ell_n * ell_n - n * n * ell * ell
-        expected = 4.0 * d_k * d_k * parity(n)
-        assert diff == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        r_n = twisted_image(self_pair((d_k, 0.0)), ell, n)
+        expected = n * n * ell * ell + 4.0 * d_k * d_k * (n % 2)
+        assert r_n * r_n == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_consistency_with_self_image_separation(self):
-        # |n| ell_n equals the twisted self-image distance of detector k
+        # the odd self class of detector k sits at 2 d_k, the even one at 0
         d_k, ell = 0.8, 1.1
         w = self_pair((d_k, 0.0), 0.4)
+        even, odd = image_classes(Topology.twisted_cylinder(ell), w)
+        assert (even.dx, even.dy, odd.dx, odd.dy) == (0.0, 0.0, 2 * d_k, 0.0)
         for n in (-3, -1, 1, 2, 7):
             assert twisted_image(w, ell, n) == pytest.approx(
-                abs(n) * effective_ell_twisted(d_k, ell, n), rel=1e-14
+                math.sqrt(n * n * ell * ell + 4.0 * d_k * d_k * (n % 2)), rel=1e-14
             )
+
+
+class TestImageClasses:
+    PAIR = WorldlinePair((0.2, -0.1), (0.4, 0.5), 0.1, -0.3)
+
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_cylinder(self, eta):
+        even, odd = image_classes(Topology.cylinder(1.3, eta), self.PAIR)
+        assert even == ImageClass(1, 0.2 - 0.4, -0.1 - 0.5)
+        assert odd == ImageClass(eta, 0.2 - 0.4, -0.1 - 0.5)
+
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_twisted(self, eta):
+        even, odd = image_classes(Topology.twisted_cylinder(1.3, eta), self.PAIR)
+        assert even == ImageClass(1, 0.2 - 0.4, -0.1 - 0.5)
+        assert odd == ImageClass(eta, 0.2 + 0.4, -0.1 + 0.5)
 
 
 class TestOrientation:
@@ -202,7 +232,9 @@ class TestTopologyValidation:
         with pytest.raises(GeometryError):
             Topology(TopologyKind.MINKOWSKI, 1.0)
         with pytest.raises(GeometryError):
-            image_separation(Topology.minkowski(), self_pair((0.0, 0.0)), 1)
+            image_separation_array(Topology.minkowski(), self_pair((0.0, 0.0)), 1)
+        with pytest.raises(GeometryError, match="no identification isometry"):
+            image_classes(Topology.minkowski(), self_pair((0.0, 0.0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,7 +243,7 @@ class TestTopologyValidation:
 @example(WorldlinePair((0.0, 1.0), (0.0, 1.0), 1.0, 1.657e-8), 1.0, 1)
 def test_isometry_action_matches_quadratic_formula_cylinder(pair, ell, n):
     got = cylinder_image(pair, ell, n)
-    want = cylinder_separation_formula(pair, ell, n)
+    want = isometry_separation(TopologyKind.CYLINDER, pair, ell, n)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -221,5 +253,5 @@ def test_isometry_action_matches_quadratic_formula_cylinder(pair, ell, n):
 @example(WorldlinePair((0.0, 1.0), (0.0, -1.0), 1.0, 1.657e-8), 1.0, 1)
 def test_isometry_action_matches_quadratic_formula_twisted(pair, ell, n):
     got = twisted_image(pair, ell, n)
-    want = twisted_separation_formula(pair, ell, n)
+    want = isometry_separation(TopologyKind.TWISTED_CYLINDER, pair, ell, n)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

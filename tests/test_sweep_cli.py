@@ -35,7 +35,7 @@ from udwpair import (
 from udwpair.cli import main
 from udwpair.elements import self_excitation_array
 from udwpair.entanglement import Measures
-from udwpair.geometry import image_separation, separation
+from udwpair.geometry import image_separation_array, separation
 from udwpair.sweep import (
     GridAxis,
     SweepConfig,
@@ -435,26 +435,29 @@ class TestVerification:
 def _reference_oracle_devs(cfg, row):
     """Oracle deviations of one row from the public scalar functions, point
     by point: the Minkowski a, x, c at the row's separation and, on a
-    quotient, x and c at the images 1, -1, 2, -2."""
+    quotient, x and c at the images 1, -1, 2, -2; each relative to
+    max(1, |closed form|)."""
+
+    def dev(closed, oracle):
+        return abs(closed - oracle) / max(1.0, abs(closed))
+
     p = DetectorParams(omega=row["omega"], sigma=1.0, eps0=cfg.eps0)
     pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
     lsep = separation(pair)
     mink = elements_for(p, pair, Topology.minkowski())
     devs = {
-        "a": abs(mink.a - oracle_a(p)),
-        "x": abs(mink.x - oracle_x(p, lsep)),
-        "c": abs(mink.c - oracle_c(p, lsep)),
+        "a": dev(mink.a, oracle_a(p)),
+        "x": dev(mink.x, oracle_x(p, lsep)),
+        "c": dev(mink.c, oracle_c(p, lsep)),
         "image": 0.0,
     }
     if cfg.topology is not TopologyKind.MINKOWSKI:
         topology = cfg.topology_for(row["ell"])
         for n in (1, -1, 2, -2):
-            l_n = image_separation(topology, pair, n)
+            l_n = float(image_separation_array(topology, pair, n))
             term = elements_for(p, WorldlinePair((0.0, 0.0), (l_n, 0.0)), Topology.minkowski())
             devs["image"] = max(
-                devs["image"],
-                abs(term.x - oracle_x(p, l_n)),
-                abs(term.c - oracle_c(p, l_n)),
+                devs["image"], dev(term.x, oracle_x(p, l_n)), dev(term.c, oracle_c(p, l_n))
             )
     return devs
 
@@ -707,6 +710,30 @@ class TestCli:
         )
         assert result.exit_code == 0, result.stderr
         assert result.stderr.startswith("verify: PASS (max deviation ")
+
+    @pytest.mark.parametrize("topology", [[], ["--topology", "cylinder", "--ell", "1"]])
+    @pytest.mark.parametrize("length", ["1e-11", "1e-12"])
+    def test_verify_at_tiny_separations(self, topology, length):
+        # |x| ~ sigma/(8 pi L) is about 1e9 here: deviations are relative
+        # to max(1, |closed form|), so one ulp of x does not fail the run
+        args = ["verify", *topology, "--omega-range", "0.5:0.5:1",
+                "--l-range", f"{length}:{length}:1"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr.startswith("verify: PASS (max deviation ")
+
+    def test_verify_at_a_tiny_separation_still_sees_a_relative_fault(self, monkeypatch):
+        original = udwpair.elements.nonlocal_array
+
+        def corrupted(sigma, omega, r):
+            return original(sigma, omega, r) * (1.0 + 1e-3)
+
+        monkeypatch.setattr(udwpair.elements, "nonlocal_array", corrupted)
+        result = CliRunner().invoke(
+            main, ["verify", "--omega-range", "0.5:0.5:1", "--l-range", "1e-11:1e-11:1"]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("verify: FAIL (max deviation 9.99")
 
     def test_coincident_image_cli(self):
         args = [
