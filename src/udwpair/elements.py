@@ -52,6 +52,10 @@ array operation per n, and per-point failures are recorded in an ``errors``
 array instead of being raised.  :func:`elements_for`, the one-point entry,
 is a batch of one point that raises its error, so it agrees exactly with
 the batch.
+
+The scipy.special functions (erfc, erfcx, wofz, dawsn) are imported where
+the kernels use them, at the first element evaluation, so importing the
+package and resolving a configuration do not load scipy.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.special as _sp
 
 from .errors import (
     GeometryError,
@@ -229,6 +232,14 @@ def joint_excitation(a, b, x, c):
         return ax * ax + a * b + 2.0 * (ac * ac)
 
 
+def _special():
+    # imported here: scipy.special is most of the package's import time, and
+    # show-config, --help and config errors evaluate no element
+    import scipy.special
+
+    return scipy.special
+
+
 def _piecewise(cases, *args):
     """Evaluate each (mask, fn) case on the points where its mask holds (NaN
     where none does)."""
@@ -242,7 +253,7 @@ def _piecewise(cases, *args):
 def _self_term_nonnegative(y):
     # the scaled complement erfcx keeps the product finite; the subtraction
     # cancels like 1/2y^2, hence _self_term_large_gap from _CF_Y on
-    return np.exp(-y * y) * (1.0 - _SQRT_PI * y * _sp.erfcx(y)) / (4.0 * math.pi)
+    return np.exp(-y * y) * (1.0 - _SQRT_PI * y * _special().erfcx(y)) / (4.0 * math.pi)
 
 
 def _self_term_large_gap(y):
@@ -257,7 +268,7 @@ def _self_term_large_gap(y):
 
 
 def _self_term_negative(y):
-    return (np.exp(-y * y) - _SQRT_PI * y * _sp.erfc(y)) / (4.0 * math.pi)
+    return (np.exp(-y * y) - _SQRT_PI * y * _special().erfc(y)) / (4.0 * math.pi)
 
 
 def self_excitation_array(y):
@@ -276,7 +287,7 @@ def self_excitation_array(y):
 def _im_erfcx_series(x, y):
     """Im erfcx(x + iy) = sum_m (-1)^m u^(2m+1)(x) y^(2m+1) / (2m+1)! with
     u = erfcx, u' = 2xu - 2/sqrt(pi) and u^(n+1) = 2x u^(n) + 2n u^(n-1)."""
-    prev = _sp.erfcx(x)
+    prev = _special().erfcx(x)
     cur = 2.0 * x * prev - 2.0 / _SQRT_PI
     term = y
     total = cur * term
@@ -289,7 +300,7 @@ def _im_erfcx_series(x, y):
 
 
 def _im_erfcx_faddeeva(x, y):
-    return _sp.wofz(complex_array(-y, x)).imag
+    return _special().wofz(complex_array(-y, x)).imag
 
 
 def _exchange_bracket(x, y):
@@ -337,7 +348,7 @@ def nonlocal_array(sigma: float, omega, r):
     r = np.asarray(r, dtype=float)
     y = r / (2.0 * sigma)
     envelope = np.exp(-(x * x))
-    bracket = complex_array(-2.0 / _SQRT_PI * _sp.dawsn(y), np.exp(-y * y))
+    bracket = complex_array(-2.0 / _SQRT_PI * _special().dawsn(y), np.exp(-y * y))
     return sigma / (4.0 * _SQRT_PI * r) * envelope * bracket
 
 

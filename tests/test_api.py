@@ -1,6 +1,7 @@
 """The documented API: the README quick start runs as written, every
-exported name exists, importing the CLI leaves the oracle-only
-dependencies unloaded, and no module imports a name it never uses."""
+exported name exists, the CLI starts and reports its configuration
+without loading scipy or mpmath, and no module imports a name it never
+uses."""
 
 import ast
 import contextlib
@@ -55,19 +56,41 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", namespace)
 
 
-def test_cli_import_leaves_oracle_dependencies_unloaded():
-    # scipy.integrate (only the -i eps oracle) and mpmath (only tests and
-    # the benchmark reference) are a large share of the start-up time
+def test_cli_start_up_loads_no_scipy_or_mpmath():
+    # scipy.special is most of the start-up time, and the kernels import it
+    # at their first element evaluation; scipy.integrate (only the -i eps
+    # oracle) and mpmath (only tests and the benchmark reference) are never
+    # needed before that.  The README fig2 show-config, --help and a
+    # config error (exit 1) evaluate no element, so none of them may load
+    # any of these.
     src = str(Path(udwpair.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys, udwpair.cli; "
-        "print(' '.join(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))"
-    )
+    commands = [
+        ["show-config", "--topology", "cylinder", "--ell", "0.5,1,2,4",
+         "--omega-range", "-3:3:121", "--l-range", "1:1:1", "--out", "fig2.csv"],
+        ["--help"],
+        ["sweep", "--ell", "abc"],
+    ]
+    code = f"""
+import contextlib, io, sys
+import udwpair
+import udwpair.cli
+codes = []
+for args in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            udwpair.cli.main(args, prog_name="udwpair")
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes)
+print(" ".join(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
+"""
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == ""
+    codes, loaded = result.stdout.split("\n")[:2]
+    assert codes == "[0, 0, 1]"
+    assert loaded == ""
 
 
 def _unused_imports(path: Path) -> list[str]:

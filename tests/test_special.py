@@ -8,12 +8,21 @@ on the line y = 0 it vanishes, on x = 0 it is e^{-y^2} erfi(y)
 = (2/sqrt(pi)) D(y), and erf(-conj z) = -conj erf(z) gives the reflection
 B(-x, y) = B(x, y) + 2 e^{-y^2} sin(2xy).  The real functions ``erfc`` and
 ``dawsn`` that the element kernels call come from SciPy and are checked
-where they meet it.  Frozen constants were generated offline with mpmath at
-40 significant digits.
+where they meet it.  The kernels import scipy.special at their first call;
+a fresh interpreter checks that this first call gives the same bits.
+Frozen constants were generated offline with mpmath at 40 significant
+digits.
 """
 
 import cmath
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +30,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import udwpair
 from udwpair.elements import _exchange_bracket
 
 ERF_1 = 0.84270079294971486934
@@ -202,3 +212,45 @@ def test_no_nonfinite_escapes_validated_domain():
     assert np.all(np.isfinite(sp.erfc(x)))
     assert np.all(np.isfinite(sp.erfcx(np.abs(x))))
     assert np.all(np.isfinite(sp.dawsn(x)))
+
+
+#: elements_for at points that reach every scipy.special kernel: the self
+#: term at Omega sigma >= 0 (erfcx) and < 0 (erfc), the exchange bracket
+#: outside (wofz) and inside (erfcx series) the series region, the nonlocal
+#: term (dawsn), and a cylinder image sum; prints float.hex of a, b, x, c.
+ELEMENT_HEX = """
+import warnings
+from udwpair import DetectorParams, Topology, WorldlinePair, TruncationWarning, elements_for
+warnings.simplefilter("ignore", TruncationWarning)
+for omega, l, topology in (
+    (0.5, 1.0, Topology.minkowski()),
+    (-2.0, 1.0, Topology.minkowski()),
+    (0.5, 0.4, Topology.minkowski()),
+    (0.5, 1.0, Topology.cylinder(1.5)),
+):
+    pair = WorldlinePair((0.0, 0.0), (l, 0.0))
+    s = elements_for(DetectorParams(omega, 1.0, 0.01), pair, topology)
+    print(*map(float.hex, (s.a, s.b, s.x.real, s.x.imag, s.c.real, s.c.imag)))
+"""
+
+
+def test_first_evaluation_imports_scipy_special_bit_for_bit():
+    # the kernels import scipy.special at their first call; this process
+    # imported it above, so only a fresh interpreter takes that path
+    src = str(Path(udwpair.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, udwpair\n"
+        "print('scipy.special' in sys.modules)\n"
+        f"{ELEMENT_HEX}\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    lines = result.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "True"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        exec(ELEMENT_HEX, {})
+    assert lines[1:-1] == out.getvalue().splitlines()
