@@ -40,8 +40,12 @@ exchange element and the X time integral pair the pole at u = r as
 with g the Gaussian window, so :func:`oracle_c_batch` and
 :func:`oracle_x_time_integral_batch` integrate rows of any (gap,
 separation) on one panel grid from s = 0: per level, cos/sin are tabulated
-once per gap and the Gaussians once per separation, and each row is a real
-product-sum over its own prefix of the grid.  A row whose last doubling
+once per gap and the Gaussian pair terms once per separation, and each row
+is two dot products (one BLAS ddot each) of its gap's and its separation's
+table rows over its own prefix of the grid.  A product grid of gaps and
+separations takes all its dots at once on broadcast views of the tables, a
+scattered batch takes two dots per row on its gathered table rows; both
+are the same ddot of the same values.  A row whose last doubling
 still changes it by more than ``raise_tol`` gets a
 :class:`ConvergenceError`: the batch functions return it per row and leave
 the other rows as they are; the one-value functions raise it.
@@ -381,39 +385,59 @@ def _pole_pairing(
         Q = Int_0^span (g(r+s) + g(r-s)) sin(Omega s)/s ds
 
     Row k sums the first ``_base_panels(r_k + window)`` 2^level panels of
-    width 3 sigma/2^level from s = 0.  At each level cos/sin are tabulated
-    once per gap and the Gaussians once per separation; each row is a real
-    product-sum over its own prefix of the nodes, so its value depends only
-    on its own (sigma, Omega, r).
+    width 3 sigma/2^level from s = 0, its n nodes.  At each level cos/sin
+    are tabulated once per gap, and the pair terms (g(r+s) -+ g(r-s)) w/s
+    once per separation; P and Q of a row are two dot products
+    (``np.vecdot``, one BLAS ddot each) of its gap's and its separation's
+    table rows over the same n contiguous nodes.  Where a block of rows
+    covers at least half of its gaps x separations (a product grid, one
+    gap), all of those dots are taken at once on broadcast views;
+    otherwise each row's dots are taken on its gathered table rows, two
+    per row.  Either way a row's value is the same ddot of the same values,
+    so it depends only on its own (sigma, Omega, r).
     """
     # gaps by bit pattern, so that -0.0 and 0.0 keep their own tables
     gap_keys, gap_of = np.unique(omega.view(np.int64), return_inverse=True)
     gaps = gap_keys.view(np.float64)
     seps, sep_of = np.unique(r, return_inverse=True)
-    panels = [_base_panels(x + _WINDOW_SIGMAS * sigma, sigma) for x in seps.tolist()]
+    panels = np.array([_base_panels(x + _WINDOW_SIGMAS * sigma, sigma) for x in seps.tolist()])
 
     def sums(k: np.ndarray, level: int) -> np.ndarray:
         gap_k, sep_k = gap_of[k], sep_of[k]
-        longest = max(panels[j] for j in np.unique(sep_k).tolist()) << level
-        s, w = _pairing_grid(_PANEL_SIGMAS * sigma * 0.5**level, longest)
-        pq = np.empty((k.size, 2))
+        panels_k = panels[sep_k]
+        s, w = _pairing_grid(_PANEL_SIGMAS * sigma * 0.5**level, int(panels_k.max()) << level)
+        p, q = np.empty(k.size), np.empty(k.size)
         for gs in _pieces(np.unique(gap_k), s.size):
             phase = gaps[gs, None] * s
-            trig = np.stack([np.cos(phase), np.sin(phase)], axis=1)
+            cos, sin = np.cos(phase), np.sin(phase)
             in_gs = np.isin(gap_k, gs)
-            for j in np.unique(sep_k[in_gs]).tolist():
-                n = (panels[j] << level) * _GL_UNIT.size
-                # g(r - s) = e and g(r + s) = e e^{-r s/s^2}: the difference
-                # through expm1, without cancellation at small r s
-                e = np.exp(-((s[:n] - seps[j]) ** 2) / (4.0 * sigma * sigma))
-                d = e * np.expm1(-seps[j] * s[:n] / (sigma * sigma))
-                pair = np.stack([d, 2.0 * e + d]) * (w[:n] / s[:n])
-                for part in _pieces(np.flatnonzero(in_gs & (sep_k == j)), n):
-                    at = np.searchsorted(gs, gap_k[part])
-                    pq[part] = (trig[at, :, :n] * pair).sum(axis=2)
-        return pq[:, 0] - 1j * pq[:, 1]
+            for count in np.unique(panels_k[in_gs]).tolist():
+                n = (count << level) * _GL_UNIT.size
+                ws = w[:n] / s[:n]
+                group = np.flatnonzero(in_gs & (panels_k == count))
+                for js in _pieces(np.unique(sep_k[group]), n):
+                    # g(r - s) = e and g(r + s) = e e^{-r s/s^2}: the
+                    # difference through expm1, without cancellation at
+                    # small r s
+                    rj = seps[js, None]
+                    e = np.exp(-((s[:n] - rj) ** 2) / (4.0 * sigma * sigma))
+                    d = e * np.expm1(-rj * s[:n] / (sigma * sigma))
+                    dp, dq = d * ws, (2.0 * e + d) * ws
+                    block = group[np.isin(sep_k[group], js)]
+                    if gs.size * js.size <= 2 * block.size:
+                        at_g = np.searchsorted(gs, gap_k[block])
+                        at_s = np.searchsorted(js, sep_k[block])
+                        p[block] = np.vecdot(cos[:, None, :n], dp[None])[at_g, at_s]
+                        q[block] = np.vecdot(sin[:, None, :n], dq[None])[at_g, at_s]
+                    else:
+                        for part in _pieces(block, n):
+                            at_g = np.searchsorted(gs, gap_k[part])
+                            at_s = np.searchsorted(js, sep_k[part])
+                            p[part] = np.vecdot(cos[at_g, :n], dp[at_s])
+                            q[part] = np.vecdot(sin[at_g, :n], dq[at_s])
+        return p - 1j * q
 
-    span = [n * _PANEL_SIGMAS * sigma for n in panels]
+    span = (panels * _PANEL_SIGMAS * sigma).tolist()
     return _refine(
         sums, [(0.0, span[j]) for j in sep_of.tolist()], target=1e-12, raise_tol=raise_tol
     )

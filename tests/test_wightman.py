@@ -168,6 +168,87 @@ class TestRefinement:
         assert _bits(sliced_x[0]) == _bits(whole_x[0]) and sliced_x[1] == whole_x[1]
 
 
+class TestPolePairingDots:
+    """The pole pairing takes P and Q of each row as dot products of a gap
+    table row and a separation table row: on broadcast views for a product
+    grid, on gathered rows for a scattered batch."""
+
+    SIGMA = 0.8
+    # four panel counts of the pairing grid at sigma = 0.8
+    SEPS = [0.02, 1.3, 9.5, 40.0]
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Per ``np.vecdot`` call its table rank and number of dots, and
+        per pass of the pole pairing the rows it evaluates."""
+        import udwpair.wightman as wightman
+
+        calls, rows = [], []
+        vecdot, refine = np.vecdot, wightman._refine
+
+        def counting_vecdot(x1, x2):
+            out = vecdot(x1, x2)
+            calls.append((x1.ndim, out.size))
+            return out
+
+        def counting_refine(sums, intervals, **options):
+            def counted(k, level):
+                rows.append(k.size)
+                return sums(k, level)
+
+            return refine(counted, intervals, **options)
+
+        monkeypatch.setattr(np, "vecdot", counting_vecdot)
+        monkeypatch.setattr(wightman, "_refine", counting_refine)
+        return calls, rows
+
+    def _one_row_values(self, gaps, seps):
+        c = [oracle_c(DetectorParams(omega=om, sigma=self.SIGMA), r) for om, r in zip(gaps, seps)]
+        x = [oracle_x_time_integral(self.SIGMA, r) for r in seps]
+        return c, x
+
+    def test_product_grid_equals_one_row_calls_bit_for_bit(self, monkeypatch):
+        gaps = np.array([-2.0, -0.5, 0.0, -0.0, 0.7, 3.0])
+        grid_gaps, grid_seps = (v.ravel() for v in np.meshgrid(gaps, self.SEPS, indexing="ij"))
+        want_c, want_x = self._one_row_values(grid_gaps.tolist(), grid_seps.tolist())
+        calls, _ = self._record(monkeypatch)
+        c, c_errors = oracle_c_batch(self.SIGMA, gaps[:, None], self.SEPS)
+        x, x_errors = oracle_x_time_integral_batch(self.SIGMA, grid_seps)
+        assert c_errors == x_errors == [None] * grid_gaps.size
+        assert _bits(c) == _bits(np.array(want_c)) and _bits(x) == _bits(np.array(want_x))
+        # the dense branch: every dot of a product grid on broadcast views
+        assert calls and all(ndim == 3 for ndim, _ in calls)
+
+    def test_scattered_batch_equals_one_row_calls_bit_for_bit(self, monkeypatch):
+        # distinct gaps and separations, no two rows sharing either
+        rng = np.random.default_rng(7)
+        gaps = rng.permutation(np.linspace(-3.0, 3.0, 12)).tolist()
+        seps = np.geomspace(0.01, 40.0, 12).tolist()
+        want_c, _ = self._one_row_values(gaps, seps)
+        calls, rows = self._record(monkeypatch)
+        c, errors = oracle_c_batch(self.SIGMA, gaps, seps)
+        assert errors == [None] * len(gaps)
+        assert _bits(c) == _bits(np.array(want_c))
+        # the gathered branch: two dots (P and Q) per row and level, not a
+        # dot for every gap x separation
+        assert calls and all(ndim == 2 for ndim, _ in calls)
+        assert sum(dots for _, dots in calls) == 2 * sum(rows)
+
+    def test_small_tables_leave_values_unchanged(self, monkeypatch):
+        # narrower gap, separation and row slices mix the two branches
+        import udwpair.wightman as wightman
+
+        rng = np.random.default_rng(11)
+        gaps = rng.choice([-1.5, 0.0, 0.4, 2.0], 20).tolist()
+        seps = rng.choice(self.SEPS + [0.3, 5.0], 20).tolist()
+        whole = oracle_c_batch(self.SIGMA, gaps, seps)
+        monkeypatch.setattr(wightman, "_BATCH_NODES", 4096)
+        calls, _ = self._record(monkeypatch)
+        sliced = oracle_c_batch(self.SIGMA, gaps, seps)
+        assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
+        assert {ndim for ndim, _ in calls} == {2, 3}
+
+
 class TestOracleValues:
     def test_self_term_forced_value(self):
         p = DetectorParams(omega=0.0, sigma=1.0)
