@@ -47,9 +47,13 @@ bookkeeping below reflects that.
 
 Every coefficient has one numpy implementation that takes arrays
 (``*_array``).  :func:`elements_batch` evaluates a whole (Omega, worldline)
-grid with them at once: image sums run over n in a fixed order with one
-array operation per n, and per-point failures are recorded in an ``errors``
-array instead of being raised.  :func:`elements_for`, the one-point entry,
+grid with them at once, and per-point failures are recorded in an
+``errors`` array instead of being raised.  An image sum evaluates all its
+images in one stacked pass, in chunks of consecutive n that keep memory
+O(grid): the separations of every image at once, their checks, and each
+distinct separation's exchange and nonlocal terms once against every gap.
+The terms are then added one n at a time in the fixed order
+n = -nmax..-1, 1..nmax, so every output bit is that of a loop over n.  :func:`elements_for`, the one-point entry,
 is a batch of one point that raises its error, so it agrees exactly with
 the batch.
 
@@ -119,6 +123,13 @@ _CF_TERMS = 60
 #: Image separations within this many units of round-off (eps) of the
 #: largest coordinate forming them count as coincident worldlines.
 _COINCIDENT_ULPS = 4.0
+#: Image terms x grid points that one chunk of an image sum evaluates at
+#: once: it bounds the memory of the stacked pass at any nmax, and keeps a
+#: 64 x 64 grid at the default nmax = 10 (20 images) in one chunk.
+_IMAGE_CHUNK = 1 << 17
+#: Table entries (gaps x image separations) that one kernel call of an
+#: image sum evaluates: the kernels' temporaries take about 90 bytes each.
+_KERNEL_SLICE = 1 << 14
 #: Relative tail size above which an image sum warns about its truncation.
 TRUNCATION_RTOL = 1e-12
 
@@ -356,85 +367,185 @@ def _separation_error(r: float) -> GeometryError:
     return GeometryError(f"separation must be finite and > 0, got {r!r}")
 
 
+def _bad_separation(r):
+    return ~(np.isfinite(r) & (r > 0.0))
+
+
 def _flag_separation(errors: np.ndarray, r) -> None:
-    flag_errors(errors, ~(np.isfinite(r) & (r > 0.0)), _separation_error, r)
+    flag_errors(errors, _bad_separation(r), _separation_error, r)
 
 
-def _flag_coincident_image(
-    errors: np.ndarray, topology: Topology, pair: WorldlinePair, n: int, l_n
-) -> None:
-    """GeometryError naming ``n`` where detector B sits on the n-th image of
-    detector A: where ``l_n`` = |x_A - J^n x_B| is at most _COINCIDENT_ULPS
-    units of round-off of the largest coordinate that forms it (the
-    positions, and the shift n ell), so that rounding alone sets it."""
-    scale = abs(n) * topology.ell
-    for coord in (*pair.d_a, *pair.d_b, pair.z_a, pair.z_b):
-        scale = np.maximum(scale, np.abs(coord))
-    roundoff = _COINCIDENT_ULPS * np.finfo(float).eps * scale
-    flag_errors(
-        errors,
-        l_n <= roundoff,
-        lambda r, tol: GeometryError(
-            f"detector B sits on image n = {n} of detector A: separation {r!r} "
-            f"is within the round-off {tol!r} of its coordinates"
-        ),
-        l_n,
-        roundoff,
+def _coincident_error(n: int, r: float, tol: float) -> GeometryError:
+    return GeometryError(
+        f"detector B sits on image n = {n} of detector A: separation {r!r} "
+        f"is within the round-off {tol!r} of its coordinates"
     )
 
 
+def _flag_images(errors: np.ndarray, checks) -> None:
+    """Record, at each point without an error, the first check that fails
+    in the order of a loop over the images: image by image along the
+    leading axis, and within an image in the order of ``checks``.  Each
+    check is ``(bad, make, *values)``, all stacked along that leading axis
+    and broadcasting against ``errors`` behind it; the error is
+    ``make(v1, v2, ...)`` of the failing image's values at the point, as
+    Python numbers (as in :func:`flag_errors`)."""
+    if not any(np.any(bad) for bad, *_ in checks):
+        return
+    full = (np.shape(checks[0][0])[0], *errors.shape)
+    bad = np.stack([np.broadcast_to(check[0], full) for check in checks], axis=1)
+    bad = bad.reshape(-1, errors.size)
+    first = bad.argmax(axis=0)
+    flat = errors.reshape(-1)
+    for i in np.flatnonzero(bad.any(axis=0)):
+        if flat[i] is None:
+            image, k = divmod(int(first[i]), len(checks))
+            _, make, *values = checks[k]
+            at = (image, *np.unravel_index(i, errors.shape))
+            flat[i] = make(*(np.broadcast_to(v, full)[at].item() for v in values))
+
+
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """``flat`` cut into consecutive pieces of the given shapes."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [piece.reshape(shape) for piece, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def _kernel_tables(sigma: float, omega, seps):
+    """The exchange and nonlocal terms of the gaps ``omega`` at every array
+    of ``seps`` (stacked image separations that broadcast against
+    ``omega``): flat tables ``(exchange, nonlocal)``, and ``(gap, at)``,
+    where ``gap + at[j]`` indexes the entries of ``seps[j]`` in them.
+
+    Each distinct separation (by bit pattern) is evaluated once, against
+    every gap: the tables span (gaps x distinct separations).  Where that
+    product would exceed the entries asked for (gaps and separations that
+    vary together rather than on a grid), the kernels run on the entries
+    themselves.  Either way every entry is the value of
+    :func:`exchange_array` and :func:`nonlocal_array` at its own gap and
+    separation, bit for bit.  The kernels run on _KERNEL_SLICE table
+    entries at a time, which bounds their temporaries.
+    """
+    shapes = [np.broadcast_shapes(omega.shape, np.shape(r)) for r in seps]
+    flat = np.concatenate([np.ravel(r) for r in seps])
+    distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    if omega.size * distinct.size > sum(map(math.prod, shapes)):
+        gaps = np.concatenate([np.broadcast_to(omega, s).ravel() for s in shapes])
+        r = np.concatenate([np.broadcast_to(v, s).ravel() for v, s in zip(seps, shapes)])
+        gap, at = 0, _split(np.arange(r.size), shapes)
+    else:
+        gaps, r = omega.reshape(-1, 1), distinct.view(np.float64)
+        gap = np.arange(omega.size).reshape(omega.shape) * r.size
+        at = _split(inverse, [np.shape(v) for v in seps])
+    shape = np.broadcast_shapes(gaps.shape, r.shape)
+    exchange = np.empty(shape)
+    nonlocal_ = np.empty(shape, dtype=complex)
+    step = max(1, _KERNEL_SLICE * r.size // math.prod(shape))
+    for start in range(0, r.size, step):
+        cols = slice(start, start + step)
+        g = gaps[cols] if gaps.shape == r.shape else gaps  # entries, or a gap column
+        exchange[..., cols] = exchange_array(sigma, g, r[cols])
+        nonlocal_[..., cols] = nonlocal_array(sigma, g, r[cols])
+    return exchange.reshape(-1), nonlocal_.reshape(-1), gap, at
+
+
+def _image_terms(
+    sigma: float, omega, pair: WorldlinePair, topology: Topology, ns,
+    errors: np.ndarray, selves=(),
+):
+    """(l_n, x_n, c_n, self_terms) of the images ``ns``, stacked in that
+    order along a leading axis: l_n = |x_A - J^n x_B|, the nonlocal and
+    exchange terms at it, and the exchange term at the separation of each
+    self pair in ``selves`` from its own image n, all without the field's
+    weight under J^n.
+
+    The checks of each image are recorded in ``errors`` in the order of a
+    loop over the images (:func:`_flag_images`): every self separation
+    finite and > 0, then l_n not round-off, then l_n finite and > 0.  l_n
+    is round-off, and detector B sits on image n of detector A, where it is
+    at most _COINCIDENT_ULPS units of round-off of the largest coordinate
+    that forms it (the positions, and the shift n ell).
+    """
+    n = np.reshape(ns, (-1,) + (1,) * errors.ndim)
+    selves = [image_separation_array(topology, p, n) for p in selves]
+    l_n = image_separation_array(topology, pair, n)
+    with np.errstate(over="ignore"):
+        scale = np.abs(n) * topology.ell
+    for coord in (*pair.d_a, *pair.d_b, pair.z_a, pair.z_b):
+        scale = np.maximum(scale, np.abs(coord))
+    roundoff = _COINCIDENT_ULPS * np.finfo(float).eps * scale
+    checks = [(_bad_separation(r), _separation_error, r) for r in selves]
+    checks += [
+        (l_n <= roundoff, _coincident_error, n, l_n, roundoff),
+        (_bad_separation(l_n), _separation_error, l_n),
+    ]
+    _flag_images(errors, checks)
+    exchange, nonlocal_, gap, (*at_selves, at_l) = _kernel_tables(
+        sigma, omega, [*selves, l_n]
+    )
+    at_l = gap + at_l
+    x_n = np.take(nonlocal_, at_l)
+    c_n = np.take(exchange, at_l)
+    return l_n, x_n, c_n, [np.take(exchange, gap + at) for at in at_selves]
+
+
 def image_terms(
-    sigma: float, omega, pair: WorldlinePair, topology: Topology, n: int,
+    sigma: float, omega, pair: WorldlinePair, topology: Topology, ns,
     errors: np.ndarray,
 ):
-    """(l_n, x_n, c_n) of image n: l_n = |x_A - J^n x_B| and the nonlocal
-    and exchange terms at it, without the field's weight under J^n.  A
-    point where l_n is round-off (detector B on image n of detector A), or
-    not finite and > 0, gets a GeometryError in ``errors``."""
-    l_n = image_separation_array(topology, pair, n)
-    _flag_coincident_image(errors, topology, pair, n, l_n)
-    _flag_separation(errors, l_n)
-    return l_n, nonlocal_array(sigma, omega, l_n), exchange_array(sigma, omega, l_n)
+    """(l_n, x_n, c_n) of the images ``ns``, stacked in that order along a
+    leading axis: l_n = |x_A - J^n x_B| and the nonlocal and exchange terms
+    at it, without the field's weight under J^n.  A point where l_n is
+    round-off (detector B on image n of detector A), or not finite and > 0,
+    gets a GeometryError in ``errors``: the first of them over ``ns``."""
+    return _image_terms(sigma, np.asarray(omega, dtype=float), pair, topology, ns, errors)[:3]
 
 
 def _add_images(
     a, x, c, omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
     errors: np.ndarray,
 ) -> XStateBatch:
-    """The n = 0 terms a, x, c plus their images n = -nmax..-1, 1..nmax,
-    one array operation per n.
+    """The n = 0 terms a, x, c plus their images n = -nmax..-1, 1..nmax.
+
+    The images are evaluated in one stacked pass (:func:`_image_terms`):
+    in chunks of consecutive n of at most _IMAGE_CHUNK image terms x grid
+    points (at least one image), so that memory stays O(grid) at any
+    ``nmax``, with each distinct separation of a chunk evaluated once.
+    The terms are then added in the order n = -nmax..-1, 1..nmax, one
+    addition per n, so the sums do not depend on the chunking.
 
     On the cylinder the single-detector image separations |n| ell do not
     depend on the position, so b = a and only detector A's sum is formed.
     """
     same_b = topology.kind is TopologyKind.CYLINDER
     weights = [image.weight for image in image_classes(topology, pair)]
-    pair_a = self_pair(pair.d_a, pair.z_a)
-    pair_b = self_pair(pair.d_b, pair.z_b)
+    selves = [self_pair(pair.d_a, pair.z_a)]
+    if not same_b:
+        selves.append(self_pair(pair.d_b, pair.z_b))
+    images = [*range(-nmax, 0), *range(1, nmax + 1)]
+    chunk = max(1, _IMAGE_CHUNK // errors.size)
     b = a
     last_a = last_b = last_x = last_c = 0.0
-    for n in [*range(-nmax, 0), *range(1, nmax + 1)]:
-        w = weights[n % 2]
-        r_a = image_separation_array(topology, pair_a, n)
-        _flag_separation(errors, r_a)
-        t_a = w * exchange_array(sigma, omega, r_a)
-        a = a + t_a
-        if not same_b:
-            r_b = image_separation_array(topology, pair_b, n)
-            _flag_separation(errors, r_b)
-            t_b = w * exchange_array(sigma, omega, r_b)
-            b = b + t_b
-        _, x_n, c_n = image_terms(sigma, omega, pair, topology, n, errors)
-        t_x = w * x_n
-        t_c = w * c_n
-        x = x + t_x
-        c = c + t_c
-        if abs(n) == nmax:
-            last_a = last_a + np.abs(t_a)
-            last_x = last_x + modulus(t_x)
-            last_c = last_c + np.abs(t_c)
+    for start in range(0, len(images), chunk):
+        ns = images[start : start + chunk]
+        _, x_n, c_n, self_terms = _image_terms(sigma, omega, pair, topology, ns, errors, selves)
+        for k, n in enumerate(ns):
+            w = weights[n % 2]
+            t_a = w * self_terms[0][k]
+            a = a + t_a
             if not same_b:
-                last_b = last_b + np.abs(t_b)
+                t_b = w * self_terms[1][k]
+                b = b + t_b
+            t_x = w * x_n[k]
+            t_c = w * c_n[k]
+            x = x + t_x
+            c = c + t_c
+            if abs(n) == nmax:
+                last_a = last_a + np.abs(t_a)
+                last_x = last_x + modulus(t_x)
+                last_c = last_c + np.abs(t_c)
+                if not same_b:
+                    last_b = last_b + np.abs(t_b)
     if same_b:
         b, last_b = a, last_a
 

@@ -24,6 +24,8 @@ The worldline coordinates of a :class:`WorldlinePair` may be numpy arrays
 of broadcast-compatible shapes; :func:`separation_array` and
 :func:`image_separation_array` then return one distance per element, and
 :func:`separation` is the first of them evaluated on floats.
+:func:`image_separation_array` also takes an array of image numbers n, so
+one call gives the separations of many images at once.
 """
 
 from __future__ import annotations
@@ -168,11 +170,20 @@ def image_classes(topology: Topology, pair: WorldlinePair) -> tuple[ImageClass, 
     return even, ImageClass(topology.eta, xa + xb, ya + yb)
 
 
-def image_separation_array(topology: Topology, pair: WorldlinePair, n: int):
+def image_separation_array(topology: Topology, pair: WorldlinePair, n):
     """Distances |x_A - J^n x_B| for array-valued worldline coordinates:
-    image n lies in class n mod 2, shifted by n ell along z."""
-    image = image_classes(topology, pair)[n % 2]
-    return _distance(image.dx, image.dy, pair.z_a - (pair.z_b + n * topology.ell))
+    image n lies in class n mod 2, shifted by n ell along z.
+
+    ``n`` is an integer or an integer array that broadcasts against the
+    coordinates like one more coordinate: n of shape (K, 1, ..., 1) stacks
+    K images on a leading axis, each in the class of its own parity.
+    """
+    even, odd = image_classes(topology, pair)
+    n = np.asarray(n)
+    is_odd = n % 2 == 1
+    with np.errstate(over="ignore"):  # a shift beyond the float range is inf
+        dz = pair.z_a - (pair.z_b + n * topology.ell)
+    return _distance(np.where(is_odd, odd.dx, even.dx), np.where(is_odd, odd.dy, even.dy), dz)
 
 
 def worldlines_from_orientation(length: float, theta: float) -> WorldlinePair:

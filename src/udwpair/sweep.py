@@ -549,16 +549,13 @@ def run_verification(config: SweepConfig) -> VerificationReport:
     def evaluate(block: _Block):
         gaps = block.gaps()
         mink = _minkowski_elements(config, block)
-        images = []
+        images = ()
         if config.topology is not TopologyKind.MINKOWSKI:
             topology = config.topology_for(block.ell)
-            images = [
-                image_terms(SIGMA, gaps, block.pair, topology, n, block.errors)
-                for n in _VERIFY_IMAGES
-            ]
+            images = image_terms(SIGMA, gaps, block.pair, topology, _VERIFY_IMAGES, block.errors)
         dev_a, dev_x, dev_c = _minkowski_deviations(block, oracle, mink)
         dev_image = np.zeros(block.errors.shape)
-        for l_n, x_n, c_n in images:
+        for l_n, x_n, c_n in zip(*images):
             dev_image = np.maximum(
                 dev_image, np.maximum(*oracle.dev_xc(block.errors, gaps, l_n, x_n, c_n))
             )

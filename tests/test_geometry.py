@@ -190,6 +190,16 @@ class TestImageClasses:
         assert even == ImageClass(1, 0.2 - 0.4, -0.1 - 0.5)
         assert odd == ImageClass(eta, 0.2 + 0.4, -0.1 + 0.5)
 
+    @pytest.mark.parametrize("topology", [Topology.cylinder(1.3), Topology.twisted_cylinder(1.3)])
+    def test_stacked_images_equal_single_images(self, topology):
+        # n as a leading axis against array coordinates, each n in its own class
+        pair = WorldlinePair((0.2, -0.1), (np.array([0.4, -0.7, 1.5]), 0.5), 0.1, -0.3)
+        ns = [-3, -2, -1, 1, 2, 3]
+        stacked = image_separation_array(topology, pair, np.reshape(ns, (-1, 1)))
+        assert stacked.shape == (6, 3)
+        for row, n in zip(stacked, ns):
+            assert row.tobytes() == image_separation_array(topology, pair, n).tobytes()
+
 
 class TestOrientation:
     def test_transverse(self):
