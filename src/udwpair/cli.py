@@ -111,7 +111,7 @@ def verify(config_path, **flags):
         cfg = _resolve_config(config_path, **flags)
         report = run_verification(cfg)
         _emit(cfg, report.rows)
-    except (ConfigError, UdwError) as exc:
+    except UdwError as exc:
         raise SystemExit(_fail(exc))
     click.echo(
         f"verify: {'PASS' if report.passed else 'FAIL'} "

@@ -15,47 +15,51 @@ coefficients A/eps0^2, B/eps0^2, X/eps0^2, C/eps0^2, E/eps0^4 in Minkowski
 space and, by the method of images, in the cylinder and twisted-cylinder
 quotients.
 
-The three building blocks, written for switching width sigma = s and a
-static pair at spatial separation r > 0, are
+The kernels take the gap as y = sigma*Omega and every length in units of
+the switching width sigma: the separation as rho = r/sigma, the topology's
+scale as ell/sigma.  For a static pair at separation rho > 0 the three
+building blocks are
 
-    self term      a(Omega)    = (1/4 pi) [e^{-s^2 Omega^2}
-                                   - sqrt(pi) s Omega erfc(s Omega)]
-    exchange term  c(Omega, r) = (s / 4 sqrt(pi) r) e^{-r^2/4 s^2}
-                                   ( Im[e^{i Omega r} erf(s Omega + i r/2s)]
-                                     - sin(Omega r) )
-    nonlocal term  x(Omega, r) = (s / 4 sqrt(pi) r) e^{-s^2 Omega^2}
-                                   [ i e^{-r^2/4s^2} - (2/sqrt(pi)) D(r/2s) ]
+    self term      a(y)      = (1/4 pi) [e^{-y^2} - sqrt(pi) y erfc(y)]
+    exchange term  c(y, rho) = (1 / 4 sqrt(pi) rho) e^{-rho^2/4}
+                                 ( Im[e^{i y rho} erf(y + i rho/2)]
+                                   - sin(y rho) )
+    nonlocal term  x(y, rho) = (1 / 4 sqrt(pi) rho) e^{-y^2}
+                                 [ i e^{-rho^2/4} - (2/sqrt(pi)) D(rho/2) ]
 
 where D is Dawson's integral.  For both gap signs the exchange term's
-e^{-r^2/4s^2}( ... ) is evaluated as
+e^{-rho^2/4}( ... ) is evaluated as
 
-    -e^{-s^2 Omega^2} Im w(-r/2s + i|s Omega|)
-        - 2 [Omega < 0] e^{-r^2/4s^2} sin(Omega r)
+    -e^{-y^2} Im w(-rho/2 + i|y|) - 2 [y < 0] e^{-rho^2/4} sin(y rho)
 
 with the Faddeeva function w (the reflection w(-z) = 2 e^{-z^2} - w(z)
 turns a negative gap into a positive one), whose argument stays in the
 upper half-plane, where |w| <= 1: it is finite at every gap and separation,
-and the cancelling subtraction of sin(Omega r) is never formed.
+and the cancelling subtraction of sin(y rho) is never formed.
 All three are verified term by term against an independent distributional
 quadrature of the Wightman function (see :mod:`udwpair.wightman`).
 
 A note on decay: the delta-function (sin) parts of the pair terms fall off
-like e^{-r^2/4s^2}, but the principal-value parts fall off only like
-(s/r)^2 e^{-s^2 Omega^2} / 2 pi.  Image sums therefore converge
-polynomially, ~ 1/(n ell)^2 per term, not Gaussianly; the truncation
-bookkeeping below reflects that.
+like e^{-rho^2/4}, but the principal-value parts fall off only like
+e^{-y^2} / 2 pi rho^2.  Image sums therefore converge polynomially,
+~ 1/(n ell)^2 per term, not Gaussianly; the truncation bookkeeping below
+reflects that.
 
 Every coefficient has one numpy implementation that takes arrays
-(``*_array``).  :func:`elements_batch` evaluates a whole (Omega, worldline)
+(``*_array``).  :func:`elements_batch` evaluates a whole (y, worldline)
 grid with them at once, and per-point failures are recorded in an
 ``errors`` array instead of being raised.  An image sum evaluates all its
 images in one stacked pass, in chunks of consecutive n that keep memory
 O(grid): the separations of every image at once, their checks, and each
 distinct separation's exchange and nonlocal terms once against every gap.
 The terms are then added one n at a time in the fixed order
-n = -nmax..-1, 1..nmax, so every output bit is that of a loop over n.  :func:`elements_for`, the one-point entry,
-is a batch of one point that raises its error, so it agrees exactly with
-the batch.
+n = -nmax..-1, 1..nmax, so every output bit is that of a loop over n.
+
+:class:`DetectorParams` keeps sigma, and :func:`elements_for`, the
+one-point entry, scales once, at that boundary: it passes sigma*Omega and
+the pair's coordinates and ell over sigma to a batch of one point, and
+raises the point's error, so it agrees exactly with the batch at sigma = 1
+and its error texts give lengths in units of sigma.
 
 The scipy.special functions (erfc, erfcx, wofz, dawsn) are imported where
 the kernels use them, at the first element evaluation, so importing the
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -106,7 +110,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-#: Region |x| <= _SERIES_X, y <= _SERIES_Y (x = s Omega, y = r/2s) where
+#: Region |x| <= _SERIES_X, y <= _SERIES_Y (x = sigma*Omega, y = rho/2) where
 #: Im erfcx(|x| + iy) = Im w(-y + i|x|) is summed from its Taylor series in
 #: y, for both gap signs: scipy's Faddeeva routine keeps only
 #: absolute accuracy in Im w there (errors up to 2.3e-13 relative), while the
@@ -114,7 +118,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _SERIES_X = 8.0
 _SERIES_Y = 0.3
 _SERIES_TERMS = 10
-#: From y = sigma*Omega = _CF_Y on, the self term's 1 - sqrt(pi) y erfcx(y)
+#: From y = _CF_Y on, the self term's 1 - sqrt(pi) y erfcx(y)
 #: is summed as a continued fraction (_CF_TERMS terms, backwards): the
 #: direct subtraction loses up to three digits by y = 24, while with the
 #: fraction a stays within 4e-16 relative of mpmath for y in [4, 24].
@@ -335,32 +339,32 @@ def _exchange_bracket(x, y):
     return out
 
 
-def exchange_array(sigma: float, omega, r):
-    """C/eps0^2 at separations r > 0 for arrays of gaps and separations:
-    sigma/(4 sqrt(pi) r) times the bracket of x = sigma*Omega and
-    y = r/2 sigma (:func:`_exchange_bracket`).
+def exchange_array(y, rho):
+    """C/eps0^2 at separations rho > 0 for arrays of gaps and separations:
+    1/(4 sqrt(pi) rho) times the bracket of y and rho/2
+    (:func:`_exchange_bracket`).
 
-    At r = |x - J^n x| the same function gives the n-th image term of a
+    At rho = |x - J^n x| the same function gives the n-th image term of a
     single detector's probability A (the detector correlating with its own
     image).
     """
-    omega, r = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(r, dtype=float))
-    return sigma / (4.0 * _SQRT_PI * r) * _exchange_bracket(sigma * omega, r / (2.0 * sigma))
+    y, rho = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(rho, dtype=float))
+    return 1.0 / (4.0 * _SQRT_PI * rho) * _exchange_bracket(y, rho / 2.0)
 
 
-def nonlocal_array(sigma: float, omega, r):
-    """X/eps0^2 at separations r > 0 for arrays of gaps and separations.
+def nonlocal_array(y, rho):
+    """X/eps0^2 at separations rho > 0 for arrays of gaps and separations.
 
     The Dawson representation
-    e^{-r^2/4s^2} [1 + erf(i r/2s)] = e^{-r^2/4s^2} + i (2/sqrt(pi)) D(r/2s)
+    e^{-rho^2/4} [1 + erf(i rho/2)] = e^{-rho^2/4} + i (2/sqrt(pi)) D(rho/2)
     keeps the evaluation finite at any separation.
     """
-    x = sigma * np.asarray(omega, dtype=float)
-    r = np.asarray(r, dtype=float)
-    y = r / (2.0 * sigma)
-    envelope = np.exp(-(x * x))
-    bracket = complex_array(-2.0 / _SQRT_PI * _special().dawsn(y), np.exp(-y * y))
-    return sigma / (4.0 * _SQRT_PI * r) * envelope * bracket
+    y = np.asarray(y, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    half = rho / 2.0
+    envelope = np.exp(-(y * y))
+    bracket = complex_array(-2.0 / _SQRT_PI * _special().dawsn(half), np.exp(-half * half))
+    return 1.0 / (4.0 * _SQRT_PI * rho) * envelope * bracket
 
 
 def _separation_error(r: float) -> GeometryError:
@@ -411,11 +415,11 @@ def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return [piece.reshape(shape) for piece, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
-def _kernel_tables(sigma: float, omega, seps):
-    """The exchange and nonlocal terms of the gaps ``omega`` at every array
-    of ``seps`` (stacked image separations that broadcast against
-    ``omega``): flat tables ``(exchange, nonlocal)``, and ``(gap, at)``,
-    where ``gap + at[j]`` indexes the entries of ``seps[j]`` in them.
+def _kernel_tables(y, seps):
+    """The exchange and nonlocal terms of the gaps ``y`` at every array of
+    ``seps`` (stacked image separations that broadcast against ``y``):
+    flat tables ``(exchange, nonlocal)``, and ``(gap, at)``, where
+    ``gap + at[j]`` indexes the entries of ``seps[j]`` in them.
 
     Each distinct separation (by bit pattern) is evaluated once, against
     every gap: the tables span (gaps x distinct separations).  Where that
@@ -426,32 +430,31 @@ def _kernel_tables(sigma: float, omega, seps):
     separation, bit for bit.  The kernels run on _KERNEL_SLICE table
     entries at a time, which bounds their temporaries.
     """
-    shapes = [np.broadcast_shapes(omega.shape, np.shape(r)) for r in seps]
+    shapes = [np.broadcast_shapes(y.shape, np.shape(r)) for r in seps]
     flat = np.concatenate([np.ravel(r) for r in seps])
     distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    if omega.size * distinct.size > sum(map(math.prod, shapes)):
-        gaps = np.concatenate([np.broadcast_to(omega, s).ravel() for s in shapes])
+    if y.size * distinct.size > sum(map(math.prod, shapes)):
+        gaps = np.concatenate([np.broadcast_to(y, s).ravel() for s in shapes])
         r = np.concatenate([np.broadcast_to(v, s).ravel() for v, s in zip(seps, shapes)])
         gap, at = 0, _split(np.arange(r.size), shapes)
     else:
-        gaps, r = omega.reshape(-1, 1), distinct.view(np.float64)
-        gap = np.arange(omega.size).reshape(omega.shape) * r.size
+        gaps, r = y.reshape(-1, 1), distinct.view(np.float64)
+        gap = np.arange(y.size).reshape(y.shape) * r.size
         at = _split(inverse, [np.shape(v) for v in seps])
     shape = np.broadcast_shapes(gaps.shape, r.shape)
     exchange = np.empty(shape)
     nonlocal_ = np.empty(shape, dtype=complex)
-    step = max(1, _KERNEL_SLICE * r.size // math.prod(shape))
+    step = max(1, _KERNEL_SLICE * r.size // max(1, math.prod(shape)))
     for start in range(0, r.size, step):
         cols = slice(start, start + step)
         g = gaps[cols] if gaps.shape == r.shape else gaps  # entries, or a gap column
-        exchange[..., cols] = exchange_array(sigma, g, r[cols])
-        nonlocal_[..., cols] = nonlocal_array(sigma, g, r[cols])
+        exchange[..., cols] = exchange_array(g, r[cols])
+        nonlocal_[..., cols] = nonlocal_array(g, r[cols])
     return exchange.reshape(-1), nonlocal_.reshape(-1), gap, at
 
 
 def _image_terms(
-    sigma: float, omega, pair: WorldlinePair, topology: Topology, ns,
-    errors: np.ndarray, selves=(),
+    y, pair: WorldlinePair, topology: Topology, ns, errors: np.ndarray, selves=()
 ):
     """(l_n, x_n, c_n, self_terms) of the images ``ns``, stacked in that
     order along a leading axis: l_n = |x_A - J^n x_B|, the nonlocal and
@@ -480,30 +483,24 @@ def _image_terms(
         (_bad_separation(l_n), _separation_error, l_n),
     ]
     _flag_images(errors, checks)
-    exchange, nonlocal_, gap, (*at_selves, at_l) = _kernel_tables(
-        sigma, omega, [*selves, l_n]
-    )
+    exchange, nonlocal_, gap, (*at_selves, at_l) = _kernel_tables(y, [*selves, l_n])
     at_l = gap + at_l
     x_n = np.take(nonlocal_, at_l)
     c_n = np.take(exchange, at_l)
     return l_n, x_n, c_n, [np.take(exchange, gap + at) for at in at_selves]
 
 
-def image_terms(
-    sigma: float, omega, pair: WorldlinePair, topology: Topology, ns,
-    errors: np.ndarray,
-):
+def image_terms(y, pair: WorldlinePair, topology: Topology, ns, errors: np.ndarray):
     """(l_n, x_n, c_n) of the images ``ns``, stacked in that order along a
     leading axis: l_n = |x_A - J^n x_B| and the nonlocal and exchange terms
     at it, without the field's weight under J^n.  A point where l_n is
     round-off (detector B on image n of detector A), or not finite and > 0,
     gets a GeometryError in ``errors``: the first of them over ``ns``."""
-    return _image_terms(sigma, np.asarray(omega, dtype=float), pair, topology, ns, errors)[:3]
+    return _image_terms(np.asarray(y, dtype=float), pair, topology, ns, errors)[:3]
 
 
 def _add_images(
-    a, x, c, omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
-    errors: np.ndarray,
+    a, x, c, y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
 ) -> XStateBatch:
     """The n = 0 terms a, x, c plus their images n = -nmax..-1, 1..nmax.
 
@@ -523,12 +520,12 @@ def _add_images(
     if not same_b:
         selves.append(self_pair(pair.d_b, pair.z_b))
     images = [*range(-nmax, 0), *range(1, nmax + 1)]
-    chunk = max(1, _IMAGE_CHUNK // errors.size)
+    chunk = max(1, _IMAGE_CHUNK // max(1, errors.size))
     b = a
     last_a = last_b = last_x = last_c = 0.0
     for start in range(0, len(images), chunk):
         ns = images[start : start + chunk]
-        _, x_n, c_n, self_terms = _image_terms(sigma, omega, pair, topology, ns, errors, selves)
+        _, x_n, c_n, self_terms = _image_terms(y, pair, topology, ns, errors, selves)
         for k, n in enumerate(ns):
             w = weights[n % 2]
             t_a = w * self_terms[0][k]
@@ -558,7 +555,7 @@ def _add_images(
         worst = np.maximum.reduce(
             [lk / np.maximum(modulus(sk), 1e-300) for lk, sk in zip(last, (a, b, x, c))]
         )
-    valid = np.array([err is None for err in errors.reshape(-1)]).reshape(shape)
+    valid = np.equal(errors, None)
     if np.any(valid & (worst > TRUNCATION_RTOL)):
         warnings.warn(
             f"image sum truncated at |n| <= {nmax} with last-term relative "
@@ -572,11 +569,10 @@ def _add_images(
 
 
 def elements_batch(
-    omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
-    errors: np.ndarray,
+    y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
 ) -> XStateBatch:
-    """Elements on a grid: gaps ``omega`` and pair coordinates broadcast to
-    ``errors.shape``.
+    """Elements on a grid: gaps y = sigma*Omega and pair coordinates (in
+    units of sigma, as is ``topology.ell``) broadcast to ``errors.shape``.
 
     The Minkowski (n = 0) terms are formed for every topology; a quotient
     adds the image sums over 1 <= |n| <= ``nmax``.  A point for which
@@ -587,15 +583,15 @@ def elements_batch(
     quotient = topology.kind is not TopologyKind.MINKOWSKI
     if quotient and nmax < 1:
         raise GeometryError(f"nmax must be >= 1, got {nmax!r}")
-    omega = np.asarray(omega, dtype=float)
+    y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         length = separation_array(pair)
         _flag_separation(errors, length)
-        a = self_excitation_array(sigma * omega)
-        x = nonlocal_array(sigma, omega, length)
-        c = exchange_array(sigma, omega, length)
+        a = self_excitation_array(y)
+        x = nonlocal_array(y, length)
+        c = exchange_array(y, length)
         if quotient:
-            return _add_images(a, x, c, omega, sigma, pair, topology, nmax, errors)
+            return _add_images(a, x, c, y, pair, topology, nmax, errors)
     a = np.broadcast_to(a, errors.shape)
     return XStateBatch(a, a, x, c, np.zeros(errors.shape))
 
@@ -614,7 +610,8 @@ def _as_batch(state: XStateAB) -> XStateBatch:
 def elements_for(
     p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int = 10
 ) -> XStateAB:
-    """Elements of one detector pair, by :func:`elements_batch` on one point.
+    """Elements of one detector pair, by :func:`elements_batch` on one point
+    at y = sigma*Omega, with the pair's coordinates and ell over sigma.
 
     Raises the error that the batch records for the point.  b = a in
     Minkowski space and on the cylinder.  On the twisted cylinder the odd
@@ -622,8 +619,13 @@ def elements_for(
     pair (k, k) at transverse distance 2 |d_k|, so a and b differ whenever
     |d_A| != |d_B|.
     """
+    s = p.sigma
+    (xa, ya), (xb, yb) = pair.d_a, pair.d_b
+    pair = WorldlinePair((xa / s, ya / s), (xb / s, yb / s), pair.z_a / s, pair.z_b / s)
+    if topology.kind is not TopologyKind.MINKOWSKI:
+        topology = replace(topology, ell=topology.ell / s)
     errors = new_errors((1,))
-    state = elements_batch(np.array([p.omega]), p.sigma, pair, topology, nmax, errors)
+    state = elements_batch(np.array([s * p.omega]), pair, topology, nmax, errors)
     _raise_first(errors)
     a, b, x, c, tail = (v[0] for v in state)
     return XStateAB(

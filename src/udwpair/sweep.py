@@ -40,13 +40,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import wightman
-from .elements import (
-    DetectorParams,
-    elements_batch,
-    image_terms,
-    modulus,
-    new_errors,
-)
+from .elements import elements_batch, image_terms, modulus, new_errors
 from .entanglement import xstate_measures_batch
 from .errors import ConfigError
 from .geometry import (
@@ -75,9 +69,8 @@ __all__ = [
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "UDWPAIR_OUT_DIR"
 
-#: The switching width of every sweep: inputs and outputs are in units of
-#: sigma, so the physics (a function of Omega*sigma and L/sigma) needs no
-#: other value.
+#: The switching width of every sweep, written to the ``sigma`` column:
+#: inputs and outputs are in units of sigma, the units of the kernels.
 SIGMA = 1.0
 
 VERIFY_TOLERANCE = 1e-6
@@ -348,11 +341,11 @@ def _tabulate(config: SweepConfig, evaluate) -> Table:
 
 
 def _per_row(batch, *args) -> list:
-    """Per row, the value or the exception of ``batch(SIGMA, *args)``, which
+    """Per row, the value or the exception of ``batch(*args)``, which
     returns values and per-row errors; every row gets the exception of a
     call that raises."""
     try:
-        values, errors = batch(SIGMA, *args)
+        values, errors = batch(*args)
     except Exception as exc:
         return [exc] * len(args[0])
     return [v if e is None else e for v, e in zip(values.tolist(), errors)]
@@ -380,8 +373,7 @@ class _Oracle:
     exception in ``errors``.
     """
 
-    def __init__(self, config: SweepConfig):
-        self.eps0 = config.eps0
+    def __init__(self):
         # argument tuple -> value or exception, one dict per integral
         self._a: dict = {}
         self._x: dict = {}
@@ -393,15 +385,12 @@ class _Oracle:
     def quadratures(self) -> int:
         return len(self._a) + len(self._x) + len(self._c)
 
-    def _params(self, omega: float) -> DetectorParams:
-        return DetectorParams(omega=omega, sigma=SIGMA, eps0=self.eps0)
-
     def _lookup(self, memo: dict, errors: np.ndarray, batch, *args) -> np.ndarray:
         """The integral at the arguments ``args`` (broadcast against
         ``errors``) of each point without an error; NaN at the other points,
         and the exception where the integral raised.  The distinct argument
         tuples that ``memo`` lacks are integrated in one call
-        ``batch(SIGMA, *columns)``."""
+        ``batch(*columns)``."""
         flat = errors.reshape(-1)
         out = np.full(flat.size, math.nan, dtype=complex)
         todo = np.flatnonzero(np.equal(flat, None))
@@ -435,7 +424,7 @@ class _Oracle:
         of a point first."""
         quad = self._lookup(self._x, errors, wightman.oracle_x_time_integral_batch, r)
         envelope = np.array(
-            [wightman.oracle_x_envelope(self._params(om)) for om in omega.ravel().tolist()]
+            [wightman.oracle_x_envelope(om) for om in omega.ravel().tolist()]
         ).reshape(omega.shape)
         oracle_c = self._lookup(self._c, errors, wightman.oracle_c_batch, omega, r)
         return _deviation(x, envelope * quad), _deviation(c, oracle_c)
@@ -453,20 +442,18 @@ def _minkowski_deviations(block: _Block, oracle: _Oracle, mink) -> list[np.ndarr
 
 def _minkowski_elements(config: SweepConfig, block: _Block):
     return elements_batch(
-        block.gaps(), SIGMA, block.pair, Topology.minkowski(), config.nmax,
-        block.errors,
+        block.gaps(), block.pair, Topology.minkowski(), config.nmax, block.errors
     )
 
 
 def run_sweep(config: SweepConfig) -> Table:
     """Evaluate all matrix elements and measures on the configured grid."""
     config = config.validate()
-    oracle = _Oracle(config)
+    oracle = _Oracle()
 
     def evaluate(block: _Block):
         state = elements_batch(
-            block.gaps(), SIGMA, block.pair, config.topology_for(block.ell),
-            config.nmax, block.errors,
+            block.gaps(), block.pair, config.topology_for(block.ell), config.nmax, block.errors
         )
         m = xstate_measures_batch(state, config.eps0, block.errors)
         values = {
@@ -506,12 +493,9 @@ def run_difference_map(config: SweepConfig) -> Table:
         gaps = block.gaps()
         # one-point call order: both element sets, then the measures of each
         top = elements_batch(
-            gaps, SIGMA, block.pair, config.topology_for(block.ell), config.nmax,
-            block.errors,
+            gaps, block.pair, config.topology_for(block.ell), config.nmax, block.errors
         )
-        mink = elements_batch(
-            gaps, SIGMA, block.pair, Topology.minkowski(), config.nmax, block.errors,
-        )
+        mink = elements_batch(gaps, block.pair, Topology.minkowski(), config.nmax, block.errors)
         corr_top = xstate_measures_batch(top, config.eps0, block.errors).corr
         corr_mink = xstate_measures_batch(mink, config.eps0, block.errors).corr
         return {
@@ -544,7 +528,7 @@ def run_verification(config: SweepConfig) -> VerificationReport:
     any quadrature.
     """
     config = config.validate()
-    oracle = _Oracle(config)
+    oracle = _Oracle()
 
     def evaluate(block: _Block):
         gaps = block.gaps()
@@ -552,7 +536,7 @@ def run_verification(config: SweepConfig) -> VerificationReport:
         images = ()
         if config.topology is not TopologyKind.MINKOWSKI:
             topology = config.topology_for(block.ell)
-            images = image_terms(SIGMA, gaps, block.pair, topology, _VERIFY_IMAGES, block.errors)
+            images = image_terms(gaps, block.pair, topology, _VERIFY_IMAGES, block.errors)
         dev_a, dev_x, dev_c = _minkowski_deviations(block, oracle, mink)
         dev_image = np.zeros(block.errors.shape)
         for l_n, x_n, c_n in zip(*images):

@@ -1,8 +1,9 @@
 """Independent distributional quadrature of the detector integrals.
 
-The vacuum two-point function of a massless scalar field in 4D flat space,
-restricted to a static pair at spatial separation R and written in the time
-difference u, is the distribution
+Times and lengths are in units of the switching width sigma and the gap
+is y = sigma*Omega.  The vacuum two-point function of a massless scalar
+field in 4D flat space, restricted to a static pair at spatial separation
+R and written in the time difference u, is the distribution
 
     W(u, R) = (1/4 pi i) sgn(u) delta(u^2 - R^2)  -  1/(4 pi^2 (u^2 - R^2)).
 
@@ -12,10 +13,9 @@ analytically first (it is an exact Gaussian Fourier transform), which
 reduces each element to a one-dimensional distributional integral:
 
     A-type (full line, also the exchange element C and every image term):
-        I(Omega, R) = s sqrt(pi) * Int du  e^{-u^2/4 s^2} e^{-i Omega u} W(u, R)
+        I(y, R) = sqrt(pi) * Int du  e^{-u^2/4} e^{-i y u} W(u, R)
     X-type (time-ordered half line u > 0):
-        X(Omega, L) = -2 s sqrt(pi) e^{-s^2 Omega^2}
-                        * Int_0^inf du  e^{-u^2/4 s^2} W(u, L)
+        X(y, L) = -2 sqrt(pi) e^{-y^2} * Int_0^inf du  e^{-u^2/4} W(u, L)
 
 The distributional pieces are evaluated by explicit rules:
 
@@ -34,8 +34,8 @@ so its value does not depend on the other rows of the batch, bit for bit.
 :func:`oracle_a_batch` integrates the self term of all gaps at once.  The
 exchange element and the X time integral pair the pole at u = r as
 
-    f(r+s) - f(r-s) = e^{-i Omega r} [(g(r+s) - g(r-s)) cos(Omega s)
-                                      - i (g(r+s) + g(r-s)) sin(Omega s)]
+    f(r+s) - f(r-s) = e^{-i y r} [(g(r+s) - g(r-s)) cos(y s)
+                                  - i (g(r+s) + g(r-s)) sin(y s)]
 
 with g the Gaussian window, so :func:`oracle_c_batch` and
 :func:`oracle_x_time_integral_batch` integrate rows of any (gap,
@@ -49,6 +49,11 @@ are the same ddot of the same values.  A row whose last doubling
 still changes it by more than ``raise_tol`` gets a
 :class:`ConvergenceError`: the batch functions return it per row and leave
 the other rows as they are; the one-value functions raise it.
+
+The batch functions take gaps y and separations in units of sigma.  The
+one-row :func:`oracle_a`, :func:`oracle_c`, :func:`oracle_x` and
+:func:`oracle_ieps` take a :class:`DetectorParams` and a separation, and
+scale them once: y = sigma*Omega, separations over sigma.
 
 As a second, independent regularization, :func:`oracle_ieps` evaluates the
 same integrals with the regular kernel
@@ -89,14 +94,14 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-#: Gaussian switching support in units of sigma: e^{-(52/2)^2} ~ 1e-294.
+#: Gaussian switching support: e^{-(52/2)^2} ~ 1e-294.
 _WINDOW_SIGMAS = 52.0
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 #: The nodes mapped to [0, 1].
 _GL_UNIT = 0.5 + 0.5 * _GL_NODES
 
-#: Width of a base-level panel of the pole-pairing grid, in units of sigma.
+#: Width of a base-level panel of the pole-pairing grid.
 _PANEL_SIGMAS = 3.0
 
 #: Largest rows x nodes array one quadrature pass evaluates or gathers; a
@@ -203,8 +208,8 @@ def _quad(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, **options) 
     return complex(_single(*_refined_quad(_one_row(g), 1, a, b, **options)))
 
 
-def _base_panels(length: float, sigma: float) -> int:
-    return max(8, int(math.ceil(length / (_PANEL_SIGMAS * sigma))))
+def _base_panels(length: float) -> int:
+    return max(8, int(math.ceil(length / _PANEL_SIGMAS)))
 
 
 def pv_over_pole(
@@ -212,7 +217,6 @@ def pv_over_pole(
     pole: float,
     *,
     span: float,
-    sigma_scale: float = 1.0,
     target: float = 1e-12,
     raise_tol: float = 1e-8,
 ) -> complex:
@@ -227,14 +231,12 @@ def pv_over_pole(
         return (f(pole + s) - f(pole - s)) / s
 
     return _quad(
-        paired, 0.0, span, base_panels=_base_panels(span, sigma_scale),
-        target=target, raise_tol=raise_tol,
+        paired, 0.0, span, base_panels=_base_panels(span), target=target, raise_tol=raise_tol
     )
 
 
 def _hadamard_rows(
-    f: _RowIntegrand, rows: int, *, span: float, f00: complex, sigma_scale: float,
-    target: float, raise_tol: float,
+    f: _RowIntegrand, rows: int, *, span: float, f00: complex, target: float, raise_tol: float
 ) -> tuple[list[complex], list]:
     """:func:`hadamard_double_pole` of the ``rows`` functions ``f(k, u)``,
     all with f(k, 0) = ``f00``."""
@@ -243,8 +245,8 @@ def _hadamard_rows(
         return (f(k, s) + f(k, -s) - 2.0 * f00) / (s * s)
 
     finite, errors = _refined_quad(
-        paired, rows, 0.0, span, base_panels=_base_panels(span, sigma_scale),
-        target=target, raise_tol=raise_tol,
+        paired, rows, 0.0, span, base_panels=_base_panels(span), target=target,
+        raise_tol=raise_tol,
     )
     return [v - 2.0 * f00 / span for v in finite.tolist()], errors
 
@@ -254,7 +256,6 @@ def hadamard_double_pole(
     *,
     span: float,
     f0: complex | None = None,
-    sigma_scale: float = 1.0,
     target: float = 1e-12,
     raise_tol: float = 1e-8,
 ) -> complex:
@@ -265,8 +266,7 @@ def hadamard_double_pole(
     """
     f00 = complex(f(np.array([0.0]))[0]) if f0 is None else complex(f0)
     return _single(*_hadamard_rows(
-        _one_row(f), 1, span=span, f00=f00, sigma_scale=sigma_scale,
-        target=target, raise_tol=raise_tol,
+        _one_row(f), 1, span=span, f00=f00, target=target, raise_tol=raise_tol
     ))
 
 
@@ -329,40 +329,39 @@ def richardson_zero_limit(
     return IepsEstimate(diag[-1], err)
 
 
-def _windowed_phase(sigma: float, omega: np.ndarray) -> _RowIntegrand:
-    """f(k, u) = e^{-u^2/4s^2 - i Omega_k u} for the gaps ``omega``."""
-    phase = 1j * omega[:, None]
+def _windowed_phase(y: np.ndarray) -> _RowIntegrand:
+    """f(k, u) = e^{-u^2/4 - i y_k u} for the gaps ``y``."""
+    phase = 1j * y[:, None]
 
     def f(k: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # exp(-u * u / (4 s s) - phase * u), in place: the same values
+        # exp(-u * u / 4 - phase * u), in place: the same values
         # with two fewer rows x nodes arrays
         v = phase[k] * u
-        np.subtract(-u * u / (4.0 * sigma * sigma), v, out=v)
+        np.subtract(-u * u / 4.0, v, out=v)
         return np.exp(v, out=v)
 
     return f
 
 
 def oracle_a_batch(
-    sigma: float, omega, *, raise_tol: float = 1e-8
+    y, *, raise_tol: float = 1e-8
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
     """The self term of :func:`oracle_a` (``l_image = 0``) at the gaps
-    ``omega``, all in one quadrature pass.
+    ``y``, all in one quadrature pass.
 
     Returns the values and, per gap, None or the :class:`ConvergenceError`
     of its quadrature; each value is the one-gap value bit for bit.
     """
-    s = sigma
-    om = np.asarray(omega, dtype=float).reshape(-1)
+    om = np.asarray(y, dtype=float).reshape(-1)
     had, errors = _hadamard_rows(
-        _windowed_phase(s, om), om.size, span=_WINDOW_SIGMAS * s, f00=1.0,
-        sigma_scale=s, target=1e-12, raise_tol=raise_tol,
+        _windowed_phase(om), om.size, span=_WINDOW_SIGMAS, f00=1.0, target=1e-12,
+        raise_tol=raise_tol,
     )
     values = []
     for w, h in zip(om.tolist(), had):
-        # sgn(u) delta(u^2) acts as f'(0) = -i Omega for the windowed phase
+        # sgn(u) delta(u^2) acts as f'(0) = -i y for the windowed phase
         delta_part = (-1j * w) / (4.0j * math.pi)
-        values.append((s * _SQRT_PI * (delta_part - h / (4.0 * math.pi**2))).real)
+        values.append((_SQRT_PI * (delta_part - h / (4.0 * math.pi**2))).real)
     return np.array(values), errors
 
 
@@ -376,16 +375,16 @@ def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pole_pairing(
-    sigma: float, omega: np.ndarray, r: np.ndarray, raise_tol: float
+    y: np.ndarray, r: np.ndarray, raise_tol: float
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
-    """PV Int du e^{-u^2/4s^2 - i Omega u}/(u - r) for the rows (omega, r),
-    as P - i Q with the phase e^{-i Omega r} taken out:
+    """PV Int du e^{-u^2/4 - i y u}/(u - r) for the rows (y, r), as P - i Q
+    with the phase e^{-i y r} taken out:
 
-        P = Int_0^span (g(r+s) - g(r-s)) cos(Omega s)/s ds
-        Q = Int_0^span (g(r+s) + g(r-s)) sin(Omega s)/s ds
+        P = Int_0^span (g(r+s) - g(r-s)) cos(y s)/s ds
+        Q = Int_0^span (g(r+s) + g(r-s)) sin(y s)/s ds
 
     Row k sums the first ``_base_panels(r_k + window)`` 2^level panels of
-    width 3 sigma/2^level from s = 0, its n nodes.  At each level cos/sin
+    width 3/2^level from s = 0, its n nodes.  At each level cos/sin
     are tabulated once per gap, and the pair terms (g(r+s) -+ g(r-s)) w/s
     once per separation; P and Q of a row are two dot products
     (``np.vecdot``, one BLAS ddot each) of its gap's and its separation's
@@ -394,18 +393,18 @@ def _pole_pairing(
     gap), all of those dots are taken at once on broadcast views;
     otherwise each row's dots are taken on its gathered table rows, two
     per row.  Either way a row's value is the same ddot of the same values,
-    so it depends only on its own (sigma, Omega, r).
+    so it depends only on its own (y, r).
     """
     # gaps by bit pattern, so that -0.0 and 0.0 keep their own tables
-    gap_keys, gap_of = np.unique(omega.view(np.int64), return_inverse=True)
+    gap_keys, gap_of = np.unique(y.view(np.int64), return_inverse=True)
     gaps = gap_keys.view(np.float64)
     seps, sep_of = np.unique(r, return_inverse=True)
-    panels = np.array([_base_panels(x + _WINDOW_SIGMAS * sigma, sigma) for x in seps.tolist()])
+    panels = np.array([_base_panels(x + _WINDOW_SIGMAS) for x in seps.tolist()])
 
     def sums(k: np.ndarray, level: int) -> np.ndarray:
         gap_k, sep_k = gap_of[k], sep_of[k]
         panels_k = panels[sep_k]
-        s, w = _pairing_grid(_PANEL_SIGMAS * sigma * 0.5**level, int(panels_k.max()) << level)
+        s, w = _pairing_grid(_PANEL_SIGMAS * 0.5**level, int(panels_k.max()) << level)
         p, q = np.empty(k.size), np.empty(k.size)
         for gs in _pieces(np.unique(gap_k), s.size):
             phase = gaps[gs, None] * s
@@ -416,12 +415,12 @@ def _pole_pairing(
                 ws = w[:n] / s[:n]
                 group = np.flatnonzero(in_gs & (panels_k == count))
                 for js in _pieces(np.unique(sep_k[group]), n):
-                    # g(r - s) = e and g(r + s) = e e^{-r s/s^2}: the
+                    # g(r - s) = e and g(r + s) = e e^{-r s}: the
                     # difference through expm1, without cancellation at
                     # small r s
                     rj = seps[js, None]
-                    e = np.exp(-((s[:n] - rj) ** 2) / (4.0 * sigma * sigma))
-                    d = e * np.expm1(-rj * s[:n] / (sigma * sigma))
+                    e = np.exp(-((s[:n] - rj) ** 2) / 4.0)
+                    d = e * np.expm1(-rj * s[:n])
                     dp, dq = d * ws, (2.0 * e + d) * ws
                     block = group[np.isin(sep_k[group], js)]
                     if gs.size * js.size <= 2 * block.size:
@@ -437,7 +436,7 @@ def _pole_pairing(
                             q[part] = np.vecdot(sin[at_g, :n], dq[at_s])
         return p - 1j * q
 
-    span = (panels * _PANEL_SIGMAS * sigma).tolist()
+    span = (panels * _PANEL_SIGMAS).tolist()
     return _refine(
         sums, [(0.0, span[j]) for j in sep_of.tolist()], target=1e-12, raise_tol=raise_tol
     )
@@ -452,28 +451,27 @@ def _separations(l_image) -> np.ndarray:
 
 
 def oracle_c_batch(
-    sigma: float, omega, l_image, *, raise_tol: float = 1e-8
+    y, l_image, *, raise_tol: float = 1e-8
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
-    """:func:`oracle_c` at the gaps ``omega`` and separations ``l_image``
+    """:func:`oracle_c` at the gaps ``y`` and separations ``l_image``
     (broadcast against each other), all in one quadrature pass:
-    s sqrt(pi) Int du e^{-u^2/4s^2} e^{-i Omega u} W(u, r).
+    sqrt(pi) Int du e^{-u^2/4} e^{-i y u} W(u, r).
 
     Returns the values and, per row, None or the :class:`ConvergenceError`
     of its quadrature; each value is the one-row value bit for bit.
     """
-    s = sigma
-    om, r = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(l_image, dtype=float))
+    om, r = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(l_image, dtype=float))
     om = np.array(om, dtype=float).reshape(-1)
     r = _separations(r)
-    pv, errors = _pole_pairing(s, om, r, raise_tol)
+    pv, errors = _pole_pairing(om, r, raise_tol)
     cos, sin = np.cos(om * r), np.sin(om * r)
-    g = np.exp(-r * r / (4.0 * s * s))
-    # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(Omega r)
+    g = np.exp(-r * r / 4.0)
+    # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(y r)
     delta_part = -g * sin / (4.0 * math.pi * r)
     # the pole at -r is -conj of the pole at r, so the pair leaves twice the
-    # real part of e^{-i Omega r} (P - i Q): C is exactly real
+    # real part of e^{-i y r} (P - i Q): C is exactly real
     pv_part = -(cos * pv.real + sin * pv.imag) / (4.0 * math.pi**2 * r)
-    return (s * _SQRT_PI * (delta_part + pv_part)).astype(complex), errors
+    return (_SQRT_PI * (delta_part + pv_part)).astype(complex), errors
 
 
 def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8) -> float:
@@ -487,7 +485,7 @@ def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8
     if l_image < 0.0 or not math.isfinite(l_image):
         raise GeometryError(f"l_image must be >= 0, got {l_image!r}")
     if l_image == 0.0:
-        return float(_single(*oracle_a_batch(p.sigma, [p.omega], raise_tol=raise_tol)))
+        return float(_single(*oracle_a_batch([p.sigma * p.omega], raise_tol=raise_tol)))
     return float(oracle_c(p, l_image, raise_tol=raise_tol).real)
 
 
@@ -497,24 +495,25 @@ def oracle_c(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> c
     Identical static detectors give a real value: the imaginary part is
     exactly 0.
     """
-    return complex(_single(*oracle_c_batch(p.sigma, [p.omega], l_image, raise_tol=raise_tol)))
+    y, rho = p.sigma * p.omega, l_image / p.sigma
+    return complex(_single(*oracle_c_batch([y], rho, raise_tol=raise_tol)))
 
 
 def oracle_x(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> complex:
     """Nonlocal coefficient X/eps0^2 from the time-ordered half-plane integral:
     :func:`oracle_x_envelope` times :func:`oracle_x_time_integral`."""
-    return oracle_x_envelope(p) * oracle_x_time_integral(p.sigma, l_image, raise_tol=raise_tol)
+    quad = oracle_x_time_integral(l_image / p.sigma, raise_tol=raise_tol)
+    return oracle_x_envelope(p.sigma * p.omega) * quad
 
 
-def oracle_x_envelope(p: DetectorParams) -> float:
-    """The exact factor -2 s sqrt(pi) e^{-s^2 Omega^2} of X/eps0^2: the whole
-    gap dependence, from the centre-of-time integral."""
-    s = p.sigma
-    return -2.0 * s * _SQRT_PI * math.exp(-((s * p.omega) ** 2))
+def oracle_x_envelope(y: float) -> float:
+    """The exact factor -2 sqrt(pi) e^{-y^2} of X/eps0^2: the whole gap
+    dependence, from the centre-of-time integral."""
+    return -2.0 * _SQRT_PI * math.exp(-(y**2))
 
 
 def oracle_x_time_integral_batch(
-    sigma: float, l_image, *, raise_tol: float = 1e-8
+    l_image, *, raise_tol: float = 1e-8
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
     """:func:`oracle_x_time_integral` at the separations ``l_image``, all in
     one quadrature pass.
@@ -523,27 +522,26 @@ def oracle_x_time_integral_batch(
     :class:`ConvergenceError` of its quadrature; each value is the
     one-separation value bit for bit.
     """
-    s = sigma
     big_l = _separations(l_image)
     # PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the whole
     # line (g is even): the pole pairing at zero gap, whose integrand
-    # (g(L+s) - g(L-s))/s is smooth on the scale sigma for any L
-    pv, errors = _pole_pairing(s, np.zeros(big_l.size), big_l, raise_tol)
-    g_l = np.exp(-big_l * big_l / (4.0 * s * s))
+    # (g(L+s) - g(L-s))/s is smooth on the scale 1 for any L
+    pv, errors = _pole_pairing(np.zeros(big_l.size), big_l, raise_tol)
+    g_l = np.exp(-big_l * big_l / 4.0)
     # the delta is supported at u = +L only
     delta_part = -(g_l / (2.0 * big_l)) / (4.0 * math.pi)
     pv_part = -pv.real / (2.0 * big_l) / (4.0 * math.pi**2)
     return pv_part + 1j * delta_part, errors
 
 
-def oracle_x_time_integral(sigma: float, l_image: float, *, raise_tol: float = 1e-8) -> complex:
-    """Int_0^inf du e^{-u^2/4s^2} W(u, L): the gap-independent quadrature of X.
+def oracle_x_time_integral(l_image: float, *, raise_tol: float = 1e-8) -> complex:
+    """Int_0^inf du e^{-u^2/4} W(u, L): the gap-independent quadrature of X.
 
     The integral runs over the time difference u > 0 only, with the delta
     supported at u = +L and the simple pole at u = L; the principal value
     is taken over the whole line by symmetric pairing about the pole.
     """
-    return complex(_single(*oracle_x_time_integral_batch(sigma, [l_image], raise_tol=raise_tol)))
+    return complex(_single(*oracle_x_time_integral_batch([l_image], raise_tol=raise_tol)))
 
 
 def _quad_complex(
@@ -569,9 +567,9 @@ def _quad_complex(
     return complex(re, im)
 
 
-def default_eps_sequence(sigma: float) -> list[float]:
-    """eps_k = (sigma/4) 2^{-k}, k = 0..8."""
-    return [sigma / 4.0 * 0.5**k for k in range(9)]
+def default_eps_sequence() -> list[float]:
+    """eps_k = 2^{-k}/4 in units of sigma, k = 0..8."""
+    return [0.25 * 0.5**k for k in range(9)]
 
 
 def oracle_ieps(
@@ -597,16 +595,13 @@ def oracle_ieps(
         raise GeometryError(f"{which} requires l_image > 0, got {l_image!r}")
     if l_image < 0.0:
         raise GeometryError(f"l_image must be >= 0, got {l_image!r}")
-    eps_list = list(eps_sequence) if eps_sequence is not None else default_eps_sequence(p.sigma)
+    s = p.sigma
+    y, r = s * p.omega, l_image / s
+    eps_list = default_eps_sequence() if eps_sequence is None else [e / s for e in eps_sequence]
     if any(e <= 0 for e in eps_list) or any(
         b >= a for a, b in zip(eps_list, eps_list[1:])
     ):
         raise DomainError("eps_sequence must be strictly decreasing and positive")
-
-    s = p.sigma
-    om = p.omega
-    window = _WINDOW_SIGMAS * s
-    r = l_image
 
     values = []
     for eps in eps_list:
@@ -614,19 +609,19 @@ def oracle_ieps(
 
             def integrand(u: float, eps=eps) -> complex:
                 kern = -1.0 / (4.0 * math.pi**2 * (complex(u, -eps) ** 2 - r * r))
-                return math.exp(-u * u / (4.0 * s * s)) * kern
+                return math.exp(-u * u / 4.0) * kern
 
-            raw = _quad_complex(integrand, 0.0, r + window, points=[r])
-            values.append(-2.0 * s * _SQRT_PI * math.exp(-((s * om) ** 2)) * raw)
+            raw = _quad_complex(integrand, 0.0, r + _WINDOW_SIGMAS, points=[r])
+            values.append(oracle_x_envelope(y) * raw)
         else:
 
             def integrand(u: float, eps=eps) -> complex:
                 kern = -1.0 / (4.0 * math.pi**2 * (complex(u, -eps) ** 2 - r * r))
-                gauss = math.exp(-u * u / (4.0 * s * s))
-                return gauss * complex(math.cos(om * u), -math.sin(om * u)) * kern
+                gauss = math.exp(-u * u / 4.0)
+                return gauss * complex(math.cos(y * u), -math.sin(y * u)) * kern
 
             pts = [-r, 0.0, r] if r > 0 else [0.0]
-            raw = _quad_complex(integrand, -(r + window), r + window, points=pts)
-            values.append(s * _SQRT_PI * raw)
+            raw = _quad_complex(integrand, -(r + _WINDOW_SIGMAS), r + _WINDOW_SIGMAS, points=pts)
+            values.append(_SQRT_PI * raw)
 
     return richardson_zero_limit(eps_list, values, divergence_tol=divergence_tol)

@@ -63,19 +63,17 @@ def _flag_coincident_image(
 
 
 def loop_image_terms(
-    sigma: float, omega, pair: WorldlinePair, topology: Topology, n: int,
-    errors: np.ndarray,
+    omega, pair: WorldlinePair, topology: Topology, n: int, errors: np.ndarray
 ):
     """(l_n, x_n, c_n) of one image n, with its checks recorded in ``errors``."""
     l_n = loop_image_separation(topology, pair, n)
     _flag_coincident_image(errors, topology, pair, n, l_n)
     _flag_separation(errors, l_n)
-    return l_n, nonlocal_array(sigma, omega, l_n), exchange_array(sigma, omega, l_n)
+    return l_n, nonlocal_array(omega, l_n), exchange_array(omega, l_n)
 
 
 def _loop_add_images(
-    a, x, c, omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
-    errors: np.ndarray,
+    a, x, c, omega, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
 ) -> XStateBatch:
     same_b = topology.kind is TopologyKind.CYLINDER
     weights = [image.weight for image in image_classes(topology, pair)]
@@ -87,14 +85,14 @@ def _loop_add_images(
         w = weights[n % 2]
         r_a = loop_image_separation(topology, pair_a, n)
         _flag_separation(errors, r_a)
-        t_a = w * exchange_array(sigma, omega, r_a)
+        t_a = w * exchange_array(omega, r_a)
         a = a + t_a
         if not same_b:
             r_b = loop_image_separation(topology, pair_b, n)
             _flag_separation(errors, r_b)
-            t_b = w * exchange_array(sigma, omega, r_b)
+            t_b = w * exchange_array(omega, r_b)
             b = b + t_b
-        _, x_n, c_n = loop_image_terms(sigma, omega, pair, topology, n, errors)
+        _, x_n, c_n = loop_image_terms(omega, pair, topology, n, errors)
         t_x = w * x_n
         t_c = w * c_n
         x = x + t_x
@@ -130,15 +128,14 @@ def _loop_add_images(
 
 
 def loop_elements_batch(
-    omega, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int,
-    errors: np.ndarray,
+    omega, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
 ) -> XStateBatch:
     """:func:`udwpair.elements.elements_batch` of a quotient, image by image."""
     omega = np.asarray(omega, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         length = separation_array(pair)
         _flag_separation(errors, length)
-        a = self_excitation_array(sigma * omega)
-        x = nonlocal_array(sigma, omega, length)
-        c = exchange_array(sigma, omega, length)
-        return _loop_add_images(a, x, c, omega, sigma, pair, topology, nmax, errors)
+        a = self_excitation_array(omega)
+        x = nonlocal_array(omega, length)
+        c = exchange_array(omega, length)
+        return _loop_add_images(a, x, c, omega, pair, topology, nmax, errors)

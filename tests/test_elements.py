@@ -64,7 +64,7 @@ def self_term(omega: float) -> float:
 
 def exchange_term(omega: float, r: float) -> float:
     """c at sigma = 1 from the kernel on one-element arrays."""
-    return float(exchange_array(1.0, np.array([omega]), np.array([r]))[0])
+    return float(exchange_array(np.array([omega]), np.array([r]))[0])
 
 
 class TestCoefficients:
@@ -85,7 +85,7 @@ class TestCoefficients:
         assert self_term(40.0) == 0.0
 
     def test_nonlocal_frozen_value(self):
-        x = complex(nonlocal_array(1.0, np.array([1.0]), np.array([1.0]))[0])
+        x = complex(nonlocal_array(np.array([1.0]), np.array([1.0]))[0])
         assert abs(x) == pytest.approx(ABS_X_L1_O1, rel=1e-12)
         assert x.real < 0.0 < x.imag
 
@@ -150,13 +150,13 @@ class TestExchangeAccuracy:
         for bound in (50.0, 1e4, 1e150):
             omega = -rng.uniform(0.0, bound, 500)
             r = rng.uniform(0.0, bound, 500) + 1e-300
-            assert np.all(np.isfinite(exchange_array(1.0, omega, r)))
-            assert np.all(np.isfinite(exchange_array(1.0, -omega, r)))
+            assert np.all(np.isfinite(exchange_array(omega, r)))
+            assert np.all(np.isfinite(exchange_array(-omega, r)))
 
     def test_scalar_matches_array_kernel(self):
         omegas = np.array([-2.0, 0.0, 0.5, 3.0, 9.0, 24.0])[:, None]
         rs = np.array([1e-3, 0.2, 0.59, 1.0, 7.0])[None, :]
-        grid = exchange_array(1.0, omegas, rs)
+        grid = exchange_array(omegas, rs)
         for i, om in enumerate(omegas[:, 0]):
             for j, r in enumerate(rs[0]):
                 p = DetectorParams(omega=float(om), sigma=1.0)
@@ -369,8 +369,8 @@ class TestTwisted:
         omega = np.array([P1.omega])
         length = np.array([separation(pair)])
         a = float(self_excitation_array(omega)[0])
-        x = complex(nonlocal_array(1.0, omega, length)[0])
-        c = complex(exchange_array(1.0, omega, length)[0])
+        x = complex(nonlocal_array(omega, length)[0])
+        c = complex(exchange_array(omega, length)[0])
         want = XStateAB(a=a, b=a, x=x, c=c)
         assert elements_for(P1, pair, Topology.minkowski()) == want
         # the quotients: image sums, with b != a only on the twisted cylinder
@@ -530,6 +530,47 @@ class TestQuotientBits:
         got = (st.a, st.b, st.x.real, st.x.imag, st.c.real)
         assert tuple(v.hex() for v in got) == QUOTIENT_BITS[key]
         assert st.c.imag == 0.0
+
+
+class TestSigmaAtTheBoundary:
+    """elements_for scales once, at DetectorParams: the elements at the gap
+    Omega, width sigma and lengths L equal those at Omega sigma, width 1 and
+    lengths L/sigma, within 1e-13 max(|v|, a)."""
+
+    # both detectors off the axis (d_A != 0), B's images not coincident
+    PAIR = WorldlinePair((0.3, -0.2), (1.1, 0.4), 0.25, -0.6)
+    ELL = 1.7
+
+    @staticmethod
+    def _topology(case, ell):
+        if case == "minkowski":
+            return Topology.minkowski()
+        kind, eta = case.split()
+        return (Topology.cylinder if kind == "cylinder" else Topology.twisted_cylinder)(
+            ell, int(eta)
+        )
+
+    @pytest.mark.parametrize(
+        "case", ["minkowski", "cylinder 1", "cylinder -1", "twisted 1", "twisted -1"]
+    )
+    @pytest.mark.parametrize("sigma", [0.37, 0.8, 2.5])
+    @pytest.mark.parametrize("omega", [-2.0, 0.5, 3.0])
+    def test_elements_depend_on_omega_sigma_and_lengths_over_sigma(self, case, sigma, omega):
+        p = self.PAIR
+        scaled = WorldlinePair(
+            (p.d_a[0] / sigma, p.d_a[1] / sigma), (p.d_b[0] / sigma, p.d_b[1] / sigma),
+            p.z_a / sigma, p.z_b / sigma,
+        )
+        got = quiet_elements(
+            DetectorParams(omega=omega, sigma=sigma), p, self._topology(case, self.ELL)
+        )
+        want = quiet_elements(
+            DetectorParams(omega=omega * sigma, sigma=1.0), scaled,
+            self._topology(case, self.ELL / sigma),
+        )
+        for name in ("a", "b", "x", "c"):
+            v, w = getattr(got, name), getattr(want, name)
+            assert abs(v - w) <= 1e-13 * max(abs(w), want.a), name
 
 
 class TestAssembly:

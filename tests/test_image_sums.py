@@ -19,6 +19,7 @@ from loop_images import loop_elements_batch, loop_image_terms
 
 from udwpair import elements
 from udwpair.elements import elements_batch, image_terms, new_errors
+from udwpair.entanglement import xstate_measures_batch
 from udwpair.geometry import Topology, WorldlinePair
 
 SHAPES = ("point", "block", "scattered")
@@ -109,8 +110,8 @@ def test_stacked_pass_matches_the_image_loop(
     kind = Topology.twisted_cylinder if twisted else Topology.cylinder
     topology = kind(ell, eta)
     omega, pair, shape_ = _grid(shape, omegas, lengths, thetas, d_a, z_a)
-    got = _run(elements_batch, omega, 1.0, pair, topology, nmax, shape_)
-    want = _run(loop_elements_batch, omega, 1.0, pair, topology, nmax, shape_)
+    got = _run(elements_batch, omega, pair, topology, nmax, shape_)
+    want = _run(loop_elements_batch, omega, pair, topology, nmax, shape_)
     assert [_bits(v) for v in got[0]] == [_bits(v) for v in want[0]]
     assert got[1:] == want[1:]
 
@@ -128,8 +129,8 @@ def test_stacked_pass_matches_the_image_loop(
     ],
 )
 def test_first_error_of_a_point_matches_the_loop(topology, pair):
-    got = _run(elements_batch, np.array([0.5, -1.0])[:, None], 1.0, pair, topology, 3, (2, 1))
-    want = _run(loop_elements_batch, np.array([0.5, -1.0])[:, None], 1.0, pair, topology, 3, (2, 1))
+    got = _run(elements_batch, np.array([0.5, -1.0])[:, None], pair, topology, 3, (2, 1))
+    want = _run(loop_elements_batch, np.array([0.5, -1.0])[:, None], pair, topology, 3, (2, 1))
     assert [_bits(v) for v in got[0]] == [_bits(v) for v in want[0]]
     assert got[1:] == want[1:]
     assert got[1][0] is not None
@@ -142,12 +143,12 @@ def test_verification_images_match_the_loop(shape, topology):
     ``loop_image_terms`` call per image, errors included."""
     thetas = [0.0, 0.4, math.pi / 2, math.pi / 2]
     omega, pair, shape_ = _grid(shape, [-2.0, 0.5, 3.0], [0.7, 2.0, 1.0, 2.0], thetas, 0.1, 0.0)
-    got, got_errors, _ = _run(image_terms, 1.0, omega, pair, topology, (1, -1, 2, -2), shape_)
+    got, got_errors, _ = _run(image_terms, omega, pair, topology, (1, -1, 2, -2), shape_)
 
-    def loop(sigma, omega, pair, topology, errors):
-        return [loop_image_terms(sigma, omega, pair, topology, n, errors) for n in (1, -1, 2, -2)]
+    def loop(omega, pair, topology, errors):
+        return [loop_image_terms(omega, pair, topology, n, errors) for n in (1, -1, 2, -2)]
 
-    want, want_errors, _ = _run(loop, 1.0, omega, pair, topology, shape_)
+    want, want_errors, _ = _run(loop, omega, pair, topology, shape_)
     for k, terms in enumerate(want):
         for stacked, single in zip(got, terms):
             assert _bits(np.broadcast_to(stacked[k], shape_)) == _bits(np.broadcast_to(single, shape_))
@@ -167,7 +168,7 @@ def test_chunks_and_slices_do_not_change_a_bit(monkeypatch, shape):
     def run():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return elements_batch(omega, 1.0, pair, topology, 10, new_errors(shape_))
+            return elements_batch(omega, pair, topology, 10, new_errors(shape_))
 
     whole = [_bits(v) for v in run()]
     for chunk, entries in [(1, 1), (3 * math.prod(shape_), 7)]:
@@ -190,8 +191,30 @@ def test_peak_memory_stays_o_grid():
         warnings.simplefilter("ignore")
         tracemalloc.start()
         try:
-            elements_batch(omega, 1.0, pair, Topology.cylinder(1.0), 1000, new_errors((64, 64)))
+            elements_batch(omega, pair, Topology.cylinder(1.0), 1000, new_errors((64, 64)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak / 2**20 < PEAK_BOUND_MIB
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        Topology.minkowski(),
+        Topology.cylinder(1.0),
+        Topology.cylinder(1.0, -1),
+        Topology.twisted_cylinder(1.0),
+        Topology.twisted_cylinder(1.0, -1),
+    ],
+    ids=str,
+)
+def test_batch_of_no_points(topology):
+    """Three gaps against no points: empty elements and measures of shape
+    (3, 0) on every topology, not a division by the number of points."""
+    none = np.empty(0)
+    pair = WorldlinePair((none + 0.1, none), (none + 0.3, none), none, none)
+    errors = new_errors((3, 0))
+    state = elements_batch(np.array([-1.0, 0.0, 2.0])[:, None], pair, topology, 10, errors)
+    measures = xstate_measures_batch(state, 0.01, errors)
+    assert {np.shape(v) for v in (*state, *measures)} == {(3, 0)}

@@ -423,8 +423,8 @@ class TestVerification:
     def test_fault_injection_detected(self, monkeypatch):
         original = udwpair.elements.nonlocal_array
 
-        def corrupted(sigma, omega, r):
-            return original(sigma, omega, r) + 1e-3
+        def corrupted(y, r):
+            return original(y, r) + 1e-3
 
         monkeypatch.setattr(udwpair.elements, "nonlocal_array", corrupted)
         report = run_verification(SMALL_MINK)
@@ -540,14 +540,14 @@ class TestOraclePath:
         # x and c at L, l_1 and l_2 (the lookups at l_-1 = l_1 and l_-2 = l_2
         # find every key)
         assert len(calls["oracle_a_batch"]) == 1
-        a_gaps = [om for _sigma, gaps in calls["oracle_a_batch"] for om in gaps]
+        a_gaps = [om for (gaps,) in calls["oracle_a_batch"] for om in gaps]
         assert len(a_gaps) == len(set(a_gaps)) == 3
         assert len(calls["oracle_x_time_integral_batch"]) == 3
-        x_keys = [r for _sigma, seps in calls["oracle_x_time_integral_batch"] for r in seps]
+        x_keys = [r for (seps,) in calls["oracle_x_time_integral_batch"] for r in seps]
         assert len(x_keys) == len(set(x_keys)) == 4 * 3
         assert len(calls["oracle_c_batch"]) == 3
         c_keys = [
-            key for _sigma, gaps, seps in calls["oracle_c_batch"] for key in zip(gaps, seps)
+            key for gaps, seps in calls["oracle_c_batch"] for key in zip(gaps, seps)
         ]
         assert len(c_keys) == 3 * 4 * 3
         assert len(set(c_keys)) == 3 * 4 * 3
@@ -562,8 +562,8 @@ class TestOraclePath:
         original = udwpair.wightman.oracle_c_batch
         bad_r = float(COUNT_GRID.l.values()[1])
 
-        def flaky(sigma, omega, l_image, **kwargs):
-            values, errors = original(sigma, omega, l_image, **kwargs)
+        def flaky(y, l_image, **kwargs):
+            values, errors = original(y, l_image, **kwargs)
             seps = np.broadcast_to(l_image, values.shape).tolist()
             errors = [
                 ConvergenceError("no luck at r = 0.9") if r == bad_r else e
@@ -689,7 +689,7 @@ class TestCli:
         monkeypatch.setattr(
             udwpair.elements,
             "nonlocal_array",
-            lambda sigma, omega, r: original(sigma, omega, r) + 1e-3,
+            lambda y, r: original(y, r) + 1e-3,
         )
         bad = CliRunner().invoke(main, args)
         assert bad.exit_code == 2
@@ -725,8 +725,8 @@ class TestCli:
     def test_verify_at_a_tiny_separation_still_sees_a_relative_fault(self, monkeypatch):
         original = udwpair.elements.nonlocal_array
 
-        def corrupted(sigma, omega, r):
-            return original(sigma, omega, r) * (1.0 + 1e-3)
+        def corrupted(y, r):
+            return original(y, r) * (1.0 + 1e-3)
 
         monkeypatch.setattr(udwpair.elements, "nonlocal_array", corrupted)
         result = CliRunner().invoke(

@@ -25,6 +25,7 @@ from udwpair.wightman import (
     _WINDOW_SIGMAS,
     _quad,
     _refined_quad,
+    default_eps_sequence,
     hadamard_double_pole,
     oracle_a_batch,
     oracle_c_batch,
@@ -159,11 +160,11 @@ class TestRefinement:
 
         gaps = [-2.0, -0.5, 0.0, 0.7, 3.0, 0.7, -0.5]
         seps = [1.3, 1.3, 0.02, 9.5, 1.3, 0.4, 9.5]
-        whole = oracle_c_batch(0.8, gaps, seps)
-        whole_x = oracle_x_time_integral_batch(0.8, seps)
+        whole = oracle_c_batch(gaps, seps)
+        whole_x = oracle_x_time_integral_batch(seps)
         monkeypatch.setattr(wightman, "_BATCH_NODES", 1)
-        sliced = oracle_c_batch(0.8, gaps, seps)
-        sliced_x = oracle_x_time_integral_batch(0.8, seps)
+        sliced = oracle_c_batch(gaps, seps)
+        sliced_x = oracle_x_time_integral_batch(seps)
         assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
         assert _bits(sliced_x[0]) == _bits(whole_x[0]) and sliced_x[1] == whole_x[1]
 
@@ -173,9 +174,8 @@ class TestPolePairingDots:
     table row and a separation table row: on broadcast views for a product
     grid, on gathered rows for a scattered batch."""
 
-    SIGMA = 0.8
-    # four panel counts of the pairing grid at sigma = 0.8
-    SEPS = [0.02, 1.3, 9.5, 40.0]
+    # three panel counts of the pairing grid (18, 22 and 34)
+    SEPS = [0.025, 1.625, 11.875, 50.0]
 
     @staticmethod
     def _record(monkeypatch):
@@ -203,8 +203,8 @@ class TestPolePairingDots:
         return calls, rows
 
     def _one_row_values(self, gaps, seps):
-        c = [oracle_c(DetectorParams(omega=om, sigma=self.SIGMA), r) for om, r in zip(gaps, seps)]
-        x = [oracle_x_time_integral(self.SIGMA, r) for r in seps]
+        c = [oracle_c(DetectorParams(omega=om, sigma=1.0), r) for om, r in zip(gaps, seps)]
+        x = [oracle_x_time_integral(r) for r in seps]
         return c, x
 
     def test_product_grid_equals_one_row_calls_bit_for_bit(self, monkeypatch):
@@ -212,8 +212,8 @@ class TestPolePairingDots:
         grid_gaps, grid_seps = (v.ravel() for v in np.meshgrid(gaps, self.SEPS, indexing="ij"))
         want_c, want_x = self._one_row_values(grid_gaps.tolist(), grid_seps.tolist())
         calls, _ = self._record(monkeypatch)
-        c, c_errors = oracle_c_batch(self.SIGMA, gaps[:, None], self.SEPS)
-        x, x_errors = oracle_x_time_integral_batch(self.SIGMA, grid_seps)
+        c, c_errors = oracle_c_batch(gaps[:, None], self.SEPS)
+        x, x_errors = oracle_x_time_integral_batch(grid_seps)
         assert c_errors == x_errors == [None] * grid_gaps.size
         assert _bits(c) == _bits(np.array(want_c)) and _bits(x) == _bits(np.array(want_x))
         # the dense branch: every dot of a product grid on broadcast views
@@ -226,7 +226,7 @@ class TestPolePairingDots:
         seps = np.geomspace(0.01, 40.0, 12).tolist()
         want_c, _ = self._one_row_values(gaps, seps)
         calls, rows = self._record(monkeypatch)
-        c, errors = oracle_c_batch(self.SIGMA, gaps, seps)
+        c, errors = oracle_c_batch(gaps, seps)
         assert errors == [None] * len(gaps)
         assert _bits(c) == _bits(np.array(want_c))
         # the gathered branch: two dots (P and Q) per row and level, not a
@@ -241,10 +241,10 @@ class TestPolePairingDots:
         rng = np.random.default_rng(11)
         gaps = rng.choice([-1.5, 0.0, 0.4, 2.0], 20).tolist()
         seps = rng.choice(self.SEPS + [0.3, 5.0], 20).tolist()
-        whole = oracle_c_batch(self.SIGMA, gaps, seps)
+        whole = oracle_c_batch(gaps, seps)
         monkeypatch.setattr(wightman, "_BATCH_NODES", 4096)
         calls, _ = self._record(monkeypatch)
-        sliced = oracle_c_batch(self.SIGMA, gaps, seps)
+        sliced = oracle_c_batch(gaps, seps)
         assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
         assert {ndim for ndim, _ in calls} == {2, 3}
 
@@ -272,43 +272,39 @@ class TestOracleValues:
         assert abs(got.imag) < 1e-12
 
     @staticmethod
-    def _two_pole_form(omega, sigma, r):
+    def _two_pole_form(y, rho):
         """c with both poles quadratured explicitly by pv_over_pole."""
 
         def f(u):
-            return np.exp(-u * u / (4.0 * sigma * sigma) - 1j * omega * u)
+            return np.exp(-u * u / 4.0 - 1j * y * u)
 
-        span = r + _WINDOW_SIGMAS * sigma
-        fr = complex(f(np.array([r]))[0])
-        fmr = complex(f(np.array([-r]))[0])
-        delta_part = (fr - fmr) / (2.0 * r) / (4.0j * math.pi)
-        pv_plus = pv_over_pole(f, r, span=span, sigma_scale=sigma)
-        pv_minus = pv_over_pole(f, -r, span=span, sigma_scale=sigma)
-        pv_part = -(pv_plus - pv_minus) / (2.0 * r) / (4.0 * math.pi**2)
-        return sigma * math.sqrt(math.pi) * (delta_part + pv_part)
+        span = rho + _WINDOW_SIGMAS
+        fr = complex(f(np.array([rho]))[0])
+        fmr = complex(f(np.array([-rho]))[0])
+        delta_part = (fr - fmr) / (2.0 * rho) / (4.0j * math.pi)
+        pv_plus = pv_over_pole(f, rho, span=span)
+        pv_minus = pv_over_pole(f, -rho, span=span)
+        pv_part = -(pv_plus - pv_minus) / (2.0 * rho) / (4.0 * math.pi**2)
+        return math.sqrt(math.pi) * (delta_part + pv_part)
 
     @pytest.mark.parametrize("omega, sigma, r", [(1.0, 1.0, 1.0), (-2.0, 1.3, 0.3), (0.7, 0.8, 9.5)])
     def test_c_equals_two_pole_form(self, omega, sigma, r):
         # oracle_c takes the pole at -r as -conj of the pole at +r, on its
         # own panel grid; both poles quadratured explicitly agree to rounding
-        got = oracle_c(DetectorParams(omega=omega, sigma=sigma), r)
-        assert abs(got - self._two_pole_form(omega, sigma, r)) <= 1e-15
+        y, rho = omega * sigma, r / sigma
+        got = oracle_c(DetectorParams(omega=y, sigma=1.0), rho)
+        assert abs(got - self._two_pole_form(y, rho)) <= 1e-15
         assert got.imag == 0.0
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        sigma=st.sampled_from([0.37, 0.8, 2.5]),
-        omega=st.floats(-6.0, 6.0, allow_nan=False),
-        r_over_sigma=st.floats(1e-3, 20.0),
-    )
-    def test_c_equals_two_pole_form_on_a_grid(self, sigma, omega, r_over_sigma):
-        # 1e-15 scaled by |c| (ulps) and by sigma/r: the two-pole form sums
-        # O(1) terms divided by r, so its own rounding grows like 1/r (2e-14
-        # against a 330-digit value near r = 1e-3 sigma)
-        r = r_over_sigma * sigma
-        want = self._two_pole_form(omega, sigma, r)
-        got = oracle_c(DetectorParams(omega=omega, sigma=sigma), r)
-        assert abs(got - want) <= 1e-15 * max(1.0, abs(want), 1.0 / r_over_sigma)
+    @given(y=st.floats(-15.0, 15.0, allow_nan=False), rho=st.floats(1e-3, 20.0))
+    def test_c_equals_two_pole_form_on_a_grid(self, y, rho):
+        # 1e-15 scaled by |c| (ulps) and by 1/rho: the two-pole form sums
+        # O(1) terms divided by rho, so its own rounding grows like 1/rho
+        # (2e-14 against a 330-digit value near rho = 1e-3)
+        want = self._two_pole_form(y, rho)
+        got = oracle_c(DetectorParams(omega=y, sigma=1.0), rho)
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want), 1.0 / rho)
         assert got.imag == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -317,44 +313,43 @@ class TestOracleValues:
             st.tuples(
                 st.one_of(
                     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                    st.floats(-6.0, 6.0, allow_nan=False),
+                    st.floats(-15.0, 15.0, allow_nan=False),
                 ),
                 st.one_of(st.sampled_from([1e-3, 1.0, 20.0]), st.floats(1e-3, 20.0)),
             ),
             min_size=1, max_size=8,
         ),
-        sigma=st.sampled_from([0.37, 0.8, 2.5]),
     )
-    def test_batch_equals_one_gap_calls_bit_for_bit(self, rows, sigma):
+    def test_batch_equals_one_gap_calls_bit_for_bit(self, rows):
         # any order, duplicates, both zeros, mixed separations and one-row
         # batches: each row of a batch is the public one-row value to the
         # last bit
-        gaps = [om for om, _ in rows]
-        seps = [r_over_sigma * sigma for _, r_over_sigma in rows]
-        c, c_errors = oracle_c_batch(sigma, gaps, seps)
-        x, x_errors = oracle_x_time_integral_batch(sigma, seps)
-        a, a_errors = oracle_a_batch(sigma, gaps)
+        gaps = [y for y, _ in rows]
+        seps = [rho for _, rho in rows]
+        c, c_errors = oracle_c_batch(gaps, seps)
+        x, x_errors = oracle_x_time_integral_batch(seps)
+        a, a_errors = oracle_a_batch(gaps)
         assert c_errors == x_errors == a_errors == [None] * len(rows)
-        for i, (om, r) in enumerate(zip(gaps, seps)):
-            p = DetectorParams(omega=om, sigma=sigma)
-            assert _bits(c[i]) == _bits(oracle_c(p, r))
-            assert _bits(x[i]) == _bits(oracle_x_time_integral(sigma, r))
+        for i, (y, rho) in enumerate(zip(gaps, seps)):
+            p = DetectorParams(omega=y, sigma=1.0)
+            assert _bits(c[i]) == _bits(oracle_c(p, rho))
+            assert _bits(x[i]) == _bits(oracle_x_time_integral(rho))
             assert _bits(a[i]) == _bits(oracle_a(p))
 
     def test_c_batch_broadcasts_gaps_against_separations(self):
         gaps = [-1.0, 0.0, 2.0]
-        one_r = oracle_c_batch(0.8, gaps, 1.3)[0]
-        per_row = oracle_c_batch(0.8, gaps, [1.3] * 3)[0]
+        one_r = oracle_c_batch(gaps, 1.3)[0]
+        per_row = oracle_c_batch(gaps, [1.3] * 3)[0]
         assert _bits(one_r) == _bits(per_row)
         with pytest.raises(GeometryError, match="l_image must be > 0, got 0.0"):
-            oracle_c_batch(0.8, gaps, [1.3, 0.0, 2.0])
+            oracle_c_batch(gaps, [1.3, 0.0, 2.0])
 
     def test_x_is_envelope_times_time_integral(self):
         p = DetectorParams(omega=1.0, sigma=1.0)
-        got = oracle_x_envelope(p) * oracle_x_time_integral(1.0, 1.0)
+        got = oracle_x_envelope(1.0) * oracle_x_time_integral(1.0)
         assert got == oracle_x(p, 1.0)
         with pytest.raises(GeometryError):
-            oracle_x_time_integral(1.0, 0.0)
+            oracle_x_time_integral(0.0)
 
     def test_x_at_small_separations(self):
         # the pole pairing (g(L+s) - g(L-s))/s is smooth on the scale sigma
@@ -411,6 +406,37 @@ class TestOracleValues:
             oracle_c(p, -1.0)
         with pytest.raises(GeometryError):
             oracle_a(p, -0.5)
+
+
+class TestSigmaAtTheBoundary:
+    """The one-row oracles scale once, at DetectorParams: at the gap Omega,
+    width sigma and separation r they equal the oracle at Omega sigma,
+    width 1 and r/sigma, within the refinement target 1e-12."""
+
+    @pytest.mark.parametrize("sigma", [0.37, 0.8, 2.5])
+    @pytest.mark.parametrize("omega", [-2.0, 0.5, 3.0])
+    def test_oracles_depend_on_omega_sigma_and_r_over_sigma(self, sigma, omega):
+        r = 1.3
+        p = DetectorParams(omega=omega, sigma=sigma)
+        unit = DetectorParams(omega=omega * sigma, sigma=1.0)
+        pairs = [
+            (oracle_a(p), oracle_a(unit)),
+            (oracle_a(p, r), oracle_a(unit, r / sigma)),
+            (oracle_c(p, r), oracle_c(unit, r / sigma)),
+            (oracle_x(p, r), oracle_x(unit, r / sigma)),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12
+
+    def test_ieps_scales_its_eps_sequence(self):
+        # an eps sequence is in the units of r; the default one is
+        # default_eps_sequence() in units of sigma
+        sigma = 0.8
+        p = DetectorParams(omega=-2.0 / sigma, sigma=sigma)
+        eps = [sigma * e for e in default_eps_sequence()]
+        got = oracle_ieps("C", p, 2.0 * sigma, eps)
+        want = oracle_ieps("C", DetectorParams(omega=-2.0, sigma=1.0), 2.0)
+        assert abs(got.value - want.value) <= 1e-10
 
 
 class TestIepsRegularization:
