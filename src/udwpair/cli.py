@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import sys
+import warnings
 
 import click
 
@@ -79,6 +80,14 @@ def _emit(cfg: SweepConfig, table) -> None:
 @click.group()
 def main() -> None:
     """Two static Unruh-DeWitt detectors in flat spacetimes with nontrivial topology."""
+    # while the command runs, a warning is one line on stderr, without
+    # the file, line number and source line of the code that raised it
+    click.get_current_context().with_resource(warnings.catch_warnings())
+    warnings.showwarning = _show_warning
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    click.echo(f"udwpair: {category.__name__}: {message}", err=True)
 
 
 def _run_and_write(run, config_path, flags) -> None:

@@ -27,6 +27,12 @@ of ``CSV_CHUNK_ROWS`` rows to text in one go, by dtype, each distinct value
 once: CSV floats with 17 significant digits (so identical configurations
 give identical bytes) and text quoted as RFC 4180 says where it holds a
 comma, a double quote, CR or LF; JSONL as ``json.dumps`` of each row.
+
+CSV floats are exactly ``"%.17g"``.  Their digits are computed in numpy
+from a double-double product with a power of ten (:func:`_g17`); zeros,
+non-finite values, extreme magnitudes and near-ties go through Python's
+``"%.17g"``.  The float columns of a chunk are deduplicated together, so
+each distinct value of the chunk is formatted once.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -569,49 +575,189 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _json_float(value: float) -> str:
-    """``value`` as ``json.dumps(value, allow_nan=False)`` writes it, NaN as null."""
-    if math.isnan(value):
-        return "null"
-    return repr(value) if math.isfinite(value) else json.dumps(value, allow_nan=False)
+#: |v| outside (_G17_MIN, _G17_MAX) is formatted by Python's ``"%.17g"``
+_G17_MIN, _G17_MAX = 1e-280, 1e280
+#: a scaled value whose fraction lies this close to 1/2 may be a tie, and
+#: is formatted by Python's ``"%.17g"``, which rounds ties to even
+_G17_TIE = 1e-6
+#: the decimal exponents of the tables: those of (_G17_MIN, _G17_MAX),
+#: and one more each way
+_K_MIN, _K_MAX = -281, 281
+#: values formatted at once: bounds the temporaries to about 1 MB
+_G17_BLOCK = 4096
+_ZERO, _POINT, _MINUS, _NEWLINE = np.frombuffer(b"0.-\n", np.uint8)
 
 
-#: (float format, format of any other value) of a CSV and of a JSON cell
-_CSV_CELL = ("%.17g".__mod__, lambda value: _quoted(str(value)))
-_JSON_CELL = (_json_float, json.dumps)
+def _split(a):
+    """Veltkamp's split of doubles into halves of 26 bits: hi + lo == a."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _float_text(values: np.ndarray, fmt) -> list[str]:
-    """``fmt`` of each float, applied once per distinct bit pattern (so
-    ``-0.0`` and ``0.0`` keep their own texts)."""
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(fmt, distinct.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+def _ascii(texts, width: int) -> np.ndarray:
+    """The texts as rows of ``width`` bytes, NUL-padded."""
+    rows = b"".join(t.encode().ljust(width, b"\0") for t in texts)
+    return np.frombuffer(rows, np.uint8).reshape(-1, width)
 
 
-def _column_text(values: np.ndarray, cell) -> list[str]:
-    """Text of each cell of one column, by its dtype: float64 through
-    ``cell[0]``, bool as ``true``/``false``, anything else through
-    ``cell[1]``, once per distinct value."""
-    if values.dtype == np.float64:
-        return _float_text(values, cell[0])
+@cache
+def _g17_tables():
+    """The tables of ``_g17``, built at its first call.  Per decimal
+    exponent k in [_K_MIN, _K_MAX]: 10**(16 - k) as a double-double (the
+    high part split in halves, each part correctly rounded), the text
+    ``%.17g`` writes before the digits ("0.000" for k = -4) and after them
+    ("e+XX").  Then the four ASCII digits of each of 0..9999 as one
+    uint32."""
+    exponents = range(_K_MIN, _K_MAX + 1)
+    hi, lo = [], []
+    for k in exponents:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        high = num / den  # int division rounds correctly
+        p, q = high.as_integer_ratio()
+        hi.append(high)
+        lo.append((num * q - p * den) / (den * q))
+    fixed = range(-4, 17)
+    prefix = _ascii(["0." + "0" * (-k - 1) if k < 0 and k in fixed else "" for k in exponents], 5)
+    suffix = _ascii(["" if k in fixed else "e%+03d" % k for k in exponents], 5)
+    digits = np.arange(10**4, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
+    pow10 = (*_split(np.array(hi)), np.array(lo))
+    digits = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return pow10, prefix, suffix, digits
+
+
+def _scaled(x, k, pow10):
+    """x 10**(16 - k) as its integer part and fraction, from a double-double
+    product: within about 1e-14 for x 10**(16 - k) < 2e17."""
+    hi_hi, hi_lo, lo = pow10
+    i = k - _K_MIN
+    b_hi, b_lo = hi_hi[i], hi_lo[i]
+    a_hi, a_lo = _split(x)
+    p = x * (b_hi + b_lo)
+    # x * hi - p exactly (Dekker's two-product)
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    whole = np.floor(p)
+    rest = (p - whole) + (err + x * lo[i])
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each float64 v of ``values``, as an object array.
+
+    For 1e-280 < |v| < 1e280, y = |v| 10**(16 - k) with k = floor(log10 |v|)
+    is formed as a double-double; k is corrected by one where y falls
+    outside [1e16, 1e17), and y is rounded to the 17 digits.  Zeros,
+    non-finite values, extreme magnitudes and any y whose fraction lies
+    near 1/2 (a possible tie) go through Python's ``"%.17g"``.
+    """
+    texts = np.empty(values.size, dtype=object)
+    for start in range(0, values.size, _G17_BLOCK):
+        texts[start:start + _G17_BLOCK] = _g17_block(values[start:start + _G17_BLOCK])
+    return texts
+
+
+def _g17_block(values: np.ndarray) -> np.ndarray:
+    """``_g17`` of at most ``_G17_BLOCK`` values."""
+    pow10, prefix, suffix, digits = _g17_tables()
+    mag = np.abs(values)
+    fast = np.flatnonzero((mag > _G17_MIN) & (mag < _G17_MAX))
+    x = mag[fast]
+    k = np.floor(np.log10(x)).astype(np.int64)
+    whole, frac = _scaled(x, k, pow10)
+    # log10 may miss k by one next to a power of ten
+    step = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    redo = np.flatnonzero(step)
+    k[redo] += step[redo]
+    whole[redo], frac[redo] = _scaled(x[redo], k[redo], pow10)
+    ok = (whole >= 10**16) & (whole < 10**17) & (np.abs(frac - 0.5) > _G17_TIE)
+    fast, k, n = fast[ok], k[ok], whole[ok] + (frac[ok] > 0.5)
+    top = n == 10**17  # rounded up into the next decade
+    n[top] = 10**16
+    k += top
+    high, low = np.divmod(n, 10**8)
+    groups = [high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
+    digit = digits[np.stack(groups, axis=1)].view(np.uint8)[:, 3:]
+    nd = 17 - np.argmax(digit[:, ::-1] != _ZERO, axis=1)
+    # the digit the point follows; negative where "0.000" holds the point
+    point = np.where((k >= -4) & (k < 17), k, 0)
+    ends = np.maximum(nd, point + 1)  # digits written: integer digits stay
+    # one row of bytes per value, NUL where %g writes nothing: the sign,
+    # "0.000", each digit followed by a slot for the point, "e+XXX", a
+    # newline
+    row = np.zeros((n.size, 46), np.uint8)
+    row[:, 0] = np.signbit(values[fast]) * _MINUS
+    row[:, 1:6] = prefix[k - _K_MIN]
+    row[:, 6:40:2] = digit * (np.arange(17) < ends[:, None])
+    dotted = np.flatnonzero((point >= 0) & (ends > point + 1))
+    row[dotted, 7 + 2 * point[dotted]] = _POINT
+    row[:, 40:45] = suffix[k - _K_MIN]
+    row[:, 45] = _NEWLINE
+    text = row.tobytes().translate(None, b"\0").decode("ascii")
+    texts = np.empty(values.size, dtype=object)
+    texts[fast] = np.array(text.split("\n")[:-1], dtype=object)
+    slow = np.ones(values.size, dtype=bool)
+    slow[fast] = False
+    texts[slow] = np.array(list(map("%.17g".__mod__, values[slow].tolist())), dtype=object)
+    return texts
+
+
+def _json_floats(values: np.ndarray) -> np.ndarray:
+    """Each float of ``values`` as ``json.dumps(value, allow_nan=False)``
+    writes it (and raises on an infinity), NaN as null."""
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        value = values.item(i)
+        texts[i] = "null" if math.isnan(value) else json.dumps(value, allow_nan=False)
+    return texts
+
+
+#: (float format, format of any other value) of a CSV and of a JSON cell;
+#: the float format maps an array of floats to an array of their texts
+_CSV_CELL = (_g17, lambda value: _quoted(str(value)))
+_JSON_CELL = (_json_floats, json.dumps)
+
+
+def _float_text(columns: list[np.ndarray], fmt) -> list[list[str]]:
+    """Text of each cell of equal-length float64 columns: one call of
+    ``fmt`` on the distinct bit patterns of all of them (so ``-0.0`` and
+    ``0.0`` keep their own texts)."""
+    bits = np.stack(columns).view(np.int64)
+    distinct, inverse = np.unique(bits.reshape(-1), return_inverse=True)
+    return fmt(distinct.view(np.float64))[inverse.reshape(bits.shape)].tolist()
+
+
+def _column_text(values: np.ndarray, fmt) -> list[str]:
+    """Text of each cell of a column that is not float64: bool as
+    ``true``/``false``, anything else through ``fmt``, once per distinct
+    value."""
     if values.dtype == bool:
         return np.where(values, "true", "false").tolist()
     cells = values.tolist()
-    texts = {value: cell[1](value) for value in set(cells)}
+    texts = {value: fmt(value) for value in set(cells)}
     return list(map(texts.__getitem__, cells))
+
+
+def _chunk_text(chunk: list[np.ndarray], cell) -> list[list[str]]:
+    """Text of each cell of each column of one chunk: the float64 columns
+    together through ``cell[0]``, the others through ``cell[1]``."""
+    floats = [col for col in chunk if col.dtype == np.float64]
+    float_texts = iter(_float_text(floats, cell[0]) if floats else ())
+    return [
+        next(float_texts) if col.dtype == np.float64 else _column_text(col, cell[1])
+        for col in chunk
+    ]
 
 
 def _csv_chunks(table: Table) -> Iterator[str]:
     """The CSV text of ``table``: the header line, then one string per
-    ``CSV_CHUNK_ROWS`` rows, each column of a chunk converted in one go.
-    A table without rows has no text."""
+    ``CSV_CHUNK_ROWS`` rows, each chunk converted in one go.  A table
+    without rows has no text."""
     if not len(table):
         return
     yield ",".join(map(_quoted, table.columns)) + "\n"
     for chunk in table.chunks():
-        columns = [_column_text(col, _CSV_CELL) for col in chunk]
-        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+        yield "\n".join(map(",".join, zip(*_chunk_text(chunk, _CSV_CELL)))) + "\n"
 
 
 def _jsonl_chunks(table: Table) -> Iterator[str]:
@@ -620,8 +766,7 @@ def _jsonl_chunks(table: Table) -> Iterator[str]:
     keys = (json.dumps(key).replace("%", "%%") + ": %s" for key in table.columns)
     line = "{" + ", ".join(keys) + "}"
     for chunk in table.chunks():
-        columns = [_column_text(col, _JSON_CELL) for col in chunk]
-        yield "\n".join(map(line.__mod__, zip(*columns))) + "\n"
+        yield "\n".join(map(line.__mod__, zip(*_chunk_text(chunk, _JSON_CELL)))) + "\n"
 
 
 def rows_to_csv(table: Table) -> str:

@@ -62,7 +62,7 @@ def test_cli_start_up_loads_no_scipy_or_mpmath():
     # oracle) and mpmath (only tests and the benchmark reference) are never
     # needed before that.  The README fig2 show-config, --help and a
     # config error (exit 1) evaluate no element, so none of them may load
-    # any of these.
+    # any of these.  Nor may they build the CSV writer's float tables.
     src = str(Path(udwpair.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     commands = [
@@ -84,13 +84,15 @@ for args in {commands!r}:
             codes.append(exc.code)
 print(codes)
 print(" ".join(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
+print(udwpair.sweep._g17_tables.cache_info().currsize)
 """
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    codes, loaded = result.stdout.split("\n")[:2]
+    codes, loaded, tables = result.stdout.split("\n")[:3]
     assert codes == "[0, 0, 1]"
     assert loaded == ""
+    assert tables == "0"
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,3 +246,25 @@ def test_row_view_gives_python_values(two_chunks):
     assert True in harvested and False in harvested
     assert all(h is True or h is False for h in harvested)
     assert two_chunks[0]["topology"] == "cylinder" and two_chunks[0]["error"] == ""
+
+
+class _NullStream:
+    def write(self, text):
+        return len(text)
+
+
+def test_writing_a_large_table_keeps_memory_small():
+    # each chunk's float columns are deduplicated together, chunk by chunk:
+    # one dedupe of the whole table would hold the text of every distinct
+    # value of it at once
+    config = SweepConfig(omega=GridAxis(-3.0, 3.0, 128), l=GridAxis(0.078125, 10.0, 128))
+    table = run_sweep(config)
+    assert len(table) == 16384
+    for fmt in ("csv", "jsonl"):
+        tracemalloc.start()
+        try:
+            write_rows(table, fmt, _NullStream())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (fmt, peak)

@@ -694,6 +694,24 @@ class TestCli:
         bad = CliRunner().invoke(main, args)
         assert bad.exit_code == 2
 
+    def test_quotient_warnings_are_one_line_each(self):
+        flags = {"topology": "cylinder", "ell": "0.5,1", "omega": "-3:3:5", "l": "1:1:1"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            table = run_sweep(config_from_mapping(flags))
+        assert len(caught) == 2
+        args = ["sweep", "--topology", "cylinder", "--ell", "0.5,1", "--omega-range", "-3:3:5",
+                "--l-range", "1:1:1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # as in a fresh interpreter
+            result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        # no file path, line number or source line of the code that warned
+        assert result.stderr.splitlines() == [
+            f"udwpair: TruncationWarning: {w.message}" for w in caught
+        ]
+        assert result.stdout == rows_to_csv(table)
+
     def test_verify_reports_quadratures(self):
         result = CliRunner().invoke(
             main, ["verify", "--omega-range", "0:1:2", "--l-range", "1:1:1"]
