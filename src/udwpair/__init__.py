@@ -7,9 +7,11 @@ measures, and an independent distributional-quadrature oracle that verifies
 every closed form.
 
 The package namespace holds the documented API: the one-point elements
-:func:`elements_for` and the measures on its state, the oracles, the sweep
-entry points with their configuration types, and every exception and
-warning class.  Everything else is imported from its submodule.
+:func:`elements_for` and the measures on its state, the one-point
+quadrature oracles :func:`oracle_a`, :func:`oracle_x` and :func:`oracle_c`
+that ``verify`` runs, the sweep entry points with their configuration
+types, and every exception and warning class.  Everything else is imported
+from its submodule.
 """
 
 from .elements import (
@@ -18,11 +20,7 @@ from .elements import (
     assemble_density_matrix,
     elements_for,
 )
-from .entanglement import (
-    concurrence_exact,
-    negativity_exact,
-    xstate_measures,
-)
+from .entanglement import xstate_measures
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -61,8 +59,6 @@ __all__ = [
     "assemble_density_matrix",
     "elements_for",
     # entanglement
-    "concurrence_exact",
-    "negativity_exact",
     "xstate_measures",
     # errors
     "ConfigError",

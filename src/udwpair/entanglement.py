@@ -1,7 +1,6 @@
 """Entanglement and correlation measures on the two-detector state.
 
-Exact eigenvalue-based negativity and Wootters concurrence for arbitrary
-two-qubit density matrices, their closed forms on X-states, the
+The closed-form negativity and Wootters concurrence of X-states, the
 leading-order harvesting condition max(0, |X| - A), the entanglement of
 formation, and the sigma_z measurement correlation.
 
@@ -17,14 +16,14 @@ and the entanglement condition is |rho14|^2 > r22 r33 or
 state).  The matching concurrence is
 2 max(0, |rho14| - sqrt(r22 r33), |rho23| - sqrt(r11 r44)).
 
-The eigenvalue routes (:func:`negativity_exact`, :func:`concurrence_exact`)
-validate an arbitrary matrix and serve as oracles.  The measures of detector
-states come from :func:`xstate_measures_batch`, which evaluates the closed
-forms on arrays and records, per point, the first check that fails: those
-of :func:`udwpair.elements.assemble_density_matrix`, then those of a
-density matrix with the oracles' tolerances, positivity tested on the
-closed-form eigenvalues of the two 2x2 blocks.  :func:`xstate_measures` is
-that batch on one point.
+The measures of detector states come from :func:`xstate_measures_batch`,
+which evaluates the closed forms on arrays and records, per point, the
+first check that fails: those of
+:func:`udwpair.elements.assemble_density_matrix`, then those of a density
+matrix, positivity tested on the closed-form eigenvalues of the two 2x2
+blocks.  :func:`xstate_measures` is that batch on one point.  The tests
+check the closed forms against the eigenvalues of arbitrary density
+matrices, with the same tolerances, in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ from .elements import (
 from .errors import DomainError, InvalidStateError
 
 __all__ = [
-    "partial_transpose_a",
-    "negativity_exact",
-    "concurrence_exact",
     "Measures",
     "xstate_measures",
     "xstate_measures_batch",
@@ -60,10 +56,6 @@ _DENSITY_TOL = 1e-10
 #: eigenvalue round-off absorbed at the ends of the concurrence range
 _CONCURRENCE_SLACK = 1e-12
 _LN2 = math.log(2.0)
-
-_SY_SY = np.kron(
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
-)
 
 
 def _trace_error(trace, r44: float, big_x: float) -> InvalidStateError:
@@ -76,50 +68,6 @@ def _trace_error(trace, r44: float, big_x: float) -> InvalidStateError:
             f"{float(big_x)!r} is not small"
         )
     return InvalidStateError(text)
-
-
-def _require_density_matrix(rho: np.ndarray, tol: float = _DENSITY_TOL) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
-        raise InvalidStateError("density matrix contains non-finite entries")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise _trace_error(np.trace(rho), rho[3, 3].real, abs(rho[0, 3]))
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise InvalidStateError("matrix is not Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise InvalidStateError("matrix is not positive semidefinite")
-    return rho
-
-
-def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose over the first qubit: (kl, mn) -> (ml, kn)."""
-    rho = np.asarray(rho, dtype=complex)
-    return rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-
-
-def negativity_exact(rho: np.ndarray) -> float:
-    """Negativity (trace-norm form): sum of |negative eigenvalues| of rho^{T_A}."""
-    rho = _require_density_matrix(rho)
-    lams = np.linalg.eigvalsh(partial_transpose_a(rho))
-    return float(np.sum(np.clip(-lams, 0.0, None)))
-
-
-def concurrence_exact(rho: np.ndarray) -> float:
-    """Wootters concurrence from the spin-flipped product rho rho~.
-
-    The decreasing lambda_i are the square roots of the eigenvalues of
-    rho rho~ with rho~ = (sy x sy) rho* (sy x sy).  They equal the singular
-    values of sqrt(rho) (sy x sy) conj(sqrt(rho)), which is how they are
-    computed here: the SVD route is backward stable and avoids the
-    sqrt-of-eigenvalue noise amplification near degenerate points.
-    """
-    rho = _require_density_matrix(rho)
-    w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lams = np.linalg.svd(sqrt_rho @ _SY_SY @ sqrt_rho.conj(), compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
 def xstate_closed_forms(r11, r22, r33, r44, m14, m23):
@@ -206,8 +154,8 @@ def xstate_measures_batch(
     with an error keep it): the checks of
     :func:`udwpair.elements.assemble_density_matrix`, then those of a
     density matrix (finite entries, unit trace, positivity, with the
-    tolerance of :func:`negativity_exact`; the assembled matrix is
-    Hermitian by construction), then the concurrence range of the EoF and
+    tolerance ``_DENSITY_TOL``; the assembled matrix is Hermitian by
+    construction), then the concurrence range of the EoF and
     the variance condition of the correlation.
     """
     with np.errstate(invalid="ignore", over="ignore"):

@@ -20,10 +20,9 @@ twisted cylinder.  So image n lies at
 a sum of squares, so that nothing cancels when the distance is much
 smaller than n ell.  This is the only place that knows how J acts.
 
-The worldline coordinates of a :class:`WorldlinePair` may be numpy arrays
-of broadcast-compatible shapes; :func:`separation_array` and
-:func:`image_separation_array` then return one distance per element, and
-:func:`separation` is the first of them evaluated on floats.
+The worldline coordinates of a :class:`WorldlinePair` may be floats or
+numpy arrays of broadcast-compatible shapes; :func:`separation_array` and
+:func:`image_separation_array` then return one distance per element.
 :func:`image_separation_array` also takes an array of image numbers n, so
 one call gives the separations of many images at once.
 """
@@ -44,11 +43,9 @@ __all__ = [
     "Topology",
     "WorldlinePair",
     "ImageClass",
-    "separation",
     "separation_array",
     "image_classes",
     "image_separation_array",
-    "worldlines_from_orientation",
     "self_pair",
 ]
 
@@ -140,11 +137,6 @@ def separation_array(pair: WorldlinePair):
     )
 
 
-def separation(pair: WorldlinePair) -> float:
-    """Euclidean distance L = |x_A - x_B| between the static worldlines."""
-    return float(separation_array(pair))
-
-
 class ImageClass(NamedTuple):
     """The images J^n x_B of one parity of n: the field's weight on them and
     their transverse offset (dx, dy) from detector A."""
@@ -184,24 +176,6 @@ def image_separation_array(topology: Topology, pair: WorldlinePair, n):
     with np.errstate(over="ignore"):  # a shift beyond the float range is inf
         dz = pair.z_a - (pair.z_b + n * topology.ell)
     return _distance(np.where(is_odd, odd.dx, even.dx), np.where(is_odd, odd.dy, even.dy), dz)
-
-
-def worldlines_from_orientation(length: float, theta: float) -> WorldlinePair:
-    """Detector A at the spatial origin, B at (L cos(theta), 0, L sin(theta)).
-
-    theta = pi/2 aligns the pair with the identified z-direction.  Only
-    meaningful for translation-invariant spacetimes (Minkowski, cylinder);
-    for the twisted cylinder absolute positions matter and should be set
-    directly on :class:`WorldlinePair`.
-    """
-    if not (math.isfinite(length) and length > 0.0):
-        raise GeometryError(f"separation must be finite and > 0, got {length!r}")
-    return WorldlinePair(
-        d_a=(0.0, 0.0),
-        d_b=(length * math.cos(theta), 0.0),
-        z_a=0.0,
-        z_b=length * math.sin(theta),
-    )
 
 
 def self_pair(d: Vec2, z: float = 0.0) -> WorldlinePair:

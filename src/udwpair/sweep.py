@@ -304,8 +304,8 @@ class _Block(NamedTuple):
 def _blocks(config: SweepConfig) -> Iterator[_Block]:
     lengths = config.l.values()
     thetas = config.theta.values()
-    # math, not numpy, trigonometry: the coordinates of the scalar
-    # worldlines_from_orientation
+    # math, not numpy, trigonometry: bit for bit the coordinates of the
+    # scalar worldlines_from_orientation that the tests take as reference
     cos = np.array([math.cos(t) for t in thetas])
     sin = np.array([math.sin(t) for t in thetas])
     length = np.repeat(lengths, thetas.size)

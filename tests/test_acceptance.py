@@ -17,6 +17,12 @@ import warnings
 
 import numpy as np
 import pytest
+from references import (
+    hadamard_double_pole,
+    oracle_ieps,
+    pv_over_pole,
+    sgn_delta_square,
+)
 
 from udwpair import (
     DetectorParams,
@@ -32,12 +38,6 @@ from udwpair import (
 )
 from udwpair.elements import self_excitation_array
 from udwpair.sweep import GridAxis, SweepConfig, run_difference_map, run_sweep
-from udwpair.wightman import (
-    hadamard_double_pole,
-    oracle_ieps,
-    pv_over_pole,
-    sgn_delta_square,
-)
 
 EPS0 = 0.01
 GRID_L = (0.5, 1.0, 2.0, 4.0)
@@ -177,7 +177,7 @@ def test_criterion_5_entanglement_consistency(fig1_rows):
     """Eigen-exact vs leading order on the figure grid; X-state closed forms
     vs eigen values and the concurrence >= 2 negativity bound on random
     states."""
-    from udwpair import concurrence_exact, negativity_exact
+    from references import concurrence_exact, negativity_exact
 
     tol_lead = 10.0 * EPS0**4
     e2 = EPS0 * EPS0

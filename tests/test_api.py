@@ -1,7 +1,7 @@
 """The documented API: the README quick start runs as written, every
 exported name exists, the CLI starts and reports its configuration
-without loading scipy or mpmath, and no module imports a name it never
-uses."""
+without loading scipy or mpmath, no module imports a name it never uses,
+and the package neither imports scipy.integrate nor calls numpy.linalg."""
 
 import ast
 import contextlib
@@ -58,11 +58,11 @@ def test_all_names_resolve(name):
 
 def test_cli_start_up_loads_no_scipy_or_mpmath():
     # scipy.special is most of the start-up time, and the kernels import it
-    # at their first element evaluation; scipy.integrate (only the -i eps
-    # oracle) and mpmath (only tests and the benchmark reference) are never
-    # needed before that.  The README fig2 show-config, --help and a
-    # config error (exit 1) evaluate no element, so none of them may load
-    # any of these.  Nor may they build the CSV writer's float tables.
+    # at their first element evaluation; scipy.integrate and mpmath (only
+    # tests and the benchmark reference) are never needed before that.
+    # The README fig2 show-config, --help and a config error (exit 1)
+    # evaluate no element, so none of them may load any of these.  Nor may
+    # they build the CSV writer's float tables.
     src = str(Path(udwpair.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     commands = [
@@ -123,3 +123,35 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def _test_only_uses(path: Path) -> list[str]:
+    """Imports of ``scipy.integrate`` and reads of a ``linalg`` attribute
+    anywhere in ``path``, function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(f"{path.name}:{node.lineno}: .linalg")
+            continue
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            if parts[:2] == ["scipy", "integrate"] or "linalg" in parts:
+                found.append(f"{path.name}:{node.lineno}: import {module}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "udwpair").glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_package_uses_no_integrate_or_linalg(path):
+    # the -i eps oracle (scipy.integrate) and the eigenvalue-exact measures
+    # (numpy.linalg) are the tests' references, in tests/references.py
+    assert _test_only_uses(path) == []

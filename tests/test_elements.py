@@ -8,6 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from references import separation, worldlines_from_orientation
 
 from udwpair import (
     DetectorParams,
@@ -30,12 +31,7 @@ from udwpair.elements import (
     nonlocal_array,
     self_excitation_array,
 )
-from udwpair.geometry import (
-    image_separation_array,
-    self_pair,
-    separation,
-    worldlines_from_orientation,
-)
+from udwpair.geometry import image_separation_array, self_pair
 
 A_OMEGA_1 = 0.0070882722326364159723
 A_OMEGA_HALF = 0.028158875373857042038

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import concurrence_exact, negativity_exact, partial_transpose_a
 
 from udwpair import (
     DetectorParams,
@@ -17,16 +18,13 @@ from udwpair import (
     WorldlinePair,
     XStateAB,
     assemble_density_matrix,
-    concurrence_exact,
     elements_for,
-    negativity_exact,
     xstate_measures,
 )
 from udwpair.entanglement import (
     _concurrence_out_of_range,
     correlation_arrays,
     eof_arrays,
-    partial_transpose_a,
     xstate_closed_forms,
 )
 

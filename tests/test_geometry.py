@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import separation, worldlines_from_orientation
 
 from udwpair import GeometryError, Topology, TopologyKind, WorldlinePair
 from udwpair.geometry import (
@@ -15,9 +16,7 @@ from udwpair.geometry import (
     image_classes,
     image_separation_array,
     self_pair,
-    separation,
     separation_array,
-    worldlines_from_orientation,
 )
 
 

@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from references import negativity_exact, separation
 
 import udwpair.elements
 import udwpair.sweep as sweep_mod
@@ -26,7 +27,6 @@ from udwpair import (
     WorldlinePair,
     assemble_density_matrix,
     elements_for,
-    negativity_exact,
     oracle_a,
     oracle_c,
     oracle_x,
@@ -35,7 +35,7 @@ from udwpair import (
 from udwpair.cli import main
 from udwpair.elements import self_excitation_array
 from udwpair.entanglement import Measures
-from udwpair.geometry import image_separation_array, separation
+from udwpair.geometry import image_separation_array
 from udwpair.sweep import (
     GridAxis,
     SweepConfig,

@@ -8,6 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import (
+    _quad,
+    default_eps_sequence,
+    hadamard_double_pole,
+    oracle_ieps,
+    pv_over_pole,
+    richardson_zero_limit,
+    sgn_delta_square,
+)
 
 from udwpair import (
     ConvergenceError,
@@ -23,19 +32,12 @@ from udwpair import (
 )
 from udwpair.wightman import (
     _WINDOW_SIGMAS,
-    _quad,
     _refined_quad,
-    default_eps_sequence,
-    hadamard_double_pole,
     oracle_a_batch,
     oracle_c_batch,
-    oracle_ieps,
     oracle_x_envelope,
     oracle_x_time_integral,
     oracle_x_time_integral_batch,
-    pv_over_pole,
-    richardson_zero_limit,
-    sgn_delta_square,
 )
 
 # mpmath-frozen actions of <1/x^2, e^{-a x^2} cos(b x)>
