@@ -346,15 +346,49 @@ def _tabulate(config: SweepConfig, evaluate) -> Table:
     return Table({key: np.concatenate(cols) for key, cols in parts.items()})
 
 
-def _per_row(batch, *args) -> list:
-    """Per row, the value or the exception of ``batch(*args)``, which
-    returns values and per-row errors; every row gets the exception of a
-    call that raises."""
-    try:
-        values, errors = batch(*args)
-    except Exception as exc:
-        return [exc] * len(args[0])
-    return [v if e is None else e for v, e in zip(values.tolist(), errors)]
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first occurrence of each distinct entry of
+    ``keys`` (-0.0 and 0.0 are one entry), and the entry of each key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+class _Memo:
+    """The integrals of one kind that a run evaluated, by key: each value
+    (NaN where the integral raised), and the exceptions raised."""
+
+    def __init__(self):
+        self.values: dict = {}
+        self.raised: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def new(self, keys: list) -> list:
+        """The ``keys`` not evaluated yet."""
+        return [key for key in keys if key not in self.values]
+
+    def store(self, keys: list, result) -> None:
+        """Record ``result``: the values and per-row errors of ``keys``, or
+        the exception of a call that raised, for all of them."""
+        if isinstance(result, Exception):
+            result = np.full(len(keys), math.nan), [result] * len(keys)
+        values, errors = result
+        self.values.update(zip(keys, values.tolist()))
+        for key, error in zip(keys, errors):
+            if error is not None:
+                self.values[key] = math.nan
+                self.raised[key] = error
+
+    def recall(self, keys: list) -> tuple[np.ndarray, np.ndarray | None]:
+        """The values of ``keys``, and per key its exception or None (None
+        for all: no key raised)."""
+        values = np.fromiter(map(self.values.__getitem__, keys), complex, len(keys))
+        if not self.raised:
+            return values, None
+        raised = np.empty(len(keys), dtype=object)
+        raised[:] = [self.raised.get(key) for key in keys]
+        return values, raised
 
 
 def _deviation(closed, oracle) -> np.ndarray:
@@ -370,20 +404,20 @@ class _Oracle:
     exception it raised, goes to every point that needs it: the self term
     ``oracle_a`` depends on the gap only, the quadrature of ``oracle_x`` on
     the separation only (the gap enters through the exact factor
-    ``oracle_x_envelope``), ``oracle_c`` on both.  The keys a lookup lacks
-    are integrated in one call of the batch function of their kind:
-    :func:`udwpair.wightman.oracle_a_batch`,
-    :func:`udwpair.wightman.oracle_x_time_integral_batch` or
-    :func:`udwpair.wightman.oracle_c_batch`.  A point that already has an
-    error needs no integral; a point whose integral raised gets that
-    exception in ``errors``.
+    ``oracle_x_envelope``), ``oracle_c`` on both.  :meth:`deviations`
+    gathers the keys of every integral of a block at once, one
+    ``np.unique`` per kind, keeping the first key seen (a gap of -0.0 and
+    one of 0.0 are one integral).  The keys the run has not met yet are
+    integrated in two calls: the self terms in one
+    :func:`udwpair.wightman.oracle_a_batch`, the x and c integrals together
+    in one pole pairing (``wightman._oracle_xc_batch``).  A point that
+    already has an error needs no integral; a point whose integral raised
+    gets that exception in ``errors``, the first one in the order a, then
+    x and c of each term.
     """
 
     def __init__(self):
-        # argument tuple -> value or exception, one dict per integral
-        self._a: dict = {}
-        self._x: dict = {}
-        self._c: dict = {}
+        self._a, self._x, self._c = _Memo(), _Memo(), _Memo()
         #: integrals the points asked for; ``quadratures`` of them were evaluated
         self.evaluations = 0
 
@@ -391,59 +425,84 @@ class _Oracle:
     def quadratures(self) -> int:
         return len(self._a) + len(self._x) + len(self._c)
 
-    def _lookup(self, memo: dict, errors: np.ndarray, batch, *args) -> np.ndarray:
-        """The integral at the arguments ``args`` (broadcast against
-        ``errors``) of each point without an error; NaN at the other points,
-        and the exception where the integral raised.  The distinct argument
-        tuples that ``memo`` lacks are integrated in one call
-        ``batch(*columns)``."""
+    def _integrate(self, a_keys: list, x_keys: list, c_keys: list) -> None:
+        """Evaluate the keys not evaluated yet: the self terms in one call,
+        the x and c integrals in one pole pairing."""
+        new_a, new_x, new_c = self._a.new(a_keys), self._x.new(x_keys), self._c.new(c_keys)
+        if new_a:
+            try:
+                a_result = wightman.oracle_a_batch(new_a)
+            except Exception as exc:
+                a_result = exc
+            self._a.store(new_a, a_result)
+        if new_x or new_c:
+            gaps, seps = [g for g, _ in new_c], [r for _, r in new_c]
+            try:
+                c_result, x_result = wightman._oracle_xc_batch(gaps, seps, new_x)
+            except Exception as exc:
+                c_result = x_result = exc
+            self._c.store(new_c, c_result)
+            self._x.store(new_x, x_result)
+
+    def deviations(self, errors: np.ndarray, omega, a, terms) -> tuple[np.ndarray, list]:
+        """|a - oracle_a| / max(1, |a|) at the gaps ``omega`` (a column)
+        and, per term (r, x, c) of separations ``r`` with closed forms x
+        and c, the deviations of x and c from their oracles; each
+        deviation relative to max(1, |closed form|), NaN at a point with an
+        error."""
         flat = errors.reshape(-1)
-        out = np.full(flat.size, math.nan, dtype=complex)
         todo = np.flatnonzero(np.equal(flat, None))
-        self.evaluations += todo.size
-        points = np.stack(
-            [np.broadcast_to(v, errors.shape).reshape(-1)[todo] for v in args], axis=1
-        )
-        # keys as first seen: a gap of -0.0 and one of 0.0 are one integral
-        _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
-        keys = [tuple(key) for key in points[first].tolist()]
-        missing = [key for key in keys if key not in memo]
-        if missing:
-            memo.update(zip(missing, _per_row(batch, *map(list, zip(*missing)))))
-        found = [memo[key] for key in keys]
-        failed = [isinstance(v, Exception) for v in found]
-        out[todo] = np.array(
-            [math.nan if bad else v for v, bad in zip(found, failed)], dtype=complex
-        )[inverse]
-        for j in np.flatnonzero(failed):
-            flat[todo[inverse == j]] = found[j]
-        return out.reshape(errors.shape)
+        n = todo.size
 
-    def dev_a(self, errors: np.ndarray, omega, a) -> np.ndarray:
-        """|a - oracle_a| / max(1, |a|) at the gaps ``omega``."""
-        oracle = self._lookup(self._a, errors, wightman.oracle_a_batch, omega)
-        return _deviation(a, oracle.real)
+        def at_todo(v) -> np.ndarray:
+            return np.broadcast_to(v, errors.shape).reshape(-1)[todo]
 
-    def dev_xc(self, errors: np.ndarray, omega, r, x, c) -> tuple[np.ndarray, np.ndarray]:
-        """|x - oracle_x| / max(1, |x|) and |c - oracle_c| / max(1, |c|) at
-        the gaps ``omega`` (a column) and separations ``r``, the x integral
-        of a point first."""
-        quad = self._lookup(self._x, errors, wightman.oracle_x_time_integral_batch, r)
+        gap = at_todo(omega)
+        sep = np.concatenate([at_todo(r) for r, _, _ in terms])
+        a_first, a_of = _first_seen(gap)
+        x_first, x_of = _first_seen(sep)
+        # (gap, separation) pairs by their gap and separation entries
+        c_first, c_of = _first_seen(np.tile(a_of, len(terms)) * x_first.size + x_of)
+        a_keys = gap[a_first].tolist()
+        x_keys = sep[x_first].tolist()
+        c_keys = list(zip(gap[c_first % max(n, 1)].tolist(), sep[c_first].tolist()))
+        self._integrate(a_keys, x_keys, c_keys)
+
+        alive = np.ones(n, dtype=bool)
+
+        def take(recalled: tuple, of: np.ndarray) -> np.ndarray:
+            # the integral at each point, and the exception of each point
+            # still without an error whose integral raised
+            values, raised = recalled
+            self.evaluations += int(np.count_nonzero(alive))
+            if raised is not None:
+                bad = alive & np.not_equal(raised[of], None)
+                flat[todo[bad]] = raised[of[bad]]
+                alive[bad] = False
+            out = np.full(flat.size, math.nan, dtype=complex)
+            out[todo] = values[of]
+            return out.reshape(errors.shape)
+
+        dev_a = _deviation(a, take(self._a.recall(a_keys), a_of).real)
         envelope = np.array(
             [wightman.oracle_x_envelope(om) for om in omega.ravel().tolist()]
         ).reshape(omega.shape)
-        oracle_c = self._lookup(self._c, errors, wightman.oracle_c_batch, omega, r)
-        return _deviation(x, envelope * quad), _deviation(c, oracle_c)
+        x_recalled, c_recalled = self._x.recall(x_keys), self._c.recall(c_keys)
+        devs = []
+        for t, (_, x, c) in enumerate(terms):
+            part = slice(t * n, (t + 1) * n)
+            quad = take(x_recalled, x_of[part])
+            oracle_c = take(c_recalled, c_of[part])
+            devs.append((_deviation(x, envelope * quad), _deviation(c, oracle_c)))
+        return dev_a, devs
 
 
-def _minkowski_deviations(block: _Block, oracle: _Oracle, mink) -> list[np.ndarray]:
-    """|closed form - oracle| of the Minkowski a, x and c of the block."""
-    gaps = block.gaps()
-    dev_a = oracle.dev_a(block.errors, gaps, mink.a)
-    dev_x, dev_c = oracle.dev_xc(
-        block.errors, gaps, separation_array(block.pair), mink.x, mink.c
-    )
-    return [dev_a, dev_x, dev_c]
+def _oracle_deviations(block: _Block, oracle: _Oracle, mink, images=()) -> tuple:
+    """The deviations of the Minkowski a, x and c of the block from the
+    oracle and, per image (l_n, x_n, c_n) of ``images``, those of x_n and
+    c_n: dev_a and a list of (dev_x, dev_c), the Minkowski term's first."""
+    terms = [(separation_array(block.pair), mink.x, mink.c), *zip(*images)]
+    return oracle.deviations(block.errors, block.gaps(), mink.a, terms)
 
 
 def _minkowski_elements(config: SweepConfig, block: _Block):
@@ -482,8 +541,10 @@ def run_sweep(config: SweepConfig) -> Table:
             "harvested": m.harvested,
         }
         if config.oracle:
-            devs = _minkowski_deviations(block, oracle, _minkowski_elements(config, block))
-            values.update(zip(("oracle_dev_a", "oracle_dev_x", "oracle_dev_c"), devs))
+            dev_a, ((dev_x, dev_c),) = _oracle_deviations(
+                block, oracle, _minkowski_elements(config, block)
+            )
+            values.update(oracle_dev_a=dev_a, oracle_dev_x=dev_x, oracle_dev_c=dev_c)
         return values
 
     return _tabulate(config, evaluate)
@@ -543,12 +604,10 @@ def run_verification(config: SweepConfig) -> VerificationReport:
         if config.topology is not TopologyKind.MINKOWSKI:
             topology = config.topology_for(block.ell)
             images = image_terms(gaps, block.pair, topology, _VERIFY_IMAGES, block.errors)
-        dev_a, dev_x, dev_c = _minkowski_deviations(block, oracle, mink)
+        dev_a, ((dev_x, dev_c), *image_devs) = _oracle_deviations(block, oracle, mink, images)
         dev_image = np.zeros(block.errors.shape)
-        for l_n, x_n, c_n in zip(*images):
-            dev_image = np.maximum(
-                dev_image, np.maximum(*oracle.dev_xc(block.errors, gaps, l_n, x_n, c_n))
-            )
+        for dev_x_n, dev_c_n in image_devs:
+            dev_image = np.maximum(dev_image, np.maximum(dev_x_n, dev_c_n))
         max_dev = np.maximum.reduce([dev_a, dev_x, dev_c, dev_image])
         return {
             "dev_a": dev_a,

@@ -31,21 +31,27 @@ The distributional pieces are evaluated by explicit rules:
 Quadrature is composite Gauss-Legendre with panel doubling, for many
 integrands in one numpy pass; each row stops at its own refinement level,
 so its value does not depend on the other rows of the batch, bit for bit.
-:func:`oracle_a_batch` integrates the self term of all gaps at once.  The
+:func:`oracle_a_batch` integrates the self term of all gaps at once, in
+real arithmetic: the Hadamard pairing of e^{-u^2/4 - i y u} is
+[2 e^{-s^2/4} cos(y s) - 2]/s^2, even in y, so each |y| is one row.  The
 exchange element and the X time integral pair the pole at u = r as
 
     f(r+s) - f(r-s) = e^{-i y r} [(g(r+s) - g(r-s)) cos(y s)
                                   - i (g(r+s) + g(r-s)) sin(y s)]
 
-with g the Gaussian window, so :func:`oracle_c_batch` and
-:func:`oracle_x_time_integral_batch` integrate rows of any (gap,
-separation) on one panel grid from s = 0: per level, cos/sin are tabulated
-once per gap and the Gaussian pair terms once per separation, and each row
-is two dot products (one BLAS ddot each) of its gap's and its separation's
-table rows over its own prefix of the grid.  A product grid of gaps and
-separations takes all its dots at once on broadcast views of the tables, a
-scattered batch takes two dots per row on its gathered table rows; both
-are the same ddot of the same values.  A row whose last doubling
+with g the Gaussian window, so rows of any (gap, separation) lie on one
+panel grid from s = 0.  One pole pairing takes the exchange rows and the X
+rows together (the X rows are its rows at gap 0): the sweep oracle makes
+one such call per block, and :func:`oracle_c_batch` and
+:func:`oracle_x_time_integral_batch` are its two halves.  cos is even and
+sin odd, bit for bit, so each (|y|, r) is one row and a row at -y takes
+the conjugate.  Per level, cos/sin are tabulated once per |y| and the
+Gaussian pair terms once per separation, and each row is two dot products
+(one BLAS ddot each) of its gap's and its separation's table rows over its
+own prefix of the grid.  A product grid of gaps and separations takes all
+its dots at once on broadcast views of the tables, a scattered batch takes
+two dots per row on its gathered table rows; both are the same ddot of the
+same values.  A row whose last doubling
 still changes it by more than ``raise_tol`` gets a
 :class:`ConvergenceError`: the batch functions return it per row and leave
 the other rows as they are; the one-value functions raise it.
@@ -153,8 +159,9 @@ def _refine(
             break
         cur = sums(active, level)
         values[active] = cur
-        # Python's abs (C hypot): numpy's complex abs rounds differently
-        diff = np.array([abs(d) for d in (cur - prev).tolist()])
+        # libm hypot, as Python's abs: numpy's complex abs rounds differently
+        d = cur - prev
+        diff = np.hypot(d.real, d.imag)
         keep = ~(diff <= target)
         active, prev, diff = active[keep], cur[keep], diff[keep]
     errors: list[ConvergenceError | None] = [None] * rows
@@ -190,40 +197,6 @@ def _base_panels(length: float) -> int:
     return max(8, int(math.ceil(length / _PANEL_SIGMAS)))
 
 
-def _hadamard_rows(
-    f: _RowIntegrand, rows: int, *, span: float, f00: complex, target: float, raise_tol: float
-) -> tuple[list[complex], list]:
-    """Hadamard finite parts <1/u^2, f> = Int_0^inf [f(u)+f(-u)-2 f(0)]/u^2 du
-    of the ``rows`` functions ``f(k, u)``, all with f(k, 0) = ``f00``.
-
-    ``span`` must cover their support; the slowly decaying -2 f(0)/u^2
-    remainder beyond it is added analytically.
-    """
-
-    def paired(k: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return (f(k, s) + f(k, -s) - 2.0 * f00) / (s * s)
-
-    finite, errors = _refined_quad(
-        paired, rows, 0.0, span, base_panels=_base_panels(span), target=target,
-        raise_tol=raise_tol,
-    )
-    return [v - 2.0 * f00 / span for v in finite.tolist()], errors
-
-
-def _windowed_phase(y: np.ndarray) -> _RowIntegrand:
-    """f(k, u) = e^{-u^2/4 - i y_k u} for the gaps ``y``."""
-    phase = 1j * y[:, None]
-
-    def f(k: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # exp(-u * u / 4 - phase * u), in place: the same values
-        # with two fewer rows x nodes arrays
-        v = phase[k] * u
-        np.subtract(-u * u / 4.0, v, out=v)
-        return np.exp(v, out=v)
-
-    return f
-
-
 def oracle_a_batch(
     y, *, raise_tol: float = 1e-8
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
@@ -234,16 +207,28 @@ def oracle_a_batch(
     of its quadrature; each value is the one-gap value bit for bit.
     """
     om = np.asarray(y, dtype=float).reshape(-1)
-    had, errors = _hadamard_rows(
-        _windowed_phase(om), om.size, span=_WINDOW_SIGMAS, f00=1.0, target=1e-12,
-        raise_tol=raise_tol,
+    # the finite part is even in y (cos(-x) is cos(x) bit for bit): one
+    # quadrature per |y|
+    mags, mag_of = np.unique(np.abs(om), return_inverse=True)
+
+    def paired(k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # [f(s) + f(-s) - 2 f(0)]/s^2 of the windowed phase f(u) = e^{-u^2/4 - i y u}
+        # is real: [2 e^{-s^2/4} cos(y s) - 2]/s^2.  Times 1/s^2 and summed as
+        # complex numbers with imaginary part 0, as the complex form was:
+        # the same roundings, so the values stay within one ulp of its values
+        v = (2.0 * np.exp(-s * s / 4.0)) * np.cos(mags[k, None] * s) - 2.0
+        return (v * (1.0 / (s * s))).astype(complex)
+
+    finite, errors = _refined_quad(
+        paired, mags.size, 0.0, _WINDOW_SIGMAS, base_panels=_base_panels(_WINDOW_SIGMAS),
+        target=1e-12, raise_tol=raise_tol,
     )
-    values = []
-    for w, h in zip(om.tolist(), had):
-        # sgn(u) delta(u^2) acts as f'(0) = -i y for the windowed phase
-        delta_part = (-1j * w) / (4.0j * math.pi)
-        values.append((_SQRT_PI * (delta_part - h / (4.0 * math.pi**2))).real)
-    return np.array(values), errors
+    # the Hadamard finite part, with the -2 f(0)/u^2 tail beyond the window
+    hadamard = finite.real[mag_of] - 2.0 / _WINDOW_SIGMAS
+    # sgn(u) delta(u^2) acts as f'(0) = -i y: (-i y)/(4 pi i) = -y/(4 pi)
+    delta_part = -om / (4.0 * math.pi)
+    values = _SQRT_PI * (delta_part - hadamard / (4.0 * math.pi**2))
+    return values, [errors[j] for j in mag_of.tolist()]
 
 
 def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +249,14 @@ def _pole_pairing(
         P = Int_0^span (g(r+s) - g(r-s)) cos(y s)/s ds
         Q = Int_0^span (g(r+s) + g(r-s)) sin(y s)/s ds
 
+    cos(-y s) and sin(-y s) are cos(y s) and -sin(y s) bit for bit, so P is
+    even in y and Q odd: each distinct (|y|, r) is integrated once, on
+    cos/sin tabulated at |y|, and a row at y < 0 takes its P + i Q.  A gap
+    of -0.0 is the gap 0.0.
+
     Row k sums the first ``_base_panels(r_k + window)`` 2^level panels of
     width 3/2^level from s = 0, its n nodes.  At each level cos/sin
-    are tabulated once per gap, and the pair terms (g(r+s) -+ g(r-s)) w/s
+    are tabulated once per |y|, and the pair terms (g(r+s) -+ g(r-s)) w/s
     once per separation; P and Q of a row are two dot products
     (``np.vecdot``, one BLAS ddot each) of its gap's and its separation's
     table rows over the same n contiguous nodes.  Where a block of rows
@@ -276,10 +266,11 @@ def _pole_pairing(
     per row.  Either way a row's value is the same ddot of the same values,
     so it depends only on its own (y, r).
     """
-    # gaps by bit pattern, so that -0.0 and 0.0 keep their own tables
-    gap_keys, gap_of = np.unique(y.view(np.int64), return_inverse=True)
-    gaps = gap_keys.view(np.float64)
+    gaps, gap_of = np.unique(np.abs(y), return_inverse=True)
     seps, sep_of = np.unique(r, return_inverse=True)
+    # the distinct (|y|, r) rows
+    rows, row_of = np.unique(gap_of * seps.size + sep_of, return_inverse=True)
+    gap_of, sep_of = np.divmod(rows, seps.size)
     panels = np.array([_base_panels(x + _WINDOW_SIGMAS) for x in seps.tolist()])
 
     def sums(k: np.ndarray, level: int) -> np.ndarray:
@@ -290,20 +281,31 @@ def _pole_pairing(
         for gs in _pieces(np.unique(gap_k), s.size):
             phase = gaps[gs, None] * s
             cos, sin = np.cos(phase), np.sin(phase)
-            in_gs = np.isin(gap_k, gs)
+            # gs and js below are runs of sorted distinct indices: a row
+            # is in one if its index lies between the run's ends
+            in_gs = (gap_k >= gs[0]) & (gap_k <= gs[-1])
             for count in np.unique(panels_k[in_gs]).tolist():
                 n = (count << level) * _GL_UNIT.size
                 ws = w[:n] / s[:n]
                 group = np.flatnonzero(in_gs & (panels_k == count))
-                for js in _pieces(np.unique(sep_k[group]), n):
+                sep_g = sep_k[group]
+                for js in _pieces(np.unique(sep_g), n):
                     # g(r - s) = e and g(r + s) = e e^{-r s}: the
                     # difference through expm1, without cancellation at
-                    # small r s
+                    # small r s.  In place (no table-sized temporaries),
+                    # with the roundings of e = exp(-(s - r)^2/4),
+                    # d = e expm1(-r s), dp = d ws and dq = (2 e + d) ws
                     rj = seps[js, None]
-                    e = np.exp(-((s[:n] - rj) ** 2) / 4.0)
-                    d = e * np.expm1(-rj * s[:n])
-                    dp, dq = d * ws, (2.0 * e + d) * ws
-                    block = group[np.isin(sep_k[group], js)]
+                    e = s[:n] - rj
+                    np.square(e, out=e)
+                    np.negative(e, out=e)
+                    np.exp(np.divide(e, 4.0, out=e), out=e)
+                    d = np.expm1(-rj * s[:n])
+                    d *= e
+                    e *= 2.0
+                    e += d
+                    dp, dq = np.multiply(d, ws, out=d), np.multiply(e, ws, out=e)
+                    block = group[(sep_g >= js[0]) & (sep_g <= js[-1])]
                     if gs.size * js.size <= 2 * block.size:
                         at_g = np.searchsorted(gs, gap_k[block])
                         at_s = np.searchsorted(js, sep_k[block])
@@ -318,9 +320,13 @@ def _pole_pairing(
         return p - 1j * q
 
     span = (panels * _PANEL_SIGMAS).tolist()
-    return _refine(
+    values, errors = _refine(
         sums, [(0.0, span[j]) for j in sep_of.tolist()], target=1e-12, raise_tol=raise_tol
     )
+    pv = values[row_of]
+    mirrored = y < 0.0
+    pv[mirrored] = pv[mirrored].conj()
+    return pv, [errors[j] for j in row_of.tolist()]
 
 
 def _separations(l_image) -> np.ndarray:
@@ -329,6 +335,40 @@ def _separations(l_image) -> np.ndarray:
     if bad.any():
         raise GeometryError(f"l_image must be > 0, got {r[bad][0].item()!r}")
     return r
+
+
+def _oracle_xc_batch(
+    y, l_c, l_x, raise_tol: float = 1e-8
+) -> tuple[tuple[np.ndarray, list], tuple[np.ndarray, list]]:
+    """:func:`oracle_c_batch` at the rows (``y``, ``l_c``) of equal length
+    and :func:`oracle_x_time_integral_batch` at the separations ``l_x``, in
+    one pole pairing: the X rows are its rows at gap +0.0.
+
+    Returns the values and per-row errors of C, then those of X; each
+    value is the one-row value bit for bit.
+    """
+    om = np.asarray(y, dtype=float).reshape(-1)
+    r, big_l = _separations(l_c), _separations(l_x)
+    pv, errors = _pole_pairing(
+        np.concatenate([om, np.zeros(big_l.size)]), np.concatenate([r, big_l]), raise_tol
+    )
+    pv_c, pv_x = pv[:om.size], pv[om.size:]
+    cos, sin = np.cos(om * r), np.sin(om * r)
+    g = np.exp(-r * r / 4.0)
+    # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(y r)
+    delta_c = -g * sin / (4.0 * math.pi * r)
+    # the pole at -r is -conj of the pole at r, so the pair leaves twice the
+    # real part of e^{-i y r} (P - i Q): C is exactly real
+    pv_part_c = -(cos * pv_c.real + sin * pv_c.imag) / (4.0 * math.pi**2 * r)
+    c = (_SQRT_PI * (delta_c + pv_part_c)).astype(complex)
+    # X: PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the
+    # whole line (g is even): the pole pairing at zero gap, whose integrand
+    # (g(L+s) - g(L-s))/s is smooth on the scale 1 for any L
+    g_l = np.exp(-big_l * big_l / 4.0)
+    # the delta is supported at u = +L only
+    delta_x = -(g_l / (2.0 * big_l)) / (4.0 * math.pi)
+    pv_part_x = -pv_x.real / (2.0 * big_l) / (4.0 * math.pi**2)
+    return (c, errors[:om.size]), (pv_part_x + 1j * delta_x, errors[om.size:])
 
 
 def oracle_c_batch(
@@ -342,17 +382,7 @@ def oracle_c_batch(
     of its quadrature; each value is the one-row value bit for bit.
     """
     om, r = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(l_image, dtype=float))
-    om = np.array(om, dtype=float).reshape(-1)
-    r = _separations(r)
-    pv, errors = _pole_pairing(om, r, raise_tol)
-    cos, sin = np.cos(om * r), np.sin(om * r)
-    g = np.exp(-r * r / 4.0)
-    # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(y r)
-    delta_part = -g * sin / (4.0 * math.pi * r)
-    # the pole at -r is -conj of the pole at r, so the pair leaves twice the
-    # real part of e^{-i y r} (P - i Q): C is exactly real
-    pv_part = -(cos * pv.real + sin * pv.imag) / (4.0 * math.pi**2 * r)
-    return (_SQRT_PI * (delta_part + pv_part)).astype(complex), errors
+    return _oracle_xc_batch(om, r, (), raise_tol)[0]
 
 
 def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8) -> float:
@@ -403,16 +433,7 @@ def oracle_x_time_integral_batch(
     :class:`ConvergenceError` of its quadrature; each value is the
     one-separation value bit for bit.
     """
-    big_l = _separations(l_image)
-    # PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the whole
-    # line (g is even): the pole pairing at zero gap, whose integrand
-    # (g(L+s) - g(L-s))/s is smooth on the scale 1 for any L
-    pv, errors = _pole_pairing(np.zeros(big_l.size), big_l, raise_tol)
-    g_l = np.exp(-big_l * big_l / 4.0)
-    # the delta is supported at u = +L only
-    delta_part = -(g_l / (2.0 * big_l)) / (4.0 * math.pi)
-    pv_part = -pv.real / (2.0 * big_l) / (4.0 * math.pi**2)
-    return pv_part + 1j * delta_part, errors
+    return _oracle_xc_batch((), (), l_image, raise_tol)[1]
 
 
 def oracle_x_time_integral(l_image: float, *, raise_tol: float = 1e-8) -> complex:

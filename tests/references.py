@@ -20,7 +20,9 @@ against these independent routes:
 * :func:`sgn_delta_square`, :func:`pv_over_pole` and
   :func:`hadamard_double_pole` apply the distributional rules of
   :mod:`udwpair.wightman` to one test function each, on the package's
-  panel-doubling quadrature.
+  panel-doubling quadrature.  :func:`_hadamard_rows` takes the Hadamard
+  finite part of a batch of complex test functions: the self term's
+  complex form, against which the tests check the package's real one.
 * :func:`negativity_exact` and :func:`concurrence_exact` take the
   eigenvalues (and singular values) of an arbitrary two-qubit density
   matrix, after checking it with the tolerances of
@@ -46,7 +48,6 @@ from udwpair.wightman import (
     _SQRT_PI,
     _WINDOW_SIGMAS,
     _base_panels,
-    _hadamard_rows,
     _refined_quad,
     _RowIntegrand,
     _single,
@@ -86,6 +87,26 @@ def pv_over_pole(
     return _quad(
         paired, 0.0, span, base_panels=_base_panels(span), target=target, raise_tol=raise_tol
     )
+
+
+def _hadamard_rows(
+    f: _RowIntegrand, rows: int, *, span: float, f00: complex, target: float, raise_tol: float
+) -> tuple[list[complex], list]:
+    """Hadamard finite parts <1/u^2, f> = Int_0^inf [f(u)+f(-u)-2 f(0)]/u^2 du
+    of the ``rows`` functions ``f(k, u)``, all with f(k, 0) = ``f00``.
+
+    ``span`` must cover their support; the slowly decaying -2 f(0)/u^2
+    remainder beyond it is added analytically.
+    """
+
+    def paired(k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return (f(k, s) + f(k, -s) - 2.0 * f00) / (s * s)
+
+    finite, errors = _refined_quad(
+        paired, rows, 0.0, span, base_panels=_base_panels(span), target=target,
+        raise_tol=raise_tol,
+    )
+    return [v - 2.0 * f00 / span for v in finite.tolist()], errors
 
 
 def hadamard_double_pole(

@@ -351,6 +351,23 @@ class TestBatchedPath:
         assert not report.passed
         assert all(r["error"].startswith("ZeroDivisionError") for r in report.rows)
 
+    def test_failing_pole_pairing_call_is_contained(self, monkeypatch):
+        from dataclasses import replace
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        # the x and c integrals of a block are one call: every row takes
+        # its exception, and each of its keys counts as evaluated once
+        monkeypatch.setattr(udwpair.wightman, "_oracle_xc_batch", broken)
+        cfg = replace(SMALL_MINK, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 1.0, 1))
+        for row in run_sweep(replace(cfg, oracle=True)):
+            assert row["error"] == "ZeroDivisionError: float division by zero"
+            assert math.isnan(row["oracle_dev_x"]) and math.isnan(row["oracle_dev_c"])
+        report = run_verification(cfg)
+        assert not report.passed and report.quadratures == 2 + 1 + 2
+        assert all(r["error"].startswith("ZeroDivisionError") for r in report.rows)
+
 
 class TestDifferenceMap:
     def test_requires_quotient_topology(self):
@@ -524,9 +541,12 @@ class TestOraclePath:
             assert row["oracle_dev_x"] == want["x"]
             assert row["oracle_dev_c"] == want["c"]
 
-    def test_each_distinct_integral_once(self, monkeypatch):
-        calls = {"oracle_a_batch": [], "oracle_x_time_integral_batch": [], "oracle_c_batch": []}
-        for name in calls:
+    @staticmethod
+    def _count_calls(monkeypatch, *names):
+        """The positional arguments of each call of the ``udwpair.wightman``
+        functions ``names``, per name."""
+        calls = {name: [] for name in names}
+        for name in names:
             original = getattr(udwpair.wightman, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -534,44 +554,64 @@ class TestOraclePath:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(udwpair.wightman, name, counted)
+        return calls
+
+    def test_each_distinct_integral_once(self, monkeypatch):
+        calls = self._count_calls(
+            monkeypatch, "oracle_a_batch", "_oracle_xc_batch", "_pole_pairing"
+        )
         report = run_verification(COUNT_GRID)
         assert report.passed
-        # one batch per lookup that lacks keys: the self term of every gap;
-        # x and c at L, l_1 and l_2 (the lookups at l_-1 = l_1 and l_-2 = l_2
-        # find every key)
+        # one block: one self-term call for every gap, and one pole pairing
+        # for x and c at L, l_1 and l_2 (l_-1 = l_1 and l_-2 = l_2 add no key)
         assert len(calls["oracle_a_batch"]) == 1
+        assert len(calls["_pole_pairing"]) == 1
         a_gaps = [om for (gaps,) in calls["oracle_a_batch"] for om in gaps]
         assert len(a_gaps) == len(set(a_gaps)) == 3
-        assert len(calls["oracle_x_time_integral_batch"]) == 3
-        x_keys = [r for (seps,) in calls["oracle_x_time_integral_batch"] for r in seps]
+        ((c_gaps, c_seps, x_keys),) = calls["_oracle_xc_batch"]
         assert len(x_keys) == len(set(x_keys)) == 4 * 3
-        assert len(calls["oracle_c_batch"]) == 3
-        c_keys = [
-            key for gaps, seps in calls["oracle_c_batch"] for key in zip(gaps, seps)
-        ]
+        c_keys = list(zip(c_gaps, c_seps))
         assert len(c_keys) == 3 * 4 * 3
         assert len(set(c_keys)) == 3 * 4 * 3
         assert report.quadratures == 3 + 12 + 36
         assert report.evaluations == 12 * (1 + 2 + 2 * 4)
+
+    def test_a_second_block_integrates_only_new_keys(self, monkeypatch):
+        from dataclasses import replace
+
+        calls = self._count_calls(
+            monkeypatch, "oracle_a_batch", "_oracle_xc_batch", "_pole_pairing"
+        )
+        report = run_verification(replace(COUNT_GRID, ell=(1.0, 2.0)))
+        assert report.passed
+        # the gaps, the Minkowski term and the images n = 1 of the second
+        # block are known (n = 1 at ell = 2 lies where n = 2 at ell = 1
+        # does): no self-term call, and one pole pairing for n = 2 alone
+        assert len(calls["oracle_a_batch"]) == 1
+        assert len(calls["_pole_pairing"]) == len(calls["_oracle_xc_batch"]) == 2
+        (_, _, x_1), (c_gaps, c_seps, x_2) = calls["_oracle_xc_batch"]
+        assert len(x_2) == len(set(x_2)) == 4 and not set(x_2) & set(x_1)
+        assert len(c_gaps) == len(set(zip(c_gaps, c_seps))) == 3 * 4
+        assert report.quadratures == 3 + 12 + 36 + 4 + 12
+        assert report.evaluations == 2 * 12 * (1 + 2 + 2 * 4)
 
     def test_failing_integral_fails_only_its_rows(self, monkeypatch):
         from dataclasses import replace
 
         from udwpair import ConvergenceError
 
-        original = udwpair.wightman.oracle_c_batch
+        original = udwpair.wightman._oracle_xc_batch
         bad_r = float(COUNT_GRID.l.values()[1])
 
-        def flaky(y, l_image, **kwargs):
-            values, errors = original(y, l_image, **kwargs)
-            seps = np.broadcast_to(l_image, values.shape).tolist()
+        def flaky(y, l_c, l_x, *args, **kwargs):
+            (values, errors), x_part = original(y, l_c, l_x, *args, **kwargs)
             errors = [
                 ConvergenceError("no luck at r = 0.9") if r == bad_r else e
-                for r, e in zip(seps, errors)
+                for r, e in zip(l_c, errors)
             ]
-            return values, errors
+            return (values, errors), x_part
 
-        monkeypatch.setattr(udwpair.wightman, "oracle_c_batch", flaky)
+        monkeypatch.setattr(udwpair.wightman, "_oracle_xc_batch", flaky)
         cfg = replace(COUNT_GRID, topology=TopologyKind.MINKOWSKI, ell=())
         report = run_verification(cfg)
         swept = run_sweep(replace(cfg, oracle=True))
@@ -585,11 +625,44 @@ class TestOraclePath:
                     assert row["error"] == "" and row[key] < 1e-8
         assert sum(r["error"] != "" for r in report.rows) == 3
 
+    def test_first_failing_integral_names_the_error(self, monkeypatch):
+        # a point takes the error of its first failing integral in the order
+        # a, then x and c of the Minkowski term and of each image in turn
+        from udwpair import ConvergenceError
+
+        l_1, l_2, l_3 = (float(v) for v in COUNT_GRID.l.values()[1:])
+        topology = COUNT_GRID.topology_for(1.0)
+
+        def image(length, n):
+            pair = WorldlinePair((0.0, 0.0), (length, 0.0))
+            return float(image_separation_array(topology, pair, n))
+
+        x_bad = {image(l_1, 1), l_2, l_3}
+        c_bad = {l_1, image(l_2, 2), l_3}
+        original = udwpair.wightman._oracle_xc_batch
+
+        def flaky(y, l_c, l_x, *args, **kwargs):
+            (c, c_errors), (x, x_errors) = original(y, l_c, l_x, *args, **kwargs)
+            c_errors = [ConvergenceError("c") if r in c_bad else e for r, e in zip(l_c, c_errors)]
+            x_errors = [ConvergenceError("x") if r in x_bad else e for r, e in zip(l_x, x_errors)]
+            return (c, c_errors), (x, x_errors)
+
+        monkeypatch.setattr(udwpair.wightman, "_oracle_xc_batch", flaky)
+        report = run_verification(COUNT_GRID)
+        want = {l_1: "c", l_2: "x", l_3: "x"}
+        assert [r["error"] for r in report.rows] == [
+            f"ConvergenceError: {want[r['l']]}" if r["l"] in want else "" for r in report.rows
+        ]
+        # a point stops asking for integrals at its first error: the rows at
+        # l_1 fail at the third of their 11 integrals, those at l_2 and l_3
+        # at the second
+        assert report.evaluations == 12 * 11 - 3 * (11 - 3) - 2 * 3 * (11 - 2)
+
     def test_coincident_image_fails_before_any_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("quadrature at a coincident image")
 
-        for name in ("oracle_a_batch", "oracle_x_time_integral_batch", "oracle_c_batch"):
+        for name in ("oracle_a_batch", "_pole_pairing"):
             monkeypatch.setattr(udwpair.wightman, name, forbidden)
         report = run_verification(COINCIDENT)
         assert not report.passed and report.quadratures == 0

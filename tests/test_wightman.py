@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (
+    _hadamard_rows,
     _quad,
     default_eps_sequence,
     hadamard_double_pole,
@@ -31,6 +32,7 @@ from udwpair import (
     oracle_x,
 )
 from udwpair.wightman import (
+    _SQRT_PI,
     _WINDOW_SIGMAS,
     _refined_quad,
     oracle_a_batch,
@@ -56,6 +58,50 @@ PV_GAUSS = {
 A_OMEGA_1 = 0.0070882722326364159723
 X_L1_O1 = complex(-0.024850678746834721949, 0.040410755506246291431)
 C_L1_O1 = 0.0066003343060240564385
+
+
+# oracle_c_batch and oracle_x_time_integral_batch, one row per call, as
+# (real, imag) float.hex: the bits of the pole pairing with cos/sin
+# tabulated per signed gap, on x86-64 with numpy 2.4
+PINNED_C = {
+    (0.5, 0.02): ('0x1.cd55c4f4c0a4fp-6', '0x0.0p+0'),
+    (0.5, 0.3): ('0x1.c8e3911fcaaffp-6', '0x0.0p+0'),
+    (0.5, 1.3): ('0x1.8258971314f9fp-6', '0x0.0p+0'),
+    (0.5, 9.5): ('0x1.6c0ab94ca7d6dp-10', '0x0.0p+0'),
+    (0.5, 60.0): ('0x1.20e7988f1e004p-15', '0x0.0p+0'),
+    (-0.5, 0.02): ('0x1.5a7f8d23c794ap-3', '0x0.0p+0'),
+    (-0.5, 0.3): ('0x1.527dc882d1374p-3', '0x0.0p+0'),
+    (-0.5, 1.3): ('0x1.c12103464ffcdp-4', '0x0.0p+0'),
+    (-0.5, 9.5): ('0x1.6c0ab937e9d60p-10', '0x0.0p+0'),
+    (-0.5, 60.0): ('0x1.20e7988f1e004p-15', '0x0.0p+0'),
+    (2.0, 0.02): ('0x1.214af56903716p-13', '0x0.0p+0'),
+    (2.0, 0.3): ('0x1.205b707102580p-13', '0x0.0p+0'),
+    (2.0, 1.3): ('0x1.1073a1d6caa3dp-13', '0x0.0p+0'),
+    (2.0, 9.5): ('0x1.cf7777d805bc2p-16', '0x0.0p+0'),
+    (2.0, 60.0): ('0x1.b1082cf0ff483p-21', '0x0.0p+0'),
+    (-2.0, 0.02): ('0x1.20d46d50bdfb3p-1', '0x0.0p+0'),
+    (-2.0, 0.3): ('0x1.09dd5e1bc1ee7p-1', '0x0.0p+0'),
+    (-2.0, 1.3): ('0x1.2cd472cdf4777p-4', '0x0.0p+0'),
+    (-2.0, 9.5): ('0x1.cf77789f20146p-16', '0x0.0p+0'),
+    (-2.0, 60.0): ('0x1.b1082cf0ff483p-21', '0x0.0p+0'),
+    (0.0, 0.02): ('0x1.45ed76d30bfa3p-4', '0x0.0p+0'),
+    (0.0, 0.3): ('0x1.411a92fbc6ce6p-4', '0x0.0p+0'),
+    (0.0, 1.3): ('0x1.efe47415d6796p-5', '0x0.0p+0'),
+    (0.0, 9.5): ('0x1.d94de48592f45p-10', '0x0.0p+0'),
+    (0.0, 60.0): ('0x1.73107438f7cbdp-15', '0x0.0p+0'),
+    (-0.0, 0.02): ('0x1.45ed76d30bfa3p-4', '0x0.0p+0'),
+    (-0.0, 0.3): ('0x1.411a92fbc6ce6p-4', '0x0.0p+0'),
+    (-0.0, 1.3): ('0x1.efe47415d6796p-5', '0x0.0p+0'),
+    (-0.0, 9.5): ('0x1.d94de48592f45p-10', '0x0.0p+0'),
+    (-0.0, 60.0): ('0x1.73107438f7cbdp-15', '0x0.0p+0'),
+}
+PINNED_X = {
+    0.02: ('0x1.6fc518a7d5cb0p-6', '-0x1.fd3eb12ad513ap+0'),
+    0.3: ('0x1.6a53ac1280ecdp-6', '-0x1.0994c4d750a83p-3'),
+    1.3: ('0x1.17c6febe20c82p-6', '-0x1.48a90c76cfc5ep-6'),
+    9.5: ('0x1.0b0888d66c357p-11', '-0x1.76befdbd822e5p-41'),
+    60.0: ('0x1.a2b38190f9c9cp-17', '0x0.0p+0'),
+}
 
 
 def _bits(value) -> list[int]:
@@ -249,6 +295,79 @@ class TestPolePairingDots:
         sliced = oracle_c_batch(gaps, seps)
         assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
         assert {ndim for ndim, _ in calls} == {2, 3}
+
+
+class TestOneQuadraturePass:
+    """The x and c integrals of any rows share one pole pairing, which
+    integrates each (|y|, r) once; the self term is integrated in real
+    arithmetic."""
+
+    @staticmethod
+    def _hex(value) -> tuple[str, str]:
+        return value.real.hex(), value.imag.hex()
+
+    def test_pinned_bits(self):
+        # mirrored gaps, both zeros and separations from 0.02 to 60 in one
+        # batch keep the bits of one row per call with per-gap tables
+        gaps, seps = (list(v) for v in zip(*PINNED_C))
+        c, c_errors = oracle_c_batch(gaps, seps)
+        x, x_errors = oracle_x_time_integral_batch(list(PINNED_X))
+        assert c_errors == [None] * len(gaps) and x_errors == [None] * len(PINNED_X)
+        assert [self._hex(v) for v in c.tolist()] == list(PINNED_C.values())
+        assert [self._hex(v) for v in x.tolist()] == list(PINNED_X.values())
+
+    def test_joint_batch_is_both_batches_bit_for_bit(self):
+        # x rows are the pole pairing's rows at gap +0.0: c rows at gap
+        # +-0.0 and the same separations share them
+        import udwpair.wightman as wightman
+
+        gaps = [0.0, -0.0, 1.5, -1.5, 0.0, 2.0]
+        seps = [1.3, 1.3, 1.3, 1.3, 4.0, 0.02]
+        xs = [1.3, 4.0, 9.5]
+        (c, c_errors), (x, x_errors) = wightman._oracle_xc_batch(gaps, seps, xs)
+        want_c, want_c_errors = oracle_c_batch(gaps, seps)
+        want_x, want_x_errors = oracle_x_time_integral_batch(xs)
+        assert c_errors == want_c_errors == [None] * 6
+        assert x_errors == want_x_errors == [None] * 3
+        assert _bits(c) == _bits(want_c) and _bits(x) == _bits(want_x)
+
+    def test_mirrored_gaps_share_one_row(self, monkeypatch):
+        import udwpair.wightman as wightman
+
+        rows = []
+        refine = wightman._refine
+
+        def counting_refine(sums, intervals, **options):
+            rows.append(len(intervals))
+            return refine(sums, intervals, **options)
+
+        monkeypatch.setattr(wightman, "_refine", counting_refine)
+        gaps = [-1.0, 1.0, -0.0, 0.0, 2.5]
+        (c, _), (x, _) = wightman._oracle_xc_batch(gaps * 2, [0.7] * 5 + [3.0] * 5, [0.7, 3.0])
+        # (|y|, r) in {0, 1, 2.5} x {0.7, 3}; the x rows are those at |y| = 0
+        assert rows == [3 * 2]
+        assert _bits(c[0].real) == _bits(oracle_c_batch([-1.0], 0.7)[0][0].real)
+        assert x.tolist() == oracle_x_time_integral_batch([0.7, 3.0])[0].tolist()
+
+    def test_self_term_matches_complex_hadamard_form(self):
+        # [2 e^{-s^2/4} cos(y s) - 2]/s^2 in real arithmetic against the
+        # complex finite part of e^{-u^2/4 - i y u} with the f'(0) rule
+        y = np.concatenate([np.linspace(-6.0, 6.0, 1201), [-0.0]])
+        phase = 1j * y[:, None]
+
+        def f(k, u):
+            return np.exp(-u * u / 4.0 - phase[k] * u)
+
+        had, had_errors = _hadamard_rows(
+            f, y.size, span=_WINDOW_SIGMAS, f00=1.0, target=1e-12, raise_tol=1e-8
+        )
+        want = [
+            (_SQRT_PI * ((-1j * w) / (4.0j * math.pi) - h / (4.0 * math.pi**2))).real
+            for w, h in zip(y.tolist(), had)
+        ]
+        got, errors = oracle_a_batch(y)
+        assert errors == had_errors == [None] * y.size
+        assert np.max(np.abs(got - np.array(want))) <= 2.5e-16
 
 
 class TestOracleValues:
