@@ -12,15 +12,20 @@ quadrature oracles :func:`oracle_a`, :func:`oracle_x` and :func:`oracle_c`
 that ``verify`` runs, the sweep entry points with their configuration
 types, and every exception and warning class.  Everything else is imported
 from its submodule.
+
+Importing the package loads no numpy: the exception classes and the
+configuration types (:mod:`udwpair.config`) are bound at import, and each
+other name of ``__all__`` imports its home module at its first access
+(PEP 562 ``__getattr__``).
 """
 
-from .elements import (
-    DetectorParams,
-    XStateAB,
-    assemble_density_matrix,
-    elements_for,
+import importlib
+
+from .config import (
+    GridAxis,
+    SweepConfig,
+    TopologyKind,
 )
-from .entanglement import xstate_measures
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -31,23 +36,36 @@ from .errors import (
     TruncationWarning,
     UdwError,
 )
-from .geometry import (
-    Topology,
-    TopologyKind,
-    WorldlinePair,
-)
-from .sweep import (
-    GridAxis,
-    SweepConfig,
-    run_difference_map,
-    run_sweep,
-    run_verification,
-)
-from .wightman import (
-    oracle_a,
-    oracle_c,
-    oracle_x,
-)
+
+#: the numpy-backed names of ``__all__`` -> their home submodule
+_LAZY = {
+    "DetectorParams": "elements",
+    "XStateAB": "elements",
+    "assemble_density_matrix": "elements",
+    "elements_for": "elements",
+    "xstate_measures": "entanglement",
+    "Topology": "geometry",
+    "WorldlinePair": "geometry",
+    "run_difference_map": "sweep",
+    "run_sweep": "sweep",
+    "run_verification": "sweep",
+    "oracle_a": "wightman",
+    "oracle_c": "wightman",
+    "oracle_x": "wightman",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -8,28 +8,30 @@ are in units of the switching width sigma.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 Relative ``--out`` paths resolve under $UDWPAIR_OUT_DIR when set.
+
+The commands resolve their configuration (:mod:`udwpair.config`, no
+numpy) before anything else; ``sweep``, ``diffmap`` and ``verify`` then
+import :mod:`udwpair.sweep` and with it numpy and the kernels.  So
+``--help``, ``show-config`` and a configuration error load click only.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 import warnings
 
 import click
 
-from .errors import ConfigError, UdwError
-from .geometry import TopologyKind
-from .sweep import (
+from .config import (
     OUTPUT_DIR_ENV,
     SweepConfig,
+    TopologyKind,
     config_from_mapping,
     parse_config_file,
-    run_difference_map,
-    run_sweep,
-    run_verification,
-    write_rows,
 )
+from .errors import ConfigError, UdwError
 
 _EXIT_VALIDATION = 1
 _EXIT_VERIFICATION = 2
@@ -65,9 +67,15 @@ def _resolve_config(config_path, **flags) -> SweepConfig:
     return config_from_mapping(mapping)
 
 
+def _evaluation():
+    """:mod:`udwpair.sweep`, imported by the first command that evaluates."""
+    return importlib.import_module(".sweep", __package__)
+
+
 def _emit(cfg: SweepConfig, table) -> None:
     """Write ``table`` to stdout, or to ``cfg.out``: a relative path there
     resolves under $UDWPAIR_OUT_DIR when that is set."""
+    write_rows = _evaluation().write_rows
     if cfg.out is None:
         write_rows(table, cfg.fmt, sys.stdout)
         return
@@ -90,10 +98,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     click.echo(f"udwpair: {category.__name__}: {message}", err=True)
 
 
-def _run_and_write(run, config_path, flags) -> None:
+def _run_and_write(run: str, config_path, flags) -> None:
+    """Resolve the config, then write the table of ``udwpair.sweep.<run>``."""
     try:
         cfg = _resolve_config(config_path, **flags)
-        _emit(cfg, run(cfg))
+        _emit(cfg, getattr(_evaluation(), run)(cfg))
     except ConfigError as exc:
         raise SystemExit(_fail(exc))
 
@@ -102,14 +111,14 @@ def _run_and_write(run, config_path, flags) -> None:
 @_config_options
 def sweep(config_path, **flags):
     """Tabulate matrix elements and entanglement measures over a grid."""
-    _run_and_write(run_sweep, config_path, flags)
+    _run_and_write("run_sweep", config_path, flags)
 
 
 @main.command()
 @_config_options
 def diffmap(config_path, **flags):
     """Tabulate the correlation difference corr_M - corr_topology."""
-    _run_and_write(run_difference_map, config_path, flags)
+    _run_and_write("run_difference_map", config_path, flags)
 
 
 @main.command()
@@ -118,7 +127,7 @@ def verify(config_path, **flags):
     """Check every closed form against the distributional quadrature oracle."""
     try:
         cfg = _resolve_config(config_path, **flags)
-        report = run_verification(cfg)
+        report = _evaluation().run_verification(cfg)
         _emit(cfg, report.rows)
     except UdwError as exc:
         raise SystemExit(_fail(exc))

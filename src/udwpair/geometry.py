@@ -29,13 +29,13 @@ one call gives the separations of many images at once.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import TopologyKind
 from .errors import GeometryError
 
 __all__ = [
@@ -52,12 +52,6 @@ __all__ = [
 Vec2 = tuple[float, float]
 
 _TINY = np.finfo(float).tiny
-
-
-class TopologyKind(enum.Enum):
-    MINKOWSKI = "minkowski"
-    CYLINDER = "cylinder"
-    TWISTED_CYLINDER = "twisted"
 
 
 @dataclass(frozen=True)

@@ -419,8 +419,13 @@ def oracle_x(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> c
 
 def oracle_x_envelope(y: float) -> float:
     """The exact factor -2 sqrt(pi) e^{-y^2} of X/eps0^2: the whole gap
-    dependence, from the centre-of-time integral."""
-    return -2.0 * _SQRT_PI * math.exp(-(y**2))
+    dependence, from the centre-of-time integral.  Where y^2 exceeds the
+    float range (|y| > 1.3e154) it is -0.0, as where e^{-y^2} underflows."""
+    try:
+        y2 = y**2
+    except OverflowError:
+        y2 = math.inf
+    return -2.0 * _SQRT_PI * math.exp(-y2)
 
 
 def oracle_x_time_integral_batch(

@@ -56,13 +56,24 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", namespace)
 
 
+#: the modules that hold or pull in numpy: none loads before a command evaluates
+EVALUATION_MODULES = (
+    "numpy",
+    "udwpair.sweep",
+    "udwpair.elements",
+    "udwpair.wightman",
+    "udwpair.entanglement",
+    "udwpair.geometry",
+)
+
+
 def test_cli_start_up_loads_no_scipy_or_mpmath():
-    # scipy.special is most of the start-up time, and the kernels import it
-    # at their first element evaluation; scipy.integrate and mpmath (only
-    # tests and the benchmark reference) are never needed before that.
-    # The README fig2 show-config, --help and a config error (exit 1)
-    # evaluate no element, so none of them may load any of these.  Nor may
-    # they build the CSV writer's float tables.
+    # numpy and the evaluation modules load at the first command that
+    # evaluates, scipy.special at the first element evaluation;
+    # scipy.integrate and mpmath (only tests and the benchmark reference)
+    # are never needed before that.  The README fig2 show-config, --help
+    # and a config error (exit 1) evaluate nothing, so none of them may
+    # load any of these.
     src = str(Path(udwpair.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     commands = [
@@ -84,15 +95,37 @@ for args in {commands!r}:
             codes.append(exc.code)
 print(codes)
 print(" ".join(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
-print(udwpair.sweep._g17_tables.cache_info().currsize)
+print(" ".join(m for m in {EVALUATION_MODULES!r} if m in sys.modules))
 """
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    codes, loaded, tables = result.stdout.split("\n")[:3]
+    codes, loaded, evaluation = result.stdout.split("\n")[:3]
     assert codes == "[0, 0, 1]"
     assert loaded == ""
-    assert tables == "0"
+    assert evaluation == ""
+
+
+def test_package_names_resolve_lazily_to_their_home_objects():
+    # a fresh interpreter: in this one the tests have imported everything.
+    # Importing the package loads no numpy; then each name of __all__ is
+    # listed by dir() and is the object its home module defines.
+    src = str(Path(udwpair.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = """
+import importlib, sys
+import udwpair
+print("numpy" in sys.modules)
+for name in udwpair.__all__:
+    value = getattr(udwpair, name)
+    home = importlib.import_module(getattr(value, "__module__", None) or "udwpair")
+    if name not in dir(udwpair) or value is not getattr(home, name):
+        print(name, home.__name__)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 def _unused_imports(path: Path) -> list[str]:

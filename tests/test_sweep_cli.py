@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 from references import negativity_exact, separation
 
+import udwpair.config
 import udwpair.elements
 import udwpair.sweep as sweep_mod
 import udwpair.wightman
@@ -33,6 +34,7 @@ from udwpair import (
     xstate_measures,
 )
 from udwpair.cli import main
+from udwpair.config import NMAX_LIMIT
 from udwpair.elements import self_excitation_array
 from udwpair.entanglement import Measures
 from udwpair.geometry import image_separation_array
@@ -55,6 +57,16 @@ SMALL_CYL = SweepConfig(
     omega=GridAxis(-1.0, 1.0, 3),
     l=GridAxis(0.5, 2.0, 3),
 )
+
+
+def _udw_error_names() -> set[str]:
+    """The names of UdwError and of every subclass of it."""
+    names, todo = set(), [UdwError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return names
 
 
 @pytest.fixture(autouse=True)
@@ -717,6 +729,34 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.stderr == "error: ell: could not convert string to float: 'abc'\n"
 
+    def test_nmax_beyond_its_bound_is_a_validation_error(self):
+        # the image sums build a list of 2 nmax image numbers: the bound
+        # keeps it small, and a list beyond the C ssize_t range cannot be
+        # built at all
+        assert config_from_mapping({"nmax": str(NMAX_LIMIT)}).nmax == NMAX_LIMIT
+        for nmax in (NMAX_LIMIT + 1, 99999999999999999999):
+            result = CliRunner().invoke(
+                main,
+                ["sweep", "--topology", "cylinder", "--ell", "1", "--nmax", str(nmax),
+                 "--omega-range", "0:0:1", "--l-range", "1:1:1"],
+            )
+            assert result.exit_code == 1
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert result.stderr == f"error: nmax must be <= 1000000, got {nmax}\n"
+
+    @pytest.mark.parametrize("command", [["verify"], ["sweep", "--oracle"]])
+    def test_oracle_at_a_gap_whose_square_overflows(self, command):
+        # (Omega sigma)^2 overflows a float: the oracle's envelope is 0 there,
+        # and the point records an error instead of aborting the run
+        result = CliRunner().invoke(
+            main, [*command, "--omega-range", "2e154:2e154:1", "--l-range", "1:1:1"]
+        )
+        assert result.exit_code in (0, 1, 2)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.stderr
+        (row,) = csv.DictReader(io.StringIO(result.stdout))
+        assert row["error"].split(":")[0] in _udw_error_names()
+
     def test_show_config_round_trips(self, tmp_path):
         args = [
             "--topology", "twisted", "--ell", "0.123456789,1e-07,3.0000000000000004",
@@ -853,7 +893,7 @@ class TestCli:
         assert result.stderr == "error: unknown configuration key 'sigma'\n"
 
     def test_each_key_has_one_option_and_one_show_config_line(self):
-        keys = sorted(sweep_mod._PARSERS)
+        keys = sorted(udwpair.config._PARSERS)
         for command in ("sweep", "diffmap", "verify", "show-config"):
             params = main.commands[command].params
             assert sorted(p.name for p in params if p.name != "config_path") == keys

@@ -472,6 +472,15 @@ class TestOracleValues:
         with pytest.raises(GeometryError):
             oracle_x_time_integral(0.0)
 
+    def test_envelope_where_y_squared_overflows(self):
+        # y**2 overflows a float at |y| > 1.34e154: the envelope is then its
+        # limit -0.0, as where e^{-y^2} underflows; elsewhere its bits are
+        # those of -2 sqrt(pi) e^{-(y**2)}
+        for y in (1.34e154, -1.34e154, 30.0, 1.5, 0.0, -2.25):
+            assert _bits(oracle_x_envelope(y)) == _bits(-2.0 * _SQRT_PI * math.exp(-(y**2)))
+        for y in (1.35e154, -2e154, 1e300, -math.inf, math.inf):
+            assert _bits(oracle_x_envelope(y)) == _bits(-0.0)
+
     def test_x_at_small_separations(self):
         # the pole pairing (g(L+s) - g(L-s))/s is smooth on the scale sigma
         # however small L is: no ConvergenceError, and the closed form to
