@@ -1,7 +1,8 @@
 """The documented API: the README quick start runs as written, every
-exported name exists, the CLI starts and reports its configuration
-without loading scipy or mpmath, no module imports a name it never uses,
-and the package neither imports scipy.integrate nor calls numpy.linalg."""
+exported name exists and the package names load their modules lazily,
+the CLI starts and reports its configuration without loading numpy,
+scipy or mpmath, no module imports a name it never uses, and the package
+neither imports scipy.integrate nor calls numpy.linalg."""
 
 import ast
 import contextlib
@@ -56,6 +57,16 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", namespace)
 
 
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter on this source tree."""
+    src = str(Path(udwpair.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
 #: the modules that hold or pull in numpy: none loads before a command evaluates
 EVALUATION_MODULES = (
     "numpy",
@@ -74,8 +85,6 @@ def test_cli_start_up_loads_no_scipy_or_mpmath():
     # are never needed before that.  The README fig2 show-config, --help
     # and a config error (exit 1) evaluate nothing, so none of them may
     # load any of these.
-    src = str(Path(udwpair.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     commands = [
         ["show-config", "--topology", "cylinder", "--ell", "0.5,1,2,4",
          "--omega-range", "-3:3:121", "--l-range", "1:1:1", "--out", "fig2.csv"],
@@ -97,10 +106,7 @@ print(codes)
 print(" ".join(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
 print(" ".join(m for m in {EVALUATION_MODULES!r} if m in sys.modules))
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    codes, loaded, evaluation = result.stdout.split("\n")[:3]
+    codes, loaded, evaluation = _fresh_interpreter(code).split("\n")[:3]
     assert codes == "[0, 0, 1]"
     assert loaded == ""
     assert evaluation == ""
@@ -110,8 +116,6 @@ def test_package_names_resolve_lazily_to_their_home_objects():
     # a fresh interpreter: in this one the tests have imported everything.
     # Importing the package loads no numpy; then each name of __all__ is
     # listed by dir() and is the object its home module defines.
-    src = str(Path(udwpair.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = """
 import importlib, sys
 import udwpair
@@ -122,10 +126,7 @@ for name in udwpair.__all__:
     if name not in dir(udwpair) or value is not getattr(home, name):
         print(name, home.__name__)
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "False\n"
+    assert _fresh_interpreter(code) == "False\n"
 
 
 def _unused_imports(path: Path) -> list[str]:
