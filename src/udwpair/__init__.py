@@ -39,16 +39,21 @@ from .errors import (
 
 #: the numpy-backed names of ``__all__`` -> their home submodule
 _LAZY = {
+    # elements
     "DetectorParams": "elements",
     "XStateAB": "elements",
     "assemble_density_matrix": "elements",
     "elements_for": "elements",
+    # entanglement
     "xstate_measures": "entanglement",
+    # geometry
     "Topology": "geometry",
     "WorldlinePair": "geometry",
+    # sweeps
     "run_difference_map": "sweep",
     "run_sweep": "sweep",
     "run_verification": "sweep",
+    # oracle
     "oracle_a": "wightman",
     "oracle_c": "wightman",
     "oracle_x": "wightman",
@@ -71,13 +76,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # elements
-    "DetectorParams",
-    "XStateAB",
-    "assemble_density_matrix",
-    "elements_for",
-    # entanglement
-    "xstate_measures",
+    # config
+    "GridAxis",
+    "SweepConfig",
+    "TopologyKind",
     # errors
     "ConfigError",
     "ConvergenceError",
@@ -87,18 +89,5 @@ __all__ = [
     "PositivityError",
     "TruncationWarning",
     "UdwError",
-    # geometry
-    "Topology",
-    "TopologyKind",
-    "WorldlinePair",
-    # sweeps
-    "GridAxis",
-    "SweepConfig",
-    "run_difference_map",
-    "run_sweep",
-    "run_verification",
-    # oracle
-    "oracle_a",
-    "oracle_c",
-    "oracle_x",
 ]
+__all__ += _LAZY

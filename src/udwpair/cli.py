@@ -11,13 +11,14 @@ Relative ``--out`` paths resolve under $UDWPAIR_OUT_DIR when set.
 
 The commands resolve their configuration (:mod:`udwpair.config`, no
 numpy) before anything else; ``sweep``, ``diffmap`` and ``verify`` then
-import :mod:`udwpair.sweep` and with it numpy and the kernels.  So
-``--help``, ``show-config`` and a configuration error load click only.
+call :func:`run_sweep`, :func:`run_difference_map` or
+:func:`run_verification`, whose first call imports :mod:`udwpair.sweep`
+and with it numpy and the kernels.  So ``--help``, ``show-config`` and a
+configuration error load click only.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 import sys
 import warnings
@@ -67,15 +68,36 @@ def _resolve_config(config_path, **flags) -> SweepConfig:
     return config_from_mapping(mapping)
 
 
-def _evaluation():
-    """:mod:`udwpair.sweep`, imported by the first command that evaluates."""
-    return importlib.import_module(".sweep", __package__)
+# The evaluation entry points of udwpair.sweep, imported at their first
+# call.  The commands look them up in this module, where bench/tracing.py
+# wraps them as the sweep layer.
+def run_sweep(cfg: SweepConfig):
+    from .sweep import run_sweep
+
+    return run_sweep(cfg)
+
+
+def run_difference_map(cfg: SweepConfig):
+    from .sweep import run_difference_map
+
+    return run_difference_map(cfg)
+
+
+def run_verification(cfg: SweepConfig):
+    from .sweep import run_verification
+
+    return run_verification(cfg)
+
+
+def write_rows(table, fmt: str, stream) -> None:
+    from .sweep import write_rows
+
+    write_rows(table, fmt, stream)
 
 
 def _emit(cfg: SweepConfig, table) -> None:
     """Write ``table`` to stdout, or to ``cfg.out``: a relative path there
     resolves under $UDWPAIR_OUT_DIR when that is set."""
-    write_rows = _evaluation().write_rows
     if cfg.out is None:
         write_rows(table, cfg.fmt, sys.stdout)
         return
@@ -98,11 +120,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     click.echo(f"udwpair: {category.__name__}: {message}", err=True)
 
 
-def _run_and_write(run: str, config_path, flags) -> None:
-    """Resolve the config, then write the table of ``udwpair.sweep.<run>``."""
+def _run_and_write(run, config_path, flags) -> None:
     try:
         cfg = _resolve_config(config_path, **flags)
-        _emit(cfg, getattr(_evaluation(), run)(cfg))
+        _emit(cfg, run(cfg))
     except ConfigError as exc:
         raise SystemExit(_fail(exc))
 
@@ -111,14 +132,14 @@ def _run_and_write(run: str, config_path, flags) -> None:
 @_config_options
 def sweep(config_path, **flags):
     """Tabulate matrix elements and entanglement measures over a grid."""
-    _run_and_write("run_sweep", config_path, flags)
+    _run_and_write(run_sweep, config_path, flags)
 
 
 @main.command()
 @_config_options
 def diffmap(config_path, **flags):
     """Tabulate the correlation difference corr_M - corr_topology."""
-    _run_and_write("run_difference_map", config_path, flags)
+    _run_and_write(run_difference_map, config_path, flags)
 
 
 @main.command()
@@ -127,7 +148,7 @@ def verify(config_path, **flags):
     """Check every closed form against the distributional quadrature oracle."""
     try:
         cfg = _resolve_config(config_path, **flags)
-        report = _evaluation().run_verification(cfg)
+        report = run_verification(cfg)
         _emit(cfg, report.rows)
     except UdwError as exc:
         raise SystemExit(_fail(exc))
