@@ -14,11 +14,16 @@ numpy) before anything else; ``sweep``, ``diffmap`` and ``verify`` then
 call :func:`run_sweep`, :func:`run_difference_map` or
 :func:`run_verification`, whose first call imports :mod:`udwpair.sweep`
 and with it numpy and the kernels.  So ``--help``, ``show-config`` and a
-configuration error load click only.
+configuration error load click only.  Those calls validate the
+configuration and return the run's slabs unevaluated: :func:`write_rows`
+evaluates and writes one slab at a time, so a run holds one slab of its
+grid in memory, and a configuration error exits before the output file is
+created.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
@@ -70,41 +75,42 @@ def _resolve_config(config_path, **flags) -> SweepConfig:
 
 # The evaluation entry points of udwpair.sweep, imported at their first
 # call.  The commands look them up in this module, where bench/tracing.py
-# wraps them as the sweep layer.
+# wraps them as the sweep layer: the run_* calls validate and return the
+# slabs, and the evaluation runs inside write_rows.
 def run_sweep(cfg: SweepConfig):
-    from .sweep import run_sweep
+    from .sweep import sweep_slabs
 
-    return run_sweep(cfg)
+    return sweep_slabs(cfg)
 
 
 def run_difference_map(cfg: SweepConfig):
-    from .sweep import run_difference_map
+    from .sweep import difference_map_slabs
 
-    return run_difference_map(cfg)
+    return difference_map_slabs(cfg)
 
 
 def run_verification(cfg: SweepConfig):
-    from .sweep import run_verification
+    from .sweep import verification_slabs
 
-    return run_verification(cfg)
+    return verification_slabs(cfg)
 
 
-def write_rows(table, fmt: str, stream) -> None:
+def write_rows(slabs, fmt: str, stream) -> None:
     from .sweep import write_rows
 
-    write_rows(table, fmt, stream)
+    write_rows(slabs, fmt, stream)
 
 
-def _emit(cfg: SweepConfig, table) -> None:
-    """Write ``table`` to stdout, or to ``cfg.out``: a relative path there
+def _emit(cfg: SweepConfig, slabs) -> None:
+    """Write ``slabs`` to stdout, or to ``cfg.out``: a relative path there
     resolves under $UDWPAIR_OUT_DIR when that is set."""
     if cfg.out is None:
-        write_rows(table, cfg.fmt, sys.stdout)
+        write_rows(slabs, cfg.fmt, sys.stdout)
         return
     path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), cfg.out)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as stream:
-        write_rows(table, cfg.fmt, stream)
+        write_rows(slabs, cfg.fmt, stream)
 
 
 @click.group()
@@ -148,18 +154,33 @@ def verify(config_path, **flags):
     """Check every closed form against the distributional quadrature oracle."""
     try:
         cfg = _resolve_config(config_path, **flags)
-        report = run_verification(cfg)
-        _emit(cfg, report.rows)
+        run = run_verification(cfg)
+        _emit(cfg, run)
     except UdwError as exc:
         raise SystemExit(_fail(exc))
-    click.echo(
-        f"verify: {'PASS' if report.passed else 'FAIL'} "
-        f"(max deviation {report.max_deviation:.3e}, tolerance {report.tolerance:g}, "
-        f"{report.quadratures} quadratures for {report.evaluations} oracle evaluations)",
-        err=True,
-    )
-    if not report.passed:
+    click.echo(f"verify: {'PASS' if run.passed else 'FAIL'} ({_findings(run)})", err=True)
+    if not run.passed:
         raise SystemExit(_EXIT_VERIFICATION)
+
+
+def _findings(run) -> str:
+    """The rows with an error (if any), the largest deviation of the
+    others, the tolerance and the oracle's counts."""
+    parts = []
+    if run.error_rows:
+        n = run.error_rows
+        rows = "1 row with an error" if n == 1 else f"{n} rows with errors"
+        parts.append(f"{rows}, the first a {run.first_error}; ")
+    if math.isnan(run.max_deviation):
+        parts.append("no deviation computed")
+    else:
+        others = " over the other rows" if run.error_rows else ""
+        parts.append(f"max deviation {run.max_deviation:.3e}{others}")
+    parts.append(
+        f", tolerance {run.tolerance:g}, "
+        f"{run.quadratures} quadratures for {run.evaluations} oracle evaluations"
+    )
+    return "".join(parts)
 
 
 @main.command(name="show-config")

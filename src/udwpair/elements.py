@@ -102,6 +102,7 @@ __all__ = [
     "image_terms",
     "elements_for",
     "elements_batch",
+    "TruncationTally",
     "new_errors",
     "flag_errors",
     "assemble_density_matrix",
@@ -499,8 +500,39 @@ def image_terms(y, pair: WorldlinePair, topology: Topology, ns, errors: np.ndarr
     return _image_terms(np.asarray(y, dtype=float), pair, topology, ns, errors)[:3]
 
 
+class TruncationTally:
+    """The truncation of the image sums of one or more batches: the largest
+    relative size of a last term and the largest estimated omitted tail,
+    over the points without an error.  :meth:`warn` gives one
+    :class:`TruncationWarning` for all the batches, when a last term of
+    any of them exceeded ``TRUNCATION_RTOL``."""
+
+    def __init__(self) -> None:
+        self.exceeded = False
+        self.worst: list[float] = []
+        self.tail: list[float] = []
+
+    def add(self, worst: np.ndarray, tail: np.ndarray, valid: np.ndarray) -> None:
+        if valid.any():
+            self.exceeded |= bool(np.any(worst[valid] > TRUNCATION_RTOL))
+            self.worst.append(np.max(worst[valid]))
+            self.tail.append(np.max(tail[valid]))
+
+    def warn(self, nmax: int, stacklevel: int = 1) -> None:
+        if self.exceeded:
+            warnings.warn(
+                f"image sum truncated at |n| <= {nmax} with last-term relative "
+                f"size up to {np.max(self.worst):.2e}; estimated omitted tail up to "
+                f"{np.max(self.tail):.2e} "
+                "(principal-value parts decay only like 1/(n ell)^2)",
+                TruncationWarning,
+                stacklevel=stacklevel + 1,
+            )
+
+
 def _add_images(
-    a, x, c, y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
+    a, x, c, y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray,
+    truncation: TruncationTally | None,
 ) -> XStateBatch:
     """The n = 0 terms a, x, c plus their images n = -nmax..-1, 1..nmax.
 
@@ -555,21 +587,16 @@ def _add_images(
         worst = np.maximum.reduce(
             [lk / np.maximum(modulus(sk), 1e-300) for lk, sk in zip(last, (a, b, x, c))]
         )
-    valid = np.equal(errors, None)
-    if np.any(valid & (worst > TRUNCATION_RTOL)):
-        warnings.warn(
-            f"image sum truncated at |n| <= {nmax} with last-term relative "
-            f"size up to {np.max(worst[valid]):.2e}; estimated omitted tail up to "
-            f"{np.max(tail[valid]):.2e} "
-            "(principal-value parts decay only like 1/(n ell)^2)",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    tally = TruncationTally() if truncation is None else truncation
+    tally.add(worst, tail, np.equal(errors, None))
+    if truncation is None:
+        tally.warn(nmax, stacklevel=3)
     return XStateBatch(a, b, x, c, tail)
 
 
 def elements_batch(
-    y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
+    y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray,
+    truncation: TruncationTally | None = None,
 ) -> XStateBatch:
     """Elements on a grid: gaps y = sigma*Omega and pair coordinates (in
     units of sigma, as is ``topology.ell``) broadcast to ``errors.shape``.
@@ -578,7 +605,9 @@ def elements_batch(
     adds the image sums over 1 <= |n| <= ``nmax``.  A point for which
     :func:`elements_for` would raise gets that exception in ``errors``
     instead; its values are then meaningless.  Points that already carry an
-    error keep it.
+    error keep it.  A quotient's image-sum truncation is added to
+    ``truncation`` when it is given (to warn once for several batches),
+    else the batch warns on its own.
     """
     quotient = topology.kind is not TopologyKind.MINKOWSKI
     if quotient and nmax < 1:
@@ -591,7 +620,7 @@ def elements_batch(
         x = nonlocal_array(y, length)
         c = exchange_array(y, length)
         if quotient:
-            return _add_images(a, x, c, y, pair, topology, nmax, errors)
+            return _add_images(a, x, c, y, pair, topology, nmax, errors, truncation)
     a = np.broadcast_to(a, errors.shape)
     return XStateBatch(a, a, x, c, np.zeros(errors.shape))
 

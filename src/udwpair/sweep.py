@@ -17,21 +17,33 @@ and theta = pi/2 along it; ``d_a`` offsets both detectors in the reflected
 plane, which matters only for the twisted cylinder (not translation
 invariant there).
 
-Sweeps and difference maps evaluate each ell block of the grid in one
-batched numpy pass in the calling process (:func:`udwpair.elements.elements_batch`,
+A run cuts each ell block of the grid into slabs of whole omega rows of
+at most ``SLAB_POINTS`` points (one row where a row alone has more) and
+evaluates each slab in one batched numpy pass in the calling process
+(:func:`udwpair.elements.elements_batch`,
 :func:`udwpair.entanglement.xstate_measures_batch`); a point that fails
-gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.  The
-quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
+gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.
+Every point's values are independent of the slab it lies in, and an ell
+block's image sums warn about their truncation once, after its last slab.
+The quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
 distinct integral of a run once and hands the value to every point that
-needs it; the integrals one lookup lacks are evaluated in one batch call
-(:func:`udwpair.wightman.oracle_c_batch`, for instance).
+needs it, across slabs and blocks; the integrals one lookup lacks are
+evaluated in one batch call (:func:`udwpair.wightman.oracle_c_batch`, for
+instance).
+
+:func:`sweep_slabs`, :func:`difference_map_slabs` and
+:func:`verification_slabs` validate the configuration at the call and
+evaluate each slab as it is asked for, so a writer that takes their slabs
+holds one slab at a time; :func:`run_sweep`, :func:`run_difference_map`
+and :func:`run_verification` join the same slabs into one table.
 
 Results are a :class:`Table` of numpy columns, rows in grid order (ell,
-omega, l, theta outermost to innermost).  The writers convert each column
-of ``CSV_CHUNK_ROWS`` rows to text in one go, by dtype, each distinct value
-once: CSV floats with 17 significant digits (so identical configurations
-give identical bytes) and text quoted as RFC 4180 says where it holds a
-comma, a double quote, CR or LF; JSONL as ``json.dumps`` of each row.
+omega, l, theta outermost to innermost).  The writers take a table or
+slabs, and convert each column of ``CSV_CHUNK_ROWS`` rows to text in one
+go, by dtype, each distinct value once: CSV floats with 17 significant
+digits (so identical configurations give identical bytes) and text quoted
+as RFC 4180 says where it holds a comma, a double quote, CR or LF; JSONL
+as ``json.dumps`` of each row.
 
 CSV floats are exactly ``"%.17g"``.  Their digits are computed in numpy
 from a double-double product with a power of ten (:func:`_g17`); zeros,
@@ -46,7 +58,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,7 +72,7 @@ from .config import (
     parse_config_file,
     parse_range,
 )
-from .elements import elements_batch, image_terms, modulus, new_errors
+from .elements import TruncationTally, elements_batch, image_terms, modulus, new_errors
 from .entanglement import xstate_measures_batch
 from .errors import ConfigError
 from .geometry import Topology, WorldlinePair, separation_array
@@ -71,12 +83,16 @@ __all__ = [
     "SweepConfig",
     "Table",
     "VerificationReport",
+    "VerificationSlabs",
     "config_from_mapping",
     "parse_config_file",
     "parse_range",
     "run_sweep",
     "run_difference_map",
     "run_verification",
+    "sweep_slabs",
+    "difference_map_slabs",
+    "verification_slabs",
     "rows_to_csv",
     "rows_to_jsonl",
     "write_rows",
@@ -92,6 +108,11 @@ _VERIFY_IMAGES = (1, -1, 2, -2)
 
 #: Rows per chunk that the writers write and the row view converts at once
 CSV_CHUNK_ROWS = 1024
+
+#: Most points of a slab, the unit of the grid that a run evaluates and
+#: writes at once: it bounds a run's memory, and much smaller slabs cost
+#: time per point in numpy call overhead
+SLAB_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +135,42 @@ class Table:
 
     def __iter__(self) -> Iterator[dict[str, object]]:
         keys = list(self.columns)
-        for chunk in self.chunks():
-            for values in zip(*(col.tolist() for col in chunk)):
+        for chunk in _rechunked([self]):
+            for values in zip(*(col.tolist() for col in chunk.columns.values())):
                 yield dict(zip(keys, values))
 
-    def chunks(self) -> Iterator[list[np.ndarray]]:
-        """The columns in slices of ``CSV_CHUNK_ROWS`` rows."""
-        for start in range(0, len(self), CSV_CHUNK_ROWS):
-            yield [col[start:start + CSV_CHUNK_ROWS] for col in self.columns.values()]
+
+def _concat(tables: list[Table]) -> Table:
+    """The rows of ``tables`` (of the same columns) one after another."""
+    if len(tables) == 1:
+        return tables[0]
+    keys = tables[0].columns
+    return Table({key: np.concatenate([t.columns[key] for t in tables]) for key in keys})
 
 
-class _Block(NamedTuple):
-    """One ell value of the grid: omega axis x (l, theta) points."""
+def _rechunked(tables: Iterable[Table]) -> Iterator[Table]:
+    """The rows of ``tables``, one after another, in tables of
+    ``CSV_CHUNK_ROWS`` rows (the last may have fewer): views of one table
+    where a chunk lies within it, joined pieces where it spans two."""
+    pieces: list[Table] = []
+    held = 0
+    for table in tables:
+        start, n = 0, len(table)
+        while start < n:
+            stop = min(n, start + CSV_CHUNK_ROWS - held)
+            pieces.append(Table({k: col[start:stop] for k, col in table.columns.items()}))
+            held += stop - start
+            start = stop
+            if held == CSV_CHUNK_ROWS:
+                yield _concat(pieces)
+                pieces, held = [], 0
+    if pieces:
+        yield _concat(pieces)
+
+
+class _Slab(NamedTuple):
+    """Whole omega rows of one ell block of the grid: omega x (l, theta)
+    points."""
 
     ell: float | None
     omega: np.ndarray  # Omega*sigma, shape (n_omega,)
@@ -133,6 +178,7 @@ class _Block(NamedTuple):
     theta: np.ndarray
     pair: WorldlinePair  # coordinates of shape (n_l * n_theta,)
     errors: np.ndarray  # shape (n_omega, n_l * n_theta)
+    truncation: TruncationTally  # of the image sums of the whole ell block
 
     def gaps(self) -> np.ndarray:
         """The gaps as a column, broadcasting against the points."""
@@ -158,7 +204,11 @@ class _Block(NamedTuple):
         }
 
 
-def _blocks(config: SweepConfig) -> Iterator[_Block]:
+def _slabs(config: SweepConfig) -> Iterator[_Slab]:
+    """The slabs of the grid in grid order: each ell block in slabs of
+    ``SLAB_POINTS // (n_l * n_theta)`` omega rows (at least one).  The
+    slabs of a block share one tally of the image sums' truncation, which
+    warns once the block's last slab has been evaluated."""
     lengths = config.l.values()
     thetas = config.theta.values()
     # math, not numpy, trigonometry: bit for bit the coordinates of the
@@ -174,33 +224,41 @@ def _blocks(config: SweepConfig) -> Iterator[_Block]:
     )
     theta = np.tile(thetas, lengths.size)
     omega = config.omega.values()
+    rows = max(1, SLAB_POINTS // length.size)
     for ell in config.ell_values():
-        yield _Block(ell, omega, length, theta, pair, new_errors((omega.size, length.size)))
+        truncation = TruncationTally()
+        for start in range(0, omega.size, rows):
+            gaps = omega[start:start + rows]
+            errors = new_errors((gaps.size, length.size))
+            yield _Slab(ell, gaps, length, theta, pair, errors, truncation)
+        truncation.warn(config.nmax)
 
 
-def _tabulate(config: SweepConfig, evaluate) -> Table:
-    """The table of every block, grid order: meta columns, the value columns
-    that ``evaluate(block)`` returns, then ``error``, the text of the
-    exception that a point recorded in ``block.errors`` ("" for none).
+def _tabulate(config: SweepConfig, evaluate) -> Iterator[Table]:
+    """The table of each slab, grid order: meta columns, the value columns
+    that ``evaluate(slab)`` returns, then ``error``, the text of the
+    exception that a point recorded in ``slab.errors`` ("" for none).
 
     A failed point gets NaN in its float columns and False in its boolean
     ones.
     """
-    parts: dict[str, list[np.ndarray]] = {}
-    for block in _blocks(config):
-        values = evaluate(block)
-        errors = block.errors.reshape(-1)
-        failed = np.not_equal(errors, None)
-        ok = ~failed.reshape(block.errors.shape)
-        columns = block.meta_columns(config)
-        for key, val in values.items():
-            col = val & ok if np.asarray(val).dtype == bool else np.where(ok, val, math.nan)
-            columns[key] = col.reshape(-1)
-        columns["error"] = np.full(errors.size, "", dtype=object)
-        columns["error"][failed] = [f"{type(exc).__name__}: {exc}" for exc in errors[failed]]
-        for key, col in columns.items():
-            parts.setdefault(key, []).append(col)
-    return Table({key: np.concatenate(cols) for key, cols in parts.items()})
+    for slab in _slabs(config):
+        yield _table(config, slab, evaluate(slab))
+
+
+def _table(config: SweepConfig, slab: _Slab, values: dict) -> Table:
+    # a function of its own, so that ``values`` is freed before the table
+    # is written
+    errors = slab.errors.reshape(-1)
+    failed = np.not_equal(errors, None)
+    ok = ~failed.reshape(slab.errors.shape)
+    columns = slab.meta_columns(config)
+    for key, val in values.items():
+        col = val & ok if np.asarray(val).dtype == bool else np.where(ok, val, math.nan)
+        columns[key] = col.reshape(-1)
+    columns["error"] = np.full(errors.size, "", dtype=object)
+    columns["error"][failed] = [f"{type(exc).__name__}: {exc}" for exc in errors[failed]]
+    return Table(columns)
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +320,7 @@ class _Oracle:
     ``oracle_a`` depends on the gap only, the quadrature of ``oracle_x`` on
     the separation only (the gap enters through the exact factor
     ``oracle_x_envelope``), ``oracle_c`` on both.  :meth:`deviations`
-    gathers the keys of every integral of a block at once, one
+    gathers the keys of every integral of a slab at once, one
     ``np.unique`` per kind, keeping the first key seen (a gap of -0.0 and
     one of 0.0 are one integral).  The keys the run has not met yet are
     integrated in two calls: the self terms in one
@@ -354,30 +412,34 @@ class _Oracle:
         return dev_a, devs
 
 
-def _oracle_deviations(block: _Block, oracle: _Oracle, mink, images=()) -> tuple:
-    """The deviations of the Minkowski a, x and c of the block from the
+def _oracle_deviations(slab: _Slab, oracle: _Oracle, mink, images=()) -> tuple:
+    """The deviations of the Minkowski a, x and c of the slab from the
     oracle and, per image (l_n, x_n, c_n) of ``images``, those of x_n and
     c_n: dev_a and a list of (dev_x, dev_c), the Minkowski term's first."""
-    terms = [(separation_array(block.pair), mink.x, mink.c), *zip(*images)]
-    return oracle.deviations(block.errors, block.gaps(), mink.a, terms)
+    terms = [(separation_array(slab.pair), mink.x, mink.c), *zip(*images)]
+    return oracle.deviations(slab.errors, slab.gaps(), mink.a, terms)
 
 
-def _minkowski_elements(config: SweepConfig, block: _Block):
+def _minkowski_elements(config: SweepConfig, slab: _Slab):
+    return elements_batch(slab.gaps(), slab.pair, Topology.minkowski(), config.nmax, slab.errors)
+
+
+def _topology_elements(config: SweepConfig, slab: _Slab):
     return elements_batch(
-        block.gaps(), block.pair, Topology.minkowski(), config.nmax, block.errors
+        slab.gaps(), slab.pair, config.topology_for(slab.ell), config.nmax, slab.errors,
+        slab.truncation,
     )
 
 
-def run_sweep(config: SweepConfig) -> Table:
-    """Evaluate all matrix elements and measures on the configured grid."""
+def sweep_slabs(config: SweepConfig) -> Iterator[Table]:
+    """The rows of :func:`run_sweep`, one slab at a time: the configuration
+    is validated at the call, and each slab evaluated as it is asked for."""
     config = config.validate()
     oracle = _Oracle()
 
-    def evaluate(block: _Block):
-        state = elements_batch(
-            block.gaps(), block.pair, config.topology_for(block.ell), config.nmax, block.errors
-        )
-        m = xstate_measures_batch(state, config.eps0, block.errors)
+    def evaluate(slab: _Slab):
+        state = _topology_elements(config, slab)
+        m = xstate_measures_batch(state, config.eps0, slab.errors)
         values = {
             "a": state.a,
             "b": state.b,
@@ -399,7 +461,7 @@ def run_sweep(config: SweepConfig) -> Table:
         }
         if config.oracle:
             dev_a, ((dev_x, dev_c),) = _oracle_deviations(
-                block, oracle, _minkowski_elements(config, block)
+                slab, oracle, _minkowski_elements(config, slab)
             )
             values.update(oracle_dev_a=dev_a, oracle_dev_x=dev_x, oracle_dev_c=dev_c)
         return values
@@ -407,21 +469,25 @@ def run_sweep(config: SweepConfig) -> Table:
     return _tabulate(config, evaluate)
 
 
-def run_difference_map(config: SweepConfig) -> Table:
-    """Correlation difference corr_M - corr_topology on the configured grid."""
+def run_sweep(config: SweepConfig) -> Table:
+    """Evaluate all matrix elements and measures on the configured grid."""
+    return _concat(list(sweep_slabs(config)))
+
+
+def difference_map_slabs(config: SweepConfig) -> Iterator[Table]:
+    """The rows of :func:`run_difference_map`, one slab at a time: the
+    configuration is validated at the call, and each slab evaluated as it
+    is asked for."""
     config = config.validate()
     if config.topology is TopologyKind.MINKOWSKI:
         raise ConfigError("difference maps need a non-Minkowski topology")
 
-    def evaluate(block: _Block):
-        gaps = block.gaps()
+    def evaluate(slab: _Slab):
         # one-point call order: both element sets, then the measures of each
-        top = elements_batch(
-            gaps, block.pair, config.topology_for(block.ell), config.nmax, block.errors
-        )
-        mink = elements_batch(gaps, block.pair, Topology.minkowski(), config.nmax, block.errors)
-        corr_top = xstate_measures_batch(top, config.eps0, block.errors).corr
-        corr_mink = xstate_measures_batch(mink, config.eps0, block.errors).corr
+        top = _topology_elements(config, slab)
+        mink = _minkowski_elements(config, slab)
+        corr_top = xstate_measures_batch(top, config.eps0, slab.errors).corr
+        corr_mink = xstate_measures_batch(mink, config.eps0, slab.errors).corr
         return {
             "corr_minkowski": corr_mink,
             "corr_topology": corr_top,
@@ -429,6 +495,11 @@ def run_difference_map(config: SweepConfig) -> Table:
         }
 
     return _tabulate(config, evaluate)
+
+
+def run_difference_map(config: SweepConfig) -> Table:
+    """Correlation difference corr_M - corr_topology on the configured grid."""
+    return _concat(list(difference_map_slabs(config)))
 
 
 class VerificationReport(NamedTuple):
@@ -439,30 +510,74 @@ class VerificationReport(NamedTuple):
     #: distinct oracle integrals evaluated, and the evaluations they served
     quadratures: int
     evaluations: int
+    #: rows with an error, and the exception type of the first ("" for none)
+    error_rows: int = 0
+    first_error: str = ""
 
 
-def run_verification(config: SweepConfig) -> VerificationReport:
-    """Compare every closed form against the distributional quadrature oracle.
+class VerificationSlabs:
+    """The rows of :func:`run_verification`, one slab at a time, and the
+    summary of the slabs iterated so far: ``passed`` (every row so far),
+    ``max_deviation`` (the largest ``max_dev`` that is not NaN; NaN while
+    there is none), ``error_rows`` and ``first_error`` (the exception type
+    of the first row with an error), and the oracle's ``quadratures`` and
+    ``evaluations``."""
 
-    Each point checks the Minkowski a, x and c at its separation and, on a
-    quotient, x and c at the images n = 1, -1, 2, -2 (``dev_image``, the
-    largest of those deviations).  Each deviation is |closed form - oracle|
-    / max(1, |closed form|) and must stay below ``VERIFY_TOLERANCE``.  A
-    point whose detector B sits on one of these images of A fails before
-    any quadrature.
-    """
+    tolerance = VERIFY_TOLERANCE
+
+    def __init__(self, slabs: Iterator[Table], oracle: _Oracle):
+        self._slabs = slabs
+        self._oracle = oracle
+        self.passed = True
+        self.max_deviation = math.nan
+        self.error_rows = 0
+        self.first_error = ""
+
+    def __iter__(self) -> Iterator[Table]:
+        for slab in self._slabs:
+            columns = slab.columns
+            self.passed = self.passed and bool(columns["passed"].all())
+            largest = np.fmax.reduce(columns["max_dev"])  # NaN only if all are
+            self.max_deviation = float(np.fmax(self.max_deviation, largest))
+            failed = np.flatnonzero(columns["error"] != "")
+            if failed.size and not self.error_rows:
+                self.first_error = columns["error"][failed[0]].partition(":")[0]
+            self.error_rows += failed.size
+            yield slab
+
+    @property
+    def quadratures(self) -> int:
+        return self._oracle.quadratures
+
+    @property
+    def evaluations(self) -> int:
+        return self._oracle.evaluations
+
+    def report(self, rows: Table) -> VerificationReport:
+        """The report of the run whose rows are ``rows``, once they have
+        all been iterated."""
+        return VerificationReport(
+            rows, self.passed, self.max_deviation, self.tolerance, self.quadratures,
+            self.evaluations, self.error_rows, self.first_error,
+        )
+
+
+def verification_slabs(config: SweepConfig) -> VerificationSlabs:
+    """The rows of :func:`run_verification`, one slab at a time, with their
+    running summary: the configuration is validated at the call, and each
+    slab evaluated as it is asked for."""
     config = config.validate()
     oracle = _Oracle()
 
-    def evaluate(block: _Block):
-        gaps = block.gaps()
-        mink = _minkowski_elements(config, block)
+    def evaluate(slab: _Slab):
+        gaps = slab.gaps()
+        mink = _minkowski_elements(config, slab)
         images = ()
         if config.topology is not TopologyKind.MINKOWSKI:
-            topology = config.topology_for(block.ell)
-            images = image_terms(gaps, block.pair, topology, _VERIFY_IMAGES, block.errors)
-        dev_a, ((dev_x, dev_c), *image_devs) = _oracle_deviations(block, oracle, mink, images)
-        dev_image = np.zeros(block.errors.shape)
+            topology = config.topology_for(slab.ell)
+            images = image_terms(gaps, slab.pair, topology, _VERIFY_IMAGES, slab.errors)
+        dev_a, ((dev_x, dev_c), *image_devs) = _oracle_deviations(slab, oracle, mink, images)
+        dev_image = np.zeros(slab.errors.shape)
         for dev_x_n, dev_c_n in image_devs:
             dev_image = np.maximum(dev_image, np.maximum(dev_x_n, dev_c_n))
         max_dev = np.maximum.reduce([dev_a, dev_x, dev_c, dev_image])
@@ -475,12 +590,21 @@ def run_verification(config: SweepConfig) -> VerificationReport:
             "passed": max_dev < VERIFY_TOLERANCE,
         }
 
-    rows = _tabulate(config, evaluate)
-    max_dev = float(np.fmax.reduce(rows.columns["max_dev"]))  # NaN only if all are
-    passed = bool(rows.columns["passed"].all())
-    return VerificationReport(
-        rows, passed, max_dev, VERIFY_TOLERANCE, oracle.quadratures, oracle.evaluations
-    )
+    return VerificationSlabs(_tabulate(config, evaluate), oracle)
+
+
+def run_verification(config: SweepConfig) -> VerificationReport:
+    """Compare every closed form against the distributional quadrature oracle.
+
+    Each point checks the Minkowski a, x and c at its separation and, on a
+    quotient, x and c at the images n = 1, -1, 2, -2 (``dev_image``, the
+    largest of those deviations).  Each deviation is |closed form - oracle|
+    / max(1, |closed form|) and must stay below ``VERIFY_TOLERANCE``.  A
+    point whose detector B sits on one of these images of A fails before
+    any quadrature.
+    """
+    slabs = verification_slabs(config)
+    return slabs.report(_concat(list(slabs)))
 
 
 def _quoted(text: str) -> str:
@@ -654,52 +778,59 @@ def _column_text(values: np.ndarray, fmt) -> list[str]:
     return list(map(texts.__getitem__, cells))
 
 
-def _chunk_text(chunk: list[np.ndarray], cell) -> list[list[str]]:
+def _chunk_text(chunk: Table, cell) -> list[list[str]]:
     """Text of each cell of each column of one chunk: the float64 columns
     together through ``cell[0]``, the others through ``cell[1]``."""
-    floats = [col for col in chunk if col.dtype == np.float64]
+    columns = chunk.columns.values()
+    floats = [col for col in columns if col.dtype == np.float64]
     float_texts = iter(_float_text(floats, cell[0]) if floats else ())
     return [
         next(float_texts) if col.dtype == np.float64 else _column_text(col, cell[1])
-        for col in chunk
+        for col in columns
     ]
 
 
-def _csv_chunks(table: Table) -> Iterator[str]:
-    """The CSV text of ``table``: the header line, then one string per
-    ``CSV_CHUNK_ROWS`` rows, each chunk converted in one go.  A table
-    without rows has no text."""
-    if not len(table):
-        return
-    yield ",".join(map(_quoted, table.columns)) + "\n"
-    for chunk in table.chunks():
+def _csv_chunks(tables: Iterable[Table]) -> Iterator[str]:
+    """The CSV text of the rows of ``tables``: the header line, then one
+    string per ``CSV_CHUNK_ROWS`` rows, each chunk converted in one go.
+    No rows, no text."""
+    header = True
+    for chunk in _rechunked(tables):
+        if header:
+            yield ",".join(map(_quoted, chunk.columns)) + "\n"
+            header = False
         yield "\n".join(map(",".join, zip(*_chunk_text(chunk, _CSV_CELL)))) + "\n"
 
 
-def _jsonl_chunks(table: Table) -> Iterator[str]:
-    """One JSON object per row, as ``json.dumps(row, allow_nan=False)``
-    writes it with NaN as null, one string per ``CSV_CHUNK_ROWS`` rows."""
-    keys = (json.dumps(key).replace("%", "%%") + ": %s" for key in table.columns)
-    line = "{" + ", ".join(keys) + "}"
-    for chunk in table.chunks():
+def _jsonl_chunks(tables: Iterable[Table]) -> Iterator[str]:
+    """One JSON object per row of ``tables``, as ``json.dumps(row,
+    allow_nan=False)`` writes it with NaN as null, one string per
+    ``CSV_CHUNK_ROWS`` rows."""
+    line = None
+    for chunk in _rechunked(tables):
+        if line is None:
+            keys = (json.dumps(key).replace("%", "%%") + ": %s" for key in chunk.columns)
+            line = "{" + ", ".join(keys) + "}"
         yield "\n".join(map(line.__mod__, zip(*_chunk_text(chunk, _JSON_CELL)))) + "\n"
 
 
 def rows_to_csv(table: Table) -> str:
-    return "".join(_csv_chunks(table))
+    return "".join(_csv_chunks([table]))
 
 
 def rows_to_jsonl(table: Table) -> str:
-    return "".join(_jsonl_chunks(table))
+    return "".join(_jsonl_chunks([table]))
 
 
 _CHUNKS = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}
 
 
-def write_rows(table: Table, fmt: str, stream) -> None:
-    """Write ``table`` as ``fmt`` (csv or jsonl) to ``stream``, one chunk
-    of rows per write."""
+def write_rows(rows: Table | Iterable[Table], fmt: str, stream) -> None:
+    """Write ``rows`` as ``fmt`` (csv or jsonl) to ``stream``, one chunk of
+    ``CSV_CHUNK_ROWS`` rows per write.  ``rows`` is a table, or tables of
+    the same columns written one after another, such as the slabs of a
+    run: those are taken one at a time, as the chunks need them."""
     if fmt not in _CHUNKS:
         raise ConfigError(f"unknown output format {fmt!r}")
-    for chunk in _CHUNKS[fmt](table):
+    for chunk in _CHUNKS[fmt]([rows] if isinstance(rows, Table) else rows):
         stream.write(chunk)

@@ -42,8 +42,11 @@ exchange element and the X time integral pair the pole at u = r as
 with g the Gaussian window, so rows of any (gap, separation) lie on one
 panel grid from s = 0.  One pole pairing takes the exchange rows and the X
 rows together (the X rows are its rows at gap 0): the sweep oracle makes
-one such call per block, and :func:`oracle_c_batch` and
-:func:`oracle_x_time_integral_batch` are its two halves.  cos is even and
+one such call per slab of the grid, and :func:`oracle_c_batch` and
+:func:`oracle_x_time_integral_batch` are its two halves.  A separation
+whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the deepest
+refinement gets a :class:`DomainError` in its rows before any grid is
+sized, and the other rows keep their values.  cos is even and
 sin odd, bit for bit, so each (|y|, r) is one row and a row at -y takes
 the conjugate.  Per level, cos/sin are tabulated once per |y| and the
 Gaussian pair terms once per separation, and each row is two dot products
@@ -75,7 +78,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elements import DetectorParams
-from .errors import ConvergenceError, GeometryError
+from .errors import ConvergenceError, DomainError, GeometryError
 
 __all__ = [
     "oracle_a",
@@ -102,6 +105,16 @@ _PANEL_SIGMAS = 3.0
 #: Largest rows x nodes array one quadrature pass evaluates or gathers; a
 #: batch with more is evaluated a slice of rows at a time (at least one row).
 _BATCH_NODES = 1 << 15
+
+#: Panel doublings after the base level before a row that still changes
+#: fails to converge.
+_MAX_DOUBLINGS = 6
+
+#: Most nodes that one separation's pole-pairing grid may have at the
+#: deepest refinement: separations up to 1484 sigma.  A row's temporaries
+#: take 72 bytes per node there (75 MB at the budget, by tracemalloc); a
+#: larger separation gets a DomainError before anything is allocated.
+ORACLE_NODE_BUDGET = 1 << 20
 
 #: An integrand of a batch: ``g(k, u)`` gives rows ``k`` (an index array)
 #: at the nodes ``u`` (1-D) as a (len(k), len(u)) array.
@@ -138,7 +151,7 @@ def _refine(
     *,
     target: float = 1e-12,
     raise_tol: float = 1e-8,
-    max_doublings: int = 6,
+    max_doublings: int = _MAX_DOUBLINGS,
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
     """Panel doubling until stable, for the rows of ``sums``, one per
     integration interval in ``intervals``.
@@ -240,7 +253,39 @@ def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
+def _over_budget(r: float) -> DomainError | None:
+    """The error of a separation whose pole-pairing grid would exceed
+    ``ORACLE_NODE_BUDGET`` nodes at the deepest refinement, else None."""
+    nodes = (_base_panels(r + _WINDOW_SIGMAS) << _MAX_DOUBLINGS) * _GL_UNIT.size
+    if nodes <= ORACLE_NODE_BUDGET:
+        return None
+    return DomainError(
+        f"the oracle at separation {r!r} sigma needs {float(nodes):.3g} quadrature "
+        f"nodes at its deepest refinement, over its budget of {ORACLE_NODE_BUDGET} "
+        f"(ORACLE_NODE_BUDGET)"
+    )
+
+
 def _pole_pairing(
+    y: np.ndarray, r: np.ndarray, raise_tol: float
+) -> tuple[np.ndarray, list[Exception | None]]:
+    """:func:`_pole_pairing_within_budget` of the rows whose separation fits
+    ``ORACLE_NODE_BUDGET``; each other row is NaN with a DomainError, and
+    sizes no grid."""
+    seps, sep_of = np.unique(r, return_inverse=True)
+    over = [_over_budget(x) for x in seps.tolist()]
+    if not any(over):
+        return _pole_pairing_within_budget(y, r, raise_tol)
+    fits = np.array([e is None for e in over])[sep_of]
+    pv = np.full(r.size, math.nan, dtype=complex)
+    errors: list[Exception | None] = [over[j] for j in sep_of.tolist()]
+    pv[fits], fit_errors = _pole_pairing_within_budget(y[fits], r[fits], raise_tol)
+    for i, error in zip(np.flatnonzero(fits).tolist(), fit_errors):
+        errors[i] = error
+    return pv, errors
+
+
+def _pole_pairing_within_budget(
     y: np.ndarray, r: np.ndarray, raise_tol: float
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
     """PV Int du e^{-u^2/4 - i y u}/(u - r) for the rows (y, r), as P - i Q
@@ -354,7 +399,11 @@ def _oracle_xc_batch(
     )
     pv_c, pv_x = pv[:om.size], pv[om.size:]
     cos, sin = np.cos(om * r), np.sin(om * r)
-    g = np.exp(-r * r / 4.0)
+    # r^2 overflows only at separations over the node budget, which are
+    # errors: there g is 0
+    with np.errstate(over="ignore"):
+        g = np.exp(-r * r / 4.0)
+        g_l = np.exp(-big_l * big_l / 4.0)
     # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(y r)
     delta_c = -g * sin / (4.0 * math.pi * r)
     # the pole at -r is -conj of the pole at r, so the pair leaves twice the
@@ -364,7 +413,6 @@ def _oracle_xc_batch(
     # X: PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the
     # whole line (g is even): the pole pairing at zero gap, whose integrand
     # (g(L+s) - g(L-s))/s is smooth on the scale 1 for any L
-    g_l = np.exp(-big_l * big_l / 4.0)
     # the delta is supported at u = +L only
     delta_x = -(g_l / (2.0 * big_l)) / (4.0 * math.pi)
     pv_part_x = -pv_x.real / (2.0 * big_l) / (4.0 * math.pi**2)

@@ -932,3 +932,175 @@ class TestCli:
         assert result.exit_code == 0
         row = json.loads(result.output.strip().splitlines()[0])
         assert "corr_diff" in row
+
+
+#: Grids of each topology whose ell blocks span several slabs of at most
+#: SMALL_SLAB points (three omega rows of five points, or one of ten), as
+#: configuration keys
+SMALL_SLAB = 16
+SLAB_GRIDS = {
+    "minkowski": {"omega": "-2:2:7", "l": "0.4:3:5"},
+    "cylinder": {"topology": "cylinder", "ell": "1,2", "omega": "-2:2:7", "l": "0.4:3:5"},
+    "twisted": {
+        "topology": "twisted", "ell": "1", "eta": "-1", "d_a": "0.1",
+        "omega": "-2:2:7", "l": "0.4:3:5", "theta": "0:1:2",
+    },
+}
+_FLAGS = {"omega": "--omega-range", "l": "--l-range", "theta": "--theta-range", "d_a": "--d-a"}
+_LIBRARY = {"sweep": run_sweep, "diffmap": run_difference_map}
+
+
+def _flags(keys: dict) -> list[str]:
+    """The CLI flags that set the configuration ``keys``."""
+    return [tok for key, value in keys.items() for tok in (_FLAGS.get(key, f"--{key}"), value)]
+
+
+def _slab_cases():
+    for grid, keys in sorted(SLAB_GRIDS.items()):
+        for command in ("sweep", "sweep --oracle", "diffmap", "verify"):
+            if not (command == "diffmap" and grid == "minkowski"):
+                for fmt in ("csv", "jsonl"):
+                    yield pytest.param(command, keys, fmt, id=f"{command}-{grid}-{fmt}")
+
+
+class TestSlabs:
+    """The CLI evaluates and writes a run one slab of at most SLAB_POINTS
+    points at a time: its bytes, warnings and summaries are those of the
+    whole table, and its memory does not grow with the grid."""
+
+    @pytest.mark.parametrize("command, keys, fmt", _slab_cases())
+    def test_streamed_bytes_equal_the_library_table(self, monkeypatch, command, keys, fmt):
+        name, *extra = command.split()
+        cfg = config_from_mapping({**keys, "oracle": "true" if extra else "false"})
+        # the library table in one slab per ell block
+        if name == "verify":
+            report = run_verification(cfg)
+            table = report.rows
+        else:
+            table = _LIBRARY[name](cfg)
+        writer = rows_to_csv if fmt == "csv" else rows_to_jsonl
+        # the CLI in slabs of at most three omega rows, in chunks of seven
+        # rows that straddle the slabs
+        monkeypatch.setattr(sweep_mod, "SLAB_POINTS", SMALL_SLAB)
+        monkeypatch.setattr(sweep_mod, "CSV_CHUNK_ROWS", 7)
+        result = CliRunner().invoke(main, [name, *extra, *_flags(keys), "--format", fmt])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == writer(table)
+        if name == "verify":
+            assert report.passed and report.error_rows == 0
+            assert result.stderr == (
+                f"verify: PASS (max deviation {report.max_deviation:.3e}, tolerance 1e-06, "
+                f"{report.quadratures} quadratures for {report.evaluations} oracle evaluations)\n"
+            )
+
+    def test_streamed_bytes_at_the_slab_budget(self, monkeypatch):
+        # 6144 points of 96 per omega row: slabs of 42 and 22 rows
+        keys = {"omega": "-3:3:64", "l": "0.25:8:96", "format": "jsonl"}
+        monkeypatch.setattr(sweep_mod, "SLAB_POINTS", 1 << 30)
+        whole = rows_to_jsonl(run_sweep(config_from_mapping({**keys, "oracle": "true"})))
+        monkeypatch.undo()
+        assert sweep_mod.SLAB_POINTS == 4096
+        result = CliRunner().invoke(main, ["sweep", "--oracle", *_flags(keys)])
+        assert result.exit_code == 0
+        assert result.stdout == whole
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_each_write_is_one_chunk(self, monkeypatch, fmt):
+        monkeypatch.setattr(sweep_mod, "SLAB_POINTS", SMALL_SLAB)
+        monkeypatch.setattr(sweep_mod, "CSV_CHUNK_ROWS", 7)
+        writes = []
+
+        class Recording:
+            def write(self, text):
+                writes.append(text)
+
+        cfg = config_from_mapping(SLAB_GRIDS["cylinder"])
+        sweep_mod.write_rows(sweep_mod.sweep_slabs(cfg), fmt, Recording())
+        rows = [text.count("\n") for text in writes]
+        if fmt == "csv":
+            assert rows[0] == 1 and writes[0].startswith("topology,")
+            rows = rows[1:]
+        # 2 ell blocks x 7 omega rows x 5 points, in slabs of 15 points
+        assert rows == [7] * 10
+
+    def test_one_truncation_warning_per_block(self, monkeypatch):
+        # 128 omega rows of 64 points: two slabs, whose image sums truncate
+        # with different maxima; the block warns once, with its maxima
+        args = ["sweep", "--topology", "cylinder", "--ell", "1", "--omega-range", "-3:3:128",
+                "--l-range", "0.25:8:64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            streamed = CliRunner().invoke(main, args)
+            monkeypatch.setattr(sweep_mod, "SLAB_POINTS", 1 << 30)
+            whole = CliRunner().invoke(main, args)
+        assert streamed.exit_code == whole.exit_code == 0
+        assert streamed.stdout == whole.stdout
+        (line,) = streamed.stderr.splitlines()
+        assert line.startswith("udwpair: TruncationWarning: image sum truncated at |n| <= 10")
+        assert streamed.stderr == whole.stderr
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("sweep", {"l": "0:2:2"}),
+            ("diffmap", {}),
+            ("verify", {"topology": "cylinder", "ell": "1", "eta": "2"}),
+        ],
+        ids=["sweep", "diffmap", "verify"],
+    )
+    def test_configuration_error_leaves_no_output_file(self, tmp_path, command, keys):
+        path = tmp_path / "rows.csv"
+        result = CliRunner().invoke(main, [command, *_flags(keys), "--out", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ")
+        assert not path.exists()
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # tracemalloc counts numpy's buffers too; a 64 x 64 grid is one
+        # slab and a 256 x 256 grid sixteen
+        import tracemalloc
+
+        def peak(n: int) -> int:
+            args = ["sweep", "--omega-range", f"-3:3:{n}", "--l-range", f"0.078125:10:{n}",
+                    "--out", str(tmp_path / f"{n}.csv")]
+            tracemalloc.start()
+            try:
+                result = CliRunner().invoke(main, args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0
+            return peak
+
+        peak(64)  # imports and cached tables
+        small, large = peak(64), peak(256)
+        assert large < 1.25 * small, (small, large)
+        assert (tmp_path / "256.csv").read_text().count("\n") == 256 * 256 + 1
+
+    @pytest.mark.parametrize(
+        "axes, summary",
+        [
+            # one gap whose square overflows: its oracle does not converge
+            (["--omega-range", "1:2e154:2", "--l-range", "1:1:1"],
+             "verify: FAIL (1 row with an error, the first a ConvergenceError; "
+             "max deviation {dev:.3e} over the other rows, tolerance 1e-06, "
+             "5 quadratures for 4 oracle evaluations)\n"),
+            (["--omega-range", "2e154:2e154:1", "--l-range", "1:1:1"],
+             "verify: FAIL (1 row with an error, the first a ConvergenceError; "
+             "no deviation computed, tolerance 1e-06, 3 quadratures for 1 oracle evaluations)\n"),
+            # separations over the oracle's node budget
+            (["--omega-range", "0:1:2", "--l-range", "1e12:1e12:1"],
+             "verify: FAIL (2 rows with errors, the first a DomainError; "
+             "no deviation computed, tolerance 1e-06, 5 quadratures for 4 oracle evaluations)\n"),
+        ],
+        ids=["one-of-two", "all", "over-the-node-budget"],
+    )
+    def test_verify_reports_rows_with_errors(self, axes, summary):
+        result = CliRunner().invoke(main, ["verify", *axes])
+        report = run_verification(config_from_mapping({"omega": axes[1], "l": axes[3]}))
+        assert result.exit_code == 2
+        assert result.stderr == summary.format(dev=report.max_deviation)
+        assert "nan" not in result.stderr
+        first = next(r["error"] for r in report.rows if r["error"])
+        assert report.error_rows == sum(r["error"] != "" for r in report.rows)
+        assert first.startswith(f"{report.first_error}: ")

@@ -481,6 +481,37 @@ class TestOracleValues:
         for y in (1.35e154, -2e154, 1e300, -math.inf, math.inf):
             assert _bits(oracle_x_envelope(y)) == _bits(-0.0)
 
+    def test_separations_over_the_node_budget(self, monkeypatch):
+        # a separation whose grid would exceed ORACLE_NODE_BUDGET nodes at
+        # the deepest refinement fails alone, before its grid is sized (numpy
+        # asked for 2.43 TiB at 1e12 sigma); the other rows keep their bits
+        import udwpair.wightman as wightman
+
+        sized = []
+        original = wightman._pairing_grid
+
+        def recording(width, panels):
+            sized.append(panels)
+            return original(width, panels)
+
+        monkeypatch.setattr(wightman, "_pairing_grid", recording)
+        gaps = [0.5, 1.0, -0.5, 2.0, 0.5]
+        seps = [1.3, 1e12, 1484.0, 1e300, 1485.0]
+        c, c_errors = oracle_c_batch(gaps, seps)
+        x, x_errors = oracle_x_time_integral_batch(seps)
+        over = [1, 3, 4]
+        for errors in (c_errors, x_errors):
+            assert [i for i, e in enumerate(errors) if e is not None] == over
+            for i in over:
+                assert isinstance(errors[i], DomainError)
+                assert f"over its budget of {wightman.ORACLE_NODE_BUDGET}" in str(errors[i])
+        assert np.isnan(c[over]).all() and np.isnan(x[over]).all()
+        assert max(sized) * wightman._GL_UNIT.size <= wightman.ORACLE_NODE_BUDGET
+        fits = [0, 2]
+        want_c, _ = oracle_c_batch([gaps[i] for i in fits], [seps[i] for i in fits])
+        want_x, _ = oracle_x_time_integral_batch([seps[i] for i in fits])
+        assert _bits(c[fits]) == _bits(want_c) and _bits(x[fits]) == _bits(want_x)
+
     def test_x_at_small_separations(self):
         # the pole pairing (g(L+s) - g(L-s))/s is smooth on the scale sigma
         # however small L is: no ConvergenceError, and the closed form to
