@@ -110,8 +110,10 @@ _VERIFY_IMAGES = (1, -1, 2, -2)
 CSV_CHUNK_ROWS = 1024
 
 #: Most points of a slab, the unit of the grid that a run evaluates and
-#: writes at once: it bounds a run's memory, and much smaller slabs cost
-#: time per point in numpy call overhead
+#: writes at once: it bounds a run's memory.  Smaller slabs cost numpy call
+#: overhead: a 128 x 128 Minkowski CLI sweep took 119 ms of CPU in one
+#: slab, 124 ms in slabs of 4096 points and 147 ms in slabs of 1024
+#: (medians of 12, Python 3.11 on a 2-core VM)
 SLAB_POINTS = 4096
 
 

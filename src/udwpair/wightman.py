@@ -274,13 +274,11 @@ def _pole_pairing(
     sizes no grid."""
     seps, sep_of = np.unique(r, return_inverse=True)
     over = [_over_budget(x) for x in seps.tolist()]
-    if not any(over):
-        return _pole_pairing_within_budget(y, r, raise_tol)
-    fits = np.array([e is None for e in over])[sep_of]
-    pv = np.full(r.size, math.nan, dtype=complex)
     errors: list[Exception | None] = [over[j] for j in sep_of.tolist()]
+    fits = np.flatnonzero(np.array([e is None for e in over], dtype=bool)[sep_of])
+    pv = np.full(r.size, math.nan, dtype=complex)
     pv[fits], fit_errors = _pole_pairing_within_budget(y[fits], r[fits], raise_tol)
-    for i, error in zip(np.flatnonzero(fits).tolist(), fit_errors):
+    for i, error in zip(fits.tolist(), fit_errors):
         errors[i] = error
     return pv, errors
 
