@@ -308,10 +308,16 @@ class _Memo:
         return values, raised
 
 
-def _deviation(closed, oracle) -> np.ndarray:
-    """|closed - oracle| / max(1, |closed|): absolute where the closed form
-    is at most 1, relative where it is larger (x at tiny separations)."""
-    return modulus(closed - oracle) / np.maximum(1.0, modulus(closed))
+#: The floor of the x deviations' denominator: the smallest normal float,
+#: for x subnormal (|Omega sigma| of about 26.6 to 27.3) or -0 (beyond).
+_X_FLOOR = np.finfo(float).tiny
+
+
+def _deviation(closed, oracle, floor: float = 1.0) -> np.ndarray:
+    """|closed - oracle| / max(floor, |closed|): with the default floor,
+    absolute where the closed form is at most 1 and relative where it is
+    larger; with ``_X_FLOOR``, relative wherever |closed| is normal."""
+    return modulus(closed - oracle) / np.maximum(floor, modulus(closed))
 
 
 class _Oracle:
@@ -364,9 +370,9 @@ class _Oracle:
     def deviations(self, errors: np.ndarray, omega, a, terms) -> tuple[np.ndarray, list]:
         """|a - oracle_a| / max(1, |a|) at the gaps ``omega`` (a column)
         and, per term (r, x, c) of separations ``r`` with closed forms x
-        and c, the deviations of x and c from their oracles; each
-        deviation relative to max(1, |closed form|), NaN at a point with an
-        error."""
+        and c, the deviations of x and c from their oracles: that of x
+        relative to |x| (floored at the smallest normal float), that of c
+        to max(1, |c|); NaN at a point with an error."""
         flat = errors.reshape(-1)
         todo = np.flatnonzero(np.equal(flat, None))
         n = todo.size
@@ -410,7 +416,7 @@ class _Oracle:
             part = slice(t * n, (t + 1) * n)
             quad = take(x_recalled, x_of[part])
             oracle_c = take(c_recalled, c_of[part])
-            devs.append((_deviation(x, envelope * quad), _deviation(c, oracle_c)))
+            devs.append((_deviation(x, envelope * quad, _X_FLOOR), _deviation(c, oracle_c)))
         return dev_a, devs
 
 
@@ -600,8 +606,9 @@ def run_verification(config: SweepConfig) -> VerificationReport:
 
     Each point checks the Minkowski a, x and c at its separation and, on a
     quotient, x and c at the images n = 1, -1, 2, -2 (``dev_image``, the
-    largest of those deviations).  Each deviation is |closed form - oracle|
-    / max(1, |closed form|) and must stay below ``VERIFY_TOLERANCE``.  A
+    largest of those deviations).  Each deviation of x is |x - oracle| /
+    |x|, each other one |closed form - oracle| / max(1, |closed form|),
+    and each must stay below ``VERIFY_TOLERANCE``.  A
     point whose detector B sits on one of these images of A fails before
     any quadrature.
     """
@@ -625,8 +632,6 @@ _G17_TIE = 1e-6
 #: the decimal exponents of the tables: those of (_G17_MIN, _G17_MAX),
 #: and one more each way
 _K_MIN, _K_MAX = -281, 281
-#: values formatted at once: bounds the temporaries to about 1 MB
-_G17_BLOCK = 4096
 _ZERO, _POINT, _MINUS, _NEWLINE = np.frombuffer(b"0.-\n", np.uint8)
 
 
@@ -691,16 +696,11 @@ def _g17(values: np.ndarray) -> np.ndarray:
     is formed as a double-double; k is corrected by one where y falls
     outside [1e16, 1e17), and y is rounded to the 17 digits.  Zeros,
     non-finite values, extreme magnitudes and any y whose fraction lies
-    near 1/2 (a possible tie) go through Python's ``"%.17g"``.
+    near 1/2 (a possible tie) go through Python's ``"%.17g"``.  The writer
+    passes the distinct floats of one chunk of ``CSV_CHUNK_ROWS`` rows,
+    which bounds the temporaries (46 bytes of text per value and a few
+    arrays of the values' size).
     """
-    texts = np.empty(values.size, dtype=object)
-    for start in range(0, values.size, _G17_BLOCK):
-        texts[start:start + _G17_BLOCK] = _g17_block(values[start:start + _G17_BLOCK])
-    return texts
-
-
-def _g17_block(values: np.ndarray) -> np.ndarray:
-    """``_g17`` of at most ``_G17_BLOCK`` values."""
     pow10, prefix, suffix, digits = _g17_tables()
     mag = np.abs(values)
     fast = np.flatnonzero((mag > _G17_MIN) & (mag < _G17_MAX))

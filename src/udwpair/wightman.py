@@ -28,13 +28,21 @@ The distributional pieces are evaluated by explicit rules:
 * simple poles use a grid symmetric about the pole with pairwise
   cancellation, PV Int f(u)/(u-c) du = Int_0^inf [f(c+s) - f(c-s)]/s ds.
 
-Quadrature is composite Gauss-Legendre with panel doubling, for many
-integrands in one numpy pass; each row stops at its own refinement level,
-so its value does not depend on the other rows of the batch, bit for bit.
-:func:`oracle_a_batch` integrates the self term of all gaps at once, in
-real arithmetic: the Hadamard pairing of e^{-u^2/4 - i y u} is
-[2 e^{-s^2/4} cos(y s) - 2]/s^2, even in y, so each |y| is one row.  The
-exchange element and the X time integral pair the pole at u = r as
+Quadrature is composite Gauss-Legendre on one grid, 32-node panels of
+width 3/2^level from s = 0 (:func:`_pairing_grid`), with panel doubling
+(:func:`_refine`), for many integrands in one numpy pass; each row stops
+at its own refinement level, so its value does not depend on the other
+rows of the batch, bit for bit.  :func:`oracle_a_batch` integrates the
+self term of all gaps at once, in real arithmetic, on that grid as at
+r = 0 (18 panels): the Hadamard pairing of e^{-u^2/4 - i y u} is
+
+    [2 e^{-s^2/4} cos(y s) - 2]/s^2
+        = [-4 e^{-s^2/4} sin^2(y s/2) + 2 expm1(-s^2/4)]/s^2,
+
+even in y, so each |y| is one row: one dot product of its sin^2 table
+with a gap-free weight table, plus a gap-free constant, and no
+cancellation at small s.  The exchange element and the X time integral
+pair the pole at u = r as
 
     f(r+s) - f(r-s) = e^{-i y r} [(g(r+s) - g(r-s)) cos(y s)
                                   - i (g(r+s) + g(r-s)) sin(y s)]
@@ -46,7 +54,9 @@ one such call per slab of the grid, and :func:`oracle_c_batch` and
 :func:`oracle_x_time_integral_batch` are its two halves.  A separation
 whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the deepest
 refinement gets a :class:`DomainError` in its rows before any grid is
-sized, and the other rows keep their values.  cos is even and
+sized, and the other rows keep their values; so does a self-term or
+exchange row whose gap exceeds ``ORACLE_GAP_LIMIT``, the largest that
+the deepest panels resolve.  cos is even and
 sin odd, bit for bit, so each (|y|, r) is one row and a row at -y takes
 the conjugate.  Per level, cos/sin are tabulated once per |y| and the
 Gaussian pair terms once per separation, and each row is two dot products
@@ -116,9 +126,12 @@ _MAX_DOUBLINGS = 6
 #: larger separation gets a DomainError before anything is allocated.
 ORACLE_NODE_BUDGET = 1 << 20
 
-#: An integrand of a batch: ``g(k, u)`` gives rows ``k`` (an index array)
-#: at the nodes ``u`` (1-D) as a (len(k), len(u)) array.
-_RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: Largest gap |y| whose self-term and exchange rows are integrated: the
+#: deepest panels (width 3/2^6, 32 nodes) then hold at least 2 pi nodes
+#: per period of cos(y s), one node per radian of phase on average, which
+#: gives 2048/3 = 682.7.  A larger gap gets a DomainError before any
+#: quadrature (the self term stops converging near 814).
+ORACLE_GAP_LIMIT = _GL_UNIT.size * (1 << _MAX_DOUBLINGS) / _PANEL_SIGMAS
 
 #: The quadratures of a batch at one refinement: ``sums(k, level)`` gives
 #: rows ``k`` (an index array) at doubling ``level`` (0: the base panels).
@@ -131,18 +144,6 @@ def _pieces(items: np.ndarray, width: int) -> list[np.ndarray]:
     ``_BATCH_NODES``."""
     step = max(1, _BATCH_NODES // width)
     return [items[i:i + step] for i in range(0, items.size, step)]
-
-
-def _panel_sums(g: _RowIntegrand, k: np.ndarray, a: float, b: float, panels: int) -> np.ndarray:
-    """32-point Gauss-Legendre on ``panels`` equal panels of [a, b], rows ``k``."""
-    edges = np.linspace(a, b, panels + 1)
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    u = (mid + half * _GL_NODES).ravel()
-    w = (half * _GL_WEIGHTS).ravel()
-    return np.concatenate([(g(part, u) * w).sum(axis=1) for part in _pieces(k, u.size)])
 
 
 def _refine(
@@ -188,17 +189,6 @@ def _refine(
     return values, errors
 
 
-def _refined_quad(
-    g: _RowIntegrand, rows: int, a: float, b: float, *, base_panels: int, **options
-) -> tuple[np.ndarray, list[ConvergenceError | None]]:
-    """:func:`_refine` of the ``rows`` integrands of ``g`` on [a, b], on
-    ``max(4, base_panels)`` equal panels at the base level."""
-    n = max(4, base_panels)
-    return _refine(
-        lambda k, level: _panel_sums(g, k, a, b, n << level), [(a, b)] * rows, **options
-    )
-
-
 def _single(values, errors):
     """The value of a one-row quadrature, or the error it recorded."""
     if errors[0] is not None:
@@ -210,37 +200,64 @@ def _base_panels(length: float) -> int:
     return max(8, int(math.ceil(length / _PANEL_SIGMAS)))
 
 
+def _unresolved(mag: float) -> DomainError | None:
+    """The error of a gap magnitude over ``ORACLE_GAP_LIMIT`` (or NaN),
+    else None."""
+    if mag <= ORACLE_GAP_LIMIT:
+        return None
+    return DomainError(
+        f"the oracle's quadrature grid resolves gaps up to |Omega sigma| = "
+        f"{ORACLE_GAP_LIMIT:.6g} (ORACLE_GAP_LIMIT), this one has |Omega sigma| = {mag!r}"
+    )
+
+
 def oracle_a_batch(
     y, *, raise_tol: float = 1e-8
-) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+) -> tuple[np.ndarray, list[Exception | None]]:
     """The self term of :func:`oracle_a` (``l_image = 0``) at the gaps
     ``y``, all in one quadrature pass.
 
-    Returns the values and, per gap, None or the :class:`ConvergenceError`
-    of its quadrature; each value is the one-gap value bit for bit.
+    Returns the values and, per gap, None, the :class:`DomainError` of a
+    gap over ``ORACLE_GAP_LIMIT`` (its value NaN, with no quadrature) or
+    the :class:`ConvergenceError` of its quadrature; each value is the
+    one-gap value bit for bit.
     """
     om = np.asarray(y, dtype=float).reshape(-1)
-    # the finite part is even in y (cos(-x) is cos(x) bit for bit): one
-    # quadrature per |y|
+    # the finite part is even in y: one quadrature per |y|
     mags, mag_of = np.unique(np.abs(om), return_inverse=True)
+    errors: list[Exception | None] = [_unresolved(m) for m in mags.tolist()]
+    fits = np.flatnonzero(np.array([e is None for e in errors], dtype=bool))
+    gaps = mags[fits]
+    # the pairing grid at r = 0
+    panels = _base_panels(_WINDOW_SIGMAS)
+    span = panels * _PANEL_SIGMAS
 
-    def paired(k: np.ndarray, s: np.ndarray) -> np.ndarray:
-        # [f(s) + f(-s) - 2 f(0)]/s^2 of the windowed phase f(u) = e^{-u^2/4 - i y u}
-        # is real: [2 e^{-s^2/4} cos(y s) - 2]/s^2.  Times 1/s^2 and summed as
-        # complex numbers with imaginary part 0, as the complex form was:
-        # the same roundings, so the values stay within one ulp of its values
-        v = (2.0 * np.exp(-s * s / 4.0)) * np.cos(mags[k, None] * s) - 2.0
-        return (v * (1.0 / (s * s))).astype(complex)
+    def sums(k: np.ndarray, level: int) -> np.ndarray:
+        # [f(s) + f(-s) - 2 f(0)]/s^2 of the windowed phase
+        # f(u) = e^{-u^2/4 - i y u} is [2 e^{-s^2/4} cos(y s) - 2]/s^2, which
+        # cancels at small s; as -4 e^{-s^2/4} sin^2(y s/2)/s^2 plus the
+        # gap-free 2 expm1(-s^2/4)/s^2 it does not
+        s, w = _pairing_grid(_PANEL_SIGMAS * 0.5**level, panels << level)
+        ws = w / (s * s)
+        weight = -4.0 * np.exp(-s * s / 4.0) * ws
+        constant = np.dot(2.0 * np.expm1(-s * s / 4.0), ws)
+        parts = []
+        for part in _pieces(k, s.size):
+            half = np.sin(gaps[part, None] * (s / 2.0))
+            parts.append(np.vecdot(np.square(half, out=half), weight))
+        return np.concatenate(parts) + constant
 
-    finite, errors = _refined_quad(
-        paired, mags.size, 0.0, _WINDOW_SIGMAS, base_panels=_base_panels(_WINDOW_SIGMAS),
-        target=1e-12, raise_tol=raise_tol,
+    finite, fit_errors = _refine(
+        sums, [(0.0, span)] * gaps.size, target=1e-12, raise_tol=raise_tol
     )
-    # the Hadamard finite part, with the -2 f(0)/u^2 tail beyond the window
-    hadamard = finite.real[mag_of] - 2.0 / _WINDOW_SIGMAS
+    for j, error in zip(fits.tolist(), fit_errors):
+        errors[j] = error
+    # the Hadamard finite part, with the -2 f(0)/u^2 tail beyond the span
+    hadamard = np.full(mags.size, math.nan)
+    hadamard[fits] = finite - 2.0 / span
     # sgn(u) delta(u^2) acts as f'(0) = -i y: (-i y)/(4 pi i) = -y/(4 pi)
     delta_part = -om / (4.0 * math.pi)
-    values = _SQRT_PI * (delta_part - hadamard / (4.0 * math.pi**2))
+    values = _SQRT_PI * (delta_part - hadamard[mag_of] / (4.0 * math.pi**2))
     return values, [errors[j] for j in mag_of.tolist()]
 
 
@@ -270,12 +287,17 @@ def _pole_pairing(
     y: np.ndarray, r: np.ndarray, raise_tol: float
 ) -> tuple[np.ndarray, list[Exception | None]]:
     """:func:`_pole_pairing_within_budget` of the rows whose separation fits
-    ``ORACLE_NODE_BUDGET``; each other row is NaN with a DomainError, and
+    ``ORACLE_NODE_BUDGET`` and whose gap ``ORACLE_GAP_LIMIT``; each other
+    row is NaN with a DomainError (its separation's, else its gap's), and
     sizes no grid."""
     seps, sep_of = np.unique(r, return_inverse=True)
+    mags, mag_of = np.unique(np.abs(y), return_inverse=True)
     over = [_over_budget(x) for x in seps.tolist()]
-    errors: list[Exception | None] = [over[j] for j in sep_of.tolist()]
-    fits = np.flatnonzero(np.array([e is None for e in over], dtype=bool)[sep_of])
+    unresolved = [_unresolved(m) for m in mags.tolist()]
+    errors: list[Exception | None] = [
+        over[j] or unresolved[i] for i, j in zip(mag_of.tolist(), sep_of.tolist())
+    ]
+    fits = np.flatnonzero(np.array([e is None for e in errors], dtype=bool))
     pv = np.full(r.size, math.nan, dtype=complex)
     pv[fits], fit_errors = _pole_pairing_within_budget(y[fits], r[fits], raise_tol)
     for i, error in zip(fits.tolist(), fit_errors):

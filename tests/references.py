@@ -19,10 +19,11 @@ against these independent routes:
   sigma.
 * :func:`sgn_delta_square`, :func:`pv_over_pole` and
   :func:`hadamard_double_pole` apply the distributional rules of
-  :mod:`udwpair.wightman` to one test function each, on the package's
-  panel-doubling quadrature.  :func:`_hadamard_rows` takes the Hadamard
-  finite part of a batch of complex test functions: the self term's
-  complex form, against which the tests check the package's real one.
+  :mod:`udwpair.wightman` to one test function each, on equal panels of
+  any interval (:func:`_refined_quad`, a second grid under the package's
+  panel doubling).  :func:`_hadamard_rows` takes the Hadamard finite part
+  of a batch of complex test functions: the self term's complex form,
+  against which the tests check the package's real one.
 * :func:`negativity_exact` and :func:`concurrence_exact` take the
   eigenvalues (and singular values) of an arbitrary two-qubit density
   matrix, after checking it with the tolerances of
@@ -45,14 +46,45 @@ from udwpair.entanglement import _DENSITY_TOL, _trace_error
 from udwpair.errors import ConvergenceError, DomainError, GeometryError, InvalidStateError
 from udwpair.geometry import WorldlinePair, separation_array
 from udwpair.wightman import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _SQRT_PI,
     _WINDOW_SIGMAS,
     _base_panels,
-    _refined_quad,
-    _RowIntegrand,
+    _pieces,
+    _refine,
     _single,
     oracle_x_envelope,
 )
+
+#: An integrand of a batch: ``g(k, u)`` gives rows ``k`` (an index array)
+#: at the nodes ``u`` (1-D) as a (len(k), len(u)) array.
+_RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _panel_sums(g: _RowIntegrand, k: np.ndarray, a: float, b: float, panels: int) -> np.ndarray:
+    """32-point Gauss-Legendre on ``panels`` equal panels of [a, b], rows ``k``."""
+    edges = np.linspace(a, b, panels + 1)
+    lo = edges[:-1]
+    hi = edges[1:]
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    u = (mid + half * _GL_NODES).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
+    return np.concatenate([(g(part, u) * w).sum(axis=1) for part in _pieces(k, u.size)])
+
+
+def _refined_quad(
+    g: _RowIntegrand, rows: int, a: float, b: float, *, base_panels: int, **options
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """The package's panel doubling (``udwpair.wightman._refine``) of the
+    ``rows`` integrands of ``g`` on [a, b], on ``max(4, base_panels)`` equal
+    panels at the base level: a second grid, for test functions of any
+    interval."""
+    n = max(4, base_panels)
+    return _refine(
+        lambda k, level: _panel_sums(g, k, a, b, n << level), [(a, b)] * rows, **options
+    )
 
 
 def _one_row(f: Callable[[np.ndarray], np.ndarray]) -> _RowIntegrand:

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -460,15 +461,42 @@ class TestVerification:
         assert not report.passed
         assert report.max_deviation > 1e-4
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ["--omega-range", "-2:2:5", "--l-range", "0.5:4:4"],
+            ["--omega-range", "4:24:21", "--l-range", "0.5:10:8"],
+            ["--omega-range", "-24:-4:21", "--l-range", "0.5:10:8"],
+        ],
+        ids=["readme", "large-gaps", "large-negative-gaps"],
+    )
+    def test_relative_x_fault_detected_at_every_gap(self, monkeypatch, axes):
+        # x is checked relative to |x|: a 1e-3 relative fault (9.99e-4 of the
+        # faulty x) fails the run where |x| ~ e^{-y^2} is far below 1 (a
+        # factor of 2 passed on the large-gap grids when x was checked
+        # relative to max(1, |x|))
+        assert CliRunner().invoke(main, ["verify", *axes]).exit_code == 0
+        original = udwpair.elements.nonlocal_array
+        monkeypatch.setattr(
+            udwpair.elements, "nonlocal_array", lambda y, r: original(y, r) * (1.0 + 1e-3)
+        )
+        result = CliRunner().invoke(main, ["verify", *axes])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("verify: FAIL (max deviation 9.990e-04")
+
 
 def _reference_oracle_devs(cfg, row):
     """Oracle deviations of one row from the public scalar functions, point
     by point: the Minkowski a, x, c at the row's separation and, on a
-    quotient, x and c at the images 1, -1, 2, -2; each relative to
+    quotient, x and c at the images 1, -1, 2, -2; each of x relative to
+    |x| (at least the smallest normal float), each other one to
     max(1, |closed form|)."""
 
-    def dev(closed, oracle):
-        return abs(closed - oracle) / max(1.0, abs(closed))
+    def dev(closed, oracle, floor=1.0):
+        return abs(closed - oracle) / max(floor, abs(closed))
+
+    def dev_x(closed, oracle):
+        return dev(closed, oracle, sys.float_info.min)
 
     p = DetectorParams(omega=row["omega"], sigma=1.0, eps0=cfg.eps0)
     pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
@@ -476,7 +504,7 @@ def _reference_oracle_devs(cfg, row):
     mink = elements_for(p, pair, Topology.minkowski())
     devs = {
         "a": dev(mink.a, oracle_a(p)),
-        "x": dev(mink.x, oracle_x(p, lsep)),
+        "x": dev_x(mink.x, oracle_x(p, lsep)),
         "c": dev(mink.c, oracle_c(p, lsep)),
         "image": 0.0,
     }
@@ -486,7 +514,7 @@ def _reference_oracle_devs(cfg, row):
             l_n = float(image_separation_array(topology, pair, n))
             term = elements_for(p, WorldlinePair((0.0, 0.0), (l_n, 0.0)), Topology.minkowski())
             devs["image"] = max(
-                devs["image"], dev(term.x, oracle_x(p, l_n)), dev(term.c, oracle_c(p, l_n))
+                devs["image"], dev_x(term.x, oracle_x(p, l_n)), dev(term.c, oracle_c(p, l_n))
             )
     return devs
 
@@ -1080,13 +1108,13 @@ class TestSlabs:
     @pytest.mark.parametrize(
         "axes, summary",
         [
-            # one gap whose square overflows: its oracle does not converge
+            # one gap whose square overflows: over the oracle's gap limit
             (["--omega-range", "1:2e154:2", "--l-range", "1:1:1"],
-             "verify: FAIL (1 row with an error, the first a ConvergenceError; "
+             "verify: FAIL (1 row with an error, the first a DomainError; "
              "max deviation {dev:.3e} over the other rows, tolerance 1e-06, "
              "5 quadratures for 4 oracle evaluations)\n"),
             (["--omega-range", "2e154:2e154:1", "--l-range", "1:1:1"],
-             "verify: FAIL (1 row with an error, the first a ConvergenceError; "
+             "verify: FAIL (1 row with an error, the first a DomainError; "
              "no deviation computed, tolerance 1e-06, 3 quadratures for 1 oracle evaluations)\n"),
             # separations over the oracle's node budget
             (["--omega-range", "0:1:2", "--l-range", "1e12:1e12:1"],

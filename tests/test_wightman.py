@@ -4,6 +4,7 @@ refinement stability, and agreement between the two regularizations."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from references import (
     _hadamard_rows,
     _quad,
+    _refined_quad,
     default_eps_sequence,
     hadamard_double_pole,
     oracle_ieps,
@@ -34,7 +36,6 @@ from udwpair import (
 from udwpair.wightman import (
     _SQRT_PI,
     _WINDOW_SIGMAS,
-    _refined_quad,
     oracle_a_batch,
     oracle_c_batch,
     oracle_x_envelope,
@@ -102,6 +103,15 @@ PINNED_X = {
     9.5: ('0x1.0b0888d66c357p-11', '-0x1.76befdbd822e5p-41'),
     60.0: ('0x1.a2b38190f9c9cp-17', '0x0.0p+0'),
 }
+
+
+def _self_term_error(got: float, y: float):
+    """|got - a(y)| against the self term's closed form
+    (e^{-y^2} - sqrt(pi) y erfc(y))/(4 pi) at 40 digits."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        want = (mpmath.exp(-y * y) - mpmath.sqrt(mpmath.pi) * y * mpmath.erfc(y)) / (4 * mpmath.pi)
+        return abs(mpmath.mpf(got) - want)
 
 
 def _bits(value) -> list[int]:
@@ -350,8 +360,10 @@ class TestOneQuadraturePass:
         assert x.tolist() == oracle_x_time_integral_batch([0.7, 3.0])[0].tolist()
 
     def test_self_term_matches_complex_hadamard_form(self):
-        # [2 e^{-s^2/4} cos(y s) - 2]/s^2 in real arithmetic against the
-        # complex finite part of e^{-u^2/4 - i y u} with the f'(0) rule
+        # the real sin^2/expm1 pairing against the complex finite part of
+        # e^{-u^2/4 - i y u} with the f'(0) rule, on the equal-panel grid:
+        # that form cancels at small s and is off by up to 1.33e-14 against
+        # 40 digits here, the package by at most 6.9e-16
         y = np.concatenate([np.linspace(-6.0, 6.0, 1201), [-0.0]])
         phase = 1j * y[:, None]
 
@@ -367,7 +379,38 @@ class TestOneQuadraturePass:
         ]
         got, errors = oracle_a_batch(y)
         assert errors == had_errors == [None] * y.size
-        assert np.max(np.abs(got - np.array(want))) <= 2.5e-16
+        assert np.max(np.abs(got - np.array(want))) <= 1.5e-14
+        assert max(_self_term_error(g, v) for g, v in zip(got.tolist(), y.tolist())) <= 1e-15
+
+    @pytest.mark.parametrize("y", [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_self_term_against_40_digits(self, y):
+        # (e^{-y^2} - sqrt(pi) y erfc(y))/(4 pi); the cos form of the
+        # pairing was off by 1.17e-14 at y = +-2
+        (got,), errors = oracle_a_batch([y])
+        assert errors == [None]
+        assert _self_term_error(got, y) <= 1e-16
+
+    def test_self_term_on_the_pole_pairing_grid(self, monkeypatch):
+        # the pairing grid at r = 0, ceil(52/3) = 18 panels of 3/2^level,
+        # doubled by the refinement the pole pairing uses
+        import udwpair.wightman as wightman
+
+        grids, intervals = [], []
+        pairing_grid, refine = wightman._pairing_grid, wightman._refine
+
+        def recording_grid(width, panels):
+            grids.append((width, panels))
+            return pairing_grid(width, panels)
+
+        def recording_refine(sums, rows, **options):
+            intervals.extend(rows)
+            return refine(sums, rows, **options)
+
+        monkeypatch.setattr(wightman, "_pairing_grid", recording_grid)
+        monkeypatch.setattr(wightman, "_refine", recording_refine)
+        oracle_a_batch([0.5, -0.5])
+        assert intervals == [(0.0, 54.0)]
+        assert grids[:2] == [(3.0, 18), (1.5, 36)]
 
 
 class TestOracleValues:
@@ -511,6 +554,44 @@ class TestOracleValues:
         want_c, _ = oracle_c_batch([gaps[i] for i in fits], [seps[i] for i in fits])
         want_x, _ = oracle_x_time_integral_batch([seps[i] for i in fits])
         assert _bits(c[fits]) == _bits(want_c) and _bits(x[fits]) == _bits(want_x)
+
+    def test_gaps_over_the_gap_limit(self, monkeypatch):
+        # a self-term or exchange row at |y| over ORACLE_GAP_LIMIT fails
+        # alone, before any quadrature; the other rows keep their bits, the
+        # x rows (gap 0) included
+        import udwpair.wightman as wightman
+
+        limit = wightman.ORACLE_GAP_LIMIT
+        assert limit == 32 * 2**6 / 3.0
+        integrated = []
+        refine = wightman._refine
+
+        def recording_refine(sums, rows, **options):
+            values, errors = refine(sums, rows, **options)
+            integrated.append(len(rows))
+            return values, errors
+
+        monkeypatch.setattr(wightman, "_refine", recording_refine)
+        gaps = [0.5, -700.0, limit, 2e154, -limit, math.nextafter(limit, math.inf)]
+        a, a_errors = oracle_a_batch(gaps)
+        c, c_errors = oracle_c_batch(gaps, 1.3)
+        _, (x, x_errors) = wightman._oracle_xc_batch(gaps, [1.3] * 6, [1.3])
+        # |y| in {0.5, limit}, for a and for c; then with the x row (gap 0)
+        assert integrated == [2, 2, 3]
+        over = [1, 3, 5]
+        for errors in (a_errors, c_errors):
+            assert [i for i, e in enumerate(errors) if e is not None] == over
+            for i in over:
+                assert isinstance(errors[i], DomainError)
+                assert str(errors[i]) == (
+                    "the oracle's quadrature grid resolves gaps up to |Omega sigma| = "
+                    f"682.667 (ORACLE_GAP_LIMIT), this one has |Omega sigma| = {abs(gaps[i])!r}"
+                )
+        assert np.isnan(a[over]).all() and np.isnan(c[over]).all()
+        assert x_errors == [None] and _bits(x) == _bits(oracle_x_time_integral_batch([1.3])[0])
+        fits = [0, 2, 4]
+        assert _bits(a[fits]) == _bits(oracle_a_batch([gaps[i] for i in fits])[0])
+        assert _bits(c[fits]) == _bits(oracle_c_batch([gaps[i] for i in fits], 1.3)[0])
 
     def test_x_at_small_separations(self):
         # the pole pairing (g(L+s) - g(L-s))/s is smooth on the scale sigma
