@@ -165,7 +165,7 @@ def verify(config_path, **flags):
 
 def _findings(run) -> str:
     """The rows with an error (if any), the largest deviation of the
-    others, the tolerance and the oracle's counts."""
+    others and the tolerance."""
     parts = []
     if run.error_rows:
         n = run.error_rows
@@ -176,10 +176,7 @@ def _findings(run) -> str:
     else:
         others = " over the other rows" if run.error_rows else ""
         parts.append(f"max deviation {run.max_deviation:.3e}{others}")
-    parts.append(
-        f", tolerance {run.tolerance:g}, "
-        f"{run.quadratures} quadratures for {run.evaluations} oracle evaluations"
-    )
+    parts.append(f", tolerance {run.tolerance:g}")
     return "".join(parts)
 
 

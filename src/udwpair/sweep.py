@@ -25,11 +25,14 @@ evaluates each slab in one batched numpy pass in the calling process
 gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.
 Every point's values are independent of the slab it lies in, and an ell
 block's image sums warn about their truncation once, after its last slab.
-The quadrature oracle (``verify`` and ``sweep --oracle``) evaluates each
-distinct integral of a run once and hands the value to every point that
-needs it, across slabs and blocks; the integrals one lookup lacks are
-evaluated in one batch call (:func:`udwpair.wightman.oracle_c_batch`, for
-instance).
+The quadrature oracle (``verify`` and ``sweep --oracle``) integrates each
+slab on its own, in two batch calls on the integrals of all its points:
+the self terms in one :func:`udwpair.wightman.oracle_a_batch` and the x
+and c integrals in one pole pairing, each of which integrates every
+distinct |gap| and (|gap|, separation) once; nothing is kept across
+slabs.  In ``sweep --oracle`` a point whose oracle fails keeps its
+closed-form and measure values: its ``oracle_dev_*`` columns are NaN and
+its ``error`` names the oracle's exception.
 
 :func:`sweep_slabs`, :func:`difference_map_slabs` and
 :func:`verification_slabs` validate the configuration at the call and
@@ -239,10 +242,11 @@ def _slabs(config: SweepConfig) -> Iterator[_Slab]:
 def _tabulate(config: SweepConfig, evaluate) -> Iterator[Table]:
     """The table of each slab, grid order: meta columns, the value columns
     that ``evaluate(slab)`` returns, then ``error``, the text of the
-    exception that a point recorded in ``slab.errors`` ("" for none).
+    exception that a point recorded in ``slab.errors`` ("" for none), or in
+    the errors that ``evaluate`` returns under ``"error"`` if it does.
 
-    A failed point gets NaN in its float columns and False in its boolean
-    ones.
+    A point with an error in ``slab.errors`` gets NaN in its float columns
+    and False in its boolean ones.
     """
     for slab in _slabs(config):
         yield _table(config, slab, evaluate(slab))
@@ -251,9 +255,9 @@ def _tabulate(config: SweepConfig, evaluate) -> Iterator[Table]:
 def _table(config: SweepConfig, slab: _Slab, values: dict) -> Table:
     # a function of its own, so that ``values`` is freed before the table
     # is written
-    errors = slab.errors.reshape(-1)
+    ok = np.equal(slab.errors, None)
+    errors = values.pop("error", slab.errors).reshape(-1)
     failed = np.not_equal(errors, None)
-    ok = ~failed.reshape(slab.errors.shape)
     columns = slab.meta_columns(config)
     for key, val in values.items():
         col = val & ok if np.asarray(val).dtype == bool else np.where(ok, val, math.nan)
@@ -261,51 +265,6 @@ def _table(config: SweepConfig, slab: _Slab, values: dict) -> Table:
     columns["error"] = np.full(errors.size, "", dtype=object)
     columns["error"][failed] = [f"{type(exc).__name__}: {exc}" for exc in errors[failed]]
     return Table(columns)
-
-
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first occurrence of each distinct entry of
-    ``keys`` (-0.0 and 0.0 are one entry), and the entry of each key."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
-
-
-class _Memo:
-    """The integrals of one kind that a run evaluated, by key: each value
-    (NaN where the integral raised), and the exceptions raised."""
-
-    def __init__(self):
-        self.values: dict = {}
-        self.raised: dict = {}
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def new(self, keys: list) -> list:
-        """The ``keys`` not evaluated yet."""
-        return [key for key in keys if key not in self.values]
-
-    def store(self, keys: list, result) -> None:
-        """Record ``result``: the values and per-row errors of ``keys``, or
-        the exception of a call that raised, for all of them."""
-        if isinstance(result, Exception):
-            result = np.full(len(keys), math.nan), [result] * len(keys)
-        values, errors = result
-        self.values.update(zip(keys, values.tolist()))
-        for key, error in zip(keys, errors):
-            if error is not None:
-                self.values[key] = math.nan
-                self.raised[key] = error
-
-    def recall(self, keys: list) -> tuple[np.ndarray, np.ndarray | None]:
-        """The values of ``keys``, and per key its exception or None (None
-        for all: no key raised)."""
-        values = np.fromiter(map(self.values.__getitem__, keys), complex, len(keys))
-        if not self.raised:
-            return values, None
-        raised = np.empty(len(keys), dtype=object)
-        raised[:] = [self.raised.get(key) for key in keys]
-        return values, raised
 
 
 #: The floor of the x deviations' denominator: the smallest normal float,
@@ -320,116 +279,83 @@ def _deviation(closed, oracle, floor: float = 1.0) -> np.ndarray:
     return modulus(closed - oracle) / np.maximum(floor, modulus(closed))
 
 
-class _Oracle:
-    """The quadrature oracle of one run.
+def _failed(rows: int, exc: Exception) -> tuple[np.ndarray, list]:
+    """The result of a batch call that raised ``exc``: NaN and ``exc`` in
+    each of its ``rows``."""
+    return np.full(rows, math.nan), [exc] * rows
 
-    Each distinct integral is evaluated once and its value, or the
-    exception it raised, goes to every point that needs it: the self term
-    ``oracle_a`` depends on the gap only, the quadrature of ``oracle_x`` on
-    the separation only (the gap enters through the exact factor
-    ``oracle_x_envelope``), ``oracle_c`` on both.  :meth:`deviations`
-    gathers the keys of every integral of a slab at once, one
-    ``np.unique`` per kind, keeping the first key seen (a gap of -0.0 and
-    one of 0.0 are one integral).  The keys the run has not met yet are
-    integrated in two calls: the self terms in one
-    :func:`udwpair.wightman.oracle_a_batch`, the x and c integrals together
-    in one pole pairing (``wightman._oracle_xc_batch``).  A point that
-    already has an error needs no integral; a point whose integral raised
-    gets that exception in ``errors``, the first one in the order a, then
-    x and c of each term.
+
+def _oracle(errors: np.ndarray, gaps: np.ndarray, separations: list) -> tuple:
+    """The oracle's self term at the gaps ``gaps`` (a column) and, per array
+    of ``separations``, its x quadrature and exchange integral at them,
+    each of the points' shape (that of ``errors``).
+
+    The points without an error take part: their self terms are one
+    :func:`udwpair.wightman.oracle_a_batch` call, and their x and c
+    integrals one pole pairing (``wightman._oracle_xc_batch``); each call
+    integrates each distinct integral of its rows once.  A call that
+    raises fails its own rows.  A point whose integral failed gets in
+    ``errors`` the exception of its first failing integral in the order a,
+    then x and c of each array of separations.  Every value of a point
+    with an error is NaN.
     """
-
-    def __init__(self):
-        self._a, self._x, self._c = _Memo(), _Memo(), _Memo()
-        #: integrals the points asked for; ``quadratures`` of them were evaluated
-        self.evaluations = 0
-
-    @property
-    def quadratures(self) -> int:
-        return len(self._a) + len(self._x) + len(self._c)
-
-    def _integrate(self, a_keys: list, x_keys: list, c_keys: list) -> None:
-        """Evaluate the keys not evaluated yet: the self terms in one call,
-        the x and c integrals in one pole pairing."""
-        new_a, new_x, new_c = self._a.new(a_keys), self._x.new(x_keys), self._c.new(c_keys)
-        if new_a:
-            try:
-                a_result = wightman.oracle_a_batch(new_a)
-            except Exception as exc:
-                a_result = exc
-            self._a.store(new_a, a_result)
-        if new_x or new_c:
-            gaps, seps = [g for g, _ in new_c], [r for _, r in new_c]
-            try:
-                c_result, x_result = wightman._oracle_xc_batch(gaps, seps, new_x)
-            except Exception as exc:
-                c_result = x_result = exc
-            self._c.store(new_c, c_result)
-            self._x.store(new_x, x_result)
-
-    def deviations(self, errors: np.ndarray, omega, a, terms) -> tuple[np.ndarray, list]:
-        """|a - oracle_a| / max(1, |a|) at the gaps ``omega`` (a column)
-        and, per term (r, x, c) of separations ``r`` with closed forms x
-        and c, the deviations of x and c from their oracles: that of x
-        relative to |x| (floored at the smallest normal float), that of c
-        to max(1, |c|); NaN at a point with an error."""
-        flat = errors.reshape(-1)
-        todo = np.flatnonzero(np.equal(flat, None))
-        n = todo.size
+    flat = errors.reshape(-1)
+    todo = np.flatnonzero(np.equal(flat, None))
+    n, terms = todo.size, len(separations)
+    oracle_a = np.full(flat.size, math.nan)
+    quad, oracle_c = (np.full((terms, flat.size), math.nan, dtype=complex) for _ in range(2))
+    if n:
 
         def at_todo(v) -> np.ndarray:
             return np.broadcast_to(v, errors.shape).reshape(-1)[todo]
 
-        gap = at_todo(omega)
-        sep = np.concatenate([at_todo(r) for r, _, _ in terms])
-        a_first, a_of = _first_seen(gap)
-        x_first, x_of = _first_seen(sep)
-        # (gap, separation) pairs by their gap and separation entries
-        c_first, c_of = _first_seen(np.tile(a_of, len(terms)) * x_first.size + x_of)
-        a_keys = gap[a_first].tolist()
-        x_keys = sep[x_first].tolist()
-        c_keys = list(zip(gap[c_first % max(n, 1)].tolist(), sep[c_first].tolist()))
-        self._integrate(a_keys, x_keys, c_keys)
-
-        alive = np.ones(n, dtype=bool)
-
-        def take(recalled: tuple, of: np.ndarray) -> np.ndarray:
-            # the integral at each point, and the exception of each point
-            # still without an error whose integral raised
-            values, raised = recalled
-            self.evaluations += int(np.count_nonzero(alive))
-            if raised is not None:
-                bad = alive & np.not_equal(raised[of], None)
-                flat[todo[bad]] = raised[of[bad]]
-                alive[bad] = False
-            out = np.full(flat.size, math.nan, dtype=complex)
-            out[todo] = values[of]
-            return out.reshape(errors.shape)
-
-        dev_a = _deviation(a, take(self._a.recall(a_keys), a_of).real)
-        envelope = np.array(
-            [wightman.oracle_x_envelope(om) for om in omega.ravel().tolist()]
-        ).reshape(omega.shape)
-        x_recalled, c_recalled = self._x.recall(x_keys), self._c.recall(c_keys)
-        devs = []
-        for t, (_, x, c) in enumerate(terms):
-            part = slice(t * n, (t + 1) * n)
-            quad = take(x_recalled, x_of[part])
-            oracle_c = take(c_recalled, c_of[part])
-            devs.append((_deviation(x, envelope * quad, _X_FLOOR), _deviation(c, oracle_c)))
-        return dev_a, devs
+        gap = at_todo(gaps)
+        sep = np.concatenate([at_todo(r) for r in separations])
+        try:
+            a = wightman.oracle_a_batch(gap)
+        except Exception as exc:
+            a = _failed(n, exc)
+        try:
+            c, x = wightman._oracle_xc_batch(np.tile(gap, terms), sep, sep)
+        except Exception as exc:
+            c = x = _failed(n * terms, exc)
+        ok = np.ones(n, dtype=bool)
+        for part in [a[1]] + [e[t * n:(t + 1) * n] for t in range(terms) for e in (x[1], c[1])]:
+            if part.count(None) < n:  # an integral of this part failed
+                part = np.fromiter(part, object, n)
+                failed = ok & np.not_equal(part, None)
+                flat[todo[failed]] = part[failed]
+                ok &= ~failed
+        keep = todo[ok]
+        oracle_a[keep] = a[0][ok]
+        quad[:, keep] = np.reshape(x[0], (terms, n))[:, ok]
+        oracle_c[:, keep] = np.reshape(c[0], (terms, n))[:, ok]
+    shape = (terms, *errors.shape)
+    return oracle_a.reshape(errors.shape), list(zip(quad.reshape(shape), oracle_c.reshape(shape)))
 
 
-def _oracle_deviations(slab: _Slab, oracle: _Oracle, mink, images=()) -> tuple:
+def _oracle_deviations(slab: _Slab, errors: np.ndarray, mink, images=()) -> tuple:
     """The deviations of the Minkowski a, x and c of the slab from the
     oracle and, per image (l_n, x_n, c_n) of ``images``, those of x_n and
-    c_n: dev_a and a list of (dev_x, dev_c), the Minkowski term's first."""
+    c_n: dev_a and a list of (dev_x, dev_c), the Minkowski term's first.
+    The deviation of x is relative to |x| (floored at the smallest normal
+    float), those of a and c to max(1, |v|).  ``errors`` is as in
+    :func:`_oracle`."""
     terms = [(separation_array(slab.pair), mink.x, mink.c), *zip(*images)]
-    return oracle.deviations(slab.errors, slab.gaps(), mink.a, terms)
+    gaps = slab.gaps()
+    oracle_a, integrals = _oracle(errors, gaps, [r for r, _, _ in terms])
+    envelope = np.array(
+        [wightman.oracle_x_envelope(om) for om in gaps.ravel().tolist()]
+    ).reshape(gaps.shape)
+    devs = [
+        (_deviation(x, envelope * quad, _X_FLOOR), _deviation(c, oracle_c))
+        for (_, x, c), (quad, oracle_c) in zip(terms, integrals)
+    ]
+    return _deviation(mink.a, oracle_a), devs
 
 
-def _minkowski_elements(config: SweepConfig, slab: _Slab):
-    return elements_batch(slab.gaps(), slab.pair, Topology.minkowski(), config.nmax, slab.errors)
+def _minkowski_elements(config: SweepConfig, slab: _Slab, errors: np.ndarray):
+    return elements_batch(slab.gaps(), slab.pair, Topology.minkowski(), config.nmax, errors)
 
 
 def _topology_elements(config: SweepConfig, slab: _Slab):
@@ -443,7 +369,6 @@ def sweep_slabs(config: SweepConfig) -> Iterator[Table]:
     """The rows of :func:`run_sweep`, one slab at a time: the configuration
     is validated at the call, and each slab evaluated as it is asked for."""
     config = config.validate()
-    oracle = _Oracle()
 
     def evaluate(slab: _Slab):
         state = _topology_elements(config, slab)
@@ -468,10 +393,14 @@ def sweep_slabs(config: SweepConfig) -> Iterator[Table]:
             "harvested": m.harvested,
         }
         if config.oracle:
-            dev_a, ((dev_x, dev_c),) = _oracle_deviations(
-                slab, oracle, _minkowski_elements(config, slab)
+            # a failure of the oracle fails the row's deviations, and the
+            # row shows it, but its closed forms and measures stand
+            errors = slab.errors.copy()
+            mink = _minkowski_elements(config, slab, errors)
+            dev_a, ((dev_x, dev_c),) = _oracle_deviations(slab, errors, mink)
+            values.update(
+                oracle_dev_a=dev_a, oracle_dev_x=dev_x, oracle_dev_c=dev_c, error=errors
             )
-            values.update(oracle_dev_a=dev_a, oracle_dev_x=dev_x, oracle_dev_c=dev_c)
         return values
 
     return _tabulate(config, evaluate)
@@ -493,7 +422,7 @@ def difference_map_slabs(config: SweepConfig) -> Iterator[Table]:
     def evaluate(slab: _Slab):
         # one-point call order: both element sets, then the measures of each
         top = _topology_elements(config, slab)
-        mink = _minkowski_elements(config, slab)
+        mink = _minkowski_elements(config, slab, slab.errors)
         corr_top = xstate_measures_batch(top, config.eps0, slab.errors).corr
         corr_mink = xstate_measures_batch(mink, config.eps0, slab.errors).corr
         return {
@@ -515,9 +444,6 @@ class VerificationReport(NamedTuple):
     passed: bool
     max_deviation: float
     tolerance: float
-    #: distinct oracle integrals evaluated, and the evaluations they served
-    quadratures: int
-    evaluations: int
     #: rows with an error, and the exception type of the first ("" for none)
     error_rows: int = 0
     first_error: str = ""
@@ -528,14 +454,12 @@ class VerificationSlabs:
     summary of the slabs iterated so far: ``passed`` (every row so far),
     ``max_deviation`` (the largest ``max_dev`` that is not NaN; NaN while
     there is none), ``error_rows`` and ``first_error`` (the exception type
-    of the first row with an error), and the oracle's ``quadratures`` and
-    ``evaluations``."""
+    of the first row with an error)."""
 
     tolerance = VERIFY_TOLERANCE
 
-    def __init__(self, slabs: Iterator[Table], oracle: _Oracle):
+    def __init__(self, slabs: Iterator[Table]):
         self._slabs = slabs
-        self._oracle = oracle
         self.passed = True
         self.max_deviation = math.nan
         self.error_rows = 0
@@ -553,20 +477,12 @@ class VerificationSlabs:
             self.error_rows += failed.size
             yield slab
 
-    @property
-    def quadratures(self) -> int:
-        return self._oracle.quadratures
-
-    @property
-    def evaluations(self) -> int:
-        return self._oracle.evaluations
-
     def report(self, rows: Table) -> VerificationReport:
         """The report of the run whose rows are ``rows``, once they have
         all been iterated."""
         return VerificationReport(
-            rows, self.passed, self.max_deviation, self.tolerance, self.quadratures,
-            self.evaluations, self.error_rows, self.first_error,
+            rows, self.passed, self.max_deviation, self.tolerance, self.error_rows,
+            self.first_error,
         )
 
 
@@ -575,16 +491,17 @@ def verification_slabs(config: SweepConfig) -> VerificationSlabs:
     running summary: the configuration is validated at the call, and each
     slab evaluated as it is asked for."""
     config = config.validate()
-    oracle = _Oracle()
 
     def evaluate(slab: _Slab):
         gaps = slab.gaps()
-        mink = _minkowski_elements(config, slab)
+        mink = _minkowski_elements(config, slab, slab.errors)
         images = ()
         if config.topology is not TopologyKind.MINKOWSKI:
             topology = config.topology_for(slab.ell)
             images = image_terms(gaps, slab.pair, topology, _VERIFY_IMAGES, slab.errors)
-        dev_a, ((dev_x, dev_c), *image_devs) = _oracle_deviations(slab, oracle, mink, images)
+        dev_a, ((dev_x, dev_c), *image_devs) = _oracle_deviations(
+            slab, slab.errors, mink, images
+        )
         dev_image = np.zeros(slab.errors.shape)
         for dev_x_n, dev_c_n in image_devs:
             dev_image = np.maximum(dev_image, np.maximum(dev_x_n, dev_c_n))
@@ -598,7 +515,7 @@ def verification_slabs(config: SweepConfig) -> VerificationSlabs:
             "passed": max_dev < VERIFY_TOLERANCE,
         }
 
-    return VerificationSlabs(_tabulate(config, evaluate), oracle)
+    return VerificationSlabs(_tabulate(config, evaluate))
 
 
 def run_verification(config: SweepConfig) -> VerificationReport:

@@ -50,7 +50,8 @@ pair the pole at u = r as
 with g the Gaussian window, so rows of any (gap, separation) lie on one
 panel grid from s = 0.  One pole pairing takes the exchange rows and the X
 rows together (the X rows are its rows at gap 0): the sweep oracle makes
-one such call per slab of the grid, and :func:`oracle_c_batch` and
+one such call per slab of the grid, on the rows of every point, and
+leaves finding the distinct rows to this module; :func:`oracle_c_batch` and
 :func:`oracle_x_time_integral_batch` are its two halves.  A separation
 whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the deepest
 refinement gets a :class:`DomainError` in its rows before any grid is
@@ -67,7 +68,10 @@ two dots per row on its gathered table rows; both are the same ddot of the
 same values.  A row whose last doubling
 still changes it by more than ``raise_tol`` gets a
 :class:`ConvergenceError`: the batch functions return it per row and leave
-the other rows as they are; the one-value functions raise it.
+the other rows as they are; the one-value functions raise it.  Inside a
+batch the errors are an object array, one slot per distinct row (None for
+none), handed to the rows of a batch by indexing it with their distinct
+row, and a batch function returns them as a list.
 
 The batch functions take gaps y and separations in units of sigma.  The
 one-row :func:`oracle_a`, :func:`oracle_c` and :func:`oracle_x` take a
@@ -189,6 +193,11 @@ def _refine(
     return values, errors
 
 
+def _objects(items: list) -> np.ndarray:
+    """``items`` as a 1-D object array: the per-row errors of a batch."""
+    return np.fromiter(items, object, len(items))
+
+
 def _single(values, errors):
     """The value of a one-row quadrature, or the error it recorded."""
     if errors[0] is not None:
@@ -225,8 +234,8 @@ def oracle_a_batch(
     om = np.asarray(y, dtype=float).reshape(-1)
     # the finite part is even in y: one quadrature per |y|
     mags, mag_of = np.unique(np.abs(om), return_inverse=True)
-    errors: list[Exception | None] = [_unresolved(m) for m in mags.tolist()]
-    fits = np.flatnonzero(np.array([e is None for e in errors], dtype=bool))
+    errors = _objects([_unresolved(m) for m in mags.tolist()])
+    fits = np.flatnonzero(np.equal(errors, None))
     gaps = mags[fits]
     # the pairing grid at r = 0
     panels = _base_panels(_WINDOW_SIGMAS)
@@ -247,18 +256,16 @@ def oracle_a_batch(
             parts.append(np.vecdot(np.square(half, out=half), weight))
         return np.concatenate(parts) + constant
 
-    finite, fit_errors = _refine(
+    finite, errors[fits] = _refine(
         sums, [(0.0, span)] * gaps.size, target=1e-12, raise_tol=raise_tol
     )
-    for j, error in zip(fits.tolist(), fit_errors):
-        errors[j] = error
     # the Hadamard finite part, with the -2 f(0)/u^2 tail beyond the span
     hadamard = np.full(mags.size, math.nan)
     hadamard[fits] = finite - 2.0 / span
     # sgn(u) delta(u^2) acts as f'(0) = -i y: (-i y)/(4 pi i) = -y/(4 pi)
     delta_part = -om / (4.0 * math.pi)
     values = _SQRT_PI * (delta_part - hadamard[mag_of] / (4.0 * math.pi**2))
-    return values, [errors[j] for j in mag_of.tolist()]
+    return values, errors[mag_of].tolist()
 
 
 def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,29 +292,26 @@ def _over_budget(r: float) -> DomainError | None:
 
 def _pole_pairing(
     y: np.ndarray, r: np.ndarray, raise_tol: float
-) -> tuple[np.ndarray, list[Exception | None]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_pole_pairing_within_budget` of the rows whose separation fits
     ``ORACLE_NODE_BUDGET`` and whose gap ``ORACLE_GAP_LIMIT``; each other
     row is NaN with a DomainError (its separation's, else its gap's), and
     sizes no grid."""
     seps, sep_of = np.unique(r, return_inverse=True)
     mags, mag_of = np.unique(np.abs(y), return_inverse=True)
-    over = [_over_budget(x) for x in seps.tolist()]
-    unresolved = [_unresolved(m) for m in mags.tolist()]
-    errors: list[Exception | None] = [
-        over[j] or unresolved[i] for i, j in zip(mag_of.tolist(), sep_of.tolist())
-    ]
-    fits = np.flatnonzero(np.array([e is None for e in errors], dtype=bool))
+    over = _objects([_over_budget(x) for x in seps.tolist()])
+    unresolved = _objects([_unresolved(m) for m in mags.tolist()])
+    within = np.equal(over, None)[sep_of]
+    errors = np.where(within, unresolved[mag_of], over[sep_of])
+    fits = np.flatnonzero(within & np.equal(unresolved, None)[mag_of])
     pv = np.full(r.size, math.nan, dtype=complex)
-    pv[fits], fit_errors = _pole_pairing_within_budget(y[fits], r[fits], raise_tol)
-    for i, error in zip(fits.tolist(), fit_errors):
-        errors[i] = error
+    pv[fits], errors[fits] = _pole_pairing_within_budget(y[fits], r[fits], raise_tol)
     return pv, errors
 
 
 def _pole_pairing_within_budget(
     y: np.ndarray, r: np.ndarray, raise_tol: float
-) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """PV Int du e^{-u^2/4 - i y u}/(u - r) for the rows (y, r), as P - i Q
     with the phase e^{-i y r} taken out:
 
@@ -391,7 +395,7 @@ def _pole_pairing_within_budget(
     pv = values[row_of]
     mirrored = y < 0.0
     pv[mirrored] = pv[mirrored].conj()
-    return pv, [errors[j] for j in row_of.tolist()]
+    return pv, _objects(errors)[row_of]
 
 
 def _separations(l_image) -> np.ndarray:
@@ -436,7 +440,8 @@ def _oracle_xc_batch(
     # the delta is supported at u = +L only
     delta_x = -(g_l / (2.0 * big_l)) / (4.0 * math.pi)
     pv_part_x = -pv_x.real / (2.0 * big_l) / (4.0 * math.pi**2)
-    return (c, errors[:om.size]), (pv_part_x + 1j * delta_x, errors[om.size:])
+    x = pv_part_x + 1j * delta_x
+    return (c, errors[:om.size].tolist()), (x, errors[om.size:].tolist())
 
 
 def oracle_c_batch(

@@ -50,6 +50,7 @@ from udwpair.sweep import (
     run_sweep,
     run_verification,
 )
+from udwpair.wightman import ORACLE_GAP_LIMIT
 
 SMALL_MINK = SweepConfig(omega=GridAxis(-1.0, 1.0, 3), l=GridAxis(0.5, 2.0, 3))
 SMALL_CYL = SweepConfig(
@@ -355,11 +356,14 @@ class TestBatchedPath:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(udwpair.wightman, "oracle_a_batch", broken)
         cfg = replace(SMALL_MINK, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 1.0, 1))
-        for row in run_sweep(replace(cfg, oracle=True)):
+        plain = run_sweep(cfg)
+        monkeypatch.setattr(udwpair.wightman, "oracle_a_batch", broken)
+        # the oracle's failure fails its deviations, not the closed forms
+        for row, want in zip(run_sweep(replace(cfg, oracle=True)), plain, strict=True):
             assert row["error"] == "ZeroDivisionError: float division by zero"
-            assert math.isnan(row["a"]) and math.isnan(row["oracle_dev_a"])
+            assert row["a"] == want["a"] and row["corr"] == want["corr"]
+            assert all(math.isnan(row[f"oracle_dev_{k}"]) for k in "axc")
         report = run_verification(cfg)
         assert not report.passed
         assert all(r["error"].startswith("ZeroDivisionError") for r in report.rows)
@@ -370,15 +374,15 @@ class TestBatchedPath:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        # the x and c integrals of a block are one call: every row takes
-        # its exception, and each of its keys counts as evaluated once
+        # the x and c integrals of a slab are one call: every row takes
+        # its exception
         monkeypatch.setattr(udwpair.wightman, "_oracle_xc_batch", broken)
         cfg = replace(SMALL_MINK, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 1.0, 1))
         for row in run_sweep(replace(cfg, oracle=True)):
             assert row["error"] == "ZeroDivisionError: float division by zero"
             assert math.isnan(row["oracle_dev_x"]) and math.isnan(row["oracle_dev_c"])
         report = run_verification(cfg)
-        assert not report.passed and report.quadratures == 2 + 1 + 2
+        assert not report.passed
         assert all(r["error"].startswith("ZeroDivisionError") for r in report.rows)
 
 
@@ -552,8 +556,8 @@ COINCIDENT = SweepConfig(
 
 
 class TestOraclePath:
-    """verify and sweep --oracle: each distinct quadrature once per run, the
-    rows exactly as the scalar functions give them point by point."""
+    """verify and sweep --oracle: two batch calls per slab, the rows exactly
+    as the scalar functions give them point by point."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
     def test_verify_rows_match_scalar_reference(self, name):
@@ -582,58 +586,32 @@ class TestOraclePath:
             assert row["oracle_dev_c"] == want["c"]
 
     @staticmethod
-    def _count_calls(monkeypatch, *names):
-        """The positional arguments of each call of the ``udwpair.wightman``
-        functions ``names``, per name."""
-        calls = {name: [] for name in names}
-        for name in names:
-            original = getattr(udwpair.wightman, name)
+    def _refined_rows(monkeypatch) -> list[int]:
+        """The rows of each call of ``udwpair.wightman._refine``, the
+        quadratures that an oracle batch call integrates."""
+        rows = []
+        original = udwpair.wightman._refine
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls[_name].append(args)
-                return _original(*args, **kwargs)
+        def counted(sums, intervals, **kwargs):
+            rows.append(len(intervals))
+            return original(sums, intervals, **kwargs)
 
-            monkeypatch.setattr(udwpair.wightman, name, counted)
-        return calls
+        monkeypatch.setattr(udwpair.wightman, "_refine", counted)
+        return rows
 
-    def test_each_distinct_integral_once(self, monkeypatch):
-        calls = self._count_calls(
-            monkeypatch, "oracle_a_batch", "_oracle_xc_batch", "_pole_pairing"
-        )
-        report = run_verification(COUNT_GRID)
-        assert report.passed
-        # one block: one self-term call for every gap, and one pole pairing
-        # for x and c at L, l_1 and l_2 (l_-1 = l_1 and l_-2 = l_2 add no key)
-        assert len(calls["oracle_a_batch"]) == 1
-        assert len(calls["_pole_pairing"]) == 1
-        a_gaps = [om for (gaps,) in calls["oracle_a_batch"] for om in gaps]
-        assert len(a_gaps) == len(set(a_gaps)) == 3
-        ((c_gaps, c_seps, x_keys),) = calls["_oracle_xc_batch"]
-        assert len(x_keys) == len(set(x_keys)) == 4 * 3
-        c_keys = list(zip(c_gaps, c_seps))
-        assert len(c_keys) == 3 * 4 * 3
-        assert len(set(c_keys)) == 3 * 4 * 3
-        assert report.quadratures == 3 + 12 + 36
-        assert report.evaluations == 12 * (1 + 2 + 2 * 4)
-
-    def test_a_second_block_integrates_only_new_keys(self, monkeypatch):
+    def test_each_slab_integrates_its_distinct_rows_once(self, monkeypatch):
         from dataclasses import replace
 
-        calls = self._count_calls(
-            monkeypatch, "oracle_a_batch", "_oracle_xc_batch", "_pole_pairing"
-        )
-        report = run_verification(replace(COUNT_GRID, ell=(1.0, 2.0)))
-        assert report.passed
-        # the gaps, the Minkowski term and the images n = 1 of the second
-        # block are known (n = 1 at ell = 2 lies where n = 2 at ell = 1
-        # does): no self-term call, and one pole pairing for n = 2 alone
-        assert len(calls["oracle_a_batch"]) == 1
-        assert len(calls["_pole_pairing"]) == len(calls["_oracle_xc_batch"]) == 2
-        (_, _, x_1), (c_gaps, c_seps, x_2) = calls["_oracle_xc_batch"]
-        assert len(x_2) == len(set(x_2)) == 4 and not set(x_2) & set(x_1)
-        assert len(c_gaps) == len(set(zip(c_gaps, c_seps))) == 3 * 4
-        assert report.quadratures == 3 + 12 + 36 + 4 + 12
-        assert report.evaluations == 2 * 12 * (1 + 2 + 2 * 4)
+        rows = self._refined_rows(monkeypatch)
+        assert run_verification(COUNT_GRID).passed
+        # one self-term row per |gap| (0 and 1), and one pole pairing row per
+        # |gap| and separation: L, l_1 = l_-1 and l_2 = l_-2 at 4 lengths;
+        # the x rows are the rows at gap 0
+        assert rows == [2, 2 * 12]
+        rows.clear()
+        # nothing carries over from one block to the next
+        assert run_verification(replace(COUNT_GRID, ell=(1.0, 2.0))).passed
+        assert rows == [2, 2 * 12] * 2
 
     def test_failing_integral_fails_only_its_rows(self, monkeypatch):
         from dataclasses import replace
@@ -693,19 +671,45 @@ class TestOraclePath:
         assert [r["error"] for r in report.rows] == [
             f"ConvergenceError: {want[r['l']]}" if r["l"] in want else "" for r in report.rows
         ]
-        # a point stops asking for integrals at its first error: the rows at
-        # l_1 fail at the third of their 11 integrals, those at l_2 and l_3
-        # at the second
-        assert report.evaluations == 12 * 11 - 3 * (11 - 3) - 2 * 3 * (11 - 2)
+
+    @pytest.mark.parametrize("lengths", ["1:1:1", "1:1e12:3"])
+    def test_oracle_only_failure_keeps_the_closed_forms(self, lengths):
+        # gaps over ORACLE_GAP_LIMIT at -845, -790.67 and -736.33, and
+        # separations over ORACLE_NODE_BUDGET, where the closed forms hold
+        def rows(*command):
+            args = [*command, "--omega-range", "-845:-682:4", "--l-range", lengths,
+                    "--format", "jsonl"]
+            return [json.loads(line) for line in CliRunner().invoke(main, args).stdout.splitlines()]
+
+        plain, oracle = rows("sweep"), rows("sweep", "--oracle")
+        a = {row["omega"]: row["a"] for row in plain}
+        assert a[-790.6666666666666] == pytest.approx(223.04, abs=0.01)
+        assert a[-736.3333333333334] == pytest.approx(207.72, abs=0.01)
+        for want, row in zip(plain, oracle, strict=True):
+            assert want["error"] == ""
+            # the closed-form and measure columns bit for bit (JSON floats
+            # read back exactly)
+            assert {key: row[key] for key in want if key != "error"} == {
+                key: value for key, value in want.items() if key != "error"
+            }
+            # the node budget covers separations up to 1484 sigma
+            if row["omega"] < -ORACLE_GAP_LIMIT or row["l"] > 1484.0:
+                assert row["error"].startswith("DomainError: ")
+                assert row["oracle_dev_a"] is row["oracle_dev_x"] is row["oracle_dev_c"] is None
+            else:
+                assert row["error"] == "" and row["oracle_dev_a"] < 1e-6
 
     def test_coincident_image_fails_before_any_quadrature(self, monkeypatch):
+        calls = []
+
         def forbidden(*args, **kwargs):
+            calls.append(args)
             raise AssertionError("quadrature at a coincident image")
 
         for name in ("oracle_a_batch", "_pole_pairing"):
             monkeypatch.setattr(udwpair.wightman, name, forbidden)
         report = run_verification(COINCIDENT)
-        assert not report.passed and report.quadratures == 0
+        assert not report.passed and not calls
         (row,) = report.rows
         assert row["error"].startswith(
             "GeometryError: detector B sits on image n = -1 of detector A"
@@ -853,15 +857,13 @@ class TestCli:
         ]
         assert result.stdout == rows_to_csv(table)
 
-    def test_verify_reports_quadratures(self):
+    def test_verify_summary_ends_at_the_tolerance(self):
         result = CliRunner().invoke(
             main, ["verify", "--omega-range", "0:1:2", "--l-range", "1:1:1"]
         )
         assert result.exit_code == 0
         assert result.stderr.startswith("verify: PASS (max deviation ")
-        assert result.stderr.endswith(
-            ", tolerance 1e-06, 5 quadratures for 6 oracle evaluations)\n"
-        )
+        assert result.stderr.endswith(", tolerance 1e-06)\n")
 
     def test_verify_at_a_small_separation(self):
         result = CliRunner().invoke(
@@ -1017,8 +1019,7 @@ class TestSlabs:
         if name == "verify":
             assert report.passed and report.error_rows == 0
             assert result.stderr == (
-                f"verify: PASS (max deviation {report.max_deviation:.3e}, tolerance 1e-06, "
-                f"{report.quadratures} quadratures for {report.evaluations} oracle evaluations)\n"
+                f"verify: PASS (max deviation {report.max_deviation:.3e}, tolerance 1e-06)\n"
             )
 
     def test_streamed_bytes_at_the_slab_budget(self, monkeypatch):
@@ -1083,14 +1084,15 @@ class TestSlabs:
         assert result.stderr.startswith("error: ")
         assert not path.exists()
 
-    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["sweep", "oracle"])
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, extra):
         # tracemalloc counts numpy's buffers too; a 64 x 64 grid is one
         # slab and a 256 x 256 grid sixteen
         import tracemalloc
 
         def peak(n: int) -> int:
-            args = ["sweep", "--omega-range", f"-3:3:{n}", "--l-range", f"0.078125:10:{n}",
-                    "--out", str(tmp_path / f"{n}.csv")]
+            args = ["sweep", *extra, "--omega-range", f"-3:3:{n}",
+                    "--l-range", f"0.078125:10:{n}", "--out", str(tmp_path / f"{n}.csv")]
             tracemalloc.start()
             try:
                 result = CliRunner().invoke(main, args)
@@ -1111,15 +1113,14 @@ class TestSlabs:
             # one gap whose square overflows: over the oracle's gap limit
             (["--omega-range", "1:2e154:2", "--l-range", "1:1:1"],
              "verify: FAIL (1 row with an error, the first a DomainError; "
-             "max deviation {dev:.3e} over the other rows, tolerance 1e-06, "
-             "5 quadratures for 4 oracle evaluations)\n"),
+             "max deviation {dev:.3e} over the other rows, tolerance 1e-06)\n"),
             (["--omega-range", "2e154:2e154:1", "--l-range", "1:1:1"],
              "verify: FAIL (1 row with an error, the first a DomainError; "
-             "no deviation computed, tolerance 1e-06, 3 quadratures for 1 oracle evaluations)\n"),
+             "no deviation computed, tolerance 1e-06)\n"),
             # separations over the oracle's node budget
             (["--omega-range", "0:1:2", "--l-range", "1e12:1e12:1"],
              "verify: FAIL (2 rows with errors, the first a DomainError; "
-             "no deviation computed, tolerance 1e-06, 5 quadratures for 4 oracle evaluations)\n"),
+             "no deviation computed, tolerance 1e-06)\n"),
         ],
         ids=["one-of-two", "all", "over-the-node-budget"],
     )
