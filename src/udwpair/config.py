@@ -70,6 +70,11 @@ class GridAxis:
             raise ConfigError(f"{name}: empty axis (count = {self.count})")
         if self.start > self.stop:
             raise ConfigError(f"{name}: start {self.start!r} > stop {self.stop!r}")
+        if not math.isfinite(self.stop - self.start):
+            # the grid would step by inf and start at NaN
+            raise ConfigError(
+                f"{name}: stop - start overflows from {self.start!r} to {self.stop!r}"
+            )
         if self.start < self.stop and self.count < 2:
             raise ConfigError(
                 f"{name}: a non-degenerate range needs at least 2 points"
@@ -78,7 +83,10 @@ class GridAxis:
     def values(self) -> np.ndarray:
         import numpy as np
 
-        return np.linspace(self.start, self.stop, self.count)
+        # near the float range, start + (count - 1) * step may overflow on
+        # the way to the last value, which linspace then sets to stop
+        with np.errstate(over="ignore"):
+            return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)

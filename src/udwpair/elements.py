@@ -496,8 +496,12 @@ def image_terms(y, pair: WorldlinePair, topology: Topology, ns, errors: np.ndarr
     leading axis: l_n = |x_A - J^n x_B| and the nonlocal and exchange terms
     at it, without the field's weight under J^n.  A point where l_n is
     round-off (detector B on image n of detector A), or not finite and > 0,
-    gets a GeometryError in ``errors``: the first of them over ``ns``."""
-    return _image_terms(np.asarray(y, dtype=float), pair, topology, ns, errors)[:3]
+    gets a GeometryError in ``errors``: the first of them over ``ns``.
+    The kernels run under the floating-point state of
+    :func:`elements_batch`: a value past the float range gives no warning
+    (e^{-rho^2/4} is 0 where rho^2 overflows, y rho may be inf)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _image_terms(np.asarray(y, dtype=float), pair, topology, ns, errors)[:3]
 
 
 class TruncationTally:

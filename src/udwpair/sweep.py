@@ -396,7 +396,9 @@ def sweep_slabs(config: SweepConfig) -> Iterator[Table]:
             # a failure of the oracle fails the row's deviations, and the
             # row shows it, but its closed forms and measures stand
             errors = slab.errors.copy()
-            mink = _minkowski_elements(config, slab, errors)
+            mink = state
+            if config.topology is not TopologyKind.MINKOWSKI:
+                mink = _minkowski_elements(config, slab, errors)
             dev_a, ((dev_x, dev_c),) = _oracle_deviations(slab, errors, mink)
             values.update(
                 oracle_dev_a=dev_a, oracle_dev_x=dev_x, oracle_dev_c=dev_c, error=errors

@@ -30,11 +30,15 @@ The distributional pieces are evaluated by explicit rules:
 
 Quadrature is composite Gauss-Legendre on one grid, 32-node panels of
 width 3/2^level from s = 0 (:func:`_pairing_grid`), with panel doubling
-(:func:`_refine`), for many integrands in one numpy pass; each row stops
-at its own refinement level, so its value does not depend on the other
-rows of the batch, bit for bit.  :func:`oracle_a_batch` integrates the
+(:func:`_refine`), for many integrands in one numpy pass.  A row at
+separation r covers s up to r + 24 (``_WINDOW_SIGMAS``) in whole base
+panels, ceil((r + 24)/3) of them and at least 8: the window terms it
+leaves out are at most e^{-24^2/4} = e^{-144} < 2^-200 of the window's
+peak.  Each row stops at its own refinement level, so its value does
+not depend on the other rows of the batch, bit for bit.
+:func:`oracle_a_batch` integrates the
 self term of all gaps at once, in real arithmetic, on that grid as at
-r = 0 (18 panels): the Hadamard pairing of e^{-u^2/4 - i y u} is
+r = 0 (8 panels, span 24): the Hadamard pairing of e^{-u^2/4 - i y u} is
 
     [2 e^{-s^2/4} cos(y s) - 2]/s^2
         = [-4 e^{-s^2/4} sin^2(y s/2) + 2 expm1(-s^2/4)]/s^2,
@@ -54,8 +58,9 @@ one such call per slab of the grid, on the rows of every point, and
 leaves finding the distinct rows to this module; :func:`oracle_c_batch` and
 :func:`oracle_x_time_integral_batch` are its two halves.  A separation
 whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the deepest
-refinement gets a :class:`DomainError` in its rows before any grid is
-sized, and the other rows keep their values; so does a self-term or
+refinement (over 1512), or that is below the smallest normal float,
+gets a :class:`DomainError` in its rows before any grid is sized, and
+the other rows keep their values; so does a self-term or
 exchange row whose gap exceeds ``ORACLE_GAP_LIMIT``, the largest that
 the deepest panels resolve.  cos is even and
 sin odd, bit for bit, so each (|y|, r) is one row and a row at -y takes
@@ -106,8 +111,10 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-#: Gaussian switching support: e^{-(52/2)^2} ~ 1e-294.
-_WINDOW_SIGMAS = 52.0
+#: Gaussian switching support: past it the window e^{-u^2/4} is at most
+#: e^{-(24/2)^2} = e^{-144} < 2^-200 of its peak, below what a double sum
+#: of the integrand's O(1) terms can hold.
+_WINDOW_SIGMAS = 24.0
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 #: The nodes mapped to [0, 1].
@@ -125,10 +132,15 @@ _BATCH_NODES = 1 << 15
 _MAX_DOUBLINGS = 6
 
 #: Most nodes that one separation's pole-pairing grid may have at the
-#: deepest refinement: separations up to 1484 sigma.  A row's temporaries
+#: deepest refinement: separations up to 1512 sigma.  A row's temporaries
 #: take 72 bytes per node there (75 MB at the budget, by tracemalloc); a
 #: larger separation gets a DomainError before anything is allocated.
 ORACLE_NODE_BUDGET = 1 << 20
+
+#: Smallest separation whose pole-pairing rows are integrated: the smallest
+#: normal float.  Below it r has lost precision, and 1/(2 r) overflows
+#: under 2.8e-309; a smaller separation gets a DomainError.
+_MIN_SEPARATION = float(np.finfo(float).tiny)
 
 #: Largest gap |y| whose self-term and exchange rows are integrated: the
 #: deepest panels (width 3/2^6, 32 nodes) then hold at least 2 pi nodes
@@ -277,43 +289,62 @@ def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _over_budget(r: float) -> DomainError | None:
-    """The error of a separation whose pole-pairing grid would exceed
-    ``ORACLE_NODE_BUDGET`` nodes at the deepest refinement, else None."""
-    nodes = (_base_panels(r + _WINDOW_SIGMAS) << _MAX_DOUBLINGS) * _GL_UNIT.size
-    if nodes <= ORACLE_NODE_BUDGET:
+def _separation_error(r: float) -> DomainError | None:
+    """The error of a separation below ``_MIN_SEPARATION``, or whose
+    pole-pairing grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the
+    deepest refinement, else None."""
+    if r < _MIN_SEPARATION:
+        return DomainError(
+            f"the oracle takes separations from {_MIN_SEPARATION!r} sigma, the smallest "
+            f"normal float, this one is {r!r} sigma"
+        )
+    panel_nodes = _GL_UNIT.size << _MAX_DOUBLINGS
+    if _base_panels(r + _WINDOW_SIGMAS) * panel_nodes <= ORACLE_NODE_BUDGET:
         return None
+    # the node count itself may be too large for a float
+    covered = ORACLE_NODE_BUDGET // panel_nodes * _PANEL_SIGMAS - _WINDOW_SIGMAS
     return DomainError(
-        f"the oracle at separation {r!r} sigma needs {float(nodes):.3g} quadrature "
-        f"nodes at its deepest refinement, over its budget of {ORACLE_NODE_BUDGET} "
-        f"(ORACLE_NODE_BUDGET)"
+        f"the oracle at separation {r!r} sigma is over its budget of {ORACLE_NODE_BUDGET} "
+        f"quadrature nodes at the deepest refinement (ORACLE_NODE_BUDGET), which covers "
+        f"separations up to {covered:g} sigma"
     )
 
 
 def _pole_pairing(
     y: np.ndarray, r: np.ndarray, raise_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pole_pairing_within_budget` of the rows whose separation fits
-    ``ORACLE_NODE_BUDGET`` and whose gap ``ORACLE_GAP_LIMIT``; each other
-    row is NaN with a DomainError (its separation's, else its gap's), and
-    sizes no grid."""
+    """:func:`_pole_pairing_within_budget` of the rows whose separation is
+    at least ``_MIN_SEPARATION`` and fits ``ORACLE_NODE_BUDGET``, and whose
+    gap fits ``ORACLE_GAP_LIMIT``; each other row is NaN with a DomainError
+    (its separation's, else its gap's), and sizes no grid."""
+    gaps, gap_of = np.unique(np.abs(y), return_inverse=True)
     seps, sep_of = np.unique(r, return_inverse=True)
-    mags, mag_of = np.unique(np.abs(y), return_inverse=True)
-    over = _objects([_over_budget(x) for x in seps.tolist()])
-    unresolved = _objects([_unresolved(m) for m in mags.tolist()])
-    within = np.equal(over, None)[sep_of]
-    errors = np.where(within, unresolved[mag_of], over[sep_of])
-    fits = np.flatnonzero(within & np.equal(unresolved, None)[mag_of])
+    unresolved = _objects([_unresolved(m) for m in gaps.tolist()])
+    bad = _objects([_separation_error(x) for x in seps.tolist()])
+    good = np.equal(bad, None)
+    errors = np.where(good[sep_of], unresolved[gap_of], bad[sep_of])
+    fits = np.flatnonzero(np.equal(errors, None))
     pv = np.full(r.size, math.nan, dtype=complex)
-    pv[fits], errors[fits] = _pole_pairing_within_budget(y[fits], r[fits], raise_tol)
+    # no row that fits has a separation with an error: those are 0 here,
+    # so that sizing the separations' grids cannot overflow
+    pv[fits], errors[fits] = _pole_pairing_within_budget(
+        y[fits], gaps, gap_of[fits], np.where(good, seps, 0.0), sep_of[fits], raise_tol
+    )
     return pv, errors
 
 
 def _pole_pairing_within_budget(
-    y: np.ndarray, r: np.ndarray, raise_tol: float
+    y: np.ndarray,
+    gaps: np.ndarray,
+    gap_of: np.ndarray,
+    seps: np.ndarray,
+    sep_of: np.ndarray,
+    raise_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """PV Int du e^{-u^2/4 - i y u}/(u - r) for the rows (y, r), as P - i Q
-    with the phase e^{-i y r} taken out:
+    with the phase e^{-i y r} taken out, where row k has |y| =
+    ``gaps[gap_of[k]]`` and r = ``seps[sep_of[k]]``, both from the sorted
+    distinct values of :func:`np.unique`:
 
         P = Int_0^span (g(r+s) - g(r-s)) cos(y s)/s ds
         Q = Int_0^span (g(r+s) + g(r-s)) sin(y s)/s ds
@@ -335,8 +366,6 @@ def _pole_pairing_within_budget(
     per row.  Either way a row's value is the same ddot of the same values,
     so it depends only on its own (y, r).
     """
-    gaps, gap_of = np.unique(np.abs(y), return_inverse=True)
-    seps, sep_of = np.unique(r, return_inverse=True)
     # the distinct (|y|, r) rows
     rows, row_of = np.unique(gap_of * seps.size + sep_of, return_inverse=True)
     gap_of, sep_of = np.divmod(rows, seps.size)
@@ -418,16 +447,16 @@ def _oracle_xc_batch(
     """
     om = np.asarray(y, dtype=float).reshape(-1)
     r, big_l = _separations(l_c), _separations(l_x)
-    pv, errors = _pole_pairing(
-        np.concatenate([om, np.zeros(big_l.size)]), np.concatenate([r, big_l]), raise_tol
-    )
+    seps = np.concatenate([r, big_l])
+    pv, errors = _pole_pairing(np.concatenate([om, np.zeros(big_l.size)]), seps, raise_tol)
+    # a row whose gap or separation the oracle does not take is NaN: so is
+    # its separation below, where y r, r^2 or 1/r could overflow
+    seps[np.isnan(pv)] = math.nan
+    r, big_l = seps[:om.size], seps[om.size:]
     pv_c, pv_x = pv[:om.size], pv[om.size:]
     cos, sin = np.cos(om * r), np.sin(om * r)
-    # r^2 overflows only at separations over the node budget, which are
-    # errors: there g is 0
-    with np.errstate(over="ignore"):
-        g = np.exp(-r * r / 4.0)
-        g_l = np.exp(-big_l * big_l / 4.0)
+    g = np.exp(-r * r / 4.0)
+    g_l = np.exp(-big_l * big_l / 4.0)
     # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(y r)
     delta_c = -g * sin / (4.0 * math.pi * r)
     # the pole at -r is -conj of the pole at r, so the pair leaves twice the

@@ -13,6 +13,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from references import negativity_exact, separation
 
 import udwpair.config
@@ -51,6 +53,34 @@ from udwpair.sweep import (
     run_verification,
 )
 from udwpair.wightman import ORACLE_GAP_LIMIT
+
+#: Magnitudes for fuzzing the oracle's entry points: zero, subnormals,
+#: values up to 1e308, and both sides of ORACLE_GAP_LIMIT and of the node
+#: budget's largest separation, 1512 sigma
+_FUZZ_MAGNITUDES = st.one_of(
+    st.sampled_from([
+        0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-11, 0.5, 1.0, 30.0, 1.34e154,
+        1e300, 1e308, 1.7976931348623157e308,
+        *(v for x in (ORACLE_GAP_LIMIT, 1512.0)
+          for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))),
+    ]),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+_FUZZ_GAPS = st.builds(math.copysign, _FUZZ_MAGNITUDES, st.sampled_from([1.0, -1.0]))
+_FUZZ_TOPOLOGIES = [
+    [],
+    ["--topology", "cylinder", "--ell", "1"],
+    ["--topology", "twisted", "--ell", "1", "--eta", "-1", "--d-a", "0.1"],
+]
+
+
+@st.composite
+def _axis(draw, values) -> str:
+    """MIN:MAX:N text of an axis of at most 3 points between two ``values``."""
+    start, stop = sorted([draw(values), draw(values)])
+    count = 1 if start == stop else draw(st.integers(2, 3))
+    return f"{start!r}:{stop!r}:{count}"
+
 
 SMALL_MINK = SweepConfig(omega=GridAxis(-1.0, 1.0, 3), l=GridAxis(0.5, 2.0, 3))
 SMALL_CYL = SweepConfig(
@@ -112,6 +142,19 @@ class TestConfig:
             config_from_mapping({"omega": "2:1:5"})
         with pytest.raises(ConfigError):
             config_from_mapping({"omega": "1:2:1"})
+
+    def test_overflowing_span_rejected(self):
+        # linspace would step by inf and start the axis at NaN
+        with pytest.raises(ConfigError, match="stop - start overflows"):
+            config_from_mapping({"omega": "-1.7976931348623157e308:1e292:2"})
+
+    def test_axis_at_the_float_range_has_its_stop(self):
+        # start + step overflows on the way to the last value, which is stop
+        axis = GridAxis(5.5e307, 1.7976931348623157e308, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = axis.values()
+        assert values[-1] == axis.stop and np.isfinite(values).all()
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
@@ -239,6 +282,18 @@ class TestExtremeSeparations:
         assert " differs from 1 because E = r44 = " in row["error"]
         assert row["error"].endswith(f" > 1: |X| = eps0^2 |x| = {big_x!r} is not small")
         assert "np." not in row["error"]
+
+    def test_verify_image_terms_past_the_float_range(self):
+        # y r and (r/2)^2 of the image kernels overflow on the way to their
+        # values: no RuntimeWarning, and the oracle names its own limits
+        cfg = SweepConfig(
+            topology=TopologyKind.CYLINDER, ell=(1.0,), omega=GridAxis(-1e308, 0.0, 2),
+            l=GridAxis(1e300, 1e300, 1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_verification(cfg)
+        assert [row["error"].partition(":")[0] for row in report.rows] == ["DomainError"] * 2
 
     def test_huge_circumference_rows_are_minkowski(self):
         grid = dict(omega=self.OMEGA, l=GridAxis(1.0, 1.0, 1))
@@ -613,6 +668,29 @@ class TestOraclePath:
         assert run_verification(replace(COUNT_GRID, ell=(1.0, 2.0))).passed
         assert rows == [2, 2 * 12] * 2
 
+    def test_minkowski_oracle_sweep_evaluates_each_slab_once(self, monkeypatch):
+        # on Minkowski the sweep's elements are the oracle's: one
+        # elements_batch call per slab, and the deviations those of verify,
+        # which evaluates its Minkowski elements on its own
+        monkeypatch.setattr(sweep_mod, "SLAB_POINTS", SMALL_SLAB)
+        calls = []
+        original = sweep_mod.elements_batch
+
+        def counting(y, *args, **kwargs):
+            calls.append(np.shape(y))
+            return original(y, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "elements_batch", counting)
+        cfg = config_from_mapping({**SLAB_GRIDS["minkowski"], "oracle": "true"})
+        swept = run_sweep(cfg)
+        # 7 omega rows in slabs of 3, 3 and 1
+        assert calls == [(3, 1), (3, 1), (1, 1)]
+        report = run_verification(cfg)
+        assert report.passed
+        for key in ("a", "x", "c"):
+            got, want = swept.columns[f"oracle_dev_{key}"], report.rows.columns[f"dev_{key}"]
+            assert got.tobytes() == want.tobytes()
+
     def test_failing_integral_fails_only_its_rows(self, monkeypatch):
         from dataclasses import replace
 
@@ -692,8 +770,8 @@ class TestOraclePath:
             assert {key: row[key] for key in want if key != "error"} == {
                 key: value for key, value in want.items() if key != "error"
             }
-            # the node budget covers separations up to 1484 sigma
-            if row["omega"] < -ORACLE_GAP_LIMIT or row["l"] > 1484.0:
+            # the node budget covers separations up to 1512 sigma
+            if row["omega"] < -ORACLE_GAP_LIMIT or row["l"] > 1512.0:
                 assert row["error"].startswith("DomainError: ")
                 assert row["oracle_dev_a"] is row["oracle_dev_x"] is row["oracle_dev_c"] is None
             else:
@@ -788,6 +866,36 @@ class TestCli:
         assert "Traceback" not in result.stderr
         (row,) = csv.DictReader(io.StringIO(result.stdout))
         assert row["error"].split(":")[0] in _udw_error_names()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from([["verify"], ["sweep", "--oracle"]]),
+        omega=_axis(_FUZZ_GAPS),
+        lengths=_axis(_FUZZ_MAGNITUDES),
+        topology=st.sampled_from(_FUZZ_TOPOLOGIES),
+        fmt=st.sampled_from(["csv", "jsonl"]),
+    )
+    def test_oracle_entry_points_do_not_crash(self, command, omega, lengths, topology, fmt):
+        # grids of at most 3 x 3 from signed zeros, subnormals, values up to
+        # 1e308 and both sides of the oracle's gap limit and node budget
+        args = [*command, *topology, "--omega-range", omega, "--l-range", lengths,
+                "--format", fmt]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2), (args, result.exc_info)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args, result.exc_info
+        )
+        assert "Traceback" not in result.stderr
+        if result.exit_code != 1:
+            if fmt == "jsonl":
+                rows = [json.loads(line) for line in result.stdout.splitlines()]
+            else:
+                rows = list(csv.DictReader(io.StringIO(result.stdout)))
+            for row in rows:
+                assert row["error"] == "" or row["error"].split(":")[0] in _udw_error_names()
+        for line in result.stderr.splitlines():
+            if line.startswith("verify:"):
+                assert "nan" not in line, (args, line)
 
     def test_show_config_round_trips(self, tmp_path):
         args = [

@@ -3,6 +3,7 @@ functions with known closed-form actions, the oracles against frozen values,
 refinement stability, and agreement between the two regularizations."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -300,7 +301,8 @@ class TestPolePairingDots:
         gaps = rng.choice([-1.5, 0.0, 0.4, 2.0], 20).tolist()
         seps = rng.choice(self.SEPS + [0.3, 5.0], 20).tolist()
         whole = oracle_c_batch(gaps, seps)
-        monkeypatch.setattr(wightman, "_BATCH_NODES", 4096)
+        # 5120 nodes: slices that run both branches on this batch
+        monkeypatch.setattr(wightman, "_BATCH_NODES", 5120)
         calls, _ = self._record(monkeypatch)
         sliced = oracle_c_batch(gaps, seps)
         assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
@@ -362,8 +364,8 @@ class TestOneQuadraturePass:
     def test_self_term_matches_complex_hadamard_form(self):
         # the real sin^2/expm1 pairing against the complex finite part of
         # e^{-u^2/4 - i y u} with the f'(0) rule, on the equal-panel grid:
-        # that form cancels at small s and is off by up to 1.33e-14 against
-        # 40 digits here, the package by at most 6.9e-16
+        # that form cancels at small s and is off by up to 1.30e-14 against
+        # 40 digits here, the package by at most 5.8e-16
         y = np.concatenate([np.linspace(-6.0, 6.0, 1201), [-0.0]])
         phase = 1j * y[:, None]
 
@@ -391,7 +393,7 @@ class TestOneQuadraturePass:
         assert _self_term_error(got, y) <= 1e-16
 
     def test_self_term_on_the_pole_pairing_grid(self, monkeypatch):
-        # the pairing grid at r = 0, ceil(52/3) = 18 panels of 3/2^level,
+        # the pairing grid at r = 0, ceil(24/3) = 8 panels of 3/2^level,
         # doubled by the refinement the pole pairing uses
         import udwpair.wightman as wightman
 
@@ -409,8 +411,34 @@ class TestOneQuadraturePass:
         monkeypatch.setattr(wightman, "_pairing_grid", recording_grid)
         monkeypatch.setattr(wightman, "_refine", recording_refine)
         oracle_a_batch([0.5, -0.5])
-        assert intervals == [(0.0, 54.0)]
-        assert grids[:2] == [(3.0, 18), (1.5, 36)]
+        assert intervals == [(0.0, 24.0)]
+        assert grids[:2] == [(3.0, 8), (1.5, 16)]
+
+    def test_the_window_loses_nothing(self, monkeypatch):
+        # past _WINDOW_SIGMAS the window is below 2^-200 of its peak: the
+        # x and c rows are those of the 52 sigma window bit for bit, the
+        # self term (whose -2/s^2 tail the window cuts off and adds back
+        # analytically) agrees to rounding
+        import udwpair.wightman as wightman
+
+        assert math.exp(-(_WINDOW_SIGMAS**2) / 4.0) < 2.0**-200
+        gaps, mags = np.linspace(-6.0, 6.0, 25), np.linspace(-6.0, 6.0, 1201)
+        seps = np.geomspace(0.01, 1500.0, 16)
+
+        def oracle():
+            c, c_errors = oracle_c_batch(gaps[:, None], seps)
+            x, x_errors = oracle_x_time_integral_batch(seps)
+            a, a_errors = oracle_a_batch(mags)
+            assert c_errors + x_errors + a_errors == [None] * (c.size + x.size + a.size)
+            return c, x, a
+
+        c, x, a = oracle()
+        monkeypatch.setattr(wightman, "_WINDOW_SIGMAS", 52.0)
+        # the 52 sigma window's budget covers separations up to 1484 sigma
+        monkeypatch.setattr(wightman, "ORACLE_NODE_BUDGET", 2 * wightman.ORACLE_NODE_BUDGET)
+        wide_c, wide_x, wide_a = oracle()
+        assert _bits(c) == _bits(wide_c) and _bits(x) == _bits(wide_x)
+        assert np.max(np.abs(a - wide_a)) <= 1e-15
 
 
 class TestOracleValues:
@@ -539,7 +567,8 @@ class TestOracleValues:
 
         monkeypatch.setattr(wightman, "_pairing_grid", recording)
         gaps = [0.5, 1.0, -0.5, 2.0, 0.5]
-        seps = [1.3, 1e12, 1484.0, 1e300, 1485.0]
+        # 1512 sigma is the largest that fits, the next float goes over
+        seps = [1.3, 1e12, 1512.0, 1e300, math.nextafter(1512.0, math.inf)]
         c, c_errors = oracle_c_batch(gaps, seps)
         x, x_errors = oracle_x_time_integral_batch(seps)
         over = [1, 3, 4]
@@ -554,6 +583,26 @@ class TestOracleValues:
         want_c, _ = oracle_c_batch([gaps[i] for i in fits], [seps[i] for i in fits])
         want_x, _ = oracle_x_time_integral_batch([seps[i] for i in fits])
         assert _bits(c[fits]) == _bits(want_c) and _bits(x[fits]) == _bits(want_x)
+
+    def test_separations_past_the_float_range(self):
+        # a subnormal separation (where 1/(2 r) overflows) fails alone, and
+        # so does one whose node count is past the float range: the error
+        # is a DomainError, and no RuntimeWarning is raised
+        seps = [5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, c_errors = oracle_c_batch([0.5] * len(seps), seps)
+            x, x_errors = oracle_x_time_integral_batch(seps)
+        for errors in (c_errors, x_errors):
+            assert [type(e).__name__ for e in errors] == (
+                ["DomainError"] * 2 + ["NoneType"] * 2 + ["DomainError"]
+            )
+            assert str(errors[0]).startswith(
+                "the oracle takes separations from 2.2250738585072014e-308 sigma"
+            )
+            assert str(errors[-1]).endswith("which covers separations up to 1512 sigma")
+        assert np.isnan(c[[0, 1, 4]]).all() and np.isfinite(c[2:4]).all()
+        assert np.isnan(x[[0, 1, 4]]).all() and np.isfinite(x[2:4]).all()
 
     def test_gaps_over_the_gap_limit(self, monkeypatch):
         # a self-term or exchange row at |y| over ORACLE_GAP_LIMIT fails
