@@ -205,15 +205,24 @@ def config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` file with '#' comments."""
+    """Read a flat ``key = value`` UTF-8 file with '#' comments; lines end
+    at LF, CRLF or CR."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+        ) from None
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            mapping[key.strip()] = value.strip()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        mapping[key.strip()] = value.strip()
     return mapping

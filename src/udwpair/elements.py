@@ -76,6 +76,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
+    DomainError,
     GeometryError,
     InvalidStateError,
     PositivityError,
@@ -368,12 +369,23 @@ def nonlocal_array(y, rho):
     return 1.0 / (4.0 * _SQRT_PI * rho) * envelope * bracket
 
 
-def _separation_error(r: float) -> GeometryError:
+#: The smallest separation the closed forms take, the smallest normal
+#: float: below it rho has lost precision, and x ~ 1/rho overflows from
+#: about 7.8e-310 on
+_MIN_SEPARATION = float(np.finfo(float).tiny)
+
+
+def _separation_error(r: float) -> DomainError | GeometryError:
+    if 0.0 < r < _MIN_SEPARATION:
+        return DomainError(
+            f"the closed forms take separations from {_MIN_SEPARATION!r} sigma, the "
+            f"smallest normal float, this one is {r!r} sigma"
+        )
     return GeometryError(f"separation must be finite and > 0, got {r!r}")
 
 
 def _bad_separation(r):
-    return ~(np.isfinite(r) & (r > 0.0))
+    return ~(np.isfinite(r) & (r >= _MIN_SEPARATION))
 
 
 def _flag_separation(errors: np.ndarray, r) -> None:

@@ -53,6 +53,15 @@ from a double-double product with a power of ten (:func:`_g17`); zeros,
 non-finite values, extreme magnitudes and near-ties go through Python's
 ``"%.17g"``.  The float columns of a chunk are deduplicated together, so
 each distinct value of the chunk is formatted once.
+
+JSONL floats are exactly ``float.__repr__``, as ``json.dumps`` writes
+them, with NaN as ``null`` (an infinity raises, as in ``json.dumps(row,
+allow_nan=False)``).  :func:`_repr_floats` finds their shortest digits in
+numpy from the same double-double product: the fewest digits whose
+rounding lies within half an ulp of the value.  Zeros, extreme
+magnitudes, powers of two and values near a rounding edge or a tie go
+through ``float.__repr__``.  Each JSONL row is one join of its cells'
+texts with the key texts between them.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -292,8 +302,9 @@ def _oracle(errors: np.ndarray, gaps: np.ndarray, separations: list) -> tuple:
 
     The points without an error take part: their self terms are one
     :func:`udwpair.wightman.oracle_a_batch` call, and their x and c
-    integrals one pole pairing (``wightman._oracle_xc_batch``); each call
-    integrates each distinct integral of its rows once.  A call that
+    integrals one pole pairing (``wightman._oracle_xc_batch``), whose X
+    rows are the distinct separations; each call integrates each distinct
+    integral of its rows once.  A call that
     raises fails its own rows.  A point whose integral failed gets in
     ``errors`` the exception of its first failing integral in the order a,
     then x and c of each array of separations.  Every value of a point
@@ -315,10 +326,14 @@ def _oracle(errors: np.ndarray, gaps: np.ndarray, separations: list) -> tuple:
             a = wightman.oracle_a_batch(gap)
         except Exception as exc:
             a = _failed(n, exc)
+        distinct, sep_of = np.unique(sep, return_inverse=True)
         try:
-            c, x = wightman._oracle_xc_batch(np.tile(gap, terms), sep, sep)
+            c, x = wightman._oracle_xc_batch(np.tile(gap, terms), sep, distinct)
         except Exception as exc:
             c = x = _failed(n * terms, exc)
+        else:
+            # the X rows are the distinct separations: map them back to each
+            x = x[0][sep_of], np.fromiter(x[1], object, distinct.size)[sep_of].tolist()
         ok = np.ones(n, dtype=bool)
         for part in [a[1]] + [e[t * n:(t + 1) * n] for t in range(terms) for e in (x[1], c[1])]:
             if part.count(None) < n:  # an integral of this part failed
@@ -608,22 +623,13 @@ def _scaled(x, k, pow10):
     return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def _g17(values: np.ndarray) -> np.ndarray:
-    """``"%.17g" % v`` of each float64 v of ``values``, as an object array.
-
-    For 1e-280 < |v| < 1e280, y = |v| 10**(16 - k) with k = floor(log10 |v|)
-    is formed as a double-double; k is corrected by one where y falls
-    outside [1e16, 1e17), and y is rounded to the 17 digits.  Zeros,
-    non-finite values, extreme magnitudes and any y whose fraction lies
-    near 1/2 (a possible tie) go through Python's ``"%.17g"``.  The writer
-    passes the distinct floats of one chunk of ``CSV_CHUNK_ROWS`` rows,
-    which bounds the temporaries (46 bytes of text per value and a few
-    arrays of the values' size).
-    """
-    pow10, prefix, suffix, digits = _g17_tables()
-    mag = np.abs(values)
-    fast = np.flatnonzero((mag > _G17_MIN) & (mag < _G17_MAX))
-    x = mag[fast]
+def _decimal(values: np.ndarray, fast: np.ndarray, pow10):
+    """The values at the indices ``fast`` (of magnitude in (_G17_MIN,
+    _G17_MAX)) as y = |v| 10**(16 - k) with k = floor(log10 |v|): the
+    indices, |v|, k, and y's integer part in [1e16, 1e17) and fraction.
+    k is corrected by one where y falls outside [1e16, 1e17); a value whose
+    y still does is dropped."""
+    x = np.abs(values[fast])
     k = np.floor(np.log10(x)).astype(np.int64)
     whole, frac = _scaled(x, k, pow10)
     # log10 may miss k by one next to a power of ten
@@ -631,42 +637,173 @@ def _g17(values: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero(step)
     k[redo] += step[redo]
     whole[redo], frac[redo] = _scaled(x[redo], k[redo], pow10)
-    ok = (whole >= 10**16) & (whole < 10**17) & (np.abs(frac - 0.5) > _G17_TIE)
-    fast, k, n = fast[ok], k[ok], whole[ok] + (frac[ok] > 0.5)
+    ok = (whole >= 10**16) & (whole < 10**17)
+    return fast[ok], x[ok], k[ok], whole[ok], frac[ok]
+
+
+def _layout(signs: np.ndarray, k: np.ndarray, n: np.ndarray, fixed: range, suffix,
+            point_zero: bool) -> str:
+    """The texts of the values (-1)**sign n 10**(k - 16), for n in [1e16,
+    1e17], each followed by a newline: the digits of n up to its last
+    nonzero one, in fixed notation for k in ``fixed`` and else with the
+    ``suffix`` of k.  With ``point_zero``, fixed notation writes ".0" where
+    no fraction digit remains."""
+    _, prefix, _, digits = _g17_tables()
     top = n == 10**17  # rounded up into the next decade
     n[top] = 10**16
-    k += top
+    k = k + top
     high, low = np.divmod(n, 10**8)
     groups = [high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
     digit = digits[np.stack(groups, axis=1)].view(np.uint8)[:, 3:]
     nd = 17 - np.argmax(digit[:, ::-1] != _ZERO, axis=1)
     # the digit the point follows; negative where "0.000" holds the point
-    point = np.where((k >= -4) & (k < 17), k, 0)
-    ends = np.maximum(nd, point + 1)  # digits written: integer digits stay
-    # one row of bytes per value, NUL where %g writes nothing: the sign,
+    in_fixed = (k >= fixed.start) & (k < fixed.stop)
+    point = np.where(in_fixed, k, 0)
+    # digits written: integer digits stay, and so does a zero after the
+    # point where that is asked for
+    ends = np.maximum(nd, point + 1 + (point_zero & in_fixed & (k >= 0)))
+    # one row of bytes per value, NUL where nothing is written: the sign,
     # "0.000", each digit followed by a slot for the point, "e+XXX", a
     # newline
     row = np.zeros((n.size, 46), np.uint8)
-    row[:, 0] = np.signbit(values[fast]) * _MINUS
+    row[:, 0] = signs * _MINUS
     row[:, 1:6] = prefix[k - _K_MIN]
     row[:, 6:40:2] = digit * (np.arange(17) < ends[:, None])
     dotted = np.flatnonzero((point >= 0) & (ends > point + 1))
     row[dotted, 7 + 2 * point[dotted]] = _POINT
     row[:, 40:45] = suffix[k - _K_MIN]
     row[:, 45] = _NEWLINE
-    text = row.tobytes().translate(None, b"\0").decode("ascii")
+    data = row.tobytes()
+    del row  # a third of the peak of the float text
+    return data.translate(None, b"\0").decode("ascii")
+
+
+def _texts(values: np.ndarray, fast: np.ndarray, text: str, fmt) -> np.ndarray:
+    """An object array of the texts of ``values``: those at the indices
+    ``fast`` from the lines of ``text``, in order, the others ``fmt(v)``."""
     texts = np.empty(values.size, dtype=object)
     texts[fast] = np.array(text.split("\n")[:-1], dtype=object)
     slow = np.ones(values.size, dtype=bool)
     slow[fast] = False
-    texts[slow] = np.array(list(map("%.17g".__mod__, values[slow].tolist())), dtype=object)
+    texts[slow] = np.array(list(map(fmt, values[slow].tolist())), dtype=object)
     return texts
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each float64 v of ``values``, as an object array.
+
+    For 1e-280 < |v| < 1e280, y = |v| 10**(16 - k) with k = floor(log10 |v|)
+    is formed as a double-double (:func:`_decimal`), and y is rounded to
+    the 17 digits.  Zeros, non-finite values, extreme magnitudes and any y
+    whose fraction lies near 1/2 (a possible tie) go through Python's
+    ``"%.17g"``.  The writer passes the distinct floats of one chunk of
+    ``CSV_CHUNK_ROWS`` rows, which bounds the temporaries (46 bytes of
+    text per value and a few arrays of the values' size).
+    """
+    pow10, _, suffix, _ = _g17_tables()
+    mag = np.abs(values)
+    fast = np.flatnonzero((mag > _G17_MIN) & (mag < _G17_MAX))
+    fast, _, k, whole, frac = _decimal(values, fast, pow10)
+    ok = np.abs(frac - 0.5) > _G17_TIE
+    fast = fast[ok]
+    n = whole[ok] + (frac[ok] > 0.5)
+    text = _layout(np.signbit(values[fast]), k[ok], n, range(-4, 17), suffix, False)
+    return _texts(values, fast, text, "%.17g".__mod__)
+
+
+#: the units of rounding y in [1e16, 1e17) to d = 1, ..., 14 significant
+#: digits, 10**(17 - d)
+_SHORT_UNITS = 10 ** np.arange(16, 2, -1, dtype=np.int64)
+#: a rounding whose distance from y lies this close, relative, to half an
+#: ulp of the value may or may not round-trip, and goes through
+#: ``float.__repr__``
+_REPR_EDGE = 1e-6
+_MANTISSA = (1 << 52) - 1
+
+
+@cache
+def _repr_suffix():
+    """The text ``repr`` writes after the digits, per decimal exponent k in
+    [_K_MIN, _K_MAX]: none for -4 <= k <= 15, else "e+XX"; built at the
+    first call of ``_repr_floats``."""
+    return _ascii(["" if -4 <= k <= 15 else "e%+03d" % k for k in range(_K_MIN, _K_MAX + 1)], 5)
+
+
+def _rounding(whole, frac, half, unit):
+    """y = whole + frac rounded to the nearest multiple of ``unit`` (arrays
+    that broadcast): that multiple, whether it round-trips (lies within
+    ``half`` of y), whether that is certain (its distance not within
+    _REPR_EDGE of ``half``), and whether y is surely no tie (not within
+    _G17_TIE of one)."""
+    rem = whole % unit
+    # the exact int64 offset from the midpoint first: as a float, rem +
+    # frac loses the fraction once rem reaches 2**53
+    mid = (rem - unit // 2) + frac
+    step = unit * (mid > 0) - rem  # the rounding minus whole
+    distance = np.abs(step - frac)
+    return (
+        whole + step,
+        distance < half,
+        np.abs(distance - half) > _REPR_EDGE * half,
+        np.abs(mid) > _G17_TIE,
+    )
+
+
+def _shortest(x, whole, frac) -> tuple[np.ndarray, np.ndarray]:
+    """The rounding of each y = whole + frac = x 10**(16 - k) to the fewest
+    digits that round-trips, as a multiple of a power of ten in [1e16,
+    1e17], and whether it is certain: each rounding tried must be clear of
+    the half ulp by _REPR_EDGE, up to the shortest that round-trips, and
+    that one clear of a tie by _G17_TIE."""
+    half = np.spacing(x) / x * (whole + frac) * 0.5
+    n = whole + (frac > 0.5)  # 17 digits, unless 16 or 15 round-trip
+    ok = np.abs(frac - 0.5) > _G17_TIE
+    for unit in (10, 100):
+        rounded, fits, sure, no_tie = _rounding(whole, frac, half, unit)
+        n = np.where(fits, rounded, n)
+        ok = np.where(fits, no_tie, ok) & sure
+    short = np.flatnonzero(fits)
+    rounded, fits, sure, no_tie = _rounding(
+        whole[short, None], frac[short, None], half[short, None], _SHORT_UNITS
+    )
+    at = fits.any(axis=1)
+    fewest = np.where(at, np.argmax(fits, axis=1), _SHORT_UNITS.size - 1)
+    rows = np.arange(short.size)
+    n[short] = np.where(at, rounded[rows, fewest], n[short])
+    decided = sure | (np.arange(_SHORT_UNITS.size) > fewest[:, None])
+    ok[short] = np.where(at, no_tie[rows, fewest], ok[short]) & decided.all(axis=1)
+    return n, ok
+
+
+def _repr_floats(values: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each float64 of ``values``, as an object array.
+
+    With y = |v| 10**(16 - k) as in :func:`_g17`, the shortest text is the
+    rounding of y to the fewest digits d that round-trips: one whose
+    distance from y is below half an ulp of v on the same scale, (ulp(v)/v)
+    y/2.  A shorter rounding that round-trips implies that the longer ones
+    do, so d = 16 and d = 15 are tested on every value and d < 15 only
+    where 15 digits round-trip (:func:`_shortest`).  Zeros, non-finite
+    values, magnitudes outside (1e-280, 1e280), powers of two (whose
+    rounding interval is asymmetric), a distance within _REPR_EDGE of the
+    half ulp and a rounding within _G17_TIE of a tie go through
+    ``float.__repr__``.  The text is in fixed notation for -4 <= k <= 15,
+    else "d.ddde+XX".
+    """
+    mag = np.abs(values)
+    power_of_two = (values.view(np.int64) & _MANTISSA) == 0
+    fast = np.flatnonzero((mag > _G17_MIN) & (mag < _G17_MAX) & ~power_of_two)
+    fast, x, k, whole, frac = _decimal(values, fast, _g17_tables()[0])
+    n, ok = _shortest(x, whole, frac)
+    fast = fast[ok]
+    text = _layout(np.signbit(values[fast]), k[ok], n[ok], range(-4, 16), _repr_suffix(), True)
+    return _texts(values, fast, text, float.__repr__)
 
 
 def _json_floats(values: np.ndarray) -> np.ndarray:
     """Each float of ``values`` as ``json.dumps(value, allow_nan=False)``
     writes it (and raises on an infinity), NaN as null."""
-    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    texts = _repr_floats(values)
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         value = values.item(i)
         texts[i] = "null" if math.isnan(value) else json.dumps(value, allow_nan=False)
@@ -726,13 +863,16 @@ def _csv_chunks(tables: Iterable[Table]) -> Iterator[str]:
 def _jsonl_chunks(tables: Iterable[Table]) -> Iterator[str]:
     """One JSON object per row of ``tables``, as ``json.dumps(row,
     allow_nan=False)`` writes it with NaN as null, one string per
-    ``CSV_CHUNK_ROWS`` rows."""
-    line = None
+    ``CSV_CHUNK_ROWS`` rows: each row one join of its cells' texts with
+    the key texts between them, as constant columns."""
+    keys = None
     for chunk in _rechunked(tables):
-        if line is None:
-            keys = (json.dumps(key).replace("%", "%%") + ": %s" for key in chunk.columns)
-            line = "{" + ", ".join(keys) + "}"
-        yield "\n".join(map(line.__mod__, zip(*_chunk_text(chunk, _JSON_CELL)))) + "\n"
+        if keys is None:
+            names = list(map(json.dumps, chunk.columns))
+            keys = [repeat(f"{{{names[0]}: "), *(repeat(f", {name}: ") for name in names[1:])]
+        cells = _chunk_text(chunk, _JSON_CELL)
+        columns = [part for key, col in zip(keys, cells) for part in (key, col)]
+        yield "".join(map("".join, zip(*columns, repeat("}\n"))))
 
 
 def rows_to_csv(table: Table) -> str:

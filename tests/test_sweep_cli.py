@@ -193,6 +193,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
 
+    def test_config_file_line_ends(self, tmp_path):
+        # LF, CRLF and CR end a line, as in a file read in text mode
+        path = tmp_path / "ends.cfg"
+        path.write_bytes(b"topology = cylinder\r\nell = 1.0\rnmax = 7\n# x = 1\r\n")
+        assert parse_config_file(str(path)) == {"topology": "cylinder", "ell": "1.0", "nmax": "7"}
+
+    def test_config_file_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes("nmax = 7\n".encode("utf-16"))  # starts with the BOM ff fe
+        with pytest.raises(ConfigError) as raised:
+            parse_config_file(str(path))
+        assert str(raised.value) == (
+            f"{path}: not UTF-8: byte 0xff at offset 0 (invalid start byte)"
+        )
+        path.write_bytes(b"nmax = 7\nell = caf\xe9\n")
+        with pytest.raises(ConfigError, match=r": not UTF-8: byte 0xe9 at offset 18 "):
+            parse_config_file(str(path))
+
 
 class TestSweep:
     def test_row_count_and_order(self):
@@ -267,6 +285,19 @@ class TestExtremeSeparations:
             x = elements_for(p, pair, Topology.minkowski()).x
             want = math.exp(-r["omega"] ** 2) / (4.0 * math.sqrt(math.pi) * length)
             assert x.imag == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("length", [5e-324, 1e-320, 2.225073858507201e-308])
+    def test_subnormal_separation_row(self, length):
+        # the row fails at the separation check, which names the smallest
+        # normal float, not on the state that x ~ 1/L makes non-finite
+        rows = run_sweep(SweepConfig(omega=self.OMEGA, l=GridAxis(length, length, 1)))
+        for r in rows:
+            assert r["l"] == length
+            assert r["error"] == (
+                "DomainError: the closed forms take separations from "
+                f"2.2250738585072014e-308 sigma, the smallest normal float, this one is "
+                f"{length!r} sigma"
+            )
 
     @pytest.mark.parametrize("length", [1e-10, 1e-100])
     def test_trace_failure_names_its_cause(self, length):
@@ -1191,6 +1222,17 @@ class TestSlabs:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: ")
         assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "show-config"])
+    def test_config_file_not_utf8_is_an_error(self, tmp_path, command):
+        config = tmp_path / "utf16.cfg"
+        config.write_bytes(b"\xff\xfen\x00m\x00a\x00x\x00")
+        path = tmp_path / "rows.csv"
+        args = [command, "--config", str(config)] + (["--out", str(path)] if command == "sweep" else [])
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {config}: not UTF-8: byte 0xff at offset 0 (invalid start byte)\n"
+        assert result.stdout == "" and not path.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["sweep", "oracle"])
     def test_memory_does_not_grow_with_the_grid(self, tmp_path, extra):
