@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     from .geometry import Topology
 
 __all__ = [
+    "GRID_POINT_LIMIT",
     "NMAX_LIMIT",
     "OUTPUT_DIR_ENV",
     "GridAxis",
@@ -47,6 +48,11 @@ OUTPUT_DIR_ENV = "UDWPAIR_OUT_DIR"
 #: a list of the 2 nmax image numbers, about 70 MB at this bound; a larger
 #: nmax is a ConfigError before anything is allocated.
 NMAX_LIMIT = 10**6
+
+#: Largest grid a run accepts, in points (omega x l x theta x ell values):
+#: a 1024 x 1024 grid.  A larger grid, which would take hours or fail to
+#: allocate its axes, is a ConfigError before anything is allocated.
+GRID_POINT_LIMIT = 1 << 20
 
 
 class TopologyKind(enum.Enum):
@@ -120,6 +126,12 @@ class SweepConfig:
         self.omega.validate("omega")
         self.l.validate("l")
         self.theta.validate("theta")
+        points = self.omega.count * self.l.count * self.theta.count * len(self.ell_values())
+        if points > GRID_POINT_LIMIT:
+            raise ConfigError(
+                f"the grid has {points} points (omega x l x theta x ell), more than "
+                f"the {GRID_POINT_LIMIT} a run takes"
+            )
         if self.l.start <= 0.0:
             raise ConfigError("separations must satisfy L > 0")
         if not (math.isfinite(self.eps0) and self.eps0 > 0.0):

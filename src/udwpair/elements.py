@@ -61,9 +61,15 @@ the pair's coordinates and ell over sigma to a batch of one point, and
 raises the point's error, so it agrees exactly with the batch at sigma = 1
 and its error texts give lengths in units of sigma.
 
-The scipy.special functions (erfc, erfcx, wofz, dawsn) are imported where
-the kernels use them, at the first element evaluation, so importing the
-package and resolving a configuration do not load scipy.
+The special functions are one numpy kernel, :func:`_faddeeva`, the
+Faddeeva function w(z) = e^{-z^2} erfc(-iz) in the upper half-plane by
+Weideman's rational approximation with N = 40 terms (J. A. C. Weideman,
+SIAM J. Numer. Anal. 31, 1497 (1994)).  The self term's erfcx and erfc,
+Dawson's integral of the nonlocal term and Im w of the exchange term all
+come from it, so evaluating an element loads no module beyond numpy.
+The gap envelope e^{-y^2} of all three terms is the exponential of y^2
+split into a rounded square and its exact error (:func:`_gap_envelope`),
+so it keeps full relative accuracy up to its underflow at |y| ~ 27.3.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -112,14 +120,30 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-#: Region |x| <= _SERIES_X, y <= _SERIES_Y (x = sigma*Omega, y = rho/2) where
-#: Im erfcx(|x| + iy) = Im w(-y + i|x|) is summed from its Taylor series in
-#: y, for both gap signs: scipy's Faddeeva routine keeps only
-#: absolute accuracy in Im w there (errors up to 2.3e-13 relative), while the
-#: series (_SERIES_TERMS odd orders) stays within 3e-14.
-_SERIES_X = 8.0
-_SERIES_Y = 0.3
-_SERIES_TERMS = 10
+#: Weideman's w(z) with N = 40 terms: L = sqrt(N / sqrt 2) and the real
+#: coefficients a_1..a_N of p(Z) (:func:`_faddeeva_block`), each the
+#: correctly rounded value of a_n = (1/2M) sum_{|k| < M} f(t_k) cos(n theta_k),
+#: M = 2N, theta_k = k pi/M, t_k = L tan(theta_k/2), f(t) = e^{-t^2} (L^2 + t^2)
+#: (tests/test_special.py recomputes them with mpmath).
+_WEIDEMAN_L = math.sqrt(40.0 / math.sqrt(2.0))
+_WEIDEMAN_COEFFS = (
+    2.8996245093897053, 2.61605415276186, 2.201513794878312, 1.7253830848179779,
+    1.2563815675765133, 0.8472174576593818, 0.5266528988277086, 0.29989437996150065,
+    0.15504263802479495, 0.07182361779074337, 0.029202916471241867, 0.010048186242783424,
+    0.0027054056330737914, 0.0004398070159869668, -3.939363145489569e-05,
+    -5.591309264248318e-05, -1.8007447144750956e-05, -1.0660138984947143e-06,
+    1.483566113220078e-06, 5.912136951899494e-07, 1.4198642399935674e-08,
+    -6.35177348504429e-08, -1.8315616783040462e-08, 3.2497465180436973e-09,
+    3.0177805400090707e-09, 2.1086006347066517e-10, -3.5632339865976533e-10,
+    -9.055124450928292e-11, 3.47272670930455e-11, 1.7714495214011192e-11,
+    -2.7276023158200452e-12, -2.907688342182867e-12, 1.2031458219387989e-13,
+    4.5329666782606727e-13, 1.37256205867155e-14, -7.074086260286855e-14,
+    -5.409310282882142e-15, 1.1357687198999241e-14, 1.128073562364402e-15,
+    -1.899694947394927e-15,
+)
+#: Points per block of the w kernel, whose (4 x block) complex arrays
+#: stay in cache.
+_FADDEEVA_BLOCK = 2048
 #: From y = _CF_Y on, the self term's 1 - sqrt(pi) y erfcx(y)
 #: is summed as a continued fraction (_CF_TERMS terms, backwards): the
 #: direct subtraction loses up to three digits by y = 24, while with the
@@ -226,9 +250,9 @@ def _raise_first(errors: np.ndarray) -> None:
 
 
 def complex_array(re, im) -> np.ndarray:
-    """Complex array with the given real and imaginary parts, both exact."""
-    re, im = np.broadcast_arrays(re, im)
-    out = np.empty(re.shape, dtype=complex)
+    """Complex array with the given real and imaginary parts (arrays of one
+    shape), both exact."""
+    out = np.empty(np.shape(re), dtype=complex)
     out.real = re
     out.imag = im
     return out
@@ -249,12 +273,115 @@ def joint_excitation(a, b, x, c):
         return ax * ax + a * b + 2.0 * (ac * ac)
 
 
-def _special():
-    # imported here: scipy.special is most of the package's import time, and
-    # show-config, --help and config errors evaluate no element
-    import scipy.special
+def veltkamp_split(a):
+    """Veltkamp's split of doubles into halves of 26 bits: hi + lo == a
+    (for |a| below about 1.3e300, where 2**27 a overflows)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
-    return scipy.special
+
+def _gap_envelope(y):
+    """e^{-y^2} for arrays, from y^2 = hi + lo, hi the rounded square and
+    lo its error (Dekker's two-product), as e^{-hi} (1 - lo): exp of the
+    rounded square alone is off by up to y^2 eps/2 relative.  |y| is
+    capped at 64 before the split, which cannot overflow there, and past
+    27.3 e^{-hi} underflows to 0 either way."""
+    y = np.minimum(np.abs(y), 64.0)
+    hi = y * y
+    y_hi, y_lo = veltkamp_split(y)
+    lo = ((y_hi * y_hi - hi) + 2.0 * (y_hi * y_lo)) + y_lo * y_lo
+    return np.exp(-hi) * (1.0 - lo)
+
+
+@cache
+def _weideman_chains() -> np.ndarray:
+    """p(Z) = sum_j Z^j P_j(Z^4) (j = 0..3) with each P_j in powers of
+    e = Z^4 - 1: entry [k, j] of the (10, 4, 1) table is the coefficient of
+    e^k in 2 P_j, 2 sum_m C(m, k) a_(4m+j+1), correctly rounded from the
+    exact sum of the frozen a_n (the factor 2 of w's 2 u p(Z), which
+    changes no bit).  Built at the first call."""
+    a = [Fraction(c) for c in _WEIDEMAN_COEFFS]
+    shifted = [
+        [float(2 * sum(math.comb(m, k) * a[4 * m + j] for m in range(k, 10))) for j in range(4)]
+        for k in range(10)
+    ]
+    table = np.array(shifted, dtype=complex).reshape(10, 4, 1)
+    table.flags.writeable = False
+    return table
+
+
+def _faddeeva_block(x, y) -> np.ndarray:
+    """w(x + iy) on 1-D arrays with y >= 0, by Weideman's form: with
+    u = 1/(L - iz) and Z = (L + iz)/(L - iz),
+
+        w(z) = u (1/sqrt(pi) + 2 u p(Z)),   p(Z) = sum_k a_(k+1) Z^k.
+
+    Near the imaginary axis Im w is far below |w|, and it is carried by the
+    small imaginary parts of Z and of its powers, which the rounding of a
+    power near 1 would swamp.  So no power of Z is formed: p is summed as
+    four Horner chains in e = Z^4 - 1 (:func:`_weideman_chains`) and
+    combined by q Z = q + q (Z - 1).  Z - 1 = 2iz u and Z + 1 = 2L u are
+    formed free of cancellation, and e = (Z^2 - 1)(Z^2 + 1) with
+    Z^2 - 1 = (Z - 1)(Z + 1); only Z^2 + 1 cancels, near Z = +-i (z = +-L),
+    where Im w is of the order of |w|.
+    With x and L + y scaled by the larger of them, nothing overflows at
+    any finite z.  Each complex product goes to an array that is none of
+    its inputs: numpy rounds an in-place complex product in another loop
+    than one with a separate output, and a point's bits must not depend on
+    its batch."""
+    a = _WEIDEMAN_L + y
+    s = np.maximum(a, np.abs(x))
+    a_s, x_s, y_s = a / s, x / s, y / s
+    xx = x_s * x_s
+    q = a_s * a_s + xx
+    u = complex_array(a_s / q / s, x_s / q / s)
+    # Z - 1, whose real part is -2 (x^2 + y^2 + L y)/|L - iz|^2
+    z_minus = complex_array(
+        -2.0 * (xx + y_s * (y_s + _WEIDEMAN_L / s)) / q, (2.0 * _WEIDEMAN_L) * u.imag
+    )
+    sq_minus = z_minus * ((2.0 * _WEIDEMAN_L) * u)
+    chains = _weideman_chains()
+    e = np.empty((len(chains[0]), x.size), dtype=complex)
+    np.multiply(sq_minus, sq_minus + 2.0, out=e)
+    acc = chains[-1] * e
+    tmp = np.empty_like(acc)
+    for column in chains[-2:0:-1]:
+        np.add(acc, column, out=tmp)
+        np.multiply(tmp, e, out=acc)
+    np.add(acc, chains[0], out=tmp)
+    p0, p1, p2, p3 = tmp  # 2 P_j
+    p = p3 + p3 * z_minus + p2
+    p = p + p * z_minus + p1
+    p = p + p * z_minus + p0
+    return u * (u * p + 1.0 / _SQRT_PI)
+
+
+def _faddeeva(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(Re w, Im w) of the Faddeeva function w(z) = e^{-z^2} erfc(-iz) at
+    z = x + iy, y >= 0, for arrays that broadcast: within 2e-15 relative
+    of the parts that the element kernels take (Re w on the imaginary
+    axis, Im w elsewhere), finite at any finite z.
+
+    The points are evaluated in blocks of _FADDEEVA_BLOCK, as 1-D arrays
+    (numpy's 0-d complex arithmetic rounds differently from its array
+    loops), so every point's value is the same in any batch."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    re, im = np.empty(x.size), np.empty(x.size)
+    for start in range(0, x.size, _FADDEEVA_BLOCK):
+        block = slice(start, start + _FADDEEVA_BLOCK)
+        w = _faddeeva_block(x[block], y[block])
+        re[block], im[block] = w.real, w.imag
+    return re.reshape(shape), im.reshape(shape)
+
+
+def _erfcx(y):
+    """The scaled complement e^{y^2} erfc(y) = Re w(iy) for arrays y >= 0."""
+    return _faddeeva(0.0, y)[0]
 
 
 def _piecewise(cases, *args):
@@ -267,10 +394,17 @@ def _piecewise(cases, *args):
     return out
 
 
-def _self_term_nonnegative(y):
-    # the scaled complement erfcx keeps the product finite; the subtraction
-    # cancels like 1/2y^2, hence _self_term_large_gap from _CF_Y on
-    return np.exp(-y * y) * (1.0 - _SQRT_PI * y * _special().erfcx(y)) / (4.0 * math.pi)
+def _self_term_small_gap(y):
+    """The self term for y < _CF_Y from erfcx(|y|): at y >= 0 as
+    e^{-y^2} (1 - sqrt(pi) y erfcx(y)), where the scaled complement keeps
+    the product finite (the subtraction cancels like 1/2y^2, hence
+    :func:`_self_term_large_gap` from _CF_Y on), and at y < 0 from
+    erfc(y) = 2 - e^{-y^2} erfcx(-y)."""
+    envelope = _gap_envelope(y)
+    scaled = _erfcx(np.abs(y))
+    nonnegative = envelope * (1.0 - _SQRT_PI * y * scaled)
+    negative = envelope - _SQRT_PI * y * (2.0 - envelope * scaled)
+    return np.where(y < 0.0, negative, nonnegative) / (4.0 * math.pi)
 
 
 def _self_term_large_gap(y):
@@ -281,43 +415,16 @@ def _self_term_large_gap(y):
     k = 0.0
     for j in range(_CF_TERMS, 0, -1):
         k = (0.5 * j) / (y + k)
-    return np.exp(-y * y) * (k / (y + k)) / (4.0 * math.pi)
-
-
-def _self_term_negative(y):
-    return (np.exp(-y * y) - _SQRT_PI * y * _special().erfc(y)) / (4.0 * math.pi)
+    return _gap_envelope(y) * (k / (y + k)) / (4.0 * math.pi)
 
 
 def self_excitation_array(y):
     """A/eps0^2 as a function of y = sigma*Omega, for arrays."""
     y = np.asarray(y, dtype=float)
     return _piecewise(
-        (
-            ((y >= 0.0) & (y < _CF_Y), _self_term_nonnegative),
-            (y >= _CF_Y, _self_term_large_gap),
-            (y < 0.0, _self_term_negative),
-        ),
+        ((y < _CF_Y, _self_term_small_gap), (y >= _CF_Y, _self_term_large_gap)),
         y,
     )
-
-
-def _im_erfcx_series(x, y):
-    """Im erfcx(x + iy) = sum_m (-1)^m u^(2m+1)(x) y^(2m+1) / (2m+1)! with
-    u = erfcx, u' = 2xu - 2/sqrt(pi) and u^(n+1) = 2x u^(n) + 2n u^(n-1)."""
-    prev = _special().erfcx(x)
-    cur = 2.0 * x * prev - 2.0 / _SQRT_PI
-    term = y
-    total = cur * term
-    for m in range(1, _SERIES_TERMS):
-        prev, cur = cur, 2.0 * x * cur + 2.0 * (2 * m - 1) * prev
-        prev, cur = cur, 2.0 * x * cur + 4.0 * m * prev
-        term = -term * (y * y) / (2 * m * (2 * m + 1))
-        total = total + cur * term
-    return total
-
-
-def _im_erfcx_faddeeva(x, y):
-    return _special().wofz(complex_array(-y, x)).imag
 
 
 def _exchange_bracket(x, y):
@@ -332,10 +439,8 @@ def _exchange_bracket(x, y):
     where e^{-y^2} sin(2xy) alone would swamp it, and its two terms do not
     cancel at negative x.
     """
-    ax = np.abs(x)
-    series = (ax <= _SERIES_X) & (y <= _SERIES_Y)
-    out = _piecewise(((series, _im_erfcx_series), (~series, _im_erfcx_faddeeva)), ax, y)
-    out *= -np.exp(-x * x)
+    out = _faddeeva(-y, np.abs(x))[1]
+    out *= -_gap_envelope(x)
     neg = x < 0.0
     out[neg] -= 2.0 * np.exp(-y[neg] * y[neg]) * np.sin(2.0 * x[neg] * y[neg])
     return out
@@ -364,9 +469,9 @@ def nonlocal_array(y, rho):
     y = np.asarray(y, dtype=float)
     rho = np.asarray(rho, dtype=float)
     half = rho / 2.0
-    envelope = np.exp(-(y * y))
-    bracket = complex_array(-2.0 / _SQRT_PI * _special().dawsn(half), np.exp(-half * half))
-    return 1.0 / (4.0 * _SQRT_PI * rho) * envelope * bracket
+    # (2/sqrt(pi)) D(rho/2) = Im w(rho/2)
+    bracket = complex_array(-_faddeeva(half, 0.0)[1], np.exp(-half * half))
+    return 1.0 / (4.0 * _SQRT_PI * rho) * _gap_envelope(y) * bracket
 
 
 #: The smallest separation the closed forms take, the smallest normal

@@ -85,7 +85,14 @@ from .config import (
     parse_config_file,
     parse_range,
 )
-from .elements import TruncationTally, elements_batch, image_terms, modulus, new_errors
+from .elements import (
+    TruncationTally,
+    elements_batch,
+    image_terms,
+    modulus,
+    new_errors,
+    veltkamp_split,
+)
 from .entanglement import xstate_measures_batch
 from .errors import ConfigError
 from .geometry import Topology, WorldlinePair, separation_array
@@ -569,13 +576,6 @@ _K_MIN, _K_MAX = -281, 281
 _ZERO, _POINT, _MINUS, _NEWLINE = np.frombuffer(b"0.-\n", np.uint8)
 
 
-def _split(a):
-    """Veltkamp's split of doubles into halves of 26 bits: hi + lo == a."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 def _ascii(texts, width: int) -> np.ndarray:
     """The texts as rows of ``width`` bytes, NUL-padded."""
     rows = b"".join(t.encode().ljust(width, b"\0") for t in texts)
@@ -602,7 +602,7 @@ def _g17_tables():
     prefix = _ascii(["0." + "0" * (-k - 1) if k < 0 and k in fixed else "" for k in exponents], 5)
     suffix = _ascii(["" if k in fixed else "e%+03d" % k for k in exponents], 5)
     digits = np.arange(10**4, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
-    pow10 = (*_split(np.array(hi)), np.array(lo))
+    pow10 = (*veltkamp_split(np.array(hi)), np.array(lo))
     digits = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
     return pow10, prefix, suffix, digits
 
@@ -613,7 +613,7 @@ def _scaled(x, k, pow10):
     hi_hi, hi_lo, lo = pow10
     i = k - _K_MIN
     b_hi, b_lo = hi_hi[i], hi_lo[i]
-    a_hi, a_lo = _split(x)
+    a_hi, a_lo = veltkamp_split(x)
     p = x * (b_hi + b_lo)
     # x * hi - p exactly (Dekker's two-product)
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo

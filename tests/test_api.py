@@ -1,8 +1,8 @@
 """The documented API: the README quick start runs as written, every
 exported name exists and the package names load their modules lazily,
 the CLI starts and reports its configuration without loading numpy,
-scipy or mpmath, no module imports a name it never uses, and the package
-neither imports scipy.integrate nor calls numpy.linalg."""
+scipy or mpmath, no command loads scipy, no module imports a name it never
+uses, and the package neither imports scipy nor calls numpy.linalg."""
 
 import ast
 import contextlib
@@ -80,9 +80,8 @@ EVALUATION_MODULES = (
 
 def test_cli_start_up_loads_no_scipy_or_mpmath():
     # numpy and the evaluation modules load at the first command that
-    # evaluates, scipy.special at the first element evaluation;
-    # scipy.integrate and mpmath (only tests and the benchmark reference)
-    # are never needed before that.  The README fig2 show-config, --help
+    # evaluates; scipy and mpmath (only tests and the benchmark reference)
+    # are never needed.  The README fig2 show-config, --help
     # and a config error (exit 1) evaluate nothing, so none of them may
     # load any of these.
     commands = [
@@ -110,6 +109,33 @@ print(" ".join(m for m in {EVALUATION_MODULES!r} if m in sys.modules))
     assert codes == "[0, 0, 1]"
     assert loaded == ""
     assert evaluation == ""
+
+
+def test_evaluating_commands_load_no_scipy():
+    # the special functions are the package's own numpy kernel: no command
+    # loads any scipy module, the oracle and the quotients included
+    commands = [
+        ["sweep", "--omega-range", "-3:3:4", "--l-range", "0.5:4:3"],
+        ["sweep", "--topology", "cylinder", "--ell", "0.5,1", "--omega-range", "-3:3:5",
+         "--l-range", "1:1:1"],
+        ["diffmap", "--topology", "twisted", "--ell", "1", "--d-a", "0.1",
+         "--omega-range", "-3:3:3", "--l-range", "0.5:4:3"],
+        ["verify", "--omega-range", "-2:2:3", "--l-range", "0.5:4:2"],
+        ["verify", "--topology", "cylinder", "--ell", "1", "--omega-range", "-3:3:3",
+         "--l-range", "0.25:8:2"],
+        ["sweep", "--oracle", "--format", "jsonl", "--omega-range", "-3:3:3",
+         "--l-range", "0.25:8:2"],
+    ]
+    code = f"""
+import contextlib, io, sys, warnings
+import udwpair.cli
+warnings.simplefilter("ignore")
+for args in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        udwpair.cli.main(args, standalone_mode=False)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _fresh_interpreter(code) == "[]\n"
 
 
 def test_package_names_resolve_lazily_to_their_home_objects():
@@ -160,8 +186,8 @@ def test_no_unused_module_imports(path):
 
 
 def _test_only_uses(path: Path) -> list[str]:
-    """Imports of ``scipy.integrate`` and reads of a ``linalg`` attribute
-    anywhere in ``path``, function bodies included."""
+    """Imports of ``scipy`` (any module of it) and reads of a ``linalg``
+    attribute anywhere in ``path``, function bodies included."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -175,7 +201,7 @@ def _test_only_uses(path: Path) -> list[str]:
             continue
         for module in modules:
             parts = module.split(".")
-            if parts[:2] == ["scipy", "integrate"] or "linalg" in parts:
+            if parts[0] == "scipy" or "linalg" in parts:
                 found.append(f"{path.name}:{node.lineno}: import {module}")
     return found
 
@@ -186,6 +212,6 @@ def _test_only_uses(path: Path) -> list[str]:
     ids=lambda path: f"{path.parent.name}/{path.name}",
 )
 def test_package_uses_no_integrate_or_linalg(path):
-    # the -i eps oracle (scipy.integrate) and the eigenvalue-exact measures
-    # (numpy.linalg) are the tests' references, in tests/references.py
+    # the -i eps oracle (scipy.integrate), scipy.special and the
+    # eigenvalue-exact measures (numpy.linalg) are the tests' references
     assert _test_only_uses(path) == []

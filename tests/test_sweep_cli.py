@@ -37,7 +37,7 @@ from udwpair import (
     xstate_measures,
 )
 from udwpair.cli import main
-from udwpair.config import NMAX_LIMIT
+from udwpair.config import GRID_POINT_LIMIT, NMAX_LIMIT
 from udwpair.elements import self_excitation_array
 from udwpair.entanglement import Measures
 from udwpair.geometry import image_separation_array
@@ -884,6 +884,32 @@ class TestCli:
             assert result.exit_code == 1
             assert result.exception is None or isinstance(result.exception, SystemExit)
             assert result.stderr == f"error: nmax must be <= 1000000, got {nmax}\n"
+
+    def test_grid_at_its_bound_resolves(self):
+        # validation only: a 1024 x 1024 grid is the largest a run takes
+        cfg = config_from_mapping({"omega": "0:1:1024", "l": "1:2:1024"})
+        assert cfg.omega.count * cfg.l.count == GRID_POINT_LIMIT
+
+    @pytest.mark.parametrize(
+        "axes, points",
+        [
+            (["--omega-range", "0:0:99999999999999999999"], 64 * 99999999999999999999),
+            (["--omega-range", "0:1:100000", "--l-range", "1:2:100000"], 10**10),
+            (["--omega-range", "0:1:1024", "--l-range", "1:2:1025"], 1024 * 1025),
+            (["--topology", "cylinder", "--ell", "1,2", "--omega-range", "0:1:1024",
+              "--l-range", "1:2:1024"], 2 * 1024 * 1024),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "diffmap", "verify", "show-config"])
+    def test_grid_beyond_its_bound_is_a_validation_error(self, command, axes, points):
+        # refused before an axis is allocated: such a run is never started
+        result = CliRunner().invoke(main, [command, *axes])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == (
+            f"error: the grid has {points} points (omega x l x theta x ell), more than "
+            f"the {GRID_POINT_LIMIT} a run takes\n"
+        )
 
     @pytest.mark.parametrize("command", [["verify"], ["sweep", "--oracle"]])
     def test_oracle_at_a_gap_whose_square_overflows(self, command):
