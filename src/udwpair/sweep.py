@@ -25,14 +25,11 @@ evaluates each slab in one batched numpy pass in the calling process
 gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.
 Every point's values are independent of the slab it lies in, and an ell
 block's image sums warn about their truncation once, after its last slab.
-The quadrature oracle (``verify`` and ``sweep --oracle``) integrates each
-slab on its own, in two batch calls on the integrals of all its points:
-the self terms in one :func:`udwpair.wightman.oracle_a_batch` and the x
-and c integrals in one pole pairing, each of which integrates every
-distinct |gap| and (|gap|, separation) once; nothing is kept across
-slabs.  In ``sweep --oracle`` a point whose oracle fails keeps its
-closed-form and measure values: its ``oracle_dev_*`` columns are NaN and
-its ``error`` names the oracle's exception.
+The quadrature oracle (``verify`` and ``sweep --oracle``) is one
+:func:`udwpair.wightman.oracle_batch` call per slab, on all its points;
+nothing is kept across slabs.  In ``sweep --oracle`` a point whose oracle
+fails keeps its closed-form and measure values: its ``oracle_dev_*``
+columns are NaN and its ``error`` names the oracle's exception.
 
 :func:`sweep_slabs`, :func:`difference_map_slabs` and
 :func:`verification_slabs` validate the configuration at the call and
@@ -48,20 +45,14 @@ digits (so identical configurations give identical bytes) and text quoted
 as RFC 4180 says where it holds a comma, a double quote, CR or LF; JSONL
 as ``json.dumps`` of each row.
 
-CSV floats are exactly ``"%.17g"``.  Their digits are computed in numpy
-from a double-double product with a power of ten (:func:`_g17`); zeros,
-non-finite values, extreme magnitudes and near-ties go through Python's
-``"%.17g"``.  The float columns of a chunk are deduplicated together, so
-each distinct value of the chunk is formatted once.
-
-JSONL floats are exactly ``float.__repr__``, as ``json.dumps`` writes
-them, with NaN as ``null`` (an infinity raises, as in ``json.dumps(row,
-allow_nan=False)``).  :func:`_repr_floats` finds their shortest digits in
-numpy from the same double-double product: the fewest digits whose
-rounding lies within half an ulp of the value.  Zeros, extreme
-magnitudes, powers of two and values near a rounding edge or a tie go
-through ``float.__repr__``.  Each JSONL row is one join of its cells'
-texts with the key texts between them.
+CSV floats are exactly ``"%.17g"`` (:func:`_g17`), JSONL floats exactly
+``float.__repr__`` as ``json.dumps`` writes them, with NaN as ``null``
+(:func:`_repr_floats`; an infinity raises, as in ``json.dumps(row,
+allow_nan=False)``).  Both take their digits in numpy from a double-double
+product with a power of ten, and leave the values they cannot settle to
+Python.  The float columns of a chunk are deduplicated together, so each
+distinct value of the chunk is formatted once; each JSONL row is one join
+of its cells' texts with the key texts between them.
 """
 
 from __future__ import annotations
@@ -296,82 +287,18 @@ def _deviation(closed, oracle, floor: float = 1.0) -> np.ndarray:
     return modulus(closed - oracle) / np.maximum(floor, modulus(closed))
 
 
-def _failed(rows: int, exc: Exception) -> tuple[np.ndarray, list]:
-    """The result of a batch call that raised ``exc``: NaN and ``exc`` in
-    each of its ``rows``."""
-    return np.full(rows, math.nan), [exc] * rows
-
-
-def _oracle(errors: np.ndarray, gaps: np.ndarray, separations: list) -> tuple:
-    """The oracle's self term at the gaps ``gaps`` (a column) and, per array
-    of ``separations``, its x quadrature and exchange integral at them,
-    each of the points' shape (that of ``errors``).
-
-    The points without an error take part: their self terms are one
-    :func:`udwpair.wightman.oracle_a_batch` call, and their x and c
-    integrals one pole pairing (``wightman._oracle_xc_batch``), whose X
-    rows are the distinct separations; each call integrates each distinct
-    integral of its rows once.  A call that
-    raises fails its own rows.  A point whose integral failed gets in
-    ``errors`` the exception of its first failing integral in the order a,
-    then x and c of each array of separations.  Every value of a point
-    with an error is NaN.
-    """
-    flat = errors.reshape(-1)
-    todo = np.flatnonzero(np.equal(flat, None))
-    n, terms = todo.size, len(separations)
-    oracle_a = np.full(flat.size, math.nan)
-    quad, oracle_c = (np.full((terms, flat.size), math.nan, dtype=complex) for _ in range(2))
-    if n:
-
-        def at_todo(v) -> np.ndarray:
-            return np.broadcast_to(v, errors.shape).reshape(-1)[todo]
-
-        gap = at_todo(gaps)
-        sep = np.concatenate([at_todo(r) for r in separations])
-        try:
-            a = wightman.oracle_a_batch(gap)
-        except Exception as exc:
-            a = _failed(n, exc)
-        distinct, sep_of = np.unique(sep, return_inverse=True)
-        try:
-            c, x = wightman._oracle_xc_batch(np.tile(gap, terms), sep, distinct)
-        except Exception as exc:
-            c = x = _failed(n * terms, exc)
-        else:
-            # the X rows are the distinct separations: map them back to each
-            x = x[0][sep_of], np.fromiter(x[1], object, distinct.size)[sep_of].tolist()
-        ok = np.ones(n, dtype=bool)
-        for part in [a[1]] + [e[t * n:(t + 1) * n] for t in range(terms) for e in (x[1], c[1])]:
-            if part.count(None) < n:  # an integral of this part failed
-                part = np.fromiter(part, object, n)
-                failed = ok & np.not_equal(part, None)
-                flat[todo[failed]] = part[failed]
-                ok &= ~failed
-        keep = todo[ok]
-        oracle_a[keep] = a[0][ok]
-        quad[:, keep] = np.reshape(x[0], (terms, n))[:, ok]
-        oracle_c[:, keep] = np.reshape(c[0], (terms, n))[:, ok]
-    shape = (terms, *errors.shape)
-    return oracle_a.reshape(errors.shape), list(zip(quad.reshape(shape), oracle_c.reshape(shape)))
-
-
 def _oracle_deviations(slab: _Slab, errors: np.ndarray, mink, images=()) -> tuple:
-    """The deviations of the Minkowski a, x and c of the slab from the
-    oracle and, per image (l_n, x_n, c_n) of ``images``, those of x_n and
-    c_n: dev_a and a list of (dev_x, dev_c), the Minkowski term's first.
-    The deviation of x is relative to |x| (floored at the smallest normal
-    float), those of a and c to max(1, |v|).  ``errors`` is as in
-    :func:`_oracle`."""
+    """The deviations from :func:`udwpair.wightman.oracle_batch` (which
+    records its errors in ``errors``) of the Minkowski a, x and c of the
+    slab and, per image (l_n, x_n, c_n) of ``images``, of x_n and c_n:
+    dev_a and a list of (dev_x, dev_c), the Minkowski term's first.  Those
+    of x are relative to |x| (at least the smallest normal float), the
+    others to max(1, |v|)."""
     terms = [(separation_array(slab.pair), mink.x, mink.c), *zip(*images)]
-    gaps = slab.gaps()
-    oracle_a, integrals = _oracle(errors, gaps, [r for r, _, _ in terms])
-    envelope = np.array(
-        [wightman.oracle_x_envelope(om) for om in gaps.ravel().tolist()]
-    ).reshape(gaps.shape)
+    oracle_a, integrals = wightman.oracle_batch(slab.gaps(), [r for r, _, _ in terms], errors)
     devs = [
-        (_deviation(x, envelope * quad, _X_FLOOR), _deviation(c, oracle_c))
-        for (_, x, c), (quad, oracle_c) in zip(terms, integrals)
+        (_deviation(x, oracle_x, _X_FLOOR), _deviation(c, oracle_c))
+        for (_, x, c), (oracle_x, oracle_c) in zip(terms, integrals)
     ]
     return _deviation(mink.a, oracle_a), devs
 
@@ -449,10 +376,11 @@ def difference_map_slabs(config: SweepConfig) -> Iterator[Table]:
         mink = _minkowski_elements(config, slab, slab.errors)
         corr_top = xstate_measures_batch(top, config.eps0, slab.errors).corr
         corr_mink = xstate_measures_batch(mink, config.eps0, slab.errors).corr
+        # no difference where a point failed, whose correlations may be inf
         return {
             "corr_minkowski": corr_mink,
             "corr_topology": corr_top,
-            "corr_diff": corr_mink - corr_top,
+            "corr_diff": np.where(np.equal(slab.errors, None), corr_mink, math.nan) - corr_top,
         }
 
     return _tabulate(config, evaluate)

@@ -32,56 +32,42 @@ Quadrature is composite Gauss-Legendre on one grid, 32-node panels of
 width 3/2^level from s = 0 (:func:`_pairing_grid`), with panel doubling
 (:func:`_refine`), for many integrands in one numpy pass.  A row at
 separation r covers s up to r + 24 (``_WINDOW_SIGMAS``) in whole base
-panels, ceil((r + 24)/3) of them and at least 8: the window terms it
-leaves out are at most e^{-24^2/4} = e^{-144} < 2^-200 of the window's
-peak.  Each row stops at its own refinement level, so its value does
-not depend on the other rows of the batch, bit for bit.
-:func:`oracle_a_batch` integrates the
-self term of all gaps at once, in real arithmetic, on that grid as at
-r = 0 (8 panels, span 24): the Hadamard pairing of e^{-u^2/4 - i y u} is
+panels, at least 8: the window terms it leaves out are at most e^{-144} <
+2^-200 of the window's peak.  Each row stops at its own refinement level,
+so its value does not depend on the other rows, bit for bit.  The self
+term is that grid at r = 0, in real arithmetic: the Hadamard pairing of
+e^{-u^2/4 - i y u} is
 
     [2 e^{-s^2/4} cos(y s) - 2]/s^2
         = [-4 e^{-s^2/4} sin^2(y s/2) + 2 expm1(-s^2/4)]/s^2,
 
 even in y, so each |y| is one row: one dot product of its sin^2 table
-with a gap-free weight table, plus a gap-free constant, and no
-cancellation at small s.  The exchange element and the X time integral
-pair the pole at u = r as
+with a gap-free weight table, plus a constant, and no cancellation at
+small s.  The exchange element and the X time integral pair the pole as
 
     f(r+s) - f(r-s) = e^{-i y r} [(g(r+s) - g(r-s)) cos(y s)
                                   - i (g(r+s) + g(r-s)) sin(y s)]
 
 with g the Gaussian window, so rows of any (gap, separation) lie on one
-panel grid from s = 0.  One pole pairing takes the exchange rows and the X
-rows together (the X rows are its rows at gap 0): the sweep oracle makes
-one such call per slab of the grid, on the rows of every point, and
-leaves finding the distinct rows to this module; :func:`oracle_c_batch` and
-:func:`oracle_x_time_integral_batch` are its two halves.  A separation
-whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the deepest
-refinement (over 1512), or that is below the smallest normal float,
-gets a :class:`DomainError` in its rows before any grid is sized, and
-the other rows keep their values; so does a self-term or
-exchange row whose gap exceeds ``ORACLE_GAP_LIMIT``, the largest that
-the deepest panels resolve.  cos is even and
-sin odd, bit for bit, so each (|y|, r) is one row and a row at -y takes
-the conjugate.  Per level, cos/sin are tabulated once per |y| and the
-Gaussian pair terms once per separation, and each row is two dot products
-(one BLAS ddot each) of its gap's and its separation's table rows over its
-own prefix of the grid.  A product grid of gaps and separations takes all
-its dots at once on broadcast views of the tables, a scattered batch takes
-two dots per row on its gathered table rows; both are the same ddot of the
-same values.  A row whose last doubling
-still changes it by more than ``raise_tol`` gets a
-:class:`ConvergenceError`: the batch functions return it per row and leave
-the other rows as they are; the one-value functions raise it.  Inside a
-batch the errors are an object array, one slot per distinct row (None for
-none), handed to the rows of a batch by indexing it with their distinct
-row, and a batch function returns them as a list.
+panel grid from s = 0; cos is even and sin odd, bit for bit, so each
+(|y|, r) is one row, a row at -y takes the conjugate, and the X rows are
+the rows at gap 0 (:func:`_pole_pairing_within_budget`).
 
-The batch functions take gaps y and separations in units of sigma.  The
-one-row :func:`oracle_a`, :func:`oracle_c` and :func:`oracle_x` take a
-:class:`DetectorParams` and a separation, and scale them once:
-y = sigma*Omega, separations over sigma.
+:func:`oracle_batch` is the oracle of a batch of points, such as a slab of
+``verify`` or ``sweep --oracle``: the self terms of all its points in one
+pass and their x and c integrals in one pole pairing, each distinct row
+once.  :func:`oracle_a_batch`, :func:`oracle_c_batch` and
+:func:`oracle_x_time_integral_batch` each take one integral at any rows.
+A separation whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the
+deepest refinement (over 1512), or that is below the smallest normal
+float, gets a :class:`DomainError` in its rows before any grid is sized;
+so does a self-term or exchange row whose gap exceeds
+``ORACLE_GAP_LIMIT``, the largest that the deepest panels resolve.  A row
+whose last doubling still changes it by more than ``raise_tol`` gets a
+:class:`ConvergenceError`.  The batch functions record these per row and
+leave the other rows as they are; the one-value functions raise them.
+The one-row :func:`oracle_a`, :func:`oracle_c` and :func:`oracle_x` take
+a :class:`DetectorParams` and a separation, and scale them to sigma once.
 
 This is the package's one regularization of the kernel.  The tests check
 it against a second one, the regular -i eps kernel extrapolated to eps -> 0,
@@ -102,6 +88,7 @@ from .errors import ConvergenceError, DomainError, GeometryError
 __all__ = [
     "oracle_a",
     "oracle_a_batch",
+    "oracle_batch",
     "oracle_x",
     "oracle_x_envelope",
     "oracle_x_time_integral",
@@ -205,9 +192,10 @@ def _refine(
     return values, errors
 
 
-def _objects(items: list) -> np.ndarray:
-    """``items`` as a 1-D object array: the per-row errors of a batch."""
-    return np.fromiter(items, object, len(items))
+def _screen(check, values: np.ndarray) -> np.ndarray:
+    """``check(v)`` of each of ``values``, the error of each (None for
+    none), as an object array: the per-row errors of a batch."""
+    return np.fromiter(map(check, values.tolist()), object, values.size)
 
 
 def _single(values, errors):
@@ -232,23 +220,14 @@ def _unresolved(mag: float) -> DomainError | None:
     )
 
 
-def oracle_a_batch(
-    y, *, raise_tol: float = 1e-8
-) -> tuple[np.ndarray, list[Exception | None]]:
-    """The self term of :func:`oracle_a` (``l_image = 0``) at the gaps
-    ``y``, all in one quadrature pass.
-
-    Returns the values and, per gap, None, the :class:`DomainError` of a
-    gap over ``ORACLE_GAP_LIMIT`` (its value NaN, with no quadrature) or
-    the :class:`ConvergenceError` of its quadrature; each value is the
-    one-gap value bit for bit.
-    """
-    om = np.asarray(y, dtype=float).reshape(-1)
-    # the finite part is even in y: one quadrature per |y|
-    mags, mag_of = np.unique(np.abs(om), return_inverse=True)
-    errors = _objects([_unresolved(m) for m in mags.tolist()])
-    fits = np.flatnonzero(np.equal(errors, None))
-    gaps = mags[fits]
+def _self_terms(
+    y: np.ndarray, mags: np.ndarray, mag_of: np.ndarray, rows: np.ndarray, errors: np.ndarray,
+    raise_tol: float,
+) -> np.ndarray:
+    """The self term at the gaps ``y`` (|y| = ``mags[mag_of]``) from one
+    quadrature pass over the |y| = ``mags[rows]``, NaN at the others; the
+    :class:`ConvergenceError` of a pass row goes to its slot of ``errors``."""
+    gaps = mags[rows]
     # the pairing grid at r = 0
     panels = _base_panels(_WINDOW_SIGMAS)
     span = panels * _PANEL_SIGMAS
@@ -268,16 +247,33 @@ def oracle_a_batch(
             parts.append(np.vecdot(np.square(half, out=half), weight))
         return np.concatenate(parts) + constant
 
-    finite, errors[fits] = _refine(
+    finite, errors[rows] = _refine(
         sums, [(0.0, span)] * gaps.size, target=1e-12, raise_tol=raise_tol
     )
     # the Hadamard finite part, with the -2 f(0)/u^2 tail beyond the span
     hadamard = np.full(mags.size, math.nan)
-    hadamard[fits] = finite - 2.0 / span
+    hadamard[rows] = finite - 2.0 / span
     # sgn(u) delta(u^2) acts as f'(0) = -i y: (-i y)/(4 pi i) = -y/(4 pi)
-    delta_part = -om / (4.0 * math.pi)
-    values = _SQRT_PI * (delta_part - hadamard[mag_of] / (4.0 * math.pi**2))
-    return values, errors[mag_of].tolist()
+    return _SQRT_PI * (-y / (4.0 * math.pi) - hadamard[mag_of] / (4.0 * math.pi**2))
+
+
+def oracle_a_batch(
+    y, *, raise_tol: float = 1e-8
+) -> tuple[np.ndarray, list[Exception | None]]:
+    """The self term of :func:`oracle_a` (``l_image = 0``) at the gaps
+    ``y``, all in one quadrature pass.
+
+    Returns the values and, per gap, None, the :class:`DomainError` of a
+    gap over ``ORACLE_GAP_LIMIT`` (its value NaN, with no quadrature) or
+    the :class:`ConvergenceError` of its quadrature; each value is the
+    one-gap value bit for bit.
+    """
+    om = np.asarray(y, dtype=float).reshape(-1)
+    # the finite part is even in y: one quadrature per |y|
+    mags, mag_of = np.unique(np.abs(om), return_inverse=True)
+    errors = _screen(_unresolved, mags)
+    fits = np.flatnonzero(np.equal(errors, None))
+    return _self_terms(om, mags, mag_of, fits, errors, raise_tol), errors[mag_of].tolist()
 
 
 def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,65 +306,49 @@ def _separation_error(r: float) -> DomainError | None:
     )
 
 
-def _pole_pairing(
-    y: np.ndarray, r: np.ndarray, raise_tol: float
+def _pole_rows(
+    mags: np.ndarray, seps: np.ndarray, keys: np.ndarray, raise_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pole_pairing_within_budget` of the rows whose separation is
-    at least ``_MIN_SEPARATION`` and fits ``ORACLE_NODE_BUDGET``, and whose
-    gap fits ``ORACLE_GAP_LIMIT``; each other row is NaN with a DomainError
-    (its separation's, else its gap's), and sizes no grid."""
-    gaps, gap_of = np.unique(np.abs(y), return_inverse=True)
-    seps, sep_of = np.unique(r, return_inverse=True)
-    unresolved = _objects([_unresolved(m) for m in gaps.tolist()])
-    bad = _objects([_separation_error(x) for x in seps.tolist()])
+    """P - i Q of :func:`_pole_pairing_within_budget` at the sorted distinct
+    rows ``keys``, key i * seps.size + j being (|y|, r) = (``mags[i]``,
+    ``seps[j]``), and the rows' errors.  A row whose separation is below
+    ``_MIN_SEPARATION`` or over ``ORACLE_NODE_BUDGET``, or whose gap is over
+    ``ORACLE_GAP_LIMIT``, sizes no grid: NaN, with a DomainError."""
+    gap_of, sep_of = np.divmod(keys, seps.size)
+    bad = _screen(_separation_error, seps)
     good = np.equal(bad, None)
-    errors = np.where(good[sep_of], unresolved[gap_of], bad[sep_of])
+    errors = np.where(good[sep_of], _screen(_unresolved, mags)[gap_of], bad[sep_of])
     fits = np.flatnonzero(np.equal(errors, None))
-    pv = np.full(r.size, math.nan, dtype=complex)
+    pv = np.full(keys.size, math.nan, dtype=complex)
     # no row that fits has a separation with an error: those are 0 here,
     # so that sizing the separations' grids cannot overflow
     pv[fits], errors[fits] = _pole_pairing_within_budget(
-        y[fits], gaps, gap_of[fits], np.where(good, seps, 0.0), sep_of[fits], raise_tol
+        mags, gap_of[fits], np.where(good, seps, 0.0), sep_of[fits], raise_tol
     )
     return pv, errors
 
 
 def _pole_pairing_within_budget(
-    y: np.ndarray,
-    gaps: np.ndarray,
-    gap_of: np.ndarray,
-    seps: np.ndarray,
-    sep_of: np.ndarray,
-    raise_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """PV Int du e^{-u^2/4 - i y u}/(u - r) for the rows (y, r), as P - i Q
-    with the phase e^{-i y r} taken out, where row k has |y| =
-    ``gaps[gap_of[k]]`` and r = ``seps[sep_of[k]]``, both from the sorted
-    distinct values of :func:`np.unique`:
+    gaps: np.ndarray, gap_of: np.ndarray, seps: np.ndarray, sep_of: np.ndarray, raise_tol: float
+) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """PV Int du e^{-u^2/4 - i y u}/(u - r) for the rows (|y|, r), as
+    P - i Q with the phase e^{-i y r} taken out, where row k has |y| =
+    ``gaps[gap_of[k]]`` and r = ``seps[sep_of[k]]``: distinct rows, sorted
+    by gap, then separation, of sorted distinct gaps and separations.
 
         P = Int_0^span (g(r+s) - g(r-s)) cos(y s)/s ds
         Q = Int_0^span (g(r+s) + g(r-s)) sin(y s)/s ds
 
-    cos(-y s) and sin(-y s) are cos(y s) and -sin(y s) bit for bit, so P is
-    even in y and Q odd: each distinct (|y|, r) is integrated once, on
-    cos/sin tabulated at |y|, and a row at y < 0 takes its P + i Q.  A gap
-    of -0.0 is the gap 0.0.
-
     Row k sums the first ``_base_panels(r_k + window)`` 2^level panels of
-    width 3/2^level from s = 0, its n nodes.  At each level cos/sin
-    are tabulated once per |y|, and the pair terms (g(r+s) -+ g(r-s)) w/s
-    once per separation; P and Q of a row are two dot products
-    (``np.vecdot``, one BLAS ddot each) of its gap's and its separation's
-    table rows over the same n contiguous nodes.  Where a block of rows
-    covers at least half of its gaps x separations (a product grid, one
-    gap), all of those dots are taken at once on broadcast views;
-    otherwise each row's dots are taken on its gathered table rows, two
-    per row.  Either way a row's value is the same ddot of the same values,
-    so it depends only on its own (y, r).
+    width 3/2^level from s = 0, its n nodes.  At each level cos/sin are
+    tabulated once per |y| and the pair terms (g(r+s) -+ g(r-s)) w/s once
+    per separation, and P and Q of a row are two dot products (``np.vecdot``,
+    one BLAS ddot each) of its gap's and its separation's table rows over
+    its n nodes: all at once on broadcast views where a block of rows covers
+    at least half of its gaps x separations (a product grid, one gap), else
+    two per row on gathered table rows.  Either way a row's value is the same
+    ddot of the same values, so it depends only on its own (y, r).
     """
-    # the distinct (|y|, r) rows
-    rows, row_of = np.unique(gap_of * seps.size + sep_of, return_inverse=True)
-    gap_of, sep_of = np.divmod(rows, seps.size)
     panels = np.array([_base_panels(x + _WINDOW_SIGMAS) for x in seps.tolist()])
 
     def sums(k: np.ndarray, level: int) -> np.ndarray:
@@ -418,13 +398,9 @@ def _pole_pairing_within_budget(
         return p - 1j * q
 
     span = (panels * _PANEL_SIGMAS).tolist()
-    values, errors = _refine(
+    return _refine(
         sums, [(0.0, span[j]) for j in sep_of.tolist()], target=1e-12, raise_tol=raise_tol
     )
-    pv = values[row_of]
-    mirrored = y < 0.0
-    pv[mirrored] = pv[mirrored].conj()
-    return pv, _objects(errors)[row_of]
 
 
 def _separations(l_image) -> np.ndarray:
@@ -435,42 +411,100 @@ def _separations(l_image) -> np.ndarray:
     return r
 
 
-def _oracle_xc_batch(
-    y, l_c, l_x, raise_tol: float = 1e-8
-) -> tuple[tuple[np.ndarray, list], tuple[np.ndarray, list]]:
-    """:func:`oracle_c_batch` at the rows (``y``, ``l_c``) of equal length
-    and :func:`oracle_x_time_integral_batch` at the separations ``l_x``, in
-    one pole pairing: the X rows are its rows at gap +0.0.
-
-    Returns the values and per-row errors of C, then those of X; each
-    value is the one-row value bit for bit.
-    """
-    om = np.asarray(y, dtype=float).reshape(-1)
-    r, big_l = _separations(l_c), _separations(l_x)
-    seps = np.concatenate([r, big_l])
-    pv, errors = _pole_pairing(np.concatenate([om, np.zeros(big_l.size)]), seps, raise_tol)
+def _exchange(om: np.ndarray, r: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """C at the rows (``om``, ``r``) from their pole pairings ``pv`` at
+    |y|, NaN where ``pv`` is."""
+    # cos(-y s) and sin(-y s) are cos(y s) and -sin(y s): P + i Q at -|y|
+    pv = np.where(om < 0.0, pv.conj(), pv)
     # a row whose gap or separation the oracle does not take is NaN: so is
-    # its separation below, where y r, r^2 or 1/r could overflow
-    seps[np.isnan(pv)] = math.nan
-    r, big_l = seps[:om.size], seps[om.size:]
-    pv_c, pv_x = pv[:om.size], pv[om.size:]
+    # its separation here, where y r, r^2 or 1/r could overflow
+    r = np.where(np.isnan(pv), math.nan, r)
     cos, sin = np.cos(om * r), np.sin(om * r)
     g = np.exp(-r * r / 4.0)
-    g_l = np.exp(-big_l * big_l / 4.0)
     # endpoint rule for sgn(u) delta(u^2 - r^2): f(r) - f(-r) = -2i g(r) sin(y r)
     delta_c = -g * sin / (4.0 * math.pi * r)
     # the pole at -r is -conj of the pole at r, so the pair leaves twice the
     # real part of e^{-i y r} (P - i Q): C is exactly real
-    pv_part_c = -(cos * pv_c.real + sin * pv_c.imag) / (4.0 * math.pi**2 * r)
-    c = (_SQRT_PI * (delta_c + pv_part_c)).astype(complex)
-    # X: PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the
+    pv_part_c = -(cos * pv.real + sin * pv.imag) / (4.0 * math.pi**2 * r)
+    return (_SQRT_PI * (delta_c + pv_part_c)).astype(complex)
+
+
+def _time_integral(big_l: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """:func:`oracle_x_time_integral` at the separations ``big_l`` from
+    their pole pairings ``pv`` at gap 0, NaN where ``pv`` is."""
+    # PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the
     # whole line (g is even): the pole pairing at zero gap, whose integrand
     # (g(L+s) - g(L-s))/s is smooth on the scale 1 for any L
+    big_l = np.where(np.isnan(pv), math.nan, big_l)
+    g_l = np.exp(-big_l * big_l / 4.0)
     # the delta is supported at u = +L only
     delta_x = -(g_l / (2.0 * big_l)) / (4.0 * math.pi)
-    pv_part_x = -pv_x.real / (2.0 * big_l) / (4.0 * math.pi**2)
-    x = pv_part_x + 1j * delta_x
-    return (c, errors[:om.size].tolist()), (x, errors[om.size:].tolist())
+    pv_part_x = -pv.real / (2.0 * big_l) / (4.0 * math.pi**2)
+    return pv_part_x + 1j * delta_x
+
+
+def oracle_batch(
+    y, separations: Sequence, errors: np.ndarray, *, raise_tol: float = 1e-8
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """a at the gaps ``y`` and, per array of ``separations``, x and c at
+    those separations, at the points of ``errors`` (``y`` and each array
+    broadcast to its shape): a and a list of (x, c), of that shape.
+
+    A point with an error in ``errors`` is skipped.  Any other point gets
+    there the exception of its first failing integral, in the order a,
+    then x and c of each array; a pass that raises (the self terms or the
+    pole pairing) fails its points.  Values are NaN at a point with an
+    error, else the one-row values bit for bit (x is
+    :func:`oracle_x_envelope` times :func:`oracle_x_time_integral`).
+    """
+    shape = errors.shape
+    # the separations on a leading axis, of their own broadcast shape
+    r = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in separations)))
+    a = np.full(shape, math.nan)
+    # NaN in both parts: |v - NaN| is NaN for any v, an infinite one too
+    x, c = (np.full((len(r), *shape), complex(math.nan, math.nan)) for _ in "xc")
+    todo = np.equal(errors, None)
+    if not todo.any():
+        return a, list(zip(x, c))
+    y = np.asarray(y, dtype=float)
+    # the distinct |y| of the gaps and 0, the gap of the X rows (mags[0])
+    mags, mag_of = np.unique(np.append(np.abs(y), 0.0), return_inverse=True)
+    mag_of = mag_of[:-1].reshape(y.shape)
+    gap_of = np.broadcast_to(mag_of, shape)[todo]
+    # the distinct separations, then those of the points that take part
+    seps, sep_of = np.unique(r, return_inverse=True)
+    sep_of = np.stack([np.broadcast_to(term, shape)[todo] for term in sep_of.reshape(r.shape)])
+    used = np.bincount(sep_of.reshape(-1), minlength=seps.size) > 0
+    seps, sep_of = seps[used], (np.cumsum(used) - 1)[sep_of]
+    # the distinct (|y|, r) rows, after the X rows (0, r) of each r
+    pairs = np.concatenate([np.arange(seps.size), (gap_of * seps.size + sep_of).reshape(-1)])
+    keys, row_of = np.unique(pairs, return_inverse=True)
+    x_row, c_row = row_of[:seps.size], row_of[seps.size:].reshape(sep_of.shape)
+    a_errors = _screen(_unresolved, mags)
+    try:
+        live = np.bincount(gap_of, minlength=mags.size) > 0
+        rows = np.flatnonzero(live & np.equal(a_errors, None))
+        a_y = _self_terms(y, mags, mag_of, rows, a_errors, raise_tol)
+    except Exception as exc:
+        a_y, a_errors = math.nan, np.full(mags.size, exc, object)
+    try:
+        _separations(seps)
+        pv, row_errors = _pole_rows(mags, seps, keys, raise_tol)
+    except Exception as exc:
+        pv, row_errors = np.full(keys.size, complex(math.nan)), np.full(keys.size, exc, object)
+
+    first = a_errors[gap_of]
+    for part in row_errors[np.stack([x_row[sep_of], c_row], axis=1).reshape(-1, gap_of.size)]:
+        first = np.where(np.equal(first, None), part, first)
+    errors[todo] = first
+    done = np.equal(errors, None)
+    ok = done[todo]
+
+    a[done] = np.broadcast_to(a_y, shape)[done]
+    envelope = np.array([oracle_x_envelope(m) for m in mags.tolist()])
+    x[:, done] = (envelope[gap_of] * _time_integral(seps, pv[x_row])[sep_of])[:, ok]
+    c[:, done] = _exchange(np.broadcast_to(y, shape)[todo], seps[sep_of], pv[c_row])[:, ok]
+    return a, list(zip(x, c))
 
 
 def oracle_c_batch(
@@ -480,11 +514,17 @@ def oracle_c_batch(
     (broadcast against each other), all in one quadrature pass:
     sqrt(pi) Int du e^{-u^2/4} e^{-i y u} W(u, r).
 
-    Returns the values and, per row, None or the :class:`ConvergenceError`
-    of its quadrature; each value is the one-row value bit for bit.
+    Returns the values and, per row, None or the error of its quadrature
+    (a :class:`DomainError` before any); each value is the one-row value
+    bit for bit.
     """
     om, r = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(l_image, dtype=float))
-    return _oracle_xc_batch(om, r, (), raise_tol)[0]
+    om, r = om.reshape(-1), _separations(r)
+    mags, gap_of = np.unique(np.abs(om), return_inverse=True)
+    seps, sep_of = np.unique(r, return_inverse=True)
+    keys, row_of = np.unique(gap_of * seps.size + sep_of, return_inverse=True)
+    pv, errors = _pole_rows(mags, seps, keys, raise_tol)
+    return _exchange(om, r, pv[row_of]), errors[row_of].tolist()
 
 
 def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8) -> float:
@@ -536,11 +576,13 @@ def oracle_x_time_integral_batch(
     """:func:`oracle_x_time_integral` at the separations ``l_image``, all in
     one quadrature pass.
 
-    Returns the values and, per separation, None or the
-    :class:`ConvergenceError` of its quadrature; each value is the
+    Returns the values and, per separation, None or the error of its
+    quadrature (a :class:`DomainError` before any); each value is the
     one-separation value bit for bit.
     """
-    return _oracle_xc_batch((), (), l_image, raise_tol)[1]
+    seps, sep_of = np.unique(_separations(l_image), return_inverse=True)
+    pv, errors = _pole_rows(np.zeros(1), seps, np.arange(seps.size), raise_tol)
+    return _time_integral(seps, pv)[sep_of], errors[sep_of].tolist()
 
 
 def oracle_x_time_integral(l_image: float, *, raise_tol: float = 1e-8) -> complex:

@@ -444,7 +444,8 @@ class TestBatchedPath:
 
         cfg = replace(SMALL_MINK, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 1.0, 1))
         plain = run_sweep(cfg)
-        monkeypatch.setattr(udwpair.wightman, "oracle_a_batch", broken)
+        # the oracle's pass over the self terms
+        monkeypatch.setattr(udwpair.wightman, "_self_terms", broken)
         # the oracle's failure fails its deviations, not the closed forms
         for row, want in zip(run_sweep(replace(cfg, oracle=True)), plain, strict=True):
             assert row["error"] == "ZeroDivisionError: float division by zero"
@@ -460,9 +461,9 @@ class TestBatchedPath:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        # the x and c integrals of a slab are one call: every row takes
-        # its exception
-        monkeypatch.setattr(udwpair.wightman, "_oracle_xc_batch", broken)
+        # the x and c integrals of a slab are one pole pairing: every row
+        # takes its exception
+        monkeypatch.setattr(udwpair.wightman, "_pole_rows", broken)
         cfg = replace(SMALL_MINK, omega=GridAxis(0.0, 1.0, 2), l=GridAxis(1.0, 1.0, 1))
         for row in run_sweep(replace(cfg, oracle=True)):
             assert row["error"] == "ZeroDivisionError: float division by zero"
@@ -483,6 +484,17 @@ class TestDifferenceMap:
             assert r["corr_diff"] == pytest.approx(
                 r["corr_minkowski"] - r["corr_topology"], abs=1e-15
             )
+
+    def test_failed_rows_have_no_difference(self):
+        # below the smallest normal float the closed forms fail and both
+        # correlations are inf: the difference is NaN, with no warning
+        # (RuntimeWarning is an error in the tests)
+        from dataclasses import replace
+
+        cfg = replace(SMALL_CYL, omega=GridAxis(0.0, 0.0, 1), l=GridAxis(1e-320, 1e-320, 1))
+        (row,) = run_difference_map(cfg)
+        assert row["error"].startswith("DomainError: the closed forms take separations")
+        assert math.isnan(row["corr_diff"])
 
     def test_difference_shrinks_with_compactification_scale(self):
         from dataclasses import replace
@@ -727,18 +739,18 @@ class TestOraclePath:
 
         from udwpair import ConvergenceError
 
-        original = udwpair.wightman._oracle_xc_batch
+        original = udwpair.wightman._pole_rows
         bad_r = float(COUNT_GRID.l.values()[1])
 
-        def flaky(y, l_c, l_x, *args, **kwargs):
-            (values, errors), x_part = original(y, l_c, l_x, *args, **kwargs)
-            errors = [
-                ConvergenceError("no luck at r = 0.9") if r == bad_r else e
-                for r, e in zip(l_c, errors)
-            ]
-            return (values, errors), x_part
+        def flaky(mags, seps, keys, *args, **kwargs):
+            # the rows (|gap|, r) of the pole pairing: the x rows at r are
+            # those at gap 0
+            values, errors = original(mags, seps, keys, *args, **kwargs)
+            at_r = seps[keys % seps.size] == bad_r
+            errors[at_r] = ConvergenceError("no luck at r = 0.9")
+            return values, errors
 
-        monkeypatch.setattr(udwpair.wightman, "_oracle_xc_batch", flaky)
+        monkeypatch.setattr(udwpair.wightman, "_pole_rows", flaky)
         cfg = replace(COUNT_GRID, topology=TopologyKind.MINKOWSKI, ell=())
         report = run_verification(cfg)
         swept = run_sweep(replace(cfg, oracle=True))
@@ -766,15 +778,21 @@ class TestOraclePath:
 
         x_bad = {image(l_1, 1), l_2, l_3}
         c_bad = {l_1, image(l_2, 2), l_3}
-        original = udwpair.wightman._oracle_xc_batch
+        original = udwpair.wightman._pole_rows
 
-        def flaky(y, l_c, l_x, *args, **kwargs):
-            (c, c_errors), (x, x_errors) = original(y, l_c, l_x, *args, **kwargs)
-            c_errors = [ConvergenceError("c") if r in c_bad else e for r, e in zip(l_c, c_errors)]
-            x_errors = [ConvergenceError("x") if r in x_bad else e for r, e in zip(l_x, x_errors)]
-            return (c, c_errors), (x, x_errors)
+        def flaky(mags, seps, keys, *args, **kwargs):
+            # the x rows are the rows at gap 0, which the c rows at gap 0
+            # share: a row there fails as x where its r is in x_bad
+            values, errors = original(mags, seps, keys, *args, **kwargs)
+            gap, r = mags[keys // seps.size], seps[keys % seps.size]
+            for k in range(keys.size):
+                if gap[k] == 0.0 and r[k] in x_bad:
+                    errors[k] = ConvergenceError("x")
+                elif r[k] in c_bad:
+                    errors[k] = ConvergenceError("c")
+            return values, errors
 
-        monkeypatch.setattr(udwpair.wightman, "_oracle_xc_batch", flaky)
+        monkeypatch.setattr(udwpair.wightman, "_pole_rows", flaky)
         report = run_verification(COUNT_GRID)
         want = {l_1: "c", l_2: "x", l_3: "x"}
         assert [r["error"] for r in report.rows] == [
@@ -815,7 +833,7 @@ class TestOraclePath:
             calls.append(args)
             raise AssertionError("quadrature at a coincident image")
 
-        for name in ("oracle_a_batch", "_pole_pairing"):
+        for name in ("_self_terms", "_pole_rows"):
             monkeypatch.setattr(udwpair.wightman, name, forbidden)
         report = run_verification(COINCIDENT)
         assert not report.passed and not calls
@@ -926,15 +944,16 @@ class TestCli:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        command=st.sampled_from([["verify"], ["sweep", "--oracle"]]),
+        command=st.sampled_from([["verify"], ["sweep", "--oracle"], ["sweep"], ["diffmap"]]),
         omega=_axis(_FUZZ_GAPS),
         lengths=_axis(_FUZZ_MAGNITUDES),
         topology=st.sampled_from(_FUZZ_TOPOLOGIES),
         fmt=st.sampled_from(["csv", "jsonl"]),
     )
     def test_oracle_entry_points_do_not_crash(self, command, omega, lengths, topology, fmt):
-        # grids of at most 3 x 3 from signed zeros, subnormals, values up to
-        # 1e308 and both sides of the oracle's gap limit and node budget
+        # every evaluating command, the oracle's and the others, on grids
+        # of at most 3 x 3 from signed zeros, subnormals, values up to 1e308
+        # and both sides of the oracle's gap limit and node budget
         args = [*command, *topology, "--omega-range", omega, "--l-range", lengths,
                 "--format", fmt]
         result = CliRunner().invoke(main, args)

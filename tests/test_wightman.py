@@ -38,6 +38,7 @@ from udwpair.wightman import (
     _SQRT_PI,
     _WINDOW_SIGMAS,
     oracle_a_batch,
+    oracle_batch,
     oracle_c_batch,
     oracle_x_envelope,
     oracle_x_time_integral,
@@ -331,17 +332,17 @@ class TestOneQuadraturePass:
     def test_joint_batch_is_both_batches_bit_for_bit(self):
         # x rows are the pole pairing's rows at gap +0.0: c rows at gap
         # +-0.0 and the same separations share them
-        import udwpair.wightman as wightman
-
-        gaps = [0.0, -0.0, 1.5, -1.5, 0.0, 2.0]
+        gaps = np.array([0.0, -0.0, 1.5, -1.5, 0.0, 2.0])
         seps = [1.3, 1.3, 1.3, 1.3, 4.0, 0.02]
-        xs = [1.3, 4.0, 9.5]
-        (c, c_errors), (x, x_errors) = wightman._oracle_xc_batch(gaps, seps, xs)
-        want_c, want_c_errors = oracle_c_batch(gaps, seps)
-        want_x, want_x_errors = oracle_x_time_integral_batch(xs)
-        assert c_errors == want_c_errors == [None] * 6
-        assert x_errors == want_x_errors == [None] * 3
-        assert _bits(c) == _bits(want_c) and _bits(x) == _bits(want_x)
+        xs = [1.3, 4.0, 9.5, 9.5, 4.0, 1.3]
+        errors = np.full(6, None, dtype=object)
+        a, [(x, c), (x_more, c_more)] = oracle_batch(gaps, [seps, xs], errors)
+        assert errors.tolist() == [None] * 6
+        envelope = np.array([oracle_x_envelope(y) for y in gaps.tolist()])
+        assert _bits(a) == _bits(oracle_a_batch(gaps)[0])
+        for r, x_r, c_r in ((seps, x, c), (xs, x_more, c_more)):
+            assert _bits(c_r) == _bits(oracle_c_batch(gaps, r)[0])
+            assert _bits(x_r) == _bits(envelope * oracle_x_time_integral_batch(r)[0])
 
     def test_mirrored_gaps_share_one_row(self, monkeypatch):
         import udwpair.wightman as wightman
@@ -354,12 +355,15 @@ class TestOneQuadraturePass:
             return refine(sums, intervals, **options)
 
         monkeypatch.setattr(wightman, "_refine", counting_refine)
-        gaps = [-1.0, 1.0, -0.0, 0.0, 2.5]
-        (c, _), (x, _) = wightman._oracle_xc_batch(gaps * 2, [0.7] * 5 + [3.0] * 5, [0.7, 3.0])
-        # (|y|, r) in {0, 1, 2.5} x {0.7, 3}; the x rows are those at |y| = 0
-        assert rows == [3 * 2]
+        gaps = np.array([-1.0, 1.0, -0.0, 0.0, 2.5] * 2)
+        errors = np.full(10, None, dtype=object)
+        _, [(x, c)] = oracle_batch(gaps, [[0.7] * 5 + [3.0] * 5], errors)
+        # |y| in {0, 1, 2.5} for the self terms, then (|y|, r) in
+        # {0, 1, 2.5} x {0.7, 3}; the x rows are those at |y| = 0
+        assert rows == [3, 3 * 2]
         assert _bits(c[0].real) == _bits(oracle_c_batch([-1.0], 0.7)[0][0].real)
-        assert x.tolist() == oracle_x_time_integral_batch([0.7, 3.0])[0].tolist()
+        want_x = oracle_x_envelope(0.0) * oracle_x_time_integral_batch([0.7, 3.0])[0]
+        assert x[[3, 8]].tolist() == want_x.tolist()
 
     def test_self_term_matches_complex_hadamard_form(self):
         # the real sin^2/expm1 pairing against the complex finite part of
@@ -624,9 +628,11 @@ class TestOracleValues:
         gaps = [0.5, -700.0, limit, 2e154, -limit, math.nextafter(limit, math.inf)]
         a, a_errors = oracle_a_batch(gaps)
         c, c_errors = oracle_c_batch(gaps, 1.3)
-        _, (x, x_errors) = wightman._oracle_xc_batch(gaps, [1.3] * 6, [1.3])
-        # |y| in {0.5, limit}, for a and for c; then with the x row (gap 0)
-        assert integrated == [2, 2, 3]
+        x_errors = np.full(6, None, dtype=object)
+        _, [(x, _)] = oracle_batch(gaps, [1.3], x_errors)
+        # |y| in {0.5, limit}, for a and for c; then the same with the x row
+        # (gap 0) in one batch
+        assert integrated == [2, 2, 2, 3]
         over = [1, 3, 5]
         for errors in (a_errors, c_errors):
             assert [i for i, e in enumerate(errors) if e is not None] == over
@@ -637,8 +643,10 @@ class TestOracleValues:
                     f"682.667 (ORACLE_GAP_LIMIT), this one has |Omega sigma| = {abs(gaps[i])!r}"
                 )
         assert np.isnan(a[over]).all() and np.isnan(c[over]).all()
-        assert x_errors == [None] and _bits(x) == _bits(oracle_x_time_integral_batch([1.3])[0])
+        assert [type(e).__name__ for e in x_errors] == [type(e).__name__ for e in a_errors]
         fits = [0, 2, 4]
+        envelope = np.array([oracle_x_envelope(gaps[i]) for i in fits])
+        assert _bits(x[fits]) == _bits(envelope * oracle_x_time_integral_batch([1.3])[0])
         assert _bits(a[fits]) == _bits(oracle_a_batch([gaps[i] for i in fits])[0])
         assert _bits(c[fits]) == _bits(oracle_c_batch([gaps[i] for i in fits], 1.3)[0])
 
