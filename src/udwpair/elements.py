@@ -146,9 +146,11 @@ _WEIDEMAN_COEFFS = (
 _FADDEEVA_BLOCK = 2048
 #: From y = _CF_Y on, the self term's 1 - sqrt(pi) y erfcx(y)
 #: is summed as a continued fraction (_CF_TERMS terms, backwards): the
-#: direct subtraction loses up to three digits by y = 24, while with the
-#: fraction a stays within 4e-16 relative of mpmath for y in [4, 24].
-_CF_Y = 4.0
+#: direct subtraction cancels like 1/2y^2, off by 1.4e-14 relative at
+#: y = 3.88 and up to three digits by y = 24.  With 60 terms the fraction
+#: is within 4e-16 relative of 50-digit mpmath from y = 2 (3.4e-16 on
+#: 3000 random y in [2, 24]), and not below y = 1.97.
+_CF_Y = 2.0
 _CF_TERMS = 60
 #: Image separations within this many units of round-off (eps) of the
 #: largest coordinate forming them count as coincident worldlines.

@@ -169,8 +169,21 @@ class TestSelfTermAccuracy:
         want = _mp_self_term(omega)
         assert float(abs(got - want) / want) < 1e-14
 
+    def test_dense_grid_against_mpmath(self):
+        # the direct form 1 - sqrt(pi) y erfcx(y) was off by 1.4e-14 at 3.88
+        # while it ran up to the switch at 4
+        ys = np.linspace(-6.0, 24.0, 3001)
+        got = self_excitation_array(ys)
+        with mp.workdps(50):
+            want = [
+                (mp.exp(-y * y) - mp.sqrt(mp.pi) * y * mp.erfc(y)) / (4 * mp.pi)
+                for y in map(mp.mpf, ys.tolist())
+            ]
+        err = [float(abs(g - w) / w) for g, w in zip(got.tolist(), want)]
+        assert max(err) < 1e-14
+
     def test_scalar_matches_array_kernel(self):
-        ys = np.array([-2.0, 0.0, 3.9, 4.0, 4.5, 24.0, 40.0])
+        ys = np.array([-2.0, 0.0, 1.9, 2.0, 3.9, 4.0, 4.5, 24.0, 40.0])
         grid = self_excitation_array(ys)
         for y, got in zip(ys, grid):
             p = DetectorParams(omega=float(y), sigma=1.0)
