@@ -654,8 +654,9 @@ COINCIDENT = SweepConfig(
 
 
 class TestOraclePath:
-    """verify and sweep --oracle: two batch calls per slab, the rows exactly
-    as the scalar functions give them point by point."""
+    """verify and sweep --oracle: one oracle_batch call per slab, with two
+    quadrature passes, the rows exactly as the scalar functions give them
+    point by point."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
     def test_verify_rows_match_scalar_reference(self, name):
@@ -686,7 +687,7 @@ class TestOraclePath:
     @staticmethod
     def _refined_rows(monkeypatch) -> list[int]:
         """The rows of each call of ``udwpair.wightman._refine``, the
-        quadratures that an oracle batch call integrates."""
+        quadratures that an oracle_batch call integrates."""
         rows = []
         original = udwpair.wightman._refine
 
