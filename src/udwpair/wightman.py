@@ -56,18 +56,19 @@ the rows at gap 0 (:func:`_pole_pairing_within_budget`).
 :func:`oracle_batch` is the oracle of a batch of points, such as a slab of
 ``verify`` or ``sweep --oracle``: the self terms of all its points in one
 pass and their x and c integrals in one pole pairing, each distinct row
-once.  :func:`oracle_a_batch`, :func:`oracle_c_batch` and
-:func:`oracle_x_time_integral_batch` each take one integral at any rows.
-A separation whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the
-deepest refinement (over 1512), or that is below the smallest normal
-float, gets a :class:`DomainError` in its rows before any grid is sized;
-so does a self-term or exchange row whose gap exceeds
-``ORACLE_GAP_LIMIT``, the largest that the deepest panels resolve.  A row
-whose last doubling still changes it by more than ``raise_tol`` gets a
-:class:`ConvergenceError`.  The batch functions record these per row and
-leave the other rows as they are; the one-value functions raise them.
-The one-row :func:`oracle_a`, :func:`oracle_c` and :func:`oracle_x` take
-a :class:`DetectorParams` and a separation, and scale them to sigma once.
+once.  The one-row :func:`oracle_a`, :func:`oracle_c` and :func:`oracle_x`
+take a :class:`DetectorParams` and a separation, scale them to sigma once
+and run the same passes on their one row, so a point's values in a batch
+are theirs bit for bit.  A separation that is not finite and positive gets
+a :class:`GeometryError` in its rows; one whose grid would exceed
+``ORACLE_NODE_BUDGET`` nodes at the deepest refinement (over 1512), or
+that is below the smallest normal float, gets a :class:`DomainError`; so
+does a self-term or exchange row whose gap exceeds ``ORACLE_GAP_LIMIT``,
+the largest that the deepest panels resolve.  All of these come before any
+grid is sized.  A row whose last doubling still changes it by more than
+1e-8 gets a :class:`ConvergenceError`.  :func:`oracle_batch` records these
+per point and leaves the other points as they are; the one-row functions
+raise them.
 
 This is the package's one regularization of the kernel.  The tests check
 it against a second one, the regular -i eps kernel extrapolated to eps -> 0,
@@ -85,17 +86,7 @@ import numpy as np
 from .elements import DetectorParams
 from .errors import ConvergenceError, DomainError, GeometryError
 
-__all__ = [
-    "oracle_a",
-    "oracle_a_batch",
-    "oracle_batch",
-    "oracle_x",
-    "oracle_x_envelope",
-    "oracle_x_time_integral",
-    "oracle_x_time_integral_batch",
-    "oracle_c",
-    "oracle_c_batch",
-]
+__all__ = ["oracle_a", "oracle_batch", "oracle_c", "oracle_x"]
 
 _SQRT_PI = math.sqrt(math.pi)
 #: Gaussian switching support: past it the window e^{-u^2/4} is at most
@@ -198,13 +189,6 @@ def _screen(check, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(check, values.tolist()), object, values.size)
 
 
-def _single(values, errors):
-    """The value of a one-row quadrature, or the error it recorded."""
-    if errors[0] is not None:
-        raise errors[0]
-    return values[0]
-
-
 def _base_panels(length: float) -> int:
     return max(8, int(math.ceil(length / _PANEL_SIGMAS)))
 
@@ -221,8 +205,7 @@ def _unresolved(mag: float) -> DomainError | None:
 
 
 def _self_terms(
-    y: np.ndarray, mags: np.ndarray, mag_of: np.ndarray, rows: np.ndarray, errors: np.ndarray,
-    raise_tol: float,
+    y: np.ndarray, mags: np.ndarray, mag_of: np.ndarray, rows: np.ndarray, errors: np.ndarray
 ) -> np.ndarray:
     """The self term at the gaps ``y`` (|y| = ``mags[mag_of]``) from one
     quadrature pass over the |y| = ``mags[rows]``, NaN at the others; the
@@ -247,33 +230,12 @@ def _self_terms(
             parts.append(np.vecdot(np.square(half, out=half), weight))
         return np.concatenate(parts) + constant
 
-    finite, errors[rows] = _refine(
-        sums, [(0.0, span)] * gaps.size, target=1e-12, raise_tol=raise_tol
-    )
+    finite, errors[rows] = _refine(sums, [(0.0, span)] * gaps.size)
     # the Hadamard finite part, with the -2 f(0)/u^2 tail beyond the span
     hadamard = np.full(mags.size, math.nan)
     hadamard[rows] = finite - 2.0 / span
     # sgn(u) delta(u^2) acts as f'(0) = -i y: (-i y)/(4 pi i) = -y/(4 pi)
     return _SQRT_PI * (-y / (4.0 * math.pi) - hadamard[mag_of] / (4.0 * math.pi**2))
-
-
-def oracle_a_batch(
-    y, *, raise_tol: float = 1e-8
-) -> tuple[np.ndarray, list[Exception | None]]:
-    """The self term of :func:`oracle_a` (``l_image = 0``) at the gaps
-    ``y``, all in one quadrature pass.
-
-    Returns the values and, per gap, None, the :class:`DomainError` of a
-    gap over ``ORACLE_GAP_LIMIT`` (its value NaN, with no quadrature) or
-    the :class:`ConvergenceError` of its quadrature; each value is the
-    one-gap value bit for bit.
-    """
-    om = np.asarray(y, dtype=float).reshape(-1)
-    # the finite part is even in y: one quadrature per |y|
-    mags, mag_of = np.unique(np.abs(om), return_inverse=True)
-    errors = _screen(_unresolved, mags)
-    fits = np.flatnonzero(np.equal(errors, None))
-    return _self_terms(om, mags, mag_of, fits, errors, raise_tol), errors[mag_of].tolist()
 
 
 def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +247,12 @@ def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _separation_error(r: float) -> DomainError | None:
-    """The error of a separation below ``_MIN_SEPARATION``, or whose
-    pole-pairing grid would exceed ``ORACLE_NODE_BUDGET`` nodes at the
-    deepest refinement, else None."""
+def _separation_error(r: float) -> GeometryError | DomainError | None:
+    """The error of a separation that is not finite and positive, below
+    ``_MIN_SEPARATION``, or whose pole-pairing grid would exceed
+    ``ORACLE_NODE_BUDGET`` nodes at the deepest refinement, else None."""
+    if not 0.0 < r < math.inf:
+        return GeometryError(f"l_image must be > 0, got {r!r}")
     if r < _MIN_SEPARATION:
         return DomainError(
             f"the oracle takes separations from {_MIN_SEPARATION!r} sigma, the smallest "
@@ -307,13 +271,13 @@ def _separation_error(r: float) -> DomainError | None:
 
 
 def _pole_rows(
-    mags: np.ndarray, seps: np.ndarray, keys: np.ndarray, raise_tol: float
+    mags: np.ndarray, seps: np.ndarray, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """P - i Q of :func:`_pole_pairing_within_budget` at the sorted distinct
     rows ``keys``, key i * seps.size + j being (|y|, r) = (``mags[i]``,
-    ``seps[j]``), and the rows' errors.  A row whose separation is below
-    ``_MIN_SEPARATION`` or over ``ORACLE_NODE_BUDGET``, or whose gap is over
-    ``ORACLE_GAP_LIMIT``, sizes no grid: NaN, with a DomainError."""
+    ``seps[j]``), and the rows' errors.  A row whose separation has a
+    :func:`_separation_error`, or whose gap is over ``ORACLE_GAP_LIMIT``,
+    sizes no grid: NaN, with that error (the separation's first)."""
     gap_of, sep_of = np.divmod(keys, seps.size)
     bad = _screen(_separation_error, seps)
     good = np.equal(bad, None)
@@ -323,13 +287,13 @@ def _pole_rows(
     # no row that fits has a separation with an error: those are 0 here,
     # so that sizing the separations' grids cannot overflow
     pv[fits], errors[fits] = _pole_pairing_within_budget(
-        mags, gap_of[fits], np.where(good, seps, 0.0), sep_of[fits], raise_tol
+        mags, gap_of[fits], np.where(good, seps, 0.0), sep_of[fits]
     )
     return pv, errors
 
 
 def _pole_pairing_within_budget(
-    gaps: np.ndarray, gap_of: np.ndarray, seps: np.ndarray, sep_of: np.ndarray, raise_tol: float
+    gaps: np.ndarray, gap_of: np.ndarray, seps: np.ndarray, sep_of: np.ndarray
 ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
     """PV Int du e^{-u^2/4 - i y u}/(u - r) for the rows (|y|, r), as
     P - i Q with the phase e^{-i y r} taken out, where row k has |y| =
@@ -398,17 +362,7 @@ def _pole_pairing_within_budget(
         return p - 1j * q
 
     span = (panels * _PANEL_SIGMAS).tolist()
-    return _refine(
-        sums, [(0.0, span[j]) for j in sep_of.tolist()], target=1e-12, raise_tol=raise_tol
-    )
-
-
-def _separations(l_image) -> np.ndarray:
-    r = np.array(l_image, dtype=float).reshape(-1)
-    bad = ~(np.isfinite(r) & (r > 0.0))
-    if bad.any():
-        raise GeometryError(f"l_image must be > 0, got {r[bad][0].item()!r}")
-    return r
+    return _refine(sums, [(0.0, span[j]) for j in sep_of.tolist()])
 
 
 def _exchange(om: np.ndarray, r: np.ndarray, pv: np.ndarray) -> np.ndarray:
@@ -430,8 +384,10 @@ def _exchange(om: np.ndarray, r: np.ndarray, pv: np.ndarray) -> np.ndarray:
 
 
 def _time_integral(big_l: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """:func:`oracle_x_time_integral` at the separations ``big_l`` from
-    their pole pairings ``pv`` at gap 0, NaN where ``pv`` is."""
+    """Int_0^inf du e^{-u^2/4} W(u, L), the gap-independent quadrature of X,
+    at the separations L = ``big_l`` from their pole pairings ``pv`` at gap
+    0, NaN where ``pv`` is.  The integral runs over u > 0 only, with the
+    delta supported at u = +L and the simple pole at u = L."""
     # PV Int_0^inf g(u)/(u^2 - L^2) = (1/2L) PV Int g(u)/(u - L) over the
     # whole line (g is even): the pole pairing at zero gap, whose integrand
     # (g(L+s) - g(L-s))/s is smooth on the scale 1 for any L
@@ -444,7 +400,7 @@ def _time_integral(big_l: np.ndarray, pv: np.ndarray) -> np.ndarray:
 
 
 def oracle_batch(
-    y, separations: Sequence, errors: np.ndarray, *, raise_tol: float = 1e-8
+    y, separations: Sequence, errors: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """a at the gaps ``y`` and, per array of ``separations``, x and c at
     those separations, at the points of ``errors`` (``y`` and each array
@@ -454,8 +410,8 @@ def oracle_batch(
     there the exception of its first failing integral, in the order a,
     then x and c of each array; a pass that raises (the self terms or the
     pole pairing) fails its points.  Values are NaN at a point with an
-    error, else the one-row values bit for bit (x is
-    :func:`oracle_x_envelope` times :func:`oracle_x_time_integral`).
+    error, else the values of :func:`oracle_a`, :func:`oracle_x` and
+    :func:`oracle_c` at sigma = 1 bit for bit.
     """
     shape = errors.shape
     # the separations on a leading axis, of their own broadcast shape
@@ -484,12 +440,11 @@ def oracle_batch(
     try:
         live = np.bincount(gap_of, minlength=mags.size) > 0
         rows = np.flatnonzero(live & np.equal(a_errors, None))
-        a_y = _self_terms(y, mags, mag_of, rows, a_errors, raise_tol)
+        a_y = _self_terms(y, mags, mag_of, rows, a_errors)
     except Exception as exc:
         a_y, a_errors = math.nan, np.full(mags.size, exc, object)
     try:
-        _separations(seps)
-        pv, row_errors = _pole_rows(mags, seps, keys, raise_tol)
+        pv, row_errors = _pole_rows(mags, seps, keys)
     except Exception as exc:
         pv, row_errors = np.full(keys.size, complex(math.nan)), np.full(keys.size, exc, object)
 
@@ -501,33 +456,22 @@ def oracle_batch(
     ok = done[todo]
 
     a[done] = np.broadcast_to(a_y, shape)[done]
-    envelope = np.array([oracle_x_envelope(m) for m in mags.tolist()])
+    envelope = np.array([_x_envelope(m) for m in mags.tolist()])
     x[:, done] = (envelope[gap_of] * _time_integral(seps, pv[x_row])[sep_of])[:, ok]
     c[:, done] = _exchange(np.broadcast_to(y, shape)[todo], seps[sep_of], pv[c_row])[:, ok]
     return a, list(zip(x, c))
 
 
-def oracle_c_batch(
-    y, l_image, *, raise_tol: float = 1e-8
-) -> tuple[np.ndarray, list[ConvergenceError | None]]:
-    """:func:`oracle_c` at the gaps ``y`` and separations ``l_image``
-    (broadcast against each other), all in one quadrature pass:
-    sqrt(pi) Int du e^{-u^2/4} e^{-i y u} W(u, r).
-
-    Returns the values and, per row, None or the error of its quadrature
-    (a :class:`DomainError` before any); each value is the one-row value
-    bit for bit.
-    """
-    om, r = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(l_image, dtype=float))
-    om, r = om.reshape(-1), _separations(r)
-    mags, gap_of = np.unique(np.abs(om), return_inverse=True)
-    seps, sep_of = np.unique(r, return_inverse=True)
-    keys, row_of = np.unique(gap_of * seps.size + sep_of, return_inverse=True)
-    pv, errors = _pole_rows(mags, seps, keys, raise_tol)
-    return _exchange(om, r, pv[row_of]), errors[row_of].tolist()
+def _pole_row(mag: float, r: float) -> np.ndarray:
+    """The pole pairing of the one row (|y|, r) = (``mag``, ``r``), or its
+    error raised."""
+    pv, errors = _pole_rows(np.array([mag]), np.array([r]), np.zeros(1, dtype=int))
+    if errors[0] is not None:
+        raise errors[0]
+    return pv
 
 
-def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8) -> float:
+def oracle_a(p: DetectorParams, l_image: float = 0.0) -> float:
     """Transition-probability coefficient A/eps0^2 from the distributional kernel.
 
     ``l_image = 0`` is the single-worldline self term (f'(0) delta rule plus
@@ -537,29 +481,40 @@ def oracle_a(p: DetectorParams, l_image: float = 0.0, *, raise_tol: float = 1e-8
     """
     if l_image < 0.0 or not math.isfinite(l_image):
         raise GeometryError(f"l_image must be >= 0, got {l_image!r}")
-    if l_image == 0.0:
-        return float(_single(*oracle_a_batch([p.sigma * p.omega], raise_tol=raise_tol)))
-    return float(oracle_c(p, l_image, raise_tol=raise_tol).real)
+    if l_image > 0.0:
+        return float(oracle_c(p, l_image).real)
+    y = np.array([p.sigma * p.omega])
+    mags = np.abs(y)
+    errors = _screen(_unresolved, mags)
+    fits = np.flatnonzero(np.equal(errors, None))
+    a = _self_terms(y, mags, np.zeros(1, dtype=int), fits, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(a[0])
 
 
-def oracle_c(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> complex:
-    """Exchange coefficient C/eps0^2 from the distributional kernel.
+def oracle_c(p: DetectorParams, l_image: float) -> complex:
+    """Exchange coefficient C/eps0^2 from the distributional kernel:
+    sqrt(pi) Int du e^{-u^2/4} e^{-i y u} W(u, r).
 
     Identical static detectors give a real value: the imaginary part is
     exactly 0.
     """
-    y, rho = p.sigma * p.omega, l_image / p.sigma
-    return complex(_single(*oracle_c_batch([y], rho, raise_tol=raise_tol)))
+    y, rho = np.array([p.sigma * p.omega]), np.array([l_image / p.sigma])
+    return complex(_exchange(y, rho, _pole_row(abs(y[0]), rho[0]))[0])
 
 
-def oracle_x(p: DetectorParams, l_image: float, *, raise_tol: float = 1e-8) -> complex:
+def oracle_x(p: DetectorParams, l_image: float) -> complex:
     """Nonlocal coefficient X/eps0^2 from the time-ordered half-plane integral:
-    :func:`oracle_x_envelope` times :func:`oracle_x_time_integral`."""
-    quad = oracle_x_time_integral(l_image / p.sigma, raise_tol=raise_tol)
-    return oracle_x_envelope(p.sigma * p.omega) * quad
+    :func:`_x_envelope` times the gap-independent time integral, whose
+    principal value is taken over the whole line by symmetric pairing about
+    the pole."""
+    big_l = np.array([l_image / p.sigma])
+    quad = complex(_time_integral(big_l, _pole_row(0.0, big_l[0]))[0])
+    return _x_envelope(p.sigma * p.omega) * quad
 
 
-def oracle_x_envelope(y: float) -> float:
+def _x_envelope(y: float) -> float:
     """The exact factor -2 sqrt(pi) e^{-y^2} of X/eps0^2: the whole gap
     dependence, from the centre-of-time integral.  Where y^2 exceeds the
     float range (|y| > 1.3e154) it is -0.0, as where e^{-y^2} underflows."""
@@ -568,28 +523,3 @@ def oracle_x_envelope(y: float) -> float:
     except OverflowError:
         y2 = math.inf
     return -2.0 * _SQRT_PI * math.exp(-y2)
-
-
-def oracle_x_time_integral_batch(
-    l_image, *, raise_tol: float = 1e-8
-) -> tuple[np.ndarray, list[ConvergenceError | None]]:
-    """:func:`oracle_x_time_integral` at the separations ``l_image``, all in
-    one quadrature pass.
-
-    Returns the values and, per separation, None or the error of its
-    quadrature (a :class:`DomainError` before any); each value is the
-    one-separation value bit for bit.
-    """
-    seps, sep_of = np.unique(_separations(l_image), return_inverse=True)
-    pv, errors = _pole_rows(np.zeros(1), seps, np.arange(seps.size), raise_tol)
-    return _time_integral(seps, pv)[sep_of], errors[sep_of].tolist()
-
-
-def oracle_x_time_integral(l_image: float, *, raise_tol: float = 1e-8) -> complex:
-    """Int_0^inf du e^{-u^2/4} W(u, L): the gap-independent quadrature of X.
-
-    The integral runs over the time difference u > 0 only, with the delta
-    supported at u = +L and the simple pole at u = L; the principal value
-    is taken over the whole line by symmetric pairing about the pole.
-    """
-    return complex(_single(*oracle_x_time_integral_batch([l_image], raise_tol=raise_tol)))

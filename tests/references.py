@@ -53,8 +53,7 @@ from udwpair.wightman import (
     _base_panels,
     _pieces,
     _refine,
-    _single,
-    oracle_x_envelope,
+    _x_envelope,
 )
 
 #: An integrand of a batch: ``g(k, u)`` gives rows ``k`` (an index array)
@@ -85,6 +84,13 @@ def _refined_quad(
     return _refine(
         lambda k, level: _panel_sums(g, k, a, b, n << level), [(a, b)] * rows, **options
     )
+
+
+def _single(values, errors):
+    """The value of a one-row quadrature, or the error it recorded."""
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
 
 
 def _one_row(f: Callable[[np.ndarray], np.ndarray]) -> _RowIntegrand:
@@ -287,7 +293,7 @@ def oracle_ieps(
                 return math.exp(-u * u / 4.0) * kern
 
             raw = _quad_complex(integrand, 0.0, r + _WINDOW_SIGMAS, points=[r])
-            values.append(oracle_x_envelope(y) * raw)
+            values.append(_x_envelope(y) * raw)
         else:
 
             def integrand(u: float, eps=eps) -> complex:

@@ -113,7 +113,9 @@ print(" ".join(m for m in {EVALUATION_MODULES!r} if m in sys.modules))
 
 def test_evaluating_commands_load_no_scipy():
     # the special functions are the package's own numpy kernel: no command
-    # loads any scipy module, the oracle and the quotients included
+    # loads any scipy module, the oracle and the quotients included.  The
+    # interpreter refuses to import the test-only packages, as an install
+    # without them would, and the oracle exports only its entry points.
     commands = [
         ["sweep", "--omega-range", "-3:3:4", "--l-range", "0.5:4:3"],
         ["sweep", "--topology", "cylinder", "--ell", "0.5,1", "--omega-range", "-3:3:5",
@@ -128,14 +130,25 @@ def test_evaluating_commands_load_no_scipy():
     ]
     code = f"""
 import contextlib, io, sys, warnings
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("mpmath", "scipy", "hypothesis", "pytest"):
+            raise ImportError(f"{{name}} is not installed")
+
+sys.meta_path.insert(0, Refuse())
 import udwpair.cli
+import udwpair.wightman
 warnings.simplefilter("ignore")
 for args in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         udwpair.cli.main(args, standalone_mode=False)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(udwpair.wightman.__all__)
 """
-    assert _fresh_interpreter(code) == "[]\n"
+    assert _fresh_interpreter(code) == (
+        "[]\n['oracle_a', 'oracle_batch', 'oracle_c', 'oracle_x']\n"
+    )
 
 
 def test_package_names_resolve_lazily_to_their_home_objects():

@@ -37,12 +37,10 @@ from udwpair import (
 from udwpair.wightman import (
     _SQRT_PI,
     _WINDOW_SIGMAS,
-    oracle_a_batch,
+    _pole_row,
+    _time_integral,
+    _x_envelope,
     oracle_batch,
-    oracle_c_batch,
-    oracle_x_envelope,
-    oracle_x_time_integral,
-    oracle_x_time_integral_batch,
 )
 
 # mpmath-frozen actions of <1/x^2, e^{-a x^2} cos(b x)>
@@ -63,8 +61,8 @@ X_L1_O1 = complex(-0.024850678746834721949, 0.040410755506246291431)
 C_L1_O1 = 0.0066003343060240564385
 
 
-# oracle_c_batch and oracle_x_time_integral_batch, one row per call, as
-# (real, imag) float.hex: the bits of the pole pairing with cos/sin
+# c, and the time integral that x is the envelope times, one row per call,
+# as (real, imag) float.hex: the bits of the pole pairing with cos/sin
 # tabulated per signed gap, on x86-64 with numpy 2.4
 PINNED_C = {
     (0.5, 0.02): ('0x1.cd55c4f4c0a4fp-6', '0x0.0p+0'),
@@ -119,6 +117,27 @@ def _self_term_error(got: float, y: float):
 def _bits(value) -> list[int]:
     """The bit patterns of a real or complex value."""
     return np.array([value], dtype=complex).view(np.uint64).tolist()
+
+
+def _oracle_batch(gaps, *separations):
+    """:func:`oracle_batch` at the points of ``gaps`` and ``separations``
+    broadcast, none with an error beforehand: a, x and c of the first
+    separation array and the points' errors."""
+    shape = np.broadcast_shapes(np.shape(gaps), *(np.shape(r) for r in separations))
+    errors = np.full(shape, None, dtype=object)
+    a, [(x, c), *_] = oracle_batch(gaps, separations, errors)
+    return a, x, c, errors
+
+
+def _one_row_values(gaps, seps):
+    """:func:`oracle_a`, :func:`oracle_x` and :func:`oracle_c` at sigma = 1
+    at the points (``gaps[i]``, ``seps[i]``), as arrays."""
+    params = [DetectorParams(omega=y, sigma=1.0) for y in gaps]
+    return (
+        np.array([oracle_a(p) for p in params]),
+        np.array([oracle_x(p, r) for p, r in zip(params, seps)]),
+        np.array([oracle_c(p, r) for p, r in zip(params, seps)]),
+    )
 
 
 def minkowski(p: DetectorParams, length: float):
@@ -220,13 +239,12 @@ class TestRefinement:
 
         gaps = [-2.0, -0.5, 0.0, 0.7, 3.0, 0.7, -0.5]
         seps = [1.3, 1.3, 0.02, 9.5, 1.3, 0.4, 9.5]
-        whole = oracle_c_batch(gaps, seps)
-        whole_x = oracle_x_time_integral_batch(seps)
+        *whole, whole_errors = _oracle_batch(gaps, seps)
         monkeypatch.setattr(wightman, "_BATCH_NODES", 1)
-        sliced = oracle_c_batch(gaps, seps)
-        sliced_x = oracle_x_time_integral_batch(seps)
-        assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
-        assert _bits(sliced_x[0]) == _bits(whole_x[0]) and sliced_x[1] == whole_x[1]
+        *sliced, sliced_errors = _oracle_batch(gaps, seps)
+        assert whole_errors.tolist() == sliced_errors.tolist() == [None] * len(gaps)
+        for got, want in zip(sliced, whole):
+            assert _bits(got) == _bits(want)
 
 
 class TestPolePairingDots:
@@ -239,56 +257,66 @@ class TestPolePairingDots:
 
     @staticmethod
     def _record(monkeypatch):
-        """Per ``np.vecdot`` call its table rank and number of dots, and
-        per pass of the pole pairing the rows it evaluates."""
+        """Per ``np.vecdot`` call of the pole pairing its table rank and
+        number of dots, and per pass of the pole pairing the rows it
+        evaluates (the self terms' pass is not counted)."""
         import udwpair.wightman as wightman
 
-        calls, rows = [], []
+        calls, rows, pairing = [], [], []
         vecdot, refine = np.vecdot, wightman._refine
+        within_budget = wightman._pole_pairing_within_budget
 
         def counting_vecdot(x1, x2):
             out = vecdot(x1, x2)
-            calls.append((x1.ndim, out.size))
+            if pairing:
+                calls.append((x1.ndim, out.size))
             return out
 
         def counting_refine(sums, intervals, **options):
             def counted(k, level):
-                rows.append(k.size)
+                if pairing:
+                    rows.append(k.size)
                 return sums(k, level)
 
             return refine(counted, intervals, **options)
 
+        def marked(*args):
+            pairing.append(True)
+            try:
+                return within_budget(*args)
+            finally:
+                pairing.pop()
+
         monkeypatch.setattr(np, "vecdot", counting_vecdot)
         monkeypatch.setattr(wightman, "_refine", counting_refine)
+        monkeypatch.setattr(wightman, "_pole_pairing_within_budget", marked)
         return calls, rows
 
-    def _one_row_values(self, gaps, seps):
-        c = [oracle_c(DetectorParams(omega=om, sigma=1.0), r) for om, r in zip(gaps, seps)]
-        x = [oracle_x_time_integral(r) for r in seps]
-        return c, x
-
     def test_product_grid_equals_one_row_calls_bit_for_bit(self, monkeypatch):
+        # both zeros: the x rows (gap 0) complete the product grid
         gaps = np.array([-2.0, -0.5, 0.0, -0.0, 0.7, 3.0])
         grid_gaps, grid_seps = (v.ravel() for v in np.meshgrid(gaps, self.SEPS, indexing="ij"))
-        want_c, want_x = self._one_row_values(grid_gaps.tolist(), grid_seps.tolist())
+        want = _one_row_values(grid_gaps.tolist(), grid_seps.tolist())
         calls, _ = self._record(monkeypatch)
-        c, c_errors = oracle_c_batch(gaps[:, None], self.SEPS)
-        x, x_errors = oracle_x_time_integral_batch(grid_seps)
-        assert c_errors == x_errors == [None] * grid_gaps.size
-        assert _bits(c) == _bits(np.array(want_c)) and _bits(x) == _bits(np.array(want_x))
+        *got, errors = _oracle_batch(gaps[:, None], self.SEPS)
+        assert errors.tolist() == [[None] * len(self.SEPS)] * gaps.size
+        for got_v, want_v in zip(got, want):
+            assert _bits(got_v.ravel()) == _bits(want_v)
         # the dense branch: every dot of a product grid on broadcast views
         assert calls and all(ndim == 3 for ndim, _ in calls)
 
     def test_scattered_batch_equals_one_row_calls_bit_for_bit(self, monkeypatch):
-        # distinct gaps and separations, no two rows sharing either
+        # distinct gaps and separations: no two c rows share either, and
+        # each separation's x row is at gap 0
         rng = np.random.default_rng(7)
         gaps = rng.permutation(np.linspace(-3.0, 3.0, 12)).tolist()
         seps = np.geomspace(0.01, 40.0, 12).tolist()
-        want_c, _ = self._one_row_values(gaps, seps)
+        want = _one_row_values(gaps, seps)
         calls, rows = self._record(monkeypatch)
-        c, errors = oracle_c_batch(gaps, seps)
-        assert errors == [None] * len(gaps)
-        assert _bits(c) == _bits(np.array(want_c))
+        *got, errors = _oracle_batch(gaps, seps)
+        assert errors.tolist() == [None] * len(gaps)
+        for got_v, want_v in zip(got, want):
+            assert _bits(got_v) == _bits(want_v)
         # the gathered branch: two dots (P and Q) per row and level, not a
         # dot for every gap x separation
         assert calls and all(ndim == 2 for ndim, _ in calls)
@@ -299,14 +327,17 @@ class TestPolePairingDots:
         import udwpair.wightman as wightman
 
         rng = np.random.default_rng(11)
-        gaps = rng.choice([-1.5, 0.0, 0.4, 2.0], 20).tolist()
+        gaps = rng.choice([-1.5, 0.0, 0.4, 2.0, 3.1, -0.8], 20).tolist()
         seps = rng.choice(self.SEPS + [0.3, 5.0], 20).tolist()
-        whole = oracle_c_batch(gaps, seps)
-        # 5120 nodes: slices that run both branches on this batch
+        *whole, whole_errors = _oracle_batch(gaps, seps)
+        # 5120 nodes: slices that run both branches on this batch, which
+        # takes only the dense one whole
         monkeypatch.setattr(wightman, "_BATCH_NODES", 5120)
         calls, _ = self._record(monkeypatch)
-        sliced = oracle_c_batch(gaps, seps)
-        assert _bits(sliced[0]) == _bits(whole[0]) and sliced[1] == whole[1]
+        *sliced, sliced_errors = _oracle_batch(gaps, seps)
+        assert whole_errors.tolist() == sliced_errors.tolist() == [None] * len(gaps)
+        for got, want in zip(sliced, whole):
+            assert _bits(got) == _bits(want)
         assert {ndim for ndim, _ in calls} == {2, 3}
 
 
@@ -321,28 +352,31 @@ class TestOneQuadraturePass:
 
     def test_pinned_bits(self):
         # mirrored gaps, both zeros and separations from 0.02 to 60 in one
-        # batch keep the bits of one row per call with per-gap tables
+        # batch keep the bits of one row per call with per-gap tables; the
+        # x of the points at gap 0 is the envelope there times the time
+        # integral
         gaps, seps = (list(v) for v in zip(*PINNED_C))
-        c, c_errors = oracle_c_batch(gaps, seps)
-        x, x_errors = oracle_x_time_integral_batch(list(PINNED_X))
-        assert c_errors == [None] * len(gaps) and x_errors == [None] * len(PINNED_X)
-        assert [self._hex(v) for v in c.tolist()] == list(PINNED_C.values())
-        assert [self._hex(v) for v in x.tolist()] == list(PINNED_X.values())
+        gaps += [0.0] * len(PINNED_X)
+        seps += list(PINNED_X)
+        _, x, c, errors = _oracle_batch(gaps, seps)
+        assert errors.tolist() == [None] * len(gaps)
+        assert [self._hex(v) for v in c[:len(PINNED_C)].tolist()] == list(PINNED_C.values())
+        quad = np.array([complex(*map(float.fromhex, v)) for v in PINNED_X.values()])
+        assert _bits(x[len(PINNED_C):]) == _bits(_x_envelope(0.0) * quad)
 
-    def test_joint_batch_is_both_batches_bit_for_bit(self):
+    def test_two_separation_arrays_equal_one_row_calls_bit_for_bit(self):
         # x rows are the pole pairing's rows at gap +0.0: c rows at gap
         # +-0.0 and the same separations share them
-        gaps = np.array([0.0, -0.0, 1.5, -1.5, 0.0, 2.0])
+        gaps = [0.0, -0.0, 1.5, -1.5, 0.0, 2.0]
         seps = [1.3, 1.3, 1.3, 1.3, 4.0, 0.02]
         xs = [1.3, 4.0, 9.5, 9.5, 4.0, 1.3]
         errors = np.full(6, None, dtype=object)
         a, [(x, c), (x_more, c_more)] = oracle_batch(gaps, [seps, xs], errors)
         assert errors.tolist() == [None] * 6
-        envelope = np.array([oracle_x_envelope(y) for y in gaps.tolist()])
-        assert _bits(a) == _bits(oracle_a_batch(gaps)[0])
         for r, x_r, c_r in ((seps, x, c), (xs, x_more, c_more)):
-            assert _bits(c_r) == _bits(oracle_c_batch(gaps, r)[0])
-            assert _bits(x_r) == _bits(envelope * oracle_x_time_integral_batch(r)[0])
+            want_a, want_x, want_c = _one_row_values(gaps, r)
+            assert _bits(a) == _bits(want_a)
+            assert _bits(x_r) == _bits(want_x) and _bits(c_r) == _bits(want_c)
 
     def test_mirrored_gaps_share_one_row(self, monkeypatch):
         import udwpair.wightman as wightman
@@ -361,9 +395,9 @@ class TestOneQuadraturePass:
         # |y| in {0, 1, 2.5} for the self terms, then (|y|, r) in
         # {0, 1, 2.5} x {0.7, 3}; the x rows are those at |y| = 0
         assert rows == [3, 3 * 2]
-        assert _bits(c[0].real) == _bits(oracle_c_batch([-1.0], 0.7)[0][0].real)
-        want_x = oracle_x_envelope(0.0) * oracle_x_time_integral_batch([0.7, 3.0])[0]
-        assert x[[3, 8]].tolist() == want_x.tolist()
+        assert _bits(c[0]) == _bits(oracle_c(DetectorParams(omega=-1.0, sigma=1.0), 0.7))
+        want_x = [oracle_x(DetectorParams(omega=0.0, sigma=1.0), r) for r in (0.7, 3.0)]
+        assert _bits(x[[3, 8]]) == _bits(np.array(want_x))
 
     def test_self_term_matches_complex_hadamard_form(self):
         # the real sin^2/expm1 pairing against the complex finite part of
@@ -383,8 +417,8 @@ class TestOneQuadraturePass:
             (_SQRT_PI * ((-1j * w) / (4.0j * math.pi) - h / (4.0 * math.pi**2))).real
             for w, h in zip(y.tolist(), had)
         ]
-        got, errors = oracle_a_batch(y)
-        assert errors == had_errors == [None] * y.size
+        got, _, _, errors = _oracle_batch(y, 1.0)
+        assert errors.tolist() == had_errors == [None] * y.size
         assert np.max(np.abs(got - np.array(want))) <= 1.5e-14
         assert max(_self_term_error(g, v) for g, v in zip(got.tolist(), y.tolist())) <= 1e-15
 
@@ -392,8 +426,7 @@ class TestOneQuadraturePass:
     def test_self_term_against_40_digits(self, y):
         # (e^{-y^2} - sqrt(pi) y erfc(y))/(4 pi); the cos form of the
         # pairing was off by 1.17e-14 at y = +-2
-        (got,), errors = oracle_a_batch([y])
-        assert errors == [None]
+        got = oracle_a(DetectorParams(omega=y, sigma=1.0))
         assert _self_term_error(got, y) <= 1e-16
 
     def test_self_term_on_the_pole_pairing_grid(self, monkeypatch):
@@ -414,7 +447,7 @@ class TestOneQuadraturePass:
 
         monkeypatch.setattr(wightman, "_pairing_grid", recording_grid)
         monkeypatch.setattr(wightman, "_refine", recording_refine)
-        oracle_a_batch([0.5, -0.5])
+        oracle_a(DetectorParams(omega=0.5, sigma=1.0))
         assert intervals == [(0.0, 24.0)]
         assert grids[:2] == [(3.0, 8), (1.5, 16)]
 
@@ -430,10 +463,9 @@ class TestOneQuadraturePass:
         seps = np.geomspace(0.01, 1500.0, 16)
 
         def oracle():
-            c, c_errors = oracle_c_batch(gaps[:, None], seps)
-            x, x_errors = oracle_x_time_integral_batch(seps)
-            a, a_errors = oracle_a_batch(mags)
-            assert c_errors + x_errors + a_errors == [None] * (c.size + x.size + a.size)
+            _, x, c, errors = _oracle_batch(gaps[:, None], seps)
+            a, _, _, a_errors = _oracle_batch(mags, 1.0)
+            assert not errors.any() and not a_errors.any()
             return c, x, a
 
         c, x, a = oracle()
@@ -516,45 +548,65 @@ class TestOracleValues:
             min_size=1, max_size=8,
         ),
     )
-    def test_batch_equals_one_gap_calls_bit_for_bit(self, rows):
+    def test_batch_equals_one_row_calls_bit_for_bit(self, rows):
         # any order, duplicates, both zeros, mixed separations and one-row
-        # batches: each row of a batch is the public one-row value to the
+        # batches: each point of a batch is the public one-row value to the
         # last bit
         gaps = [y for y, _ in rows]
         seps = [rho for _, rho in rows]
-        c, c_errors = oracle_c_batch(gaps, seps)
-        x, x_errors = oracle_x_time_integral_batch(seps)
-        a, a_errors = oracle_a_batch(gaps)
-        assert c_errors == x_errors == a_errors == [None] * len(rows)
-        for i, (y, rho) in enumerate(zip(gaps, seps)):
-            p = DetectorParams(omega=y, sigma=1.0)
-            assert _bits(c[i]) == _bits(oracle_c(p, rho))
-            assert _bits(x[i]) == _bits(oracle_x_time_integral(rho))
-            assert _bits(a[i]) == _bits(oracle_a(p))
+        *got, errors = _oracle_batch(gaps, seps)
+        assert errors.tolist() == [None] * len(rows)
+        for got_v, want_v in zip(got, _one_row_values(gaps, seps)):
+            assert _bits(got_v) == _bits(want_v)
 
-    def test_c_batch_broadcasts_gaps_against_separations(self):
+    def test_batch_broadcasts_gaps_against_separations(self):
         gaps = [-1.0, 0.0, 2.0]
-        one_r = oracle_c_batch(gaps, 1.3)[0]
-        per_row = oracle_c_batch(gaps, [1.3] * 3)[0]
-        assert _bits(one_r) == _bits(per_row)
-        with pytest.raises(GeometryError, match="l_image must be > 0, got 0.0"):
-            oracle_c_batch(gaps, [1.3, 0.0, 2.0])
+        *one_r, _ = _oracle_batch(gaps, 1.3)
+        *per_row, _ = _oracle_batch(gaps, [1.3] * 3)
+        for got, want in zip(one_r, per_row):
+            assert _bits(got) == _bits(want)
+
+    def test_a_bad_separation_fails_only_its_points(self):
+        # a separation that is not finite and positive is a GeometryError
+        # in its own points; the valid a of a point with another separation
+        # is kept, and so is every value of such a point
+        a, x, c, errors = _oracle_batch([0.5] * 3, [1.0, 0.0, math.nan])
+        assert [str(e) if e else None for e in errors.tolist()] == [
+            None, "l_image must be > 0, got 0.0", "l_image must be > 0, got nan",
+        ]
+        assert all(isinstance(e, GeometryError) for e in errors[1:])
+        want = _one_row_values([0.5], [1.0])
+        assert _bits(a[:1]) == _bits(want[0]) and _bits(x[:1]) == _bits(want[1])
+        assert _bits(c[:1]) == _bits(want[2])
+        assert np.isnan(a[1:]).all() and np.isnan(x[1:]).all() and np.isnan(c[1:]).all()
+        # a grid with one column of each kind of bad separation
+        gaps = np.linspace(-3.0, 3.0, 20)[:, None]
+        seps = np.array([0.3, math.inf, 1.3, -0.0, 9.5, -1.0, 2.0, math.nan])
+        a, x, c, errors = _oracle_batch(gaps, seps)
+        bad = np.array([False, True, False, True, False, True, False, True])
+        assert (np.not_equal(errors, None) == bad).all()
+        for e, r in zip(errors[0, bad].tolist(), seps[bad].tolist()):
+            assert isinstance(e, GeometryError) and str(e) == f"l_image must be > 0, got {r!r}"
+        grid_gaps, grid_seps = np.broadcast_arrays(gaps, seps[~bad])
+        want = _one_row_values(grid_gaps.ravel().tolist(), grid_seps.ravel().tolist())
+        for got_v, want_v in zip((a, x, c), want):
+            assert _bits(got_v[:, ~bad].ravel()) == _bits(want_v)
 
     def test_x_is_envelope_times_time_integral(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        got = oracle_x_envelope(1.0) * oracle_x_time_integral(1.0)
-        assert got == oracle_x(p, 1.0)
-        with pytest.raises(GeometryError):
-            oracle_x_time_integral(0.0)
+        # the whole gap dependence of x is the exact envelope
+        quad = complex(_time_integral(np.array([1.0]), _pole_row(0.0, 1.0))[0])
+        for y in (-2.0, 0.0, 1.0, 3.5):
+            got = oracle_x(DetectorParams(omega=y, sigma=1.0), 1.0)
+            assert _bits(got) == _bits(_x_envelope(y) * quad)
 
     def test_envelope_where_y_squared_overflows(self):
         # y**2 overflows a float at |y| > 1.34e154: the envelope is then its
         # limit -0.0, as where e^{-y^2} underflows; elsewhere its bits are
         # those of -2 sqrt(pi) e^{-(y**2)}
         for y in (1.34e154, -1.34e154, 30.0, 1.5, 0.0, -2.25):
-            assert _bits(oracle_x_envelope(y)) == _bits(-2.0 * _SQRT_PI * math.exp(-(y**2)))
+            assert _bits(_x_envelope(y)) == _bits(-2.0 * _SQRT_PI * math.exp(-(y**2)))
         for y in (1.35e154, -2e154, 1e300, -math.inf, math.inf):
-            assert _bits(oracle_x_envelope(y)) == _bits(-0.0)
+            assert _bits(_x_envelope(y)) == _bits(-0.0)
 
     def test_separations_over_the_node_budget(self, monkeypatch):
         # a separation whose grid would exceed ORACLE_NODE_BUDGET nodes at
@@ -573,40 +625,47 @@ class TestOracleValues:
         gaps = [0.5, 1.0, -0.5, 2.0, 0.5]
         # 1512 sigma is the largest that fits, the next float goes over
         seps = [1.3, 1e12, 1512.0, 1e300, math.nextafter(1512.0, math.inf)]
-        c, c_errors = oracle_c_batch(gaps, seps)
-        x, x_errors = oracle_x_time_integral_batch(seps)
+        a, x, c, errors = _oracle_batch(gaps, seps)
         over = [1, 3, 4]
-        for errors in (c_errors, x_errors):
-            assert [i for i, e in enumerate(errors) if e is not None] == over
-            for i in over:
-                assert isinstance(errors[i], DomainError)
-                assert f"over its budget of {wightman.ORACLE_NODE_BUDGET}" in str(errors[i])
-        assert np.isnan(c[over]).all() and np.isnan(x[over]).all()
+        assert [i for i, e in enumerate(errors) if e is not None] == over
+        for i in over:
+            assert isinstance(errors[i], DomainError)
+            assert f"over its budget of {wightman.ORACLE_NODE_BUDGET}" in str(errors[i])
+            p = DetectorParams(omega=gaps[i], sigma=1.0)
+            for one_row in (oracle_x, oracle_c):
+                with pytest.raises(DomainError) as raised:
+                    one_row(p, seps[i])
+                assert str(raised.value) == str(errors[i])
+        assert np.isnan(a[over]).all() and np.isnan(c[over]).all() and np.isnan(x[over]).all()
         assert max(sized) * wightman._GL_UNIT.size <= wightman.ORACLE_NODE_BUDGET
         fits = [0, 2]
-        want_c, _ = oracle_c_batch([gaps[i] for i in fits], [seps[i] for i in fits])
-        want_x, _ = oracle_x_time_integral_batch([seps[i] for i in fits])
-        assert _bits(c[fits]) == _bits(want_c) and _bits(x[fits]) == _bits(want_x)
+        want = _one_row_values([gaps[i] for i in fits], [seps[i] for i in fits])
+        for got_v, want_v in zip((a, x, c), want):
+            assert _bits(got_v[fits]) == _bits(want_v)
 
     def test_separations_past_the_float_range(self):
         # a subnormal separation (where 1/(2 r) overflows) fails alone, and
         # so does one whose node count is past the float range: the error
         # is a DomainError, and no RuntimeWarning is raised
         seps = [5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308]
+        p = DetectorParams(omega=0.5, sigma=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            c, c_errors = oracle_c_batch([0.5] * len(seps), seps)
-            x, x_errors = oracle_x_time_integral_batch(seps)
-        for errors in (c_errors, x_errors):
-            assert [type(e).__name__ for e in errors] == (
-                ["DomainError"] * 2 + ["NoneType"] * 2 + ["DomainError"]
-            )
-            assert str(errors[0]).startswith(
-                "the oracle takes separations from 2.2250738585072014e-308 sigma"
-            )
-            assert str(errors[-1]).endswith("which covers separations up to 1512 sigma")
-        assert np.isnan(c[[0, 1, 4]]).all() and np.isfinite(c[2:4]).all()
-        assert np.isnan(x[[0, 1, 4]]).all() and np.isfinite(x[2:4]).all()
+            a, x, c, errors = _oracle_batch([0.5] * len(seps), seps)
+            for i in (0, 1, 4):
+                for one_row in (oracle_x, oracle_c):
+                    with pytest.raises(DomainError) as raised:
+                        one_row(p, seps[i])
+                    assert str(raised.value) == str(errors[i])
+        assert [type(e).__name__ for e in errors] == (
+            ["DomainError"] * 2 + ["NoneType"] * 2 + ["DomainError"]
+        )
+        assert str(errors[0]).startswith(
+            "the oracle takes separations from 2.2250738585072014e-308 sigma"
+        )
+        assert str(errors[-1]).endswith("which covers separations up to 1512 sigma")
+        for v in (a, x, c):
+            assert np.isnan(v[[0, 1, 4]]).all() and np.isfinite(v[2:4]).all()
 
     def test_gaps_over_the_gap_limit(self, monkeypatch):
         # a self-term or exchange row at |y| over ORACLE_GAP_LIMIT fails
@@ -626,29 +685,30 @@ class TestOracleValues:
 
         monkeypatch.setattr(wightman, "_refine", recording_refine)
         gaps = [0.5, -700.0, limit, 2e154, -limit, math.nextafter(limit, math.inf)]
-        a, a_errors = oracle_a_batch(gaps)
-        c, c_errors = oracle_c_batch(gaps, 1.3)
-        x_errors = np.full(6, None, dtype=object)
-        _, [(x, _)] = oracle_batch(gaps, [1.3], x_errors)
-        # |y| in {0.5, limit}, for a and for c; then the same with the x row
-        # (gap 0) in one batch
-        assert integrated == [2, 2, 2, 3]
+        a, x, c, errors = _oracle_batch(gaps, 1.3)
+        # |y| in {0.5, limit} for a; then those and the x row (gap 0) at 1.3
+        assert integrated == [2, 3]
         over = [1, 3, 5]
-        for errors in (a_errors, c_errors):
-            assert [i for i, e in enumerate(errors) if e is not None] == over
-            for i in over:
-                assert isinstance(errors[i], DomainError)
-                assert str(errors[i]) == (
-                    "the oracle's quadrature grid resolves gaps up to |Omega sigma| = "
-                    f"682.667 (ORACLE_GAP_LIMIT), this one has |Omega sigma| = {abs(gaps[i])!r}"
-                )
-        assert np.isnan(a[over]).all() and np.isnan(c[over]).all()
-        assert [type(e).__name__ for e in x_errors] == [type(e).__name__ for e in a_errors]
+        assert [i for i, e in enumerate(errors) if e is not None] == over
+        for i in over:
+            want = (
+                "the oracle's quadrature grid resolves gaps up to |Omega sigma| = "
+                f"682.667 (ORACLE_GAP_LIMIT), this one has |Omega sigma| = {abs(gaps[i])!r}"
+            )
+            assert isinstance(errors[i], DomainError) and str(errors[i]) == want
+            # the one-row a and c raise it; x is exact in the gap and has none
+            p = DetectorParams(omega=gaps[i], sigma=1.0)
+            for one_row in (oracle_a, lambda p: oracle_c(p, 1.3)):
+                with pytest.raises(DomainError) as raised:
+                    one_row(p)
+                assert str(raised.value) == want
+            assert oracle_x(p, 1.3) == 0j
+        assert oracle_x(DetectorParams(omega=700.0, sigma=1.0), 1.0) == 0j
+        assert np.isnan(a[over]).all() and np.isnan(x[over]).all() and np.isnan(c[over]).all()
         fits = [0, 2, 4]
-        envelope = np.array([oracle_x_envelope(gaps[i]) for i in fits])
-        assert _bits(x[fits]) == _bits(envelope * oracle_x_time_integral_batch([1.3])[0])
-        assert _bits(a[fits]) == _bits(oracle_a_batch([gaps[i] for i in fits])[0])
-        assert _bits(c[fits]) == _bits(oracle_c_batch([gaps[i] for i in fits], 1.3)[0])
+        want = _one_row_values([gaps[i] for i in fits], [1.3] * 3)
+        for got_v, want_v in zip((a, x, c), want):
+            assert _bits(got_v[fits]) == _bits(want_v)
 
     def test_x_at_small_separations(self):
         # the pole pairing (g(L+s) - g(L-s))/s is smooth on the scale sigma
@@ -703,8 +763,14 @@ class TestOracleValues:
             oracle_x(p, 0.0)
         with pytest.raises(GeometryError):
             oracle_c(p, -1.0)
+        with pytest.raises(GeometryError, match=r"^l_image must be > 0, got 0\.0$"):
+            oracle_c(p, 0.0)
         with pytest.raises(GeometryError):
             oracle_a(p, -0.5)
+        # a gap over ORACLE_GAP_LIMIT and a separation over the node budget:
+        # the separation's error is named
+        with pytest.raises(DomainError, match="over its budget of"):
+            oracle_c(DetectorParams(omega=700.0, sigma=1.0), 1513.0)
 
 
 class TestSigmaAtTheBoundary:
