@@ -6,7 +6,8 @@ against the distributional quadrature oracle), ``show-config`` (resolved
 configuration).  Flags override keys read from ``--config``; all quantities
 are in units of the switching width sigma.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 validation or output error, 2 verification
+failure.
 Relative ``--out`` paths resolve under $UDWPAIR_OUT_DIR when set.
 
 The commands resolve their configuration (:mod:`udwpair.config`, no
@@ -126,38 +127,42 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     click.echo(f"udwpair: {category.__name__}: {message}", err=True)
 
 
-def _run_and_write(run, config_path, flags) -> None:
+def _evaluate(run, config_path, flags):
+    """Resolve the configuration, call ``run`` on it and write the slabs it
+    returns, which it then returns.  A :class:`UdwError`, or an
+    :class:`OSError` (a ``--config`` file that cannot be read, an ``--out``
+    path that cannot be created or written), exits with one ``error:`` line
+    (exit 1)."""
     try:
         cfg = _resolve_config(config_path, **flags)
-        _emit(cfg, run(cfg))
-    except ConfigError as exc:
+        slabs = run(cfg)
+        _emit(cfg, slabs)
+    except BrokenPipeError:
+        raise  # stdout's reader has gone: click exits 1 without a message
+    except (UdwError, OSError) as exc:
         raise SystemExit(_fail(exc))
+    return slabs
 
 
 @main.command()
 @_config_options
 def sweep(config_path, **flags):
     """Tabulate matrix elements and entanglement measures over a grid."""
-    _run_and_write(run_sweep, config_path, flags)
+    _evaluate(run_sweep, config_path, flags)
 
 
 @main.command()
 @_config_options
 def diffmap(config_path, **flags):
     """Tabulate the correlation difference corr_M - corr_topology."""
-    _run_and_write(run_difference_map, config_path, flags)
+    _evaluate(run_difference_map, config_path, flags)
 
 
 @main.command()
 @_config_options
 def verify(config_path, **flags):
     """Check every closed form against the distributional quadrature oracle."""
-    try:
-        cfg = _resolve_config(config_path, **flags)
-        run = run_verification(cfg)
-        _emit(cfg, run)
-    except UdwError as exc:
-        raise SystemExit(_fail(exc))
+    run = _evaluate(run_verification, config_path, flags)
     click.echo(f"verify: {'PASS' if run.passed else 'FAIL'} ({_findings(run)})", err=True)
     if not run.passed:
         raise SystemExit(_EXIT_VERIFICATION)
@@ -186,7 +191,7 @@ def show_config(config_path, **flags):
     """Print the fully resolved configuration as key = value lines."""
     try:
         cfg = _resolve_config(config_path, **flags)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         raise SystemExit(_fail(exc))
     click.echo(f"topology = {cfg.topology.value}")
     click.echo(f"ell = {','.join(map(_exact, cfg.ell))}")

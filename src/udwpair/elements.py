@@ -83,6 +83,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import TopologyKind
 from .errors import (
     DomainError,
     GeometryError,
@@ -92,7 +93,6 @@ from .errors import (
 )
 from .geometry import (
     Topology,
-    TopologyKind,
     WorldlinePair,
     image_classes,
     image_separation_array,
@@ -103,7 +103,6 @@ from .geometry import (
 __all__ = [
     "DetectorParams",
     "XStateAB",
-    "XStateBatch",
     "joint_excitation",
     "self_excitation_array",
     "exchange_array",
@@ -168,7 +167,7 @@ TRUNCATION_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """One detector: energy gap, Gaussian switching width, coupling strength.
+    """One detector: energy gap and Gaussian switching width.
 
     ``omega`` may be negative (a de-excitation probe of an initially excited
     detector maps onto a negative gap at this order).
@@ -176,20 +175,18 @@ class DetectorParams:
 
     omega: float
     sigma: float
-    eps0: float = 0.01
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise InvalidStateError(f"sigma must be > 0, got {self.sigma!r}")
-        if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
-            raise InvalidStateError(f"eps0 must be > 0, got {self.eps0!r}")
         if not math.isfinite(self.omega):
             raise InvalidStateError(f"omega must be finite, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
 class XStateAB:
-    """Leading-order X-state data, stored as coefficients of eps0 powers.
+    """Leading-order X-state data, stored as coefficients of eps0 powers:
+    arrays of one common shape for a batch, Python numbers for one point.
 
     ``a``, ``b``, ``x``, ``c`` are per eps0^2.  The joint excitation ``e``
     (per eps0^4) is not stored: it is derived from them by
@@ -206,23 +203,8 @@ class XStateAB:
     @property
     def e(self) -> float:
         """E/eps0^4 = |x|^2 + a b + 2 |c|^2."""
-        return float(joint_excitation(self.a, self.b, self.x, self.c))
-
-
-class XStateBatch(NamedTuple):
-    """:class:`XStateAB` fields as arrays of one common shape (``c`` is
-    real), with ``e`` derived in the same way."""
-
-    a: np.ndarray
-    b: np.ndarray
-    x: np.ndarray
-    c: np.ndarray
-    tail_bound: np.ndarray
-
-    @property
-    def e(self) -> np.ndarray:
-        """E/eps0^4 = |x|^2 + a b + 2 |c|^2."""
-        return joint_excitation(self.a, self.b, self.x, self.c)
+        e = joint_excitation(self.a, self.b, self.x, self.c)
+        return float(e) if np.ndim(e) == 0 else e
 
 
 def new_errors(shape) -> np.ndarray:
@@ -656,7 +638,7 @@ class TruncationTally:
 def _add_images(
     a, x, c, y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray,
     truncation: TruncationTally | None,
-) -> XStateBatch:
+) -> XStateAB:
     """The n = 0 terms a, x, c plus their images n = -nmax..-1, 1..nmax.
 
     The images are evaluated in one stacked pass (:func:`_image_terms`):
@@ -714,13 +696,13 @@ def _add_images(
     tally.add(worst, tail, np.equal(errors, None))
     if truncation is None:
         tally.warn(nmax, stacklevel=3)
-    return XStateBatch(a, b, x, c, tail)
+    return XStateAB(a, b, x, c, tail_bound=tail)
 
 
 def elements_batch(
     y, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray,
     truncation: TruncationTally | None = None,
-) -> XStateBatch:
+) -> XStateAB:
     """Elements on a grid: gaps y = sigma*Omega and pair coordinates (in
     units of sigma, as is ``topology.ell``) broadcast to ``errors.shape``.
 
@@ -745,17 +727,17 @@ def elements_batch(
         if quotient:
             return _add_images(a, x, c, y, pair, topology, nmax, errors, truncation)
     a = np.broadcast_to(a, errors.shape)
-    return XStateBatch(a, a, x, c, np.zeros(errors.shape))
+    return XStateAB(a, a, x, c, tail_bound=np.zeros(errors.shape))
 
 
-def _as_batch(state: XStateAB) -> XStateBatch:
+def _as_batch(state: XStateAB) -> XStateAB:
     """One-point batch holding the values of ``state``."""
-    return XStateBatch(
+    return XStateAB(
         np.array([state.a], dtype=float),
         np.array([state.b], dtype=float),
         np.array([state.x], dtype=complex),
         np.array([state.c], dtype=complex),
-        np.array([state.tail_bound], dtype=float),
+        tail_bound=np.array([state.tail_bound], dtype=float),
     )
 
 
@@ -779,9 +761,9 @@ def elements_for(
     errors = new_errors((1,))
     state = elements_batch(np.array([s * p.omega]), pair, topology, nmax, errors)
     _raise_first(errors)
-    a, b, x, c, tail = (v[0] for v in state)
     return XStateAB(
-        a=float(a), b=float(b), x=complex(x), c=complex(c), tail_bound=float(tail)
+        float(state.a[0]), float(state.b[0]), complex(state.x[0]), complex(state.c[0]),
+        tail_bound=float(state.tail_bound[0]),
     )
 
 

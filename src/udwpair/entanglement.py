@@ -35,7 +35,6 @@ import numpy as np
 
 from .elements import (
     XStateAB,
-    XStateBatch,
     _as_batch,
     _raise_first,
     assembly_checks,
@@ -146,7 +145,7 @@ def _block_min_eigenvalue(p, q, off):
 
 
 def xstate_measures_batch(
-    state: XStateBatch, eps0: float, errors: np.ndarray
+    state: XStateAB, eps0: float, errors: np.ndarray
 ) -> Measures:
     """Closed-form measures of a batch of detector X-states.
 

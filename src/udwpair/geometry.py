@@ -39,7 +39,6 @@ from .config import TopologyKind
 from .errors import GeometryError
 
 __all__ = [
-    "TopologyKind",
     "Topology",
     "WorldlinePair",
     "ImageClass",

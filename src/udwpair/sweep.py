@@ -1,9 +1,9 @@
 """Parameter sweeps, correlation difference maps, and verification runs.
 
-A run is described by a :class:`~udwpair.config.SweepConfig`; the
-configuration layer (:mod:`udwpair.config`: the config types, the key
-parsers and ``OUTPUT_DIR_ENV``) imports no numpy and is re-exported here.
-Importing this module loads numpy and the evaluation modules.
+A run is described by a :class:`~udwpair.config.SweepConfig`, from the
+configuration layer (:mod:`udwpair.config`: the config types and the key
+parsers), which imports no numpy.  Importing this module loads numpy and
+the evaluation modules.
 
 All sweep inputs and outputs are expressed in units of the switching width
 sigma (energy gaps as Omega*sigma, lengths as L/sigma), matching how the
@@ -67,15 +67,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import wightman
-from .config import (
-    OUTPUT_DIR_ENV,
-    GridAxis,
-    SweepConfig,
-    TopologyKind,
-    config_from_mapping,
-    parse_config_file,
-    parse_range,
-)
+from .config import SweepConfig, TopologyKind
 from .elements import (
     TruncationTally,
     elements_batch,
@@ -89,15 +81,9 @@ from .errors import ConfigError
 from .geometry import Topology, WorldlinePair, separation_array
 
 __all__ = [
-    "OUTPUT_DIR_ENV",
-    "GridAxis",
-    "SweepConfig",
     "Table",
     "VerificationReport",
     "VerificationSlabs",
-    "config_from_mapping",
-    "parse_config_file",
-    "parse_range",
     "run_sweep",
     "run_difference_map",
     "run_verification",

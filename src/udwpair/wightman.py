@@ -56,15 +56,17 @@ the rows at gap 0 (:func:`_pole_pairing_within_budget`).
 :func:`oracle_batch` is the oracle of a batch of points, such as a slab of
 ``verify`` or ``sweep --oracle``: the self terms of all its points in one
 pass and their x and c integrals in one pole pairing, each distinct row
-once.  The one-row :func:`oracle_a`, :func:`oracle_c` and :func:`oracle_x`
-take a :class:`DetectorParams` and a separation, scale them to sigma once
-and run the same passes on their one row, so a point's values in a batch
-are theirs bit for bit.  A separation that is not finite and positive gets
-a :class:`GeometryError` in its rows; one whose grid would exceed
-``ORACLE_NODE_BUDGET`` nodes at the deepest refinement (over 1512), or
-that is below the smallest normal float, gets a :class:`DomainError`; so
-does a self-term or exchange row whose gap exceeds ``ORACLE_GAP_LIMIT``,
-the largest that the deepest panels resolve.  All of these come before any
+once.  The one-row :func:`oracle_a` (the self term, of a
+:class:`DetectorParams`), :func:`oracle_c` and :func:`oracle_x` (of a
+:class:`DetectorParams` and a separation) scale to sigma once and run the
+same passes on their one row, so a point's values in a batch are theirs
+bit for bit; an image term of a is ``oracle_c(p, L).real``.  A
+separation that is not finite and positive gets a :class:`GeometryError`
+in its rows; one whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at
+the deepest refinement (over 1512), or that is below the smallest normal
+float, gets a :class:`DomainError`; so does a self-term or exchange row
+whose gap exceeds ``ORACLE_GAP_LIMIT``, the largest that the deepest
+panels resolve.  All of these come before any
 grid is sized.  A row whose last doubling still changes it by more than
 1e-8 gets a :class:`ConvergenceError`.  :func:`oracle_batch` records these
 per point and leaves the other points as they are; the one-row functions
@@ -471,18 +473,13 @@ def _pole_row(mag: float, r: float) -> np.ndarray:
     return pv
 
 
-def oracle_a(p: DetectorParams, l_image: float = 0.0) -> float:
-    """Transition-probability coefficient A/eps0^2 from the distributional kernel.
-
-    ``l_image = 0`` is the single-worldline self term (f'(0) delta rule plus
-    Hadamard double pole); ``l_image > 0`` gives the image term of the
-    probability for a detector correlating with its own translate at that
-    separation.  The result is real for static worldlines.
+def oracle_a(p: DetectorParams) -> float:
+    """Transition-probability coefficient A/eps0^2 from the distributional
+    kernel: the single-worldline self term (f'(0) delta rule plus Hadamard
+    double pole), real for static worldlines.  An image term of A, a
+    detector correlating with its own translate at separation L, is
+    ``oracle_c(p, L).real``.
     """
-    if l_image < 0.0 or not math.isfinite(l_image):
-        raise GeometryError(f"l_image must be >= 0, got {l_image!r}")
-    if l_image > 0.0:
-        return float(oracle_c(p, l_image).real)
     y = np.array([p.sigma * p.omega])
     mags = np.abs(y)
     errors = _screen(_unresolved, mags)

@@ -17,7 +17,7 @@ import numpy as np
 from udwpair.elements import (
     _COINCIDENT_ULPS,
     TRUNCATION_RTOL,
-    XStateBatch,
+    XStateAB,
     _flag_separation,
     exchange_array,
     flag_errors,
@@ -25,10 +25,10 @@ from udwpair.elements import (
     nonlocal_array,
     self_excitation_array,
 )
+from udwpair.config import TopologyKind
 from udwpair.errors import GeometryError, TruncationWarning
 from udwpair.geometry import (
     Topology,
-    TopologyKind,
     WorldlinePair,
     _distance,
     image_classes,
@@ -74,7 +74,7 @@ def loop_image_terms(
 
 def _loop_add_images(
     a, x, c, omega, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
-) -> XStateBatch:
+) -> XStateAB:
     same_b = topology.kind is TopologyKind.CYLINDER
     weights = [image.weight for image in image_classes(topology, pair)]
     pair_a = self_pair(pair.d_a, pair.z_a)
@@ -124,12 +124,12 @@ def _loop_add_images(
             TruncationWarning,
             stacklevel=3,
         )
-    return XStateBatch(a, b, x, c, tail)
+    return XStateAB(a, b, x, c, tail_bound=tail)
 
 
 def loop_elements_batch(
     omega, pair: WorldlinePair, topology: Topology, nmax: int, errors: np.ndarray
-) -> XStateBatch:
+) -> XStateAB:
     """:func:`udwpair.elements.elements_batch` of a quotient, image by image."""
     omega = np.asarray(omega, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -26,6 +26,8 @@ from references import (
 
 from udwpair import (
     DetectorParams,
+    GridAxis,
+    SweepConfig,
     Topology,
     TopologyKind,
     TruncationWarning,
@@ -37,7 +39,7 @@ from udwpair import (
     xstate_measures,
 )
 from udwpair.elements import self_excitation_array
-from udwpair.sweep import GridAxis, SweepConfig, run_difference_map, run_sweep
+from udwpair.sweep import run_difference_map, run_sweep
 
 EPS0 = 0.01
 GRID_L = (0.5, 1.0, 2.0, 4.0)
@@ -72,7 +74,7 @@ def test_criterion_1_oracle_equivalence():
     worst_pv = 0.0
     worst_ieps = 0.0
     for om in GRID_OMEGA:
-        p = DetectorParams(omega=om, sigma=1.0, eps0=EPS0)
+        p = DetectorParams(omega=om, sigma=1.0)
         a_closed = _minkowski(p, 1.0).a
         worst_pv = max(worst_pv, abs(a_closed - oracle_a(p)))
         worst_ieps = max(worst_ieps, abs(a_closed - oracle_ieps("A", p, 0.0).value))
@@ -102,7 +104,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_forced_value():
     """A/eps0^2 at Omega = 0 equals 1/4 pi to 1e-12 in closed form and oracle."""
-    p = DetectorParams(omega=0.0, sigma=1.0, eps0=EPS0)
+    p = DetectorParams(omega=0.0, sigma=1.0)
     target = 1.0 / (4.0 * math.pi)
     dev_closed = abs(_minkowski(p, 1.0).a - target)
     dev_oracle = abs(oracle_a(p) - target)
@@ -127,7 +129,7 @@ def test_criterion_2_forced_value():
 )
 def test_criterion_3_minkowski_limit():
     """At ell/sigma = 20 all quotient elements differ from Minkowski < 1e-12."""
-    p = DetectorParams(omega=1.0, sigma=1.0, eps0=EPS0)
+    p = DetectorParams(omega=1.0, sigma=1.0)
     pair = WorldlinePair((0.3, 0.0), (0.8, 0.0), 0.0, 0.0)
     mink = _state_fields(_minkowski(p, 0.5))
     worst = 0.0
@@ -159,7 +161,7 @@ def test_criterion_4_truncation_adequacy():
     for ell in (1.0, 2.0, 4.0):
         top = Topology.cylinder(ell)
         for om in (-1.0, 0.0, 1.0):
-            p = DetectorParams(omega=om, sigma=1.0, eps0=EPS0)
+            p = DetectorParams(omega=om, sigma=1.0)
             s10 = _state_fields(_quiet(elements_for, p, pair, top, nmax=10))
             s20 = _state_fields(_quiet(elements_for, p, pair, top, nmax=20))
             worst = max(worst, max(abs(s10[k] - s20[k]) for k in s10))
@@ -244,7 +246,7 @@ def test_criterion_7_correlation_identity():
     rel_tol = 100.0 * EPS0**2
     worst = 0.0
     for om in FIG1_OMEGA.values():
-        p = DetectorParams(omega=float(om), sigma=1.0, eps0=EPS0)
+        p = DetectorParams(omega=float(om), sigma=1.0)
         for length in FIG1_L.values():
             state = _minkowski(p, float(length))
             assert state.a == state.b

@@ -11,6 +11,7 @@ import io
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -228,3 +229,80 @@ def test_package_uses_no_integrate_or_linalg(path):
     # the -i eps oracle (scipy.integrate), scipy.special and the
     # eigenvalue-exact measures (numpy.linalg) are the tests' references
     assert _test_only_uses(path) == []
+
+
+def _reexports(path: Path) -> list[str]:
+    """Names that the ``__all__`` of ``path`` lists and that the module
+    imports from another ``udwpair`` module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "udwpair"
+        ):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported & exported)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src" / "udwpair").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda path: path.name,
+)
+def test_no_module_reexports_another(path):
+    # each name has one home module; only the package namespace gathers them
+    assert _reexports(path) == []
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+#: a CLI call in a shell line without its redirections: ``udwpair`` or
+#: ``python -m udwpair.cli``, then its arguments up to ``|``, ``)``, ``;``
+#: or ``&``
+_SHELL_CALL = re.compile(r"(?:^|[\s(])(?:udwpair|python -m udwpair\.cli)\s+([^|)&;]*)")
+_REDIRECTION = re.compile(r"\s\d*>\s*\S+")
+_SUBCOMMANDS = ("sweep", "diffmap", "verify", "show-config")
+
+
+def _command_lines() -> list[tuple[str, ...]]:
+    """The arguments of every CLI call of a shell line of the CI workflow
+    and of a bash block of the README, ``\\`` continuations joined, with
+    their ``--out`` dropped; only calls of a subcommand."""
+    readme = README.read_text(encoding="utf-8")
+    bash = "\n".join(re.findall(r"```bash\n(.*?)```", readme, re.DOTALL))
+    calls = []
+    for text in (WORKFLOW.read_text(encoding="utf-8"), bash):
+        for line in text.replace("\\\n", " ").splitlines():
+            line = _REDIRECTION.sub(" ", line.strip())
+            if line.startswith("#"):
+                continue
+            for match in _SHELL_CALL.finditer(line):
+                argv = shlex.split(match.group(1))
+                if "--out" in argv:
+                    i = argv.index("--out")
+                    del argv[i : i + 2]
+                if argv and argv[0] in _SUBCOMMANDS:
+                    calls.append(tuple(argv))
+    return calls
+
+
+def test_command_lines_are_found():
+    # the workflow's verify, sweep and diffmap calls and the README's figures
+    calls = _command_lines()
+    assert {argv[0] for argv in calls} == set(_SUBCOMMANDS)
+    assert len(calls) >= 20
+
+
+@pytest.mark.parametrize("argv", sorted(set(_command_lines())), ids=" ".join)
+def test_documented_command_lines_parse(argv):
+    # show-config resolves the same flags without evaluating anything, so a
+    # flag that is renamed or removed fails here before CI runs the command
+    from click.testing import CliRunner
+
+    from udwpair.cli import main
+
+    result = CliRunner().invoke(main, ["show-config", *argv[1:]])
+    assert result.exit_code == 0, (argv, result.output)

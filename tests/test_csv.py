@@ -18,11 +18,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from udwpair.errors import TruncationWarning
-from udwpair.geometry import TopologyKind
+from udwpair.config import GridAxis, SweepConfig, TopologyKind
 from udwpair.sweep import (
     CSV_CHUNK_ROWS,
-    GridAxis,
-    SweepConfig,
     Table,
     rows_to_csv,
     rows_to_jsonl,

@@ -21,7 +21,6 @@ from udwpair import (
     XStateAB,
     assemble_density_matrix,
     elements_for,
-    oracle_a,
     oracle_c,
     oracle_x,
 )
@@ -198,12 +197,10 @@ class TestMinkowski:
         assert st.tail_bound == 0.0
 
     def test_large_separation_approaches_product_state(self):
-        p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
-        st = minkowski(p, 12.0)
-        rho = assemble_density_matrix(st, p.eps0)
-        single = np.array(
-            [[1.0 - p.eps0**2 * st.a, 0.0], [0.0, p.eps0**2 * st.a]]
-        )
+        eps0 = 0.01
+        st = minkowski(DetectorParams(omega=1.0, sigma=1.0), 12.0)
+        rho = assemble_density_matrix(st, eps0)
+        single = np.array([[1.0 - eps0**2 * st.a, 0.0], [0.0, eps0**2 * st.a]])
         product = np.kron(single, single)
         assert np.max(np.abs(rho - product)) < 1e-7
 
@@ -243,7 +240,7 @@ class TestImageTermsAgainstOracle:
             r_n = float(image_separation_array(top, me, n))
             assert r_n == pytest.approx(abs(n) * 0.9, abs=1e-15)
             assert exchange_term(omega, r_n) == pytest.approx(
-                oracle_a(p, r_n), abs=1e-8
+                oracle_c(p, r_n).real, abs=1e-8
             )
 
     def test_self_image_terms_twisted(self):
@@ -257,7 +254,7 @@ class TestImageTermsAgainstOracle:
                 math.sqrt((n * 1.1) ** 2 + 4.0 * 0.8**2 * (n % 2)), rel=1e-14
             )
             assert exchange_term(0.5, r_n) == pytest.approx(
-                oracle_a(p, r_n), abs=1e-8
+                oracle_c(p, r_n).real, abs=1e-8
             )
 
 
@@ -611,7 +608,7 @@ class TestAssembly:
     def test_eigenvalue_sweep_on_figure_grid(self):
         eps0 = 0.01
         for om in np.linspace(-3.0, 3.0, 7):
-            p = DetectorParams(omega=float(om), sigma=1.0, eps0=eps0)
+            p = DetectorParams(omega=float(om), sigma=1.0)
             for length in np.linspace(0.25, 10.0, 8):
                 rho = assemble_density_matrix(
                     minkowski(p, float(length)), eps0
@@ -639,10 +636,14 @@ class TestAssembly:
         with pytest.raises(InvalidStateError):
             assemble_density_matrix(st, 1.0)
 
+    @pytest.mark.parametrize("eps0", [-0.1, 0.0, math.nan, math.inf])
+    def test_coupling_validation(self, eps0):
+        st = XStateAB(a=0.01, b=0.01, x=0.0, c=0.0)
+        with pytest.raises(InvalidStateError, match=r"^eps0 must be > 0, got "):
+            assemble_density_matrix(st, eps0)
+
     def test_params_validation(self):
         with pytest.raises(InvalidStateError):
             DetectorParams(omega=1.0, sigma=0.0)
-        with pytest.raises(InvalidStateError):
-            DetectorParams(omega=1.0, sigma=1.0, eps0=-0.1)
         with pytest.raises(InvalidStateError):
             DetectorParams(omega=math.inf, sigma=1.0)

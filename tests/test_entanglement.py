@@ -28,6 +28,9 @@ from udwpair.entanglement import (
     xstate_closed_forms,
 )
 
+#: the coupling at which the detector states are measured
+EPS0 = 0.01
+
 
 def minkowski(p: DetectorParams, length: float) -> XStateAB:
     """elements_for in Minkowski space at separation ``length``."""
@@ -200,12 +203,12 @@ class TestCorrelation:
         assert xstate_measures(stx, 0.1).corr * 0.1**2 == pytest.approx(0.0, abs=1e-18)
 
     def test_identical_shortcut_matches_general(self):
-        p = DetectorParams(omega=0.7, sigma=1.0, eps0=0.01)
+        p = DetectorParams(omega=0.7, sigma=1.0)
         stx = minkowski(p, 1.3)
         assert stx.a == stx.b
-        general = xstate_measures(stx, p.eps0).corr * p.eps0**2
+        general = xstate_measures(stx, EPS0).corr * EPS0**2
         assert general == pytest.approx(
-            identical_shortcut(stx, p.eps0), rel=100.0 * p.eps0**2
+            identical_shortcut(stx, EPS0), rel=100.0 * EPS0**2
         )
 
     def test_degenerate_variance_rejected(self):
@@ -218,22 +221,22 @@ class TestCorrelation:
         # A B underflows here, so (E - A B)/sqrt(A(1-A) B(1-B)) is not
         # computable as written; the reference evaluates it in 60 digits
         # from the same float coefficients
-        p = DetectorParams(omega=omega, sigma=1.0, eps0=0.01)
+        p = DetectorParams(omega=omega, sigma=1.0)
         for length in (0.5, 1.0, 10.0):
             stx = minkowski(p, length)
             with mp.workdps(60):
-                e2 = mp.mpf(p.eps0) ** 2
+                e2 = mp.mpf(EPS0) ** 2
                 a, b = e2 * stx.a, e2 * stx.b
                 e = e2 * e2 * (abs(mp.mpc(stx.x)) ** 2 + mp.mpf(stx.a) * stx.b + 2 * abs(mp.mpc(stx.c)) ** 2)
                 want = (e - a * b) / mp.sqrt(a * (1 - a) * b * (1 - b))
-            got = xstate_measures(stx, p.eps0).corr * p.eps0**2
+            got = xstate_measures(stx, EPS0).corr * EPS0**2
             assert got > 0.0
             assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_vanishes_at_large_separation(self):
-        p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
+        p = DetectorParams(omega=1.0, sigma=1.0)
         near, far = (
-            correlation_arrays(state.a, state.b, state.x, state.c, p.eps0)
+            correlation_arrays(state.a, state.b, state.x, state.c, EPS0)
             for state in (minkowski(p, 1.0), minkowski(p, 40.0))
         )
         assert abs(far) < abs(near) * 1e-3
@@ -241,34 +244,34 @@ class TestCorrelation:
 
 class TestReport:
     def test_spec_point_reproduces_expected_concurrence(self):
-        p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
+        p = DetectorParams(omega=1.0, sigma=1.0)
         state = minkowski(p, 1.0)
-        report = xstate_measures(state, p.eps0)
+        report = xstate_measures(state, EPS0)
         # leading order: 2 (|x| - a) = 2 (0.047440 - 0.0070883), per eps0^2
         assert report.concurrence_leading == pytest.approx(0.0807041257, abs=1e-9)
         assert report.harvested
-        rho = assemble_density_matrix(state, p.eps0)
+        rho = assemble_density_matrix(state, EPS0)
         assert negativity_exact(rho) == pytest.approx(
-            p.eps0**2 * report.concurrence_leading / 2.0, abs=10.0 * p.eps0**4
+            EPS0**2 * report.concurrence_leading / 2.0, abs=10.0 * EPS0**4
         )
         assert concurrence_exact(rho) == pytest.approx(report.concurrence, abs=1e-12)
         r = rho.diagonal().real
         assert math.isclose(r[1], r[2], rel_tol=1e-12, abs_tol=1e-16)
 
     def test_separable_point(self):
-        p = DetectorParams(omega=2.5, sigma=1.0, eps0=0.01)
+        p = DetectorParams(omega=2.5, sigma=1.0)
         state = minkowski(p, 8.0)
-        report = xstate_measures(state, p.eps0)
+        report = xstate_measures(state, EPS0)
         assert not report.harvested
         assert report.concurrence_leading == 0.0
         assert report.concurrence == pytest.approx(0.0, abs=1e-12)
-        rho = assemble_density_matrix(state, p.eps0)
+        rho = assemble_density_matrix(state, EPS0)
         assert concurrence_exact(rho) == pytest.approx(0.0, abs=1e-12)
         assert report.eof == pytest.approx(0.0, abs=1e-10)
 
     def test_one_point_types(self):
-        p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
-        report = xstate_measures(minkowski(p, 1.0), p.eps0)
+        p = DetectorParams(omega=1.0, sigma=1.0)
+        report = xstate_measures(minkowski(p, 1.0), EPS0)
         assert report.harvested is True
         assert all(type(v) is float for v in report[:-1])
 
@@ -277,10 +280,10 @@ class TestReport:
         # the assembled detector state is only ever entangled through the
         # |rho_14| > sqrt(r22 r33) branch
         for om in np.linspace(-3.0, 3.0, 7):
-            p = DetectorParams(omega=float(om), sigma=1.0, eps0=0.01)
+            p = DetectorParams(omega=float(om), sigma=1.0)
             for length in np.linspace(0.2, 8.0, 9):
                 stx = minkowski(p, float(length))
-                rho = assemble_density_matrix(stx, p.eps0)
+                rho = assemble_density_matrix(stx, EPS0)
                 r = rho.diagonal().real
                 assert abs(rho[1, 2]) <= math.sqrt(r[0] * r[3])
 

@@ -257,7 +257,7 @@ for omega, l, topology in (
     (0.5, 1.0, Topology.cylinder(1.5)),
 ):
     pair = WorldlinePair((0.0, 0.0), (l, 0.0))
-    s = elements_for(DetectorParams(omega, 1.0, 0.01), pair, topology)
+    s = elements_for(DetectorParams(omega, 1.0), pair, topology)
     print(*map(float.hex, (s.a, s.b, s.x.real, s.x.imag, s.c.real, s.c.imag)))
 """
 

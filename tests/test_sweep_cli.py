@@ -6,8 +6,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import negativity_exact, separation
 
+import udwpair.cli
 import udwpair.config
 import udwpair.elements
 import udwpair.sweep as sweep_mod
@@ -37,15 +42,19 @@ from udwpair import (
     xstate_measures,
 )
 from udwpair.cli import main
-from udwpair.config import GRID_POINT_LIMIT, NMAX_LIMIT
-from udwpair.elements import self_excitation_array
-from udwpair.entanglement import Measures
-from udwpair.geometry import image_separation_array
-from udwpair.sweep import (
+from udwpair.config import (
+    GRID_POINT_LIMIT,
+    NMAX_LIMIT,
+    OUTPUT_DIR_ENV,
     GridAxis,
     SweepConfig,
     config_from_mapping,
     parse_config_file,
+)
+from udwpair.elements import self_excitation_array
+from udwpair.entanglement import Measures
+from udwpair.geometry import image_separation_array
+from udwpair.sweep import (
     rows_to_csv,
     rows_to_jsonl,
     run_difference_map,
@@ -72,6 +81,28 @@ _FUZZ_TOPOLOGIES = [
     ["--topology", "cylinder", "--ell", "1"],
     ["--topology", "twisted", "--ell", "1", "--eta", "-1", "--d-a", "0.1"],
 ]
+
+
+#: Lines of a fuzzed configuration file: keys that keep a run small, two
+#: of them invalid
+_CONFIG_KEYS = st.sampled_from([
+    b"", b"# comment", b"topology = cylinder", b"topology = twisted", b"ell = 1",
+    b"ell = 0.5, 2", b"eta = -1", b"eta = 2", b"d_a = 0.1", b"theta = 0:1:2",
+    b"nmax = 3", b"eps0 = 0.01", b"oracle = true", b"format = jsonl", b"format = csv",
+    b"out = rows.out", b"key without value",
+])
+
+
+@st.composite
+def _config_file(draw) -> bytes:
+    """At most 256 bytes: lines of ``_CONFIG_KEYS``, in half of the files
+    with arbitrary bytes among them, each line ended by LF, CR or CRLF."""
+    lines = draw(st.lists(_CONFIG_KEYS, max_size=8))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.binary(max_size=24)))
+    end = st.sampled_from([b"\n", b"\r", b"\r\n"])
+    ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
+    return b"".join(line + end for line, end in zip(lines, ends))[:256]
 
 
 @st.composite
@@ -303,12 +334,12 @@ class TestExtremeSeparations:
     def test_trace_failure_names_its_cause(self, length):
         # |x| ~ 1/L makes E = eps0^4 |x|^2 swamp 1 in r11 + r22 + r33 + r44
         (row,) = run_sweep(SweepConfig(omega=GridAxis(1.0, 1.0, 1), l=GridAxis(length, length, 1)))
-        p = DetectorParams(omega=1.0, sigma=1.0, eps0=0.01)
+        p = DetectorParams(omega=1.0, sigma=1.0)
         state = elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
         with pytest.raises(UdwError) as raised:
-            xstate_measures(state, p.eps0)
+            xstate_measures(state, row["eps0"])
         assert row["error"] == f"InvalidStateError: {raised.value}"
-        big_x = p.eps0**2 * abs(state.x)
+        big_x = row["eps0"] ** 2 * abs(state.x)
         assert row["error"].startswith("InvalidStateError: trace = ")
         assert " differs from 1 because E = r44 = " in row["error"]
         assert row["error"].endswith(f" > 1: |X| = eps0^2 |x| = {big_x!r} is not small")
@@ -390,7 +421,7 @@ class TestBatchedPath:
         cfg, kinds = FAILING_GRIDS[name]
         seen = set()
         for row in run_sweep(cfg):
-            p = DetectorParams(omega=row["omega"], sigma=1.0, eps0=cfg.eps0)
+            p = DetectorParams(omega=row["omega"], sigma=1.0)
             pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
             ell = None if cfg.topology is TopologyKind.MINKOWSKI else row["ell"]
             try:
@@ -527,12 +558,12 @@ class TestDifferenceMap:
     def test_label_swap_leaves_correlation_invariant(self):
         # corr is symmetric in the two detectors even on the twisted
         # cylinder where a != b
-        p = DetectorParams(omega=0.5, sigma=1.0, eps0=0.01)
+        p = DetectorParams(omega=0.5, sigma=1.0)
         top = Topology.twisted_cylinder(1.0)
         pair = WorldlinePair((0.1, 0.0), (0.6, 0.0), 0.0, 0.0)
         swapped = WorldlinePair((0.6, 0.0), (0.1, 0.0), 0.0, 0.0)
-        corr1 = xstate_measures(elements_for(p, pair, top), p.eps0).corr
-        corr2 = xstate_measures(elements_for(p, swapped, top), p.eps0).corr
+        corr1 = xstate_measures(elements_for(p, pair, top), 0.01).corr
+        corr2 = xstate_measures(elements_for(p, swapped, top), 0.01).corr
         assert corr1 == pytest.approx(corr2, rel=1e-12)
 
 
@@ -600,7 +631,7 @@ def _reference_oracle_devs(cfg, row):
     def dev_x(closed, oracle):
         return dev(closed, oracle, sys.float_info.min)
 
-    p = DetectorParams(omega=row["omega"], sigma=1.0, eps0=cfg.eps0)
+    p = DetectorParams(omega=row["omega"], sigma=1.0)
     pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
     lsep = separation(pair)
     mink = elements_for(p, pair, Topology.minkowski())
@@ -974,6 +1005,54 @@ class TestCli:
             if line.startswith("verify:"):
                 assert "nan" not in line, (args, line)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["sweep", "diffmap", "verify", "show-config"]),
+        config=_config_file(),
+        out=st.sampled_from([None, "fresh", "directory", "below a file"]),
+    )
+    def test_config_files_and_out_paths_do_not_crash(self, command, config, out):
+        # a raw --config file, with small omega and l axes as flags over it,
+        # and an --out path that is fresh, an existing directory or below a
+        # regular file: exit 0, 1 or 2 without a traceback, and every row
+        # written, to stdout or to a file, names a UdwError in its error
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "run.cfg").write_bytes(config)
+            (root / "afile").write_bytes(b"")
+            outputs = root / "outputs"
+            outputs.mkdir()
+            paths = {
+                "fresh": outputs / "new" / "rows.out",
+                "directory": outputs,
+                "below a file": root / "afile" / "rows.out",
+            }
+            args = [command, "--config", str(root / "run.cfg"),
+                    "--omega-range", "-1:1:2", "--l-range", "0.5:2:2"]
+            if out is not None:
+                args += ["--out", str(paths[out])]
+            result = CliRunner().invoke(main, args, env={OUTPUT_DIR_ENV: str(outputs)})
+            assert result.exit_code in (0, 1, 2), (args, config, result.exc_info)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args, config, result.exc_info
+            )
+            assert "Traceback" not in result.stderr
+            if result.exit_code == 1:
+                assert result.stderr.startswith("error: ")
+            for line in result.stderr.splitlines():
+                if line.startswith("verify:"):
+                    assert "nan" not in line, (args, config, line)
+            texts = [p.read_text(encoding="utf-8") for p in outputs.rglob("*") if p.is_file()]
+            if command != "show-config":
+                texts.append(result.stdout)
+            for text in filter(None, texts):
+                if text.startswith("{"):
+                    rows = [json.loads(line) for line in text.splitlines()]
+                else:
+                    rows = list(csv.DictReader(io.StringIO(text)))
+                for row in rows:
+                    assert row["error"] == "" or row["error"].split(":")[0] in _udw_error_names()
+
     def test_show_config_round_trips(self, tmp_path):
         args = [
             "--topology", "twisted", "--ell", "0.123456789,1e-07,3.0000000000000004",
@@ -1116,7 +1195,7 @@ class TestCli:
         assert sorted(line.split(" = ")[0] for line in shown) == keys
 
     def test_out_file_and_env_dir(self, tmp_path):
-        env = {sweep_mod.OUTPUT_DIR_ENV: str(tmp_path)}
+        env = {OUTPUT_DIR_ENV: str(tmp_path)}
         result = CliRunner().invoke(
             main,
             [
@@ -1131,6 +1210,55 @@ class TestCli:
         written = tmp_path / "rows.csv"
         assert written.exists()
         assert written.read_text().startswith("topology,")
+
+    @pytest.mark.parametrize("where", ["below a file", "a directory"])
+    @pytest.mark.parametrize("command", ["sweep", "diffmap", "verify"])
+    def test_out_path_that_cannot_be_opened_is_an_error(self, tmp_path, command, where):
+        # a path below a regular file cannot be created and a directory
+        # cannot be written: one error line that names the path, exit 1
+        (tmp_path / "afile").write_text("")
+        named = tmp_path / "afile" if where == "below a file" else tmp_path
+        out = named / "x.csv" if where == "below a file" else named
+        topology = ["--topology", "cylinder", "--ell", "1"] if command == "diffmap" else []
+        result = CliRunner().invoke(
+            main,
+            [command, *topology, "--omega-range", "0:0:1", "--l-range", "1:1:1", "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.exc_info
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: [Errno ") and line.endswith(f": {str(named)!r}")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "show-config"])
+    def test_unreadable_config_file_is_an_error(self, tmp_path, monkeypatch, command):
+        # reading /proc/self/mem, for one, fails with EIO after click has
+        # checked that the file exists
+        def unreadable(path):
+            raise OSError(5, "Input/output error", path)
+
+        monkeypatch.setattr(udwpair.cli, "parse_config_file", unreadable)
+        path = tmp_path / "run.cfg"
+        path.write_text("")
+        result = CliRunner().invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 1, result.exc_info
+        assert result.stderr == f"error: [Errno 5] Input/output error: {str(path)!r}\n"
+
+    def test_closed_stdout_exits_quietly(self):
+        # a reader that stops early (``| head``) closes the pipe: exit 1
+        # with nothing on stderr, as click handles it, not an error line
+        src = str(Path(udwpair.config.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "udwpair.cli", "sweep",
+             "--omega-range", "-3:3:64", "--l-range", "1:2:64"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert stderr == b""
 
     def test_diffmap_cli(self):
         result = CliRunner().invoke(

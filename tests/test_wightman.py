@@ -765,8 +765,6 @@ class TestOracleValues:
             oracle_c(p, -1.0)
         with pytest.raises(GeometryError, match=r"^l_image must be > 0, got 0\.0$"):
             oracle_c(p, 0.0)
-        with pytest.raises(GeometryError):
-            oracle_a(p, -0.5)
         # a gap over ORACLE_GAP_LIMIT and a separation over the node budget:
         # the separation's error is named
         with pytest.raises(DomainError, match="over its budget of"):
@@ -786,7 +784,6 @@ class TestSigmaAtTheBoundary:
         unit = DetectorParams(omega=omega * sigma, sigma=1.0)
         pairs = [
             (oracle_a(p), oracle_a(unit)),
-            (oracle_a(p, r), oracle_a(unit, r / sigma)),
             (oracle_c(p, r), oracle_c(unit, r / sigma)),
             (oracle_x(p, r), oracle_x(unit, r / sigma)),
         ]
@@ -884,14 +881,14 @@ class TestTermByTermAgainstClosedForms:
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 20.0])
     def test_a_image_term_is_the_exchange_form(self, omega, r):
         p = DetectorParams(omega=omega, sigma=1.0)
-        assert oracle_a(p, r) == pytest.approx(
+        assert oracle_c(p, r).real == pytest.approx(
             minkowski(p, r).c.real, abs=1e-8
         )
 
     def test_a_image_term_is_even_in_omega_only_through_erf(self):
         # at Omega = 0 the image term is the pure Dawson tail, nonzero
         p = DetectorParams(omega=0.0, sigma=1.0)
-        got = oracle_a(p, 1.0)
+        got = oracle_c(p, 1.0).real
         assert got == pytest.approx(0.06755114846238817, abs=1e-8)
         assert got > 0.0
 
