@@ -10,8 +10,11 @@ This module imports no numpy, so ``udwpair --help``, ``show-config`` and a
 configuration error start without it: :meth:`GridAxis.values` imports
 numpy and :meth:`SweepConfig.topology_for` imports :mod:`udwpair.geometry`
 when they are called, which only the evaluating commands do.  The sweeps,
-tables and writers are in :mod:`udwpair.sweep`, which re-exports these
-names.
+tables and writers are in :mod:`udwpair.sweep`.
+
+Besides each key's own range, :meth:`SweepConfig.validate` keeps detector
+B within the float range (``|d_a| + L`` finite), and the evaluating runs
+call :meth:`SweepConfig.check_images` with the farthest image they sum.
 """
 
 from __future__ import annotations
@@ -144,7 +147,23 @@ class SweepConfig:
             raise ConfigError(f"format must be 'csv' or 'jsonl', got {self.fmt!r}")
         if not math.isfinite(self.d_a):
             raise ConfigError(f"d_a must be finite, got {self.d_a!r}")
+        if not math.isfinite(abs(self.d_a) + self.l.stop):
+            # detector B sits at d_a + L cos(theta), a column of every row
+            raise ConfigError(
+                f"|d_a| + L must be finite: d_a = {self.d_a!r} and L up to {self.l.stop!r} "
+                "place detector B beyond the float range"
+            )
         return self
+
+    def check_images(self, n: int) -> None:
+        """A ConfigError unless each ell's image n ell, the farthest a run
+        sums, lies within the float range."""
+        for ell in self.ell:
+            if not math.isfinite(n * ell):
+                raise ConfigError(
+                    f"ell = {ell!r}: the farthest image summed, n = {n}, lies at "
+                    "n ell beyond the float range"
+                )
 
     def topology_for(self, ell: float | None) -> Topology:
         from .geometry import Topology

@@ -51,8 +51,12 @@ CSV floats are exactly ``"%.17g"`` (:func:`_g17`), JSONL floats exactly
 allow_nan=False)``).  Both take their digits in numpy from a double-double
 product with a power of ten, and leave the values they cannot settle to
 Python.  The float columns of a chunk are deduplicated together, so each
-distinct value of the chunk is formatted once; each JSONL row is one join
-of its cells' texts with the key texts between them.
+distinct value of the chunk is formatted once.  A column that holds one
+value (one bit pattern, for floats) in every row of a chunk is formatted
+once and joined once: both writers build a chunk through one row assembly
+(:func:`_joined_rows`), which joins each run of adjacent such texts, with
+the CSV comma or the JSONL key texts between them, once for the whole
+chunk, and then each row from the texts of the other columns.
 """
 
 from __future__ import annotations
@@ -304,6 +308,7 @@ def sweep_slabs(config: SweepConfig) -> Iterator[Table]:
     """The rows of :func:`run_sweep`, one slab at a time: the configuration
     is validated at the call, and each slab evaluated as it is asked for."""
     config = config.validate()
+    config.check_images(config.nmax)
 
     def evaluate(slab: _Slab):
         state = _topology_elements(config, slab)
@@ -353,6 +358,7 @@ def difference_map_slabs(config: SweepConfig) -> Iterator[Table]:
     configuration is validated at the call, and each slab evaluated as it
     is asked for."""
     config = config.validate()
+    config.check_images(config.nmax)
     if config.topology is TopologyKind.MINKOWSKI:
         raise ConfigError("difference maps need a non-Minkowski topology")
 
@@ -429,6 +435,7 @@ def verification_slabs(config: SweepConfig) -> VerificationSlabs:
     running summary: the configuration is validated at the call, and each
     slab evaluated as it is asked for."""
     config = config.validate()
+    config.check_images(max(map(abs, _VERIFY_IMAGES)))
 
     def evaluate(slab: _Slab):
         gaps = slab.gaps()
@@ -730,29 +737,42 @@ _CSV_CELL = (_g17, lambda value: _quoted(str(value)))
 _JSON_CELL = (_json_floats, json.dumps)
 
 
-def _float_text(columns: list[np.ndarray], fmt) -> list[list[str]]:
-    """Text of each cell of equal-length float64 columns: one call of
-    ``fmt`` on the distinct bit patterns of all of them (so ``-0.0`` and
-    ``0.0`` keep their own texts)."""
+def _float_text(columns: list[np.ndarray], fmt) -> list[str | list[str]]:
+    """Text of equal-length float64 columns: a single ``str`` for a column
+    whose cells all share one bit pattern, else a list of each cell's text.
+    One call of ``fmt`` on the distinct bit patterns of one key per single
+    column and every cell of the others (so ``-0.0``, ``0.0`` and each NaN
+    payload keep their own texts)."""
     bits = np.stack(columns).view(np.int64)
-    distinct, inverse = np.unique(bits.reshape(-1), return_inverse=True)
-    return fmt(distinct.view(np.float64))[inverse.reshape(bits.shape)].tolist()
+    single = (bits == bits[:, :1]).all(axis=1)
+    keys = np.concatenate([bits[single, 0], bits[~single].reshape(-1)])
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = fmt(distinct.view(np.float64))[inverse]
+    n_single = int(single.sum())
+    singles = iter(texts[:n_single].tolist())
+    others = iter(texts[n_single:].reshape(-1, bits.shape[1]).tolist())
+    return [next(singles) if s else next(others) for s in single.tolist()]
 
 
-def _column_text(values: np.ndarray, fmt) -> list[str]:
-    """Text of each cell of a column that is not float64: bool as
-    ``true``/``false``, anything else through ``fmt``, once per distinct
-    value."""
+def _column_text(values: np.ndarray, fmt) -> str | list[str]:
+    """Text of a column that is not float64, as ``_float_text`` gives it:
+    bool as ``true``/``false``, anything else through ``fmt``, once per
+    distinct value."""
     if values.dtype == bool:
+        if values.all() or not values.any():
+            return "true" if values[0] else "false"
         return np.where(values, "true", "false").tolist()
     cells = values.tolist()
     texts = {value: fmt(value) for value in set(cells)}
+    if len(texts) == 1:
+        return texts.popitem()[1]
     return list(map(texts.__getitem__, cells))
 
 
-def _chunk_text(chunk: Table, cell) -> list[list[str]]:
-    """Text of each cell of each column of one chunk: the float64 columns
-    together through ``cell[0]``, the others through ``cell[1]``."""
+def _chunk_text(chunk: Table, cell) -> list[str | list[str]]:
+    """Text of each column of one chunk, a ``str`` where the column holds
+    one value: the float64 columns together through ``cell[0]``, the others
+    through ``cell[1]``."""
     columns = chunk.columns.values()
     floats = [col for col in columns if col.dtype == np.float64]
     float_texts = iter(_float_text(floats, cell[0]) if floats else ())
@@ -760,6 +780,23 @@ def _chunk_text(chunk: Table, cell) -> list[list[str]]:
         next(float_texts) if col.dtype == np.float64 else _column_text(col, cell[1])
         for col in columns
     ]
+
+
+def _joined_rows(parts: list[str | list[str]], sep: str, n: int) -> str:
+    """The text of ``n`` rows, each the texts of ``parts`` joined with
+    ``sep`` and ended by a newline: a ``str`` is the same in every row, a
+    list holds one text per row.  Each run of adjacent strings is joined
+    once, for all rows."""
+    merged: list[str | list[str]] = []
+    for part in parts:
+        if isinstance(part, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += sep + part
+        else:
+            merged.append(part)
+    if len(merged) == 1 and isinstance(merged[0], str):
+        return (merged[0] + "\n") * n
+    rows = zip(*(repeat(part) if isinstance(part, str) else part for part in merged))
+    return "\n".join(map(sep.join, rows)) + "\n"
 
 
 def _csv_chunks(tables: Iterable[Table]) -> Iterator[str]:
@@ -771,22 +808,22 @@ def _csv_chunks(tables: Iterable[Table]) -> Iterator[str]:
         if header:
             yield ",".join(map(_quoted, chunk.columns)) + "\n"
             header = False
-        yield "\n".join(map(",".join, zip(*_chunk_text(chunk, _CSV_CELL)))) + "\n"
+        yield _joined_rows(_chunk_text(chunk, _CSV_CELL), ",", len(chunk))
 
 
 def _jsonl_chunks(tables: Iterable[Table]) -> Iterator[str]:
     """One JSON object per row of ``tables``, as ``json.dumps(row,
     allow_nan=False)`` writes it with NaN as null, one string per
-    ``CSV_CHUNK_ROWS`` rows: each row one join of its cells' texts with
-    the key texts between them, as constant columns."""
+    ``CSV_CHUNK_ROWS`` rows: the cells' texts with the key texts, which are
+    the same in every row, between them."""
     keys = None
     for chunk in _rechunked(tables):
         if keys is None:
             names = list(map(json.dumps, chunk.columns))
-            keys = [repeat(f"{{{names[0]}: "), *(repeat(f", {name}: ") for name in names[1:])]
+            keys = [f"{{{names[0]}: ", *(f", {name}: " for name in names[1:])]
         cells = _chunk_text(chunk, _JSON_CELL)
-        columns = [part for key, col in zip(keys, cells) for part in (key, col)]
-        yield "".join(map("".join, zip(*columns, repeat("}\n"))))
+        parts = [part for key, text in zip(keys, cells) for part in (key, text)]
+        yield _joined_rows([*parts, "}"], "", len(chunk))
 
 
 def rows_to_csv(table: Table) -> str:

@@ -96,13 +96,20 @@ _TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n:.-\\é'), max_size=12)
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 
 #: column -> dtype: floats, bools, int64, text as object and as numpy str
-_DTYPES = {"f": np.float64, "b": bool, "i": np.int64, "s": object, "u": str}
+_DTYPES = {"f": np.float64, "g": np.float64, "b": bool, "i": np.int64, "s": object, "u": str}
 
 
 def _pools(floats, special):
-    """A few values per column; rows draw from them, so values repeat."""
+    """A few values per column; rows draw from them, so values repeat.  A
+    pool of one value gives a column that holds one value in every chunk,
+    which the writers format and join once."""
+    float_pool = st.one_of(
+        st.lists(floats, max_size=6).map(lambda xs: xs + special),
+        st.lists(st.one_of(floats, st.sampled_from(special)), min_size=1, max_size=1),
+    )
     return st.fixed_dictionaries({
-        "f": st.lists(floats, max_size=6).map(lambda xs: xs + special),
+        "f": float_pool,
+        "g": float_pool,
         "b": st.lists(st.booleans(), min_size=1, max_size=2),
         "i": st.lists(_INT64, min_size=1, max_size=4),
         "s": st.lists(_TEXT, min_size=1, max_size=4),
@@ -186,6 +193,71 @@ def test_error_text_with_comma_and_quote_round_trips():
     back = list(csv.DictReader(io.StringIO(text, newline="")))
     assert [r["error"] for r in back] == [row["error"] for row in rows]
     assert [r["omega"] for r in back] == ["1", "2", "3"]
+
+
+#: two NaNs of other payloads (and signs) than ``math.nan``
+_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+
+
+def _mixed_table(n_rows, infinities):
+    """Columns that hold one value in every row of a chunk beside columns
+    that vary, of every dtype; the ``*_first`` columns hold one value in the
+    first chunk only."""
+    i = np.arange(n_rows)
+    first = i < CSV_CHUNK_ROWS
+    columns = {
+        "neg_zero": np.full(n_rows, -0.0),
+        "zero": np.zeros(n_rows),
+        "signed_zeros": np.where(i % 2 == 1, -0.0, 0.0),
+        "nan": np.full(n_rows, math.nan),
+        "nan_payload": np.full(n_rows, _NANS[0]),
+        "nan_negative": np.full(n_rows, _NANS[1]),
+        "nans": _NANS[i % 2],
+        "varying": i / 7.0,
+        "float_first": np.where(first, 1.5, -0.25 * i),
+        "all_true": np.ones(n_rows, dtype=bool),
+        "all_false": np.zeros(n_rows, dtype=bool),
+        "mixed": i % 3 == 1,
+        "bool_first": first | (i % 2 == 0),
+        "nmax": np.full(n_rows, 10, dtype=np.int64),
+        "index": i.astype(np.int64),
+        "topology": np.full(n_rows, "cylinder", dtype=object),
+        "labels": np.where(i % 2 == 1, "x", "y,z").astype(object),
+        "error": np.full(n_rows, 'ConvergenceError: on [0.0, 53.0]: "x" drifts', dtype=object),
+        "text_first": np.where(first, "a", "b,c").astype(object),
+    }
+    if infinities:
+        columns.update(inf=np.full(n_rows, math.inf), neg_inf=np.full(n_rows, -math.inf))
+    return columns
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, CSV_CHUNK_ROWS + 1, CSV_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_columns_of_one_value_beside_varying_ones(n_rows, reverse, fmt):
+    # the single-valued columns of a chunk are formatted once and joined
+    # once, in runs between the varying ones: byte for byte the per-cell
+    # text, with either kind of column at each end of a row
+    columns = _mixed_table(n_rows, infinities=fmt == "csv")
+    if reverse:
+        columns = dict(reversed(columns.items()))
+    table = Table(columns)
+    reference, write = {
+        "csv": (_reference_csv, rows_to_csv), "jsonl": (_reference_jsonl, rows_to_jsonl),
+    }[fmt]
+    text = write(table)
+    assert text == reference(list(table))
+    assert len(text.splitlines()) == n_rows + (fmt == "csv")
+
+
+def test_chunks_whose_columns_all_hold_one_value():
+    # every column holds one value: each chunk is one row's text repeated
+    table = Table({
+        "v": np.full(CSV_CHUNK_ROWS + 2, 0.1), "ok": np.ones(CSV_CHUNK_ROWS + 2, dtype=bool),
+        "error": np.full(CSV_CHUNK_ROWS + 2, "", dtype=object),
+    })
+    assert rows_to_csv(table) == "v,ok,error\n" + "0.10000000000000001,true,\n" * len(table)
+    assert rows_to_jsonl(table) == '{"v": 0.1, "ok": true, "error": ""}\n' * len(table)
 
 
 #: a cylinder grid of more than one chunk whose points all succeed, so no

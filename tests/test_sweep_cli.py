@@ -195,6 +195,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(l=GridAxis(0.0, 2.0, 3)).validate()
 
+    def test_detector_b_within_the_float_range(self):
+        # detector B sits at d_a + L cos(theta), written as d_b_x
+        for d_a in (1e308, -1e308):
+            with pytest.raises(ConfigError, match=r"\|d_a\| \+ L must be finite"):
+                SweepConfig(d_a=d_a, l=GridAxis(1e308, 1e308, 1)).validate()
+        SweepConfig(d_a=1e308, l=GridAxis(1.0, 1.0, 1)).validate()
+        SweepConfig(d_a=-7e307, l=GridAxis(1e308, 1e308, 1)).validate()
+
     def test_topology_ell_consistency(self):
         with pytest.raises(ConfigError):
             SweepConfig(ell=(1.0,)).validate()
@@ -934,6 +942,55 @@ class TestCli:
             assert result.exit_code == 1
             assert result.exception is None or isinstance(result.exception, SystemExit)
             assert result.stderr == f"error: nmax must be <= 1000000, got {nmax}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep"], ["verify"], ["diffmap", "--topology", "cylinder", "--ell", "1"], ["show-config"]],
+    )
+    def test_detector_b_beyond_the_float_range_is_a_validation_error(self, command):
+        # d_b_x = d_a + L would be inf, which a JSONL row cannot hold
+        result = CliRunner().invoke(main, [
+            *command, "--format", "jsonl", "--omega-range", "0:0:1", "--d-a", "1e308",
+            "--l-range", "1e308:1e308:1",
+        ])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: |d_a| + L must be finite: d_a = 1e+308 and L up to 1e+308 place "
+            "detector B beyond the float range\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, ell, n",
+        [("sweep", "1e308", 10), ("verify", "1e308", 2), ("diffmap", "1e308", 10),
+         ("sweep", "1.8e307", 10), ("sweep", "0.5,1.8e307", 10)],
+    )
+    def test_image_beyond_the_float_range_is_a_validation_error(self, command, ell, n):
+        # image n lies at n ell: the farthest one a run sums overflows
+        result = CliRunner().invoke(main, [
+            command, "--topology", "cylinder", "--ell", ell, "--omega-range", "0:0:1",
+            "--l-range", "1:1:1",
+        ])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: ell = {float(ell.split(',')[-1])!r}: the farthest image summed, "
+            f"n = {n}, lies at n ell beyond the float range\n"
+        )
+        assert "Traceback" not in result.stderr
+
+    def test_farthest_image_at_the_float_range_runs(self):
+        # 10 x 1.7e307 is finite: every image past the first is negligible
+        grid = ["--omega-range", "0:0:1", "--l-range", "1:1:1"]
+        cyl = CliRunner().invoke(main, ["sweep", "--topology", "cylinder", "--ell", "1.7e307", *grid])
+        mink = CliRunner().invoke(main, ["sweep", *grid])
+        assert cyl.exit_code == mink.exit_code == 0
+        (row,), (row_m,) = (list(csv.DictReader(io.StringIO(r.stdout))) for r in (cyl, mink))
+        assert row["error"] == ""
+        for key in ("a", "b", "x_re", "x_im", "c_re", "e", "negativity"):
+            assert row[key] == row_m[key]
 
     def test_grid_at_its_bound_resolves(self):
         # validation only: a 1024 x 1024 grid is the largest a run takes
