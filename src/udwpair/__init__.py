@@ -42,7 +42,7 @@ _LAZY = {
     # elements
     "DetectorParams": "elements",
     "XStateAB": "elements",
-    "assemble_density_matrix": "elements",
+    "assemble_density_matrix": "entanglement",
     "elements_for": "elements",
     # entanglement
     "xstate_measures": "entanglement",

@@ -13,8 +13,8 @@ when they are called, which only the evaluating commands do.  The sweeps,
 tables and writers are in :mod:`udwpair.sweep`.
 
 Besides each key's own range, :meth:`SweepConfig.validate` keeps detector
-B within the float range (``|d_a| + L`` finite), and the evaluating runs
-call :meth:`SweepConfig.check_images` with the farthest image they sum.
+B within the float range (``|d_a| + L`` finite).  The evaluating runs of
+:mod:`udwpair.sweep` check the images they sum on the grid's coordinates.
 """
 
 from __future__ import annotations
@@ -154,16 +154,6 @@ class SweepConfig:
                 "place detector B beyond the float range"
             )
         return self
-
-    def check_images(self, n: int) -> None:
-        """A ConfigError unless each ell's image n ell, the farthest a run
-        sums, lies within the float range."""
-        for ell in self.ell:
-            if not math.isfinite(n * ell):
-                raise ConfigError(
-                    f"ell = {ell!r}: the farthest image summed, n = {n}, lies at "
-                    "n ell beyond the float range"
-                )
 
     def topology_for(self, ell: float | None) -> Topology:
         from .geometry import Topology

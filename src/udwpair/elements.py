@@ -13,7 +13,8 @@ in the basis {|00>, |01>, |10>, |11>} is the X-state
 with  E = |X|^2 + A B + 2|C|^2  at order eps0^4.  This module evaluates the
 coefficients A/eps0^2, B/eps0^2, X/eps0^2, C/eps0^2, E/eps0^4 in Minkowski
 space and, by the method of images, in the cylinder and twisted-cylinder
-quotients.
+quotients.  It computes only the coefficients: rho itself, and the checks
+that it is a state, are in :mod:`udwpair.entanglement`.
 
 The kernels take the gap as y = sigma*Omega and every length in units of
 the switching width sigma: the separation as rho = r/sigma, the topology's
@@ -79,7 +80,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -88,7 +89,6 @@ from .errors import (
     DomainError,
     GeometryError,
     InvalidStateError,
-    PositivityError,
     TruncationWarning,
 )
 from .geometry import (
@@ -113,8 +113,7 @@ __all__ = [
     "TruncationTally",
     "new_errors",
     "flag_errors",
-    "assemble_density_matrix",
-    "assembly_checks",
+    "raise_first",
     "modulus",
 ]
 
@@ -227,7 +226,8 @@ def flag_errors(
             )
 
 
-def _raise_first(errors: np.ndarray) -> None:
+def raise_first(errors: np.ndarray) -> None:
+    """Raise the error recorded for the first point, if any."""
     exc = errors.reshape(-1)[0]
     if exc is not None:
         raise exc
@@ -730,17 +730,6 @@ def elements_batch(
     return XStateAB(a, a, x, c, tail_bound=np.zeros(errors.shape))
 
 
-def _as_batch(state: XStateAB) -> XStateAB:
-    """One-point batch holding the values of ``state``."""
-    return XStateAB(
-        np.array([state.a], dtype=float),
-        np.array([state.b], dtype=float),
-        np.array([state.x], dtype=complex),
-        np.array([state.c], dtype=complex),
-        tail_bound=np.array([state.tail_bound], dtype=float),
-    )
-
-
 def elements_for(
     p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int = 10
 ) -> XStateAB:
@@ -760,90 +749,8 @@ def elements_for(
         topology = replace(topology, ell=topology.ell / s)
     errors = new_errors((1,))
     state = elements_batch(np.array([s * p.omega]), pair, topology, nmax, errors)
-    _raise_first(errors)
+    raise_first(errors)
     return XStateAB(
         float(state.a[0]), float(state.b[0]), complex(state.x[0]), complex(state.c[0]),
         tail_bound=float(state.tail_bound[0]),
-    )
-
-
-class Assembled(NamedTuple):
-    """Diagonal (r11..r44) and anti-diagonal (rho14 = X, rho23 = C) entries."""
-
-    r11: np.ndarray
-    r22: np.ndarray
-    r33: np.ndarray
-    r44: np.ndarray
-    x14: np.ndarray
-    x23: np.ndarray
-
-
-def _flag_probability(errors: np.ndarray, name: str, val) -> None:
-    flag_errors(
-        errors,
-        ~((0.0 <= val) & (val <= 1.0)),
-        lambda v: InvalidStateError(
-            f"{name} = {v!r} outside [0, 1]; eps0 too large or invalid state"
-        ),
-        val,
-    )
-
-
-def _flag_positivity(errors: np.ndarray, name: str, z, bound_name: str, bound) -> None:
-    """PositivityError where |z|^2 exceeds ``bound`` by more than 1e-12."""
-    mod = modulus(z)
-    sq = mod * mod
-    flag_errors(
-        errors,
-        sq > bound + 1e-12,
-        lambda u, v: PositivityError(f"{name} = {u!r} exceeds {bound_name} = {v!r}"),
-        sq,
-        bound,
-    )
-
-
-def assembly_checks(state, eps0: float, errors: np.ndarray) -> Assembled:
-    """The physical X-state entries of a batch, with the checks of
-    :func:`assemble_density_matrix` recorded per point in ``errors``."""
-    if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise InvalidStateError(f"eps0 must be > 0, got {eps0!r}")
-    e2 = eps0 * eps0
-    big_a = e2 * state.a
-    big_b = e2 * state.b
-    big_x = e2 * state.x
-    big_c = e2 * state.c
-    big_e = e2 * e2 * state.e
-    _flag_probability(errors, "A", big_a)
-    _flag_probability(errors, "B", big_b)
-    r11 = 1.0 - big_a - big_b + big_e
-    r22 = big_b - big_e
-    r33 = big_a - big_e
-    r44 = big_e
-    with np.errstate(invalid="ignore", over="ignore"):
-        _flag_positivity(errors, "|X|^2", big_x, "r11 r44", r11 * r44)
-        _flag_positivity(errors, "|C|^2", big_c, "r22 r33", r22 * r33)
-    return Assembled(r11, r22, r33, r44, big_x, big_c)
-
-
-def assemble_density_matrix(state: XStateAB, eps0: float) -> np.ndarray:
-    """Assemble the physical 4x4 density matrix from eps0-scaled coefficients.
-
-    Raises :class:`PositivityError` when either positivity condition
-    r11 r44 >= |X|^2 or r22 r33 >= |C|^2 fails beyond 1e-12, which signals a
-    coupling too strong for the leading-order truncation.
-    """
-    errors = new_errors((1,))
-    ent = assembly_checks(_as_batch(state), eps0, errors)
-    _raise_first(errors)
-    r11, r22, r33, r44 = (float(v[0]) for v in ent[:4])
-    x14 = complex(ent.x14[0])
-    x23 = complex(ent.x23[0])
-    return np.array(
-        [
-            [r11, 0.0, 0.0, x14],
-            [0.0, r22, x23, 0.0],
-            [0.0, x23.conjugate(), r33, 0.0],
-            [x14.conjugate(), 0.0, 0.0, r44],
-        ],
-        dtype=complex,
     )

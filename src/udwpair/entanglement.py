@@ -18,11 +18,12 @@ state).  The matching concurrence is
 
 The measures of detector states come from :func:`xstate_measures_batch`,
 which evaluates the closed forms on arrays and records, per point, the
-first check that fails: those of
-:func:`udwpair.elements.assemble_density_matrix`, then those of a density
-matrix, positivity tested on the closed-form eigenvalues of the two 2x2
-blocks.  :func:`xstate_measures` is that batch on one point.  The tests
-check the closed forms against the eigenvalues of arbitrary density
+first check that fails: those of :func:`assemble_density_matrix` (A and B
+in [0, 1], |X|^2 <= r11 r44 and |C|^2 <= r22 r33 up to ``_BLOCK_SLACK``),
+then those of a density matrix (finite entries, unit trace, eigenvalues of
+both 2x2 blocks >= -``_DENSITY_TOL``), so this module states every rule of
+a valid rho.  :func:`xstate_measures` is that batch on one point.  The
+tests check the closed forms against the eigenvalues of arbitrary density
 matrices, with the same tolerances, in ``tests/references.py``.
 """
 
@@ -33,28 +34,106 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elements import (
-    XStateAB,
-    _as_batch,
-    _raise_first,
-    assembly_checks,
-    flag_errors,
-    modulus,
-    new_errors,
-)
-from .errors import DomainError, InvalidStateError
+from .elements import XStateAB, flag_errors, modulus, new_errors, raise_first
+from .errors import DomainError, InvalidStateError, PositivityError
 
 __all__ = [
     "Measures",
+    "assemble_density_matrix",
     "xstate_measures",
     "xstate_measures_batch",
 ]
 
-#: tolerance of the trace, Hermiticity and positivity checks on rho
+#: absolute slack of the block conditions |X|^2 <= r11 r44, |C|^2 <= r22 r33
+_BLOCK_SLACK = 1e-12
+#: tolerance of the trace and eigenvalue checks on rho
 _DENSITY_TOL = 1e-10
 #: eigenvalue round-off absorbed at the ends of the concurrence range
 _CONCURRENCE_SLACK = 1e-12
 _LN2 = math.log(2.0)
+
+
+def _as_batch(state: XStateAB) -> XStateAB:
+    """One-point batch holding the values of ``state``."""
+    return XStateAB(
+        np.array([state.a], dtype=float),
+        np.array([state.b], dtype=float),
+        np.array([state.x], dtype=complex),
+        np.array([state.c], dtype=complex),
+        tail_bound=np.array([state.tail_bound], dtype=float),
+    )
+
+
+def _flag_probability(errors: np.ndarray, name: str, val) -> None:
+    flag_errors(
+        errors,
+        ~((0.0 <= val) & (val <= 1.0)),
+        lambda v: InvalidStateError(
+            f"{name} = {v!r} outside [0, 1]; eps0 too large or invalid state"
+        ),
+        val,
+    )
+
+
+def _flag_positivity(errors: np.ndarray, name: str, z, bound_name: str, bound) -> None:
+    """PositivityError where |z|^2 exceeds ``bound`` by more than _BLOCK_SLACK."""
+    mod = modulus(z)
+    sq = mod * mod
+    flag_errors(
+        errors,
+        sq > bound + _BLOCK_SLACK,
+        lambda u, v: PositivityError(f"{name} = {u!r} exceeds {bound_name} = {v!r}"),
+        sq,
+        bound,
+    )
+
+
+def _assembled(state: XStateAB, eps0: float, errors: np.ndarray) -> tuple:
+    """(A, B, r11, r22, r33, r44, X, C) of a batch: the excitation
+    probabilities, the diagonal and the anti-diagonal rho14 = X, rho23 = C
+    of the physical X-state, with the checks of
+    :func:`assemble_density_matrix` recorded per point in ``errors``."""
+    if not (math.isfinite(eps0) and eps0 > 0.0):
+        raise InvalidStateError(f"eps0 must be > 0, got {eps0!r}")
+    e2 = eps0 * eps0
+    big_a = e2 * state.a
+    big_b = e2 * state.b
+    big_x = e2 * state.x
+    big_c = e2 * state.c
+    big_e = e2 * e2 * state.e
+    _flag_probability(errors, "A", big_a)
+    _flag_probability(errors, "B", big_b)
+    r11 = 1.0 - big_a - big_b + big_e
+    r22 = big_b - big_e
+    r33 = big_a - big_e
+    r44 = big_e
+    with np.errstate(invalid="ignore", over="ignore"):
+        _flag_positivity(errors, "|X|^2", big_x, "r11 r44", r11 * r44)
+        _flag_positivity(errors, "|C|^2", big_c, "r22 r33", r22 * r33)
+    return big_a, big_b, r11, r22, r33, r44, big_x, big_c
+
+
+def assemble_density_matrix(state: XStateAB, eps0: float) -> np.ndarray:
+    """Assemble the physical 4x4 density matrix from eps0-scaled coefficients.
+
+    Raises :class:`PositivityError` when either positivity condition
+    r11 r44 >= |X|^2 or r22 r33 >= |C|^2 fails beyond 1e-12, which signals a
+    coupling too strong for the leading-order truncation.
+    """
+    errors = new_errors((1,))
+    entries = _assembled(_as_batch(state), eps0, errors)
+    raise_first(errors)
+    r11, r22, r33, r44 = (float(v[0]) for v in entries[2:6])
+    x14, x23 = (complex(v[0]) for v in entries[6:])
+    return np.array(
+        [
+            [r11, 0.0, 0.0, x14],
+            [0.0, r22, x23, 0.0],
+            [0.0, x23.conjugate(), r33, 0.0],
+            [x14.conjugate(), 0.0, 0.0, r44],
+        ],
+        dtype=complex,
+    )
 
 
 def _trace_error(trace, r44: float, big_x: float) -> InvalidStateError:
@@ -150,20 +229,18 @@ def xstate_measures_batch(
     """Closed-form measures of a batch of detector X-states.
 
     Records in ``errors`` the first check that fails at each point (points
-    with an error keep it): the checks of
-    :func:`udwpair.elements.assemble_density_matrix`, then those of a
-    density matrix (finite entries, unit trace, positivity, with the
-    tolerance ``_DENSITY_TOL``; the assembled matrix is Hermitian by
-    construction), then the concurrence range of the EoF and
-    the variance condition of the correlation.
+    with an error keep it): the checks of :func:`assemble_density_matrix`,
+    then those of a density matrix (finite entries, unit trace, positivity,
+    with the tolerance ``_DENSITY_TOL``; the assembled matrix is Hermitian
+    by construction), then the concurrence range of the EoF and the
+    variance condition of the correlation.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        ent = assembly_checks(state, eps0, errors)
-        r11, r22, r33, r44 = ent[:4]
-        m14 = modulus(ent.x14)
-        m23 = modulus(ent.x23)
+        big_a, big_b, r11, r22, r33, r44, big_x, big_c = _assembled(state, eps0, errors)
+        m14 = modulus(big_x)
+        m23 = modulus(big_c)
         finite = np.isfinite(r11) & np.isfinite(r22) & np.isfinite(r33) & np.isfinite(r44)
-        for z in (ent.x14, ent.x23):
+        for z in (big_x, big_c):
             finite &= np.isfinite(np.real(z)) & np.isfinite(np.imag(z))
         flag_errors(
             errors, ~finite,
@@ -191,9 +268,6 @@ def xstate_measures_batch(
         )
         eof, eof_pert = eof_arrays(np.clip(conc, 0.0, 1.0))
 
-        e2 = eps0 * eps0
-        big_a = e2 * state.a
-        big_b = e2 * state.b
         flag_errors(
             errors,
             (big_a * (1.0 - big_a) <= 0.0) | (big_b * (1.0 - big_b) <= 0.0),
@@ -206,6 +280,7 @@ def xstate_measures_batch(
         )
         corr = correlation_arrays(state.a, state.b, state.x, state.c, eps0)
         mx = modulus(state.x)
+        e2 = eps0 * eps0
         lead = 2.0 * (e2 * np.maximum(0.0, mx - state.a)) / e2
     return Measures(neg, conc, eof, eof_pert, corr, lead, mx > state.a)
 
@@ -218,5 +293,5 @@ def xstate_measures(state: XStateAB, eps0: float) -> Measures:
     """
     errors = new_errors((1,))
     measures = xstate_measures_batch(_as_batch(state), eps0, errors)
-    _raise_first(errors)
+    raise_first(errors)
     return Measures(*(v.item() for v in measures))

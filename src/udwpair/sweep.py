@@ -32,8 +32,9 @@ fails keeps its closed-form and measure values: its ``oracle_dev_*``
 columns are NaN and its ``error`` names the oracle's exception.
 
 :func:`sweep_slabs`, :func:`difference_map_slabs` and
-:func:`verification_slabs` validate the configuration at the call and
-evaluate each slab as it is asked for, so a writer that takes their slabs
+:func:`verification_slabs` validate the configuration at the call, with
+the images they sum on the grid's coordinates, and evaluate each slab as
+it is asked for, so a writer that takes their slabs
 holds one slab at a time; :func:`run_sweep`, :func:`run_difference_map`
 and :func:`run_verification` join the same slabs into one table.
 
@@ -207,11 +208,13 @@ class _Slab(NamedTuple):
         }
 
 
-def _slabs(config: SweepConfig) -> Iterator[_Slab]:
-    """The slabs of the grid in grid order: each ell block in slabs of
-    ``SLAB_POINTS // (n_l * n_theta)`` omega rows (at least one).  The
-    slabs of a block share one tally of the image sums' truncation, which
-    warns once the block's last slab has been evaluated."""
+def _points(config: SweepConfig, n: int, selves: bool) -> tuple:
+    """(length, theta, pair) of the (l, theta) points of the grid, l outer
+    and theta inner, once the images that a run sums up to image ``n`` are
+    known to lie within the float range: detector B's and, where ``selves``
+    holds, each detector's own.  Otherwise a ConfigError names the
+    coordinate that leaves it, before any row blames an infinite
+    separation."""
     lengths = config.l.values()
     thetas = config.theta.values()
     # math, not numpy, trigonometry: bit for bit the coordinates of the
@@ -225,7 +228,51 @@ def _slabs(config: SweepConfig) -> Iterator[_Slab]:
         z_a=0.0,
         z_b=length * np.tile(sin, lengths.size),
     )
-    theta = np.tile(thetas, lengths.size)
+    if config.topology is not TopologyKind.MINKOWSKI:
+        _check_images(config, pair, n, selves)
+    return length, np.tile(thetas, lengths.size), pair
+
+
+def _check_images(config: SweepConfig, pair: WorldlinePair, n: int, selves: bool) -> None:
+    """The checks of :func:`_points`, on the coordinates that
+    :func:`udwpair.geometry.image_separation_array` forms: image n lies at
+    z_b + n ell, and on the twisted cylinder the odd images lie across the
+    axis, at d_a + d_b_x (B seen from A), 2 d_a and 2 d_b_x (each
+    detector's own)."""
+    length = f"L up to {config.l.stop!r}"
+    z_b = pair.z_b
+    with np.errstate(over="ignore"):
+        for ell in config.ell:
+            if not math.isfinite(n * ell):
+                raise ConfigError(
+                    f"ell = {ell!r}: the farthest image summed, n = {n}, lies at "
+                    "n ell beyond the float range"
+                )
+            if not np.isfinite([z_b.min() - n * ell, z_b.max() + n * ell]).all():
+                raise ConfigError(
+                    f"ell = {ell!r} and {length}: the farthest image summed, n = {n}, "
+                    "lies at z_b +- n ell beyond the float range"
+                )
+        if config.topology is not TopologyKind.TWISTED_CYLINDER:
+            return
+        d_a, d_b_x = config.d_a, pair.d_b[0]
+        across = {"d_a + d_b_x": d_a + d_b_x}
+        if selves:
+            across.update({"2 d_a": d_a + d_a, "2 d_b_x": d_b_x + d_b_x})
+    for name, offset in across.items():
+        if not np.isfinite(offset).all():
+            raise ConfigError(
+                f"d_a = {d_a!r} and {length}: the images summed up to n = {n} lie, "
+                f"where n is odd, across the axis at {name} beyond the float range"
+            )
+
+
+def _slabs(config: SweepConfig, points: tuple) -> Iterator[_Slab]:
+    """The slabs of the grid in grid order: each ell block in slabs of
+    ``SLAB_POINTS // (n_l * n_theta)`` omega rows (at least one).  The
+    slabs of a block share one tally of the image sums' truncation, which
+    warns once the block's last slab has been evaluated."""
+    length, theta, pair = points
     omega = config.omega.values()
     rows = max(1, SLAB_POINTS // length.size)
     for ell in config.ell_values():
@@ -237,7 +284,7 @@ def _slabs(config: SweepConfig) -> Iterator[_Slab]:
         truncation.warn(config.nmax)
 
 
-def _tabulate(config: SweepConfig, evaluate) -> Iterator[Table]:
+def _tabulate(config: SweepConfig, points: tuple, evaluate) -> Iterator[Table]:
     """The table of each slab, grid order: meta columns, the value columns
     that ``evaluate(slab)`` returns, then ``error``, the text of the
     exception that a point recorded in ``slab.errors`` ("" for none), or in
@@ -246,7 +293,7 @@ def _tabulate(config: SweepConfig, evaluate) -> Iterator[Table]:
     A point with an error in ``slab.errors`` gets NaN in its float columns
     and False in its boolean ones.
     """
-    for slab in _slabs(config):
+    for slab in _slabs(config, points):
         yield _table(config, slab, evaluate(slab))
 
 
@@ -308,7 +355,7 @@ def sweep_slabs(config: SweepConfig) -> Iterator[Table]:
     """The rows of :func:`run_sweep`, one slab at a time: the configuration
     is validated at the call, and each slab evaluated as it is asked for."""
     config = config.validate()
-    config.check_images(config.nmax)
+    points = _points(config, config.nmax, True)
 
     def evaluate(slab: _Slab):
         state = _topology_elements(config, slab)
@@ -345,7 +392,7 @@ def sweep_slabs(config: SweepConfig) -> Iterator[Table]:
             )
         return values
 
-    return _tabulate(config, evaluate)
+    return _tabulate(config, points, evaluate)
 
 
 def run_sweep(config: SweepConfig) -> Table:
@@ -358,9 +405,9 @@ def difference_map_slabs(config: SweepConfig) -> Iterator[Table]:
     configuration is validated at the call, and each slab evaluated as it
     is asked for."""
     config = config.validate()
-    config.check_images(config.nmax)
     if config.topology is TopologyKind.MINKOWSKI:
         raise ConfigError("difference maps need a non-Minkowski topology")
+    points = _points(config, config.nmax, True)
 
     def evaluate(slab: _Slab):
         # one-point call order: both element sets, then the measures of each
@@ -375,7 +422,7 @@ def difference_map_slabs(config: SweepConfig) -> Iterator[Table]:
             "corr_diff": np.where(np.equal(slab.errors, None), corr_mink, math.nan) - corr_top,
         }
 
-    return _tabulate(config, evaluate)
+    return _tabulate(config, points, evaluate)
 
 
 def run_difference_map(config: SweepConfig) -> Table:
@@ -435,7 +482,8 @@ def verification_slabs(config: SweepConfig) -> VerificationSlabs:
     running summary: the configuration is validated at the call, and each
     slab evaluated as it is asked for."""
     config = config.validate()
-    config.check_images(max(map(abs, _VERIFY_IMAGES)))
+    # verify sums no detector's own images
+    points = _points(config, max(map(abs, _VERIFY_IMAGES)), False)
 
     def evaluate(slab: _Slab):
         gaps = slab.gaps()
@@ -460,7 +508,7 @@ def verification_slabs(config: SweepConfig) -> VerificationSlabs:
             "passed": max_dev < VERIFY_TOLERANCE,
         }
 
-    return VerificationSlabs(_tabulate(config, evaluate))
+    return VerificationSlabs(_tabulate(config, points, evaluate))
 
 
 def run_verification(config: SweepConfig) -> VerificationReport:

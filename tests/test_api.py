@@ -2,7 +2,8 @@
 exported name exists and the package names load their modules lazily,
 the CLI starts and reports its configuration without loading numpy,
 scipy or mpmath, no command loads scipy, no module imports a name it never
-uses, and the package neither imports scipy nor calls numpy.linalg."""
+uses or a private name of another, and the package neither imports scipy
+nor calls numpy.linalg."""
 
 import ast
 import contextlib
@@ -258,6 +259,40 @@ def test_no_module_reexports_another(path):
     assert _reexports(path) == []
 
 
+def _private_imports(path: Path) -> list[str]:
+    """Private names (``_x``, not dunders) that ``path`` takes from another
+    ``udwpair`` module: imported by name, or read off an imported module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "udwpair"
+        ):
+            for alias in node.names:
+                if node.module is None:  # from . import module
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "udwpair").glob("*.py")), ids=lambda path: path.name
+)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a private name is its module's own: what another module needs is public
+    assert _private_imports(path) == []
+
+
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 #: a CLI call in a shell line without its redirections: ``udwpair`` or
 #: ``python -m udwpair.cli``, then its arguments up to ``|``, ``)``, ``;``
@@ -294,6 +329,59 @@ def test_command_lines_are_found():
     calls = _command_lines()
     assert {argv[0] for argv in calls} == set(_SUBCOMMANDS)
     assert len(calls) >= 20
+
+
+_RUN_KEY = re.compile(r"^(\s*(?:- )?)run:\s*(.*)$")
+#: the inline Python of a shell script: a single-quoted ``check='...'``
+#: (which holds no quote) or the double-quoted body of ``python -c``
+_CHECK_PROGRAM = re.compile(r"\bcheck='([^']*)'")
+_PYTHON_C = re.compile(r'\bpython -c "((?:[^"\\]|\\.)*)"', re.DOTALL)
+
+
+def _run_blocks(text: str) -> list[str]:
+    """The shell script of every ``run:`` key of a workflow: a plain
+    one-line value, or a ``|`` block scalar, whose lines are those indented
+    past the key (and blank ones), less the indentation of its first line."""
+    lines = text.splitlines()
+    blocks = []
+    for i, line in enumerate(lines):
+        match = _RUN_KEY.match(line)
+        if not match:
+            continue
+        if match.group(2) != "|":
+            blocks.append(match.group(2))
+            continue
+        body = []
+        for nxt in lines[i + 1 :]:
+            if nxt.strip() and len(nxt) - len(nxt.lstrip()) <= len(match.group(1)):
+                break
+            body.append(nxt)
+        indent = min(len(b) - len(b.lstrip()) for b in body if b.strip())
+        blocks.append("\n".join(b[indent:] for b in body).rstrip("\n") + "\n")
+    return blocks
+
+
+def _inline_programs(script: str) -> list[str]:
+    """The Python programs that a shell script passes as text: its
+    ``check='...'`` strings and its ``python -c "..."`` bodies, as the
+    shell unquotes them; a body that is a variable (``"$check"``) is not
+    a program."""
+    bodies = [re.sub(r'\\([\\"$`])', r"\1", body) for body in _PYTHON_C.findall(script)]
+    return _CHECK_PROGRAM.findall(script) + [b for b in bodies if not b.startswith("$")]
+
+
+def test_workflow_scripts_parse():
+    # the test suite runs none of the workflow's jobs, so a broken quote in
+    # one of its scripts would go unseen: each shell script must pass
+    # bash -n and each inline Python program must compile
+    blocks = _run_blocks(WORKFLOW.read_text(encoding="utf-8"))
+    programs = [p for block in blocks for p in _inline_programs(block)]
+    assert len(blocks) >= 13 and len(programs) >= 6, (len(blocks), len(programs))
+    for block in blocks:
+        result = subprocess.run(["bash", "-n"], input=block, capture_output=True, text=True)
+        assert result.returncode == 0, (block, result.stderr)
+    for program in programs:
+        compile(program, "<workflow>", "exec")
 
 
 @pytest.mark.parametrize("argv", sorted(set(_command_lines())), ids=" ".join)

@@ -14,7 +14,9 @@ from udwpair import (
     DetectorParams,
     DomainError,
     InvalidStateError,
+    PositivityError,
     Topology,
+    UdwError,
     WorldlinePair,
     XStateAB,
     assemble_density_matrix,
@@ -102,6 +104,39 @@ class TestExactMeasures:
         nonpsd = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(InvalidStateError):
             negativity_exact(nonpsd)
+
+
+#: Hand-built states that each fail one validity check at eps0 = EPS0,
+#: in the order the checks run: (a, b, x, c), the exception type, and the
+#: start of its message.
+INVALID_STATES = [
+    ((2e4, 1.0, 0.0, 0.0), InvalidStateError, "A = 2.0 outside [0, 1]"),
+    ((1.0, -1.0, 0.0, 0.0), InvalidStateError, "B = -0.0001 outside [0, 1]"),
+    # A is checked before B
+    ((2e4, -1.0, 0.0, 0.0), InvalidStateError, "A = 2.0 outside [0, 1]"),
+    # a != b: at a = b, |X|^2 <= r11 r44 holds for every x
+    ((1.0, 3.0, 141.4, 0.0), PositivityError, "|X|^2 = "),
+    ((1.0, 1.0, 0.0, 2.0), PositivityError, "|C|^2 = "),
+    ((1.0, 1.0, 1e200, 0.0), InvalidStateError, "density matrix contains non-finite entries"),
+    ((1.0, 1.0, 1e9j, 0.0), InvalidStateError, "trace = "),
+    ((0.0, 1.0, 0.0, 0.0), DomainError, "degenerate variance: "),
+    # |C|^2 within 1e-12 of r22 r33, the smaller eigenvalue below -1e-10
+    ((1.0, 1.0, 0.0, 0.9997011196341605), InvalidStateError,
+     "matrix is not positive semidefinite"),
+    # fails both the block condition and the eigenvalue check
+    ((1.0, 1.0, 0.0, 0.9998000899460341), PositivityError, "|C|^2 = "),
+]
+
+
+class TestValidity:
+    @pytest.mark.parametrize("values, kind, start", INVALID_STATES)
+    def test_checks_fire_in_order(self, values, kind, start):
+        with pytest.raises(UdwError) as raised:
+            xstate_measures(XStateAB(*values), EPS0)
+        assert type(raised.value) is kind
+        assert str(raised.value).startswith(start)
+        if start == "trace = ":
+            assert " because E = r44 = " in str(raised.value)
 
 
 class TestXStateClosedForms:

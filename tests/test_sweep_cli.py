@@ -981,6 +981,60 @@ class TestCli:
         )
         assert "Traceback" not in result.stderr
 
+    #: runs whose summed images leave the float range at a coordinate that
+    #: n ell alone does not show: the command, its grid, and the error line
+    IMAGE_COORDINATES = [
+        (
+            ["sweep", "--topology", "cylinder", "--ell", "1.7e307", "--l-range", "1e308:1e308:1",
+             "--theta-range", "1.5707963267948966:1.5707963267948966:1"],
+            "ell = 1.7e+307 and L up to 1e+308: the farthest image summed, n = 10, lies at "
+            "z_b +- n ell beyond the float range",
+        ),
+        (
+            ["sweep", "--topology", "twisted", "--ell", "1", "--d-a", "9e307",
+             "--l-range", "5e307:5e307:1"],
+            "d_a = 9e+307 and L up to 5e+307: the images summed up to n = 10 lie, where n is "
+            "odd, across the axis at d_a + d_b_x beyond the float range",
+        ),
+        (
+            ["verify", "--topology", "twisted", "--ell", "1", "--d-a", "9e307",
+             "--l-range", "5e307:5e307:1"],
+            "d_a = 9e+307 and L up to 5e+307: the images summed up to n = 2 lie, where n is "
+            "odd, across the axis at d_a + d_b_x beyond the float range",
+        ),
+        (
+            ["sweep", "--topology", "twisted", "--ell", "1", "--l-range", "1e308:1e308:1"],
+            "d_a = 0.0 and L up to 1e+308: the images summed up to n = 10 lie, where n is "
+            "odd, across the axis at 2 d_b_x beyond the float range",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, error", IMAGE_COORDINATES,
+        ids=["cylinder-z", "twisted-across", "verify-twisted-across", "twisted-own"],
+    )
+    def test_image_coordinate_beyond_the_float_range_is_a_validation_error(
+        self, tmp_path, argv, error
+    ):
+        # each row would be a GeometryError that blames an infinite separation
+        out = tmp_path / "rows.csv"
+        result = CliRunner().invoke(main, [*argv, "--omega-range", "0:0:1", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_image_coordinates_within_the_float_range_run(self):
+        # at theta = 0, z_b = 0: the farthest image lies at 10 ell = 1e308
+        result = CliRunner().invoke(main, [
+            "sweep", "--topology", "cylinder", "--ell", "1e307", "--l-range", "1e308:1e308:1",
+            "--omega-range", "0:0:1",
+        ])
+        assert result.exit_code == 0
+        (row,) = csv.DictReader(io.StringIO(result.stdout))
+        assert row["error"] == ""
+
     def test_farthest_image_at_the_float_range_runs(self):
         # 10 x 1.7e307 is finite: every image past the first is negligible
         grid = ["--omega-range", "0:0:1", "--l-range", "1:1:1"]
