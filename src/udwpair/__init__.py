@@ -11,7 +11,8 @@ The package namespace holds the documented API: the one-point elements
 quadrature oracles :func:`oracle_a`, :func:`oracle_x` and :func:`oracle_c`
 that ``verify`` runs, the sweep entry points with their configuration
 types, and every exception and warning class.  Everything else is imported
-from its submodule.
+from its submodule.  Like the CLI, the library takes the energy gap as
+Omega*sigma and every length in units of the switching width sigma.
 
 Importing the package loads no numpy: the exception classes and the
 configuration types (:mod:`udwpair.config`) are bound at import, and each
@@ -40,7 +41,6 @@ from .errors import (
 #: the numpy-backed names of ``__all__`` -> their home submodule
 _LAZY = {
     # elements
-    "DetectorParams": "elements",
     "XStateAB": "elements",
     "assemble_density_matrix": "entanglement",
     "elements_for": "elements",

@@ -56,11 +56,9 @@ distinct separation's exchange and nonlocal terms once against every gap.
 The terms are then added one n at a time in the fixed order
 n = -nmax..-1, 1..nmax, so every output bit is that of a loop over n.
 
-:class:`DetectorParams` keeps sigma, and :func:`elements_for`, the
-one-point entry, scales once, at that boundary: it passes sigma*Omega and
-the pair's coordinates and ell over sigma to a batch of one point, and
-raises the point's error, so it agrees exactly with the batch at sigma = 1
-and its error texts give lengths in units of sigma.
+:func:`elements_for`, the one-point entry, takes the same units: it
+runs a batch of one point and raises the point's error, so it agrees
+exactly with the batch.
 
 The special functions are one numpy kernel, :func:`_faddeeva`, the
 Faddeeva function w(z) = e^{-z^2} erfc(-iz) in the upper half-plane by
@@ -77,7 +75,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable
@@ -101,8 +99,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "DetectorParams",
     "XStateAB",
+    "check_gap",
     "joint_excitation",
     "self_excitation_array",
     "exchange_array",
@@ -162,24 +160,6 @@ _IMAGE_CHUNK = 1 << 17
 _KERNEL_SLICE = 1 << 14
 #: Relative tail size above which an image sum warns about its truncation.
 TRUNCATION_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """One detector: energy gap and Gaussian switching width.
-
-    ``omega`` may be negative (a de-excitation probe of an initially excited
-    detector maps onto a negative gap at this order).
-    """
-
-    omega: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise InvalidStateError(f"sigma must be > 0, got {self.sigma!r}")
-        if not math.isfinite(self.omega):
-            raise InvalidStateError(f"omega must be finite, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -730,11 +710,19 @@ def elements_batch(
     return XStateAB(a, a, x, c, tail_bound=np.zeros(errors.shape))
 
 
+def check_gap(y: float) -> None:
+    """Raise InvalidStateError unless the gap y = sigma*Omega that a
+    one-point entry takes from its caller is finite."""
+    if not math.isfinite(y):
+        raise InvalidStateError(f"omega must be finite, got {y!r}")
+
+
 def elements_for(
-    p: DetectorParams, pair: WorldlinePair, topology: Topology, nmax: int = 10
+    y: float, pair: WorldlinePair, topology: Topology, nmax: int = 10
 ) -> XStateAB:
     """Elements of one detector pair, by :func:`elements_batch` on one point
-    at y = sigma*Omega, with the pair's coordinates and ell over sigma.
+    at the gap y = sigma*Omega, with the pair's coordinates and ell in
+    units of sigma.
 
     Raises the error that the batch records for the point.  b = a in
     Minkowski space and on the cylinder.  On the twisted cylinder the odd
@@ -742,13 +730,9 @@ def elements_for(
     pair (k, k) at transverse distance 2 |d_k|, so a and b differ whenever
     |d_A| != |d_B|.
     """
-    s = p.sigma
-    (xa, ya), (xb, yb) = pair.d_a, pair.d_b
-    pair = WorldlinePair((xa / s, ya / s), (xb / s, yb / s), pair.z_a / s, pair.z_b / s)
-    if topology.kind is not TopologyKind.MINKOWSKI:
-        topology = replace(topology, ell=topology.ell / s)
+    check_gap(y)
     errors = new_errors((1,))
-    state = elements_batch(np.array([s * p.omega]), pair, topology, nmax, errors)
+    state = elements_batch(np.array([y]), pair, topology, nmax, errors)
     raise_first(errors)
     return XStateAB(
         float(state.a[0]), float(state.b[0]), complex(state.x[0]), complex(state.c[0]),

@@ -280,8 +280,7 @@ def xstate_measures_batch(
         )
         corr = correlation_arrays(state.a, state.b, state.x, state.c, eps0)
         mx = modulus(state.x)
-        e2 = eps0 * eps0
-        lead = 2.0 * (e2 * np.maximum(0.0, mx - state.a)) / e2
+        lead = 2.0 * np.maximum(0.0, mx - state.a)
     return Measures(neg, conc, eof, eof_pert, corr, lead, mx > state.a)
 
 

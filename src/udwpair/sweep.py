@@ -83,7 +83,13 @@ from .elements import (
 )
 from .entanglement import xstate_measures_batch
 from .errors import ConfigError
-from .geometry import Topology, WorldlinePair, separation_array
+from .geometry import (
+    Topology,
+    WorldlinePair,
+    image_separation_array,
+    self_pair,
+    separation_array,
+)
 
 __all__ = [
     "Table",
@@ -212,9 +218,8 @@ def _points(config: SweepConfig, n: int, selves: bool) -> tuple:
     """(length, theta, pair) of the (l, theta) points of the grid, l outer
     and theta inner, once the images that a run sums up to image ``n`` are
     known to lie within the float range: detector B's and, where ``selves``
-    holds, each detector's own.  Otherwise a ConfigError names the
-    coordinate that leaves it, before any row blames an infinite
-    separation."""
+    holds, each detector's own.  Otherwise a ConfigError names the image
+    that leaves it, before any row blames an infinite separation."""
     lengths = config.l.values()
     thetas = config.theta.values()
     # math, not numpy, trigonometry: bit for bit the coordinates of the
@@ -234,37 +239,25 @@ def _points(config: SweepConfig, n: int, selves: bool) -> tuple:
 
 
 def _check_images(config: SweepConfig, pair: WorldlinePair, n: int, selves: bool) -> None:
-    """The checks of :func:`_points`, on the coordinates that
-    :func:`udwpair.geometry.image_separation_array` forms: image n lies at
-    z_b + n ell, and on the twisted cylinder the odd images lie across the
-    axis, at d_a + d_b_x (B seen from A), 2 d_a and 2 d_b_x (each
-    detector's own)."""
-    length = f"L up to {config.l.stop!r}"
-    z_b = pair.z_b
+    """The checks of :func:`_points`, by the distances that the image sums
+    form (:func:`udwpair.geometry.image_separation_array`).  The distance
+    |dz - m ell| of an image is convex in m, so the farthest image of each
+    parity class summed lies at m = +-n or +-(n - 1)."""
+    pairs = {("A", "detector B's"): pair}
+    if selves:
+        pairs["A", "its own"] = self_pair(pair.d_a, pair.z_a)
+        pairs["B", "its own"] = self_pair(pair.d_b, pair.z_b)
     with np.errstate(over="ignore"):
         for ell in config.ell:
-            if not math.isfinite(n * ell):
-                raise ConfigError(
-                    f"ell = {ell!r}: the farthest image summed, n = {n}, lies at "
-                    "n ell beyond the float range"
-                )
-            if not np.isfinite([z_b.min() - n * ell, z_b.max() + n * ell]).all():
-                raise ConfigError(
-                    f"ell = {ell!r} and {length}: the farthest image summed, n = {n}, "
-                    "lies at z_b +- n ell beyond the float range"
-                )
-        if config.topology is not TopologyKind.TWISTED_CYLINDER:
-            return
-        d_a, d_b_x = config.d_a, pair.d_b[0]
-        across = {"d_a + d_b_x": d_a + d_b_x}
-        if selves:
-            across.update({"2 d_a": d_a + d_a, "2 d_b_x": d_b_x + d_b_x})
-    for name, offset in across.items():
-        if not np.isfinite(offset).all():
-            raise ConfigError(
-                f"d_a = {d_a!r} and {length}: the images summed up to n = {n} lie, "
-                f"where n is odd, across the axis at {name} beyond the float range"
-            )
+            topology = config.topology_for(ell)
+            for (seen_from, whose), images in pairs.items():
+                for m in (n, -n, n - 1, 1 - n):
+                    if not np.isfinite(image_separation_array(topology, images, m)).all():
+                        raise ConfigError(
+                            f"ell = {ell!r}, d_a = {config.d_a!r} and L up to "
+                            f"{config.l.stop!r}: the distance from detector {seen_from} "
+                            f"to {whose} image n = {m} lies beyond the float range"
+                        )
 
 
 def _slabs(config: SweepConfig, points: tuple) -> Iterator[_Slab]:

@@ -56,11 +56,10 @@ the rows at gap 0 (:func:`_pole_pairing_within_budget`).
 :func:`oracle_batch` is the oracle of a batch of points, such as a slab of
 ``verify`` or ``sweep --oracle``: the self terms of all its points in one
 pass and their x and c integrals in one pole pairing, each distinct row
-once.  The one-row :func:`oracle_a` (the self term, of a
-:class:`DetectorParams`), :func:`oracle_c` and :func:`oracle_x` (of a
-:class:`DetectorParams` and a separation) scale to sigma once and run the
+once.  The one-row :func:`oracle_a` (the self term, of a gap),
+:func:`oracle_c` and :func:`oracle_x` (of a gap and a separation) run the
 same passes on their one row, so a point's values in a batch are theirs
-bit for bit; an image term of a is ``oracle_c(p, L).real``.  A
+bit for bit; an image term of a is ``oracle_c(y, L).real``.  A
 separation that is not finite and positive gets a :class:`GeometryError`
 in its rows; one whose grid would exceed ``ORACLE_NODE_BUDGET`` nodes at
 the deepest refinement (over 1512), or that is below the smallest normal
@@ -85,7 +84,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import DetectorParams
+from .elements import check_gap
 from .errors import ConvergenceError, DomainError, GeometryError
 
 __all__ = ["oracle_a", "oracle_batch", "oracle_c", "oracle_x"]
@@ -413,7 +412,7 @@ def oracle_batch(
     then x and c of each array; a pass that raises (the self terms or the
     pole pairing) fails its points.  Values are NaN at a point with an
     error, else the values of :func:`oracle_a`, :func:`oracle_x` and
-    :func:`oracle_c` at sigma = 1 bit for bit.
+    :func:`oracle_c` bit for bit.
     """
     shape = errors.shape
     # the separations on a leading axis, of their own broadcast shape
@@ -473,42 +472,45 @@ def _pole_row(mag: float, r: float) -> np.ndarray:
     return pv
 
 
-def oracle_a(p: DetectorParams) -> float:
+def oracle_a(y: float) -> float:
     """Transition-probability coefficient A/eps0^2 from the distributional
     kernel: the single-worldline self term (f'(0) delta rule plus Hadamard
     double pole), real for static worldlines.  An image term of A, a
     detector correlating with its own translate at separation L, is
-    ``oracle_c(p, L).real``.
+    ``oracle_c(y, L).real``.
     """
-    y = np.array([p.sigma * p.omega])
-    mags = np.abs(y)
+    check_gap(y)
+    gaps = np.array([y], dtype=float)
+    mags = np.abs(gaps)
     errors = _screen(_unresolved, mags)
     fits = np.flatnonzero(np.equal(errors, None))
-    a = _self_terms(y, mags, np.zeros(1, dtype=int), fits, errors)
+    a = _self_terms(gaps, mags, np.zeros(1, dtype=int), fits, errors)
     if errors[0] is not None:
         raise errors[0]
     return float(a[0])
 
 
-def oracle_c(p: DetectorParams, l_image: float) -> complex:
+def oracle_c(y: float, l_image: float) -> complex:
     """Exchange coefficient C/eps0^2 from the distributional kernel:
     sqrt(pi) Int du e^{-u^2/4} e^{-i y u} W(u, r).
 
     Identical static detectors give a real value: the imaginary part is
     exactly 0.
     """
-    y, rho = np.array([p.sigma * p.omega]), np.array([l_image / p.sigma])
-    return complex(_exchange(y, rho, _pole_row(abs(y[0]), rho[0]))[0])
+    check_gap(y)
+    gaps, rho = np.array([y], dtype=float), np.array([l_image], dtype=float)
+    return complex(_exchange(gaps, rho, _pole_row(abs(gaps[0]), rho[0]))[0])
 
 
-def oracle_x(p: DetectorParams, l_image: float) -> complex:
+def oracle_x(y: float, l_image: float) -> complex:
     """Nonlocal coefficient X/eps0^2 from the time-ordered half-plane integral:
     :func:`_x_envelope` times the gap-independent time integral, whose
     principal value is taken over the whole line by symmetric pairing about
     the pole."""
-    big_l = np.array([l_image / p.sigma])
+    check_gap(y)
+    big_l = np.array([l_image], dtype=float)
     quad = complex(_time_integral(big_l, _pole_row(0.0, big_l[0]))[0])
-    return _x_envelope(p.sigma * p.omega) * quad
+    return _x_envelope(float(y)) * quad
 
 
 def _x_envelope(y: float) -> float:

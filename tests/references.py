@@ -14,9 +14,8 @@ against these independent routes:
   by adaptive quadrature (``scipy.integrate.quad``) and
   Richardson-extrapolates eps -> 0 (the distributional limit).  The two
   regularizations agreeing is the strongest correctness check available
-  for the closed forms.  It takes a :class:`DetectorParams` and a
-  separation and scales them once: y = sigma*Omega, separations over
-  sigma.
+  for the closed forms.  Like the package's oracles it takes the gap
+  y = sigma*Omega and a separation in units of sigma.
 * :func:`sgn_delta_square`, :func:`pv_over_pole` and
   :func:`hadamard_double_pole` apply the distributional rules of
   :mod:`udwpair.wightman` to one test function each, on equal panels of
@@ -41,7 +40,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from udwpair.elements import DetectorParams
 from udwpair.entanglement import _DENSITY_TOL, _trace_error
 from udwpair.errors import ConvergenceError, DomainError, GeometryError, InvalidStateError
 from udwpair.geometry import WorldlinePair, separation_array
@@ -255,7 +253,7 @@ def default_eps_sequence() -> list[float]:
 
 def oracle_ieps(
     which: str,
-    p: DetectorParams,
+    y: float,
     l_image: float,
     eps_sequence: Sequence[float] | None = None,
     *,
@@ -276,9 +274,8 @@ def oracle_ieps(
         raise GeometryError(f"{which} requires l_image > 0, got {l_image!r}")
     if l_image < 0.0:
         raise GeometryError(f"l_image must be >= 0, got {l_image!r}")
-    s = p.sigma
-    y, r = s * p.omega, l_image / s
-    eps_list = default_eps_sequence() if eps_sequence is None else [e / s for e in eps_sequence]
+    r = l_image
+    eps_list = default_eps_sequence() if eps_sequence is None else list(eps_sequence)
     if any(e <= 0 for e in eps_list) or any(
         b >= a for a, b in zip(eps_list, eps_list[1:])
     ):

@@ -25,7 +25,6 @@ from references import (
 )
 
 from udwpair import (
-    DetectorParams,
     GridAxis,
     SweepConfig,
     Topology,
@@ -60,8 +59,8 @@ def _quiet(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def _minkowski(p: DetectorParams, length: float):
-    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+def _minkowski(y: float, length: float):
+    return elements_for(y, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
 
 
 def _state_fields(state) -> dict[str, complex]:
@@ -74,22 +73,21 @@ def test_criterion_1_oracle_equivalence():
     worst_pv = 0.0
     worst_ieps = 0.0
     for om in GRID_OMEGA:
-        p = DetectorParams(omega=om, sigma=1.0)
-        a_closed = _minkowski(p, 1.0).a
-        worst_pv = max(worst_pv, abs(a_closed - oracle_a(p)))
-        worst_ieps = max(worst_ieps, abs(a_closed - oracle_ieps("A", p, 0.0).value))
+        a_closed = _minkowski(om, 1.0).a
+        worst_pv = max(worst_pv, abs(a_closed - oracle_a(om)))
+        worst_ieps = max(worst_ieps, abs(a_closed - oracle_ieps("A", om, 0.0).value))
         for length in GRID_L:
-            closed = _minkowski(p, length)
+            closed = _minkowski(om, length)
             x_closed, c_closed = closed.x, closed.c
             worst_pv = max(
                 worst_pv,
-                abs(x_closed - oracle_x(p, length)),
-                abs(c_closed - oracle_c(p, length)),
+                abs(x_closed - oracle_x(om, length)),
+                abs(c_closed - oracle_c(om, length)),
             )
             worst_ieps = max(
                 worst_ieps,
-                abs(x_closed - oracle_ieps("X", p, length).value),
-                abs(c_closed - oracle_ieps("C", p, length).value),
+                abs(x_closed - oracle_ieps("X", om, length).value),
+                abs(c_closed - oracle_ieps("C", om, length).value),
             )
     elapsed = time.perf_counter() - t0
     ok = worst_pv < 1e-6 and worst_ieps < 1e-5 and elapsed < 120.0
@@ -104,10 +102,10 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_forced_value():
     """A/eps0^2 at Omega = 0 equals 1/4 pi to 1e-12 in closed form and oracle."""
-    p = DetectorParams(omega=0.0, sigma=1.0)
+    y = 0.0
     target = 1.0 / (4.0 * math.pi)
-    dev_closed = abs(_minkowski(p, 1.0).a - target)
-    dev_oracle = abs(oracle_a(p) - target)
+    dev_closed = abs(_minkowski(y, 1.0).a - target)
+    dev_oracle = abs(oracle_a(y) - target)
     ok = dev_closed < 1e-12 and dev_oracle < 1e-12
     assert _report(
         2,
@@ -129,13 +127,13 @@ def test_criterion_2_forced_value():
 )
 def test_criterion_3_minkowski_limit():
     """At ell/sigma = 20 all quotient elements differ from Minkowski < 1e-12."""
-    p = DetectorParams(omega=1.0, sigma=1.0)
+    y = 1.0
     pair = WorldlinePair((0.3, 0.0), (0.8, 0.0), 0.0, 0.0)
-    mink = _state_fields(_minkowski(p, 0.5))
+    mink = _state_fields(_minkowski(y, 0.5))
     worst = 0.0
     for state in (
-        _quiet(elements_for, p, pair, Topology.cylinder(20.0)),
-        _quiet(elements_for, p, pair, Topology.twisted_cylinder(20.0)),
+        _quiet(elements_for, y, pair, Topology.cylinder(20.0)),
+        _quiet(elements_for, y, pair, Topology.twisted_cylinder(20.0)),
     ):
         for key, val in _state_fields(state).items():
             worst = max(worst, abs(val - mink[key]))
@@ -161,9 +159,8 @@ def test_criterion_4_truncation_adequacy():
     for ell in (1.0, 2.0, 4.0):
         top = Topology.cylinder(ell)
         for om in (-1.0, 0.0, 1.0):
-            p = DetectorParams(omega=om, sigma=1.0)
-            s10 = _state_fields(_quiet(elements_for, p, pair, top, nmax=10))
-            s20 = _state_fields(_quiet(elements_for, p, pair, top, nmax=20))
+            s10 = _state_fields(_quiet(elements_for, om, pair, top, nmax=10))
+            s20 = _state_fields(_quiet(elements_for, om, pair, top, nmax=20))
             worst = max(worst, max(abs(s10[k] - s20[k]) for k in s10))
     ok = worst < 1e-12
     assert _report(4, ok, f"max |nmax10 - nmax20| = {worst:.3e} (tol 1e-12)")
@@ -246,9 +243,9 @@ def test_criterion_7_correlation_identity():
     rel_tol = 100.0 * EPS0**2
     worst = 0.0
     for om in FIG1_OMEGA.values():
-        p = DetectorParams(omega=float(om), sigma=1.0)
+        y = float(om)
         for length in FIG1_L.values():
-            state = _minkowski(p, float(length))
+            state = _minkowski(y, float(length))
             assert state.a == state.b
             general = xstate_measures(state, EPS0).corr * EPS0**2
             leading = identical_shortcut(state, EPS0)

@@ -11,7 +11,6 @@ import pytest
 from references import separation, worldlines_from_orientation
 
 from udwpair import (
-    DetectorParams,
     GeometryError,
     InvalidStateError,
     PositivityError,
@@ -21,6 +20,7 @@ from udwpair import (
     XStateAB,
     assemble_density_matrix,
     elements_for,
+    oracle_a,
     oracle_c,
     oracle_x,
 )
@@ -38,7 +38,7 @@ A_OMEGA_MINUS_1 = 0.28918306400651455945
 ABS_X_L1_O1 = 0.047440335103833298156
 C_L1_O1 = 0.0066003343060240564385
 
-P1 = DetectorParams(omega=1.0, sigma=1.0)
+Y1 = 1.0
 
 
 def quiet_elements(*args, **kwargs):
@@ -47,25 +47,24 @@ def quiet_elements(*args, **kwargs):
         return elements_for(*args, **kwargs)
 
 
-def minkowski(p: DetectorParams, length: float) -> XStateAB:
+def minkowski(y: float, length: float) -> XStateAB:
     """elements_for in Minkowski space at separation ``length``."""
-    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+    return elements_for(y, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
 
 
 def self_term(omega: float) -> float:
-    """a at sigma = 1 from the kernel on a one-element array."""
+    """a from the kernel on a one-element array."""
     return float(self_excitation_array(np.array([omega]))[0])
 
 
 def exchange_term(omega: float, r: float) -> float:
-    """c at sigma = 1 from the kernel on one-element arrays."""
+    """c from the kernel on one-element arrays."""
     return float(exchange_array(np.array([omega]), np.array([r]))[0])
 
 
 class TestCoefficients:
     def test_self_term_at_zero_gap(self):
-        p = DetectorParams(omega=0.0, sigma=2.5)
-        assert minkowski(p, 1.0).a == 1.0 / (4.0 * math.pi)
+        assert minkowski(0.0, 1.0).a == 1.0 / (4.0 * math.pi)
 
     def test_self_term_frozen_values(self):
         for om, want in ((1.0, A_OMEGA_1), (0.5, A_OMEGA_HALF), (-1.0, A_OMEGA_MINUS_1)):
@@ -89,15 +88,15 @@ class TestCoefficients:
 
     def test_separation_validation(self):
         with pytest.raises(GeometryError, match="separation must be finite and > 0, got 0.0"):
-            minkowski(P1, 0.0)
+            minkowski(Y1, 0.0)
         with pytest.raises(GeometryError, match="separation must be finite and > 0, got inf"):
-            minkowski(P1, -math.inf)
+            minkowski(Y1, -math.inf)
 
     def test_extreme_separation_is_finite_power_law(self):
         # principal-value tails ~ s^2 e^{-s^2 Om^2} / (2 pi r^2); no overflow,
         # no spurious zeroing at any separation
         for r in (40.0, 200.0, 1e4):
-            st = minkowski(P1, r)
+            st = minkowski(Y1, r)
             x, c = st.x, st.c.real
             want = math.exp(-1.0) / (2.0 * math.pi * r * r)
             assert abs(x) == pytest.approx(want, rel=0.05)
@@ -154,8 +153,8 @@ class TestExchangeAccuracy:
         grid = exchange_array(omegas, rs)
         for i, om in enumerate(omegas[:, 0]):
             for j, r in enumerate(rs[0]):
-                p = DetectorParams(omega=float(om), sigma=1.0)
-                assert minkowski(p, float(r)).c == grid[i, j]
+                y = float(om)
+                assert minkowski(y, float(r)).c == grid[i, j]
 
 
 class TestSelfTermAccuracy:
@@ -185,20 +184,19 @@ class TestSelfTermAccuracy:
         ys = np.array([-2.0, 0.0, 1.9, 2.0, 3.9, 4.0, 4.5, 24.0, 40.0])
         grid = self_excitation_array(ys)
         for y, got in zip(ys, grid):
-            p = DetectorParams(omega=float(y), sigma=1.0)
-            assert minkowski(p, 1.0).a == got
+            assert minkowski(float(y), 1.0).a == got
 
 
 class TestMinkowski:
     def test_identical_detectors(self):
-        st = minkowski(P1, 1.0)
+        st = minkowski(Y1, 1.0)
         assert st.b == st.a
         assert st.e == pytest.approx(joint_excitation(st.a, st.a, st.x, st.c), rel=1e-15)
         assert st.tail_bound == 0.0
 
     def test_large_separation_approaches_product_state(self):
         eps0 = 0.01
-        st = minkowski(DetectorParams(omega=1.0, sigma=1.0), 12.0)
+        st = minkowski(1.0, 12.0)
         rho = assemble_density_matrix(st, eps0)
         single = np.array([[1.0 - eps0**2 * st.a, 0.0], [0.0, eps0**2 * st.a]])
         product = np.kron(single, single)
@@ -206,7 +204,7 @@ class TestMinkowski:
 
     def test_requires_positive_separation(self):
         with pytest.raises(GeometryError):
-            minkowski(P1, 0.0)
+            minkowski(Y1, 0.0)
 
 
 class TestImageTermsAgainstOracle:
@@ -225,26 +223,25 @@ class TestImageTermsAgainstOracle:
         pair = WorldlinePair((0.0, 0.0), (0.6, 0.0), 0.0, 0.4)
         top = Topology.cylinder(1.2)
         l_n = float(image_separation_array(top, pair, n))
-        st = minkowski(P1, l_n)
-        assert st.x == pytest.approx(oracle_x(P1, l_n), abs=1e-8)
+        st = minkowski(Y1, l_n)
+        assert st.x == pytest.approx(oracle_x(Y1, l_n), abs=1e-8)
         assert st.c.real == pytest.approx(
-            oracle_c(P1, l_n).real, abs=1e-8
+            oracle_c(Y1, l_n).real, abs=1e-8
         )
 
     @pytest.mark.parametrize("omega", [-1.0, 0.0, 1.5])
     def test_self_image_terms_cylinder(self, omega):
-        p = DetectorParams(omega=omega, sigma=1.0)
         top = Topology.cylinder(0.9)
         me = self_pair((0.3, 0.0), 0.1)
         for n in (1, 2, -3):
             r_n = float(image_separation_array(top, me, n))
             assert r_n == pytest.approx(abs(n) * 0.9, abs=1e-15)
             assert exchange_term(omega, r_n) == pytest.approx(
-                oracle_c(p, r_n).real, abs=1e-8
+                oracle_c(omega, r_n).real, abs=1e-8
             )
 
     def test_self_image_terms_twisted(self):
-        p = DetectorParams(omega=0.5, sigma=1.0)
+        y = 0.5
         top = Topology.twisted_cylinder(1.1)
         me = self_pair((0.8, 0.0), 0.0)
         for n in (1, -1, 2, 3):
@@ -254,23 +251,23 @@ class TestImageTermsAgainstOracle:
                 math.sqrt((n * 1.1) ** 2 + 4.0 * 0.8**2 * (n % 2)), rel=1e-14
             )
             assert exchange_term(0.5, r_n) == pytest.approx(
-                oracle_c(p, r_n).real, abs=1e-8
+                oracle_c(y, r_n).real, abs=1e-8
             )
 
 
 class TestCylinder:
     def test_translation_invariance(self):
         pair = WorldlinePair((0.0, 0.0), (0.7, 0.0), 0.0, 0.2)
-        st = quiet_elements(P1, pair, Topology.cylinder(1.0))
+        st = quiet_elements(Y1, pair, Topology.cylinder(1.0))
         assert st.b == st.a
 
     def test_n0_term_is_minkowski(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
         ell = 1.0
-        st = quiet_elements(P1, pair, Topology.cylinder(ell), nmax=10)
-        mink = minkowski(P1, 0.5)
+        st = quiet_elements(Y1, pair, Topology.cylinder(ell), nmax=10)
+        mink = minkowski(Y1, 0.5)
         image_x = sum(
-            minkowski(P1, math.sqrt(0.25 + (n * ell) ** 2)).x
+            minkowski(Y1, math.sqrt(0.25 + (n * ell) ** 2)).x
             for n in range(-10, 11)
             if n != 0
         )
@@ -279,12 +276,12 @@ class TestCylinder:
     def test_twisted_field_flips_odd_terms(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
         ell = 1.0
-        plus = quiet_elements(P1, pair, Topology.cylinder(ell, eta=1))
-        minus = quiet_elements(P1, pair, Topology.cylinder(ell, eta=-1))
+        plus = quiet_elements(Y1, pair, Topology.cylinder(ell, eta=1))
+        minus = quiet_elements(Y1, pair, Topology.cylinder(ell, eta=-1))
         # even-n terms unchanged: (plus + minus)/2 contains n=0 plus even images
         even_sum = 0.5 * (plus.x + minus.x)
-        want_even = minkowski(P1, 0.5).x + sum(
-            minkowski(P1, math.sqrt(0.25 + (n * ell) ** 2)).x
+        want_even = minkowski(Y1, 0.5).x + sum(
+            minkowski(Y1, math.sqrt(0.25 + (n * ell) ** 2)).x
             for n in range(-10, 11)
             if n != 0 and n % 2 == 0
         )
@@ -292,7 +289,7 @@ class TestCylinder:
         # odd terms flip sign between the two field types
         odd_sum = 0.5 * (plus.x - minus.x)
         want_odd = sum(
-            minkowski(P1, math.sqrt(0.25 + (n * ell) ** 2)).x
+            minkowski(Y1, math.sqrt(0.25 + (n * ell) ** 2)).x
             for n in range(-10, 11)
             if n % 2 == 1 or n % 2 == -1
         )
@@ -300,10 +297,10 @@ class TestCylinder:
 
     def test_monotone_approach_to_minkowski(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
-        mink_a = minkowski(P1, 0.5).a
+        mink_a = minkowski(Y1, 0.5).a
         devs = []
         for ell in (1.0, 2.0, 5.0, 10.0, 20.0):
-            st = quiet_elements(P1, pair, Topology.cylinder(ell))
+            st = quiet_elements(Y1, pair, Topology.cylinder(ell))
             devs.append(abs(st.a - mink_a))
         assert all(d1 > d2 for d1, d2 in zip(devs, devs[1:]))
         # principal-value tails make the approach polynomial:
@@ -314,9 +311,9 @@ class TestCylinder:
     def test_truncation_warning_and_tail_bound(self):
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
         with pytest.warns(TruncationWarning):
-            st = elements_for(P1, pair, Topology.cylinder(1.0), nmax=10)
+            st = elements_for(Y1, pair, Topology.cylinder(1.0), nmax=10)
         assert st.tail_bound > 0.0
-        st40 = quiet_elements(P1, pair, Topology.cylinder(1.0), nmax=40)
+        st40 = quiet_elements(Y1, pair, Topology.cylinder(1.0), nmax=40)
         # the omitted tail estimate bounds the actual truncation error
         assert abs(st40.x - st.x) <= 3.0 * st.tail_bound
         assert abs(st40.a - st.a) <= 3.0 * st.tail_bound
@@ -325,7 +322,7 @@ class TestCylinder:
         # the same check, and message, as in Minkowski space
         for topology in (Topology.cylinder(1.0), Topology.twisted_cylinder(1.0)):
             with pytest.raises(GeometryError, match="separation must be finite and > 0, got 0.0"):
-                elements_for(P1, self_pair((0.0, 0.0)), topology)
+                elements_for(Y1, self_pair((0.0, 0.0)), topology)
 
 
 class TestCoincidentImage:
@@ -338,19 +335,19 @@ class TestCoincidentImage:
     def test_scalar_path_names_the_image(self, topology):
         assert 0.0 < image_separation_array(topology, self.PAIR, -1) < 1e-16
         with pytest.raises(GeometryError, match=r"sits on image n = -1 of detector A"):
-            quiet_elements(P1, self.PAIR, topology)
+            quiet_elements(Y1, self.PAIR, topology)
 
     def test_resolved_separation_is_not_flagged(self):
         pair = WorldlinePair((0.0, 0.0), (1e-9, 0.0), 0.0, 1.0)
-        state = quiet_elements(P1, pair, Topology.cylinder(1.0))
+        state = quiet_elements(Y1, pair, Topology.cylinder(1.0))
         assert math.isfinite(state.a) and math.isfinite(abs(state.x))
 
 
 class TestTwisted:
     def test_axis_detectors_reduce_to_cylinder(self):
         pair = WorldlinePair((0.0, 0.0), (0.0, 0.0), 0.0, 0.4)
-        twisted = quiet_elements(P1, pair, Topology.twisted_cylinder(1.0))
-        cyl = quiet_elements(P1, pair, Topology.cylinder(1.0))
+        twisted = quiet_elements(Y1, pair, Topology.twisted_cylinder(1.0))
+        cyl = quiet_elements(Y1, pair, Topology.cylinder(1.0))
         assert twisted.a == pytest.approx(cyl.a, rel=1e-14)
         assert twisted.b == pytest.approx(cyl.b, rel=1e-14)
         assert twisted.x == pytest.approx(cyl.x, rel=1e-14)
@@ -358,7 +355,7 @@ class TestTwisted:
 
     def test_position_dependence_breaks_a_b_symmetry(self):
         pair = WorldlinePair((1.0, 0.0), (1.5, 0.0), 0.0, 0.0)
-        st = quiet_elements(P1, pair, Topology.twisted_cylinder(1.0))
+        st = quiet_elements(Y1, pair, Topology.twisted_cylinder(1.0))
         assert st.a != st.b
         assert st.e == pytest.approx(
             joint_excitation(st.a, st.b, st.x, st.c), rel=1e-15
@@ -366,23 +363,23 @@ class TestTwisted:
 
     def test_equal_offsets_restore_a_b_symmetry(self):
         pair = WorldlinePair((0.7, 0.0), (0.7, 0.0), 0.0, 0.9)
-        st = quiet_elements(P1, pair, Topology.twisted_cylinder(1.0))
+        st = quiet_elements(Y1, pair, Topology.twisted_cylinder(1.0))
         assert st.a == pytest.approx(st.b, rel=1e-14)
 
     def test_dispatch(self):
         # Minkowski space: the closed forms at L, no image terms
         pair = WorldlinePair((0.0, 0.0), (0.5, 0.0), 0.0, 0.0)
-        omega = np.array([P1.omega])
+        omega = np.array([Y1])
         length = np.array([separation(pair)])
         a = float(self_excitation_array(omega)[0])
         x = complex(nonlocal_array(omega, length)[0])
         c = complex(exchange_array(omega, length)[0])
         want = XStateAB(a=a, b=a, x=x, c=c)
-        assert elements_for(P1, pair, Topology.minkowski()) == want
+        assert elements_for(Y1, pair, Topology.minkowski()) == want
         # the quotients: image sums, with b != a only on the twisted cylinder
         off_axis = WorldlinePair((1.0, 0.0), (1.5, 0.0), 0.0, 0.0)
-        cyl = quiet_elements(P1, off_axis, Topology.cylinder(1.0))
-        twisted = quiet_elements(P1, off_axis, Topology.twisted_cylinder(1.0))
+        cyl = quiet_elements(Y1, off_axis, Topology.cylinder(1.0))
+        twisted = quiet_elements(Y1, off_axis, Topology.twisted_cylinder(1.0))
         assert cyl.a == cyl.b and cyl.tail_bound > 0.0
         assert twisted.a != twisted.b and twisted.tail_bound > 0.0
 
@@ -532,56 +529,15 @@ class TestQuotientBits:
         pair = WorldlinePair(
             (d_a, 0.0), (d_a + 0.6 * math.cos(theta), 0.0), 0.0, 0.6 * math.sin(theta)
         )
-        st = quiet_elements(DetectorParams(omega=omega, sigma=1.0), pair, top, nmax=10)
+        st = quiet_elements(omega, pair, top, nmax=10)
         got = (st.a, st.b, st.x.real, st.x.imag, st.c.real)
         assert tuple(v.hex() for v in got) == QUOTIENT_BITS[key]
         assert st.c.imag == 0.0
 
 
-class TestSigmaAtTheBoundary:
-    """elements_for scales once, at DetectorParams: the elements at the gap
-    Omega, width sigma and lengths L equal those at Omega sigma, width 1 and
-    lengths L/sigma, within 1e-13 max(|v|, a)."""
-
-    # both detectors off the axis (d_A != 0), B's images not coincident
-    PAIR = WorldlinePair((0.3, -0.2), (1.1, 0.4), 0.25, -0.6)
-    ELL = 1.7
-
-    @staticmethod
-    def _topology(case, ell):
-        if case == "minkowski":
-            return Topology.minkowski()
-        kind, eta = case.split()
-        return (Topology.cylinder if kind == "cylinder" else Topology.twisted_cylinder)(
-            ell, int(eta)
-        )
-
-    @pytest.mark.parametrize(
-        "case", ["minkowski", "cylinder 1", "cylinder -1", "twisted 1", "twisted -1"]
-    )
-    @pytest.mark.parametrize("sigma", [0.37, 0.8, 2.5])
-    @pytest.mark.parametrize("omega", [-2.0, 0.5, 3.0])
-    def test_elements_depend_on_omega_sigma_and_lengths_over_sigma(self, case, sigma, omega):
-        p = self.PAIR
-        scaled = WorldlinePair(
-            (p.d_a[0] / sigma, p.d_a[1] / sigma), (p.d_b[0] / sigma, p.d_b[1] / sigma),
-            p.z_a / sigma, p.z_b / sigma,
-        )
-        got = quiet_elements(
-            DetectorParams(omega=omega, sigma=sigma), p, self._topology(case, self.ELL)
-        )
-        want = quiet_elements(
-            DetectorParams(omega=omega * sigma, sigma=1.0), scaled,
-            self._topology(case, self.ELL / sigma),
-        )
-        for name in ("a", "b", "x", "c"):
-            v, w = getattr(got, name), getattr(want, name)
-            assert abs(v - w) <= 1e-13 * max(abs(w), want.a), name
-
-
 class TestAssembly:
     def test_matrix_structure(self):
-        st = minkowski(P1, 1.0)
+        st = minkowski(Y1, 1.0)
         rho = assemble_density_matrix(st, 0.01)
         assert rho.shape == (4, 4)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
@@ -608,10 +564,10 @@ class TestAssembly:
     def test_eigenvalue_sweep_on_figure_grid(self):
         eps0 = 0.01
         for om in np.linspace(-3.0, 3.0, 7):
-            p = DetectorParams(omega=float(om), sigma=1.0)
+            y = float(om)
             for length in np.linspace(0.25, 10.0, 8):
                 rho = assemble_density_matrix(
-                    minkowski(p, float(length)), eps0
+                    minkowski(y, float(length)), eps0
                 )
                 assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
@@ -642,8 +598,20 @@ class TestAssembly:
         with pytest.raises(InvalidStateError, match=r"^eps0 must be > 0, got "):
             assemble_density_matrix(st, eps0)
 
-    def test_params_validation(self):
-        with pytest.raises(InvalidStateError):
-            DetectorParams(omega=1.0, sigma=0.0)
-        with pytest.raises(InvalidStateError):
-            DetectorParams(omega=math.inf, sigma=1.0)
+
+#: every one-point entry, called at a gap with a valid pair or separation
+ONE_POINT_ENTRIES = {
+    "elements_for": lambda y: elements_for(
+        y, WorldlinePair((0.0, 0.0), (1.0, 0.0)), Topology.minkowski()
+    ),
+    "oracle_a": oracle_a,
+    "oracle_c": lambda y: oracle_c(y, 1.0),
+    "oracle_x": lambda y: oracle_x(y, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_POINT_ENTRIES))
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
+def test_one_point_entry_refuses_a_gap_that_is_not_finite(entry, gap):
+    with pytest.raises(InvalidStateError, match=r"^omega must be finite, got "):
+        ONE_POINT_ENTRIES[entry](gap)

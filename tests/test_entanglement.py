@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from references import concurrence_exact, negativity_exact, partial_transpose_a
 
 from udwpair import (
-    DetectorParams,
     DomainError,
     InvalidStateError,
     PositivityError,
@@ -34,9 +33,9 @@ from udwpair.entanglement import (
 EPS0 = 0.01
 
 
-def minkowski(p: DetectorParams, length: float) -> XStateAB:
+def minkowski(y: float, length: float) -> XStateAB:
     """elements_for in Minkowski space at separation ``length``."""
-    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+    return elements_for(y, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
 
 
 def closed_forms(rho: np.ndarray):
@@ -238,8 +237,8 @@ class TestCorrelation:
         assert xstate_measures(stx, 0.1).corr * 0.1**2 == pytest.approx(0.0, abs=1e-18)
 
     def test_identical_shortcut_matches_general(self):
-        p = DetectorParams(omega=0.7, sigma=1.0)
-        stx = minkowski(p, 1.3)
+        y = 0.7
+        stx = minkowski(y, 1.3)
         assert stx.a == stx.b
         general = xstate_measures(stx, EPS0).corr * EPS0**2
         assert general == pytest.approx(
@@ -256,9 +255,8 @@ class TestCorrelation:
         # A B underflows here, so (E - A B)/sqrt(A(1-A) B(1-B)) is not
         # computable as written; the reference evaluates it in 60 digits
         # from the same float coefficients
-        p = DetectorParams(omega=omega, sigma=1.0)
         for length in (0.5, 1.0, 10.0):
-            stx = minkowski(p, length)
+            stx = minkowski(omega, length)
             with mp.workdps(60):
                 e2 = mp.mpf(EPS0) ** 2
                 a, b = e2 * stx.a, e2 * stx.b
@@ -269,18 +267,18 @@ class TestCorrelation:
             assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_vanishes_at_large_separation(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
+        y = 1.0
         near, far = (
             correlation_arrays(state.a, state.b, state.x, state.c, EPS0)
-            for state in (minkowski(p, 1.0), minkowski(p, 40.0))
+            for state in (minkowski(y, 1.0), minkowski(y, 40.0))
         )
         assert abs(far) < abs(near) * 1e-3
 
 
 class TestReport:
     def test_spec_point_reproduces_expected_concurrence(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        state = minkowski(p, 1.0)
+        y = 1.0
+        state = minkowski(y, 1.0)
         report = xstate_measures(state, EPS0)
         # leading order: 2 (|x| - a) = 2 (0.047440 - 0.0070883), per eps0^2
         assert report.concurrence_leading == pytest.approx(0.0807041257, abs=1e-9)
@@ -293,9 +291,17 @@ class TestReport:
         r = rho.diagonal().real
         assert math.isclose(r[1], r[2], rel_tol=1e-12, abs_tol=1e-16)
 
+    def test_leading_concurrence_does_not_depend_on_the_coupling(self):
+        # it is per eps0^2: scaling by eps0^2 and back rounded it away once
+        # eps0^2 is subnormal (0.09881422924901186 at 1e-160)
+        state = minkowski(0.0, 1.0)
+        got = [xstate_measures(state, eps0).concurrence_leading for eps0 in (0.01, 1e-100, 1e-160)]
+        assert [v.hex() for v in got] == [got[0].hex()] * 3
+        assert got[0] == 0.09875745860562027
+
     def test_separable_point(self):
-        p = DetectorParams(omega=2.5, sigma=1.0)
-        state = minkowski(p, 8.0)
+        y = 2.5
+        state = minkowski(y, 8.0)
         report = xstate_measures(state, EPS0)
         assert not report.harvested
         assert report.concurrence_leading == 0.0
@@ -305,8 +311,8 @@ class TestReport:
         assert report.eof == pytest.approx(0.0, abs=1e-10)
 
     def test_one_point_types(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        report = xstate_measures(minkowski(p, 1.0), EPS0)
+        y = 1.0
+        report = xstate_measures(minkowski(y, 1.0), EPS0)
         assert report.harvested is True
         assert all(type(v) is float for v in report[:-1])
 
@@ -315,9 +321,9 @@ class TestReport:
         # the assembled detector state is only ever entangled through the
         # |rho_14| > sqrt(r22 r33) branch
         for om in np.linspace(-3.0, 3.0, 7):
-            p = DetectorParams(omega=float(om), sigma=1.0)
+            y = float(om)
             for length in np.linspace(0.2, 8.0, 9):
-                stx = minkowski(p, float(length))
+                stx = minkowski(y, float(length))
                 rho = assemble_density_matrix(stx, EPS0)
                 r = rho.diagonal().real
                 assert abs(rho[1, 2]) <= math.sqrt(r[0] * r[3])

@@ -248,7 +248,7 @@ def test_no_nonfinite_escapes_validated_domain():
 #: image sum; prints float.hex of a, b, x, c.
 ELEMENT_HEX = """
 import warnings
-from udwpair import DetectorParams, Topology, WorldlinePair, TruncationWarning, elements_for
+from udwpair import Topology, WorldlinePair, TruncationWarning, elements_for
 warnings.simplefilter("ignore", TruncationWarning)
 for omega, l, topology in (
     (0.5, 1.0, Topology.minkowski()),
@@ -257,7 +257,7 @@ for omega, l, topology in (
     (0.5, 1.0, Topology.cylinder(1.5)),
 ):
     pair = WorldlinePair((0.0, 0.0), (l, 0.0))
-    s = elements_for(DetectorParams(omega, 1.0), pair, topology)
+    s = elements_for(omega, pair, topology)
     print(*map(float.hex, (s.a, s.b, s.x.real, s.x.imag, s.c.real, s.c.imag)))
 """
 

@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from references import negativity_exact, separation
 
@@ -28,7 +28,6 @@ import udwpair.sweep as sweep_mod
 import udwpair.wightman
 from udwpair import (
     ConfigError,
-    DetectorParams,
     Topology,
     TopologyKind,
     TruncationWarning,
@@ -319,9 +318,9 @@ class TestExtremeSeparations:
         for r in rows:
             assert r["l"] == length
             assert r["error"] == "InvalidStateError: density matrix contains non-finite entries"
-            p = DetectorParams(omega=r["omega"], sigma=1.0)
+            y = r["omega"]
             pair = WorldlinePair((0.0, 0.0), (length, 0.0))
-            x = elements_for(p, pair, Topology.minkowski()).x
+            x = elements_for(y, pair, Topology.minkowski()).x
             want = math.exp(-r["omega"] ** 2) / (4.0 * math.sqrt(math.pi) * length)
             assert x.imag == pytest.approx(want, rel=1e-12)
 
@@ -342,8 +341,8 @@ class TestExtremeSeparations:
     def test_trace_failure_names_its_cause(self, length):
         # |x| ~ 1/L makes E = eps0^4 |x|^2 swamp 1 in r11 + r22 + r33 + r44
         (row,) = run_sweep(SweepConfig(omega=GridAxis(1.0, 1.0, 1), l=GridAxis(length, length, 1)))
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        state = elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+        y = 1.0
+        state = elements_for(y, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
         with pytest.raises(UdwError) as raised:
             xstate_measures(state, row["eps0"])
         assert row["error"] == f"InvalidStateError: {raised.value}"
@@ -429,11 +428,11 @@ class TestBatchedPath:
         cfg, kinds = FAILING_GRIDS[name]
         seen = set()
         for row in run_sweep(cfg):
-            p = DetectorParams(omega=row["omega"], sigma=1.0)
+            y = row["omega"]
             pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
             ell = None if cfg.topology is TopologyKind.MINKOWSKI else row["ell"]
             try:
-                state = elements_for(p, pair, cfg.topology_for(ell), cfg.nmax)
+                state = elements_for(y, pair, cfg.topology_for(ell), cfg.nmax)
                 report = xstate_measures(state, cfg.eps0)
                 error = ""
             except UdwError as exc:
@@ -566,12 +565,12 @@ class TestDifferenceMap:
     def test_label_swap_leaves_correlation_invariant(self):
         # corr is symmetric in the two detectors even on the twisted
         # cylinder where a != b
-        p = DetectorParams(omega=0.5, sigma=1.0)
+        y = 0.5
         top = Topology.twisted_cylinder(1.0)
         pair = WorldlinePair((0.1, 0.0), (0.6, 0.0), 0.0, 0.0)
         swapped = WorldlinePair((0.6, 0.0), (0.1, 0.0), 0.0, 0.0)
-        corr1 = xstate_measures(elements_for(p, pair, top), 0.01).corr
-        corr2 = xstate_measures(elements_for(p, swapped, top), 0.01).corr
+        corr1 = xstate_measures(elements_for(y, pair, top), 0.01).corr
+        corr2 = xstate_measures(elements_for(y, swapped, top), 0.01).corr
         assert corr1 == pytest.approx(corr2, rel=1e-12)
 
 
@@ -639,23 +638,23 @@ def _reference_oracle_devs(cfg, row):
     def dev_x(closed, oracle):
         return dev(closed, oracle, sys.float_info.min)
 
-    p = DetectorParams(omega=row["omega"], sigma=1.0)
+    y = row["omega"]
     pair = WorldlinePair((cfg.d_a, 0.0), (row["d_b_x"], 0.0), 0.0, row["z_b"])
     lsep = separation(pair)
-    mink = elements_for(p, pair, Topology.minkowski())
+    mink = elements_for(y, pair, Topology.minkowski())
     devs = {
-        "a": dev(mink.a, oracle_a(p)),
-        "x": dev_x(mink.x, oracle_x(p, lsep)),
-        "c": dev(mink.c, oracle_c(p, lsep)),
+        "a": dev(mink.a, oracle_a(y)),
+        "x": dev_x(mink.x, oracle_x(y, lsep)),
+        "c": dev(mink.c, oracle_c(y, lsep)),
         "image": 0.0,
     }
     if cfg.topology is not TopologyKind.MINKOWSKI:
         topology = cfg.topology_for(row["ell"])
         for n in (1, -1, 2, -2):
             l_n = float(image_separation_array(topology, pair, n))
-            term = elements_for(p, WorldlinePair((0.0, 0.0), (l_n, 0.0)), Topology.minkowski())
+            term = elements_for(y, WorldlinePair((0.0, 0.0), (l_n, 0.0)), Topology.minkowski())
             devs["image"] = max(
-                devs["image"], dev_x(term.x, oracle_x(p, l_n)), dev(term.c, oracle_c(p, l_n))
+                devs["image"], dev_x(term.x, oracle_x(y, l_n)), dev(term.c, oracle_c(y, l_n))
             )
     return devs
 
@@ -883,6 +882,31 @@ class TestOraclePath:
         )
 
 
+#: scales of a 1 x 1 grid near the float range, and ordinary ones
+_SCALES = st.one_of(
+    st.floats(min_value=0.1, max_value=10.0),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 9.99), st.integers(306, 307)),
+)
+
+
+def _farthest_image(twisted, ell, d_a, d_b_x, z_b, ns, selves):
+    """The largest distance from a detector to an image of the images ``ns``
+    that a run sums, by the scalar geometry: detector B's images seen from
+    A and, where ``selves`` holds, each detector's own.  Image n of a
+    detector at (x, 0, z) lies at ((-1)^n x, 0, z + n ell) on the twisted
+    cylinder and at (x, 0, z + n ell) on the cylinder."""
+    pairs = [(d_a, 0.0, d_b_x, z_b)]
+    if selves:
+        pairs += [(d_a, 0.0, d_a, 0.0), (d_b_x, z_b, d_b_x, z_b)]
+    return max(
+        separation(WorldlinePair(
+            (x_from, 0.0), (-x if twisted and n % 2 else x, 0.0), z_from, z + n * ell
+        ))
+        for x_from, z_from, x, z in pairs
+        for n in ns
+    )
+
+
 class TestCli:
     def test_sweep_stdout_csv(self):
         result = CliRunner().invoke(
@@ -976,42 +1000,51 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: ell = {float(ell.split(',')[-1])!r}: the farthest image summed, "
-            f"n = {n}, lies at n ell beyond the float range\n"
+            f"error: ell = {float(ell.split(',')[-1])!r}, d_a = 0.0 and L up to 1.0: the "
+            f"distance from detector A to detector B's image n = {n} lies beyond the "
+            "float range\n"
         )
         assert "Traceback" not in result.stderr
 
-    #: runs whose summed images leave the float range at a coordinate that
-    #: n ell alone does not show: the command, its grid, and the error line
+    #: runs whose summed images lie beyond the float range although n ell
+    #: alone does not: the command, its grid, and the error line
     IMAGE_COORDINATES = [
         (
             ["sweep", "--topology", "cylinder", "--ell", "1.7e307", "--l-range", "1e308:1e308:1",
              "--theta-range", "1.5707963267948966:1.5707963267948966:1"],
-            "ell = 1.7e+307 and L up to 1e+308: the farthest image summed, n = 10, lies at "
-            "z_b +- n ell beyond the float range",
+            "ell = 1.7e+307, d_a = 0.0 and L up to 1e+308: the distance from detector A to "
+            "detector B's image n = 10 lies beyond the float range",
+        ),
+        (
+            # every coordinate is finite, the distance is not
+            ["sweep", "--topology", "cylinder", "--ell", "1.3e307",
+             "--l-range", "1.4e308:1.4e308:1"],
+            "ell = 1.3e+307, d_a = 0.0 and L up to 1.4e+308: the distance from detector A to "
+            "detector B's image n = 10 lies beyond the float range",
         ),
         (
             ["sweep", "--topology", "twisted", "--ell", "1", "--d-a", "9e307",
              "--l-range", "5e307:5e307:1"],
-            "d_a = 9e+307 and L up to 5e+307: the images summed up to n = 10 lie, where n is "
-            "odd, across the axis at d_a + d_b_x beyond the float range",
+            "ell = 1.0, d_a = 9e+307 and L up to 5e+307: the distance from detector A to "
+            "detector B's image n = 9 lies beyond the float range",
         ),
         (
             ["verify", "--topology", "twisted", "--ell", "1", "--d-a", "9e307",
              "--l-range", "5e307:5e307:1"],
-            "d_a = 9e+307 and L up to 5e+307: the images summed up to n = 2 lie, where n is "
-            "odd, across the axis at d_a + d_b_x beyond the float range",
+            "ell = 1.0, d_a = 9e+307 and L up to 5e+307: the distance from detector A to "
+            "detector B's image n = 1 lies beyond the float range",
         ),
         (
             ["sweep", "--topology", "twisted", "--ell", "1", "--l-range", "1e308:1e308:1"],
-            "d_a = 0.0 and L up to 1e+308: the images summed up to n = 10 lie, where n is "
-            "odd, across the axis at 2 d_b_x beyond the float range",
+            "ell = 1.0, d_a = 0.0 and L up to 1e+308: the distance from detector B to its own "
+            "image n = 9 lies beyond the float range",
         ),
     ]
 
     @pytest.mark.parametrize(
         "argv, error", IMAGE_COORDINATES,
-        ids=["cylinder-z", "twisted-across", "verify-twisted-across", "twisted-own"],
+        ids=["cylinder-z", "cylinder-distance", "twisted-across", "verify-twisted-across",
+             "twisted-own"],
     )
     def test_image_coordinate_beyond_the_float_range_is_a_validation_error(
         self, tmp_path, argv, error
@@ -1045,6 +1078,41 @@ class TestCli:
         assert row["error"] == ""
         for key in ("a", "b", "x_re", "x_im", "c_re", "e", "negativity"):
             assert row[key] == row_m[key]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        command=st.sampled_from(["sweep", "verify"]),
+        topology=st.sampled_from(["cylinder", "twisted"]),
+        ell=_SCALES,
+        length=_SCALES,
+        theta=st.floats(min_value=0.0, max_value=math.pi),
+        d_a=st.one_of(st.just(0.0), _SCALES, _SCALES.map(lambda v: -v)),
+    )
+    def test_grid_is_refused_exactly_where_an_image_lies_beyond_the_float_range(
+        self, command, topology, ell, length, theta, d_a
+    ):
+        # 1 x 1 grids up to the float range: a refused grid has an image
+        # at an infinite distance, and an accepted one has none, so no row
+        # blames an infinite separation
+        assume(math.isfinite(abs(d_a) + length))
+        result = CliRunner().invoke(main, [
+            command, "--topology", topology, "--ell", repr(ell), "--d-a", repr(d_a),
+            "--l-range", f"{length!r}:{length!r}:1", "--theta-range", f"{theta!r}:{theta!r}:1",
+            "--omega-range", "0:0:1", "--format", "jsonl",
+        ])
+        ns = [*range(-10, 0), *range(1, 11)] if command == "sweep" else [1, -1, 2, -2]
+        d_b_x, z_b = d_a + length * math.cos(theta), length * math.sin(theta)
+        farthest = _farthest_image(
+            topology == "twisted", ell, d_a, d_b_x, z_b, ns, selves=command == "sweep"
+        )
+        if result.exit_code == 1:
+            assert result.stderr.startswith(f"error: ell = {ell!r}, d_a = "), result.stderr
+            assert farthest == math.inf
+        else:
+            assert result.exit_code in (0, 2), result.exc_info
+            assert math.isfinite(farthest)
+            (row,) = (json.loads(line) for line in result.stdout.splitlines())
+            assert "got inf" not in row["error"]
 
     def test_grid_at_its_bound_resolves(self):
         # validation only: a 1024 x 1024 grid is the largest a run takes

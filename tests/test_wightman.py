@@ -14,7 +14,6 @@ from references import (
     _hadamard_rows,
     _quad,
     _refined_quad,
-    default_eps_sequence,
     hadamard_double_pole,
     oracle_ieps,
     pv_over_pole,
@@ -24,7 +23,6 @@ from references import (
 
 from udwpair import (
     ConvergenceError,
-    DetectorParams,
     DomainError,
     GeometryError,
     Topology,
@@ -130,19 +128,18 @@ def _oracle_batch(gaps, *separations):
 
 
 def _one_row_values(gaps, seps):
-    """:func:`oracle_a`, :func:`oracle_x` and :func:`oracle_c` at sigma = 1
-    at the points (``gaps[i]``, ``seps[i]``), as arrays."""
-    params = [DetectorParams(omega=y, sigma=1.0) for y in gaps]
+    """:func:`oracle_a`, :func:`oracle_x` and :func:`oracle_c` at the
+    points (``gaps[i]``, ``seps[i]``), as arrays."""
     return (
-        np.array([oracle_a(p) for p in params]),
-        np.array([oracle_x(p, r) for p, r in zip(params, seps)]),
-        np.array([oracle_c(p, r) for p, r in zip(params, seps)]),
+        np.array([oracle_a(y) for y in gaps]),
+        np.array([oracle_x(y, r) for y, r in zip(gaps, seps)]),
+        np.array([oracle_c(y, r) for y, r in zip(gaps, seps)]),
     )
 
 
-def minkowski(p: DetectorParams, length: float):
+def minkowski(y: float, length: float):
     """elements_for in Minkowski space at separation ``length``."""
-    return elements_for(p, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
+    return elements_for(y, WorldlinePair((0.0, 0.0), (length, 0.0)), Topology.minkowski())
 
 
 class TestDistributionalRules:
@@ -395,8 +392,8 @@ class TestOneQuadraturePass:
         # |y| in {0, 1, 2.5} for the self terms, then (|y|, r) in
         # {0, 1, 2.5} x {0.7, 3}; the x rows are those at |y| = 0
         assert rows == [3, 3 * 2]
-        assert _bits(c[0]) == _bits(oracle_c(DetectorParams(omega=-1.0, sigma=1.0), 0.7))
-        want_x = [oracle_x(DetectorParams(omega=0.0, sigma=1.0), r) for r in (0.7, 3.0)]
+        assert _bits(c[0]) == _bits(oracle_c(-1.0, 0.7))
+        want_x = [oracle_x(0.0, r) for r in (0.7, 3.0)]
         assert _bits(x[[3, 8]]) == _bits(np.array(want_x))
 
     def test_self_term_matches_complex_hadamard_form(self):
@@ -426,7 +423,7 @@ class TestOneQuadraturePass:
     def test_self_term_against_40_digits(self, y):
         # (e^{-y^2} - sqrt(pi) y erfc(y))/(4 pi); the cos form of the
         # pairing was off by 1.17e-14 at y = +-2
-        got = oracle_a(DetectorParams(omega=y, sigma=1.0))
+        got = oracle_a(y)
         assert _self_term_error(got, y) <= 1e-16
 
     def test_self_term_on_the_pole_pairing_grid(self, monkeypatch):
@@ -447,7 +444,7 @@ class TestOneQuadraturePass:
 
         monkeypatch.setattr(wightman, "_pairing_grid", recording_grid)
         monkeypatch.setattr(wightman, "_refine", recording_refine)
-        oracle_a(DetectorParams(omega=0.5, sigma=1.0))
+        oracle_a(0.5)
         assert intervals == [(0.0, 24.0)]
         assert grids[:2] == [(3.0, 8), (1.5, 16)]
 
@@ -479,23 +476,23 @@ class TestOneQuadraturePass:
 
 class TestOracleValues:
     def test_self_term_forced_value(self):
-        p = DetectorParams(omega=0.0, sigma=1.0)
-        assert oracle_a(p) == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-12)
+        y = 0.0
+        assert oracle_a(y) == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-12)
 
     def test_self_term_frozen_value(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        assert oracle_a(p) == pytest.approx(A_OMEGA_1, abs=1e-12)
+        y = 1.0
+        assert oracle_a(y) == pytest.approx(A_OMEGA_1, abs=1e-12)
 
     def test_x_frozen_value(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        got = oracle_x(p, 1.0)
+        y = 1.0
+        got = oracle_x(y, 1.0)
         assert got.real == pytest.approx(X_L1_O1.real, abs=1e-10)
         assert got.imag == pytest.approx(X_L1_O1.imag, abs=1e-10)
         assert abs(got) == pytest.approx(0.047440335103833298, abs=1e-10)
 
     def test_c_frozen_value_and_realness(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        got = oracle_c(p, 1.0)
+        y = 1.0
+        got = oracle_c(y, 1.0)
         assert got.real == pytest.approx(C_L1_O1, abs=1e-10)
         assert abs(got.imag) < 1e-12
 
@@ -520,7 +517,7 @@ class TestOracleValues:
         # oracle_c takes the pole at -r as -conj of the pole at +r, on its
         # own panel grid; both poles quadratured explicitly agree to rounding
         y, rho = omega * sigma, r / sigma
-        got = oracle_c(DetectorParams(omega=y, sigma=1.0), rho)
+        got = oracle_c(y, rho)
         assert abs(got - self._two_pole_form(y, rho)) <= 1e-15
         assert got.imag == 0.0
 
@@ -531,7 +528,7 @@ class TestOracleValues:
         # O(1) terms divided by rho, so its own rounding grows like 1/rho
         # (2e-14 against a 330-digit value near rho = 1e-3)
         want = self._two_pole_form(y, rho)
-        got = oracle_c(DetectorParams(omega=y, sigma=1.0), rho)
+        got = oracle_c(y, rho)
         assert abs(got - want) <= 1e-15 * max(1.0, abs(want), 1.0 / rho)
         assert got.imag == 0.0
 
@@ -596,7 +593,7 @@ class TestOracleValues:
         # the whole gap dependence of x is the exact envelope
         quad = complex(_time_integral(np.array([1.0]), _pole_row(0.0, 1.0))[0])
         for y in (-2.0, 0.0, 1.0, 3.5):
-            got = oracle_x(DetectorParams(omega=y, sigma=1.0), 1.0)
+            got = oracle_x(y, 1.0)
             assert _bits(got) == _bits(_x_envelope(y) * quad)
 
     def test_envelope_where_y_squared_overflows(self):
@@ -631,10 +628,10 @@ class TestOracleValues:
         for i in over:
             assert isinstance(errors[i], DomainError)
             assert f"over its budget of {wightman.ORACLE_NODE_BUDGET}" in str(errors[i])
-            p = DetectorParams(omega=gaps[i], sigma=1.0)
+            y = gaps[i]
             for one_row in (oracle_x, oracle_c):
                 with pytest.raises(DomainError) as raised:
-                    one_row(p, seps[i])
+                    one_row(y, seps[i])
                 assert str(raised.value) == str(errors[i])
         assert np.isnan(a[over]).all() and np.isnan(c[over]).all() and np.isnan(x[over]).all()
         assert max(sized) * wightman._GL_UNIT.size <= wightman.ORACLE_NODE_BUDGET
@@ -648,14 +645,14 @@ class TestOracleValues:
         # so does one whose node count is past the float range: the error
         # is a DomainError, and no RuntimeWarning is raised
         seps = [5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308]
-        p = DetectorParams(omega=0.5, sigma=1.0)
+        y = 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a, x, c, errors = _oracle_batch([0.5] * len(seps), seps)
             for i in (0, 1, 4):
                 for one_row in (oracle_x, oracle_c):
                     with pytest.raises(DomainError) as raised:
-                        one_row(p, seps[i])
+                        one_row(y, seps[i])
                     assert str(raised.value) == str(errors[i])
         assert [type(e).__name__ for e in errors] == (
             ["DomainError"] * 2 + ["NoneType"] * 2 + ["DomainError"]
@@ -697,13 +694,12 @@ class TestOracleValues:
             )
             assert isinstance(errors[i], DomainError) and str(errors[i]) == want
             # the one-row a and c raise it; x is exact in the gap and has none
-            p = DetectorParams(omega=gaps[i], sigma=1.0)
-            for one_row in (oracle_a, lambda p: oracle_c(p, 1.3)):
+            for one_row in (oracle_a, lambda y: oracle_c(y, 1.3)):
                 with pytest.raises(DomainError) as raised:
-                    one_row(p)
+                    one_row(gaps[i])
                 assert str(raised.value) == want
-            assert oracle_x(p, 1.3) == 0j
-        assert oracle_x(DetectorParams(omega=700.0, sigma=1.0), 1.0) == 0j
+            assert oracle_x(gaps[i], 1.3) == 0j
+        assert oracle_x(700.0, 1.0) == 0j
         assert np.isnan(a[over]).all() and np.isnan(x[over]).all() and np.isnan(c[over]).all()
         fits = [0, 2, 4]
         want = _one_row_values([gaps[i] for i in fits], [1.3] * 3)
@@ -715,127 +711,86 @@ class TestOracleValues:
         # however small L is: no ConvergenceError, and the closed form to
         # the verify tolerance
         for length in np.logspace(-4.0, 0.0, 41).tolist():
-            p = DetectorParams(omega=0.5, sigma=1.0)
-            assert abs(oracle_x(p, length) - minkowski(p, length).x) <= 1e-6
+            y = 0.5
+            assert abs(oracle_x(y, length) - minkowski(y, length).x) <= 1e-6
 
     def test_c_real_at_zero_gap(self):
-        p = DetectorParams(omega=0.0, sigma=1.0)
-        got = oracle_c(p, 0.8)
+        y = 0.0
+        got = oracle_c(y, 0.8)
         assert abs(got.imag) < 1e-12
-        conj_eval = oracle_c(DetectorParams(omega=-0.0, sigma=1.0), 0.8)
+        conj_eval = oracle_c(-0.0, 0.8)
         assert got == pytest.approx(conj_eval, abs=1e-12)
-
-    def test_scale_invariance_of_coefficients(self):
-        # only Omega*sigma and L/sigma matter
-        a = oracle_a(DetectorParams(omega=2.0, sigma=0.5))
-        b = oracle_a(DetectorParams(omega=1.0, sigma=1.0))
-        assert a == pytest.approx(b, abs=1e-12)
-        xa = oracle_x(DetectorParams(omega=2.0, sigma=0.5), 0.5)
-        xb = oracle_x(DetectorParams(omega=1.0, sigma=1.0), 1.0)
-        assert xa == pytest.approx(xb, abs=1e-12)
 
     def test_power_law_tail_at_large_separation(self):
         # The principal-value part decays like sigma^2 e^{-s^2 Om^2}/(2 pi L^2),
         # not Gaussianly; the oracle and the closed form agree on it.
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        got = oracle_x(p, 12.0)
+        y = 1.0
+        got = oracle_x(y, 12.0)
         assert abs(got) == pytest.approx(
             math.exp(-1.0) / (2.0 * math.pi * 144.0), rel=0.05
         )
-        assert abs(got - minkowski(p, 12.0).x) < 1e-8
+        assert abs(got - minkowski(y, 12.0).x) < 1e-8
 
     def test_x_phase_structure_matches_closed_form(self):
         rng = np.random.default_rng(3)
-        p0 = DetectorParams(omega=1.0, sigma=1.0)
         for _ in range(10):
             length = float(rng.uniform(0.3, 5.0))
             omega = float(rng.uniform(-2.0, 2.0))
-            p = DetectorParams(omega=omega, sigma=1.0)
-            got = oracle_x(p, length)
-            want = minkowski(p, length).x
+            got = oracle_x(omega, length)
+            want = minkowski(omega, length).x
             assert math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
             assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_preconditions(self):
-        p = DetectorParams(omega=0.0, sigma=1.0)
+        y = 0.0
         with pytest.raises(GeometryError):
-            oracle_x(p, 0.0)
+            oracle_x(y, 0.0)
         with pytest.raises(GeometryError):
-            oracle_c(p, -1.0)
+            oracle_c(y, -1.0)
         with pytest.raises(GeometryError, match=r"^l_image must be > 0, got 0\.0$"):
-            oracle_c(p, 0.0)
+            oracle_c(y, 0.0)
         # a gap over ORACLE_GAP_LIMIT and a separation over the node budget:
         # the separation's error is named
         with pytest.raises(DomainError, match="over its budget of"):
-            oracle_c(DetectorParams(omega=700.0, sigma=1.0), 1513.0)
-
-
-class TestSigmaAtTheBoundary:
-    """The one-row oracles scale once, at DetectorParams: at the gap Omega,
-    width sigma and separation r they equal the oracle at Omega sigma,
-    width 1 and r/sigma, within the refinement target 1e-12."""
-
-    @pytest.mark.parametrize("sigma", [0.37, 0.8, 2.5])
-    @pytest.mark.parametrize("omega", [-2.0, 0.5, 3.0])
-    def test_oracles_depend_on_omega_sigma_and_r_over_sigma(self, sigma, omega):
-        r = 1.3
-        p = DetectorParams(omega=omega, sigma=sigma)
-        unit = DetectorParams(omega=omega * sigma, sigma=1.0)
-        pairs = [
-            (oracle_a(p), oracle_a(unit)),
-            (oracle_c(p, r), oracle_c(unit, r / sigma)),
-            (oracle_x(p, r), oracle_x(unit, r / sigma)),
-        ]
-        for got, want in pairs:
-            assert abs(got - want) <= 1e-12
-
-    def test_ieps_scales_its_eps_sequence(self):
-        # an eps sequence is in the units of r; the default one is
-        # default_eps_sequence() in units of sigma
-        sigma = 0.8
-        p = DetectorParams(omega=-2.0 / sigma, sigma=sigma)
-        eps = [sigma * e for e in default_eps_sequence()]
-        got = oracle_ieps("C", p, 2.0 * sigma, eps)
-        want = oracle_ieps("C", DetectorParams(omega=-2.0, sigma=1.0), 2.0)
-        assert abs(got.value - want.value) <= 1e-10
+            oracle_c(700.0, 1513.0)
 
 
 class TestIepsRegularization:
     def test_forced_value(self):
-        p = DetectorParams(omega=0.0, sigma=1.0)
-        est = oracle_ieps("A", p, 0.0)
+        y = 0.0
+        est = oracle_ieps("A", y, 0.0)
         assert est.value.real == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-6)
         assert est.error < 1e-6
 
     def test_agreement_with_distributional_a(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        est = oracle_ieps("A", p, 0.0)
-        assert est.value.real == pytest.approx(oracle_a(p), abs=1e-6)
+        y = 1.0
+        est = oracle_ieps("A", y, 0.0)
+        assert est.value.real == pytest.approx(oracle_a(y), abs=1e-6)
 
     def test_agreement_with_distributional_x(self):
-        p = DetectorParams(omega=1.0, sigma=1.0)
-        est = oracle_ieps("X", p, 1.0)
-        assert est.value == pytest.approx(oracle_x(p, 1.0), abs=1e-6)
+        y = 1.0
+        est = oracle_ieps("X", y, 1.0)
+        assert est.value == pytest.approx(oracle_x(y, 1.0), abs=1e-6)
 
     def test_agreement_with_distributional_c(self):
-        p = DetectorParams(omega=-2.0, sigma=1.0)
-        est = oracle_ieps("C", p, 2.0)
-        assert est.value == pytest.approx(oracle_c(p, 2.0), abs=1e-6)
+        y = -2.0
+        est = oracle_ieps("C", y, 2.0)
+        assert est.value == pytest.approx(oracle_c(y, 2.0), abs=1e-6)
 
     def test_custom_sequence_validation(self):
-        p = DetectorParams(omega=0.0, sigma=1.0)
+        y = 0.0
         with pytest.raises(DomainError):
-            oracle_ieps("A", p, 0.0, eps_sequence=[0.1, 0.2])
+            oracle_ieps("A", y, 0.0, eps_sequence=[0.1, 0.2])
         with pytest.raises(DomainError):
-            oracle_ieps("A", p, 0.0, eps_sequence=[0.1, -0.05])
+            oracle_ieps("A", y, 0.0, eps_sequence=[0.1, -0.05])
         with pytest.raises(DomainError):
-            oracle_ieps("B", p, 0.0)
+            oracle_ieps("B", y, 0.0)
 
     def test_x_requires_separation(self):
-        p = DetectorParams(omega=0.0, sigma=1.0)
+        y = 0.0
         with pytest.raises(GeometryError):
-            oracle_ieps("X", p, 0.0)
+            oracle_ieps("X", y, 0.0)
 
 
 class TestRichardson:
@@ -880,21 +835,19 @@ class TestTermByTermAgainstClosedForms:
     @pytest.mark.parametrize("omega", [-1.0, 0.0, 0.7, 2.0])
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 20.0])
     def test_a_image_term_is_the_exchange_form(self, omega, r):
-        p = DetectorParams(omega=omega, sigma=1.0)
-        assert oracle_c(p, r).real == pytest.approx(
-            minkowski(p, r).c.real, abs=1e-8
+        assert oracle_c(omega, r).real == pytest.approx(
+            minkowski(omega, r).c.real, abs=1e-8
         )
 
     def test_a_image_term_is_even_in_omega_only_through_erf(self):
         # at Omega = 0 the image term is the pure Dawson tail, nonzero
-        p = DetectorParams(omega=0.0, sigma=1.0)
-        got = oracle_c(p, 1.0).real
+        y = 0.0
+        got = oracle_c(y, 1.0).real
         assert got == pytest.approx(0.06755114846238817, abs=1e-8)
         assert got > 0.0
 
     def test_self_term_closed_form(self):
         for omega in (-2.0, -0.5, 0.0, 0.5, 1.0, 3.0):
-            p = DetectorParams(omega=omega, sigma=1.0)
-            assert oracle_a(p) == pytest.approx(
-                minkowski(p, 1.0).a, abs=1e-10
+            assert oracle_a(omega) == pytest.approx(
+                minkowski(omega, 1.0).a, abs=1e-10
             )
