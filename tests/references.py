@@ -30,6 +30,13 @@ against these independent routes:
 * :func:`separation` is :func:`udwpair.geometry.separation_array` on
   floats, and :func:`worldlines_from_orientation` places a pair at length
   L and angle theta.
+* :func:`physical_self_term`, :func:`physical_nonlocal` and
+  :func:`physical_exchange` are the closed forms at a gap Omega, a
+  width sigma and a separation in the same units as sigma, by mpmath, and
+  :func:`physical_elements` sums them over the images of a pair placed in
+  those units, with the isometry J written out here.  The package takes
+  sigma*Omega and lengths over sigma instead; these check that nothing is
+  lost by that.
 """
 
 from __future__ import annotations
@@ -38,11 +45,13 @@ import math
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
+import mpmath as mp
 import numpy as np
 
+from udwpair.config import TopologyKind
 from udwpair.entanglement import _DENSITY_TOL, _trace_error
 from udwpair.errors import ConvergenceError, DomainError, GeometryError, InvalidStateError
-from udwpair.geometry import WorldlinePair, separation_array
+from udwpair.geometry import Topology, WorldlinePair, separation_array
 from udwpair.wightman import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -375,3 +384,73 @@ def worldlines_from_orientation(length: float, theta: float) -> WorldlinePair:
         z_a=0.0,
         z_b=length * math.sin(theta),
     )
+
+
+#: Digits of the mpmath closed forms: e^{-sigma^2 Omega^2} sin(Omega L)
+#: cancels against the erf term of the exchange form at large gaps
+_PHYSICAL_DPS = 60
+
+
+def physical_self_term(omega: float, sigma: float):
+    """A/eps0^2 = (e^{-sigma^2 Omega^2} - sqrt(pi) sigma Omega
+    erfc(sigma Omega)) / 4 pi."""
+    with mp.workdps(_PHYSICAL_DPS):
+        so = mp.mpf(sigma) * mp.mpf(omega)
+        return (mp.exp(-so * so) - mp.sqrt(mp.pi) * so * mp.erfc(so)) / (4 * mp.pi)
+
+
+def physical_nonlocal(omega: float, sigma: float, length):
+    """X/eps0^2 = sigma e^{-sigma^2 Omega^2 - L^2/4 sigma^2}
+    (i - erfi(L/2 sigma)) / (4 sqrt(pi) L)."""
+    with mp.workdps(_PHYSICAL_DPS):
+        s, big_l = mp.mpf(sigma), mp.mpf(length)
+        so, h = s * mp.mpf(omega), big_l / (2 * s)
+        return s * mp.exp(-so * so - h * h) * (1j - mp.erfi(h)) / (4 * mp.sqrt(mp.pi) * big_l)
+
+
+def physical_exchange(omega: float, sigma: float, length):
+    """C/eps0^2 = sigma e^{-L^2/4 sigma^2} (Im[e^{i Omega L}
+    erf(sigma Omega + i L/2 sigma)] - sin(Omega L)) / (4 sqrt(pi) L)."""
+    with mp.workdps(_PHYSICAL_DPS):
+        s, om, big_l = mp.mpf(sigma), mp.mpf(omega), mp.mpf(length)
+        h = big_l / (2 * s)
+        bracket = mp.im(mp.exp(1j * om * big_l) * mp.erf(mp.mpc(s * om, h))) - mp.sin(om * big_l)
+        return s * mp.exp(-h * h) * bracket / (4 * mp.sqrt(mp.pi) * big_l)
+
+
+def _image(topology: Topology, point, n: int):
+    """J^n of a point (x, y, z): the shift n ell along z, and on the
+    twisted cylinder the half turn (x, y) -> (-x, -y) for odd n."""
+    x, y, z = point
+    if topology.kind is TopologyKind.TWISTED_CYLINDER and n % 2:
+        x, y = -x, -y
+    return x, y, z + n * mp.mpf(topology.ell)
+
+
+def _distance(p, q):
+    return mp.sqrt(sum((mp.mpf(u) - mp.mpf(v)) ** 2 for u, v in zip(p, q)))
+
+
+def physical_elements(
+    omega: float, sigma: float, pair: WorldlinePair, topology: Topology, nmax: int
+):
+    """(a, b, x, c) of a pair and a topology placed in the units of sigma,
+    summed over the images 0 < |n| <= nmax with the weight eta^n.
+
+    b is the sum of detector B's self images, also on the cylinder, where
+    it equals a."""
+    at_a = (*pair.d_a, pair.z_a)
+    at_b = (*pair.d_b, pair.z_b)
+    with mp.workdps(_PHYSICAL_DPS):
+        a = b = physical_self_term(omega, sigma)
+        big_l = _distance(at_a, at_b)
+        x, c = physical_nonlocal(omega, sigma, big_l), physical_exchange(omega, sigma, big_l)
+        if topology.kind is not TopologyKind.MINKOWSKI:
+            for n in (*range(-nmax, 0), *range(1, nmax + 1)):
+                w = topology.eta**n
+                a += w * physical_exchange(omega, sigma, _distance(at_a, _image(topology, at_a, n)))
+                b += w * physical_exchange(omega, sigma, _distance(at_b, _image(topology, at_b, n)))
+                l_n = _distance(at_a, _image(topology, at_b, n))
+                x += w * physical_nonlocal(omega, sigma, l_n)
+                c += w * physical_exchange(omega, sigma, l_n)
+        return a, b, x, c

@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from references import separation, worldlines_from_orientation
+from references import physical_elements, separation, worldlines_from_orientation
 
 from udwpair import (
     GeometryError,
@@ -533,6 +533,45 @@ class TestQuotientBits:
         got = (st.a, st.b, st.x.real, st.x.imag, st.c.real)
         assert tuple(v.hex() for v in got) == QUOTIENT_BITS[key]
         assert st.c.imag == 0.0
+
+
+class TestUnitsOfSigma:
+    """The elements depend on the detectors only through Omega sigma and
+    lengths over sigma: the closed forms summed over the images of a pair
+    placed in the units of a width sigma (:func:`physical_elements`) equal
+    ``elements_for`` at the gap Omega sigma with every length over sigma,
+    within 1e-13 max(|v|, a)."""
+
+    # both detectors off the axis (d_A != 0), B's images not coincident
+    PAIR = WorldlinePair((0.3, -0.2), (1.1, 0.4), 0.25, -0.6)
+    ELL = 1.7
+
+    @staticmethod
+    def _topology(case, ell):
+        if case == "minkowski":
+            return Topology.minkowski()
+        kind, eta = case.split()
+        return (Topology.cylinder if kind == "cylinder" else Topology.twisted_cylinder)(
+            ell, int(eta)
+        )
+
+    @pytest.mark.parametrize(
+        "case", ["minkowski", "cylinder 1", "cylinder -1", "twisted 1", "twisted -1"]
+    )
+    @pytest.mark.parametrize("sigma", [0.37, 0.8, 2.5])
+    @pytest.mark.parametrize("omega", [-2.0, 0.5, 3.0])
+    def test_elements_equal_the_image_sum_in_physical_units(self, case, sigma, omega):
+        p = self.PAIR
+        in_sigma = WorldlinePair(
+            (p.d_a[0] / sigma, p.d_a[1] / sigma), (p.d_b[0] / sigma, p.d_b[1] / sigma),
+            p.z_a / sigma, p.z_b / sigma,
+        )
+        got = quiet_elements(omega * sigma, in_sigma, self._topology(case, self.ELL / sigma))
+        want = physical_elements(omega, sigma, p, self._topology(case, self.ELL), nmax=10)
+        scale = max(abs(want[0]), abs(want[1]))
+        for name, w in zip(("a", "b", "x", "c"), want):
+            v = getattr(got, name)
+            assert float(abs(v - w)) <= 1e-13 * float(max(abs(w), scale)), name
 
 
 class TestAssembly:

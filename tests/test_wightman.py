@@ -16,6 +16,9 @@ from references import (
     _refined_quad,
     hadamard_double_pole,
     oracle_ieps,
+    physical_exchange,
+    physical_nonlocal,
+    physical_self_term,
     pv_over_pole,
     richardson_zero_limit,
     sgn_delta_square,
@@ -754,6 +757,25 @@ class TestOracleValues:
         # the separation's error is named
         with pytest.raises(DomainError, match="over its budget of"):
             oracle_c(700.0, 1513.0)
+
+
+class TestUnitsOfSigma:
+    """The one-row oracles at the gap Omega sigma and the separation r/sigma
+    equal the closed forms at the gap Omega, width sigma and separation r
+    (:func:`physical_self_term` and its kin), within the refinement target
+    1e-12."""
+
+    @pytest.mark.parametrize("sigma", [0.37, 0.8, 2.5])
+    @pytest.mark.parametrize("omega", [-2.0, 0.5, 3.0])
+    def test_oracles_equal_the_closed_forms_in_physical_units(self, sigma, omega):
+        r, y = 1.3, omega * sigma
+        pairs = [
+            (oracle_a(y), physical_self_term(omega, sigma)),
+            (oracle_c(y, r / sigma), physical_exchange(omega, sigma, r)),
+            (oracle_x(y, r / sigma), physical_nonlocal(omega, sigma, r)),
+        ]
+        for got, want in pairs:
+            assert float(abs(got - want)) <= 1e-12
 
 
 class TestIepsRegularization:
