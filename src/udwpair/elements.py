@@ -438,23 +438,24 @@ def nonlocal_array(y, rho):
     return 1.0 / (4.0 * _SQRT_PI * rho) * _gap_envelope(y) * bracket
 
 
-#: The smallest separation the closed forms take, the smallest normal
-#: float: below it rho has lost precision, and x ~ 1/rho overflows from
-#: about 7.8e-310 on
-_MIN_SEPARATION = float(np.finfo(float).tiny)
+#: The smallest separation the closed forms and the oracle
+#: (:mod:`udwpair.wightman`) take, the smallest normal float: below it rho
+#: has lost precision, x ~ 1/rho overflows from about 7.8e-310 on, and the
+#: oracle's 1/(2 r) under 2.8e-309
+MIN_SEPARATION = float(np.finfo(float).tiny)
 
 
 def _separation_error(r: float) -> DomainError | GeometryError:
-    if 0.0 < r < _MIN_SEPARATION:
+    if 0.0 < r < MIN_SEPARATION:
         return DomainError(
-            f"the closed forms take separations from {_MIN_SEPARATION!r} sigma, the "
+            f"the closed forms take separations from {MIN_SEPARATION!r} sigma, the "
             f"smallest normal float, this one is {r!r} sigma"
         )
     return GeometryError(f"separation must be finite and > 0, got {r!r}")
 
 
 def _bad_separation(r):
-    return ~(np.isfinite(r) & (r >= _MIN_SEPARATION))
+    return ~(np.isfinite(r) & (r >= MIN_SEPARATION))
 
 
 def _flag_separation(errors: np.ndarray, r) -> None:

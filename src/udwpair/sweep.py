@@ -17,10 +17,10 @@ and theta = pi/2 along it; ``d_a`` offsets both detectors in the reflected
 plane, which matters only for the twisted cylinder (not translation
 invariant there).
 
-A run cuts each ell block of the grid into slabs of whole omega rows of
-at most ``SLAB_POINTS`` points (one row where a row alone has more) and
-evaluates each slab in one batched numpy pass in the calling process
-(:func:`udwpair.elements.elements_batch`,
+A run cuts each ell block of the grid into slabs of at most
+``SLAB_POINTS`` points, whole omega rows or a range of one row's (l,
+theta) points, and evaluates each slab in one batched numpy pass in the
+calling process (:func:`udwpair.elements.elements_batch`,
 :func:`udwpair.entanglement.xstate_measures_batch`); a point that fails
 gets in ``error`` the text that ``elements_for``/``xstate_measures`` raise.
 Every point's values are independent of the slab it lies in, and an ell
@@ -40,7 +40,8 @@ and :func:`run_verification` join the same slabs into one table.
 
 Results are a :class:`Table` of numpy columns, rows in grid order (ell,
 omega, l, theta outermost to innermost).  The writers take a table or
-slabs, and convert each column of ``CSV_CHUNK_ROWS`` rows to text in one
+slabs, cut each into chunks of at most ``CSV_CHUNK_ROWS`` rows (a chunk
+never joins two slabs), and convert each column of a chunk to text in one
 go, by dtype, each distinct value once: CSV floats with 17 significant
 digits (so identical configurations give identical bytes) and text quoted
 as RFC 4180 says where it holds a comma, a double quote, CR or LF; JSONL
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
@@ -159,35 +160,24 @@ def _concat(tables: list[Table]) -> Table:
 
 
 def _rechunked(tables: Iterable[Table]) -> Iterator[Table]:
-    """The rows of ``tables``, one after another, in tables of
-    ``CSV_CHUNK_ROWS`` rows (the last may have fewer): views of one table
-    where a chunk lies within it, joined pieces where it spans two."""
-    pieces: list[Table] = []
-    held = 0
+    """The rows of ``tables``, one after another, in views of at most
+    ``CSV_CHUNK_ROWS`` rows of one table."""
     for table in tables:
-        start, n = 0, len(table)
-        while start < n:
-            stop = min(n, start + CSV_CHUNK_ROWS - held)
-            pieces.append(Table({k: col[start:stop] for k, col in table.columns.items()}))
-            held += stop - start
-            start = stop
-            if held == CSV_CHUNK_ROWS:
-                yield _concat(pieces)
-                pieces, held = [], 0
-    if pieces:
-        yield _concat(pieces)
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            yield Table({k: col[start:stop] for k, col in table.columns.items()})
 
 
 class _Slab(NamedTuple):
-    """Whole omega rows of one ell block of the grid: omega x (l, theta)
-    points."""
+    """Points of one ell block of the grid: omega x (l, theta) points,
+    whole omega rows or a range of one row's (l, theta) points."""
 
     ell: float | None
     omega: np.ndarray  # Omega*sigma, shape (n_omega,)
-    length: np.ndarray  # shape (n_l * n_theta,), l outer, theta inner
+    length: np.ndarray  # shape (n_points,), l outer, theta inner
     theta: np.ndarray
-    pair: WorldlinePair  # coordinates of shape (n_l * n_theta,)
-    errors: np.ndarray  # shape (n_omega, n_l * n_theta)
+    pair: WorldlinePair  # coordinates of shape (n_points,)
+    errors: np.ndarray  # shape (n_omega, n_points)
     truncation: TruncationTally  # of the image sums of the whole ell block
 
     def gaps(self) -> np.ndarray:
@@ -261,19 +251,25 @@ def _check_images(config: SweepConfig, pair: WorldlinePair, n: int, selves: bool
 
 
 def _slabs(config: SweepConfig, points: tuple) -> Iterator[_Slab]:
-    """The slabs of the grid in grid order: each ell block in slabs of
-    ``SLAB_POINTS // (n_l * n_theta)`` omega rows (at least one).  The
+    """The slabs of the grid in grid order: each ell block in slabs of at
+    most ``SLAB_POINTS`` points, either ``SLAB_POINTS // cols`` whole omega
+    rows or a range of ``cols`` (l, theta) points of one row, where
+    ``cols`` is the smaller of a row's points and ``SLAB_POINTS``.  The
     slabs of a block share one tally of the image sums' truncation, which
     warns once the block's last slab has been evaluated."""
     length, theta, pair = points
     omega = config.omega.values()
-    rows = max(1, SLAB_POINTS // length.size)
+    cols = min(length.size, SLAB_POINTS)
+    rows = SLAB_POINTS // cols
     for ell in config.ell_values():
         truncation = TruncationTally()
         for start in range(0, omega.size, rows):
             gaps = omega[start:start + rows]
-            errors = new_errors((gaps.size, length.size))
-            yield _Slab(ell, gaps, length, theta, pair, errors, truncation)
+            for lo in range(0, length.size, cols):
+                cut = slice(lo, lo + cols)
+                part = replace(pair, d_b=(pair.d_b[0][cut], pair.d_b[1]), z_b=pair.z_b[cut])
+                errors = new_errors((gaps.size, part.z_b.size))
+                yield _Slab(ell, gaps, length[cut], theta[cut], part, errors, truncation)
         truncation.warn(config.nmax)
 
 
@@ -842,7 +838,8 @@ def _joined_rows(parts: list[str | list[str]], sep: str, n: int) -> str:
 
 def _csv_chunks(tables: Iterable[Table]) -> Iterator[str]:
     """The CSV text of the rows of ``tables``: the header line, then one
-    string per ``CSV_CHUNK_ROWS`` rows, each chunk converted in one go.
+    string per chunk of at most ``CSV_CHUNK_ROWS`` rows of one table, each
+    chunk converted in one go.
     No rows, no text."""
     header = True
     for chunk in _rechunked(tables):
@@ -854,9 +851,9 @@ def _csv_chunks(tables: Iterable[Table]) -> Iterator[str]:
 
 def _jsonl_chunks(tables: Iterable[Table]) -> Iterator[str]:
     """One JSON object per row of ``tables``, as ``json.dumps(row,
-    allow_nan=False)`` writes it with NaN as null, one string per
-    ``CSV_CHUNK_ROWS`` rows: the cells' texts with the key texts, which are
-    the same in every row, between them."""
+    allow_nan=False)`` writes it with NaN as null, one string per chunk
+    of at most ``CSV_CHUNK_ROWS`` rows of one table: the cells' texts with
+    the key texts, which are the same in every row, between them."""
     keys = None
     for chunk in _rechunked(tables):
         if keys is None:
@@ -880,9 +877,10 @@ _CHUNKS = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}
 
 def write_rows(rows: Table | Iterable[Table], fmt: str, stream) -> None:
     """Write ``rows`` as ``fmt`` (csv or jsonl) to ``stream``, one chunk of
-    ``CSV_CHUNK_ROWS`` rows per write.  ``rows`` is a table, or tables of
-    the same columns written one after another, such as the slabs of a
-    run: those are taken one at a time, as the chunks need them."""
+    at most ``CSV_CHUNK_ROWS`` rows of one table per write.  ``rows`` is a
+    table, or tables of the same columns written one after another, such
+    as the slabs of a run: those are taken one at a time, as the chunks
+    need them."""
     if fmt not in _CHUNKS:
         raise ConfigError(f"unknown output format {fmt!r}")
     for chunk in _CHUNKS[fmt]([rows] if isinstance(rows, Table) else rows):

@@ -84,7 +84,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import check_gap
+from .elements import MIN_SEPARATION, check_gap
 from .errors import ConvergenceError, DomainError, GeometryError
 
 __all__ = ["oracle_a", "oracle_batch", "oracle_c", "oracle_x"]
@@ -115,11 +115,6 @@ _MAX_DOUBLINGS = 6
 #: take 72 bytes per node there (75 MB at the budget, by tracemalloc); a
 #: larger separation gets a DomainError before anything is allocated.
 ORACLE_NODE_BUDGET = 1 << 20
-
-#: Smallest separation whose pole-pairing rows are integrated: the smallest
-#: normal float.  Below it r has lost precision, and 1/(2 r) overflows
-#: under 2.8e-309; a smaller separation gets a DomainError.
-_MIN_SEPARATION = float(np.finfo(float).tiny)
 
 #: Largest gap |y| whose self-term and exchange rows are integrated: the
 #: deepest panels (width 3/2^6, 32 nodes) then hold at least 2 pi nodes
@@ -250,13 +245,13 @@ def _pairing_grid(width: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _separation_error(r: float) -> GeometryError | DomainError | None:
     """The error of a separation that is not finite and positive, below
-    ``_MIN_SEPARATION``, or whose pole-pairing grid would exceed
+    ``MIN_SEPARATION``, or whose pole-pairing grid would exceed
     ``ORACLE_NODE_BUDGET`` nodes at the deepest refinement, else None."""
     if not 0.0 < r < math.inf:
         return GeometryError(f"l_image must be > 0, got {r!r}")
-    if r < _MIN_SEPARATION:
+    if r < MIN_SEPARATION:
         return DomainError(
-            f"the oracle takes separations from {_MIN_SEPARATION!r} sigma, the smallest "
+            f"the oracle takes separations from {MIN_SEPARATION!r} sigma, the smallest "
             f"normal float, this one is {r!r} sigma"
         )
     panel_nodes = _GL_UNIT.size << _MAX_DOUBLINGS

@@ -1457,8 +1457,8 @@ class TestCli:
 
 
 #: Grids of each topology whose ell blocks span several slabs of at most
-#: SMALL_SLAB points (three omega rows of five points, or one of ten), as
-#: configuration keys
+#: SMALL_SLAB points (three omega rows of five points, or one of ten, or
+#: ranges of 16, 16 and 3 of a row's 35 points), as configuration keys
 SMALL_SLAB = 16
 SLAB_GRIDS = {
     "minkowski": {"omega": "-2:2:7", "l": "0.4:3:5"},
@@ -1466,6 +1466,10 @@ SLAB_GRIDS = {
     "twisted": {
         "topology": "twisted", "ell": "1", "eta": "-1", "d_a": "0.1",
         "omega": "-2:2:7", "l": "0.4:3:5", "theta": "0:1:2",
+    },
+    "cylinder-wide-rows": {
+        "topology": "cylinder", "ell": "1", "omega": "-2:2:3", "l": "0.4:3:5",
+        "theta": "0:1.5:7",
     },
 }
 _FLAGS = {"omega": "--omega-range", "l": "--l-range", "theta": "--theta-range", "d_a": "--d-a"}
@@ -1501,8 +1505,8 @@ class TestSlabs:
         else:
             table = _LIBRARY[name](cfg)
         writer = rows_to_csv if fmt == "csv" else rows_to_jsonl
-        # the CLI in slabs of at most three omega rows, in chunks of seven
-        # rows that straddle the slabs
+        # the CLI in slabs of at most SMALL_SLAB points, in chunks of at
+        # most seven rows of one slab
         monkeypatch.setattr(sweep_mod, "SLAB_POINTS", SMALL_SLAB)
         monkeypatch.setattr(sweep_mod, "CSV_CHUNK_ROWS", 7)
         result = CliRunner().invoke(main, [name, *extra, *_flags(keys), "--format", fmt])
@@ -1541,23 +1545,39 @@ class TestSlabs:
         if fmt == "csv":
             assert rows[0] == 1 and writes[0].startswith("topology,")
             rows = rows[1:]
-        # 2 ell blocks x 7 omega rows x 5 points, in slabs of 15 points
-        assert rows == [7] * 10
+        # 2 ell blocks x 7 omega rows x 5 points, in slabs of 15, 15 and 5
+        # points, each in chunks of at most 7 rows
+        assert rows == [7, 7, 1, 7, 7, 1, 5] * 2
 
-    def test_one_truncation_warning_per_block(self, monkeypatch):
-        # 128 omega rows of 64 points: two slabs, whose image sums truncate
-        # with different maxima; the block warns once, with its maxima
-        args = ["sweep", "--topology", "cylinder", "--ell", "1", "--omega-range", "-3:3:128",
-                "--l-range", "0.25:8:64"]
+    @pytest.mark.parametrize(
+        "grid, slab_points, blocks",
+        [
+            # 128 omega rows of 64 points: two slabs, whose image sums
+            # truncate with different maxima
+            (["--ell", "1", "--omega-range", "-3:3:128", "--l-range", "0.25:8:64"],
+             sweep_mod.SLAB_POINTS, 1),
+            # two ell blocks of rows of 35 points, each row cut into slabs of
+            # 16, 16 and 3 points
+            (["--ell", "1,2", "--omega-range", "-2:2:3", "--l-range", "0.4:3:5",
+              "--theta-range", "0:1.5:7"], SMALL_SLAB, 2),
+        ],
+        ids=["whole-rows", "cut-rows"],
+    )
+    def test_one_truncation_warning_per_block(self, monkeypatch, grid, slab_points, blocks):
+        # each ell block warns once, with the maxima of all its slabs
+        args = ["sweep", "--topology", "cylinder", *grid]
         with warnings.catch_warnings():
             warnings.simplefilter("default")
+            monkeypatch.setattr(sweep_mod, "SLAB_POINTS", slab_points)
             streamed = CliRunner().invoke(main, args)
             monkeypatch.setattr(sweep_mod, "SLAB_POINTS", 1 << 30)
             whole = CliRunner().invoke(main, args)
         assert streamed.exit_code == whole.exit_code == 0
         assert streamed.stdout == whole.stdout
-        (line,) = streamed.stderr.splitlines()
-        assert line.startswith("udwpair: TruncationWarning: image sum truncated at |n| <= 10")
+        lines = streamed.stderr.splitlines()
+        assert len(lines) == blocks
+        for line in lines:
+            assert line.startswith("udwpair: TruncationWarning: image sum truncated at |n| <= 10")
         assert streamed.stderr == whole.stderr
 
     @pytest.mark.parametrize(
@@ -1587,14 +1607,27 @@ class TestSlabs:
         assert result.stderr == f"error: {config}: not UTF-8: byte 0xff at offset 0 (invalid start byte)\n"
         assert result.stdout == "" and not path.exists()
 
-    @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["sweep", "oracle"])
-    def test_memory_does_not_grow_with_the_grid(self, tmp_path, extra):
-        # tracemalloc counts numpy's buffers too; a 64 x 64 grid is one
-        # slab and a 256 x 256 grid sixteen
+    @pytest.mark.parametrize(
+        "extra, axes, rows, bound",
+        [
+            # omega x l: a 64 x 64 grid is one slab and a 256 x 256 grid
+            # sixteen slabs of whole rows
+            ([], "--omega-range -3:3:{n}", 256 * 256, 1.25),
+            (["--oracle"], "--omega-range -3:3:{n}", 256 * 256, 1.25),
+            # one gap, l x theta: 64 x 64 points are one slab and 256 x 64
+            # one row cut into four slabs; the (l, theta) coordinates of
+            # the grid still grow with it
+            ([], "--omega-range 0.5:0.5:1 --theta-range 0:3.14159:64", 256 * 64, 1.5),
+            (["--oracle"], "--omega-range 0.5:0.5:1 --theta-range 0:3.14159:64", 256 * 64, 1.5),
+        ],
+        ids=["sweep", "oracle", "one-gap-sweep", "one-gap-oracle"],
+    )
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, extra, axes, rows, bound):
+        # tracemalloc counts numpy's buffers too
         import tracemalloc
 
         def peak(n: int) -> int:
-            args = ["sweep", *extra, "--omega-range", f"-3:3:{n}",
+            args = ["sweep", *extra, *axes.format(n=n).split(),
                     "--l-range", f"0.078125:10:{n}", "--out", str(tmp_path / f"{n}.csv")]
             tracemalloc.start()
             try:
@@ -1607,8 +1640,8 @@ class TestSlabs:
 
         peak(64)  # imports and cached tables
         small, large = peak(64), peak(256)
-        assert large < 1.25 * small, (small, large)
-        assert (tmp_path / "256.csv").read_text().count("\n") == 256 * 256 + 1
+        assert large < bound * small, (small, large)
+        assert (tmp_path / "256.csv").read_text().count("\n") == rows + 1
 
     @pytest.mark.parametrize(
         "axes, summary",
