@@ -101,6 +101,7 @@ from .geometry import (
 __all__ = [
     "XStateAB",
     "check_gap",
+    "gap_error",
     "joint_excitation",
     "self_excitation_array",
     "exchange_array",
@@ -711,11 +712,16 @@ def elements_batch(
     return XStateAB(a, a, x, c, tail_bound=np.zeros(errors.shape))
 
 
+def gap_error(y: float) -> InvalidStateError:
+    """The error of a gap y = sigma*Omega that is not finite."""
+    return InvalidStateError(f"omega must be finite, got {y!r}")
+
+
 def check_gap(y: float) -> None:
-    """Raise InvalidStateError unless the gap y = sigma*Omega that a
+    """Raise :func:`gap_error` unless the gap y = sigma*Omega that a
     one-point entry takes from its caller is finite."""
     if not math.isfinite(y):
-        raise InvalidStateError(f"omega must be finite, got {y!r}")
+        raise gap_error(y)
 
 
 def elements_for(

@@ -52,8 +52,13 @@ CSV floats are exactly ``"%.17g"`` (:func:`_g17`), JSONL floats exactly
 (:func:`_repr_floats`; an infinity raises, as in ``json.dumps(row,
 allow_nan=False)``).  Both take their digits in numpy from a double-double
 product with a power of ten, and leave the values they cannot settle to
-Python.  The float columns of a chunk are deduplicated together, so each
-distinct value of the chunk is formatted once.  A column that holds one
+Python.  They write each value as a row of six 8-byte words: its head
+(sign, "0.000" and the first digit), four words of four digits each and
+its tail ("e+XX" and the newline), gathered from tables that each
+notation builds at its first call, masked to the digits written and with
+the point put in (:func:`_layout`); the text is the rows without their
+NUL padding.  The float columns of a chunk are deduplicated together, so
+each distinct value of the chunk is formatted once.  A column that holds one
 value (one bit pattern, for floats) in every row of a chunk is formatted
 once and joined once: both writers build a chunk through one row assembly
 (:func:`_joined_rows`), which joins each run of adjacent such texts, with
@@ -531,7 +536,13 @@ _G17_TIE = 1e-6
 #: the decimal exponents of the tables: those of (_G17_MIN, _G17_MAX),
 #: and one more each way
 _K_MIN, _K_MAX = -281, 281
-_ZERO, _POINT, _MINUS, _NEWLINE = np.frombuffer(b"0.-\n", np.uint8)
+_K_COUNT = _K_MAX - _K_MIN + 1
+#: the 16 digits after a value's first are written in four groups of four
+_GROUP = 10**4
+#: a layout code is written * _CODES + the digit the point follows
+#: (_CODES - 1 for none), with written in [0, 17] the digits written
+#: (0 and 1 both write the first digit only)
+_CODES = 18
 
 
 def _ascii(texts, width: int) -> np.ndarray:
@@ -541,28 +552,18 @@ def _ascii(texts, width: int) -> np.ndarray:
 
 
 @cache
-def _g17_tables():
-    """The tables of ``_g17``, built at its first call.  Per decimal
-    exponent k in [_K_MIN, _K_MAX]: 10**(16 - k) as a double-double (the
-    high part split in halves, each part correctly rounded), the text
-    ``%.17g`` writes before the digits ("0.000" for k = -4) and after them
-    ("e+XX").  Then the four ASCII digits of each of 0..9999 as one
-    uint32."""
-    exponents = range(_K_MIN, _K_MAX + 1)
+def _powers_of_ten():
+    """10**(16 - k) per decimal exponent k in [_K_MIN, _K_MAX] as a
+    double-double (the high part split in halves, each part correctly
+    rounded), built at the first call of ``_g17`` or ``_repr_floats``."""
     hi, lo = [], []
-    for k in exponents:
+    for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
         high = num / den  # int division rounds correctly
         p, q = high.as_integer_ratio()
         hi.append(high)
         lo.append((num * q - p * den) / (den * q))
-    fixed = range(-4, 17)
-    prefix = _ascii(["0." + "0" * (-k - 1) if k < 0 and k in fixed else "" for k in exponents], 5)
-    suffix = _ascii(["" if k in fixed else "e%+03d" % k for k in exponents], 5)
-    digits = np.arange(10**4, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
-    pow10 = (*veltkamp_split(np.array(hi)), np.array(lo))
-    digits = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    return pow10, prefix, suffix, digits
+    return (*veltkamp_split(np.array(hi)), np.array(lo))
 
 
 def _scaled(x, k, pow10):
@@ -599,40 +600,113 @@ def _decimal(values: np.ndarray, fast: np.ndarray, pow10):
     return fast[ok], x[ok], k[ok], whole[ok], frac[ok]
 
 
-def _layout(signs: np.ndarray, k: np.ndarray, n: np.ndarray, fixed: range, suffix,
+@cache
+def _group_tables():
+    """The word of each group g in [0, _GROUP) of four digits, its digits
+    at bytes 0, 2, 4 and 6; and the digits of a value up to the last
+    nonzero one of g as group j in [0, 4) of the 16 after its first: 1 +
+    4 j + that digit's place, 0 where g is 0."""
+    digits = np.arange(_GROUP, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
+    words = np.zeros((_GROUP, 8), np.uint8)
+    words[:, ::2] = digits + ord("0")
+    places = ((digits != 0) * np.arange(1, 5, dtype=np.uint8)).max(axis=1)
+    kept = np.where(places > 0, places + np.arange(1, 17, 4, dtype=np.uint8)[:, None], 0)
+    return words.view(np.uint64).ravel(), kept.astype(np.uint8)
+
+
+@cache
+def _layout_tables(fixed: range, point_zero: bool):
+    """The tables of :func:`_layout` for one notation, built at its first
+    call; a word is 8 bytes of a row, as a uint64.
+
+    - The word table: the group words of :func:`_group_tables`; then the
+      head word of each (sign, k, first digit): the sign, the text before
+      the digits ("0.000" for k = -4 in fixed notation) and the digit at
+      byte 6; then the tail word of each k: "e+XX" (none in fixed
+      notation) and a newline.
+    - The digits kept by each group, of :func:`_group_tables`.
+    - The code of each k and count of digits up to the last nonzero one
+      past the first (0 for none).
+    - Per code, the row's mask, which keeps the digits written, and its
+      point, as six words each.
+    """
+    ks = range(_K_MIN, _K_MAX + 1)
+    heads = np.zeros((2, _K_COUNT, 10, 8), np.uint8)
+    heads[1, ..., 0] = ord("-")
+    prefix = ["0." + "0" * (-k - 1) if k < 0 and k in fixed else "" for k in ks]
+    heads[..., 1:6] = _ascii(prefix, 5)[:, None]
+    heads[..., 6] = np.arange(10) + ord("0")
+    tails = _ascii([("" if k in fixed else "e%+03d" % k) + "\n" for k in ks], 8)
+    groups, kept = _group_tables()
+    words = (groups, heads.view(np.uint64).ravel(), tails.view(np.uint64).ravel())
+
+    k = np.arange(_K_MIN, _K_MAX + 1)[:, None]
+    in_fixed = (k >= fixed.start) & (k < fixed.stop)
+    # the digit the point follows; negative where "0.000" holds the point
+    point = np.where(in_fixed, k, 0)
+    # digits written: integer digits stay, and so does a zero after the
+    # point where that is asked for
+    written = np.maximum(np.arange(_CODES), point + 1 + (point_zero & in_fixed & (k >= 0)))
+    dotted = (point >= 0) & (written > point + 1)
+    codes = (written * _CODES + np.where(dotted, point, _CODES - 1)).ravel()
+
+    # a row's 48 bytes: the head word, each digit after the first followed
+    # by the slot for the point after it, the tail word
+    written, after = np.divmod(np.arange(_CODES**2), _CODES)
+    mask = np.full((_CODES**2, 48), 0xFF, np.uint8)
+    digit = np.arange(1, 17)
+    mask[:, 6 + 2 * digit] = np.where(digit < written[:, None], 0xFF, 0)
+    dot = np.zeros((_CODES**2, 48), np.uint8)
+    at = np.flatnonzero(after < _CODES - 1)
+    dot[at, 7 + 2 * after[at]] = ord(".")
+    return np.concatenate(words), kept, codes, mask.view(np.uint64), dot.view(np.uint64)
+
+
+def _layout(signs: np.ndarray, k: np.ndarray, n: np.ndarray, fixed: range,
             point_zero: bool) -> str:
     """The texts of the values (-1)**sign n 10**(k - 16), for n in [1e16,
     1e17], each followed by a newline: the digits of n up to its last
     nonzero one, in fixed notation for k in ``fixed`` and else with the
-    ``suffix`` of k.  With ``point_zero``, fixed notation writes ".0" where
-    no fraction digit remains."""
-    _, prefix, _, digits = _g17_tables()
-    top = n == 10**17  # rounded up into the next decade
+    exponent suffix "e+XX".  With ``point_zero``, fixed notation writes
+    ".0" where no fraction digit remains.
+
+    Each value is a row of six words, NUL where nothing is written: the
+    head word (sign, "0.000", the first digit and the slot for the point
+    after it), four words of four digits each followed by the slot for the
+    point, and the tail word.  The row's words are gathered from the tables
+    of :func:`_layout_tables`, the digits past those written masked out
+    and the point put in, all by the value's code.  The text is the rows
+    with their NULs dropped.
+    """
+    table, kept, codes, mask, dot = _layout_tables(fixed, point_zero)
+    k = k - _K_MIN
+    top = np.flatnonzero(n == 10**17)  # rounded up into the next decade
     n[top] = 10**16
-    k = k + top
-    high, low = np.divmod(n, 10**8)
-    groups = [high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
-    digit = digits[np.stack(groups, axis=1)].view(np.uint8)[:, 3:]
-    nd = 17 - np.argmax(digit[:, ::-1] != _ZERO, axis=1)
-    # the digit the point follows; negative where "0.000" holds the point
-    in_fixed = (k >= fixed.start) & (k < fixed.stop)
-    point = np.where(in_fixed, k, 0)
-    # digits written: integer digits stay, and so does a zero after the
-    # point where that is asked for
-    ends = np.maximum(nd, point + 1 + (point_zero & in_fixed & (k >= 0)))
-    # one row of bytes per value, NUL where nothing is written: the sign,
-    # "0.000", each digit followed by a slot for the point, "e+XXX", a
-    # newline
-    row = np.zeros((n.size, 46), np.uint8)
-    row[:, 0] = signs * _MINUS
-    row[:, 1:6] = prefix[k - _K_MIN]
-    row[:, 6:40:2] = digit * (np.arange(17) < ends[:, None])
-    dotted = np.flatnonzero((point >= 0) & (ends > point + 1))
-    row[dotted, 7 + 2 * point[dotted]] = _POINT
-    row[:, 40:45] = suffix[k - _K_MIN]
-    row[:, 45] = _NEWLINE
+    k[top] += 1
+    # each row's indices into the word table
+    index = np.empty((n.size, 6), np.intp)
+    high = n // 10**8
+    low = n - high * 10**8
+    first = high // 10**8
+    high -= first * 10**8
+    for col, half in ((1, high), (3, low)):
+        np.floor_divide(half, _GROUP, out=index[:, col])
+        np.subtract(half, index[:, col] * _GROUP, out=index[:, col + 1])
+    # the digits up to the last nonzero one past the first (0 for none), as
+    # the last group with one sets them
+    digits = np.take(kept[0], index[:, 1])
+    for j in (1, 2, 3):
+        np.maximum(digits, np.take(kept[j], index[:, j + 1]), out=digits)
+    code = np.take(codes, k * _CODES + digits)
+    # the head words follow the _GROUP group words, and the tail words them
+    index[:, 0] = _GROUP + (k + _K_COUNT * signs) * 10 + first
+    index[:, 5] = _GROUP + 2 * _K_COUNT * 10 + k
+    row = np.take(table, index)
+    del index
+    row &= np.take(mask, code, axis=0)
+    row |= np.take(dot, code, axis=0)
     data = row.tobytes()
-    del row  # a third of the peak of the float text
+    del row
     return data.translate(None, b"\0").decode("ascii")
 
 
@@ -655,17 +729,16 @@ def _g17(values: np.ndarray) -> np.ndarray:
     the 17 digits.  Zeros, non-finite values, extreme magnitudes and any y
     whose fraction lies near 1/2 (a possible tie) go through Python's
     ``"%.17g"``.  The writer passes the distinct floats of one chunk of
-    ``CSV_CHUNK_ROWS`` rows, which bounds the temporaries (46 bytes of
+    ``CSV_CHUNK_ROWS`` rows, which bounds the temporaries (48 bytes of
     text per value and a few arrays of the values' size).
     """
-    pow10, _, suffix, _ = _g17_tables()
     mag = np.abs(values)
     fast = np.flatnonzero((mag > _G17_MIN) & (mag < _G17_MAX))
-    fast, _, k, whole, frac = _decimal(values, fast, pow10)
+    fast, _, k, whole, frac = _decimal(values, fast, _powers_of_ten())
     ok = np.abs(frac - 0.5) > _G17_TIE
     fast = fast[ok]
     n = whole[ok] + (frac[ok] > 0.5)
-    text = _layout(np.signbit(values[fast]), k[ok], n, range(-4, 17), suffix, False)
+    text = _layout(np.signbit(values[fast]), k[ok], n, range(-4, 17), False)
     return _texts(values, fast, text, "%.17g".__mod__)
 
 
@@ -677,14 +750,6 @@ _SHORT_UNITS = 10 ** np.arange(16, 2, -1, dtype=np.int64)
 #: ``float.__repr__``
 _REPR_EDGE = 1e-6
 _MANTISSA = (1 << 52) - 1
-
-
-@cache
-def _repr_suffix():
-    """The text ``repr`` writes after the digits, per decimal exponent k in
-    [_K_MIN, _K_MAX]: none for -4 <= k <= 15, else "e+XX"; built at the
-    first call of ``_repr_floats``."""
-    return _ascii(["" if -4 <= k <= 15 else "e%+03d" % k for k in range(_K_MIN, _K_MAX + 1)], 5)
 
 
 def _rounding(whole, frac, half, unit):
@@ -751,10 +816,10 @@ def _repr_floats(values: np.ndarray) -> np.ndarray:
     mag = np.abs(values)
     power_of_two = (values.view(np.int64) & _MANTISSA) == 0
     fast = np.flatnonzero((mag > _G17_MIN) & (mag < _G17_MAX) & ~power_of_two)
-    fast, x, k, whole, frac = _decimal(values, fast, _g17_tables()[0])
+    fast, x, k, whole, frac = _decimal(values, fast, _powers_of_ten())
     n, ok = _shortest(x, whole, frac)
     fast = fast[ok]
-    text = _layout(np.signbit(values[fast]), k[ok], n[ok], range(-4, 16), _repr_suffix(), True)
+    text = _layout(np.signbit(values[fast]), k[ok], n[ok], range(-4, 16), True)
     return _texts(values, fast, text, float.__repr__)
 
 
@@ -799,6 +864,8 @@ def _column_text(values: np.ndarray, fmt) -> str | list[str]:
         if values.all() or not values.any():
             return "true" if values[0] else "false"
         return np.where(values, "true", "false").tolist()
+    if values.dtype != object and (values == values[0]).all():
+        return fmt(values[0].item())
     cells = values.tolist()
     texts = {value: fmt(value) for value in set(cells)}
     if len(texts) == 1:

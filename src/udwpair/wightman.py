@@ -84,7 +84,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import MIN_SEPARATION, check_gap
+from .elements import MIN_SEPARATION, check_gap, flag_errors, gap_error
 from .errors import ConvergenceError, DomainError, GeometryError
 
 __all__ = ["oracle_a", "oracle_batch", "oracle_c", "oracle_x"]
@@ -248,7 +248,7 @@ def _separation_error(r: float) -> GeometryError | DomainError | None:
     ``MIN_SEPARATION``, or whose pole-pairing grid would exceed
     ``ORACLE_NODE_BUDGET`` nodes at the deepest refinement, else None."""
     if not 0.0 < r < math.inf:
-        return GeometryError(f"l_image must be > 0, got {r!r}")
+        return GeometryError(f"separation must be finite and > 0, got {r!r}")
     if r < MIN_SEPARATION:
         return DomainError(
             f"the oracle takes separations from {MIN_SEPARATION!r} sigma, the smallest "
@@ -402,12 +402,13 @@ def oracle_batch(
     those separations, at the points of ``errors`` (``y`` and each array
     broadcast to its shape): a and a list of (x, c), of that shape.
 
-    A point with an error in ``errors`` is skipped.  Any other point gets
-    there the exception of its first failing integral, in the order a,
-    then x and c of each array; a pass that raises (the self terms or the
-    pole pairing) fails its points.  Values are NaN at a point with an
-    error, else the values of :func:`oracle_a`, :func:`oracle_x` and
-    :func:`oracle_c` bit for bit.
+    A point with an error in ``errors`` is skipped.  A point whose gap is
+    not finite gets there the :func:`~udwpair.elements.gap_error` that the
+    one-row oracles raise, and any other point the exception of its first
+    failing integral, in the order a, then x and c of each array; a pass
+    that raises (the self terms or the pole pairing) fails its points.
+    Values are NaN at a point with an error, else the values of
+    :func:`oracle_a`, :func:`oracle_x` and :func:`oracle_c` bit for bit.
     """
     shape = errors.shape
     # the separations on a leading axis, of their own broadcast shape
@@ -415,10 +416,11 @@ def oracle_batch(
     a = np.full(shape, math.nan)
     # NaN in both parts: |v - NaN| is NaN for any v, an infinite one too
     x, c = (np.full((len(r), *shape), complex(math.nan, math.nan)) for _ in "xc")
+    y = np.asarray(y, dtype=float)
+    flag_errors(errors, ~np.isfinite(y), gap_error, y)
     todo = np.equal(errors, None)
     if not todo.any():
         return a, list(zip(x, c))
-    y = np.asarray(y, dtype=float)
     # the distinct |y| of the gaps and 0, the gap of the X rows (mags[0])
     mags, mag_of = np.unique(np.append(np.abs(y), 0.0), return_inverse=True)
     mag_of = mag_of[:-1].reshape(y.shape)

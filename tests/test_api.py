@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import udwpair
+import workflow
 from udwpair import TruncationWarning
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -293,7 +294,7 @@ def test_no_module_imports_a_private_name_of_another(path):
     assert _private_imports(path) == []
 
 
-WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+WORKFLOW = workflow.WORKFLOW
 #: a CLI call in a shell line without its redirections: ``udwpair`` or
 #: ``python -m udwpair.cli``, then its arguments up to ``|``, ``)``, ``;``
 #: or ``&``
@@ -331,34 +332,10 @@ def test_command_lines_are_found():
     assert len(calls) >= 20
 
 
-_RUN_KEY = re.compile(r"^(\s*(?:- )?)run:\s*(.*)$")
 #: the inline Python of a shell script: a single-quoted ``check='...'``
 #: (which holds no quote) or the double-quoted body of ``python -c``
 _CHECK_PROGRAM = re.compile(r"\bcheck='([^']*)'")
 _PYTHON_C = re.compile(r'\bpython -c "((?:[^"\\]|\\.)*)"', re.DOTALL)
-
-
-def _run_blocks(text: str) -> list[str]:
-    """The shell script of every ``run:`` key of a workflow: a plain
-    one-line value, or a ``|`` block scalar, whose lines are those indented
-    past the key (and blank ones), less the indentation of its first line."""
-    lines = text.splitlines()
-    blocks = []
-    for i, line in enumerate(lines):
-        match = _RUN_KEY.match(line)
-        if not match:
-            continue
-        if match.group(2) != "|":
-            blocks.append(match.group(2))
-            continue
-        body = []
-        for nxt in lines[i + 1 :]:
-            if nxt.strip() and len(nxt) - len(nxt.lstrip()) <= len(match.group(1)):
-                break
-            body.append(nxt)
-        indent = min(len(b) - len(b.lstrip()) for b in body if b.strip())
-        blocks.append("\n".join(b[indent:] for b in body).rstrip("\n") + "\n")
-    return blocks
 
 
 def _inline_programs(script: str) -> list[str]:
@@ -374,7 +351,7 @@ def test_workflow_scripts_parse():
     # the test suite runs none of the workflow's jobs, so a broken quote in
     # one of its scripts would go unseen: each shell script must pass
     # bash -n and each inline Python program must compile
-    blocks = _run_blocks(WORKFLOW.read_text(encoding="utf-8"))
+    blocks = [step.script for step in workflow.steps(WORKFLOW.read_text(encoding="utf-8"))]
     programs = [p for block in blocks for p in _inline_programs(block)]
     assert len(blocks) >= 13 and len(programs) >= 6, (len(blocks), len(programs))
     for block in blocks:
@@ -382,6 +359,21 @@ def test_workflow_scripts_parse():
         assert result.returncode == 0, (block, result.stderr)
     for program in programs:
         compile(program, "<workflow>", "exec")
+
+
+def test_workflow_steps_name_their_jobs():
+    # ci/local.sh runs the tests job's steps that need no install, in order:
+    # every step but the pip install and the installed entry point's
+    every = workflow.steps(WORKFLOW.read_text(encoding="utf-8"))
+    assert list(dict.fromkeys(step.job for step in every)) == ["tests", "numpy-floor", "runtime"]
+    tests = [step for step in every if step.job == "tests"]
+    assert [step.name for step in tests if step.needs_install()] == [
+        "Install the package with its test dependencies",
+        "Run the installed udwpair entry point",
+    ]
+    local = [step.name for step in tests if not step.needs_install()]
+    assert local[:2] == ["Tier-1 tests", "Benchmark self-tests"] and len(local) == 7, local
+    assert all(step.needs_install() for step in every if step.job == "runtime")
 
 
 @pytest.mark.parametrize("argv", sorted(set(_command_lines())), ids=" ".join)

@@ -4,6 +4,7 @@ byte for byte, on every bit pattern, on the values where their digits are
 hardest to get right, and on a large random sample."""
 
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udwpair.sweep import _g17, _repr_floats
+from udwpair.config import GridAxis, SweepConfig
+from udwpair.sweep import CSV_CHUNK_ROWS, _g17, _repr_floats, sweep_slabs
 
 
 def _mismatches(values):
@@ -54,6 +56,35 @@ def _rounding_into_the_next_decade():
     ])
 
 
+def _digits_at_each_exponent():
+    """For d = 1 to 17 significant digits at each decimal exponent k from -6
+    to 18, both signs: the double nearest to the first d digits of
+    1.2345678912345678 10**k, and the smallest d-digit decimal at 10**k,
+    ending in a nonzero digit, that a double holds exactly, where there is
+    one.  ``float.__repr__`` writes the d digits of the first where d <= 15;
+    ``"%.17g"`` writes 17 digits of most doubles, and fewer only of those
+    that hold a shorter decimal exactly, such as the second.  Between them
+    they reach every row layout of either notation (digits written, place
+    of the point), and the switches to exponents at k = 15, 16 and 17.
+    """
+    values = []
+    for d in range(1, 18):
+        for k in range(-6, 19):
+            e = k - d + 1  # the exponent of the last digit
+            values.append(float(f"{'12345678912345678'[:d]}e{e}"))
+            # for e < 0, D 10**e is a double only if 5**-e divides D: D =
+            # q 5**-e with q odd, so that D ends in 5
+            step = 5**-e if e < 0 else 1
+            q = -(-(10 ** (d - 1) + 1) // step)
+            if e < 0 and q % 2 == 0:
+                q += 1
+            exact = Fraction(q * step) * Fraction(10) ** e
+            if q * step < 10**d and Fraction(float(exact)) == exact:
+                values.append(float(exact))
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
 _CORPUS = {
     "powers of ten": _powers_of_ten(),
     # the switch from fixed to exponent notation, and from 17 integer digits
@@ -67,6 +98,7 @@ _CORPUS = {
     ]),
     "exact ties": _ties(np.random.default_rng(2), 50000),
     "rounding into the next decade": _rounding_into_the_next_decade(),
+    "1 to 17 significant digits at exponents -6 to 18": _digits_at_each_exponent(),
     "extremes": np.array([
         0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
         sys.float_info.min, sys.float_info.max, 1e-280, 1e280,
@@ -148,6 +180,7 @@ _REPR_CORPUS = {
     "1 to 17 significant digits": np.concatenate([
         _significant_digits(count, np.random.default_rng(count)) for count in range(1, 18)
     ]),
+    "1 to 17 significant digits at exponents -6 to 18": _digits_at_each_exponent(),
     # the doubles nearest d 10**k and their neighbours, whose short
     # roundings lie near half an ulp of them: a distance formed as a float
     # from the offset to the midpoint loses the fraction for one or two
@@ -184,3 +217,23 @@ def test_repr_texts_are_str_in_input_order():
     assert texts.dtype == object and all(type(t) is str for t in texts)
     assert texts.tolist() == ["1.5", "-0.0", "2.5e-300", "1e+16", "0.3333333333333333", "100.0"]
     assert _repr_floats(np.array([])).tolist() == []
+
+
+def test_peak_memory_per_value():
+    # the temporaries of both formatters stay within 300 bytes a value
+    # (tracemalloc, numpy's buffers included), on the distinct floats of
+    # the first chunk of an oracle sweep, some 7,700 values
+    config = SweepConfig(omega=GridAxis(-3.0, 3.0, 32), l=GridAxis(0.25, 8.0, 32), oracle=True)
+    slab = next(iter(sweep_slabs(config)))
+    cells = [col[:CSV_CHUNK_ROWS] for col in slab.columns.values() if col.dtype == np.float64]
+    values = np.unique(np.stack(cells).view(np.int64)).view(np.float64)
+    assert values.size > 5000
+    for fmt in (_g17, _repr_floats):
+        fmt(values)  # builds the tables, which the process keeps
+        tracemalloc.start()
+        try:
+            fmt(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * values.size, (fmt.__name__, peak / values.size)

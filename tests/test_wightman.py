@@ -28,6 +28,7 @@ from udwpair import (
     ConvergenceError,
     DomainError,
     GeometryError,
+    InvalidStateError,
     Topology,
     WorldlinePair,
     elements_for,
@@ -572,7 +573,9 @@ class TestOracleValues:
         # is kept, and so is every value of such a point
         a, x, c, errors = _oracle_batch([0.5] * 3, [1.0, 0.0, math.nan])
         assert [str(e) if e else None for e in errors.tolist()] == [
-            None, "l_image must be > 0, got 0.0", "l_image must be > 0, got nan",
+            None,
+            "separation must be finite and > 0, got 0.0",
+            "separation must be finite and > 0, got nan",
         ]
         assert all(isinstance(e, GeometryError) for e in errors[1:])
         want = _one_row_values([0.5], [1.0])
@@ -586,7 +589,8 @@ class TestOracleValues:
         bad = np.array([False, True, False, True, False, True, False, True])
         assert (np.not_equal(errors, None) == bad).all()
         for e, r in zip(errors[0, bad].tolist(), seps[bad].tolist()):
-            assert isinstance(e, GeometryError) and str(e) == f"l_image must be > 0, got {r!r}"
+            want = f"separation must be finite and > 0, got {r!r}"
+            assert isinstance(e, GeometryError) and str(e) == want
         grid_gaps, grid_seps = np.broadcast_arrays(gaps, seps[~bad])
         want = _one_row_values(grid_gaps.ravel().tolist(), grid_seps.ravel().tolist())
         for got_v, want_v in zip((a, x, c), want):
@@ -709,6 +713,27 @@ class TestOracleValues:
         for got_v, want_v in zip((a, x, c), want):
             assert _bits(got_v[fits]) == _bits(want_v)
 
+    def test_gaps_that_are_not_finite(self):
+        # a NaN or infinite gap is the InvalidStateError of the one-row
+        # oracles in its own points, not a gap over ORACLE_GAP_LIMIT; the
+        # other points keep their bits
+        gaps = [0.5, math.nan, -math.inf, math.inf, -1.5]
+        a, x, c, errors = _oracle_batch(gaps, 1.3)
+        bad = [1, 2, 3]
+        assert [i for i, e in enumerate(errors) if e is not None] == bad
+        for i in bad:
+            want = f"omega must be finite, got {gaps[i]!r}"
+            assert isinstance(errors[i], InvalidStateError) and str(errors[i]) == want
+            for one_row in (oracle_a, lambda y: oracle_c(y, 1.3), lambda y: oracle_x(y, 1.3)):
+                with pytest.raises(InvalidStateError) as raised:
+                    one_row(gaps[i])
+                assert str(raised.value) == want
+        assert np.isnan(a[bad]).all() and np.isnan(x[bad]).all() and np.isnan(c[bad]).all()
+        fits = [0, 4]
+        want = _one_row_values([gaps[i] for i in fits], [1.3] * 2)
+        for got_v, want_v in zip((a, x, c), want):
+            assert _bits(got_v[fits]) == _bits(want_v)
+
     def test_x_at_small_separations(self):
         # the pole pairing (g(L+s) - g(L-s))/s is smooth on the scale sigma
         # however small L is: no ConvergenceError, and the closed form to
@@ -751,8 +776,10 @@ class TestOracleValues:
             oracle_x(y, 0.0)
         with pytest.raises(GeometryError):
             oracle_c(y, -1.0)
-        with pytest.raises(GeometryError, match=r"^l_image must be > 0, got 0\.0$"):
+        with pytest.raises(GeometryError, match=r"^separation must be finite and > 0, got 0\.0$"):
             oracle_c(y, 0.0)
+        with pytest.raises(GeometryError, match=r"^separation must be finite and > 0, got inf$"):
+            oracle_c(0.5, math.inf)
         # a gap over ORACLE_GAP_LIMIT and a separation over the node budget:
         # the separation's error is named
         with pytest.raises(DomainError, match="over its budget of"):
